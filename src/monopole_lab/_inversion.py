@@ -37,6 +37,34 @@ from typing import Callable
 import numpy as np
 
 SERIES_WINDOW = 1e-4
+# FFT sizes tried for the reduced integrand: doubled from the first until the
+# top eighth of the spectrum is below 1e-15 * c0
+M_MIN = 256
+M_MAX = 32768
+
+
+def _cosine_coeffs(samples: np.ndarray, floor: float):
+    """Cosine coefficients of pi-periodic samples taken at theta_j = j pi / m.
+
+    Returns the coefficients up to the last one above
+    1e-17 * max(floor, |c0|), and the largest magnitude in the top eighth of
+    the untrimmed spectrum (the truncation tail).
+    """
+    m = samples.shape[0]
+    spec = np.fft.rfft(samples) / m
+    coeffs = np.empty(spec.shape[0])
+    coeffs[0] = spec[0].real
+    coeffs[1:] = 2.0 * spec[1:].real
+    tail = np.max(np.abs(coeffs[-(m // 8):]))
+    keep = np.nonzero(np.abs(coeffs) > 1e-17 * max(floor, abs(coeffs[0])))[0]
+    n_keep = int(keep[-1]) + 1 if keep.size else 1
+    return coeffs[:n_keep], tail
+
+
+def _sine_series(theta, c0: float, n: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """c0 * theta + sum_n b_n sin(2 n theta); a 0-d theta gives shape (1,)."""
+    theta = np.asarray(theta, dtype=float)
+    return c0 * theta + np.sin(2.0 * np.outer(theta, n)) @ b
 
 
 class QuarterBranch:
@@ -48,8 +76,6 @@ class QuarterBranch:
         x_end: float,
         rest: Callable[[np.ndarray], np.ndarray],
         dS: Callable[[float], float],
-        n_min: int = 256,
-        n_max: int = 32768,
     ):
         self.x_start = float(x_start)
         self.x_end = float(x_end)
@@ -59,16 +85,11 @@ class QuarterBranch:
         self._c_start = dS(self.x_start) / 4.0
         self._c_end = dS(self.x_end) / 4.0
 
-        m = n_min
+        m = M_MIN
         while True:
-            theta = np.arange(m) * (np.pi / m)
-            w = self._w(theta)
-            spec = np.fft.rfft(w) / m
-            coeffs = np.empty(spec.shape[0])
-            coeffs[0] = spec[0].real
-            coeffs[1:] = 2.0 * spec[1:].real
-            tail = np.max(np.abs(coeffs[-(m // 8):]))
-            if tail < 1e-15 * abs(coeffs[0]) or m >= n_max:
+            x = self._x_of_theta(np.arange(m) * (np.pi / m))
+            coeffs, tail = _cosine_coeffs(2.0 / np.sqrt(self._rest(x)), 0.0)
+            if tail < 1e-15 * abs(coeffs[0]) or m >= M_MAX:
                 break
             m *= 2
         if tail >= 1e-13 * abs(coeffs[0]):
@@ -76,11 +97,9 @@ class QuarterBranch:
                 "turning-point inversion did not reach spectral accuracy; "
                 "parameters may be nearly degenerate"
             )
-        keep = np.nonzero(np.abs(coeffs) > 1e-17 * abs(coeffs[0]))[0]
-        n_keep = int(keep[-1]) + 1 if keep.size else 1
         self._c0 = float(coeffs[0])
-        self._n = np.arange(1, n_keep, dtype=float)
-        self._cn = coeffs[1:n_keep]
+        self._n = np.arange(1, len(coeffs), dtype=float)
+        self._cn = coeffs[1:]
         self._cn_over_2n = self._cn / (2.0 * self._n)
 
         self.K = self._c0 * np.pi / 2.0
@@ -91,14 +110,11 @@ class QuarterBranch:
 
     # -- spectral primitives ----------------------------------------------
 
-    def _w(self, theta):
-        x = self.x_start + self._span * np.sin(theta) ** 2
-        return 2.0 / np.sqrt(self._rest(x))
+    def _x_of_theta(self, theta):
+        return self.x_start + self._span * np.sin(theta) ** 2
 
     def u_of_theta(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        s = np.sin(2.0 * np.outer(theta, self._n))
-        out = self._c0 * theta + s @ self._cn_over_2n
+        out = _sine_series(theta, self._c0, self._n, self._cn_over_2n)
         return out if out.shape else float(out)
 
     def w_of_theta(self, theta):
@@ -116,7 +132,7 @@ class QuarterBranch:
             theta = np.clip(theta, 0.0, np.pi / 2.0)
         return theta
 
-    # -- folding -------------------------------------------------------------
+    # -- evaluation --------------------------------------------------------------
 
     def _fold(self, u):
         """Reduce to t in [0, K] using evenness and 2K-periodicity.
@@ -132,72 +148,52 @@ class QuarterBranch:
         sign = np.where(second, -1.0, 1.0) * np.where(u < 0.0, -1.0, 1.0)
         return t, sign
 
-    # -- public evaluation -----------------------------------------------------
+    def _eval(self, u, with_deriv: bool):
+        """(x, dx/du) at any real u; dx/du is None unless ``with_deriv``.
 
-    def value(self, u):
-        """x(u) for any real u (even, 2K-periodic)."""
-        u_in = np.asarray(u, dtype=float)
-        t, _ = self._fold(u_in)
+        Away from the turning points x comes from the theta solve and dx/du
+        from the closed relation (dx/du)^2 = S(x), signed by quarter; inside
+        the series windows both come from the local quadratic.
+        """
+        t, sign = self._fold(u)
         near_start = t < SERIES_WINDOW
         near_end = (self.K - t) < SERIES_WINDOW
         mid = ~(near_start | near_end)
         x = np.empty_like(t)
+        d = np.empty_like(t) if with_deriv else None
         if np.any(mid):
-            theta = self.theta_of_u(t[mid])
-            x[mid] = self.x_start + self._span * np.sin(theta) ** 2
-        if np.any(near_start):
-            x[near_start] = self.x_start + self._c_start * t[near_start] ** 2
-        if np.any(near_end):
-            dt = t[near_end] - self.K
-            x[near_end] = self.x_end + self._c_end * dt**2
-        return x if x.shape else float(x)
-
-    def deriv(self, u):
-        """dx/du from the closed relation (dx/du)^2 = S(x), signed by quarter."""
-        u_in = np.asarray(u, dtype=float)
-        t, sign = self._fold(u_in)
-        near_start = t < SERIES_WINDOW
-        near_end = (self.K - t) < SERIES_WINDOW
-        mid = ~(near_start | near_end)
-        d = np.empty_like(t)
-        if np.any(mid):
-            x = self.value(t[mid])
-            s_val = np.abs((x - self.x_start) * (x - self.x_end)) * self._rest(x)
-            d[mid] = np.sign(self._span) * np.sqrt(s_val)
-        if np.any(near_start):
-            d[near_start] = 2.0 * self._c_start * t[near_start]
-        if np.any(near_end):
-            d[near_end] = 2.0 * self._c_end * (t[near_end] - self.K)
-        d = d * sign
-        return d if d.shape else float(d)
-
-    def value_and_deriv(self, u):
-        """(x, dx/du) sharing one theta solve."""
-        u_in = np.asarray(u, dtype=float)
-        t, sign = self._fold(u_in)
-        near_start = t < SERIES_WINDOW
-        near_end = (self.K - t) < SERIES_WINDOW
-        mid = ~(near_start | near_end)
-        x = np.empty_like(t)
-        d = np.empty_like(t)
-        if np.any(mid):
-            theta = self.theta_of_u(t[mid])
-            xm = self.x_start + self._span * np.sin(theta) ** 2
+            xm = self._x_of_theta(self.theta_of_u(t[mid]))
             x[mid] = xm
-            s_val = np.abs((xm - self.x_start) * (xm - self.x_end)) * self._rest(xm)
-            d[mid] = np.sign(self._span) * np.sqrt(s_val)
+            if with_deriv:
+                s_val = np.abs((xm - self.x_start) * (xm - self.x_end)) * self._rest(xm)
+                d[mid] = np.sign(self._span) * np.sqrt(s_val)
         if np.any(near_start):
             ts = t[near_start]
             x[near_start] = self.x_start + self._c_start * ts**2
-            d[near_start] = 2.0 * self._c_start * ts
+            if with_deriv:
+                d[near_start] = 2.0 * self._c_start * ts
         if np.any(near_end):
             dt = t[near_end] - self.K
             x[near_end] = self.x_end + self._c_end * dt**2
-            d[near_end] = 2.0 * self._c_end * dt
-        d = d * sign
+            if with_deriv:
+                d[near_end] = 2.0 * self._c_end * dt
+        if with_deriv:
+            d = d * sign
         if x.shape:
             return x, d
-        return float(x), float(d)
+        return float(x), (float(d) if with_deriv else None)
+
+    def value(self, u):
+        """x(u) for any real u (even, 2K-periodic)."""
+        return self._eval(u, False)[0]
+
+    def deriv(self, u):
+        """dx/du from the closed relation (dx/du)^2 = S(x), signed by quarter."""
+        return self._eval(u, True)[1]
+
+    def value_and_deriv(self, u):
+        """(x, dx/du) sharing one theta solve."""
+        return self._eval(u, True)
 
     def invert(self, x, tol: float = 1e-12):
         """First-quarter u in [0, K] with value(u) = x (x within the branch range)."""
@@ -215,15 +211,9 @@ class QuarterBranch:
     def cumulative(self, fn: Callable[[np.ndarray], np.ndarray]) -> "CumulativeIntegral":
         """Antiderivative I(u) = integral_0^u fn(x(s)) ds, odd in u."""
         m = max(2048, 4 * (len(self._cn) + 1))
-        theta = np.arange(m) * (np.pi / m)
-        vals = fn(self.x_start + self._span * np.sin(theta) ** 2) * self._w(theta)
-        spec = np.fft.rfft(vals) / m
-        coeffs = np.empty(spec.shape[0])
-        coeffs[0] = spec[0].real
-        coeffs[1:] = 2.0 * spec[1:].real
-        keep = np.nonzero(np.abs(coeffs) > 1e-17 * max(1.0, abs(coeffs[0])))[0]
-        n_keep = int(keep[-1]) + 1 if keep.size else 1
-        return CumulativeIntegral(self, coeffs[:n_keep])
+        x = self._x_of_theta(np.arange(m) * (np.pi / m))
+        coeffs, _ = _cosine_coeffs(fn(x) * (2.0 / np.sqrt(self._rest(x))), 1.0)
+        return CumulativeIntegral(self, coeffs)
 
 
 class CumulativeIntegral:
@@ -236,12 +226,6 @@ class CumulativeIntegral:
         self._dn_over_2n = coeffs[1:] / (2.0 * self._n)
         self.quarter = self._d0 * np.pi / 2.0  # integral over [0, K]
 
-    def _j_of_theta(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        s = np.sin(2.0 * np.outer(theta, self._n))
-        out = self._d0 * theta + s @ self._dn_over_2n
-        return out
-
     def __call__(self, u):
         u_in = np.asarray(u, dtype=float)
         scalar = u_in.ndim == 0
@@ -249,11 +233,13 @@ class CumulativeIntegral:
         K = self._branch.K
         sign = np.where(u_flat < 0.0, -1.0, 1.0)
         a = np.abs(u_flat)
+        # whole periods are counted (each adds 2 * quarter), so this reduction
+        # does not go through QuarterBranch._fold
         n_half = np.floor(a / (2.0 * K))
         r = a - 2.0 * K * n_half
         second = r > K
         t = np.where(second, 2.0 * K - r, r)
-        j = self._j_of_theta(self._branch.theta_of_u(t))
+        j = _sine_series(self._branch.theta_of_u(t), self._d0, self._n, self._dn_over_2n)
         partial = np.where(second, 2.0 * self.quarter - j, j)
         out = sign * (2.0 * self.quarter * n_half + partial)
         return float(out[0]) if scalar else out.reshape(u_in.shape)

@@ -504,6 +504,8 @@ def limit_system_step(spec: SystemSpec, s: PhaseState, dt: float, tol: float = 1
     """One accepted adaptive step of the cylinder flow; p1 never differentiated."""
     if spec.family != Family.CASE_II_LIMIT:
         raise ValueError("limit_system_step needs a CASE_II_LIMIT spec")
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
     rhs = _limit_rhs(spec)
     y_new, taken, dt_next = _adaptive_step(rhs, 0.0, s.as_array(), dt, tol)
     return StepResult(state=PhaseState(*y_new), dt_taken=taken, dt_next=dt_next)
@@ -519,7 +521,6 @@ def integrate(
     t_end: float,
     tol: float = 1e-10,
     stride: int = 1,
-    dt0: float = 1e-3,
 ) -> Trajectory:
     """Integrate to t_end, monitoring H and F every accepted step.
 
@@ -527,36 +528,29 @@ def integrate(
     Casimirs C1 = |x|^2 and C2 = (M, x).
     """
     if spec.family == Family.CASE_II:
-        monitors = {
-            "H": lambda st: h_eval(spec, st),
-            "F": lambda st: f_eval(spec, st),
-        }
+        monitors = lambda st: {"H": h_eval(spec, st), "F": f_eval(spec, st)}
         stepper = lambda st, dt: flow_step(spec, st, dt, tol)
     elif spec.family in (Family.CASE_I, Family.VY):
         ev = clebsch_eval if spec.family == Family.CASE_I else vy_eval
-        monitors = {
-            "H": lambda st: ev(spec, st)[0],
-            "F": lambda st: ev(spec, st)[1],
-            "C1": lambda st: float(st.x @ st.x),
-            "C2": lambda st: float(st.M @ st.x),
-        }
+
+        def monitors(st):
+            H, F = ev(spec, st)
+            return {"H": H, "F": F, "C1": float(st.x @ st.x), "C2": float(st.M @ st.x)}
+
         nu = float(state0.M @ state0.x)
         stepper = lambda st, dt: e3_flow_step(spec, st, dt, tol, nu=nu)
     elif spec.family == Family.CASE_II_LIMIT:
-        monitors = {
-            "H": lambda st: limit_h_eval(spec, st),
-            "F": lambda st: st.p1,
-        }
+        monitors = lambda st: {"H": limit_h_eval(spec, st), "F": st.p1}
         stepper = lambda st, dt: limit_system_step(spec, st, dt, tol)
     else:
         raise ValueError(f"cannot integrate family {spec.family}")
 
     times = [0.0]
     states = [state0.as_array()]
-    mon = {k: [fn(state0)] for k, fn in monitors.items()}
+    mon = {k: [v] for k, v in monitors(state0).items()}
     extremes = {k: (v[0], v[0]) for k, v in mon.items()}
     t = 0.0
-    dt = dt0
+    dt = 1e-3
     state = state0
     n_accepted = 0
     while t < t_end - 1e-14:
@@ -566,15 +560,15 @@ def integrate(
         t += res.dt_taken
         dt = res.dt_next
         n_accepted += 1
-        vals = {k: fn(state) for k, fn in monitors.items()}
+        vals = monitors(state)
         for k, v in vals.items():
             lo, hi = extremes[k]
             extremes[k] = (min(lo, v), max(hi, v))
         if n_accepted % stride == 0 or t >= t_end - 1e-14:
             times.append(t)
             states.append(state.as_array())
-            for k in monitors:
-                mon[k].append(vals[k])
+            for k, v in vals.items():
+                mon[k].append(v)
     return Trajectory(
         times=np.array(times),
         states=np.array(states),

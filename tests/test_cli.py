@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from monopole_lab.cli import main, spec_from_config, worker_count
+from monopole_lab.cli import main, spec_from_config
 from monopole_lab.errors import ConfigError
 
 CASE2 = {
@@ -132,6 +132,16 @@ def test_flux_subcommand(tmp_path, capsys):
     )
 
 
+def test_flux_grid_below_rule_minimum_is_config_error(tmp_path, capsys):
+    # a quadrature size under 64, from the config or from --grid, exits 2
+    cfg_path = _write(tmp_path, dict(CASE1, grid={"n": 8}))
+    assert main(["flux", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert main(["flux", "--config", cfg_path, "--grid", "16"]) == 2
+    assert main(["flux", "--config", cfg_path, "--grid", "64"]) == 0
+
+
 def test_elliptic_table(tmp_path, capsys):
     out = tmp_path / "t"
     out.mkdir()
@@ -174,18 +184,22 @@ def test_unknown_family(tmp_path, capsys):
     assert code == 2
 
 
-def test_worker_count(monkeypatch):
-    monkeypatch.setenv("MONOPOLE_LAB_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("MONOPOLE_LAB_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.setenv("MONOPOLE_LAB_THREADS", "x")
-    with pytest.raises(ConfigError):
-        worker_count()
+def test_batch_member_matches_solo_run(tmp_path):
+    # member i of a batch is the run of seed + i on its own, byte for byte
+    cfg = dict(CASE1, n_trajectories=3)
+    cfg["integrator"] = {"t_end": 1.0, "tol": 1e-9, "stride": 5, "seed": 11}
+    cfg_path = _write(tmp_path, cfg)
+    batch = tmp_path / "batch"
+    assert main(["simulate", "--config", cfg_path, "--out", str(batch)]) == 0
+    solo_path = _write(tmp_path, dict(cfg, n_trajectories=1), "solo.json")
+    for i in range(3):
+        solo = tmp_path / f"solo{i}"
+        assert main(["simulate", "--config", solo_path, "--out", str(solo), "--seed", str(11 + i)]) == 0
+        member = (batch / f"simulate_{i:03d}.csv").read_bytes()
+        assert member == (solo / "simulate.csv").read_bytes()
 
 
-def test_batch_trajectories(tmp_path, monkeypatch):
-    monkeypatch.setenv("MONOPOLE_LAB_THREADS", "2")
+def test_batch_trajectories(tmp_path):
     cfg = dict(CASE2, n_trajectories=3)
     cfg["integrator"] = {"t_end": 0.5, "tol": 1e-8, "stride": 5, "seed": 1}
     out = tmp_path / "batch"

@@ -86,7 +86,7 @@ def test_full_flow_conservation(case2):
         assert np.max(np.abs(m - m[0])) / max(1.0, abs(m[0])) < 1e-7
 
 
-def test_flow_step_contract(case2):
+def test_flow_step_contract(case2, limit_spec):
     rng = np.random.default_rng(22)
     s = dyn.random_state(case2, rng)
     res = dyn.flow_step(case2, s, dt=0.01, tol=1e-10)
@@ -94,6 +94,10 @@ def test_flow_step_contract(case2):
     assert res.dt_next > 0
     with pytest.raises(ValueError):
         dyn.flow_step(case2, s, dt=-1.0)
+    s_lim = dyn.random_state(limit_spec, rng)
+    for dt in (-1.0, 0.0):
+        with pytest.raises(ValueError):
+            dyn.limit_system_step(limit_spec, s_lim, dt=dt)
 
 
 def test_flow_step_rejects_at_fixed_point(case2):

@@ -109,6 +109,26 @@ def test_closed_form_derivative(canonical_model):
     assert np.max(np.abs(dq1(m, u) - fd)) < 1e-10 * max(1.0, np.max(np.abs(fd)))
 
 
+@pytest.mark.parametrize("roots", [(3, 2, -1, -4), (3, 2.99, -1, -4.99)])
+def test_value_and_deriv_agree_bitwise(roots):
+    # value and deriv are value_and_deriv's two outputs, not approximations
+    m = build_model_from_roots(list(roots), -1.0)
+    for br in (m.branch1, m.branch2):
+        K = br.K
+        # both series windows (|t| or |K - t| < 1e-4), the mid range, both quarters
+        base = np.array([0.0, 3e-5, 0.25 * K, K - 5e-5, K, K + 7e-5, 1.6 * K, 2.0 * K - 2e-5])
+        u = np.concatenate([base + 2.0 * k * K for k in (0, 1, 3)])
+        u = np.concatenate([u, -u])
+        x, d = br.value_and_deriv(u)
+        assert np.array_equal(br.value(u), x)
+        assert np.array_equal(br.deriv(u), d)
+        for ui in u.tolist():
+            xs, ds = br.value_and_deriv(ui)
+            assert isinstance(xs, float) and isinstance(ds, float)
+            assert br.value(ui) == xs
+            assert br.deriv(ui) == ds
+
+
 def test_invert_u(canonical_model):
     m = canonical_model
     assert invert_u(m, m.beta[1], "q1") == 0.0
