@@ -77,6 +77,7 @@ from .dynamics import (
     limit_system_step,
     poisson_bracket_fd,
     random_state,
+    torus_eval,
     vy_eval,
 )
 from .verify import (

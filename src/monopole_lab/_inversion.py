@@ -12,13 +12,20 @@ integrand
     w(theta) = 2 / sqrt(rest(x(theta))),   S(x) = |x - x_start| |x - x_end| rest(x)
 
 is analytic and pi-periodic in theta.  Its trapezoid/FFT cosine coefficients
-therefore decay geometrically, and the cumulative integral
+therefore decay geometrically (Trefethen & Weideman, SIAM Rev. 2014) until
+they reach a round-off plateau; the series is chopped where that plateau
+starts, a point read off the measured spectrum in the manner of Aurentz &
+Trefethen's "Chopping a Chebyshev series" (ACM TOMS 2017).  The cumulative
+integral
 
     u(theta) = c0*theta + sum_n c_n sin(2 n theta) / (2 n)
 
-is available in closed form to machine precision.  The quarter period is
-K = u(pi/2) = c0*pi/2.  Inverting theta(u) is a well-conditioned Newton solve
-because u'(theta) = w(theta) is bounded away from zero.
+is then available in closed form to machine precision.  The sine series and
+w(theta) = c0 + sum_n c_n cos(2 n theta) are summed together by one Horner
+pass in z = exp(2 i theta), elementwise, so a point's value never depends on
+the batch it is evaluated in.  The quarter period is K = u(pi/2) = c0*pi/2.
+Inverting theta(u) is a well-conditioned Newton solve because
+u'(theta) = w(theta) is bounded away from zero.
 
 The evaluated function x(u) extends to all real u as an even function of
 period 2K (rise on [0, K], mirrored fall on [K, 2K]).  Inside a small window
@@ -28,10 +35,17 @@ around each turning point the local quadratic series
 
 is used instead of the solve; the derivative dx/du = +-sqrt(S(x)) switches
 sign at the turning points with the quarter-period parity.
+
+A 0-d argument is evaluated in Python float and complex arithmetic
+(``math``/``cmath``, no numpy per-call overhead), an array elementwise in
+numpy; both run the same code: fold, windows, Newton sweeps and series.
 """
 
 from __future__ import annotations
 
+import bisect
+import cmath
+import math
 from typing import Callable
 
 import numpy as np
@@ -41,14 +55,28 @@ SERIES_WINDOW = 1e-4
 # top eighth of the spectrum is below 1e-15 * c0
 M_MIN = 256
 M_MAX = 32768
+HALF_PI = math.pi / 2.0
+
+
+def _is_scalar(u) -> bool:
+    """True for Python numbers and 0-d numpy values (np.ndim is slow on floats)."""
+    return isinstance(u, (float, int)) or getattr(u, "ndim", None) == 0
+
+
+def _where(cond: bool, a, b):
+    """np.where for one Python bool."""
+    return a if cond else b
 
 
 def _cosine_coeffs(samples: np.ndarray, floor: float):
     """Cosine coefficients of pi-periodic samples taken at theta_j = j pi / m.
 
-    Returns the coefficients up to the last one above
-    1e-17 * max(floor, |c0|), and the largest magnitude in the top eighth of
-    the untrimmed spectrum (the truncation tail).
+    The series is chopped at the start of its round-off plateau: at the first
+    j where the envelope (the largest magnitude from j upwards, relative to
+    max(floor, largest coefficient)) is below 1e-13 and has fallen by less
+    than a factor 10 at j' = round(1.25 j + 5).  Without a plateau every
+    coefficient is kept.  Also returns the largest magnitude in the top
+    eighth of the unchopped spectrum (the truncation tail).
     """
     m = samples.shape[0]
     spec = np.fft.rfft(samples) / m
@@ -56,15 +84,44 @@ def _cosine_coeffs(samples: np.ndarray, floor: float):
     coeffs[0] = spec[0].real
     coeffs[1:] = 2.0 * spec[1:].real
     tail = np.max(np.abs(coeffs[-(m // 8):]))
-    keep = np.nonzero(np.abs(coeffs) > 1e-17 * max(floor, abs(coeffs[0])))[0]
-    n_keep = int(keep[-1]) + 1 if keep.size else 1
+    env = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
+    env /= max(floor, env[0])
+    ahead = np.rint(1.25 * np.arange(env.size) + 5.0).astype(int)
+    ahead = ahead[ahead < env.size]
+    here = env[: ahead.size]
+    plateau = np.nonzero((here < 1e-13) & (env[ahead] >= 0.1 * here))[0]
+    n_keep = max(1, int(plateau[0])) if plateau.size else env.size
     return coeffs[:n_keep], tail
 
 
-def _sine_series(theta, c0: float, n: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """c0 * theta + sum_n b_n sin(2 n theta); a 0-d theta gives shape (1,)."""
-    theta = np.asarray(theta, dtype=float)
-    return c0 * theta + np.sin(2.0 * np.outer(theta, n)) @ b
+def _horner_coeffs(coeffs: np.ndarray):
+    """(c0, [(c_n, c_n / (2n)) from the highest n down]), the form _series takes."""
+    cn = coeffs[1:]
+    n = np.arange(1, len(coeffs), dtype=float)
+    return float(coeffs[0]), list(zip(cn[::-1].tolist(), (cn / (2.0 * n))[::-1].tolist()))
+
+
+def _series(theta, c0: float, ab: list):
+    """(c0 theta + sum_n b_n sin 2n theta, c0 + sum_n a_n cos 2n theta).
+
+    ``ab`` lists the pairs (a_n, b_n) from the highest n down.  One Horner
+    pass in z = exp(2 i theta) accumulates p = sum a_n z^n and
+    q = sum b_n z^n; the two series are Re p and Im q.  A 0-d theta is summed
+    in Python complex arithmetic and gives floats, an array elementwise.
+    """
+    if _is_scalar(theta):
+        theta = float(theta)
+        z = cmath.exp(2j * theta)
+    else:
+        theta = np.asarray(theta, dtype=float)
+        z = np.exp(2j * theta)
+    p = q = 0.0
+    for an, bn in ab:
+        p = p * z + an
+        q = q * z + bn
+    p = p * z
+    q = q * z
+    return c0 * theta + q.imag, c0 + p.real
 
 
 class QuarterBranch:
@@ -81,9 +138,10 @@ class QuarterBranch:
         self.x_end = float(x_end)
         self._rest = rest
         self._span = self.x_end - self.x_start
+        self._orientation = math.copysign(1.0, self._span)  # sign of dx/du on [0, K]
         # series coefficients x ~ x_turn + (S'(x_turn)/4) du^2 at both ends
-        self._c_start = dS(self.x_start) / 4.0
-        self._c_end = dS(self.x_end) / 4.0
+        self._c_start = float(dS(self.x_start)) / 4.0
+        self._c_end = float(dS(self.x_end)) / 4.0
 
         m = M_MIN
         while True:
@@ -97,16 +155,15 @@ class QuarterBranch:
                 "turning-point inversion did not reach spectral accuracy; "
                 "parameters may be nearly degenerate"
             )
-        self._c0 = float(coeffs[0])
-        self._n = np.arange(1, len(coeffs), dtype=float)
-        self._cn = coeffs[1:]
-        self._cn_over_2n = self._cn / (2.0 * self._n)
+        self._c0, self._ab = _horner_coeffs(coeffs)
+        self.n_terms = len(self._ab)
 
-        self.K = self._c0 * np.pi / 2.0
+        self.K = self._c0 * math.pi / 2.0
         # seed table for the Newton solve (first quarter only)
-        th = np.linspace(0.0, np.pi / 2.0, 257)
-        self._seed_u = self.u_of_theta(th)
-        self._seed_theta = th
+        self._seed_theta = np.linspace(0.0, HALF_PI, 257)
+        self._seed_u = self.u_of_theta(self._seed_theta)
+        self._seed_theta_list = self._seed_theta.tolist()
+        self._seed_u_list = self._seed_u.tolist()
 
     # -- spectral primitives ----------------------------------------------
 
@@ -114,74 +171,64 @@ class QuarterBranch:
         return self.x_start + self._span * np.sin(theta) ** 2
 
     def u_of_theta(self, theta):
-        out = _sine_series(theta, self._c0, self._n, self._cn_over_2n)
-        return out if out.shape else float(out)
+        return _series(theta, self._c0, self._ab)[0]
 
     def w_of_theta(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        c = np.cos(2.0 * np.outer(theta, self._n))
-        out = self._c0 + c @ self._cn
-        return out if out.shape else float(out)
+        return _series(theta, self._c0, self._ab)[1]
 
     def theta_of_u(self, u):
-        """Solve u(theta) = u for theta in [0, pi/2] (u in [0, K])."""
-        u = np.asarray(u, dtype=float)
-        theta = np.interp(u, self._seed_u, self._seed_theta)
+        """Solve u(theta) = u for theta in [0, pi/2] (u in [0, K]).
+
+        A float u takes its seed from the table by bisection and stays in
+        float arithmetic; an array is seeded by np.interp.
+        """
+        scalar = isinstance(u, float)
+        if scalar:
+            us, ts = self._seed_u_list, self._seed_theta_list
+            j = min(max(bisect.bisect_right(us, u), 1), len(us) - 1)
+            theta = ts[j - 1] + (ts[j] - ts[j - 1]) * (u - us[j - 1]) / (us[j] - us[j - 1])
+        else:
+            theta = np.interp(u, self._seed_u, self._seed_theta)
         for _ in range(4):
-            theta = theta - (self.u_of_theta(theta) - u) / self.w_of_theta(theta)
-            theta = np.clip(theta, 0.0, np.pi / 2.0)
+            s, w = _series(theta, self._c0, self._ab)
+            theta = theta - (s - u) / w
+            theta = min(max(theta, 0.0), HALF_PI) if scalar else np.clip(theta, 0.0, HALF_PI)
         return theta
 
     # -- evaluation --------------------------------------------------------------
 
-    def _fold(self, u):
-        """Reduce to t in [0, K] using evenness and 2K-periodicity.
-
-        Returns (t, sign) where sign is the orientation of dx/du at u.  The
-        absolute value is taken before the modulus so that u and -u reduce to
-        bitwise-identical arguments (exact evenness).
-        """
-        u = np.asarray(u, dtype=float)
-        r = np.mod(np.abs(u), 2.0 * self.K)
-        second = r > self.K
-        t = np.where(second, 2.0 * self.K - r, r)
-        sign = np.where(second, -1.0, 1.0) * np.where(u < 0.0, -1.0, 1.0)
-        return t, sign
-
     def _eval(self, u, with_deriv: bool):
         """(x, dx/du) at any real u; dx/du is None unless ``with_deriv``.
 
-        Away from the turning points x comes from the theta solve and dx/du
-        from the closed relation (dx/du)^2 = S(x), signed by quarter; inside
-        the series windows both come from the local quadratic.
+        u is reduced to t in [0, K] by evenness and 2K-periodicity; the
+        absolute value is taken before the modulus so that u and -u reduce to
+        bitwise-identical arguments (exact evenness).  Away from the turning
+        points x comes from the theta solve and dx/du from the closed relation
+        (dx/du)^2 = S(x), signed by quarter; inside the series windows both
+        come from the local quadratic.
         """
-        t, sign = self._fold(u)
+        u, where, sin, sqrt = (
+            (float(u), _where, math.sin, math.sqrt)
+            if _is_scalar(u)
+            else (np.asarray(u, dtype=float), np.where, np.sin, np.sqrt)
+        )
+        K = self.K
+        r = abs(u) % (2.0 * K)
+        second = r > K
+        t = where(second, 2.0 * K - r, r)
         near_start = t < SERIES_WINDOW
-        near_end = (self.K - t) < SERIES_WINDOW
-        mid = ~(near_start | near_end)
-        x = np.empty_like(t)
-        d = np.empty_like(t) if with_deriv else None
-        if np.any(mid):
-            xm = self._x_of_theta(self.theta_of_u(t[mid]))
-            x[mid] = xm
-            if with_deriv:
-                s_val = np.abs((xm - self.x_start) * (xm - self.x_end)) * self._rest(xm)
-                d[mid] = np.sign(self._span) * np.sqrt(s_val)
-        if np.any(near_start):
-            ts = t[near_start]
-            x[near_start] = self.x_start + self._c_start * ts**2
-            if with_deriv:
-                d[near_start] = 2.0 * self._c_start * ts
-        if np.any(near_end):
-            dt = t[near_end] - self.K
-            x[near_end] = self.x_end + self._c_end * dt**2
-            if with_deriv:
-                d[near_end] = 2.0 * self._c_end * dt
-        if with_deriv:
-            d = d * sign
-        if x.shape:
-            return x, d
-        return float(x), (float(d) if with_deriv else None)
+        near_end = K - t < SERIES_WINDOW
+        s = sin(self.theta_of_u(t))
+        x_mid = self.x_start + self._span * (s * s)
+        x_near_start = self.x_start + self._c_start * (t * t)
+        x_near_end = self.x_end + self._c_end * ((t - K) * (t - K))
+        x = where(near_start, x_near_start, where(near_end, x_near_end, x_mid))
+        if not with_deriv:
+            return x, None
+        s_val = abs((x_mid - self.x_start) * (x_mid - self.x_end)) * self._rest(x_mid)
+        d_mid = self._orientation * sqrt(s_val)
+        d = where(near_start, 2.0 * self._c_start * t, where(near_end, 2.0 * self._c_end * (t - K), d_mid))
+        return x, where(second != (u < 0.0), -d, d)
 
     def value(self, u):
         """x(u) for any real u (even, 2K-periodic)."""
@@ -202,15 +249,11 @@ class QuarterBranch:
         if np.any(x_in < lo - tol * (hi - lo)) or np.any(x_in > hi + tol * (hi - lo)):
             raise ValueError(f"value outside branch range [{lo}, {hi}]")
         ratio = np.clip((x_in - self.x_start) / self._span, 0.0, 1.0)
-        theta = np.arcsin(np.sqrt(ratio))
-        out = self.u_of_theta(theta)
-        if x_in.ndim == 0:
-            return float(np.asarray(out).reshape(-1)[0])
-        return np.asarray(out).reshape(x_in.shape)
+        return self.u_of_theta(np.arcsin(np.sqrt(ratio)))
 
     def cumulative(self, fn: Callable[[np.ndarray], np.ndarray]) -> "CumulativeIntegral":
         """Antiderivative I(u) = integral_0^u fn(x(s)) ds, odd in u."""
-        m = max(2048, 4 * (len(self._cn) + 1))
+        m = max(2048, 4 * (self.n_terms + 1))
         x = self._x_of_theta(np.arange(m) * (np.pi / m))
         coeffs, _ = _cosine_coeffs(fn(x) * (2.0 / np.sqrt(self._rest(x))), 1.0)
         return CumulativeIntegral(self, coeffs)
@@ -221,25 +264,23 @@ class CumulativeIntegral:
 
     def __init__(self, branch: QuarterBranch, coeffs: np.ndarray):
         self._branch = branch
-        self._d0 = float(coeffs[0])
-        self._n = np.arange(1, len(coeffs), dtype=float)
-        self._dn_over_2n = coeffs[1:] / (2.0 * self._n)
-        self.quarter = self._d0 * np.pi / 2.0  # integral over [0, K]
+        self._d0, self._ab = _horner_coeffs(coeffs)
+        self.quarter = self._d0 * math.pi / 2.0  # integral over [0, K]
 
     def __call__(self, u):
-        u_in = np.asarray(u, dtype=float)
-        scalar = u_in.ndim == 0
-        u_flat = np.atleast_1d(u_in)
+        u, where, floor = (
+            (float(u), _where, math.floor)
+            if _is_scalar(u)
+            else (np.asarray(u, dtype=float), np.where, np.floor)
+        )
         K = self._branch.K
-        sign = np.where(u_flat < 0.0, -1.0, 1.0)
-        a = np.abs(u_flat)
+        a = abs(u)
         # whole periods are counted (each adds 2 * quarter), so this reduction
-        # does not go through QuarterBranch._fold
-        n_half = np.floor(a / (2.0 * K))
+        # differs from QuarterBranch._eval's
+        n_half = floor(a / (2.0 * K))
         r = a - 2.0 * K * n_half
         second = r > K
-        t = np.where(second, 2.0 * K - r, r)
-        j = _sine_series(self._branch.theta_of_u(t), self._d0, self._n, self._dn_over_2n)
-        partial = np.where(second, 2.0 * self.quarter - j, j)
-        out = sign * (2.0 * self.quarter * n_half + partial)
-        return float(out[0]) if scalar else out.reshape(u_in.shape)
+        t = where(second, 2.0 * K - r, r)
+        j = _series(self._branch.theta_of_u(t), self._d0, self._ab)[0]
+        out = 2.0 * self.quarter * n_half + where(second, 2.0 * self.quarter - j, j)
+        return where(u < 0.0, -out, out)

@@ -251,6 +251,8 @@ def cmd_simulate(args) -> int:
         cfg_int["stride"] = args.stride
     seed = args.seed if args.seed is not None else int(cfg_int.get("seed", 0))
     n_traj = int(cfg.get("n_trajectories", 1))
+    if n_traj < 1:
+        raise ConfigError(f'"n_trajectories" must be at least 1, got {n_traj}')
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if n_traj == 1:

@@ -43,6 +43,7 @@ __all__ = [
     "E3State",
     "Trajectory",
     "StepResult",
+    "torus_eval",
     "h_eval",
     "f_eval",
     "flow_step",
@@ -126,24 +127,11 @@ def _torus_w(spec: SystemSpec, s: PhaseState) -> np.ndarray:
     return np.array([s.p1 - a1, s.p2 - a2])
 
 
-def _torus_lambda(spec: SystemSpec, u1: float, u2: float) -> float:
-    m = spec.model
-    lam = m.q1(u1) ** 2 - m.q2(u2) ** 2
-    if lam < 1e-10 * m.beta[0] ** 2:
-        raise FixedPointSingularity(f"lam = {lam:.3e} at ({u1}, {u2})")
-    return lam
+def torus_eval(spec: SystemSpec, s: PhaseState) -> tuple[float, float]:
+    """(H, F) of the torus family from one evaluation of each slice and of w.
 
-
-def h_eval(spec: SystemSpec, s: PhaseState) -> float:
-    """Torus Hamiltonian |w|^2/lam + mu/(Q1+Q2)."""
-    m = spec.model
-    lam = _torus_lambda(spec, s.u1, s.u2)
-    w = _torus_w(spec, s)
-    return float((w @ w) / lam + spec.mu / (m.q1(s.u1) + m.q2(s.u2)))
-
-
-def f_eval(spec: SystemSpec, s: PhaseState) -> float:
-    """Second integral of the torus family (see module docstring)."""
+    H = |w|^2/lam + mu/(Q1+Q2) and F as in the module docstring.
+    """
     m = spec.model
     x1, d1 = m.branch1.value_and_deriv(s.u1)
     x2, d2 = m.branch2.value_and_deriv(s.u2)
@@ -152,10 +140,21 @@ def f_eval(spec: SystemSpec, s: PhaseState) -> float:
         raise FixedPointSingularity(f"lam = {lam:.3e} at ({s.u1}, {s.u2})")
     w = _torus_w(spec, s)
     k = spec.k
+    H = (w @ w) / lam + spec.mu / (x1 + x2)
     quad = (x2 * x2 * w[0] ** 2 + x1 * x1 * w[1] ** 2) / lam
     linear = 2.0 * k * (d2 * w[0] - d1 * w[1]) / (x1 - x2)
     scal = -spec.mu * x1 * x2 / (x1 + x2) - k * spec.B * (x1 + x2) ** 2
-    return float(quad + linear + scal)
+    return float(H), float(quad + linear + scal)
+
+
+def h_eval(spec: SystemSpec, s: PhaseState) -> float:
+    """Torus Hamiltonian |w|^2/lam + mu/(Q1+Q2)."""
+    return torus_eval(spec, s)[0]
+
+
+def f_eval(spec: SystemSpec, s: PhaseState) -> float:
+    """Second integral of the torus family (see module docstring)."""
+    return torus_eval(spec, s)[1]
 
 
 def _torus_rhs(spec: SystemSpec):
@@ -528,7 +527,10 @@ def integrate(
     Casimirs C1 = |x|^2 and C2 = (M, x).
     """
     if spec.family == Family.CASE_II:
-        monitors = lambda st: {"H": h_eval(spec, st), "F": f_eval(spec, st)}
+        def monitors(st):
+            H, F = torus_eval(spec, st)
+            return {"H": H, "F": F}
+
         stepper = lambda st, dt: flow_step(spec, st, dt, tol)
     elif spec.family in (Family.CASE_I, Family.VY):
         ev = clebsch_eval if spec.family == Family.CASE_I else vy_eval

@@ -95,7 +95,8 @@ def build_model(params: QuarticParams) -> EllipticModel:
     potential acquires two poles there.
     """
     roots = real_roots(params)  # raises on complex or multiple roots
-    b1, b2, b3, b4 = roots.beta
+    # Python floats keep the scalar slice evaluations in float arithmetic
+    b1, b2, b3, b4 = (float(b) for b in roots.beta)
     tol = 1e-12 * max(abs(x) for x in roots.beta)
     if b1 + b4 > tol or b2 + b3 < -tol:
         report = admissibility(params)
@@ -104,7 +105,7 @@ def build_model(params: QuarticParams) -> EllipticModel:
             f"beta2+beta3 = {b2 + b3:.3e} "
             f"(coefficient conditions: {report.conditions_35}, {report.condition_36})"
         )
-    a3 = params.a3
+    a3 = float(params.a3)
     # branch 1: (dx/du)^2 = P(x)/4 on [beta2, beta1]
     branch1 = QuarterBranch(
         x_start=b2,

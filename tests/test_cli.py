@@ -142,6 +142,17 @@ def test_flux_grid_below_rule_minimum_is_config_error(tmp_path, capsys):
     assert main(["flux", "--config", cfg_path, "--grid", "64"]) == 0
 
 
+@pytest.mark.parametrize("n_traj", [0, -2])
+def test_simulate_rejects_empty_batch(tmp_path, capsys, n_traj):
+    # a batch with no trajectory is a config error, not a zero-drift success
+    out = tmp_path / "out"
+    cfg_path = _write(tmp_path, dict(CASE1, n_trajectories=n_traj))
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and '"n_trajectories"' in err
+    assert not list(out.glob("*.csv"))
+
+
 def test_elliptic_table(tmp_path, capsys):
     out = tmp_path / "t"
     out.mkdir()

@@ -66,6 +66,33 @@ def test_fixed_point_singularity(case2):
         dyn.h_eval(case2, dyn.PhaseState(0.0, 0.0, 0.1, 0.1))
 
 
+def test_torus_monitors_match_h_and_f(case2):
+    # integrate's monitors evaluate each slice and w once; the values they
+    # record are h_eval and f_eval of the stored states, bit for bit
+    s0 = dyn.random_state(case2, np.random.default_rng(4))
+    traj = dyn.integrate(case2, s0, 0.3, tol=1e-9)
+    assert len(traj.times) > 3
+    for row, H, F in zip(traj.states, traj.monitors["H"], traj.monitors["F"]):
+        st = dyn.PhaseState(*row)
+        assert dyn.torus_eval(case2, st) == (H, F)
+        assert dyn.h_eval(case2, st) == H and dyn.f_eval(case2, st) == F
+
+
+def test_torus_eval_evaluates_each_slice_once(case2, monkeypatch):
+    from monopole_lab._inversion import CumulativeIntegral, QuarterBranch
+
+    calls = []
+    for cls, names in ((QuarterBranch, ("value", "deriv", "value_and_deriv")), (CumulativeIntegral, ("__call__",))):
+        for name in names:
+            fn = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda self, u, _fn=fn, _n=name: calls.append(_n) or _fn(self, u))
+    s = dyn.random_state(case2, np.random.default_rng(5))
+    calls.clear()
+    dyn.torus_eval(case2, s)
+    # Q1 and Q2 with their derivatives, Q2 again inside the gauge, one I1(u1)
+    assert sorted(calls) == ["__call__", "value", "value_and_deriv", "value_and_deriv"]
+
+
 # --- torus flow -----------------------------------------------------------------
 
 def test_geodesic_flow_energy(canonical_model, case2):

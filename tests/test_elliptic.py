@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import ellipk
 
+from monopole_lab._inversion import _cosine_coeffs, _horner_coeffs, _series
 from monopole_lab.elliptic import (
     LimitModel,
     build_model,
@@ -111,22 +114,124 @@ def test_closed_form_derivative(canonical_model):
 
 @pytest.mark.parametrize("roots", [(3, 2, -1, -4), (3, 2.99, -1, -4.99)])
 def test_value_and_deriv_agree_bitwise(roots):
-    # value and deriv are value_and_deriv's two outputs, not approximations
+    # value and deriv are value_and_deriv's two outputs, not approximations;
+    # a scalar runs in float arithmetic, an array in numpy, and the two paths
+    # agree to round-off (for the cumulative integral too)
     m = build_model_from_roots(list(roots), -1.0)
+    bmax = max(abs(b) for b in m.beta)
     for br in (m.branch1, m.branch2):
         K = br.K
         # both series windows (|t| or |K - t| < 1e-4), the mid range, both quarters
         base = np.array([0.0, 3e-5, 0.25 * K, K - 5e-5, K, K + 7e-5, 1.6 * K, 2.0 * K - 2e-5])
         u = np.concatenate([base + 2.0 * k * K for k in (0, 1, 3)])
-        u = np.concatenate([u, -u])
+        u = np.concatenate([u, -u, np.linspace(-7.0 * K, 7.0 * K, 97)])
         x, d = br.value_and_deriv(u)
         assert np.array_equal(br.value(u), x)
         assert np.array_equal(br.deriv(u), d)
+        scalar = []
         for ui in u.tolist():
             xs, ds = br.value_and_deriv(ui)
             assert isinstance(xs, float) and isinstance(ds, float)
             assert br.value(ui) == xs
             assert br.deriv(ui) == ds
+            scalar.append((xs, ds))
+        xs, ds = np.array(scalar).T
+        assert np.max(np.abs(xs - x)) <= 4e-15 * bmax
+        assert np.max(np.abs(ds - d)) <= 2e-14 * np.max(np.abs(d))
+        cum = br.cumulative(lambda v: v * v)
+        ic = cum(u)
+        ics = np.array([cum(ui) for ui in u.tolist()])
+        assert np.max(np.abs(ics - ic)) <= 4e-15 * np.max(np.abs(ic))
+        # the antiderivative is odd and adds 2 * quarter per period
+        assert cum(-1.3 * K) == -cum(1.3 * K)
+        assert cum(2.0 * K) == pytest.approx(2.0 * cum.quarter, rel=1e-14)
+
+
+def test_series_primitives_take_scalars(canonical_model):
+    br = canonical_model.branch1
+    theta = np.array([0.0, 0.3, 1.2, np.pi / 2.0])
+    u_arr, w_arr = br.u_of_theta(theta), br.w_of_theta(theta)
+    assert u_arr.shape == w_arr.shape == (4,)
+    for th in (0.3, np.float64(0.3), np.array(0.3)):
+        u, w = br.u_of_theta(th), br.w_of_theta(th)
+        assert type(u) is float and type(w) is float
+        assert u == pytest.approx(u_arr[1], rel=1e-15)
+        assert w == pytest.approx(w_arr[1], rel=1e-15)
+    assert br.u_of_theta(np.pi / 2.0) == pytest.approx(br.K, rel=1e-15)
+    x = float(br.value(0.4))
+    assert type(br.invert(x)) is float
+    assert br.invert(np.array([x, x])).shape == (2,)
+
+
+def test_chop_at_round_off_plateau(canonical_model):
+    # f(theta) = (1 - r^2) / (1 - 2 r cos 2 theta + r^2) has c_n = 2 r^n exactly;
+    # the chop keeps every coefficient above round-off and none of the plateau
+    r, m = 0.5, 256
+    theta = np.arange(m) * (np.pi / m)
+    coeffs, tail = _cosine_coeffs((1 - r * r) / (1 - 2 * r * np.cos(2 * theta) + r * r), 0.0)
+    n = np.arange(1, len(coeffs))
+    assert np.max(np.abs(coeffs[1:] - 2.0 * r**n)) < 1e-15
+    assert 2.0 * r ** len(coeffs) < 1e-13 and 2.0 * r ** (len(coeffs) - 6) > 1e-16
+    assert tail < 1e-15
+    # a spectrum still decaying at the top has no plateau: nothing is dropped
+    coeffs, _ = _cosine_coeffs(1.0 / (1.0 - 0.95 * np.cos(2.0 * theta[::8])), 0.0)
+    assert len(coeffs) == 32 // 2 + 1
+    # the canonical quartic: 13 and 30 of the 128 FFT terms carry signal
+    assert canonical_model.branch1.n_terms <= 32
+    assert canonical_model.branch2.n_terms <= 32
+
+
+def test_horner_series_matches_direct_sums():
+    # the one Horner pass against the two trig sums written out term by term
+    rng = np.random.default_rng(8)
+    coeffs = rng.normal(size=40) * 0.7 ** np.arange(40)
+    c0, ab = _horner_coeffs(coeffs)
+    n = np.arange(1, 40)
+    theta = np.concatenate([np.linspace(0.0, np.pi / 2.0, 101), rng.uniform(-3.0, 3.0, 50)])
+    sine = c0 * theta + np.sin(2.0 * np.outer(theta, n)) @ (coeffs[1:] / (2.0 * n))
+    cosine = c0 + np.cos(2.0 * np.outer(theta, n)) @ coeffs[1:]
+    s, c = _series(theta, c0, ab)
+    scale = np.sum(np.abs(coeffs))
+    assert np.max(np.abs(s - sine)) < 1e-14 * scale
+    assert np.max(np.abs(c - cosine)) < 1e-14 * scale
+    for i in (0, 37, 120):
+        si, ci = _series(float(theta[i]), c0, ab)
+        assert abs(si - sine[i]) < 1e-14 * scale and abs(ci - cosine[i]) < 1e-14 * scale
+
+
+def _u_by_quadrature(lo, hi, others, start, x):
+    """u(x) = int from start to x of 2 dxi / sqrt(|P|) by scipy's QAWS.
+
+    |P| = (xi - lo)(hi - xi) |(xi - r)(xi - s)| with a3 = -1; the algebraic
+    weights take the inverse square roots at the interval ends, and u is
+    assembled from the end nearer to x.
+    """
+    r, s = others
+    smooth = lambda xi: 2.0 / math.sqrt(abs((xi - r) * (xi - s)))
+    kw = dict(epsabs=1e-15, epsrel=1e-13, limit=200)
+
+    def from_lo(b):
+        f = lambda xi: smooth(xi) / math.sqrt(hi - xi)
+        return 0.0 if b == lo else quad(f, lo, b, weight="alg", wvar=(-0.5, 0.0), **kw)[0]
+
+    def to_hi(a):
+        f = lambda xi: smooth(xi) / math.sqrt(xi - lo)
+        return 0.0 if a == hi else quad(f, a, hi, weight="alg", wvar=(0.0, -0.5), **kw)[0]
+
+    mid = 0.5 * (lo + hi)
+    total = from_lo(mid) + to_hi(mid)
+    if start == lo:
+        return from_lo(x) if x <= mid else total - to_hi(x)
+    return to_hi(x) if x >= mid else total - from_lo(x)
+
+
+def test_invert_matches_quadrature_near_coalescing():
+    m = build_model_from_roots([3, 2.99, -1, -4.99], -1.0)
+    b1, b2, b3, b4 = m.beta
+    for br, lo, hi, others in ((m.branch1, b2, b1, (b3, b4)), (m.branch2, b3, b2, (b1, b4))):
+        for x in np.linspace(br.x_start, br.x_end, 30).tolist():
+            u_ref = _u_by_quadrature(lo, hi, others, br.x_start, x)
+            assert abs(br.invert(x) - u_ref) <= 1e-12 * br.K
 
 
 def test_invert_u(canonical_model):
@@ -152,7 +257,9 @@ def test_jacobi_special(even_model):
     assert jacobi_special(m, 0.0) == pytest.approx(1.0, abs=1e-12)
     assert jacobi_special(m, m.K1) == pytest.approx(2.0, rel=1e-12)
     z = np.linspace(0.0, 2.0 * m.K1, 100)
-    assert np.max(np.abs(jacobi_special(m, z) - q1(m, z))) < 1e-9
+    assert np.max(np.abs(jacobi_special(m, z) - q1(m, z))) < 1e-13
+    # the scalar (float) evaluation path against the same closed form
+    assert max(abs(jacobi_special(m, zi) - q1(m, zi)) for zi in z.tolist()) < 1e-13
 
 
 def test_jacobi_special_rejects_generic_quartic(canonical_model):
