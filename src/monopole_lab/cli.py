@@ -132,6 +132,7 @@ def _load_config(path: str) -> dict:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -254,7 +255,6 @@ def cmd_simulate(args) -> int:
     if n_traj < 1:
         raise ConfigError(f'"n_trajectories" must be at least 1, got {n_traj}')
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if n_traj == 1:
         jobs = [(seed, out_dir / "simulate.csv")]
     else:

@@ -24,17 +24,27 @@ dx/dt = {x, H} under {M_i, M_j} = eps_ijk M_k, {M_i, x_j} = eps_ijk x_k,
 and (M, x) = nu exactly.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with standard PI-free
-step control; drift bounds are enforced through the local tolerance.
+step control; drift bounds are enforced through the local tolerance, and a
+step that cannot meet it above the smallest step size raises StepRejected.
+The attempt, the step control and every flow right-hand side run in Python
+floats on tuples: on states of 4 and 6 components numpy's per-call cost
+exceeds the arithmetic.  Each sum and product is taken in the order of the
+elementwise numpy form y + dt * sum_j a_j k_j (and np.cross), so the
+trajectories are bitwise those of that form.  The e(3)* projection, |q| in
+the two-centre flow and the monitors stay in numpy: a BLAS dot or norm
+rounds differently from a Python sum, and numpy's cosh/sinh/tanh/arctanh
+differ from libm's in the last bit on some inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul, sub
 
 import numpy as np
 
-from .elliptic import limit_q2, limit_q2_deriv
+from .elliptic import _limit_slice
 from .errors import CenterSingularity, FixedPointSingularity, StepRejected
 from .fields import Family, SystemSpec, gauge_a
 
@@ -161,7 +171,7 @@ def _torus_rhs(spec: SystemSpec):
     m = spec.model
     mu, B = spec.mu, spec.B
 
-    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(y: tuple) -> tuple:
         u1, u2, w1, w2 = y
         x1, d1 = m.branch1.value_and_deriv(u1)
         x2, d2 = m.branch2.value_and_deriv(u2)
@@ -174,13 +184,11 @@ def _torus_rhs(spec: SystemSpec):
         dh1 = -mu * d1 / ssum**2
         dh2 = -mu * d2 / ssum**2
         wsq = w1 * w1 + w2 * w2
-        return np.array(
-            [
-                2.0 * w1 / lam,
-                2.0 * w2 / lam,
-                2.0 * B * w2 + wsq * dlam1 / lam**2 - dh1,
-                -2.0 * B * w1 + wsq * dlam2 / lam**2 - dh2,
-            ]
+        return (
+            2.0 * w1 / lam,
+            2.0 * w2 / lam,
+            2.0 * B * w2 + wsq * dlam1 / lam**2 - dh1,
+            -2.0 * B * w1 + wsq * dlam2 / lam**2 - dh2,
         )
 
     return rhs
@@ -190,8 +198,8 @@ def _torus_rhs(spec: SystemSpec):
 # embedded Dormand-Prince 5(4)
 # ---------------------------------------------------------------------------
 
+# rows a_ij of stages 2..6
 _DP_A = (
-    (),
     (1.0 / 5.0,),
     (3.0 / 40.0, 9.0 / 40.0),
     (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
@@ -208,37 +216,56 @@ _DP_B4 = (
     187.0 / 2100.0,
     1.0 / 40.0,
 )
-_DP_C = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
 
 
-def _dp_attempt(rhs, t, y, dt):
-    k = [rhs(t, y)]
-    for i in range(1, 6):
-        yi = y + dt * sum(a * kk for a, kk in zip(_DP_A[i], k))
-        k.append(rhs(t + _DP_C[i] * dt, yi))
-    y5 = y + dt * sum(b * kk for b, kk in zip(_DP_B5, k))
-    k.append(rhs(t + dt, y5))
-    y4 = y + dt * sum(b * kk for b, kk in zip(_DP_B4, k))
-    return y5, y5 - y4
+def _stage(y: tuple, dt: float, coeffs, k: list) -> tuple:
+    """y + dt * sum_j coeffs[j] k[j], each component summed over j in order."""
+    return tuple([yv + dt * sum(map(mul, coeffs, col)) for yv, col in zip(y, zip(*k))])
 
 
-def _adaptive_step(rhs, t, y, dt, tol, dt_min=1e-13):
-    """One accepted 5(4) step; returns (y_new, dt_taken, dt_next)."""
+def _dp_attempt(rhs, y: tuple, k1: tuple, dt: float):
+    """One 5(4) attempt from y with k1 = rhs(y): (y5, y5 - y4)."""
+    k = [k1]
+    for a in _DP_A:
+        k.append(rhs(_stage(y, dt, a, k)))
+    y5 = _stage(y, dt, _DP_B5, k)
+    k.append(rhs(y5))
+    y4 = _stage(y, dt, _DP_B4, k)
+    return y5, tuple(map(sub, y5, y4))
+
+
+def _adaptive_step(rhs, y: tuple, dt: float, tol: float, dt_min: float = 1e-13):
+    """One accepted 5(4) step; returns (y_new, dt_taken, dt_next).
+
+    A step whose error norm exceeds 1 is retried with a smaller dt, and so is
+    one that meets a fixed point (FixedPointSingularity) on its way;
+    StepRejected is raised once dt falls below dt_min.  k1 = rhs(y) does not
+    depend on dt and is evaluated once.
+    """
     dt = float(dt)
+    k1 = None
     while True:
         if dt < dt_min:
-            raise StepRejected(f"step size underflow at t = {t}")
+            raise StepRejected(f"step size underflow: dt = {dt:.3e} < {dt_min:g}")
         try:
-            y5, err = _dp_attempt(rhs, t, y, dt)
+            if k1 is None:
+                k1 = rhs(y)
+            y5, err = _dp_attempt(rhs, y, k1, dt)
         except FixedPointSingularity:
             dt *= 0.25
             continue
-        scale = tol * (1.0 + np.maximum(np.abs(y), np.abs(y5)))
-        norm = math.sqrt(float(np.mean((err / scale) ** 2)))
+        except (ZeroDivisionError, OverflowError):
+            # a stage ran off to where a float division or power fails
+            # (e.g. lam2 = 0 far out on the cylinder): the same as a
+            # non-finite error norm, which numpy's inf and nan would give
+            dt *= 0.2
+            continue
+        q = [e / (tol * (1.0 + max(abs(a), abs(b)))) for e, a, b in zip(err, y, y5)]
+        norm = math.sqrt(sum([v * v for v in q]) / len(q))
         if not math.isfinite(norm):
             dt *= 0.2
             continue
-        if norm <= 1.0 or dt < 4.0 * dt_min:
+        if norm <= 1.0:
             factor = 0.9 * (norm + 1e-300) ** -0.2
             return y5, dt, dt * min(5.0, max(0.2, factor))
         dt *= max(0.2, 0.9 * norm**-0.2)
@@ -250,12 +277,11 @@ def flow_step(spec: SystemSpec, s: PhaseState, dt: float, tol: float = 1e-10) ->
         raise ValueError("flow_step drives CASE_II; use e3_flow_step or limit_system_step")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    rhs = _torus_rhs(spec)
-    w = _torus_w(spec, s)
-    y = np.array([s.u1, s.u2, w[0], w[1]])
-    y_new, taken, dt_next = _adaptive_step(rhs, 0.0, y, dt, tol)
-    a1, a2 = gauge_a(spec, (y_new[0], y_new[1]))
-    out = PhaseState(u1=y_new[0], u2=y_new[1], p1=y_new[2] + a1, p2=y_new[3] + a2)
+    a1, a2 = gauge_a(spec, (s.u1, s.u2))
+    y = (s.u1, s.u2, s.p1 - a1, s.p2 - a2)
+    (u1, u2, w1, w2), taken, dt_next = _adaptive_step(_torus_rhs(spec), y, dt, tol)
+    a1, a2 = gauge_a(spec, (u1, u2))
+    out = PhaseState(u1=u1, u2=u2, p1=w1 + a1, p2=w2 + a2)
     return StepResult(state=out, dt_taken=taken, dt_next=dt_next)
 
 
@@ -363,34 +389,43 @@ def lie_poisson_bracket(fn_a, fn_b, s: E3State, h: float = 1e-4) -> float:
     )
 
 
+def _cross(a, b) -> tuple:
+    """a x b for 3-sequences, in np.cross's order of operations."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
 def _e3_rhs(spec: SystemSpec):
     if spec.family == Family.CASE_I:
-        alpha = np.array(spec.alpha)
-        mu = spec.mu
+        alpha = spec.alpha
+        m2mu = -2.0 * spec.mu
 
-        def rhs(_t, y):
+        def rhs(y: tuple) -> tuple:
             M, x = y[:3], y[3:]
-            dM = -2.0 * mu * np.cross(alpha * x, x)
-            dx = 2.0 * np.cross(M, x)
-            return np.concatenate([dM, dx])
+            ax = tuple(map(mul, alpha, x))
+            return (*[m2mu * v for v in _cross(ax, x)], *[2.0 * v for v in _cross(M, x)])
 
         return rhs
     if spec.family == Family.VY:
         va, vb, mu = spec.vy_a, spec.vy_b, spec.mu
-        sab = math.sqrt(va * vb)
+        two_sab = 2.0 * math.sqrt(va * vb)
+        diag = (2.0 * vb, 2.0 * va, 2.0 * (va + vb))
+        e_z = (0.0, 0.0, 1.0)
 
-        def rhs(_t, y):
+        def rhs(y: tuple) -> tuple:
             M, q = y[:3], y[3:]
             qn = float(np.linalg.norm(q))
             R = _vy_r(spec, q)
             if R < 1e-12 * max(1.0, qn**2):
                 raise CenterSingularity(f"orbit reached a Coulomb center: R = {R:.3e}")
-            gradR = np.array([2.0 * vb * q[0], 2.0 * va * q[1], 2.0 * (va + vb) * q[2]])
-            gradR -= 2.0 * sab * (q[2] * q / qn + qn * np.array([0.0, 0.0, 1.0]))
-            gradH = -mu * (q / qn) / math.sqrt(R) + 0.5 * mu * qn * R**-1.5 * gradR
-            dM = np.cross(gradH, q)
-            dq = np.cross(M, q)
-            return np.concatenate([dM, dq])
+            q2 = q[2]
+            # grad R = diag q - 2 sqrt(AB) (q3 q/|q| + |q| e_z)
+            gradR = [d * qi - two_sab * (q2 * qi / qn + qn * ez) for d, qi, ez in zip(diag, q, e_z)]
+            sqR = math.sqrt(R)
+            c = 0.5 * mu * qn * R**-1.5
+            gradH = [-mu * (qi / qn) / sqR + c * gi for qi, gi in zip(q, gradR)]
+            return (*_cross(gradH, q), *_cross(M, q))
 
         return rhs
     raise ValueError(f"no e(3)* flow for family {spec.family}")
@@ -413,12 +448,11 @@ def e3_flow_step(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    rhs = _e3_rhs(spec)
-    y = s.as_array()
+    y = tuple(s.as_array().tolist())
     if nu is None:
         nu = float(s.M @ s.x)
-    y_new, taken, dt_next = _adaptive_step(rhs, 0.0, y, dt, tol)
-    y_new = _project_e3(y_new, nu)
+    y_new, taken, dt_next = _adaptive_step(_e3_rhs(spec), y, dt, tol)
+    y_new = _project_e3(np.array(y_new), nu)
     return StepResult(state=E3State(M=y_new[:3], x=y_new[3:]), dt_taken=taken, dt_next=dt_next)
 
 
@@ -429,33 +463,10 @@ def e3_flow_step(
 def limit_gauge_a1(spec: SystemSpec, u2) -> float:
     """Gauge A1(u2) = (B/c) * integral_{-inf}^{u2} (beta1^2 - Q2^2), A2 = 0.
 
-    Closed form through antiderivatives of 1/(a cosh s + b) and its square,
-    a = sqrt(D):
-
-        J1(s) = artanh(w tanh(s/2)) / sqrt(c),   w = sqrt((b-a)/(b+a)),
-        J2(s) = [b J1(s) - a tanh(s)/(a + b sech(s))] / (4c).
+    The integral is in closed form (see ``elliptic._limit_slice``).
     """
     lm = spec.limit
-    a = math.sqrt(lm.D)
-    b, c, B = lm.b, lm.c, spec.B
-    w = math.sqrt((b - a) / (b + a))
-    sqc = math.sqrt(c)
-
-    def j1(sv):
-        return np.arctanh(w * np.tanh(sv / 2.0)) / sqc
-
-    def j2(sv):
-        sech = 1.0 / np.cosh(sv)
-        core = a * np.tanh(sv) / (a + b * sech)
-        return (b * j1(sv) - core) / (4.0 * c)
-
-    s = 0.5 * sqc * (np.asarray(u2, dtype=float) - lm.delta)
-    j1_inf = -math.atanh(w) / sqc
-    j2_inf = (b * j1_inf + 1.0) / (4.0 * c)
-    e1 = (2.0 / sqc) * 2.0 * c * (j1(s) - j1_inf)
-    e2 = (2.0 / sqc) * 4.0 * c * c * (j2(s) - j2_inf)
-    out = (B / c) * (2.0 * lm.beta1 * e1 - e2)
-    return out if np.asarray(out).shape else float(out)
+    return (spec.B / lm.c) * _limit_slice(lm, u2, gauge=True)[2]
 
 
 def limit_h_eval(spec: SystemSpec, s: PhaseState) -> float:
@@ -465,9 +476,9 @@ def limit_h_eval(spec: SystemSpec, s: PhaseState) -> float:
         lam2 = beta1^2 - Q2(u2)^2.
     """
     lm = spec.limit
-    x2 = limit_q2(lm, s.u2)
+    x2, _, g = _limit_slice(lm, s.u2, gauge=True)
     lam2 = lm.beta1**2 - x2**2
-    a1 = limit_gauge_a1(spec, s.u2)
+    a1 = (spec.B / lm.c) * g
     return float(
         (0.25 * lm.c * (s.p1 - a1) ** 2 + s.p2**2) / lam2 + spec.mu / (lm.beta1 + x2)
     )
@@ -477,23 +488,21 @@ def _limit_rhs(spec: SystemSpec):
     lm = spec.limit
     c, mu, B = lm.c, spec.mu, spec.B
     b1 = lm.beta1
+    b_over_c = B / c
 
-    def rhs(_t, y):
+    def rhs(y: tuple) -> tuple:
         _u1, u2, p1, p2 = y
-        x2 = limit_q2(lm, u2)
-        d2 = limit_q2_deriv(lm, u2)
+        x2, d2, g = _limit_slice(lm, u2, deriv=True, gauge=True)
         lam2 = b1 * b1 - x2 * x2
-        a1 = limit_gauge_a1(spec, u2)
+        a1 = b_over_c * g
         da1 = B * lam2 / c
         dlam2 = -2.0 * x2 * d2
         num = 0.25 * c * (p1 - a1) ** 2 + p2 * p2
-        return np.array(
-            [
-                0.5 * c * (p1 - a1) / lam2,
-                2.0 * p2 / lam2,
-                0.0,
-                0.5 * c * (p1 - a1) * da1 / lam2 + num * dlam2 / lam2**2 + mu * d2 / (b1 + x2) ** 2,
-            ]
+        return (
+            0.5 * c * (p1 - a1) / lam2,
+            2.0 * p2 / lam2,
+            0.0,
+            0.5 * c * (p1 - a1) * da1 / lam2 + num * dlam2 / lam2**2 + mu * d2 / (b1 + x2) ** 2,
         )
 
     return rhs
@@ -505,8 +514,8 @@ def limit_system_step(spec: SystemSpec, s: PhaseState, dt: float, tol: float = 1
         raise ValueError("limit_system_step needs a CASE_II_LIMIT spec")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    rhs = _limit_rhs(spec)
-    y_new, taken, dt_next = _adaptive_step(rhs, 0.0, s.as_array(), dt, tol)
+    y = (s.u1, s.u2, s.p1, s.p2)
+    y_new, taken, dt_next = _adaptive_step(_limit_rhs(spec), y, dt, tol)
     return StepResult(state=PhaseState(*y_new), dt_taken=taken, dt_next=dt_next)
 
 

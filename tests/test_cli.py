@@ -186,6 +186,20 @@ def test_metric_check(tmp_path, capsys):
     assert len(lines) == 65
 
 
+@pytest.mark.parametrize(
+    "command, cfg, csv",
+    [
+        ("elliptic-table", CASE2, "elliptic_table.csv"),
+        ("metric-check", dict(CASE1, grid={"n": 8}), "metric_check.csv"),
+        ("simulate", dict(CASE1, integrator=dict(CASE1["integrator"], t_end=0.1)), "simulate.csv"),
+    ],
+)
+def test_out_directory_is_created(tmp_path, capsys, command, cfg, csv):
+    out = tmp_path / "new" / "nested"
+    assert main([command, "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    assert (out / csv).read_text().count("\n") > 1
+
+
 def test_unknown_family(tmp_path, capsys):
     cfg = dict(CASE2, family="case3")
     code = main(["roots", "--config", _write(tmp_path, cfg)])

@@ -6,8 +6,8 @@ import pytest
 from monopole_lab import dynamics as dyn
 from monopole_lab import geometry as geo
 from monopole_lab.elliptic import limit_q2
-from monopole_lab.errors import CenterSingularity, StepRejected
-from monopole_lab.fields import case2_spec, gauge_a
+from monopole_lab.errors import CenterSingularity, FixedPointSingularity, StepRejected
+from monopole_lab.fields import Family, case2_spec, gauge_a
 from monopole_lab.polyroots import eval_p
 
 
@@ -113,18 +113,21 @@ def test_full_flow_conservation(case2):
         assert np.max(np.abs(m - m[0])) / max(1.0, abs(m[0])) < 1e-7
 
 
-def test_flow_step_contract(case2, limit_spec):
+def test_flow_step_contract(case2, limit_spec, case1):
     rng = np.random.default_rng(22)
     s = dyn.random_state(case2, rng)
     res = dyn.flow_step(case2, s, dt=0.01, tol=1e-10)
     assert 0 < res.dt_taken <= 0.01
     assert res.dt_next > 0
-    with pytest.raises(ValueError):
-        dyn.flow_step(case2, s, dt=-1.0)
     s_lim = dyn.random_state(limit_spec, rng)
+    s_e3 = dyn.random_state(case1, rng)
     for dt in (-1.0, 0.0):
         with pytest.raises(ValueError):
+            dyn.flow_step(case2, s, dt=dt)
+        with pytest.raises(ValueError):
             dyn.limit_system_step(limit_spec, s_lim, dt=dt)
+        with pytest.raises(ValueError):
+            dyn.e3_flow_step(case1, s_e3, dt=dt)
 
 
 def test_flow_step_rejects_at_fixed_point(case2):
@@ -389,3 +392,253 @@ def test_limit_h_eval_structure(limit_spec):
         lm.beta1 + x2
     )
     assert dyn.limit_h_eval(limit_spec, s) == pytest.approx(expected, rel=1e-14)
+
+
+# --- integrator core against the elementwise numpy form ------------------------------
+#
+# The reference is the numpy form of the DP5(4) core and of the e(3)* right-hand
+# sides (np.cross).  The float core takes every sum and product in the same
+# order, so the two agree bit for bit; the reference keeps the old forced
+# accept of a failing step once dt < 4 dt_min, which the core no longer has.
+
+_DP_C = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
+
+
+def _ref_dp_attempt(rhs, t, y, dt):
+    k = [rhs(t, y)]
+    for i in range(1, 6):
+        yi = y + dt * sum(a * kk for a, kk in zip(dyn._DP_A[i - 1], k))
+        k.append(rhs(t + _DP_C[i] * dt, yi))
+    y5 = y + dt * sum(b * kk for b, kk in zip(dyn._DP_B5, k))
+    k.append(rhs(t + dt, y5))
+    y4 = y + dt * sum(b * kk for b, kk in zip(dyn._DP_B4, k))
+    return y5, y5 - y4
+
+
+def _ref_norm(y, y5, err, tol):
+    scale = tol * (1.0 + np.maximum(np.abs(y), np.abs(y5)))
+    return math.sqrt(float(np.mean((err / scale) ** 2)))
+
+
+def _ref_adaptive_step(rhs, t, y, dt, tol, dt_min=1e-13):
+    dt = float(dt)
+    while True:
+        if dt < dt_min:
+            raise StepRejected(f"step size underflow at t = {t}")
+        try:
+            y5, err = _ref_dp_attempt(rhs, t, y, dt)
+        except FixedPointSingularity:
+            dt *= 0.25
+            continue
+        norm = _ref_norm(y, y5, err, tol)
+        if not math.isfinite(norm):
+            dt *= 0.2
+            continue
+        if norm <= 1.0 or dt < 4.0 * dt_min:
+            factor = 0.9 * (norm + 1e-300) ** -0.2
+            return y5, dt, dt * min(5.0, max(0.2, factor))
+        dt *= max(0.2, 0.9 * norm**-0.2)
+
+
+def _ref_e3_rhs(spec):
+    if spec.family == Family.CASE_I:
+        alpha = np.array(spec.alpha)
+        mu = spec.mu
+
+        def rhs(_t, y):
+            M, x = y[:3], y[3:]
+            dM = -2.0 * mu * np.cross(alpha * x, x)
+            dx = 2.0 * np.cross(M, x)
+            return np.concatenate([dM, dx])
+
+        return rhs
+    va, vb, mu = spec.vy_a, spec.vy_b, spec.mu
+    sab = math.sqrt(va * vb)
+
+    def rhs(_t, y):
+        M, q = y[:3], y[3:]
+        qn = float(np.linalg.norm(q))
+        R = dyn._vy_r(spec, q)
+        if R < 1e-12 * max(1.0, qn**2):
+            raise CenterSingularity(f"orbit reached a Coulomb center: R = {R:.3e}")
+        gradR = np.array([2.0 * vb * q[0], 2.0 * va * q[1], 2.0 * (va + vb) * q[2]])
+        gradR -= 2.0 * sab * (q[2] * q / qn + qn * np.array([0.0, 0.0, 1.0]))
+        gradH = -mu * (q / qn) / math.sqrt(R) + 0.5 * mu * qn * R**-1.5 * gradR
+        return np.concatenate([np.cross(gradH, q), np.cross(M, q)])
+
+    return rhs
+
+
+def _ref_limit_q2(lm, u2):
+    u2 = np.asarray(u2, dtype=float)
+    sqc = math.sqrt(lm.c)
+    sqD = math.sqrt(lm.D)
+    with np.errstate(over="ignore"):
+        coshterm = np.cosh(0.5 * sqc * (u2 - lm.delta))
+        out = lm.beta1 - 4.0 * lm.c / (2.0 * sqD * coshterm + 2.0 * lm.b)
+    return out if out.shape else float(out)
+
+
+def _ref_limit_q2_deriv(lm, u2):
+    u2 = np.asarray(u2, dtype=float)
+    sqc = math.sqrt(lm.c)
+    sqD = math.sqrt(lm.D)
+    s = 0.5 * sqc * (u2 - lm.delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = 2.0 * sqD * np.cosh(s) + 2.0 * lm.b
+        out = 4.0 * lm.c * sqD * sqc * np.sinh(s) / den**2
+        out = np.where(np.isfinite(den), out, 0.0)
+    return out if out.shape else float(out)
+
+
+def _ref_limit_gauge_a1(spec, u2):
+    lm = spec.limit
+    a = math.sqrt(lm.D)
+    b, c, B = lm.b, lm.c, spec.B
+    w = math.sqrt((b - a) / (b + a))
+    sqc = math.sqrt(c)
+
+    def j1(sv):
+        return np.arctanh(w * np.tanh(sv / 2.0)) / sqc
+
+    def j2(sv):
+        sech = 1.0 / np.cosh(sv)
+        core = a * np.tanh(sv) / (a + b * sech)
+        return (b * j1(sv) - core) / (4.0 * c)
+
+    s = 0.5 * sqc * (np.asarray(u2, dtype=float) - lm.delta)
+    j1_inf = -math.atanh(w) / sqc
+    j2_inf = (b * j1_inf + 1.0) / (4.0 * c)
+    with np.errstate(over="ignore"):
+        e1 = (2.0 / sqc) * 2.0 * c * (j1(s) - j1_inf)
+        e2 = (2.0 / sqc) * 4.0 * c * c * (j2(s) - j2_inf)
+    out = (B / c) * (2.0 * lm.beta1 * e1 - e2)
+    return out if np.asarray(out).shape else float(out)
+
+
+def _ref_limit_rhs(spec):
+    lm = spec.limit
+    c, mu, B = lm.c, spec.mu, spec.B
+    b1 = lm.beta1
+
+    def rhs(_t, y):
+        _u1, u2, p1, p2 = y
+        x2 = _ref_limit_q2(lm, u2)
+        d2 = _ref_limit_q2_deriv(lm, u2)
+        lam2 = b1 * b1 - x2 * x2
+        a1 = _ref_limit_gauge_a1(spec, u2)
+        da1 = B * lam2 / c
+        dlam2 = -2.0 * x2 * d2
+        num = 0.25 * c * (p1 - a1) ** 2 + p2 * p2
+        return np.array(
+            [
+                0.5 * c * (p1 - a1) / lam2,
+                2.0 * p2 / lam2,
+                0.0,
+                0.5 * c * (p1 - a1) * da1 / lam2 + num * dlam2 / lam2**2 + mu * d2 / (b1 + x2) ** 2,
+            ]
+        )
+
+    return rhs
+
+
+def _core_case(spec, state):
+    """(reference rhs(t, y), float rhs(y), integration variables) of a family."""
+    if spec.family == Family.CASE_II:
+        a1, a2 = gauge_a(spec, (state.u1, state.u2))
+        new = dyn._torus_rhs(spec)
+        y = (state.u1, state.u2, state.p1 - a1, state.p2 - a2)
+    elif spec.family == Family.CASE_II_LIMIT:
+        y = (state.u1, state.u2, state.p1, state.p2)
+        return _ref_limit_rhs(spec), dyn._limit_rhs(spec), y
+    else:
+        y = tuple(state.as_array().tolist())
+        return _ref_e3_rhs(spec), dyn._e3_rhs(spec), y
+    # the torus right-hand side was already float arithmetic
+    return (lambda _t, v: np.array(new(tuple(v)))), new, y
+
+
+def _outcome(step, *args):
+    try:
+        y, dt, dt_next = step(*args)
+    except (StepRejected, CenterSingularity) as exc:
+        return type(exc).__name__
+    return np.array(y).tobytes(), dt, dt_next
+
+
+@pytest.mark.parametrize("family", ["case2", "case1", "vy", "limit_spec"])
+def test_core_matches_numpy_reference(family, request):
+    spec = request.getfixturevalue(family)
+    rng = np.random.default_rng(37)
+    retried = 0
+    for _ in range(12):
+        ref, new, y = _core_case(spec, dyn.random_state(spec, rng))
+        for dt in (1e-3, 0.05, 0.4, 2.5):
+            for tol in (1e-10, 1e-6):
+                calls = []
+                counted = lambda v: calls.append(v == y) or new(v)
+                # far out on the cylinder numpy scalars divide by lam2 = 0
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    want = _outcome(_ref_adaptive_step, ref, 0.0, np.array(y), dt, tol)
+                assert _outcome(dyn._adaptive_step, counted, y, dt, tol) == want
+                assert calls.count(True) == 1  # k1, once for all attempts
+                retried += len(calls) > 7
+        # the right-hand sides themselves, bitwise
+        assert np.array(new(y)).tobytes() == ref(0.0, np.array(y)).tobytes()
+    assert retried > 0
+
+
+def test_core_shrinks_past_a_singular_stage():
+    # every stage beyond y = 0.5 meets a fixed point: the step shrinks by 4x
+    # until none does, exactly as in the reference
+    def new(y):
+        if y[0] > 0.5:
+            raise FixedPointSingularity("stage beyond 0.5")
+        return (1.0 + y[0] * y[0],)
+
+    ref = lambda _t, v: np.array(new(tuple(v)))
+    want = _outcome(_ref_adaptive_step, ref, 0.0, np.array([0.4]), 1.0, 1e-10)
+    got = _outcome(dyn._adaptive_step, new, (0.4,), 1.0, 1e-10)
+    assert got == want
+    assert got[1] <= 0.25
+
+
+def test_step_above_tolerance_is_raised_not_kept():
+    # y' = -C y with C dt >> 1 for every dt >= dt_min: the stages flip sign
+    # and grow, and the error norm stays far above 1 however small the step
+    C = 1e20
+    ref = lambda _t, v: -C * v
+    y0 = np.array([1.0])
+    y5, dt, _ = _ref_adaptive_step(ref, 0.0, y0, 1e-3, 1e-10)
+    assert dt < 4e-13
+    assert _ref_norm(y0, y5, _ref_dp_attempt(ref, 0.0, y0, dt)[1], 1e-10) > 1.0
+    with pytest.raises(StepRejected):
+        dyn._adaptive_step(lambda v: (-C * v[0],), (1.0,), 1e-3, 1e-10)
+
+
+@pytest.mark.parametrize("roots", [None, (1.3, -0.21, -2.39)])
+def test_limit_slice_matches_separate_formulas(limit_spec, roots):
+    # Q2, Q2' and A1 share one s and one cosh(s) now; each is bit for bit
+    # the closed form it was evaluated by on its own, for arrays and scalars
+    # (on the second model, regrouping a product of constants moves bits)
+    from monopole_lab.elliptic import LimitModel, _limit_slice, limit_q2_deriv
+    from monopole_lab.fields import case2_limit_spec
+
+    if roots is not None:
+        limit_spec = case2_limit_spec(LimitModel(*roots), mu=0.8, B=-0.45)
+    lm = limit_spec.limit
+    u = np.concatenate([np.random.default_rng(38).uniform(-40.0, 40.0, 400), [lm.delta, 400.0, -900.0]])
+    pairs = [
+        (limit_q2, _ref_limit_q2),
+        (limit_q2_deriv, _ref_limit_q2_deriv),
+        (lambda _lm, v: dyn.limit_gauge_a1(limit_spec, v), lambda _lm, v: _ref_limit_gauge_a1(limit_spec, v)),
+    ]
+    for got, want in pairs:
+        assert got(lm, u).tobytes() == want(lm, u).tobytes()
+        assert np.array([got(lm, float(v)) for v in u]).tobytes() == np.array([want(lm, v) for v in u]).tobytes()
+    q2, d2, g = _limit_slice(lm, 1.3, deriv=True, gauge=True)
+    assert (q2, d2, (limit_spec.B / lm.c) * g) == (
+        _ref_limit_q2(lm, 1.3),
+        _ref_limit_q2_deriv(lm, 1.3),
+        _ref_limit_gauge_a1(limit_spec, 1.3),
+    )
