@@ -30,10 +30,11 @@ The attempt, the step control and every flow right-hand side run in Python
 floats on tuples: on states of 4 and 6 components numpy's per-call cost
 exceeds the arithmetic.  Each sum and product is taken in the order of the
 elementwise numpy form y + dt * sum_j a_j k_j (and np.cross), so the
-trajectories are bitwise those of that form.  The e(3)* projection, |q| in
-the two-centre flow and the monitors stay in numpy: a BLAS dot or norm
-rounds differently from a Python sum, and numpy's cosh/sinh/tanh/arctanh
-differ from libm's in the last bit on some inputs.
+trajectories are bitwise those of that form.  The sums are written out as
+left folds: the builtin sum of floats is compensated from Python 3.12 on.
+The e(3)* projection, |q| in the two-centre flow and the monitors stay in
+numpy: a BLAS dot or norm rounds differently from a Python sum, and numpy's
+cosh/sinh/tanh/arctanh differ from libm's in the last bit on some inputs.
 """
 
 from __future__ import annotations
@@ -218,19 +219,49 @@ _DP_B4 = (
 )
 
 
-def _stage(y: tuple, dt: float, coeffs, k: list) -> tuple:
-    """y + dt * sum_j coeffs[j] k[j], each component summed over j in order."""
-    return tuple([yv + dt * sum(map(mul, coeffs, col)) for yv, col in zip(y, zip(*k))])
+(
+    (_A21,),
+    (_A31, _A32),
+    (_A41, _A42, _A43),
+    (_A51, _A52, _A53, _A54),
+    (_A61, _A62, _A63, _A64, _A65),
+) = _DP_A
+# y5 cannot use k7 = rhs(y5); its weight in _DP_B5 is 0
+_B1, _B2, _B3, _B4, _B5, _B6 = _DP_B5[:6]
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_B4
 
 
 def _dp_attempt(rhs, y: tuple, k1: tuple, dt: float):
-    """One 5(4) attempt from y with k1 = rhs(y): (y5, y5 - y4)."""
-    k = [k1]
-    for a in _DP_A:
-        k.append(rhs(_stage(y, dt, a, k)))
-    y5 = _stage(y, dt, _DP_B5, k)
-    k.append(rhs(y5))
-    y4 = _stage(y, dt, _DP_B4, k)
+    """One 5(4) attempt from y with k1 = rhs(y): (y5, y5 - y4).
+
+    Each stage sum is written out from 0.0, zero coefficients included, so
+    it is added left to right exactly as the elementwise numpy form
+    y + dt * sum_j a_j k_j adds it.
+    """
+    k2 = rhs(tuple([v + dt * (0.0 + _A21 * p1) for v, p1 in zip(y, k1)]))
+    k3 = rhs(tuple([v + dt * (0.0 + _A31 * p1 + _A32 * p2) for v, p1, p2 in zip(y, k1, k2)]))
+    k4 = rhs(tuple([
+        v + dt * (0.0 + _A41 * p1 + _A42 * p2 + _A43 * p3)
+        for v, p1, p2, p3 in zip(y, k1, k2, k3)
+    ]))
+    k5 = rhs(tuple([
+        v + dt * (0.0 + _A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4)
+        for v, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)
+    ]))
+    k6 = rhs(tuple([
+        v + dt * (0.0 + _A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
+        for v, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)
+    ]))
+    y5 = tuple([
+        v + dt * (0.0 + _B1 * p1 + _B2 * p2 + _B3 * p3 + _B4 * p4 + _B5 * p5 + _B6 * p6)
+        for v, p1, p2, p3, p4, p5, p6 in zip(y, k1, k2, k3, k4, k5, k6)
+    ])
+    k7 = rhs(y5)
+    y4 = [
+        v
+        + dt * (0.0 + _E1 * p1 + _E2 * p2 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6 + _E7 * p7)
+        for v, p1, p2, p3, p4, p5, p6, p7 in zip(y, k1, k2, k3, k4, k5, k6, k7)
+    ]
     return y5, tuple(map(sub, y5, y4))
 
 
@@ -254,14 +285,11 @@ def _adaptive_step(rhs, y: tuple, dt: float, tol: float, dt_min: float = 1e-13):
         except FixedPointSingularity:
             dt *= 0.25
             continue
-        except (ZeroDivisionError, OverflowError):
-            # a stage ran off to where a float division or power fails
-            # (e.g. lam2 = 0 far out on the cylinder): the same as a
-            # non-finite error norm, which numpy's inf and nan would give
-            dt *= 0.2
-            continue
         q = [e / (tol * (1.0 + max(abs(a), abs(b)))) for e, a, b in zip(err, y, y5)]
-        norm = math.sqrt(sum([v * v for v in q]) / len(q))
+        ssq = 0.0
+        for v in q:
+            ssq += v * v
+        norm = math.sqrt(ssq / len(q))
         if not math.isfinite(norm):
             dt *= 0.2
             continue
@@ -466,7 +494,7 @@ def limit_gauge_a1(spec: SystemSpec, u2) -> float:
     The integral is in closed form (see ``elliptic._limit_slice``).
     """
     lm = spec.limit
-    return (spec.B / lm.c) * _limit_slice(lm, u2, gauge=True)[2]
+    return (spec.B / lm.c) * _limit_slice(lm, u2)[2]
 
 
 def limit_h_eval(spec: SystemSpec, s: PhaseState) -> float:
@@ -476,7 +504,7 @@ def limit_h_eval(spec: SystemSpec, s: PhaseState) -> float:
         lam2 = beta1^2 - Q2(u2)^2.
     """
     lm = spec.limit
-    x2, _, g = _limit_slice(lm, s.u2, gauge=True)
+    x2, _, g = _limit_slice(lm, s.u2)
     lam2 = lm.beta1**2 - x2**2
     a1 = (spec.B / lm.c) * g
     return float(
@@ -492,18 +520,24 @@ def _limit_rhs(spec: SystemSpec):
 
     def rhs(y: tuple) -> tuple:
         _u1, u2, p1, p2 = y
-        x2, d2, g = _limit_slice(lm, u2, deriv=True, gauge=True)
+        x2, d2, g = _limit_slice(lm, u2)
         lam2 = b1 * b1 - x2 * x2
         a1 = b_over_c * g
         da1 = B * lam2 / c
         dlam2 = -2.0 * x2 * d2
-        num = 0.25 * c * (p1 - a1) ** 2 + p2 * p2
-        return (
-            0.5 * c * (p1 - a1) / lam2,
-            2.0 * p2 / lam2,
-            0.0,
-            0.5 * c * (p1 - a1) * da1 / lam2 + num * dlam2 / lam2**2 + mu * d2 / (b1 + x2) ** 2,
-        )
+        try:
+            num = 0.25 * c * (p1 - a1) ** 2 + p2 * p2
+            return (
+                0.5 * c * (p1 - a1) / lam2,
+                2.0 * p2 / lam2,
+                0.0,
+                0.5 * c * (p1 - a1) * da1 / lam2 + num * dlam2 / lam2**2 + mu * d2 / (b1 + x2) ** 2,
+            )
+        except (ZeroDivisionError, OverflowError):
+            # lam2 = 0 where Q2 has reached its plateau beta1 far out, or a
+            # runaway stage: numpy's inf and nan, which the step control
+            # retries as a non-finite error norm
+            return (math.nan,) * 4
 
     return rhs
 

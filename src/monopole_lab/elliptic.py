@@ -21,7 +21,8 @@ interpolant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ellipj
@@ -214,17 +215,6 @@ class LimitModel:
     beta1: float
     beta3: float
     beta4: float
-    b: float = field(init=False, repr=False, compare=False)
-    c: float = field(init=False, repr=False, compare=False)
-    D: float = field(init=False, repr=False, compare=False)
-    delta: float = field(init=False, repr=False, compare=False)
-    # sqrt(c), sqrt(D) and the gauge constants w, J1(-inf), J2(-inf) of
-    # _limit_slice, computed once
-    _sqrt_c: float = field(init=False, repr=False, compare=False)
-    _sqrt_D: float = field(init=False, repr=False, compare=False)
-    _w: float = field(init=False, repr=False, compare=False)
-    _j1_inf: float = field(init=False, repr=False, compare=False)
-    _j2_inf: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         s = 2.0 * self.beta1 + self.beta3 + self.beta4
@@ -237,28 +227,34 @@ class LimitModel:
             )
         if not self.beta1 + self.beta3 > 0.0:
             raise InadmissibleParams("limit model needs beta2 + beta3 = beta1 + beta3 > 0")
-        b = 4.0 * self.beta1
-        c = (self.beta1 - self.beta3) * (self.beta1 - self.beta4)
-        D = b**2 - 4.0 * c
-        sqc, sqD = math.sqrt(c), math.sqrt(D)
-        w = math.sqrt((b - sqD) / (b + sqD))
+
+    @cached_property
+    def b(self) -> float:
+        return 4.0 * self.beta1
+
+    @cached_property
+    def c(self) -> float:
+        return (self.beta1 - self.beta3) * (self.beta1 - self.beta4)
+
+    @cached_property
+    def D(self) -> float:
+        return self.b**2 - 4.0 * self.c
+
+    @cached_property
+    def delta(self) -> float:
+        return math.log(self.D) / math.sqrt(self.c)
+
+    @cached_property
+    def _slice_constants(self) -> tuple[float, float, float, float, float]:
+        """sqrt(c), a = sqrt(D), w, J1(-inf) and J2(-inf) of :func:`_limit_slice`."""
+        b, c = self.b, self.c
+        sqc, a = math.sqrt(c), math.sqrt(self.D)
+        w = math.sqrt((b - a) / (b + a))
         j1_inf = -math.atanh(w) / sqc
-        derived = {
-            "b": b,
-            "c": c,
-            "D": D,
-            "delta": math.log(D) / sqc,
-            "_sqrt_c": sqc,
-            "_sqrt_D": sqD,
-            "_w": w,
-            "_j1_inf": j1_inf,
-            "_j2_inf": (b * j1_inf + 1.0) / (4.0 * c),
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        return sqc, a, w, j1_inf, (b * j1_inf + 1.0) / (4.0 * c)
 
 
-def _limit_slice(lm: LimitModel, u2, deriv: bool = False, gauge: bool = False):
+def _limit_slice(lm: LimitModel, u2):
     """(Q2, dQ2/du, G) of the degenerate slice from one s and one cosh(s).
 
     With s = sqrt(c)(u - delta)/2 and den = 2 sqrt(D) cosh(s) + 2b,
@@ -274,31 +270,28 @@ def _limit_slice(lm: LimitModel, u2, deriv: bool = False, gauge: bool = False):
         J1(s) = artanh(w tanh(s/2)) / sqrt(c),   w = sqrt((b-a)/(b+a)),
         J2(s) = [b J1(s) - a tanh(s)/(a + b sech(s))] / (4c).
 
-    dQ2/du is None unless ``deriv``, G None unless ``gauge``.  A scalar u
-    gives floats, an array arrays.  The hyperbolic functions stay numpy's
-    for both: the libm ones round differently on some inputs.
+    A scalar u gives floats, an array arrays.  The hyperbolic functions stay
+    numpy's for both: the libm ones round differently on some inputs.
     """
     scalar = _is_scalar(u2)
     u = float(u2) if scalar else np.asarray(u2, dtype=float)
-    b, c, sqc, a = lm.b, lm.c, lm._sqrt_c, lm._sqrt_D
+    b, c = lm.b, lm.c
+    sqc, a, w, j1_inf, j2_inf = lm._slice_constants
     s = 0.5 * sqc * (u - lm.delta)
-    d2 = g = None
     # cosh overflows to inf far out (Q2 -> beta1, dQ2/du -> 0)
     with np.errstate(over="ignore", invalid="ignore"):
         cosh = np.cosh(s)
         den = 2.0 * a * cosh + 2.0 * b
         q2 = lm.beta1 - 4.0 * c / den
-        if deriv:
-            d2 = 4.0 * c * a * sqc * np.sinh(s) / den**2
-            d2 = (d2 if math.isfinite(den) else 0.0) if scalar else np.where(np.isfinite(den), d2, 0.0)
-        if gauge:
-            j1 = np.arctanh(lm._w * np.tanh(s / 2.0)) / sqc
-            j2 = (b * j1 - a * np.tanh(s) / (a + b * (1.0 / cosh))) / (4.0 * c)
-            e1 = (2.0 / sqc) * 2.0 * c * (j1 - lm._j1_inf)
-            e2 = (2.0 / sqc) * 4.0 * c * c * (j2 - lm._j2_inf)
-            g = 2.0 * lm.beta1 * e1 - e2
+        d2 = 4.0 * c * a * sqc * np.sinh(s) / den**2
+        d2 = (d2 if math.isfinite(den) else 0.0) if scalar else np.where(np.isfinite(den), d2, 0.0)
+        j1 = np.arctanh(w * np.tanh(s / 2.0)) / sqc
+        j2 = (b * j1 - a * np.tanh(s) / (a + b * (1.0 / cosh))) / (4.0 * c)
+        e1 = (2.0 / sqc) * 2.0 * c * (j1 - j1_inf)
+        e2 = (2.0 / sqc) * 4.0 * c * c * (j2 - j2_inf)
+        g = 2.0 * lm.beta1 * e1 - e2
     if scalar:
-        return float(q2), d2 if d2 is None else float(d2), g if g is None else float(g)
+        return float(q2), float(d2), float(g)
     return q2, d2, g
 
 
@@ -316,4 +309,4 @@ def limit_q2(lm: LimitModel, u2):
 
 def limit_q2_deriv(lm: LimitModel, u2):
     """dQ2/du for the degenerate slice (closed form)."""
-    return _limit_slice(lm, u2, deriv=True)[1]
+    return _limit_slice(lm, u2)[1]
