@@ -183,6 +183,8 @@ def cmd_metric_check(args) -> int:
     cfg = _load_config(args.config)
     spec = spec_from_config(cfg)
     n = int(cfg.get("grid", {}).get("n", 32))
+    if n < 1:
+        raise ConfigError(f"metric-check grid n = {n}: must be at least 1")
     if spec.family == Family.CASE_II:
         model = spec.model
         lam_fn = lambda a, b: geo.torus_lambda(model, a, b)
@@ -190,25 +192,23 @@ def cmd_metric_check(args) -> int:
         K1, K2 = model.K1, model.K2
     elif spec.family == Family.CASE_I:
         conf = geo.conformal_case1(spec.alpha)
-        lam_fn = lambda a, b: conf.lam(a, b)
+        lam_fn = conf.lam
         k_closed = lambda a, b: geo.curvature_closed(spec)
         K1, K2 = conf.K1, conf.K2
     else:
         raise ConfigError("metric-check supports case1 and case2")
     u1 = np.linspace(0.15, 0.85, n) * K1
     u2 = np.linspace(0.15, 0.85, n) * K2
-    rows = []
-    worst = 0.0
-    for a in u1:
-        for b in u2:
-            lam = lam_fn(a, b)
-            kc = k_closed(a, b)
-            kn = geo.curvature_numeric(lam_fn, (a, b), h=1e-3)
-            worst = max(worst, abs(kc - kn))
-            rows.append((a, b, lam, kc, kn))
+    # the whole grid at once: rows run over u2 inside u1, as the flattened (u1, u2) mesh
+    a, b = u1[:, None], u2[None, :]
+    lam = np.broadcast_to(lam_fn(a, b), (n, n))
+    kc = np.broadcast_to(k_closed(a, b), (n, n))
+    kn = geo.curvature_numeric(lam_fn, (a, b), h=1e-3)
+    worst = float(np.max(np.abs(kc - kn)))
+    rows = zip(np.repeat(u1, n), np.tile(u2, n), lam.ravel(), kc.ravel(), kn.ravel())
     out = Path(args.out) / "metric_check.csv"
     _write_csv(out, "u1,u2,lambda,K_closed,K_numeric", rows)
-    print(f"wrote {len(rows)} samples to {out}")
+    print(f"wrote {n * n} samples to {out}")
     print(f"max |K_closed - K_numeric| = {worst:.3e}")
     return 0 if worst <= args.tol else 1
 
@@ -272,8 +272,14 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     spec = spec_from_config(cfg)
-    n = args.grid or int(cfg.get("grid", {}).get("n", 64))
+    n = args.grid if args.grid is not None else int(cfg.get("grid", {}).get("n", 64))
     stencil = args.stencil or int(cfg.get("grid", {}).get("stencil", 4))
+    if stencil not in (2, 4):
+        raise ConfigError(f"verify stencil order {stencil}: must be 2 or 4")
+    if n < ver.min_grid_size(stencil):
+        raise ConfigError(
+            f"verify grid n = {n}: stencil order {stencil} needs n >= {ver.min_grid_size(stencil)}"
+        )
     if spec.family == Family.CASE_I:
         grid = ver.build_case1_grid(spec, n)
     elif spec.family == Family.CASE_II:

@@ -46,7 +46,7 @@ from operator import mul, sub
 import numpy as np
 
 from .elliptic import _limit_slice
-from .errors import CenterSingularity, FixedPointSingularity, StepRejected
+from .errors import CenterSingularity, DegeneratePoint, FixedPointSingularity, StepRejected
 from .fields import Family, SystemSpec, gauge_a
 
 __all__ = [
@@ -502,10 +502,14 @@ def limit_h_eval(spec: SystemSpec, s: PhaseState) -> float:
 
         H = c/(4 lam2) [(p1 - A1)^2 + (4/c) p2^2] + mu/(beta1 + Q2),
         lam2 = beta1^2 - Q2(u2)^2.
+
+    Far out on the cylinder Q2 rounds to beta1 and lam2 to 0: DegeneratePoint.
     """
     lm = spec.limit
     x2, _, g = _limit_slice(lm, s.u2)
     lam2 = lm.beta1**2 - x2**2
+    if lam2 == 0.0:
+        raise DegeneratePoint(f"lam2 rounds to 0 at u2 = {s.u2} (Q2 = beta1 = {x2})")
     a1 = (spec.B / lm.c) * g
     return float(
         (0.25 * lm.c * (s.p1 - a1) ** 2 + s.p2**2) / lam2 + spec.mu / (lm.beta1 + x2)

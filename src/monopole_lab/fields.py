@@ -148,7 +148,7 @@ def electric_h(spec: SystemSpec, point):
     if spec.family == Family.CASE_II:
         u1v, u2v = _uv(point)
         m = spec.model
-        return spec.mu / (m.q1(u1v) + m.q2(u2v))
+        return _torus_h(spec, m.q1(u1v), m.q2(u2v))
     if spec.family == Family.CASE_II_LIMIT:
         from .elliptic import limit_q2
 
@@ -183,12 +183,9 @@ def phi_components(spec: SystemSpec, point):
     if spec.family == Family.CASE_II:
         u1v, u2v = _uv(point)
         m = spec.model
-        x1 = m.q1(u1v)
-        x2 = m.q2(u2v)
-        gap = x1 - x2
-        if np.any(np.abs(np.asarray(gap)) < 1e-9 * max(1.0, float(np.max(np.abs(x1))))):
-            raise DegeneratePoint(f"x1 = x2 near ({u1v}, {u2v})")
-        return 2.0 * spec.k * m.dq2(u2v) / gap, -2.0 * spec.k * m.dq1(u1v) / gap
+        x1, d1 = m.branch1.value_and_deriv(u1v)
+        x2, d2 = m.branch2.value_and_deriv(u2v)
+        return _torus_phi(spec, x1, d1, x2, d2)
     raise ValueError(f"phi_components not defined for family {spec.family}")
 
 
@@ -204,10 +201,27 @@ def varphi(spec: SystemSpec, point):
     if spec.family == Family.CASE_II:
         u1v, u2v = _uv(point)
         m = spec.model
-        x1 = m.q1(u1v)
-        x2 = m.q2(u2v)
-        return -spec.mu * x1 * x2 / (x1 + x2) - spec.k * spec.B * (x1 + x2) ** 2
+        return _torus_varphi(spec, m.q1(u1v), m.q2(u2v))
     raise ValueError(f"varphi not defined for family {spec.family}")
+
+
+# CASE_II fields from slice values x_i = Q_i(u_i) and d_i = Q_i'(u_i); any
+# broadcastable shapes, so a grid can pass one solve per axis
+
+
+def _torus_h(spec: SystemSpec, x1, x2):
+    return spec.mu / (x1 + x2)
+
+
+def _torus_phi(spec: SystemSpec, x1, d1, x2, d2):
+    gap = x1 - x2
+    if np.any(np.abs(gap) < 1e-9 * max(1.0, float(np.max(np.abs(x1))))):
+        raise DegeneratePoint(f"x1 = x2: min |Q1 - Q2| = {float(np.min(np.abs(gap))):.3e}")
+    return 2.0 * spec.k * d2 / gap, -2.0 * spec.k * d1 / gap
+
+
+def _torus_varphi(spec: SystemSpec, x1, x2):
+    return -spec.mu * x1 * x2 / (x1 + x2) - spec.k * spec.B * (x1 + x2) ** 2
 
 
 def gauge_a(spec: SystemSpec, point):

@@ -212,8 +212,11 @@ def conformal_case1(alpha) -> Case1ConformalModel:
     return Case1ConformalModel(NeumannConstants(alpha=tuple(float(a) for a in alpha)))
 
 
-def curvature_closed(spec: SystemSpec, point=None) -> float:
+def curvature_closed(spec: SystemSpec, point=None):
     """Gaussian curvature in closed form.
+
+    CASE_II coordinates may be scalars (a float is returned) or broadcastable
+    arrays (an array of their broadcast shape).
 
     CASE_I: constant -a3/4 (unit 1 for the 4 prod(alpha - q) normalisation).
     CASE_II: -a3/4 + a0 / (8 (x1 + x2)^3) at the torus point (x_i are the
@@ -231,9 +234,10 @@ def curvature_closed(spec: SystemSpec, point=None) -> float:
         m = spec.model
         x1 = m.q1(u1)
         x2 = m.q2(u2)
-        if x1 - x2 < 1e-9 * max(1.0, abs(x1)):
+        if np.any(x1 - x2 < 1e-9 * np.maximum(1.0, np.abs(x1))):
             raise DegeneratePoint(f"metric degenerate at ({u1}, {u2})")
-        return float(-spec.a3 / 4.0 + spec.quartic.a0 / (8.0 * (x1 + x2) ** 3))
+        k = -spec.a3 / 4.0 + spec.quartic.a0 / (8.0 * (x1 + x2) ** 3)
+        return float(k) if np.ndim(k) == 0 else k
     raise ValueError(f"no closed curvature for family {spec.family}")
 
 
@@ -266,36 +270,39 @@ def curvature_from_cubic_pair(spec: SystemSpec, q1: float, q2: float) -> float:
     return float((f(q1) - f(q2)) / (2.0 * gap**3) - (df(q1) + df(q2)) / (4.0 * gap**2))
 
 
-def curvature_numeric(lam_fn, point, h: float = 1e-3) -> float:
+def curvature_numeric(lam_fn, point, h: float = 1e-3):
     """Curvature of a conformal metric by -(Lap log lam)/(2 lam).
 
     Five-point central Laplacian at steps h and h/2 with one Richardson
-    extrapolation.  ``lam_fn(u1, u2)`` must be positive on the stencil.
+    extrapolation.  ``lam_fn(u1, u2)`` must be positive on the stencil.  The
+    coordinates may be scalars (a float is returned) or broadcastable arrays
+    (an array of their broadcast shape); ``lam_fn`` is called once per
+    stencil offset, 9 times in all, with the point's own coordinates shifted.
     """
     u1 = point.u1 if hasattr(point, "u1") else point[0]
     u2 = point.u2 if hasattr(point, "u2") else point[1]
 
-    def lap_log(step: float) -> float:
-        pts = [
-            (u1, u2),
-            (u1 + step, u2),
-            (u1 - step, u2),
-            (u1, u2 + step),
-            (u1, u2 - step),
-        ]
-        vals = np.array([lam_fn(a, b) for a, b in pts], dtype=float)
-        if np.any(vals <= 0.0):
-            raise StencilOutsideChart(f"lam <= 0 on stencil around ({u1}, {u2})")
-        logs = np.log(vals)
-        return (logs[1] + logs[2] + logs[3] + logs[4] - 4.0 * logs[0]) / step**2
-
     lam0 = lam_fn(u1, u2)
-    if lam0 <= 0.0:
+    if np.any(np.asarray(lam0) <= 0.0):
         raise StencilOutsideChart(f"lam <= 0 at ({u1}, {u2})")
+    log0 = np.log(lam0)
+
+    def lap_log(step: float):
+        logs = []
+        for a, b in ((u1 + step, u2), (u1 - step, u2), (u1, u2 + step), (u1, u2 - step)):
+            vals = lam_fn(a, b)
+            if np.any(np.asarray(vals) <= 0.0):
+                raise StencilOutsideChart(f"lam <= 0 on stencil around ({u1}, {u2})")
+            logs.append(np.log(vals))
+        l1, l2, l3, l4 = logs
+        return (l1 + l2 + l3 + l4 - 4.0 * log0) / step**2
+
     coarse = lap_log(h)
     fine = lap_log(h / 2.0)
     lap = (4.0 * fine - coarse) / 3.0
-    return float(-lap / (2.0 * lam0))
+    out = -lap / (2.0 * lam0)
+    shape = np.broadcast(u1, u2).shape
+    return float(out) if shape == () else np.broadcast_to(out, shape).copy()
 
 
 def fixed_point_chart(model: EllipticModel, index: int, w: complex) -> MetricSample:

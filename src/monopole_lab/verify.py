@@ -40,14 +40,24 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridTooSmall, FunctionalDomainError, SingularSample
-from .fields import Family, SystemSpec, electric_h, phi_components, varphi
-from .geometry import stackel_components, torus_lambda
+from .fields import (
+    Family,
+    SystemSpec,
+    _torus_h,
+    _torus_phi,
+    _torus_varphi,
+    electric_h,
+    phi_components,
+    varphi,
+)
+from .geometry import stackel_components
 
 __all__ = [
     "AnsatzGrid",
     "ConditionReport",
     "build_case1_grid",
     "build_case2_grid",
+    "min_grid_size",
     "swap_h_and_b",
     "check_classical",
     "check_quantum_c6star",
@@ -119,27 +129,35 @@ def build_case1_grid(spec: SystemSpec, n: int = 64, window=(0.3, 0.7)) -> Ansatz
 
 
 def build_case2_grid(spec: SystemSpec, n: int = 64, window=(0.3, 0.7)) -> AnsatzGrid:
-    """Sample the torus family on an interior window of the first quadrant."""
+    """Sample the torus family on an interior window of the first quadrant.
+
+    Every field depends on u1 only through Q1, Q1' and on u2 only through
+    Q2, Q2': each slice is solved once on its axis and the fields are
+    broadcast from the (n, 1) and (1, n) columns.
+    """
     if spec.family != Family.CASE_II:
         raise ValueError("build_case2_grid needs a CASE_II spec")
     m = spec.model
     lo, hi = window
     u1 = np.linspace(lo, hi, n) * m.K1
     u2 = np.linspace(lo, hi, n) * m.K2
-    U1, U2 = np.meshgrid(u1, u2, indexing="ij")
-    lam = torus_lambda(m, U1, U2)
-    phi1, phi2 = phi_components(spec, (U1, U2))
+    x1, d1 = m.branch1.value_and_deriv(u1)
+    x2, d2 = m.branch2.value_and_deriv(u2)
+    x1, d1, x2, d2 = x1[:, None], d1[:, None], x2[None, :], d2[None, :]
+    sq1, sq2 = x1**2, x2**2
+    lam = sq1 - sq2
+    phi1, phi2 = _torus_phi(spec, x1, d1, x2, d2)
     return AnsatzGrid(
         axis1=u1,
         axis2=u2,
         g11=1.0 / lam,
         g22=1.0 / lam,
-        v1=np.broadcast_to(m.q2(u2) ** 2, (n, n)).copy(),
-        v2=np.broadcast_to(m.q1(u1)[:, None] ** 2, (n, n)).copy(),
+        v1=np.broadcast_to(sq2, (n, n)).copy(),
+        v2=np.broadcast_to(sq1, (n, n)).copy(),
         phi1=phi1,
         phi2=phi2,
-        h=electric_h(spec, (U1, U2)),
-        varphi=varphi(spec, (U1, U2)),
+        h=_torus_h(spec, x1, x2),
+        varphi=_torus_varphi(spec, x1, x2),
         B=np.full((n, n), spec.B),
     )
 
@@ -183,10 +201,15 @@ def _interior(shape: tuple[int, int], m: int):
     return (slice(m, shape[0] - m), slice(m, shape[1] - m))
 
 
+def min_grid_size(stencil: int) -> int:
+    """Smallest n whose n x n grid keeps a core at this stencil order (9 or 5)."""
+    return 4 * _margin(stencil) + 1
+
+
 def _core(shape: tuple[int, int], stencil: int):
     """Interior slice where both first and mixed second derivatives are valid."""
     m = 2 * _margin(stencil)
-    if shape[0] <= 2 * m or shape[1] <= 2 * m:
+    if min(shape) < min_grid_size(stencil):
         raise GridTooSmall(f"grid {shape} too small for stencil order {stencil}")
     return (slice(m, shape[0] - m), slice(m, shape[1] - m))
 

@@ -186,6 +186,57 @@ def test_metric_check(tmp_path, capsys):
     assert len(lines) == 65
 
 
+def test_metric_check_rows_match_pointwise(tmp_path, capsys):
+    # u1 is the outer loop of the rows; each row is the pointwise evaluation
+    import numpy as np
+
+    from monopole_lab import geometry as geo
+
+    cfg = dict(CASE2, grid={"n": 5})
+    out = tmp_path / "m"
+    assert main(["metric-check", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "metric_check.csv", delimiter=",", skiprows=1)
+    spec = spec_from_config(cfg)
+    m = spec.model
+    u1 = np.linspace(0.15, 0.85, 5) * m.K1
+    u2 = np.linspace(0.15, 0.85, 5) * m.K2
+    lam_fn = lambda a, b: float(geo.torus_lambda(m, a, b))
+    expected = [(a, b) for a in u1 for b in u2]
+    assert np.array_equal(rows[:, :2], np.array(expected))
+    for (a, b), row in zip(expected, rows):
+        assert row[2] == pytest.approx(lam_fn(a, b), rel=1e-13)
+        assert row[3] == pytest.approx(geo.curvature_closed(spec, (a, b)), rel=1e-14)
+        assert abs(row[4] - geo.curvature_numeric(lam_fn, (a, b), h=1e-3)) < 1e-8
+    worst = float(np.max(np.abs(rows[:, 3] - rows[:, 4])))
+    assert f"max |K_closed - K_numeric| = {worst:.3e}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_metric_check_empty_grid_is_config_error(tmp_path, capsys, n):
+    cfg = dict(CASE1, grid={"n": n})
+    assert main(["metric-check", "--config", _write(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    assert "config error: metric-check grid n" in capsys.readouterr().err
+    assert not (tmp_path / "metric_check.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "cfg_grid, flags",
+    [
+        ({"n": 0, "stencil": 4}, []),
+        ({"n": 32, "stencil": 4}, ["--grid", "0"]),
+        ({"n": 32, "stencil": 4}, ["--grid", "8"]),
+        ({"n": 32, "stencil": 4}, ["--grid", "4", "--stencil", "2"]),
+        ({"n": 32, "stencil": 3}, []),
+    ],
+)
+def test_verify_grid_below_stencil_minimum_is_config_error(tmp_path, capsys, cfg_grid, flags):
+    cfg = dict(CASE2, grid=cfg_grid)
+    args = ["verify", "--config", _write(tmp_path, cfg), "--out", str(tmp_path)]
+    assert main(args + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: verify") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "command, cfg, csv",
     [

@@ -6,7 +6,12 @@ import pytest
 from monopole_lab import dynamics as dyn
 from monopole_lab import geometry as geo
 from monopole_lab.elliptic import limit_q2
-from monopole_lab.errors import CenterSingularity, FixedPointSingularity, StepRejected
+from monopole_lab.errors import (
+    CenterSingularity,
+    DegeneratePoint,
+    FixedPointSingularity,
+    StepRejected,
+)
 from monopole_lab.fields import Family, case2_spec, gauge_a
 from monopole_lab.polyroots import eval_p
 
@@ -392,6 +397,15 @@ def test_limit_h_eval_structure(limit_spec):
         lm.beta1 + x2
     )
     assert dyn.limit_h_eval(limit_spec, s) == pytest.approx(expected, rel=1e-14)
+
+
+def test_limit_h_eval_degenerate_far_out(limit_spec):
+    # lam2 = beta1^2 - Q2^2 rounds to 0 once Q2 rounds to beta1
+    lm = limit_spec.limit
+    far = lambda d: dyn.PhaseState(u1=0.0, u2=lm.delta + d, p1=0.3, p2=0.2)
+    assert math.isfinite(dyn.limit_h_eval(limit_spec, far(20.0)))
+    with pytest.raises(DegeneratePoint):
+        dyn.limit_h_eval(limit_spec, far(30.0))
 
 
 # --- integrator core against the elementwise numpy form ------------------------------

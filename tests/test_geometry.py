@@ -186,6 +186,49 @@ def test_curvature_numeric_stencil_guard():
         geo.curvature_numeric(lambda a, b: a, (0.0, 0.0), h=0.5)
 
 
+def test_curvature_on_a_grid_matches_pointwise(case1, case2, canonical_model):
+    m = canonical_model
+    conf = geo.conformal_case1(case1.alpha)
+    # arrays take the numpy path of the slices, scalars the float path; the two
+    # differ by round-off, which the stencil amplifies by ~1/lam^2: on the case1
+    # window's small-lam corner (lam ~ 0.08) that reaches ~2e-7, so stay off it
+    for lam_fn, K1, K2, lo in (
+        (lambda a, b: geo.torus_lambda(m, a, b), m.K1, m.K2, 0.15),
+        (conf.lam, conf.K1, conf.K2, 0.5),
+    ):
+        u1 = np.linspace(lo, 0.85, 7) * K1
+        u2 = np.linspace(lo, 0.85, 5) * K2
+        calls = []
+        counted = lambda a, b: calls.append(1) or lam_fn(a, b)
+        kn = geo.curvature_numeric(counted, (u1[:, None], u2[None, :]), h=1e-3)
+        assert kn.shape == (7, 5)
+        assert len(calls) == 9
+        scalar_fn = lambda a, b: float(lam_fn(a, b))
+        for i, a in enumerate(u1):
+            for j, b in enumerate(u2):
+                assert abs(kn[i, j] - geo.curvature_numeric(scalar_fn, (a, b), h=1e-3)) < 1e-8
+    u1 = np.linspace(0.15, 0.85, 7) * m.K1
+    u2 = np.linspace(0.15, 0.85, 5) * m.K2
+    kc = geo.curvature_closed(case2, (u1[:, None], u2[None, :]))
+    assert kc.shape == (7, 5)
+    for i, a in enumerate(u1):
+        for j, b in enumerate(u2):
+            assert kc[i, j] == pytest.approx(geo.curvature_closed(case2, (a, b)), rel=1e-14)
+
+
+def test_curvature_numeric_arrays_flat_and_guarded():
+    u1 = np.linspace(0.1, 0.9, 3)[:, None]
+    u2 = np.linspace(0.2, 0.8, 4)[None, :]
+    flat = geo.curvature_numeric(lambda a, b: 2.5, (u1, u2))
+    assert flat.shape == (3, 4)
+    assert np.all(flat == 0.0)
+    # centre positive everywhere, stencil leaves the chart at the first row
+    with pytest.raises(StencilOutsideChart):
+        geo.curvature_numeric(lambda a, b: a + 0.0 * b, (u1 + 0.3, u2), h=0.5)
+    with pytest.raises(StencilOutsideChart):
+        geo.curvature_numeric(lambda a, b: a + 0.0 * b, (u1 - 0.1, u2), h=1e-3)
+
+
 def test_curvature_ratio_identities(case1):
     # B/k and the two-point cubic combination both equal the constant curvature
     assert geo.curvature_flux_ratio(case1) == pytest.approx(1.0, rel=1e-14)

@@ -104,6 +104,64 @@ def test_grid_too_small(case1):
         ver.check_classical(small, stencil=4)
 
 
+@pytest.mark.parametrize("roots", [(3, 2, -1, -4), (3, 2.99, -1, -4.99), (4, 1, -1, -4)])
+def test_case2_grid_matches_meshgrid_reference(roots):
+    # the per-axis build equals the pointwise fields on the full mesh, bit for bit
+    from monopole_lab.fields import case2_spec, electric_h, phi_components, varphi
+    from monopole_lab.geometry import torus_lambda
+    from monopole_lab.polyroots import from_roots
+
+    # mu and k = 4B not powers of two, so a regrouped product shows in the bits
+    spec = case2_spec(from_roots(list(roots), -1.0), mu=1.3, B=0.7)
+    m = spec.model
+    n = 64
+    u1 = np.linspace(0.3, 0.7, n) * m.K1
+    u2 = np.linspace(0.3, 0.7, n) * m.K2
+    U1, U2 = np.meshgrid(u1, u2, indexing="ij")
+    lam = torus_lambda(m, U1, U2)
+    phi1, phi2 = phi_components(spec, (U1, U2))
+    ref = {
+        "axis1": u1,
+        "axis2": u2,
+        "g11": 1.0 / lam,
+        "g22": 1.0 / lam,
+        "v1": m.q2(U2) ** 2,
+        "v2": m.q1(U1) ** 2,
+        "phi1": phi1,
+        "phi2": phi2,
+        "h": electric_h(spec, (U1, U2)),
+        "varphi": varphi(spec, (U1, U2)),
+        "B": np.full((n, n), spec.B),
+    }
+    grid = ver.build_case2_grid(spec, n)
+    for name, want in ref.items():
+        got = getattr(grid, name)
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+
+
+def test_case2_grid_solves_each_slice_once(case2, monkeypatch):
+    from monopole_lab._inversion import QuarterBranch
+
+    m = case2.model
+    calls = []
+    fn = QuarterBranch._eval
+    monkeypatch.setattr(
+        QuarterBranch, "_eval", lambda self, u, with_deriv: calls.append(self) or fn(self, u, with_deriv)
+    )
+    ver.build_case2_grid(case2, 16)
+    assert len(calls) == 2
+    assert {id(b) for b in calls} == {id(m.branch1), id(m.branch2)}
+
+
+def test_min_grid_size_is_the_core_limit(case1):
+    for stencil in (2, 4):
+        n = ver.min_grid_size(stencil)
+        ver.check_classical(ver.build_case1_grid(case1, n), stencil)
+        with pytest.raises(GridTooSmall):
+            ver.check_classical(ver.build_case1_grid(case1, n - 1), stencil)
+
+
 def test_ode_identities_random_samples():
     rng = np.random.default_rng(77)
     out = ver.check_ode_identities(rng.uniform(-3.0, 3.0, 1000), coeffs=(1.0, 0.0, 1.0))
