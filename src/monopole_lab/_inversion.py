@@ -6,66 +6,50 @@ zeros at both ends, invert
     u(x) = integral from x_start to x of d(xi) / sqrt(S(xi)).
 
 The substitution x(theta) = x_start + (x_end - x_start) * sin(theta)^2 absorbs
-both inverse-square-root endpoint singularities at once, so the reduced
-integrand
+both inverse-square-root endpoint singularities, so the reduced integrand
+w(theta) = 2 / sqrt(rest(x(theta))), with S(x) = |x - x_start| |x - x_end|
+rest(x), is analytic and pi-periodic.  Its trapezoid/FFT cosine coefficients
+decay geometrically (Trefethen & Weideman, SIAM Rev. 2014) down to a
+round-off plateau, where the series is chopped (read off the spectrum in the
+manner of Aurentz & Trefethen, ACM TOMS 2017).  This gives u(theta) =
+c0 theta + sum_n c_n sin(2 n theta) / (2 n) in closed form and the quarter
+period K = c0 pi / 2; the theta-series serves the construction and
+``invert``.
 
-    w(theta) = 2 / sqrt(rest(x(theta))),   S(x) = |x - x_start| |x - x_end| rest(x)
+The inverse x(u), extended to an even function of period 2K, has its poles
+off the real axis, so its cosine series in u itself,
 
-is analytic and pi-periodic in theta.  Its trapezoid/FFT cosine coefficients
-therefore decay geometrically (Trefethen & Weideman, SIAM Rev. 2014) until
-they reach a round-off plateau; the series is chopped where that plateau
-starts, a point read off the measured spectrum in the manner of Aurentz &
-Trefethen's "Chopping a Chebyshev series" (ACM TOMS 2017).  The cumulative
-integral
+    x(u) = a0 + sum_n a_n cos(n phi),   phi = pi u / K,
 
-    u(theta) = c0*theta + sum_n c_n sin(2 n theta) / (2 n)
-
-is then available in closed form to machine precision.  The sine series and
-w(theta) = c0 + sum_n c_n cos(2 n theta) are summed together by one Horner
-pass in z = exp(2 i theta), elementwise, so a point's value never depends on
-the batch it is evaluated in.  The quarter period is K = u(pi/2) = c0*pi/2.
-Inverting theta(u) is a well-conditioned Newton solve because
-u'(theta) = w(theta) is bounded away from zero.
-
-The evaluated function x(u) extends to all real u as an even function of
-period 2K (rise on [0, K], mirrored fall on [K, 2K]).  Inside a small window
-around each turning point the local quadratic series
-
-    x = x_turn + (S'(x_turn)/4) * (u - u_turn)^2
-
-is used instead of the solve; the derivative dx/du = +-sqrt(S(x)) switches
-sign at the turning points with the quarter-period parity.
-
-A 0-d argument is evaluated in Python float and complex arithmetic
-(``math``/``cmath``, no numpy per-call overhead), an array elementwise in
-numpy; both run the same code: fold, windows, Newton sweeps and series.
+converges geometrically too.  Its coefficients come once, at construction,
+from the same FFT and chop applied to x at equispaced u (theta found by
+Newton on u(theta)).  Evaluating x and the differentiated series dx/du is one
+Horner pass in z = exp(i phi), written in real arithmetic on
+(cos phi, sin phi), with phi from |u| mod 2K: valid for every real u, exactly
+even, and exact at the turning points themselves.  Antiderivatives
+d0 u + sum_n b_n sin(n phi) take the same pass.  A 0-d argument is evaluated
+in Python floats, an array in numpy, by the same operations in the same
+order, so a point's value never depends on the batch it is evaluated in.
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from typing import Callable
 
 import numpy as np
 
-SERIES_WINDOW = 1e-4
-# FFT sizes tried for the reduced integrand: doubled from the first until the
-# top eighth of the spectrum is below 1e-15 * c0
+# FFT sizes, doubled from the first (theta-series M_MIN, u-series M_U_MIN)
+# until the top eighth of the spectrum is below 1e-15 of its largest term
 M_MIN = 256
+M_U_MIN = 128
 M_MAX = 32768
-HALF_PI = math.pi / 2.0
 
 
 def _is_scalar(u) -> bool:
     """True for Python numbers and 0-d numpy values (np.ndim is slow on floats)."""
     return isinstance(u, (float, int)) or getattr(u, "ndim", None) == 0
-
-
-def _where(cond: bool, a, b):
-    """np.where for one Python bool."""
-    return a if cond else b
 
 
 def _cosine_coeffs(samples: np.ndarray, floor: float):
@@ -92,6 +76,23 @@ def _cosine_coeffs(samples: np.ndarray, floor: float):
     plateau = np.nonzero((here < 1e-13) & (env[ahead] >= 0.1 * here))[0]
     n_keep = max(1, int(plateau[0])) if plateau.size else env.size
     return coeffs[:n_keep], tail
+
+
+def _resolved_coeffs(sample: Callable[[int], np.ndarray], m: int, floor: float):
+    """_cosine_coeffs of sample(m), m doubled until the truncation tail is
+    below 1e-15 of max(floor, largest coefficient); (coefficients, m)."""
+    while True:
+        coeffs, tail = _cosine_coeffs(sample(m), floor)
+        scale = max(floor, float(np.max(np.abs(coeffs))))
+        if tail < 1e-15 * scale or m >= M_MAX:
+            break
+        m *= 2
+    if tail >= 1e-13 * scale:
+        raise RuntimeError(
+            "turning-point inversion did not reach spectral accuracy; "
+            "parameters may be nearly degenerate"
+        )
+    return coeffs, m
 
 
 def _horner_coeffs(coeffs: np.ndarray):
@@ -124,46 +125,52 @@ def _series(theta, c0: float, ab: list):
     return c0 * theta + q.imag, c0 + p.real
 
 
+def _phase(u, K: float):
+    """(u as a float or an array, r = |u| mod 2K, cos phi, sin phi), phi = pi r / K."""
+    u, xp = (float(u), math) if _is_scalar(u) else (np.asarray(u, dtype=float), np)
+    r = abs(u) % (2.0 * K)
+    phi = r * (math.pi / K)
+    return u, r, xp.cos(phi), xp.sin(phi)
+
+
+def _horner(c, s, coeffs: list):
+    """(Re, Im) of sum_n coeffs_n z^n, z = c + i s, coeffs from the highest n down
+    to n = 1; real arithmetic, so a float and an array element round alike."""
+    pr = pi = 0.0
+    for a in coeffs:
+        pr, pi = pr * c - pi * s + a, pr * s + pi * c
+    return pr * c - pi * s, pr * s + pi * c
+
+
 class QuarterBranch:
     """Monotone quarter branch of the inversion, plus its even-periodic extension."""
 
-    def __init__(
-        self,
-        x_start: float,
-        x_end: float,
-        rest: Callable[[np.ndarray], np.ndarray],
-        dS: Callable[[float], float],
-    ):
+    def __init__(self, x_start: float, x_end: float, rest: Callable[[np.ndarray], np.ndarray]):
         self.x_start = float(x_start)
         self.x_end = float(x_end)
         self._rest = rest
         self._span = self.x_end - self.x_start
-        self._orientation = math.copysign(1.0, self._span)  # sign of dx/du on [0, K]
-        # series coefficients x ~ x_turn + (S'(x_turn)/4) du^2 at both ends
-        self._c_start = float(dS(self.x_start)) / 4.0
-        self._c_end = float(dS(self.x_end)) / 4.0
 
-        m = M_MIN
-        while True:
-            x = self._x_of_theta(np.arange(m) * (np.pi / m))
-            coeffs, tail = _cosine_coeffs(2.0 / np.sqrt(self._rest(x)), 0.0)
-            if tail < 1e-15 * abs(coeffs[0]) or m >= M_MAX:
-                break
-            m *= 2
-        if tail >= 1e-13 * abs(coeffs[0]):
-            raise RuntimeError(
-                "turning-point inversion did not reach spectral accuracy; "
-                "parameters may be nearly degenerate"
-            )
-        self._c0, self._ab = _horner_coeffs(coeffs)
-        self.n_terms = len(self._ab)
+        def w_samples(m):
+            return 2.0 / np.sqrt(self._rest(self._x_of_theta(np.arange(m) * (np.pi / m))))
 
+        theta_coeffs, m = _resolved_coeffs(w_samples, M_MIN, 0.0)
+        self._c0, self._ab = _horner_coeffs(theta_coeffs)
         self.K = self._c0 * math.pi / 2.0
-        # seed table for the Newton solve (first quarter only)
-        self._seed_theta = np.linspace(0.0, HALF_PI, 257)
-        self._seed_u = self.u_of_theta(self._seed_theta)
-        self._seed_theta_list = self._seed_theta.tolist()
-        self._seed_u_list = self._seed_u.tolist()
+        cn = theta_coeffs[1:]
+        self._theta_ab = (cn, cn / (2.0 * np.arange(1, len(theta_coeffs))))
+        # u on the FFT grid over [0, pi/2], by one inverse FFT, seeds _theta_at
+        v = np.zeros(m, dtype=complex)
+        v[1 : len(theta_coeffs)] = self._theta_ab[1]
+        self._seed_theta = np.arange(m // 2 + 1) * (np.pi / m)
+        self._seed_u = self._c0 * self._seed_theta + (m * np.fft.ifft(v)).imag[: m // 2 + 1]
+        self._samples = {}
+        coeffs, self._m = _resolved_coeffs(self._x_samples, M_U_MIN, 0.0)
+        n = np.arange(1, len(coeffs), dtype=float)
+        self._a0 = float(coeffs[0])
+        self._a = coeffs[:0:-1].tolist()
+        self._na = (n * coeffs[1:])[::-1].tolist()
+        self.n_terms = len(coeffs)
 
     # -- spectral primitives ----------------------------------------------
 
@@ -176,70 +183,64 @@ class QuarterBranch:
     def w_of_theta(self, theta):
         return _series(theta, self._c0, self._ab)[1]
 
-    def theta_of_u(self, u):
-        """Solve u(theta) = u for theta in [0, pi/2] (u in [0, K]).
+    def _theta_at(self, u: np.ndarray) -> np.ndarray:
+        """theta in [0, pi/2] with u(theta) = u, for an array u in [0, K].
 
-        A float u takes its seed from the table by bisection and stays in
-        float arithmetic; an array is seeded by np.interp.
+        The seed is linear in u between FFT-grid nodes.  Newton sums the
+        series from the powers z^n of z = exp(2 i theta) by one matrix product,
+        not a Python loop over the terms, and stops after the first step
+        below 1e-9, past which the error is of order its square.
         """
-        scalar = isinstance(u, float)
-        if scalar:
-            us, ts = self._seed_u_list, self._seed_theta_list
-            j = min(max(bisect.bisect_right(us, u), 1), len(us) - 1)
-            theta = ts[j - 1] + (ts[j] - ts[j - 1]) * (u - us[j - 1]) / (us[j] - us[j - 1])
-        else:
-            theta = np.interp(u, self._seed_u, self._seed_theta)
-        for _ in range(4):
-            s, w = _series(theta, self._c0, self._ab)
-            theta = theta - (s - u) / w
-            theta = min(max(theta, 0.0), HALF_PI) if scalar else np.clip(theta, 0.0, HALF_PI)
+        theta = np.interp(u, self._seed_u, self._seed_theta)
+        a, b = self._theta_ab
+        for _ in range(8):
+            zn = np.cumprod(np.broadcast_to(np.exp(2j * theta)[:, None], (u.size, a.size)), axis=1)
+            step = (self._c0 * theta + zn.imag @ b - u) / (self._c0 + zn.real @ a)
+            theta = theta - step
+            if np.max(np.abs(step)) < 1e-9:
+                break
         return theta
+
+    def _x_samples(self, m: int) -> np.ndarray:
+        """x at u_j = 2 K j / m, j < m: one period, mirrored about u = K."""
+        if m not in self._samples:
+            theta = self._theta_at(np.arange(1, m // 2) * (2.0 * self.K / m))
+            half = np.concatenate([[self.x_start], self._x_of_theta(theta), [self.x_end]])
+            self._samples[m] = np.concatenate([half, half[-2:0:-1]])
+        return self._samples[m]
 
     # -- evaluation --------------------------------------------------------------
 
     def _eval(self, u, with_deriv: bool):
         """(x, dx/du) at any real u; dx/du is None unless ``with_deriv``.
 
-        u is reduced to t in [0, K] by evenness and 2K-periodicity; the
-        absolute value is taken before the modulus so that u and -u reduce to
-        bitwise-identical arguments (exact evenness).  Away from the turning
-        points x comes from the theta solve and dx/du from the closed relation
-        (dx/du)^2 = S(x), signed by quarter; inside the series windows both
-        come from the local quadratic.
+        One pass of the u-series at |u| mod 2K (exact evenness); dx/du is the
+        differentiated series, odd in u.  Where |u| mod 2K is exactly 0 or K
+        the turning point and a zero derivative are returned.
         """
-        u, where, sin, sqrt = (
-            (float(u), _where, math.sin, math.sqrt)
-            if _is_scalar(u)
-            else (np.asarray(u, dtype=float), np.where, np.sin, np.sqrt)
-        )
-        K = self.K
-        r = abs(u) % (2.0 * K)
-        second = r > K
-        t = where(second, 2.0 * K - r, r)
-        near_start = t < SERIES_WINDOW
-        near_end = K - t < SERIES_WINDOW
-        s = sin(self.theta_of_u(t))
-        x_mid = self.x_start + self._span * (s * s)
-        x_near_start = self.x_start + self._c_start * (t * t)
-        x_near_end = self.x_end + self._c_end * ((t - K) * (t - K))
-        x = where(near_start, x_near_start, where(near_end, x_near_end, x_mid))
-        if not with_deriv:
-            return x, None
-        s_val = abs((x_mid - self.x_start) * (x_mid - self.x_end)) * self._rest(x_mid)
-        d_mid = self._orientation * sqrt(s_val)
-        d = where(near_start, 2.0 * self._c_start * t, where(near_end, 2.0 * self._c_end * (t - K), d_mid))
-        return x, where(second != (u < 0.0), -d, d)
+        u, r, c, s = _phase(u, self.K)
+        x = self._a0 + _horner(c, s, self._a)[0]
+        d = -(math.pi / self.K) * _horner(c, s, self._na)[1] if with_deriv else None
+        if isinstance(u, float):
+            if r == 0.0 or r == self.K:
+                return (self.x_start if r == 0.0 else self.x_end), (0.0 if with_deriv else None)
+            return x, (-d if with_deriv and u < 0.0 else d)
+        turn = (r == 0.0) | (r == self.K)
+        x = np.where(turn, np.where(r == 0.0, self.x_start, self.x_end), x)
+        if with_deriv:
+            d = np.where(turn, 0.0, np.where(u < 0.0, -d, d))
+        return x, d
 
     def value(self, u):
         """x(u) for any real u (even, 2K-periodic)."""
         return self._eval(u, False)[0]
 
     def deriv(self, u):
-        """dx/du from the closed relation (dx/du)^2 = S(x), signed by quarter."""
+        """dx/du from the differentiated series, odd in u."""
         return self._eval(u, True)[1]
 
     def value_and_deriv(self, u):
-        """(x, dx/du) sharing one theta solve."""
+        """(x, dx/du) from one Horner pass."""
         return self._eval(u, True)
 
     def invert(self, x, tol: float = 1e-12):
@@ -253,34 +254,27 @@ class QuarterBranch:
 
     def cumulative(self, fn: Callable[[np.ndarray], np.ndarray]) -> "CumulativeIntegral":
         """Antiderivative I(u) = integral_0^u fn(x(s)) ds, odd in u."""
-        m = max(2048, 4 * (self.n_terms + 1))
-        x = self._x_of_theta(np.arange(m) * (np.pi / m))
-        coeffs, _ = _cosine_coeffs(fn(x) * (2.0 / np.sqrt(self._rest(x))), 1.0)
+        coeffs, _ = _resolved_coeffs(lambda m: fn(self._x_samples(m)), self._m, 1.0)
         return CumulativeIntegral(self, coeffs)
 
 
 class CumulativeIntegral:
-    """Evaluates I(u) = integral_0^u fn(x(s)) ds for an even periodic integrand."""
+    """Evaluates I(u) = integral_0^u fn(x(s)) ds for an even periodic integrand.
+
+    With fn(x(u)) = d0 + sum_n e_n cos(n pi u / K), I(u) is
+    d0 u + sum_n e_n K / (n pi) sin(n pi u / K), odd and correct for every u.
+    """
 
     def __init__(self, branch: QuarterBranch, coeffs: np.ndarray):
-        self._branch = branch
-        self._d0, self._ab = _horner_coeffs(coeffs)
-        self.quarter = self._d0 * math.pi / 2.0  # integral over [0, K]
+        self._K = branch.K
+        self._d0 = float(coeffs[0])
+        n = np.arange(1, len(coeffs), dtype=float)
+        self._b = (coeffs[1:] * (self._K / math.pi) / n)[::-1].tolist()
+        self.quarter = self._d0 * self._K  # integral over [0, K]
 
     def __call__(self, u):
-        u, where, floor = (
-            (float(u), _where, math.floor)
-            if _is_scalar(u)
-            else (np.asarray(u, dtype=float), np.where, np.floor)
-        )
-        K = self._branch.K
-        a = abs(u)
-        # whole periods are counted (each adds 2 * quarter), so this reduction
-        # differs from QuarterBranch._eval's
-        n_half = floor(a / (2.0 * K))
-        r = a - 2.0 * K * n_half
-        second = r > K
-        t = where(second, 2.0 * K - r, r)
-        j = _series(self._branch.theta_of_u(t), self._d0, self._ab)[0]
-        out = 2.0 * self.quarter * n_half + where(second, 2.0 * self.quarter - j, j)
-        return where(u < 0.0, -out, out)
+        u, _, c, s = _phase(u, self._K)
+        out = self._d0 * abs(u) + _horner(c, s, self._b)[1]
+        if isinstance(u, float):
+            return -out if u < 0.0 else out
+        return np.where(u < 0.0, -out, out)

@@ -30,6 +30,7 @@ simulate runs seeds seed, ..., seed + N - 1 in sequence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -303,7 +304,7 @@ def cmd_verify(args) -> int:
 def cmd_flux(args) -> int:
     cfg = _load_config(args.config)
     spec = spec_from_config(cfg)
-    n = args.grid or int(cfg.get("grid", {}).get("n", 256))
+    n = args.grid if args.grid is not None else int(cfg.get("grid", {}).get("n", 256))
     if spec.family == Family.CASE_II:
         obj = spec.model
     elif spec.family == Family.CASE_I:
@@ -323,7 +324,9 @@ def cmd_flux(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every main()."""
     parser = argparse.ArgumentParser(
         prog="monopole-lab",
         description="integrable magnetic-monopole generalisations: roots, elliptic tables, "
@@ -369,8 +372,11 @@ def main(argv=None) -> int:
     p.add_argument("--grid", type=int, default=None)
     p.add_argument("--require-integer", action="store_true")
     p.set_defaults(fn=cmd_flux)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -13,9 +13,10 @@ with the half periods given by the turning-point integrals
 
 Q1 satisfies 4 Q1'^2 = P(Q1); the imaginary-axis slice Q2 satisfies
 4 Q2'^2 = -P(Q2) (the slice direction flips the sign of the squared
-derivative).  Derivatives always come from these closed relations, with the
-branch sign fixed by the quarter period, never from differentiating an
-interpolant.
+derivative).  Each slice is evaluated from its geometrically convergent
+cosine series in u, and its derivative from the differentiated series, which
+meets these relations to round-off, turning points included (see
+``_inversion``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ellipj
 
 from ._inversion import QuarterBranch, _is_scalar
 from .errors import InadmissibleParams, NonZeroRootSum, NotEvenQuartic, OutOfRange
@@ -33,7 +33,6 @@ from .polyroots import (
     QuarticParams,
     RootQuadruple,
     admissibility,
-    eval_p_deriv,
     from_roots,
     real_roots,
 )
@@ -112,14 +111,12 @@ def build_model(params: QuarticParams) -> EllipticModel:
         x_start=b2,
         x_end=b1,
         rest=lambda x: (-a3 / 4.0) * (x - b3) * (x - b4),
-        dS=lambda x: eval_p_deriv(params, x) / 4.0,
     )
     # branch 2: (dx/du)^2 = -P(x)/4 on [beta3, beta2]
     branch2 = QuarterBranch(
         x_start=b2,
         x_end=b3,
         rest=lambda x: (-a3 / 4.0) * (b1 - x) * (x - b4),
-        dS=lambda x: -eval_p_deriv(params, x) / 4.0,
     )
     return EllipticModel(
         params=params,
@@ -146,12 +143,12 @@ def q2(model: EllipticModel, u2):
 
 
 def dq1(model: EllipticModel, u1):
-    """Q1' from 4 Q1'^2 = P(Q1), sign from the quarter period."""
+    """Q1', odd and 2 K1-periodic, with 4 Q1'^2 = P(Q1)."""
     return model.dq1(u1)
 
 
 def dq2(model: EllipticModel, u2):
-    """Q2' from 4 Q2'^2 = -P(Q2), sign from the quarter period."""
+    """Q2', odd and 2 K2-periodic, with 4 Q2'^2 = -P(Q2)."""
     return model.dq2(u2)
 
 
@@ -186,6 +183,8 @@ def jacobi_special(model: EllipticModel, z):
     circulation shift the argument by a root value and put a3 under the root
     with the wrong sign; both are transcription slips).
     """
+    from scipy.special import ellipj  # its only user; `import monopole_lab` stays scipy-free
+
     params = model.params
     if abs(params.a0) > 1e-12 * params.scale:
         raise NotEvenQuartic(f"linear coefficient a0 = {params.a0} is not zero")

@@ -180,20 +180,16 @@ class Case1ConformalModel:
     def __init__(self, constants: NeumannConstants):
         a1, a2, a3 = constants.alpha
         self.constants = constants
-        # f(q) = 4 (a1-q)(a2-q)(a3-q) = -4 prod(q - a_i): odd factor count
-        coeffs = -4.0 * np.poly([a1, a2, a3])
-        dcoeffs = np.polyder(coeffs)
+        # f(q) = 4 (a1-q)(a2-q)(a3-q): each branch keeps the factor without a turning point
         self.branch1 = QuarterBranch(
             x_start=a2,
             x_end=a1,
             rest=lambda q: 4.0 * (q - a3),
-            dS=lambda q: float(np.polyval(dcoeffs, q)),
         )
         self.branch2 = QuarterBranch(
             x_start=a2,
             x_end=a3,
             rest=lambda q: 4.0 * (a1 - q),
-            dS=lambda q: -float(np.polyval(dcoeffs, q)),
         )
         self.K1 = self.branch1.K
         self.K2 = self.branch2.K

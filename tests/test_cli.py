@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -282,3 +285,21 @@ def test_batch_trajectories(tmp_path):
     assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
     files = sorted(p.name for p in out.glob("simulate_*.csv"))
     assert files == ["simulate_000.csv", "simulate_001.csv", "simulate_002.csv"]
+
+
+def test_flux_explicit_grid_zero_is_config_error(tmp_path, capsys):
+    # an explicit --grid 0 is a size, not "use the config's": it is below the
+    # rule's minimum and exits 2
+    assert main(["flux", "--config", _write(tmp_path, CASE1), "--grid", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "n = 0" in err
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is imported by the one function that needs it; the CLI's cold
+    # start does not pay for it
+    code = "import sys, monopole_lab.cli; print('scipy' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -315,3 +315,48 @@ def test_degeneration_to_limit_slice(limit_model):
     full = build_model(from_roots([2 + eps, 2 - eps, -1, -3], -1.0))
     gap = np.max(np.abs(full.q2(us + full.K2) - target))
     assert gap < 1e-4  # actual size is O(eps^2) ~ 3e-6
+
+
+@pytest.mark.parametrize("roots", [(3, 2, -1, -4), (4, 1, -1, -4), (3, 2.99, -1, -4.99)])
+def test_series_matches_quadrature_at_turning_points(roots):
+    # x at fractions 1e-8 .. 1 - 1e-8 of each quarter, u_ref(x) by QAWS: the
+    # u-series must return x there, and its derivative must be +-sqrt(S(x))
+    # with S in factored form (exact differences next to the turning points)
+    m = build_model_from_roots(list(roots), -1.0)
+    b1, b2, b3, b4 = m.beta
+    bmax = max(abs(b) for b in m.beta)
+    frac = [1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.5, 0.7, 0.9, 1 - 1e-2, 1 - 1e-4, 1 - 1e-6, 1 - 1e-8]
+    for br, lo, hi, others in ((m.branch1, b2, b1, (b3, b4)), (m.branch2, b3, b2, (b1, b4))):
+        sign = math.copysign(1.0, br.x_end - br.x_start)
+        x_err, d_err, d_max = 0.0, 0.0, 0.0
+        for f in frac:
+            x = br.x_start + f * (br.x_end - br.x_start)
+            u_ref = _u_by_quadrature(lo, hi, others, br.x_start, x)
+            xv, dv = br.value_and_deriv(u_ref)
+            d_ref = sign * math.sqrt(abs((x - b1) * (x - b2) * (x - b3) * (x - b4)) / 4.0)
+            x_err = max(x_err, abs(xv - x))
+            d_err = max(d_err, abs(dv - d_ref))
+            d_max = max(d_max, abs(d_ref))
+        # measured: x within 1.7e-15 bmax, dx/du within 2.2e-12 of max|dx/du|
+        # (the quadrature's own accuracy, epsrel 1e-13, dominates the latter)
+        assert x_err <= 4e-15 * bmax
+        assert d_err <= 5e-12 * d_max
+
+
+def test_long_phase_is_kept(canonical_model):
+    # 2^20 (about 10^6) whole periods later, on a grid where u + shift is
+    # exact: |u| mod 2K gives back u, so value and deriv agree bit for bit,
+    # and the antiderivative adds one 2 * quarter per period
+    for br in (canonical_model.branch1, canonical_model.branch2):
+        shift = 2.0**20 * (2.0 * br.K)
+        ulp = math.ulp(shift)
+        u = np.round(np.linspace(0.0, 2.0 * br.K, 41)[1:-1] / ulp) * ulp
+        assert np.array_equal(u + shift - shift, u)
+        for ui in u.tolist():
+            assert br.value_and_deriv(ui + shift) == br.value_and_deriv(ui)
+        x, d = br.value_and_deriv(u + shift)
+        assert np.array_equal(x, br.value(u)) and np.array_equal(d, br.deriv(u))
+        cum = br.cumulative(lambda v: v * v)
+        far = cum(u + shift)
+        near = 2.0**21 * cum.quarter + cum(u)
+        assert np.max(np.abs(far - near)) <= 4e-16 * np.max(np.abs(far))
