@@ -34,11 +34,12 @@ order, so a point's value never depends on the batch it is evaluated in.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Callable
 
 import numpy as np
+
+from .errors import SeriesNotResolved
 
 # FFT sizes, doubled from the first (theta-series M_MIN, u-series M_U_MIN)
 # until the top eighth of the spectrum is below 1e-15 of its largest term
@@ -88,41 +89,11 @@ def _resolved_coeffs(sample: Callable[[int], np.ndarray], m: int, floor: float):
             break
         m *= 2
     if tail >= 1e-13 * scale:
-        raise RuntimeError(
+        raise SeriesNotResolved(
             "turning-point inversion did not reach spectral accuracy; "
             "parameters may be nearly degenerate"
         )
     return coeffs, m
-
-
-def _horner_coeffs(coeffs: np.ndarray):
-    """(c0, [(c_n, c_n / (2n)) from the highest n down]), the form _series takes."""
-    cn = coeffs[1:]
-    n = np.arange(1, len(coeffs), dtype=float)
-    return float(coeffs[0]), list(zip(cn[::-1].tolist(), (cn / (2.0 * n))[::-1].tolist()))
-
-
-def _series(theta, c0: float, ab: list):
-    """(c0 theta + sum_n b_n sin 2n theta, c0 + sum_n a_n cos 2n theta).
-
-    ``ab`` lists the pairs (a_n, b_n) from the highest n down.  One Horner
-    pass in z = exp(2 i theta) accumulates p = sum a_n z^n and
-    q = sum b_n z^n; the two series are Re p and Im q.  A 0-d theta is summed
-    in Python complex arithmetic and gives floats, an array elementwise.
-    """
-    if _is_scalar(theta):
-        theta = float(theta)
-        z = cmath.exp(2j * theta)
-    else:
-        theta = np.asarray(theta, dtype=float)
-        z = np.exp(2j * theta)
-    p = q = 0.0
-    for an, bn in ab:
-        p = p * z + an
-        q = q * z + bn
-    p = p * z
-    q = q * z
-    return c0 * theta + q.imag, c0 + p.real
 
 
 def _phase(u, K: float):
@@ -155,8 +126,11 @@ class QuarterBranch:
             return 2.0 / np.sqrt(self._rest(self._x_of_theta(np.arange(m) * (np.pi / m))))
 
         theta_coeffs, m = _resolved_coeffs(w_samples, M_MIN, 0.0)
-        self._c0, self._ab = _horner_coeffs(theta_coeffs)
+        self._c0 = float(theta_coeffs[0])
         self.K = self._c0 * math.pi / 2.0
+        # u(theta) is the antiderivative of w(theta), a cosine series of period pi
+        self._u = CumulativeIntegral(math.pi / 2.0, theta_coeffs)
+        self._w = theta_coeffs[:0:-1].tolist()
         cn = theta_coeffs[1:]
         self._theta_ab = (cn, cn / (2.0 * np.arange(1, len(theta_coeffs))))
         # u on the FFT grid over [0, pi/2], by one inverse FFT, seeds _theta_at
@@ -178,10 +152,11 @@ class QuarterBranch:
         return self.x_start + self._span * np.sin(theta) ** 2
 
     def u_of_theta(self, theta):
-        return _series(theta, self._c0, self._ab)[0]
+        return self._u(theta)
 
     def w_of_theta(self, theta):
-        return _series(theta, self._c0, self._ab)[1]
+        _, _, c, s = _phase(theta, math.pi / 2.0)
+        return self._c0 + _horner(c, s, self._w)[0]
 
     def _theta_at(self, u: np.ndarray) -> np.ndarray:
         """theta in [0, pi/2] with u(theta) = u, for an array u in [0, K].
@@ -255,7 +230,7 @@ class QuarterBranch:
     def cumulative(self, fn: Callable[[np.ndarray], np.ndarray]) -> "CumulativeIntegral":
         """Antiderivative I(u) = integral_0^u fn(x(s)) ds, odd in u."""
         coeffs, _ = _resolved_coeffs(lambda m: fn(self._x_samples(m)), self._m, 1.0)
-        return CumulativeIntegral(self, coeffs)
+        return CumulativeIntegral(self.K, coeffs)
 
 
 class CumulativeIntegral:
@@ -265,8 +240,8 @@ class CumulativeIntegral:
     d0 u + sum_n e_n K / (n pi) sin(n pi u / K), odd and correct for every u.
     """
 
-    def __init__(self, branch: QuarterBranch, coeffs: np.ndarray):
-        self._K = branch.K
+    def __init__(self, K: float, coeffs: np.ndarray):
+        self._K = K
         self._d0 = float(coeffs[0])
         n = np.arange(1, len(coeffs), dtype=float)
         self._b = (coeffs[1:] * (self._K / math.pi) / n)[::-1].tolist()

@@ -214,16 +214,10 @@ def cmd_metric_check(args) -> int:
     return 0 if worst <= args.tol else 1
 
 
-def _simulate_one(spec: SystemSpec, cfg_int: dict, seed: int, path: Path) -> dict:
+def _simulate_one(spec: SystemSpec, t_end: float, tol: float, stride: int, seed: int, path: Path) -> dict:
     rng = np.random.default_rng(seed)
     s0 = dyn.random_state(spec, rng)
-    traj = dyn.integrate(
-        spec,
-        s0,
-        t_end=float(cfg_int.get("t_end", 50.0)),
-        tol=float(cfg_int.get("tol", 1e-10)),
-        stride=int(cfg_int.get("stride", 10)),
-    )
+    traj = dyn.integrate(spec, s0, t_end=t_end, tol=tol, stride=stride)
     if spec.family in (Family.CASE_I, Family.VY):
         header = "t,M1,M2,M3,x1,x2,x3,H,F,C1,C2"
         mon = np.column_stack(
@@ -255,6 +249,15 @@ def cmd_simulate(args) -> int:
     n_traj = int(cfg.get("n_trajectories", 1))
     if n_traj < 1:
         raise ConfigError(f'"n_trajectories" must be at least 1, got {n_traj}')
+    t_end = float(cfg_int.get("t_end", 50.0))
+    tol = float(cfg_int.get("tol", 1e-10))
+    stride = int(cfg_int.get("stride", 10))
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ConfigError(f'"t_end" must be finite and at least 0, got {t_end}')
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f'"tol" must be finite and positive, got {tol}')
+    if stride < 1:
+        raise ConfigError(f'"stride" must be at least 1, got {stride}')
     out_dir = Path(args.out)
     if n_traj == 1:
         jobs = [(seed, out_dir / "simulate.csv")]
@@ -262,7 +265,7 @@ def cmd_simulate(args) -> int:
         jobs = [(seed + i, out_dir / f"simulate_{i:03d}.csv") for i in range(n_traj)]
     worst = 0.0
     for sd, path in jobs:
-        drifts = _simulate_one(spec, cfg_int, sd, path)
+        drifts = _simulate_one(spec, t_end, tol, stride, sd, path)
         line = "  ".join(f"{k} drift {v:.3e}" for k, v in drifts.items())
         print(f"{path.name} (seed {sd}): {line}")
         worst = max(worst, max(drifts.values()))

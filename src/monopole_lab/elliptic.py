@@ -83,9 +83,6 @@ class EllipticModel:
         """Callable I(u) = integral_0^u Q1(s)^2 ds (used by the torus gauge)."""
         return self.branch1.cumulative(lambda x: x * x)
 
-    def q2_squared_antiderivative(self):
-        return self.branch2.cumulative(lambda x: x * x)
-
 
 def build_model(params: QuarticParams) -> EllipticModel:
     """Build the evaluators; raises InadmissibleParams outside the regular regime.

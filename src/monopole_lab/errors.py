@@ -37,6 +37,10 @@ class OutOfRange(MonopoleLabError):
     """Argument outside the branch interval."""
 
 
+class SeriesNotResolved(MonopoleLabError):
+    """A turning-point series did not reach spectral accuracy (nearly degenerate parameters)."""
+
+
 # --- geometry -----------------------------------------------------------------
 
 class DegenerateCoordinates(MonopoleLabError):

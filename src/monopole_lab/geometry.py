@@ -34,7 +34,7 @@ from .errors import (
     StencilOutsideChart,
     WrongSignature,
 )
-from .fields import Family, SystemSpec
+from .fields import Family, SystemSpec, _uv
 from .polyroots import eval_p_deriv
 
 __all__ = [
@@ -163,8 +163,7 @@ def torus_lambda(model: EllipticModel, u1, u2):
 
 def torus_metric(model: EllipticModel, p) -> MetricSample:
     """Conformal factor lam = Q1(u1)^2 - Q2(u2)^2 (zero exactly at fixed points)."""
-    u1 = p.u1 if hasattr(p, "u1") else p[0]
-    u2 = p.u2 if hasattr(p, "u2") else p[1]
+    u1, u2 = _uv(p)
     lam = float(torus_lambda(model, u1, u2))
     return MetricSample(g11=lam, g22=lam, lam=lam)
 
@@ -225,8 +224,7 @@ def curvature_closed(spec: SystemSpec, point=None):
     if spec.family == Family.CASE_II:
         if point is None:
             raise ValueError("CASE_II curvature needs a point")
-        u1 = point.u1 if hasattr(point, "u1") else point[0]
-        u2 = point.u2 if hasattr(point, "u2") else point[1]
+        u1, u2 = _uv(point)
         m = spec.model
         x1 = m.q1(u1)
         x2 = m.q2(u2)
@@ -275,8 +273,7 @@ def curvature_numeric(lam_fn, point, h: float = 1e-3):
     (an array of their broadcast shape); ``lam_fn`` is called once per
     stencil offset, 9 times in all, with the point's own coordinates shifted.
     """
-    u1 = point.u1 if hasattr(point, "u1") else point[0]
-    u2 = point.u2 if hasattr(point, "u2") else point[1]
+    u1, u2 = _uv(point)
 
     lam0 = lam_fn(u1, u2)
     if np.any(np.asarray(lam0) <= 0.0):
@@ -462,7 +459,7 @@ def limit_cylinder_metric(lm: LimitModel, u_tilde) -> MetricSample:
     beta1^2 - Qt2^2 decays like A e^(-2|ut2|) with A = 8 beta1 c / sqrt(D),
     the same exponent as the cylinder form of the round metric.
     """
-    _, ut2 = (u_tilde.u1, u_tilde.u2) if hasattr(u_tilde, "u1") else u_tilde
+    _, ut2 = _uv(u_tilde)
     qt = float(limit_tilde_q2(lm, ut2))
     lam = 16.0 * (lm.beta1**2 - qt**2) / lm.c
     return MetricSample(g11=lam, g22=lam, lam=lam)

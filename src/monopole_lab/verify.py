@@ -23,13 +23,14 @@ with the quantum replacement of the last condition
 
 whose extra term vanishes identically for constant magnetic density.  The
 cross-differentiation consistency of (C5) is the same expression with the
-roles of h and B exchanged; this h <-> B duality is structural and the duality
-check verifies it at the level of evaluated residual fields.
+roles of h and B exchanged, and is evaluated as exactly that, so the duality
+gap is zero by construction at equal stencil orders.
 
 All grid metric components here are CONTRAVARIANT (as they appear multiplying
 the momenta in H); covariant samplers are inverted at ingestion.  Derivatives
-are central differences of order 2 or 4; every condition residual is
-normalized by the largest magnitude among its own additive terms on the grid.
+are central differences of order 2 or 4, each taken once per check; every
+condition residual is normalized by the largest magnitude among its own
+additive terms on the grid.
 """
 
 from __future__ import annotations
@@ -178,27 +179,15 @@ def _margin(stencil: int) -> int:
 
 def _d(F: np.ndarray, h: float, axis: int, stencil: int) -> np.ndarray:
     """Central first derivative, valid on the interior; edges are NaN."""
+    m = _margin(stencil)
+    inner = (slice(m, F.shape[0] - m), slice(m, F.shape[1] - m))
+    at = lambda k: np.roll(F, -k, axis=axis)  # F[i + k] along the axis
     out = np.full_like(F, np.nan)
     if stencil == 2:
-        sl = _shift(F, 1, axis) - _shift(F, -1, axis)
-        out[_interior(F.shape, 1)] = sl[_interior(F.shape, 1)] / (2.0 * h)
+        out[inner] = (at(1) - at(-1))[inner] / (2.0 * h)
     else:
-        sl = (
-            -_shift(F, 2, axis)
-            + 8.0 * _shift(F, 1, axis)
-            - 8.0 * _shift(F, -1, axis)
-            + _shift(F, -2, axis)
-        )
-        out[_interior(F.shape, 2)] = sl[_interior(F.shape, 2)] / (12.0 * h)
+        out[inner] = (-at(2) + 8.0 * at(1) - 8.0 * at(-1) + at(-2))[inner] / (12.0 * h)
     return out
-
-
-def _shift(F: np.ndarray, k: int, axis: int) -> np.ndarray:
-    return np.roll(F, -k, axis=axis)
-
-
-def _interior(shape: tuple[int, int], m: int):
-    return (slice(m, shape[0] - m), slice(m, shape[1] - m))
 
 
 def min_grid_size(stencil: int) -> int:
@@ -212,6 +201,33 @@ def _core(shape: tuple[int, int], stencil: int):
     if min(shape) < min_grid_size(stencil):
         raise GridTooSmall(f"grid {shape} too small for stencil order {stencil}")
     return (slice(m, shape[0] - m), slice(m, shape[1] - m))
+
+
+class _Derivatives(dict):
+    """Central differences of one grid's fields at one stencil order, each
+    taken on first use and kept.
+
+    ``D[name, axis]`` is d_(axis+1) of the grid field ``name``, or of the log
+    of a metric component for ``"log g11"``/``"log g22"``; ``D[name, 0, 1]``
+    is the mixed d2 d1, the axis-1 difference of ``D[name, 0]``.
+    """
+
+    def __init__(self, grid: AnsatzGrid, stencil: int):
+        super().__init__()
+        self._grid = grid
+        self._stencil = stencil
+
+    def __missing__(self, key):
+        name, *axes = key
+        if len(axes) == 2:
+            F = self[name, axes[0]]
+        elif name.startswith("log "):
+            F = np.log(getattr(self._grid, name[4:]))
+        else:
+            F = getattr(self._grid, name)
+        axis = axes[-1]
+        out = self[key] = _d(F, (self._grid.h1, self._grid.h2)[axis], axis, self._stencil)
+        return out
 
 
 def _normalized_max(residual: np.ndarray, terms: list[np.ndarray], core) -> float:
@@ -235,92 +251,82 @@ class ConditionReport:
 
 def check_classical(grid: AnsatzGrid, stencil: int = 4) -> ConditionReport:
     """Max normalized residuals of (C1)-(C6) by central differences."""
-    h1, h2 = grid.h1, grid.h2
     core = _core(grid.shape, stencil)
-    d1 = lambda F: _d(F, h1, 0, stencil)
-    d2 = lambda F: _d(F, h2, 1, stencil)
-
+    D = _Derivatives(grid, stencil)
     root = np.sqrt(grid.g11 * grid.g22)
     res: dict[str, float] = {}
 
     # C1: d1 v1 = d2 v2 = 0; scale is the size of the nonzero v-gradients
-    r_c1 = np.maximum(np.abs(d1(grid.v1)), np.abs(d2(grid.v2)))
-    v_scale = [d2(grid.v1), d1(grid.v2)]
+    r_c1 = np.maximum(np.abs(D["v1", 0]), np.abs(D["v2", 1]))
+    v_scale = [D["v1", 1], D["v2", 0]]
     res["C1"] = _normalized_max(r_c1, v_scale, core)
 
     # C2 (i=1, j=2y i=2, j=1)
-    t12 = (grid.v2 - grid.v1) * d2(np.log(grid.g11))
-    t21 = (grid.v1 - grid.v2) * d1(np.log(grid.g22))
-    r12 = d2(grid.v1) - t12
-    r21 = d1(grid.v2) - t21
+    t12 = (grid.v2 - grid.v1) * D["log g11", 1]
+    t21 = (grid.v1 - grid.v2) * D["log g22", 0]
+    r12 = D["v1", 1] - t12
+    r21 = D["v2", 0] - t21
     res["C2"] = max(
-        _normalized_max(r12, [d2(grid.v1), t12], core),
-        _normalized_max(r21, [d1(grid.v2), t21], core),
+        _normalized_max(r12, [D["v1", 1], t12], core),
+        _normalized_max(r21, [D["v2", 0], t21], core),
     )
 
     # C3 for i=1 and i=2
-    t1 = (grid.phi1 * d1(grid.g11) + grid.phi2 * d2(grid.g11)) / (2.0 * grid.g11)
-    t2 = (grid.phi1 * d1(grid.g22) + grid.phi2 * d2(grid.g22)) / (2.0 * grid.g22)
-    r1 = d1(grid.phi1) - t1
-    r2 = d2(grid.phi2) - t2
+    t1 = (grid.phi1 * D["g11", 0] + grid.phi2 * D["g11", 1]) / (2.0 * grid.g11)
+    t2 = (grid.phi1 * D["g22", 0] + grid.phi2 * D["g22", 1]) / (2.0 * grid.g22)
+    r1 = D["phi1", 0] - t1
+    r2 = D["phi2", 1] - t2
     res["C3"] = max(
-        _normalized_max(r1, [d1(grid.phi1), t1], core),
-        _normalized_max(r2, [d2(grid.phi2), t2], core),
+        _normalized_max(r1, [D["phi1", 0], t1], core),
+        _normalized_max(r2, [D["phi2", 1], t2], core),
     )
 
     # C4
     lhs = 2.0 * root * (grid.v2 - grid.v1) * grid.B
-    rhs1 = grid.g22 * d2(grid.phi1)
-    rhs2 = grid.g11 * d1(grid.phi2)
+    rhs1 = grid.g22 * D["phi1", 1]
+    rhs2 = grid.g11 * D["phi2", 0]
     res["C4"] = _normalized_max(lhs - rhs1 - rhs2, [lhs, rhs1, rhs2], core)
 
     # C5 (both displayed equations)
     b_over_root = grid.B / root
-    r51 = d1(grid.varphi) - grid.v1 * d1(grid.h) - grid.phi2 * b_over_root
-    r52 = d2(grid.varphi) - grid.v2 * d2(grid.h) + grid.phi1 * b_over_root
+    t51 = grid.v1 * D["h", 0]
+    t52 = grid.v2 * D["h", 1]
+    r51 = D["varphi", 0] - t51 - grid.phi2 * b_over_root
+    r52 = D["varphi", 1] - t52 + grid.phi1 * b_over_root
     res["C5"] = max(
-        _normalized_max(
-            r51, [d1(grid.varphi), grid.v1 * d1(grid.h), grid.phi2 * b_over_root], core
-        ),
-        _normalized_max(
-            r52, [d2(grid.varphi), grid.v2 * d2(grid.h), grid.phi1 * b_over_root], core
-        ),
+        _normalized_max(r51, [D["varphi", 0], t51, grid.phi2 * b_over_root], core),
+        _normalized_max(r52, [D["varphi", 1], t52, grid.phi1 * b_over_root], core),
     )
 
     # C6
-    ta = grid.phi1 * d1(grid.h)
-    tb = grid.phi2 * d2(grid.h)
+    ta = grid.phi1 * D["h", 0]
+    tb = grid.phi2 * D["h", 1]
     res["C6"] = _normalized_max(ta + tb, [ta, tb], core)
 
     return ConditionReport(residuals=res, n=grid.shape[0], stencil=stencil)
 
 
+def _c6star(grid: AnsatzGrid, stencil: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The (C6*) residual field and the terms that set its scale."""
+    D = _Derivatives(grid, stencil)
+    weight = np.sqrt(grid.g11 * grid.g22) * (grid.v2 - grid.v1)
+    ta = grid.phi1 * D["h", 0]
+    tb = grid.phi2 * D["h", 1]
+    correction = weight * (
+        D["g11", 1] / grid.g11 * D["B", 0] + D["g22", 0] / grid.g22 * D["B", 1] - D["B", 0, 1]
+    )
+    return ta + tb + correction, [ta, tb, weight * D["g11", 1] / grid.g11]
+
+
 def c6star_field(grid: AnsatzGrid, stencil: int = 4) -> np.ndarray:
     """Raw residual field of the quantum condition (C6*), NaN on the margins."""
-    h1, h2 = grid.h1, grid.h2
-    d1 = lambda F: _d(F, h1, 0, stencil)
-    d2 = lambda F: _d(F, h2, 1, stencil)
-    root = np.sqrt(grid.g11 * grid.g22)
-    correction = root * (grid.v2 - grid.v1) * (
-        d2(grid.g11) / grid.g11 * d1(grid.B)
-        + d1(grid.g22) / grid.g22 * d2(grid.B)
-        - _d(_d(grid.B, h1, 0, stencil), h2, 1, stencil)
-    )
-    return grid.phi1 * d1(grid.h) + grid.phi2 * d2(grid.h) + correction
+    return _c6star(grid, stencil)[0]
 
 
 def check_quantum_c6star(grid: AnsatzGrid, stencil: int = 4) -> float:
     """Max normalized residual of (C6*)."""
-    h1, h2 = grid.h1, grid.h2
     core = _core(grid.shape, stencil)
-    d1 = lambda F: _d(F, h1, 0, stencil)
-    d2 = lambda F: _d(F, h2, 1, stencil)
-    field = c6star_field(grid, stencil)
-    terms = [
-        grid.phi1 * d1(grid.h),
-        grid.phi2 * d2(grid.h),
-        np.sqrt(grid.g11 * grid.g22) * (grid.v2 - grid.v1) * d2(grid.g11) / grid.g11,
-    ]
+    field, terms = _c6star(grid, stencil)
     return _normalized_max(field, terms, core)
 
 
@@ -330,31 +336,23 @@ def consistency_field(grid: AnsatzGrid, stencil: int = 4) -> np.ndarray:
         phi^1 d1 B + phi^2 d2 B + sqrt(g11 g22)(v^2 - v^1)
             (d2 g11/g11 d1 h + d1 g22/g22 d2 h - d1 d2 h),
 
-    which is (C6*) with h and B exchanged.
+    which is (C6*) with h and B exchanged, and is evaluated as exactly that.
     """
-    h1, h2 = grid.h1, grid.h2
-    d1 = lambda F: _d(F, h1, 0, stencil)
-    d2 = lambda F: _d(F, h2, 1, stencil)
-    root = np.sqrt(grid.g11 * grid.g22)
-    bracket = root * (grid.v2 - grid.v1) * (
-        d2(grid.g11) / grid.g11 * d1(grid.h)
-        + d1(grid.g22) / grid.g22 * d2(grid.h)
-        - _d(_d(grid.h, h1, 0, stencil), h2, 1, stencil)
-    )
-    return grid.phi1 * d1(grid.B) + grid.phi2 * d2(grid.B) + bracket
+    return c6star_field(swap_h_and_b(grid), stencil)
 
 
 def check_duality(grid: AnsatzGrid, stencil: int = 4, stencil_swapped: int | None = None) -> float:
     """Max |consistency(grid) - c6star(grid with h and B swapped)| on the core.
 
-    With equal stencil orders the two residual fields are the same arithmetic
-    applied to the same arrays and the difference is exactly zero; with mixed
-    orders the difference is bounded by the two truncation errors.
+    With equal stencil orders the consistency field is the (C6*) field of the
+    swapped grid, so the difference is zero by construction and the field is
+    evaluated once; with mixed orders the difference is bounded by the two
+    truncation errors.
     """
     if stencil_swapped is None:
         stencil_swapped = stencil
     lhs = consistency_field(grid, stencil)
-    rhs = c6star_field(swap_h_and_b(grid), stencil_swapped)
+    rhs = lhs if stencil_swapped == stencil else c6star_field(swap_h_and_b(grid), stencil_swapped)
     core = _core(grid.shape, max(stencil, stencil_swapped))
     return float(np.max(np.abs(lhs[core] - rhs[core])))
 

@@ -156,6 +156,38 @@ def test_simulate_rejects_empty_batch(tmp_path, capsys, n_traj):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--stride", "0"], "stride"),
+        (["--stride=-1"], "stride"),
+        (["--tol", "0"], "tol"),
+        (["--tol=-1"], "tol"),
+        (["--tol", "nan"], "tol"),
+        (["--t-end", "nan"], "t_end"),
+        (["--t-end=-1"], "t_end"),
+        (["--t-end", "inf"], "t_end"),
+        ([], "stride"),  # from the config itself
+    ],
+)
+def test_simulate_rejects_bad_integrator_settings(tmp_path, capsys, flags, key):
+    # each would crash, loop forever, or run as something else than asked
+    out = tmp_path / "out"
+    cfg = dict(CASE1, integrator=dict(CASE1["integrator"], stride=0 if not flags else 5))
+    assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f'"{key}"' in err and err.count("\n") == 1
+    assert not list(out.glob("*.csv"))
+
+
+def test_unresolved_series_is_an_error_line(tmp_path, capsys):
+    # alpha1 far above alpha2: the conformal branch series cannot be resolved
+    cfg = dict(CASE1, geometry={"alpha": [1e6, 2.0, 1.0]})
+    assert main(["metric-check", "--config", _write(tmp_path, cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SeriesNotResolved:") and err.count("\n") == 1
+
+
 def test_elliptic_table(tmp_path, capsys):
     out = tmp_path / "t"
     out.mkdir()

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ellipk
 
-from monopole_lab._inversion import _cosine_coeffs, _horner_coeffs, _series
+from monopole_lab._inversion import _cosine_coeffs
 from monopole_lab.elliptic import (
     LimitModel,
     build_model,
@@ -182,21 +182,24 @@ def test_chop_at_round_off_plateau(canonical_model):
 
 
 def test_horner_series_matches_direct_sums():
-    # the one Horner pass against the two trig sums written out term by term
+    # u(theta) and w(theta) by the shared Horner pass against the two trig sums
+    # of the theta-series written out term by term, on the canonical and the
+    # near-coalescing quartics
     rng = np.random.default_rng(8)
-    coeffs = rng.normal(size=40) * 0.7 ** np.arange(40)
-    c0, ab = _horner_coeffs(coeffs)
-    n = np.arange(1, 40)
     theta = np.concatenate([np.linspace(0.0, np.pi / 2.0, 101), rng.uniform(-3.0, 3.0, 50)])
-    sine = c0 * theta + np.sin(2.0 * np.outer(theta, n)) @ (coeffs[1:] / (2.0 * n))
-    cosine = c0 + np.cos(2.0 * np.outer(theta, n)) @ coeffs[1:]
-    s, c = _series(theta, c0, ab)
-    scale = np.sum(np.abs(coeffs))
-    assert np.max(np.abs(s - sine)) < 1e-14 * scale
-    assert np.max(np.abs(c - cosine)) < 1e-14 * scale
-    for i in (0, 37, 120):
-        si, ci = _series(float(theta[i]), c0, ab)
-        assert abs(si - sine[i]) < 1e-14 * scale and abs(ci - cosine[i]) < 1e-14 * scale
+    models = [build_model_from_roots(r, -1.0) for r in ([3, 2, -1, -4], [3, 2.99, -1, -4.99])]
+    for br in [b for m in models for b in (m.branch1, m.branch2)]:
+        cn = br._theta_ab[0]
+        n = np.arange(1, cn.size + 1)
+        sine = br._c0 * theta + np.sin(2.0 * np.outer(theta, n)) @ (cn / (2.0 * n))
+        cosine = br._c0 + np.cos(2.0 * np.outer(theta, n)) @ cn
+        s, c = br.u_of_theta(theta), br.w_of_theta(theta)
+        scale = br._c0 + np.sum(np.abs(cn))
+        assert np.max(np.abs(s - sine)) < 1e-14 * scale
+        assert np.max(np.abs(c - cosine)) < 1e-14 * scale
+        for i in (0, 37, 100, 120):  # a float sums exactly like an array element
+            assert br.u_of_theta(float(theta[i])) == s[i]
+            assert br.w_of_theta(float(theta[i])) == c[i]
 
 
 def _u_by_quadrature(lo, hi, others, start, x):

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,3 +205,148 @@ def test_functional_equation_cases():
         ver.check_functional_equation("sqrt", -1.0, 1.0)
     with pytest.raises(ValueError):
         ver.check_functional_equation("cubic", 1.0, 2.0)
+
+
+# the formulas of the checks as they were written before the derivative table,
+# one stencil call per use: the reference the table must reproduce bit for bit
+def _ref_d(F, h, axis, stencil):
+    shift = lambda k: np.roll(F, -k, axis=axis)
+    m = 1 if stencil == 2 else 2
+    inner = (slice(m, F.shape[0] - m), slice(m, F.shape[1] - m))
+    out = np.full_like(F, np.nan)
+    if stencil == 2:
+        sl = shift(1) - shift(-1)
+        out[inner] = sl[inner] / (2.0 * h)
+    else:
+        sl = -shift(2) + 8.0 * shift(1) - 8.0 * shift(-1) + shift(-2)
+        out[inner] = sl[inner] / (12.0 * h)
+    return out
+
+
+def _ref_classical(grid, stencil):
+    core = ver._core(grid.shape, stencil)
+    nmax = ver._normalized_max
+    d1 = lambda F: _ref_d(F, grid.h1, 0, stencil)
+    d2 = lambda F: _ref_d(F, grid.h2, 1, stencil)
+    root = np.sqrt(grid.g11 * grid.g22)
+    res = {}
+    r_c1 = np.maximum(np.abs(d1(grid.v1)), np.abs(d2(grid.v2)))
+    res["C1"] = nmax(r_c1, [d2(grid.v1), d1(grid.v2)], core)
+    t12 = (grid.v2 - grid.v1) * d2(np.log(grid.g11))
+    t21 = (grid.v1 - grid.v2) * d1(np.log(grid.g22))
+    res["C2"] = max(
+        nmax(d2(grid.v1) - t12, [d2(grid.v1), t12], core),
+        nmax(d1(grid.v2) - t21, [d1(grid.v2), t21], core),
+    )
+    t1 = (grid.phi1 * d1(grid.g11) + grid.phi2 * d2(grid.g11)) / (2.0 * grid.g11)
+    t2 = (grid.phi1 * d1(grid.g22) + grid.phi2 * d2(grid.g22)) / (2.0 * grid.g22)
+    res["C3"] = max(
+        nmax(d1(grid.phi1) - t1, [d1(grid.phi1), t1], core),
+        nmax(d2(grid.phi2) - t2, [d2(grid.phi2), t2], core),
+    )
+    lhs = 2.0 * root * (grid.v2 - grid.v1) * grid.B
+    rhs1 = grid.g22 * d2(grid.phi1)
+    rhs2 = grid.g11 * d1(grid.phi2)
+    res["C4"] = nmax(lhs - rhs1 - rhs2, [lhs, rhs1, rhs2], core)
+    bor = grid.B / root
+    r51 = d1(grid.varphi) - grid.v1 * d1(grid.h) - grid.phi2 * bor
+    r52 = d2(grid.varphi) - grid.v2 * d2(grid.h) + grid.phi1 * bor
+    res["C5"] = max(
+        nmax(r51, [d1(grid.varphi), grid.v1 * d1(grid.h), grid.phi2 * bor], core),
+        nmax(r52, [d2(grid.varphi), grid.v2 * d2(grid.h), grid.phi1 * bor], core),
+    )
+    ta = grid.phi1 * d1(grid.h)
+    tb = grid.phi2 * d2(grid.h)
+    res["C6"] = nmax(ta + tb, [ta, tb], core)
+    return res
+
+
+def _ref_fields(grid, stencil):
+    """(c6star_field, consistency_field, the (C6*) scale terms), written out twice."""
+    h1, h2 = grid.h1, grid.h2
+    d1 = lambda F: _ref_d(F, h1, 0, stencil)
+    d2 = lambda F: _ref_d(F, h2, 1, stencil)
+    root = np.sqrt(grid.g11 * grid.g22)
+    c6s = grid.phi1 * d1(grid.h) + grid.phi2 * d2(grid.h) + root * (grid.v2 - grid.v1) * (
+        d2(grid.g11) / grid.g11 * d1(grid.B)
+        + d1(grid.g22) / grid.g22 * d2(grid.B)
+        - _ref_d(_ref_d(grid.B, h1, 0, stencil), h2, 1, stencil)
+    )
+    cons = grid.phi1 * d1(grid.B) + grid.phi2 * d2(grid.B) + root * (grid.v2 - grid.v1) * (
+        d2(grid.g11) / grid.g11 * d1(grid.h)
+        + d1(grid.g22) / grid.g22 * d2(grid.h)
+        - _ref_d(_ref_d(grid.h, h1, 0, stencil), h2, 1, stencil)
+    )
+    terms = [
+        grid.phi1 * d1(grid.h),
+        grid.phi2 * d2(grid.h),
+        np.sqrt(grid.g11 * grid.g22) * (grid.v2 - grid.v1) * d2(grid.g11) / grid.g11,
+    ]
+    return c6s, cons, terms
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n", [9, 24, 64])
+def test_derivative_table_matches_per_use_reference(case1, n):
+    from monopole_lab.fields import case2_spec
+    from monopole_lab.polyroots import from_roots
+
+    spec2 = case2_spec(from_roots([3, 2, -1, -4], -1.0), mu=1.3, B=0.7)
+    near = case2_spec(from_roots([3, 2.99, -1, -4.99], -1.0), mu=1.3, B=0.7)
+    g2 = ver.build_case2_grid(spec2, n)
+    U1, U2 = np.meshgrid(g2.axis1, g2.axis2, indexing="ij")
+    grids = {
+        "case1": ver.build_case1_grid(case1, n),
+        "case2": g2,
+        "near": ver.build_case2_grid(near, n),
+        "varying B": dataclasses.replace(g2, B=np.sin(U1) * U2 + 0.3 * U2**2),
+    }
+    for name, grid in grids.items():
+        fields = {s: _ref_fields(grid, s) for s in (2, 4)}
+        for s in (2, 4):
+            c6s, cons, terms = fields[s]
+            core = ver._core(grid.shape, s)
+            want = _ref_classical(grid, s)
+            got = ver.check_classical(grid, s).residuals
+            assert list(got) == list(want), name
+            for cond in want:
+                assert _bits(got[cond]) == _bits(want[cond]), (name, s, cond)
+            assert _bits(ver.c6star_field(grid, s)) == _bits(c6s), (name, s)
+            assert _bits(ver.consistency_field(grid, s)) == _bits(cons), (name, s)
+            c6_ref = ver._normalized_max(c6s, terms, core)
+            assert _bits(ver.check_quantum_c6star(grid, s)) == _bits(c6_ref), (name, s)
+            for s2 in (2, 4):
+                swapped = _ref_fields(ver.swap_h_and_b(grid), s2)[0]
+                wide = ver._core(grid.shape, max(s, s2))
+                dual = float(np.max(np.abs(cons[wide] - swapped[wide])))
+                assert _bits(ver.check_duality(grid, s, s2)) == _bits(dual), (name, s, s2)
+
+
+@pytest.mark.parametrize("stencil", ["2", "4"])
+def test_verify_takes_each_derivative_once(stencil, tmp_path, monkeypatch, capsys):
+    from monopole_lab.cli import main
+
+    d = ver._d
+    taken = []  # per public check call: (input array, axis, stencil) of each _d call
+    monkeypatch.setattr(
+        ver, "_d", lambda F, h, axis, s: taken[-1].append((F, axis, s)) or d(F, h, axis, s)
+    )
+    for name in ("check_classical", "check_quantum_c6star", "check_duality"):
+        fn = getattr(ver, name)
+        monkeypatch.setattr(ver, name, lambda *a, fn=fn, **k: taken.append([]) or fn(*a, **k))
+    ran = 0
+    for cfg in sorted((Path(__file__).parents[1] / "demos" / "configs").glob("*.json")):
+        taken.clear()
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path), "--stencil", stencil])
+        if not taken:  # a family verify does not support, or an inadmissible quartic
+            continue
+        ran += 1
+        assert len(taken) == 3, cfg.name
+        assert 0 < sum(map(len, taken)) <= 40, cfg.name  # 57 with one stencil per use
+        for calls in taken:  # the inputs are kept alive above, so ids are not reused
+            keys = [(id(F), axis, s) for F, axis, s in calls]
+            assert len(set(keys)) == len(keys), cfg.name
+    assert ran == 2
