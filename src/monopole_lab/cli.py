@@ -5,26 +5,32 @@ Every run is driven by a JSON config (see demos/configs/) plus a few flags;
 outputs are deterministic given the config and seed.  Exit codes: 0 all
 thresholds met, 1 numerical threshold breached, 2 configuration error.
 
-Config schema (family-specific geometry sub-object):
+Config schema ("num": a finite number, never a bool; "int": an integral num,
+64.0 too; "= v": the default of an absent key; each section is an object):
 
     {
       "family": "case1" | "case2" | "case2_limit" | "vy",
-      "mu": 1.0, "B": 0.5,
+      "mu": num = 0, "B": num = 0,
       "geometry": {
-         case1:       {"alpha": [3, 2, 1]},
-         case2:       {"a3": -1, "a2": 15, "a0": -10, "a1": -24}
-                      or {"roots": [3, 2, -1, -4], "a3": -1},
-         case2_limit: {"beta1": 2, "beta3": -1, "beta4": -3},
-         vy:          {"vyA": 2, "vyB": 1}
+         case1:       {"alpha": [3 nums, strictly descending]},
+         case2:       {"a3": num < 0, "a2": num, "a0": num, "a1": num}
+                      or {"roots": [4 nums summing to 0], "a3": num < 0 = -1},
+         case2_limit: {"beta1", "beta3", "beta4": nums, beta1 > 0 > beta3 > beta4},
+         vy:          {"vyA", "vyB": nums, vyA > vyB > 0}
       },
-      "integrator": {"t_end": 50, "tol": 1e-10, "stride": 10, "seed": 7},
-      "grid": {"n": 64, "stencil": 4}
+      "integrator": {"t_end": num >= 0 = 50, "tol": num > 0 = 1e-10,
+                     "stride": int >= 1 = 10, "seed": int >= 0 = 0},
+      "grid": {"n": int, "stencil": 2 | 4 = 4},
+      "n_trajectories": int >= 1 = 1
     }
 
-The quartic key "a0" is the LINEAR coefficient and "a1" the constant
-(P = a3 x^4 + a2 x^2 + a0 x + a1).  "k" is always derived as -4B/a3; a config
-that sets it to anything else is rejected.  With "n_trajectories": N > 1,
-simulate runs seeds seed, ..., seed + N - 1 in sequence.
+Grid n is >= 1 in metric-check (= 32), >= 9 at stencil 4 or 5 at stencil 2
+in verify (= 64) and >= 64 in flux (= 256).  A flag gets the checks of the
+config value it overrides, and a bad value exits 2 with one "config error:"
+line naming it.  The quartic key "a0" is the LINEAR coefficient and "a1" the
+constant (P = a3 x^4 + a2 x^2 + a0 x + a1).  "k" is always derived as -4B/a3;
+a config that sets it to anything else is rejected.  With "n_trajectories":
+N > 1, simulate runs seeds seed, ..., seed + N - 1 in sequence.
 """
 
 from __future__ import annotations
@@ -56,80 +62,93 @@ from .polyroots import QuarticParams, admissibility, from_roots
 FMT = "%.17g"
 
 
-def _need(cfg: dict, key: str, where: str = "config"):
-    if key not in cfg:
-        raise ConfigError(f'missing "{key}" key in {where}')
-    return cfg[key]
+def _typed(value, kind):
+    """`value` as `kind` (see _read), or None when it is not one."""
+    if isinstance(kind, list):
+        items = [_typed(v, float) for v in value] if isinstance(value, list) else []
+        return tuple(items) if len(items) == len(kind) and None not in items else None
+    if kind is not float and kind is not int:
+        return value if isinstance(value, kind) else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        return None
+    return kind(value) if kind is float or value % 1 == 0 else None
+
+
+def _read(section: dict, key: str, kind, default=None, ok=None, need: str = "", label: str = "", flag=None):
+    """The value of `key` in `section` as `kind`, or `default` when it is absent.
+
+    A `flag` other than None stands in for the config's value and gets its checks.
+    float takes a finite number and int an integral one, never a bool; [float] * n
+    a list of n numbers, as a tuple; any other kind is an isinstance check.  `ok`
+    is the range check: the value must be `need`.  A failure raises ConfigError.
+    """
+    if flag is None and key not in section:
+        if default is None:
+            raise ConfigError(f'missing "{key}" key')
+        return default
+    raw = section[key] if flag is None else flag
+    value = _typed(raw, kind)
+    if value is None:
+        kinds = {float: "a finite number", int: "an integer", str: "a string", dict: "an object"}
+        need = f"a list of {len(kind)} finite numbers" if isinstance(kind, list) else kinds[kind]
+    elif ok is None or ok(value):
+        return value
+    raise ConfigError(f"{label or json.dumps(key)} = {json.dumps(raw, default=str)}: must be {need}")
+
+
+def _threshold(args, dest: str = "tol", flag: str = "--tol") -> float:
+    """The exit-threshold flag `dest`, a number >= 0."""
+    return _read(vars(args), dest, float, ok=lambda v: v >= 0.0, need="at least 0", label=flag)
+
+
+def _build(geom: dict, make, *args, **kwargs):
+    """make(*args, **kwargs), with a library constructor's ValueError raised as a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f'"geometry" = {json.dumps(geom, default=str)}: {exc}') from exc
 
 
 def quartic_from_config(geom: dict) -> QuarticParams:
-    if "roots" in geom:
-        if any(k in geom for k in ("a2", "a0", "a1")):
-            raise ConfigError('give either "roots" or coefficients, not both')
-        return from_roots(geom["roots"], float(geom.get("a3", -1.0)))
-    try:
-        return QuarticParams(
-            a3=float(_need(geom, "a3", "geometry")),
-            a2=float(_need(geom, "a2", "geometry")),
-            a0=float(_need(geom, "a0", "geometry")),
-            a1=float(_need(geom, "a1", "geometry")),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if "roots" not in geom:
+        return _build(geom, QuarticParams, *[_read(geom, k, float) for k in ("a3", "a2", "a0", "a1")])
+    if any(k in geom for k in ("a2", "a0", "a1")):
+        raise ConfigError('give either "roots" or coefficients, not both')
+    return _build(geom, from_roots, _read(geom, "roots", [float] * 4), _read(geom, "a3", float, -1.0))
 
 
 def spec_from_config(cfg: dict) -> SystemSpec:
-    family = _need(cfg, "family")
-    mu = float(cfg.get("mu", 0.0))
-    b = float(cfg.get("B", 0.0))
-    geom = _need(cfg, "geometry")
-    try:
-        fam = Family(family)
-    except ValueError as exc:
-        raise ConfigError(f'unknown family "{family}"') from exc
+    names = [f.value for f in Family]
+    fam = Family(_read(cfg, "family", str, ok=names.__contains__, need="one of " + ", ".join(names)))
+    mu, b = _read(cfg, "mu", float, 0.0), _read(cfg, "B", float, 0.0)
+    geom = _read(cfg, "geometry", dict)
     if fam == Family.CASE_I:
-        spec = case1_spec(_need(geom, "alpha", "geometry"), mu=mu, B=b)
-        if "nu" in cfg and float(cfg["nu"]) != b:
-            raise ConfigError(
-                f'case1 runs live on the leaf (M,x) = B; "nu" = {cfg["nu"]} mismatches B = {b}'
-            )
+        spec = _build(geom, case1_spec, _read(geom, "alpha", [float] * 3), mu=mu, B=b)
+        _read(cfg, "nu", float, b, ok=b.__eq__, need=f"B = {b}: case1 runs live on the leaf (M,x) = B")
     elif fam == Family.CASE_II:
         spec = case2_spec(quartic_from_config(geom), mu=mu, B=b)
     elif fam == Family.CASE_II_LIMIT:
-        spec = case2_limit_spec(
-            LimitModel(
-                beta1=float(_need(geom, "beta1", "geometry")),
-                beta3=float(_need(geom, "beta3", "geometry")),
-                beta4=float(_need(geom, "beta4", "geometry")),
-            ),
-            mu=mu,
-            B=b,
-        )
+        betas = [_read(geom, k, float) for k in ("beta1", "beta3", "beta4")]
+        spec = case2_limit_spec(_build(geom, LimitModel, *betas), mu=mu, B=b)
     else:
-        spec = vy_spec(
-            float(_need(geom, "vyA", "geometry")),
-            float(_need(geom, "vyB", "geometry")),
-            mu=mu,
-            B=b,
-        )
-    if "k" in cfg:
-        if fam == Family.VY:
-            raise ConfigError('"k" has no meaning for the VY family')
-        if not math.isclose(float(cfg["k"]), spec.k, rel_tol=1e-12):
-            raise ConfigError(
-                f'"k" is derived as -4B/a3 = {spec.k}; config says {cfg["k"]} (remove the key)'
-            )
+        spec = _build(geom, vy_spec, _read(geom, "vyA", float), _read(geom, "vyB", float), mu=mu, B=b)
+    if fam == Family.VY and "k" in cfg:
+        raise ConfigError('"k" has no meaning for the VY family')
+    if fam != Family.VY:
+        k = spec.k
+        _read(cfg, "k", float, k, ok=lambda v: math.isclose(v, k, rel_tol=1e-12), need=f"-4B/a3 = {k}")
     return spec
 
 
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+            value = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8 text
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return _read({path: value}, path, dict)  # the config itself is an object too
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -146,8 +165,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 def cmd_roots(args) -> int:
     cfg = _load_config(args.config)
-    geom = cfg.get("geometry", cfg)
-    params = quartic_from_config(geom)
+    params = quartic_from_config(_read(cfg, "geometry", dict, cfg))
     report = admissibility(params)
     print(f"P(x) = {params.a3:g} x^4 + {params.a2:g} x^2 + {params.a0:g} x + {params.a1:g}")
     if report.roots is not None:
@@ -166,16 +184,17 @@ def cmd_roots(args) -> int:
 def cmd_elliptic_table(args) -> int:
     cfg = _load_config(args.config)
     spec = spec_from_config(cfg)
+    samples = _read(vars(args), "samples", int, ok=lambda n: n >= 1, need="at least 1", label="--samples")
     if spec.family != Family.CASE_II:
         raise ConfigError("elliptic-table needs a case2 config")
     model = spec.model
     branch = model.branch1 if args.branch == "q1" else model.branch2
     period = 2.0 * branch.K
-    u = np.linspace(0.0, period, args.samples)
+    u = np.linspace(0.0, period, samples)
     rows = zip(u, branch.value(u), branch.deriv(u))
     out = Path(args.out) / "elliptic_table.csv"
     _write_csv(out, "u,Q,dQ", rows)
-    print(f"wrote {args.samples} samples of {args.branch} over one period to {out}")
+    print(f"wrote {samples} samples of {args.branch} over one period to {out}")
     print(f"K1 = {model.K1:.15g}  K2 = {model.K2:.15g}")
     return 0
 
@@ -183,9 +202,9 @@ def cmd_elliptic_table(args) -> int:
 def cmd_metric_check(args) -> int:
     cfg = _load_config(args.config)
     spec = spec_from_config(cfg)
-    n = int(cfg.get("grid", {}).get("n", 32))
-    if n < 1:
-        raise ConfigError(f"metric-check grid n = {n}: must be at least 1")
+    tol = _threshold(args)
+    grid = _read(cfg, "grid", dict, {})
+    n = _read(grid, "n", int, 32, ok=lambda n: n >= 1, need="at least 1", label="metric-check grid n")
     if spec.family == Family.CASE_II:
         model = spec.model
         lam_fn = lambda a, b: geo.torus_lambda(model, a, b)
@@ -211,7 +230,7 @@ def cmd_metric_check(args) -> int:
     _write_csv(out, "u1,u2,lambda,K_closed,K_numeric", rows)
     print(f"wrote {n * n} samples to {out}")
     print(f"max |K_closed - K_numeric| = {worst:.3e}")
-    return 0 if worst <= args.tol else 1
+    return 0 if worst <= tol else 1
 
 
 def _simulate_one(spec: SystemSpec, t_end: float, tol: float, stride: int, seed: int, path: Path) -> dict:
@@ -238,52 +257,36 @@ def _simulate_one(spec: SystemSpec, t_end: float, tol: float, stride: int, seed:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     spec = spec_from_config(cfg)
-    cfg_int = dict(cfg.get("integrator", {}))
-    if args.t_end is not None:
-        cfg_int["t_end"] = args.t_end
-    if args.tol is not None:
-        cfg_int["tol"] = args.tol
-    if args.stride is not None:
-        cfg_int["stride"] = args.stride
-    seed = args.seed if args.seed is not None else int(cfg_int.get("seed", 0))
-    n_traj = int(cfg.get("n_trajectories", 1))
-    if n_traj < 1:
-        raise ConfigError(f'"n_trajectories" must be at least 1, got {n_traj}')
-    t_end = float(cfg_int.get("t_end", 50.0))
-    tol = float(cfg_int.get("tol", 1e-10))
-    stride = int(cfg_int.get("stride", 10))
-    if not (math.isfinite(t_end) and t_end >= 0.0):
-        raise ConfigError(f'"t_end" must be finite and at least 0, got {t_end}')
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ConfigError(f'"tol" must be finite and positive, got {tol}')
-    if stride < 1:
-        raise ConfigError(f'"stride" must be at least 1, got {stride}')
-    out_dir = Path(args.out)
-    if n_traj == 1:
-        jobs = [(seed, out_dir / "simulate.csv")]
-    else:
-        jobs = [(seed + i, out_dir / f"simulate_{i:03d}.csv") for i in range(n_traj)]
+    integ = _read(cfg, "integrator", dict, {})
+    t_end = _read(integ, "t_end", float, 50.0, ok=lambda t: t >= 0.0, need="at least 0", flag=args.t_end)
+    tol = _read(integ, "tol", float, 1e-10, ok=lambda t: t > 0.0, need="positive", flag=args.tol)
+    stride = _read(integ, "stride", int, 10, ok=lambda s: s >= 1, need="at least 1", flag=args.stride)
+    seed = _read(integ, "seed", int, 0, ok=lambda s: s >= 0, need="at least 0", flag=args.seed)
+    n_traj = _read(cfg, "n_trajectories", int, 1, ok=lambda n: n >= 1, need="at least 1")
+    max_drift = _threshold(args, "max_drift", "--max-drift")
+    names = [f"simulate_{i:03d}.csv" for i in range(n_traj)] if n_traj > 1 else ["simulate.csv"]
     worst = 0.0
-    for sd, path in jobs:
+    for sd, name in enumerate(names, start=seed):
+        path = Path(args.out) / name
         drifts = _simulate_one(spec, t_end, tol, stride, sd, path)
         line = "  ".join(f"{k} drift {v:.3e}" for k, v in drifts.items())
         print(f"{path.name} (seed {sd}): {line}")
         worst = max(worst, max(drifts.values()))
     print(f"max relative drift: {worst:.3e}")
-    return 0 if worst <= args.max_drift else 1
+    return 0 if worst <= max_drift else 1
 
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     spec = spec_from_config(cfg)
-    n = args.grid if args.grid is not None else int(cfg.get("grid", {}).get("n", 64))
-    stencil = args.stencil or int(cfg.get("grid", {}).get("stencil", 4))
-    if stencil not in (2, 4):
-        raise ConfigError(f"verify stencil order {stencil}: must be 2 or 4")
-    if n < ver.min_grid_size(stencil):
-        raise ConfigError(
-            f"verify grid n = {n}: stencil order {stencil} needs n >= {ver.min_grid_size(stencil)}"
-        )
+    tol = _threshold(args)
+    grid = _read(cfg, "grid", dict, {})
+    stencil = _read(
+        grid, "stencil", int, 4, ok=(2, 4).__contains__, need="2 or 4", label="verify stencil", flag=args.stencil
+    )
+    least = ver.min_grid_size(stencil)
+    need = f"at least {least} at stencil order {stencil}"
+    n = _read(grid, "n", int, 64, ok=lambda n: n >= least, need=need, label="verify grid n", flag=args.grid)
     if spec.family == Family.CASE_I:
         grid = ver.build_case1_grid(spec, n)
     elif spec.family == Family.CASE_II:
@@ -300,14 +303,15 @@ def cmd_verify(args) -> int:
     print(f"{'C6*':<12}{c6s:>26.3e}")
     print(f"{'duality':<12}{dual:>26.3e}")
     worst = max(report.max_residual, c6s)
-    print(f"max residual: {worst:.3e} (tol {args.tol:g})")
-    return 0 if worst <= args.tol else 1
+    print(f"max residual: {worst:.3e} (tol {tol:g})")
+    return 0 if worst <= tol else 1
 
 
 def cmd_flux(args) -> int:
     cfg = _load_config(args.config)
     spec = spec_from_config(cfg)
-    n = args.grid if args.grid is not None else int(cfg.get("grid", {}).get("n", 256))
+    tol = _threshold(args)
+    n = _read(_read(cfg, "grid", dict, {}), "n", int, 256, label="flux grid n", flag=args.grid)
     if spec.family == Family.CASE_II:
         obj = spec.model
     elif spec.family == Family.CASE_I:
@@ -322,9 +326,7 @@ def cmd_flux(args) -> int:
     print(f"flux / (2 pi) : {res['flux_over_2pi']:.12g}")
     print(f"nearest int   : {res['nearest_integer']}")
     print(f"gap           : {res['gap']:.3e}")
-    if args.require_integer and res["gap"] > args.tol:
-        return 1
-    return 0
+    return 1 if args.require_integer and res["gap"] > tol else 0
 
 
 @functools.cache
@@ -337,42 +339,38 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol_default: float, tol_help: str = "threshold for exit code"):
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--tol", type=float, default=tol_default, help=tol_help)
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--config", required=True, help="JSON config path")
+    io.add_argument("--out", default=".", help="output directory")
+    gated = argparse.ArgumentParser(add_help=False, parents=[io])
+    gated.add_argument("--tol", type=float, default=1e-6, help="threshold for exit code, >= 0")
 
-    p = sub.add_parser("roots", help="root/admissibility report")
-    common(p, 0.0)
+    p = sub.add_parser("roots", parents=[io], help="root/admissibility report")
     p.set_defaults(fn=cmd_roots)
 
-    p = sub.add_parser("elliptic-table", help="dump (u, Q, dQ) over one period")
-    common(p, 0.0)
-    p.add_argument("--samples", type=int, default=256)
+    p = sub.add_parser("elliptic-table", parents=[io], help="dump (u, Q, dQ) over one period")
+    p.add_argument("--samples", type=int, default=256, help="number of samples, >= 1")
     p.add_argument("--branch", choices=("q1", "q2"), default="q1")
     p.set_defaults(fn=cmd_elliptic_table)
 
-    p = sub.add_parser("metric-check", help="conformal factor and curvature cross-check")
-    common(p, 1e-6)
+    p = sub.add_parser("metric-check", parents=[gated], help="conformal factor and curvature cross-check")
     p.set_defaults(fn=cmd_metric_check)
 
-    p = sub.add_parser("simulate", help="integrate a trajectory and monitor H, F")
-    common(p, None, "integrator tolerance (overrides the config)")
+    p = sub.add_parser("simulate", parents=[io], help="integrate a trajectory and monitor H, F")
+    p.add_argument("--tol", type=float, default=None, help="integrator tolerance (overrides the config)")
+    p.add_argument("--seed", type=int, default=None, help="seed (overrides the config)")
     p.add_argument("--t-end", type=float, default=None)
     p.add_argument("--stride", type=int, default=None)
-    p.add_argument("--max-drift", type=float, default=1e-6, help="breach threshold")
+    p.add_argument("--max-drift", type=float, default=1e-6, help="breach threshold, >= 0")
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("verify", help="integrability-condition residual table")
-    common(p, 1e-6)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--stencil", type=int, choices=(2, 4), default=None)
+    p = sub.add_parser("verify", parents=[gated], help="integrability-condition residual table")
+    p.add_argument("--grid", type=int, default=None, help="grid size (overrides the config)")
+    p.add_argument("--stencil", type=int, default=None, help="stencil order, 2 or 4 (overrides the config)")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("flux", help="area and flux quantization report")
-    common(p, 1e-6)
-    p.add_argument("--grid", type=int, default=None)
+    p = sub.add_parser("flux", parents=[gated], help="area and flux quantization report")
+    p.add_argument("--grid", type=int, default=None, help="quadrature size (overrides the config)")
     p.add_argument("--require-integer", action="store_true")
     p.set_defaults(fn=cmd_flux)
     return parser

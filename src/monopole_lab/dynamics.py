@@ -229,6 +229,7 @@ _DP_B4 = (
 # y5 cannot use k7 = rhs(y5); its weight in _DP_B5 is 0
 _B1, _B2, _B3, _B4, _B5, _B6 = _DP_B5[:6]
 _E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_B4
+_DT_MIN = 1e-13  # smallest step size an adaptive step tries
 
 
 def _dp_attempt(rhs, y: tuple, k1: tuple, dt: float):
@@ -265,19 +266,19 @@ def _dp_attempt(rhs, y: tuple, k1: tuple, dt: float):
     return y5, tuple(map(sub, y5, y4))
 
 
-def _adaptive_step(rhs, y: tuple, dt: float, tol: float, dt_min: float = 1e-13):
+def _adaptive_step(rhs, y: tuple, dt: float, tol: float):
     """One accepted 5(4) step; returns (y_new, dt_taken, dt_next).
 
     A step whose error norm exceeds 1 is retried with a smaller dt, and so is
     one that meets a fixed point (FixedPointSingularity) on its way;
-    StepRejected is raised once dt falls below dt_min.  k1 = rhs(y) does not
+    StepRejected is raised once dt falls below _DT_MIN.  k1 = rhs(y) does not
     depend on dt and is evaluated once.
     """
     dt = float(dt)
     k1 = None
     while True:
-        if dt < dt_min:
-            raise StepRejected(f"step size underflow: dt = {dt:.3e} < {dt_min:g}")
+        if dt < _DT_MIN:
+            raise StepRejected(f"step size underflow: dt = {dt:.3e} < {_DT_MIN:g}")
         try:
             if k1 is None:
                 k1 = rhs(y)
@@ -626,19 +627,19 @@ def integrate(
     )
 
 
-def random_state(spec: SystemSpec, rng: np.random.Generator, momentum_scale: float = 1.0):
+def random_state(spec: SystemSpec, rng: np.random.Generator):
     """Reproducible random state away from singular loci."""
     if spec.family == Family.CASE_II:
         m = spec.model
         u1 = float(rng.uniform(0.15, 0.85) * m.K1 + rng.choice([0.0, m.K1, 2.0 * m.K1]))
         u2 = float(rng.uniform(0.15, 0.85) * m.K2 + rng.choice([0.0, m.K2, 2.0 * m.K2]))
-        w = rng.normal(0.0, momentum_scale, 2)
+        w = rng.normal(0.0, 1.0, 2)
         a1, a2 = gauge_a(spec, (u1, u2))
         return PhaseState(u1=u1, u2=u2, p1=float(w[0] + a1), p2=float(w[1] + a2))
     if spec.family in (Family.CASE_I, Family.VY):
         x = rng.normal(0.0, 1.0, 3)
         x /= np.linalg.norm(x)
-        M = rng.normal(0.0, momentum_scale, 3)
+        M = rng.normal(0.0, 1.0, 3)
         if spec.family == Family.CASE_I:
             # leaf value nu doubles as the magnetic density for sphere runs
             M = M + (spec.B - M @ x) * x
@@ -647,7 +648,7 @@ def random_state(spec: SystemSpec, rng: np.random.Generator, momentum_scale: flo
         return PhaseState(
             u1=float(rng.uniform(0.0, 2.0 * math.pi)),
             u2=float(spec.limit.delta + rng.uniform(-2.0, 2.0)),
-            p1=float(rng.normal(0.0, momentum_scale)),
-            p2=float(rng.normal(0.0, momentum_scale)),
+            p1=float(rng.normal(0.0, 1.0)),
+            p2=float(rng.normal(0.0, 1.0)),
         )
     raise ValueError(f"no random state for family {spec.family}")

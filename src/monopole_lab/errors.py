@@ -81,10 +81,6 @@ class NegativeRadicand(MonopoleLabError):
     """f(q1) f(q2) > 0: point outside the coordinate strip."""
 
 
-class OutsideChart(MonopoleLabError):
-    """Point outside the chart on which the gauge is defined."""
-
-
 # --- dynamics -----------------------------------------------------------------
 
 class FixedPointSingularity(MonopoleLabError):

@@ -69,6 +69,8 @@ __all__ = [
     "check_functional_equation",
 ]
 
+_WINDOW = (0.3, 0.7)  # the fraction of each axis interval that both grids sample
+
 
 @dataclass(frozen=True)
 class AnsatzGrid:
@@ -103,12 +105,12 @@ class AnsatzGrid:
         return self.g11.shape
 
 
-def build_case1_grid(spec: SystemSpec, n: int = 64, window=(0.3, 0.7)) -> AnsatzGrid:
+def build_case1_grid(spec: SystemSpec, n: int = 64) -> AnsatzGrid:
     """Sample the cubic sphere family on an interior strip rectangle."""
     if spec.family != Family.CASE_I:
         raise ValueError("build_case1_grid needs a CASE_I spec")
     a1, a2, a3 = spec.alpha
-    lo, hi = window
+    lo, hi = _WINDOW
     q1 = a2 + np.linspace(lo, hi, n) * (a1 - a2)
     q2 = a3 + np.linspace(lo, hi, n) * (a2 - a3)
     Q1, Q2 = np.meshgrid(q1, q2, indexing="ij")
@@ -129,7 +131,7 @@ def build_case1_grid(spec: SystemSpec, n: int = 64, window=(0.3, 0.7)) -> Ansatz
     )
 
 
-def build_case2_grid(spec: SystemSpec, n: int = 64, window=(0.3, 0.7)) -> AnsatzGrid:
+def build_case2_grid(spec: SystemSpec, n: int = 64) -> AnsatzGrid:
     """Sample the torus family on an interior window of the first quadrant.
 
     Every field depends on u1 only through Q1, Q1' and on u2 only through
@@ -139,7 +141,7 @@ def build_case2_grid(spec: SystemSpec, n: int = 64, window=(0.3, 0.7)) -> Ansatz
     if spec.family != Family.CASE_II:
         raise ValueError("build_case2_grid needs a CASE_II spec")
     m = spec.model
-    lo, hi = window
+    lo, hi = _WINDOW
     u1 = np.linspace(lo, hi, n) * m.K1
     u2 = np.linspace(lo, hi, n) * m.K2
     x1, d1 = m.branch1.value_and_deriv(u1)

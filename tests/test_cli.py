@@ -335,3 +335,128 @@ def test_cli_import_does_not_load_scipy():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _bad(cfg: dict, **change) -> dict:
+    """`cfg` with the top-level keys of `change` replaced; a dict value replaces a section's keys."""
+    out = dict(cfg)
+    for key, value in change.items():
+        out[key] = dict(cfg[key], **value) if isinstance(value, dict) and key in cfg else value
+    return out
+
+
+CASE2_LIMIT = {"family": "case2_limit", "mu": 1.0, "B": 0.6, "geometry": {"beta1": 2.0, "beta3": -1.0, "beta4": -3.0}}
+VY = {"family": "vy", "mu": 1.0, "geometry": {"vyA": 2.0, "vyB": 1.0}}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, flags, key",
+    [
+        # each of these used to end in a traceback
+        ("simulate", _bad(CASE1, integrator={"t_end": "abc"}), [], '"t_end"'),
+        ("metric-check", _bad(CASE1, grid={"n": "abc"}), [], "metric-check grid n"),
+        ("verify", _bad(CASE1, grid={"n": "abc"}), [], "verify grid n"),
+        ("simulate", _bad(CASE1, mu="x"), [], '"mu"'),
+        ("simulate", _bad(CASE1, geometry={"alpha": [1, 2, 3]}), [], '"alpha"'),
+        ("simulate", _bad(CASE1, geometry={"alpha": [3, 2]}), [], '"alpha"'),
+        ("roots", _bad(CASE2, geometry={"roots": [3, 2, -1, -4], "a3": 1}), [], '"a3"'),
+        ("simulate", _bad(CASE2, geometry={"roots": [3, 2, -1, -4], "a3": 1}), [], '"a3"'),
+        ("roots", _bad(CASE2, geometry={"roots": [3, -1, -2]}), [], '"roots"'),
+        ("simulate", _bad(CASE2_LIMIT, geometry={"beta3": -3.0, "beta4": -1.0}), [], '"beta3"'),
+        ("simulate", _bad(VY, geometry={"vyA": 1, "vyB": 2}), [], '"vyA"'),
+        ("metric-check", _bad(CASE1, grid=[1]), [], '"grid"'),
+        ("simulate", _bad(CASE1, integrator={"seed": -1}), [], '"seed"'),
+        ("simulate", CASE1, ["--seed", "-1"], '"seed"'),
+        ("elliptic-table", CASE2, ["--samples", "-3"], "--samples"),
+        # and these used to run another system than the one asked for
+        ("metric-check", _bad(CASE1, grid={"n": 16.9}), [], "metric-check grid n"),
+        ("flux", _bad(CASE1, grid={"n": 64.5}), [], "flux grid n"),
+        ("simulate", _bad(CASE1, integrator={"stride": 2.7}), [], '"stride"'),
+        ("simulate", _bad(CASE1, geometry={"alpha": "321"}), [], '"alpha"'),
+        ("simulate", _bad(CASE1, mu=True), [], '"mu"'),
+        ("simulate", _bad(CASE1, n_trajectories="2"), [], '"n_trajectories"'),
+        # non-finite JSON numbers, sections and thresholds
+        ("simulate", _bad(CASE1, B=float("nan")), [], '"B"'),
+        ("simulate", _bad(CASE1, integrator={"tol": "1e400"}), [], '"tol"'),
+        ("simulate", _bad(CASE1, integrator=5), [], '"integrator"'),
+        ("simulate", _bad(CASE1, family=1), [], '"family"'),
+        ("verify", CASE1, ["--stencil", "3"], "verify stencil"),
+        ("verify", CASE1, ["--tol", "nan"], "--tol"),
+        ("metric-check", CASE1, ["--tol=-1"], "--tol"),
+        ("flux", CASE1, ["--tol", "inf"], "--tol"),
+        ("simulate", CASE1, ["--max-drift", "nan"], "--max-drift"),
+    ],
+)
+def test_bad_outside_input_is_one_config_error_line(tmp_path, capsys, command, cfg, flags, key):
+    path = tmp_path / "cfg.json"
+    # a JSON number beyond the float range, which json.dumps cannot write itself
+    path.write_text(json.dumps(cfg).replace('"1e400"', "1e400"))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and key in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("content", [b"[1, 2]", b"5", b"null", b"\xff\xfe", None, b"{", "missing"])
+def test_config_file_that_is_not_an_object_is_config_error(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    if content is None:
+        path.mkdir()
+    elif content != "missing":
+        path.write_bytes(content)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--seed", "1"],
+        ["roots", "--tol", "1"],
+        ["elliptic-table", "--seed", "1"],
+        ["elliptic-table", "--tol", "1"],
+        ["metric-check", "--seed", "1"],
+        ["verify", "--seed", "1"],
+        ["flux", "--seed", "1"],
+    ],
+)
+def test_flags_nothing_reads_are_rejected(argv):
+    from monopole_lab.cli import _parser
+
+    with pytest.raises(SystemExit) as exc:
+        _parser().parse_args(argv + ["--config", "c.json"])
+    assert exc.value.code == 2
+
+
+def test_benchmark_argv_still_parses():
+    # the argument forms that bench/workloads.py passes to main()
+    from monopole_lab.cli import _parser
+
+    base = ["--config", "c.json", "--out", "o"]
+    for argv in (
+        ["simulate", *base, "--seed", "3", "--max-drift", "1e-06"],
+        ["verify", *base, "--grid", "24", "--stencil", "4", "--tol", "1e-05"],
+        ["flux", *base, "--grid", "128", "--require-integer"],
+        ["elliptic-table", *base, "--branch", "q2", "--samples", "300"],
+        ["metric-check", *base],
+    ):
+        assert _parser().parse_args(argv).fn.__name__ == "cmd_" + argv[0].replace("-", "_")
+
+
+@pytest.mark.parametrize(
+    "command, cfg, section, key, csv",
+    [
+        ("metric-check", dict(CASE1, grid={"n": 32}), "grid", "n", "metric_check.csv"),
+        ("simulate", dict(CASE1, integrator=dict(CASE1["integrator"], t_end=0.5)), "integrator", "stride", "simulate.csv"),
+    ],
+)
+def test_integral_float_reads_as_the_int(tmp_path, capsys, command, cfg, section, key, csv):
+    as_float = dict(cfg, **{section: dict(cfg[section], **{key: float(cfg[section][key])})})
+    runs = []
+    for c in (cfg, as_float):
+        out = tmp_path / "out"  # the same path both times, so stdout can match too
+        assert main([command, "--config", _write(tmp_path, c), "--out", str(out)]) == 0
+        runs.append((capsys.readouterr().out, (out / csv).read_bytes()))
+    assert runs[0] == runs[1]
