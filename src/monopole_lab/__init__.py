@@ -68,13 +68,11 @@ from .dynamics import (
     PhaseState,
     Trajectory,
     clebsch_eval,
-    e3_flow_step,
     f_eval,
     flow_step,
     h_eval,
     integrate,
     lie_poisson_bracket,
-    limit_system_step,
     poisson_bracket_fd,
     random_state,
     torus_eval,

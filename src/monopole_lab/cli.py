@@ -151,8 +151,17 @@ def _load_config(path: str) -> dict:
     return _read({path: value}, path, dict)  # the config itself is an object too
 
 
+def _out_dir(args) -> Path:
+    """The --out directory, made if it is absent; one that cannot be made is a ConfigError."""
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a regular file, or a path under one
+        raise ConfigError(f"--out = {json.dumps(args.out)}: cannot be a directory: {exc.strerror}") from exc
+    return out
+
+
 def _write_csv(path: Path, header: str, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -187,12 +196,12 @@ def cmd_elliptic_table(args) -> int:
     samples = _read(vars(args), "samples", int, ok=lambda n: n >= 1, need="at least 1", label="--samples")
     if spec.family != Family.CASE_II:
         raise ConfigError("elliptic-table needs a case2 config")
+    out = _out_dir(args) / "elliptic_table.csv"
     model = spec.model
     branch = model.branch1 if args.branch == "q1" else model.branch2
     period = 2.0 * branch.K
     u = np.linspace(0.0, period, samples)
     rows = zip(u, branch.value(u), branch.deriv(u))
-    out = Path(args.out) / "elliptic_table.csv"
     _write_csv(out, "u,Q,dQ", rows)
     print(f"wrote {samples} samples of {args.branch} over one period to {out}")
     print(f"K1 = {model.K1:.15g}  K2 = {model.K2:.15g}")
@@ -217,6 +226,7 @@ def cmd_metric_check(args) -> int:
         K1, K2 = conf.K1, conf.K2
     else:
         raise ConfigError("metric-check supports case1 and case2")
+    out = _out_dir(args) / "metric_check.csv"
     u1 = np.linspace(0.15, 0.85, n) * K1
     u2 = np.linspace(0.15, 0.85, n) * K2
     # the whole grid at once: rows run over u2 inside u1, as the flattened (u1, u2) mesh
@@ -226,7 +236,6 @@ def cmd_metric_check(args) -> int:
     kn = geo.curvature_numeric(lam_fn, (a, b), h=1e-3)
     worst = float(np.max(np.abs(kc - kn)))
     rows = zip(np.repeat(u1, n), np.tile(u2, n), lam.ravel(), kc.ravel(), kn.ravel())
-    out = Path(args.out) / "metric_check.csv"
     _write_csv(out, "u1,u2,lambda,K_closed,K_numeric", rows)
     print(f"wrote {n * n} samples to {out}")
     print(f"max |K_closed - K_numeric| = {worst:.3e}")
@@ -237,16 +246,12 @@ def _simulate_one(spec: SystemSpec, t_end: float, tol: float, stride: int, seed:
     rng = np.random.default_rng(seed)
     s0 = dyn.random_state(spec, rng)
     traj = dyn.integrate(spec, s0, t_end=t_end, tol=tol, stride=stride)
-    if spec.family in (Family.CASE_I, Family.VY):
-        header = "t,M1,M2,M3,x1,x2,x3,H,F,C1,C2"
-        mon = np.column_stack(
-            [traj.monitors["H"], traj.monitors["F"], traj.monitors["C1"], traj.monitors["C2"]]
-        )
-    else:
-        header = "t,u1,u2,p1,p2,H,F"
-        mon = np.column_stack([traj.monitors["H"], traj.monitors["F"]])
-    rows = np.column_stack([traj.times, traj.states, mon])
-    _write_csv(path, header, rows)
+    # the state's fields in order, a vector field numbered from 1 (M1, M2, M3)
+    columns = ["t"]
+    for name, value in vars(s0).items():
+        columns += [name] if np.ndim(value) == 0 else [f"{name}{i}" for i in range(1, len(value) + 1)]
+    rows = np.column_stack([traj.times, traj.states, *traj.monitors.values()])
+    _write_csv(path, ",".join(columns + list(traj.monitors)), rows)
     drifts = {}
     for key, series in traj.monitors.items():
         scale = max(1.0, abs(float(series[0])))
@@ -265,9 +270,10 @@ def cmd_simulate(args) -> int:
     n_traj = _read(cfg, "n_trajectories", int, 1, ok=lambda n: n >= 1, need="at least 1")
     max_drift = _threshold(args, "max_drift", "--max-drift")
     names = [f"simulate_{i:03d}.csv" for i in range(n_traj)] if n_traj > 1 else ["simulate.csv"]
+    out = _out_dir(args)
     worst = 0.0
     for sd, name in enumerate(names, start=seed):
-        path = Path(args.out) / name
+        path = out / name
         drifts = _simulate_one(spec, t_end, tol, stride, sd, path)
         line = "  ".join(f"{k} drift {v:.3e}" for k, v in drifts.items())
         print(f"{path.name} (seed {sd}): {line}")

@@ -23,6 +23,11 @@ dx/dt = {x, H} under {M_i, M_j} = eps_ijk M_k, {M_i, x_j} = eps_ijk x_k,
 {x_i, x_j} = 0, with a per-step projection restoring the Casimirs |x|^2 = 1
 and (M, x) = nu exactly.
 
+One stepper, flow_step, steps every family: it packs the state into the
+family's integration variables, takes one core step on the family's
+right-hand side (_torus_rhs, _limit_rhs, _e3_rhs) and unpacks (_torus_state,
+_phase_state, and the Casimir projection _project_e3).
+
 The integrator is an embedded Dormand-Prince 5(4) pair with standard PI-free
 step control; drift bounds are enforced through the local tolerance, and a
 step that cannot meet it above the smallest step size raises StepRejected.
@@ -64,10 +69,8 @@ __all__ = [
     "vy_eval",
     "lie_poisson_bracket",
     "e3_gradient",
-    "e3_flow_step",
     "limit_h_eval",
     "limit_gauge_a1",
-    "limit_system_step",
     "integrate",
     "random_state",
 ]
@@ -195,6 +198,13 @@ def _torus_rhs(spec: SystemSpec):
     return rhs
 
 
+def _torus_state(spec: SystemSpec, y: tuple, _nu) -> PhaseState:
+    """The state of the torus variables y = (u1, u2, w1, w2): p = w + A(u)."""
+    u1, u2, w1, w2 = y
+    a1, a2 = gauge_a(spec, (u1, u2))
+    return PhaseState(u1=u1, u2=u2, p1=w1 + a1, p2=w2 + a2)
+
+
 # ---------------------------------------------------------------------------
 # embedded Dormand-Prince 5(4)
 # ---------------------------------------------------------------------------
@@ -298,20 +308,6 @@ def _adaptive_step(rhs, y: tuple, dt: float, tol: float):
             factor = 0.9 * (norm + 1e-300) ** -0.2
             return y5, dt, dt * min(5.0, max(0.2, factor))
         dt *= max(0.2, 0.9 * norm**-0.2)
-
-
-def flow_step(spec: SystemSpec, s: PhaseState, dt: float, tol: float = 1e-10) -> StepResult:
-    """One accepted adaptive step of the torus flow (gauge-invariant form)."""
-    if spec.family != Family.CASE_II:
-        raise ValueError("flow_step drives CASE_II; use e3_flow_step or limit_system_step")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    a1, a2 = gauge_a(spec, (s.u1, s.u2))
-    y = (s.u1, s.u2, s.p1 - a1, s.p2 - a2)
-    (u1, u2, w1, w2), taken, dt_next = _adaptive_step(_torus_rhs(spec), y, dt, tol)
-    a1, a2 = gauge_a(spec, (u1, u2))
-    out = PhaseState(u1=u1, u2=u2, p1=w1 + a1, p2=w2 + a2)
-    return StepResult(state=out, dt_taken=taken, dt_next=dt_next)
 
 
 # ---------------------------------------------------------------------------
@@ -460,29 +456,12 @@ def _e3_rhs(spec: SystemSpec):
     raise ValueError(f"no e(3)* flow for family {spec.family}")
 
 
-def _project_e3(y: np.ndarray, nu: float) -> np.ndarray:
+def _project_e3(_spec: SystemSpec, y: tuple, nu: float) -> E3State:
+    """The state of y projected onto the leaf |x| = 1, (M, x) = nu."""
+    y = np.array(y)
     M, x = y[:3], y[3:]
     x = x / np.linalg.norm(x)
-    M = M + (nu - M @ x) * x
-    return np.concatenate([M, x])
-
-
-def e3_flow_step(
-    spec: SystemSpec, s: E3State, dt: float, tol: float = 1e-10, nu: float | None = None
-) -> StepResult:
-    """One accepted adaptive step of the Lie-Poisson flow with Casimir projection.
-
-    After the step, x is renormalised to the unit sphere and M is shifted along
-    x to restore (M, x) = nu (default: the value carried by the input state).
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    y = tuple(s.as_array().tolist())
-    if nu is None:
-        nu = float(s.M @ s.x)
-    y_new, taken, dt_next = _adaptive_step(_e3_rhs(spec), y, dt, tol)
-    y_new = _project_e3(np.array(y_new), nu)
-    return StepResult(state=E3State(M=y_new[:3], x=y_new[3:]), dt_taken=taken, dt_next=dt_next)
+    return E3State(M=M + (nu - M @ x) * x, x=x)
 
 
 # ---------------------------------------------------------------------------
@@ -547,20 +526,36 @@ def _limit_rhs(spec: SystemSpec):
     return rhs
 
 
-def limit_system_step(spec: SystemSpec, s: PhaseState, dt: float, tol: float = 1e-10) -> StepResult:
-    """One accepted adaptive step of the cylinder flow; p1 never differentiated."""
-    if spec.family != Family.CASE_II_LIMIT:
-        raise ValueError("limit_system_step needs a CASE_II_LIMIT spec")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    y = (s.u1, s.u2, s.p1, s.p2)
-    y_new, taken, dt_next = _adaptive_step(_limit_rhs(spec), y, dt, tol)
-    return StepResult(state=PhaseState(*y_new), dt_taken=taken, dt_next=dt_next)
+def _phase_state(_spec: SystemSpec, y: tuple, _nu) -> PhaseState:
+    return PhaseState(*y)
 
 
 # ---------------------------------------------------------------------------
 # trajectory drivers
 # ---------------------------------------------------------------------------
+
+def flow_step(
+    spec: SystemSpec, s: PhaseState | E3State, dt: float, tol: float = 1e-10, nu: float | None = None
+) -> StepResult:
+    """One accepted adaptive step of the flow of any family.
+
+    The torus integrates the velocities w = p - A(u), the cylinder (u, p) and
+    e(3)* (M, x).  After the step an e(3)* state is projected onto the
+    Casimir leaf |x| = 1, (M, x) = nu (default: the value carried by ``s``).
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if spec.family == Family.CASE_II:
+        a1, a2 = gauge_a(spec, (s.u1, s.u2))
+        y, rhs, unpack = (s.u1, s.u2, s.p1 - a1, s.p2 - a2), _torus_rhs(spec), _torus_state
+    elif spec.family == Family.CASE_II_LIMIT:
+        y, rhs, unpack = (s.u1, s.u2, s.p1, s.p2), _limit_rhs(spec), _phase_state
+    else:
+        y, rhs, unpack = tuple(s.as_array().tolist()), _e3_rhs(spec), _project_e3
+        nu = float(s.M @ s.x) if nu is None else nu
+    y, taken, dt_next = _adaptive_step(rhs, y, dt, tol)
+    return StepResult(state=unpack(spec, y, nu), dt_taken=taken, dt_next=dt_next)
+
 
 def integrate(
     spec: SystemSpec,
@@ -574,13 +569,14 @@ def integrate(
     Stored samples are decimated by ``stride``; e(3)* runs also record the
     Casimirs C1 = |x|^2 and C2 = (M, x).
     """
+    nu = None
     if spec.family == Family.CASE_II:
         def monitors(st):
             H, F = torus_eval(spec, st)
             return {"H": H, "F": F}
-
-        stepper = lambda st, dt: flow_step(spec, st, dt, tol)
-    elif spec.family in (Family.CASE_I, Family.VY):
+    elif spec.family == Family.CASE_II_LIMIT:
+        monitors = lambda st: {"H": limit_h_eval(spec, st), "F": st.p1}
+    else:
         ev = clebsch_eval if spec.family == Family.CASE_I else vy_eval
 
         def monitors(st):
@@ -588,12 +584,6 @@ def integrate(
             return {"H": H, "F": F, "C1": float(st.x @ st.x), "C2": float(st.M @ st.x)}
 
         nu = float(state0.M @ state0.x)
-        stepper = lambda st, dt: e3_flow_step(spec, st, dt, tol, nu=nu)
-    elif spec.family == Family.CASE_II_LIMIT:
-        monitors = lambda st: {"H": limit_h_eval(spec, st), "F": st.p1}
-        stepper = lambda st, dt: limit_system_step(spec, st, dt, tol)
-    else:
-        raise ValueError(f"cannot integrate family {spec.family}")
 
     times = [0.0]
     states = [state0.as_array()]
@@ -605,7 +595,7 @@ def integrate(
     n_accepted = 0
     while t < t_end - 1e-14:
         dt = min(dt, t_end - t)
-        res = stepper(state, dt)
+        res = flow_step(spec, state, dt, tol, nu)
         state = res.state
         t += res.dt_taken
         dt = res.dt_next

@@ -298,7 +298,7 @@ def test_criterion_09_limit_case():
     dt = 1e-2
     exact = True
     for _ in range(2000):
-        res = dyn.limit_system_step(spec, state, dt, tol=1e-9)
+        res = dyn.flow_step(spec, state, dt, tol=1e-9)
         state = res.state
         dt = res.dt_next
         exact = exact and state.p1 == s0.p1

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from monopole_lab.cli import main, spec_from_config
@@ -460,3 +461,55 @@ def test_integral_float_reads_as_the_int(tmp_path, capsys, command, cfg, section
         assert main([command, "--config", _write(tmp_path, c), "--out", str(out)]) == 0
         runs.append((capsys.readouterr().out, (out / csv).read_bytes()))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command, cfg", [("simulate", CASE1), ("metric-check", CASE1), ("elliptic-table", CASE2)])
+def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, capsys, monkeypatch, command, cfg, under):
+    # these three write into --out: a regular file, or a path under one, fails
+    # before anything is computed and leaves the file as it was
+    from monopole_lab import dynamics, geometry
+
+    def computed(*_args, **_kwargs):
+        raise AssertionError("computed before --out was checked")
+
+    monkeypatch.setattr(dynamics, "integrate", computed)
+    monkeypatch.setattr(geometry, "curvature_numeric", computed)
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out = afile / "x" if under else afile
+    assert main([command, "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: --out = ") and captured.err.count("\n") == 1
+    assert afile.read_text() == "kept"
+
+
+@pytest.mark.parametrize(
+    "family, header",
+    [
+        ("case1", "t,M1,M2,M3,x1,x2,x3,H,F,C1,C2"),
+        ("vy", "t,M1,M2,M3,x1,x2,x3,H,F,C1,C2"),
+        ("case2", "t,u1,u2,p1,p2,H,F"),
+        ("case2_limit", "t,u1,u2,p1,p2,H,F"),
+    ],
+)
+def test_simulate_header_per_family(tmp_path, family, header):
+    # the state's fields, then the trajectory's monitors, in order, each
+    # column holding what its name says
+    from monopole_lab import dynamics
+
+    cfg = Path(__file__).resolve().parents[1] / "demos" / "configs" / f"{family}.json"
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--t-end", "0.05"]) == 0
+    assert (out / "simulate.csv").read_text().splitlines()[0] == header
+    conf = json.loads(cfg.read_text())
+    spec, integ = spec_from_config(conf), conf["integrator"]
+    s0 = dynamics.random_state(spec, np.random.default_rng(integ["seed"]))
+    traj = dynamics.integrate(spec, s0, 0.05, tol=integ["tol"], stride=integ["stride"])
+    table = np.loadtxt(out / "simulate.csv", delimiter=",", skiprows=1, ndmin=2)
+    names = header.split(",")
+    assert table[:, 0].tobytes() == traj.times.tobytes()
+    assert table[:, 1 : 1 + traj.states.shape[1]].tobytes() == traj.states.tobytes()
+    for key, series in traj.monitors.items():
+        assert table[:, names.index(key)].tobytes() == series.tobytes()

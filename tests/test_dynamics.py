@@ -118,21 +118,17 @@ def test_full_flow_conservation(case2):
         assert np.max(np.abs(m - m[0])) / max(1.0, abs(m[0])) < 1e-7
 
 
-def test_flow_step_contract(case2, limit_spec, case1):
+def test_flow_step_contract(case2, limit_spec, case1, vy):
     rng = np.random.default_rng(22)
     s = dyn.random_state(case2, rng)
     res = dyn.flow_step(case2, s, dt=0.01, tol=1e-10)
     assert 0 < res.dt_taken <= 0.01
     assert res.dt_next > 0
-    s_lim = dyn.random_state(limit_spec, rng)
-    s_e3 = dyn.random_state(case1, rng)
-    for dt in (-1.0, 0.0):
-        with pytest.raises(ValueError):
-            dyn.flow_step(case2, s, dt=dt)
-        with pytest.raises(ValueError):
-            dyn.limit_system_step(limit_spec, s_lim, dt=dt)
-        with pytest.raises(ValueError):
-            dyn.e3_flow_step(case1, s_e3, dt=dt)
+    for spec in (case2, case1, vy, limit_spec):
+        s = dyn.random_state(spec, rng)
+        for dt in (-1.0, 0.0):
+            with pytest.raises(ValueError):
+                dyn.flow_step(spec, s, dt=dt)
 
 
 def test_flow_step_rejects_at_fixed_point(case2):
@@ -368,7 +364,7 @@ def test_limit_flow_p1_exact_and_h_conserved(limit_spec):
     state = s
     dt = 1e-2
     for _ in range(10_000):
-        res = dyn.limit_system_step(limit_spec, state, dt, tol=1e-9)
+        res = dyn.flow_step(limit_spec, state, dt, tol=1e-9)
         state = res.state
         dt = res.dt_next
         assert state.p1 == s.p1  # bitwise: the coordinate is cyclic
@@ -700,3 +696,225 @@ def test_limit_slice_matches_separate_formulas(limit_spec, roots):
         _ref_limit_q2_deriv(lm, 1.3),
         _ref_limit_gauge_a1(limit_spec, 1.3),
     )
+
+
+# --- one stepper for every family, against the per-family steppers ---------------
+#
+# The reference is the driver flow_step and integrate replace: one stepper per
+# family (torus, e(3)* with its Casimir projection, cylinder), each packing the
+# state, taking one core step and unpacking, and an integrate that picks one of
+# them per run.  flow_step must give their results byte for byte.
+
+def _ref_flow_step(spec, s, dt, tol=1e-10):
+    if spec.family != Family.CASE_II:
+        raise ValueError("flow_step drives CASE_II; use e3_flow_step or limit_system_step")
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    a1, a2 = gauge_a(spec, (s.u1, s.u2))
+    y = (s.u1, s.u2, s.p1 - a1, s.p2 - a2)
+    (u1, u2, w1, w2), taken, dt_next = dyn._adaptive_step(dyn._torus_rhs(spec), y, dt, tol)
+    a1, a2 = gauge_a(spec, (u1, u2))
+    out = dyn.PhaseState(u1=u1, u2=u2, p1=w1 + a1, p2=w2 + a2)
+    return dyn.StepResult(state=out, dt_taken=taken, dt_next=dt_next)
+
+
+def _ref_project_e3(y, nu):
+    M, x = y[:3], y[3:]
+    x = x / np.linalg.norm(x)
+    M = M + (nu - M @ x) * x
+    return np.concatenate([M, x])
+
+
+def _ref_e3_flow_step(spec, s, dt, tol=1e-10, nu=None):
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    y = tuple(s.as_array().tolist())
+    if nu is None:
+        nu = float(s.M @ s.x)
+    y_new, taken, dt_next = dyn._adaptive_step(dyn._e3_rhs(spec), y, dt, tol)
+    y_new = _ref_project_e3(np.array(y_new), nu)
+    return dyn.StepResult(state=dyn.E3State(M=y_new[:3], x=y_new[3:]), dt_taken=taken, dt_next=dt_next)
+
+
+def _ref_limit_system_step(spec, s, dt, tol=1e-10):
+    if spec.family != Family.CASE_II_LIMIT:
+        raise ValueError("limit_system_step needs a CASE_II_LIMIT spec")
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    y = (s.u1, s.u2, s.p1, s.p2)
+    y_new, taken, dt_next = dyn._adaptive_step(dyn._limit_rhs(spec), y, dt, tol)
+    return dyn.StepResult(state=dyn.PhaseState(*y_new), dt_taken=taken, dt_next=dt_next)
+
+
+def _ref_step(spec, s, dt, tol, nu=None):
+    if spec.family == Family.CASE_II:
+        return _ref_flow_step(spec, s, dt, tol)
+    if spec.family == Family.CASE_II_LIMIT:
+        return _ref_limit_system_step(spec, s, dt, tol)
+    return _ref_e3_flow_step(spec, s, dt, tol, nu=nu)
+
+
+def _ref_integrate(spec, state0, t_end, tol=1e-10, stride=1):
+    if spec.family == Family.CASE_II:
+        def monitors(st):
+            H, F = dyn.torus_eval(spec, st)
+            return {"H": H, "F": F}
+
+        stepper = lambda st, dt: _ref_flow_step(spec, st, dt, tol)
+    elif spec.family in (Family.CASE_I, Family.VY):
+        ev = dyn.clebsch_eval if spec.family == Family.CASE_I else dyn.vy_eval
+
+        def monitors(st):
+            H, F = ev(spec, st)
+            return {"H": H, "F": F, "C1": float(st.x @ st.x), "C2": float(st.M @ st.x)}
+
+        nu = float(state0.M @ state0.x)
+        stepper = lambda st, dt: _ref_e3_flow_step(spec, st, dt, tol, nu=nu)
+    else:
+        monitors = lambda st: {"H": dyn.limit_h_eval(spec, st), "F": st.p1}
+        stepper = lambda st, dt: _ref_limit_system_step(spec, st, dt, tol)
+
+    times = [0.0]
+    states = [state0.as_array()]
+    mon = {k: [v] for k, v in monitors(state0).items()}
+    extremes = {k: (v[0], v[0]) for k, v in mon.items()}
+    t = 0.0
+    dt = 1e-3
+    state = state0
+    n_accepted = 0
+    while t < t_end - 1e-14:
+        dt = min(dt, t_end - t)
+        res = stepper(state, dt)
+        state = res.state
+        t += res.dt_taken
+        dt = res.dt_next
+        n_accepted += 1
+        vals = monitors(state)
+        for k, v in vals.items():
+            lo, hi = extremes[k]
+            extremes[k] = (min(lo, v), max(hi, v))
+        if n_accepted % stride == 0 or t >= t_end - 1e-14:
+            times.append(t)
+            states.append(state.as_array())
+            for k, v in vals.items():
+                mon[k].append(v)
+    return dyn.Trajectory(
+        times=np.array(times),
+        states=np.array(states),
+        monitors={k: np.array(v) for k, v in mon.items()},
+        monitor_extremes=extremes,
+    )
+
+
+def _step_key(res):
+    return type(res.state).__name__, res.state.as_array().tobytes(), res.dt_taken, res.dt_next
+
+
+def _step_outcome(step, *args):
+    try:
+        return _step_key(step(*args))
+    except (StepRejected, CenterSingularity) as exc:
+        return type(exc).__name__
+
+
+FAMILIES = ["case2", "case1", "vy", "limit_spec"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_flow_step_matches_per_family_steppers(family, request):
+    spec = request.getfixturevalue(family)
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        s = dyn.random_state(spec, rng)
+        for dt in (1e-3, 0.1, 1.0):
+            for tol in (1e-10, 1e-6):
+                want = _step_outcome(_ref_step, spec, s, dt, tol)
+                assert _step_outcome(dyn.flow_step, spec, s, dt, tol) == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_integrate_matches_reference_driver(family, seed, request):
+    spec = request.getfixturevalue(family)
+    s0 = dyn.random_state(spec, np.random.default_rng(seed))
+    want = _ref_integrate(spec, s0, 2.0, tol=1e-9, stride=3)
+    got = dyn.integrate(spec, s0, 2.0, tol=1e-9, stride=3)
+    assert len(got.times) > 5
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.states.tobytes() == want.states.tobytes()
+    assert list(got.monitors) == list(want.monitors)
+    for key, series in want.monitors.items():
+        assert got.monitors[key].tobytes() == series.tobytes()
+    assert got.monitor_extremes == want.monitor_extremes
+
+
+@pytest.mark.parametrize("family", ["case1", "vy"])
+def test_e3_flow_step_on_a_pinned_leaf(family, request):
+    # integrate's e(3)* steps: every one returns to the leaf (M, x) of state0
+    spec = request.getfixturevalue(family)
+    s0 = dyn.random_state(spec, np.random.default_rng(42))
+    nu = float(s0.M @ s0.x)
+    got = want = s0
+    dt_got = dt_want = 0.05
+    for _ in range(120):
+        res = dyn.flow_step(spec, got, dt_got, 1e-10, nu=nu)
+        ref = _ref_e3_flow_step(spec, want, dt_want, 1e-10, nu=nu)
+        assert _step_key(res) == _step_key(ref)
+        got, dt_got, want, dt_want = res.state, res.dt_next, ref.state, ref.dt_next
+    assert abs(float(got.M @ got.x) - nu) < 1e-14
+
+
+def test_flow_step_shrinks_past_a_fixed_point(case2, monkeypatch):
+    # on the turning line u1 = 0, a step aimed so that its second stage lands
+    # on u2 = 0, the fixed point Q1 = Q2 = beta2 where lam = 0
+    hits = []
+    torus_rhs = dyn._torus_rhs
+
+    def counted(spec):
+        rhs = torus_rhs(spec)
+
+        def wrapped(y):
+            try:
+                return rhs(y)
+            except FixedPointSingularity:
+                hits.append(y)
+                raise
+
+        return wrapped
+
+    monkeypatch.setattr(dyn, "_torus_rhs", counted)
+    u2, w2 = 0.1, -1.0
+    dt = -u2 / (dyn._A21 * torus_rhs(case2)((0.0, u2, 0.0, w2))[1])
+    a1, a2 = gauge_a(case2, (0.0, u2))
+    s = dyn.PhaseState(u1=0.0, u2=u2, p1=a1, p2=w2 + a2)
+    want = _step_outcome(_ref_flow_step, case2, s, dt, 1e-10)
+    assert len(hits) == 1 and hits[0][:2] == (0.0, 0.0)
+    assert _step_outcome(dyn.flow_step, case2, s, dt, 1e-10) == want
+    assert len(hits) == 2 and want[2] < dt
+
+
+def test_flow_step_retries_non_finite_cylinder_stages(limit_spec, monkeypatch):
+    # fast enough that large steps carry u2 out onto the plateau, where
+    # lam2 = 0 and the right-hand side is non-finite
+    bad = []
+    limit_rhs = dyn._limit_rhs
+
+    def counted(spec):
+        rhs = limit_rhs(spec)
+
+        def wrapped(y):
+            out = rhs(y)
+            if not all(map(math.isfinite, out)):
+                bad.append(y)
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(dyn, "_limit_rhs", counted)
+    s = dyn.PhaseState(u1=0.0, u2=limit_spec.limit.delta + 10.0, p1=0.3, p2=0.5)
+    want = _step_outcome(_ref_limit_system_step, limit_spec, s, 0.5, 1e-9)
+    n_bad = len(bad)
+    assert want[0] == "PhaseState"
+    assert any(limit_q2(limit_spec.limit, y[1]) == limit_spec.limit.beta1 for y in bad)
+    assert _step_outcome(dyn.flow_step, limit_spec, s, 0.5, 1e-9) == want
+    assert len(bad) == 2 * n_bad
