@@ -26,10 +26,14 @@ from the same FFT and chop applied to x at equispaced u (theta found by
 Newton on u(theta)).  Evaluating x and the differentiated series dx/du is one
 Horner pass in z = exp(i phi), written in real arithmetic on
 (cos phi, sin phi), with phi from |u| mod 2K: valid for every real u, exactly
-even, and exact at the turning points themselves.  Antiderivatives
-d0 u + sum_n b_n sin(n phi) take the same pass.  A 0-d argument is evaluated
-in Python floats, an array in numpy, by the same operations in the same
-order, so a point's value never depends on the batch it is evaluated in.
+even, and exact at the turning points themselves; x and dx/du share one loop
+that carries both accumulators.  Antiderivatives d0 u + sum_n b_n sin(n phi)
+take the same pass.  A 0-d argument is evaluated in Python floats, an array
+in numpy, by the same operations in the same order, so a point's value never
+depends on the batch it is evaluated in.  Each evaluator keeps the result at
+the last Python float u it was given, keyed on that exact float, and returns
+those same floats when called with it again (a flow evaluates each slice
+point several times); arrays and 0-d numpy values neither read nor write it.
 """
 
 from __future__ import annotations
@@ -113,6 +117,15 @@ def _horner(c, s, coeffs: list):
     return pr * c - pi * s, pr * s + pi * c
 
 
+def _horner_fused(c, s, a: list, b: list):
+    """(Re of the a-sum, Im of the b-sum) of _horner, both from one loop that
+    makes each sum's multiply-adds in _horner's order."""
+    pr = pi = qr = qi = 0.0
+    for an, bn in zip(a, b):
+        pr, pi, qr, qi = pr * c - pi * s + an, pr * s + pi * c, qr * c - qi * s + bn, qr * s + qi * c
+    return pr * c - pi * s, qr * s + qi * c
+
+
 class QuarterBranch:
     """Monotone quarter branch of the inversion, plus its even-periodic extension."""
 
@@ -145,6 +158,8 @@ class QuarterBranch:
         self._a = coeffs[:0:-1].tolist()
         self._na = (n * coeffs[1:])[::-1].tolist()
         self.n_terms = len(coeffs)
+        # (u, x, dx/du or None) at the last Python float u; see _eval
+        self._last = (math.nan, None, None)
 
     # -- spectral primitives ----------------------------------------------
 
@@ -191,15 +206,29 @@ class QuarterBranch:
 
         One pass of the u-series at |u| mod 2K (exact evenness); dx/du is the
         differentiated series, odd in u.  Where |u| mod 2K is exactly 0 or K
-        the turning point and a zero derivative are returned.
+        the turning point and a zero derivative are returned.  A Python float
+        u equal to the last one returns the stored result; the slot is
+        replaced whole, so a reader on another thread sees a consistent one.
         """
+        memo = type(u) is float
+        if memo:
+            last_u, x, d = self._last
+            if last_u == u and (d is not None or not with_deriv):
+                return x, d
         u, r, c, s = _phase(u, self.K)
-        x = self._a0 + _horner(c, s, self._a)[0]
-        d = -(math.pi / self.K) * _horner(c, s, self._na)[1] if with_deriv else None
+        if with_deriv:
+            x, d = _horner_fused(c, s, self._a, self._na)
+            x, d = self._a0 + x, -(math.pi / self.K) * d
+        else:
+            x, d = self._a0 + _horner(c, s, self._a)[0], None
         if isinstance(u, float):
             if r == 0.0 or r == self.K:
-                return (self.x_start if r == 0.0 else self.x_end), (0.0 if with_deriv else None)
-            return x, (-d if with_deriv and u < 0.0 else d)
+                x, d = (self.x_start if r == 0.0 else self.x_end), (0.0 if with_deriv else None)
+            elif with_deriv and u < 0.0:
+                d = -d
+            if memo:
+                self._last = (u, x, d)
+            return x, d
         turn = (r == 0.0) | (r == self.K)
         x = np.where(turn, np.where(r == 0.0, self.x_start, self.x_end), x)
         if with_deriv:
@@ -215,7 +244,7 @@ class QuarterBranch:
         return self._eval(u, True)[1]
 
     def value_and_deriv(self, u):
-        """(x, dx/du) from one Horner pass."""
+        """(x, dx/du) from one fused Horner pass."""
         return self._eval(u, True)
 
     def invert(self, x, tol: float = 1e-12):
@@ -246,10 +275,19 @@ class CumulativeIntegral:
         n = np.arange(1, len(coeffs), dtype=float)
         self._b = (coeffs[1:] * (self._K / math.pi) / n)[::-1].tolist()
         self.quarter = self._d0 * self._K  # integral over [0, K]
+        self._last = (math.nan, None)  # (u, I(u)) at the last Python float u
 
     def __call__(self, u):
+        memo = type(u) is float
+        if memo:
+            last_u, out = self._last
+            if last_u == u:
+                return out
         u, _, c, s = _phase(u, self._K)
         out = self._d0 * abs(u) + _horner(c, s, self._b)[1]
         if isinstance(u, float):
-            return -out if u < 0.0 else out
+            out = -out if u < 0.0 else out
+            if memo:
+                self._last = (u, out)
+            return out
         return np.where(u < 0.0, -out, out)

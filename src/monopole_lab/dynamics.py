@@ -422,6 +422,7 @@ def _cross(a, b) -> tuple:
 
 
 def _e3_rhs(spec: SystemSpec):
+    """The e(3)* right-hand side of a CASE_I or VY spec."""
     if spec.family == Family.CASE_I:
         alpha = spec.alpha
         m2mu = -2.0 * spec.mu
@@ -432,28 +433,27 @@ def _e3_rhs(spec: SystemSpec):
             return (*[m2mu * v for v in _cross(ax, x)], *[2.0 * v for v in _cross(M, x)])
 
         return rhs
-    if spec.family == Family.VY:
-        va, vb, mu = spec.vy_a, spec.vy_b, spec.mu
-        two_sab = 2.0 * math.sqrt(va * vb)
-        diag = (2.0 * vb, 2.0 * va, 2.0 * (va + vb))
-        e_z = (0.0, 0.0, 1.0)
+    # Family.VY
+    va, vb, mu = spec.vy_a, spec.vy_b, spec.mu
+    two_sab = 2.0 * math.sqrt(va * vb)
+    diag = (2.0 * vb, 2.0 * va, 2.0 * (va + vb))
+    e_z = (0.0, 0.0, 1.0)
 
-        def rhs(y: tuple) -> tuple:
-            M, q = y[:3], y[3:]
-            qn = float(np.linalg.norm(q))
-            R = _vy_r(spec, q)
-            if R < 1e-12 * max(1.0, qn**2):
-                raise CenterSingularity(f"orbit reached a Coulomb center: R = {R:.3e}")
-            q2 = q[2]
-            # grad R = diag q - 2 sqrt(AB) (q3 q/|q| + |q| e_z)
-            gradR = [d * qi - two_sab * (q2 * qi / qn + qn * ez) for d, qi, ez in zip(diag, q, e_z)]
-            sqR = math.sqrt(R)
-            c = 0.5 * mu * qn * R**-1.5
-            gradH = [-mu * (qi / qn) / sqR + c * gi for qi, gi in zip(q, gradR)]
-            return (*_cross(gradH, q), *_cross(M, q))
+    def rhs(y: tuple) -> tuple:
+        M, q = y[:3], y[3:]
+        qn = float(np.linalg.norm(q))
+        R = _vy_r(spec, q)
+        if R < 1e-12 * max(1.0, qn**2):
+            raise CenterSingularity(f"orbit reached a Coulomb center: R = {R:.3e}")
+        q2 = q[2]
+        # grad R = diag q - 2 sqrt(AB) (q3 q/|q| + |q| e_z)
+        gradR = [d * qi - two_sab * (q2 * qi / qn + qn * ez) for d, qi, ez in zip(diag, q, e_z)]
+        sqR = math.sqrt(R)
+        c = 0.5 * mu * qn * R**-1.5
+        gradH = [-mu * (qi / qn) / sqR + c * gi for qi, gi in zip(q, gradR)]
+        return (*_cross(gradH, q), *_cross(M, q))
 
-        return rhs
-    raise ValueError(f"no e(3)* flow for family {spec.family}")
+    return rhs
 
 
 def _project_e3(_spec: SystemSpec, y: tuple, nu: float) -> E3State:
@@ -634,11 +634,10 @@ def random_state(spec: SystemSpec, rng: np.random.Generator):
             # leaf value nu doubles as the magnetic density for sphere runs
             M = M + (spec.B - M @ x) * x
         return E3State(M=M, x=x)
-    if spec.family == Family.CASE_II_LIMIT:
-        return PhaseState(
-            u1=float(rng.uniform(0.0, 2.0 * math.pi)),
-            u2=float(spec.limit.delta + rng.uniform(-2.0, 2.0)),
-            p1=float(rng.normal(0.0, 1.0)),
-            p2=float(rng.normal(0.0, 1.0)),
-        )
-    raise ValueError(f"no random state for family {spec.family}")
+    # Family.CASE_II_LIMIT
+    return PhaseState(
+        u1=float(rng.uniform(0.0, 2.0 * math.pi)),
+        u2=float(spec.limit.delta + rng.uniform(-2.0, 2.0)),
+        p1=float(rng.normal(0.0, 1.0)),
+        p2=float(rng.normal(0.0, 1.0)),
+    )

@@ -61,6 +61,9 @@ class SystemSpec:
     vy_b: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.family, Family):
+            names = ", ".join(f.value for f in Family)
+            raise ValueError(f"family must be a Family ({names}), got {self.family!r}")
         if self.family == Family.CASE_I:
             if self.alpha is None or len(self.alpha) != 3:
                 raise ValueError("CASE_I needs three elliptic-coordinate constants")

@@ -147,10 +147,20 @@ def discriminant(params: QuarticParams) -> float:
     )
 
 
-def _newton_polish(params: QuarticParams, x: float, sweeps: int = 3) -> float:
+def _horner(coeffs: list, x: float) -> float:
+    """np.polyval(coeffs, x) for a float x, with np.polyval's operations."""
+    y = 0.0
+    for a in coeffs:
+        y = y * x + a
+    return y
+
+
+def _newton_polish(coeffs: list, dcoeffs: list, x: float, sweeps: int = 3) -> float:
+    """Newton on the polynomial with descending ``coeffs`` (derivative
+    ``dcoeffs``), in Python floats."""
     for _ in range(sweeps):
-        p = eval_p(params, x)
-        dp = eval_p_deriv(params, x)
+        p = _horner(coeffs, x)
+        dp = _horner(dcoeffs, x)
         if dp == 0.0:
             break
         step = p / dp
@@ -183,13 +193,15 @@ def real_roots(params: QuarticParams) -> RootQuadruple:
         raise FewerThanFourRealRoots(
             f"found {len(reals)} real roots (discriminant {disc:.3e})"
         )
-    polished = sorted((_newton_polish(params, r) for r in reals), reverse=True)
+    coeffs = [float(a) for a in params.coefficients()]
+    # np.polyder's coefficients: a_k times its power
+    dcoeffs = [a * k for a, k in zip(coeffs, (4.0, 3.0, 2.0, 1.0))]
+    polished = sorted((_newton_polish(coeffs, dcoeffs, r) for r in reals), reverse=True)
     for r in polished:
         res_scale = 1e-10 * scale * max(1.0, abs(r)) ** 4
-        if abs(eval_p(params, r)) > res_scale:
-            raise FewerThanFourRealRoots(
-                f"root {r!r} failed to polish: |P| = {abs(eval_p(params, r)):.3e}"
-            )
+        residual = abs(_horner(coeffs, r))
+        if residual > res_scale:
+            raise FewerThanFourRealRoots(f"root {r!r} failed to polish: |P| = {residual:.3e}")
     return RootQuadruple(beta=tuple(polished))
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from monopole_lab import _inversion
 from monopole_lab import dynamics as dyn
 from monopole_lab import geometry as geo
 from monopole_lab.elliptic import limit_q2
@@ -918,3 +919,33 @@ def test_flow_step_retries_non_finite_cylinder_stages(limit_spec, monkeypatch):
     assert any(limit_q2(limit_spec.limit, y[1]) == limit_spec.limit.beta1 for y in bad)
     assert _step_outcome(dyn.flow_step, limit_spec, s, 0.5, 1e-9) == want
     assert len(bad) == 2 * n_bad
+
+
+def test_torus_step_sums_each_slice_point_once(canonical_params, monkeypatch):
+    # an attempt evaluates both slices at its six new stages, one fused
+    # value/derivative pass each; k1, the gauge, the monitors and the next
+    # step's k1 all reuse the last stage's point, so an accepted step adds one
+    # single pass (the gauge antiderivative at the new u1).  The constant 2
+    # is both slices' fused pass for the monitors at state0, which no stage
+    # has evaluated.
+    spec = case2_spec(canonical_params, mu=1.0, B=0.5)
+    s0 = dyn.random_state(spec, np.random.default_rng(8))  # 98 steps, 3 rejected attempts
+    count = dict.fromkeys(["_horner", "_horner_fused", "_dp_attempt"], 0)
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            count[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(_inversion, "_horner")
+    counting(_inversion, "_horner_fused")
+    counting(dyn, "_dp_attempt")
+    traj = dyn.integrate(spec, s0, t_end=2.0, tol=1e-10)
+    steps = len(traj.times) - 1
+    assert steps > 30 and count["_dp_attempt"] > steps
+    assert count["_horner_fused"] <= 12 * count["_dp_attempt"] + 2
+    assert count["_horner"] <= steps

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ellipk
 
-from monopole_lab._inversion import _cosine_coeffs
+from monopole_lab._inversion import _cosine_coeffs, _horner, _horner_fused, _phase
 from monopole_lab.elliptic import (
     LimitModel,
     build_model,
@@ -145,6 +145,65 @@ def test_value_and_deriv_agree_bitwise(roots):
         # the antiderivative is odd and adds 2 * quarter per period
         assert cum(-1.3 * K) == -cum(1.3 * K)
         assert cum(2.0 * K) == pytest.approx(2.0 * cum.quarter, rel=1e-14)
+
+
+def test_fused_pass_is_two_single_passes():
+    # the fused value/derivative loop makes each sum's multiply-adds in the
+    # order of its own single pass, for floats and for arrays
+    rng = np.random.default_rng(11)
+    for n in (1, 5, 13, 32, 303):
+        a, b = rng.normal(size=n).tolist(), rng.normal(size=n).tolist()
+        phi = rng.uniform(0.0, 2.0 * np.pi, 64)
+        c, s = np.cos(phi), np.sin(phi)
+        x, d = _horner_fused(c, s, a, b)
+        assert x.tobytes() == _horner(c, s, a)[0].tobytes()
+        assert d.tobytes() == _horner(c, s, b)[1].tobytes()
+        for ci, si in zip(c.tolist(), s.tolist()):
+            assert _horner_fused(ci, si, a, b) == (_horner(ci, si, a)[0], _horner(ci, si, b)[1])
+
+
+def _bits(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("roots", [(3, 2, -1, -4), (3, 2.99, -1, -4.99)])
+def test_memo_is_invisible(roots):
+    # a branch and its antiderivative keep their result at the last Python
+    # float u; interleaved scalar calls (signed zeros, turning points,
+    # negative, repeated and int u, arrays in between) return the floats of
+    # the memo-free 0-d path, and of the array path wherever math and numpy
+    # agree on cos and sin at that phase
+    m = build_model_from_roots(list(roots), -1.0)
+    rng = np.random.default_rng(5)
+    for br in (m.branch1, m.branch2):
+        K = br.K
+        cum = br.cumulative(lambda v: v * v)
+        calls = {"value": br.value, "deriv": br.deriv, "both": br.value_and_deriv, "cum": cum}
+
+        def parts(kind, x, d, i):
+            return {"value": [x], "deriv": [d], "both": [x, d], "cum": [i]}[kind]
+
+        us = [0.3, 0.3, -0.3, 0.3, 0.0, -0.0, 0.0, K, 2.0 * K, 3.0 * K, -K, -3.0 * K, K]
+        us += [1, 1.0, -1, 1, 0.7 * K, -0.7 * K, 0.7 * K]
+        order = [(u, kind) for u in us for kind in calls]
+        order += [order[i] for i in rng.permutation(len(order))]
+        against_array = 0
+        for n, (u, kind) in enumerate(order):
+            if n % 5 == 0:
+                arr = np.array([u, -u, 1.1 * K], dtype=float)
+                br.value_and_deriv(arr), br.value(arr), cum(arr)
+            got = calls[kind](u)
+            got = _bits(got if kind == "both" else [got])
+            x, d = br.value_and_deriv(np.float64(u))
+            assert got == _bits(parts(kind, x, d, cum(np.float64(u)))), (u, kind)
+            ua = np.array([u], dtype=float)
+            _, _, c, s = _phase(float(u), K)
+            _, _, ca, sa = _phase(ua, K)
+            if (c, s) == (ca[0], sa[0]):
+                x, d = br.value_and_deriv(ua)
+                assert got == _bits(parts(kind, x[0], d[0], cum(ua)[0])), (u, kind)
+                against_array += 1
+        assert against_array > len(order) // 2
 
 
 def test_series_primitives_take_scalars(canonical_model):

@@ -6,6 +6,7 @@ import pytest
 from monopole_lab import geometry as geo
 from monopole_lab.errors import DegeneratePoint, NegativeRadicand
 from monopole_lab.fields import (
+    SystemSpec,
     case1_spec,
     case2_spec,
     electric_h,
@@ -22,6 +23,9 @@ def test_spec_validation():
         case1_spec((1.0, 2.0, 3.0))  # wrong order
     with pytest.raises(ValueError):
         vy_spec(1.0, 2.0)  # needs vy_a > vy_b
+    for family in ("bogus", "case2"):  # a Family member, not its string
+        with pytest.raises(ValueError, match="case1, case2, case2_limit, vy"):
+            SystemSpec(family=family)
     spec = case1_spec((3.0, 2.0, 1.0), B=0.5)
     assert spec.k * spec.a3 == -4.0 * spec.B
     assert spec.k == 0.5  # a3 = -4 for the alpha normalisation

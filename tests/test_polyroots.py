@@ -8,9 +8,11 @@ from monopole_lab.errors import (
 )
 from monopole_lab.polyroots import (
     QuarticParams,
+    _horner,
     admissibility,
     discriminant,
     eval_p,
+    eval_p_deriv,
     from_roots,
     real_roots,
 )
@@ -127,3 +129,42 @@ def test_round_trip_and_invariants_random():
         expected = (beta[0] + beta[3] < 0.0) and (beta[1] + beta[2] > 0.0)
         assert rep.root_inequalities == expected
         assert discriminant(params) > 0.0
+
+
+def _ref_newton_polish(params, x, sweeps=3):
+    """The polish in its np.polyval form, the reference for the float one."""
+    for _ in range(sweeps):
+        p = eval_p(params, x)
+        dp = eval_p_deriv(params, x)
+        if dp == 0.0:
+            break
+        step = p / dp
+        x -= step
+        if abs(step) < 1e-16 * max(1.0, abs(x)):
+            break
+    return x
+
+
+def test_float_polish_matches_polyval_polish():
+    # random admissible quartics, every third with beta2 within 10^-2.5..10^-1
+    # of beta1: the roots real_roots returns are the polyval polish's, bit for bit
+    rng = np.random.default_rng(2024)
+    bits = lambda vals: [float(v).hex() for v in vals]
+    near = 0
+    for i in range(600):
+        beta = list(_random_admissible_quadruple(rng))
+        if i % 3 == 0:
+            beta[1] = beta[0] - 10.0 ** rng.uniform(-2.5, -1.0)
+            beta[3] = -(beta[0] + beta[1] + beta[2])
+        params = from_roots(beta, -rng.uniform(0.5, 3.0))
+        try:
+            got = real_roots(params).beta
+        except MultipleRootDetected:
+            continue
+        near += i % 3 == 0
+        reals = [float(r.real) for r in np.roots(params.coefficients())]
+        want = sorted((_ref_newton_polish(params, r) for r in reals), reverse=True)
+        assert bits(got) == bits(want)
+        for x in rng.uniform(-6.0, 6.0, 4).tolist() + list(got):
+            assert _horner([float(a) for a in params.coefficients()], x) == eval_p(params, x)
+    assert near > 150
