@@ -1,29 +1,31 @@
 """Inversion engine for integrals between two simple turning points.
 
-Handles the recurring problem: given S(x) > 0 on an open interval with simple
-zeros at both ends, invert
+Given S(x) = scale |(x - p)(x - q)(x - r)(x - s)| with real roots in the
+cyclic order p, q, r, s of the projective line (r = inf for a cubic, whose
+factor is then dropped), invert u(x) = integral from p to x of
+d(xi) / sqrt(S(xi)) between the turning points x_start = p and x_end = q.
+The inverse is a Moebius image of the Jacobi cn^2 (Byrd & Friedman 1971,
+254.00), with quarter period K = K(m) / kappa:
 
-    u(x) = integral from x_start to x of d(xi) / sqrt(S(xi)).
+    x(u) = q - (q - p)(q - s) cn^2 / ((p - s) + (q - p) cn^2),   cn = cn(kappa u | m),
+    m = (q - p)(r - s) / ((q - s)(r - p)),   1 - m = (p - s)(r - q) / ((q - s)(r - p)),
+    kappa = sqrt(scale |(q - s)(r - p)|) / 2.
 
-The substitution x(theta) = x_start + (x_end - x_start) * sin(theta)^2 absorbs
-both inverse-square-root endpoint singularities, so the reduced integrand
-w(theta) = 2 / sqrt(rest(x(theta))), with S(x) = |x - x_start| |x - x_end|
-rest(x), is analytic and pi-periodic.  Its trapezoid/FFT cosine coefficients
-decay geometrically (Trefethen & Weideman, SIAM Rev. 2014) down to a
-round-off plateau, where the series is chopped (read off the spectrum in the
-manner of Aurentz & Trefethen, ACM TOMS 2017).  This gives u(theta) =
-c0 theta + sum_n c_n sin(2 n theta) / (2 n) in closed form and the quarter
-period K = c0 pi / 2; the theta-series serves the construction and
-``invert``.
+The two terms of the denominator share their sign, and m and 1 - m are each
+a product of root differences, so no step cancels, nearly coalescing roots
+included.  K(m), am(v | m) (cn = cos am) and F(phi | m), which inverts x(u)
+in closed form, come from one descending Landen sequence (DLMF 19.8(i),
+22.20(ii)).
 
 The inverse x(u), extended to an even function of period 2K, has its poles
 off the real axis, so its cosine series in u itself,
 
     x(u) = a0 + sum_n a_n cos(n phi),   phi = pi u / K,
 
-converges geometrically too.  Its coefficients come once, at construction,
-from the same FFT and chop applied to x at equispaced u (theta found by
-Newton on u(theta)).  Evaluating x and the differentiated series dx/du is one
+converges geometrically (Trefethen & Weideman, SIAM Rev. 2014).  Its
+coefficients come once, at construction, from the FFT of x at equispaced u,
+chopped at the round-off plateau that the spectrum shows (Aurentz & Trefethen,
+ACM TOMS 2017).  Evaluating x and the differentiated series dx/du is one
 Horner pass in z = exp(i phi), written in real arithmetic on
 (cos phi, sin phi), with phi from |u| mod 2K: valid for every real u, exactly
 even, and exact at the turning points themselves; x and dx/du share one loop
@@ -45,9 +47,8 @@ import numpy as np
 
 from .errors import SeriesNotResolved
 
-# FFT sizes, doubled from the first (theta-series M_MIN, u-series M_U_MIN)
-# until the top eighth of the spectrum is below 1e-15 of its largest term
-M_MIN = 256
+# FFT sizes of a u-series, doubled from M_U_MIN until the top eighth of the
+# spectrum is below 1e-15 of its largest term
 M_U_MIN = 128
 M_MAX = 32768
 
@@ -58,7 +59,8 @@ def _is_scalar(u) -> bool:
 
 
 def _cosine_coeffs(samples: np.ndarray, floor: float):
-    """Cosine coefficients of pi-periodic samples taken at theta_j = j pi / m.
+    """Cosine coefficients a_n of a0 + sum_n a_n cos(n phi) from one period
+    of samples taken at phi_j = 2 pi j / m.
 
     The series is chopped at the start of its round-off plateau: at the first
     j where the envelope (the largest magnitude from j upwards, relative to
@@ -126,31 +128,58 @@ def _horner_fused(c, s, a: list, b: list):
     return pr * c - pi * s, qr * s + qi * c
 
 
+class _Landen:
+    """Descending Landen sequence of the parameter m, started from k' = sqrt(1 - m)
+    given apart (DLMF 19.8(i)): a_0 = 1, b_0 = k', c_0 = sqrt(m), then
+    a_(n+1) = (a_n + b_n)/2, b_(n+1) = sqrt(a_n b_n), c_(n+1) = c_n^2 / (4 a_(n+1))
+    up to the first c_N <= 1e-16 a_N; K(m) = pi / (2 a_N)."""
+
+    def __init__(self, m: float, kp: float):
+        a, b, c = [1.0], [kp], [math.sqrt(m)]
+        while c[-1] > 1e-16 * a[-1]:
+            a.append(0.5 * (a[-1] + b[-1]))
+            b.append(math.sqrt(a[-2] * b[-1]))
+            c.append(0.25 * c[-1] ** 2 / a[-1])
+        self._a, self._b, self._c = a, b, c
+        self._scale = 2.0 ** (len(a) - 1) * a[-1]  # 2^N a_N
+        self.K = math.pi / (2.0 * a[-1])
+
+    def am(self, v):
+        """am(v | m) from phi_N = 2^N a_N v by phi_(n-1) = (phi_n + arcsin(c_n sin(phi_n) / a_n)) / 2."""
+        a, c = self._a, self._c
+        phi = self._scale * v
+        for j in range(len(a) - 1, 0, -1):
+            phi = 0.5 * (phi + np.arcsin((c[j] / a[j]) * np.sin(phi)))
+        return phi
+
+    def F(self, phi):
+        """F(phi | m) = phi_N / (2^N a_N), phi_(n+1) = phi_n + arctan(b_n tan(phi_n) / a_n)
+        on the branch continuous in phi, with a_n - b_n = 2 c_(n+1): no tangent at pi/2."""
+        a, b, c = self._a, self._b, self._c
+        for j in range(len(a) - 1):
+            sn, cn = np.sin(phi), np.cos(phi)
+            phi = 2.0 * phi - np.arctan(2.0 * c[j + 1] * sn * cn / (a[j] * cn * cn + b[j] * sn * sn))
+        return phi / self._scale
+
+
 class QuarterBranch:
-    """Monotone quarter branch of the inversion, plus its even-periodic extension."""
+    """Monotone quarter branch of the inversion, plus its even-periodic extension.
 
-    def __init__(self, x_start: float, x_end: float, rest: Callable[[np.ndarray], np.ndarray]):
-        self.x_start = float(x_start)
-        self.x_end = float(x_end)
-        self._rest = rest
-        self._span = self.x_end - self.x_start
+    |S(x)| = scale |(x - p)(x - q)(x - r)(x - s)| with p = x_start, q = x_end;
+    r is the root that follows q on the projective line (inf for a cubic) and
+    s the last one.
+    """
 
-        def w_samples(m):
-            return 2.0 / np.sqrt(self._rest(self._x_of_theta(np.arange(m) * (np.pi / m))))
-
-        theta_coeffs, m = _resolved_coeffs(w_samples, M_MIN, 0.0)
-        self._c0 = float(theta_coeffs[0])
-        self.K = self._c0 * math.pi / 2.0
-        # u(theta) is the antiderivative of w(theta), a cosine series of period pi
-        self._u = CumulativeIntegral(math.pi / 2.0, theta_coeffs)
-        self._w = theta_coeffs[:0:-1].tolist()
-        cn = theta_coeffs[1:]
-        self._theta_ab = (cn, cn / (2.0 * np.arange(1, len(theta_coeffs))))
-        # u on the FFT grid over [0, pi/2], by one inverse FFT, seeds _theta_at
-        v = np.zeros(m, dtype=complex)
-        v[1 : len(theta_coeffs)] = self._theta_ab[1]
-        self._seed_theta = np.arange(m // 2 + 1) * (np.pi / m)
-        self._seed_u = self._c0 * self._seed_theta + (m * np.fft.ifft(v)).imag[: m // 2 + 1]
+    def __init__(self, x_start: float, x_end: float, r: float, s: float, scale: float):
+        p = self.x_start = float(x_start)
+        q = self.x_end = float(x_end)
+        self._s = s = float(s)
+        # a cubic drops the factor x - r: each ratio of r-differences tends to 1
+        # and scale takes the place of scale |r - p|
+        rq, rs, rp = (1.0, 1.0, 1.0) if math.isinf(r) else (r - q, r - s, r - p)
+        self._landen = _Landen((q - p) * rs / ((q - s) * rp), math.sqrt((p - s) * rq / ((q - s) * rp)))
+        self._kappa = 0.5 * math.sqrt(scale * abs((q - s) * rp))
+        self.K = self._landen.K / self._kappa
         self._samples = {}
         coeffs, self._m = _resolved_coeffs(self._x_samples, M_U_MIN, 0.0)
         n = np.arange(1, len(coeffs), dtype=float)
@@ -161,41 +190,14 @@ class QuarterBranch:
         # (u, x, dx/du or None) at the last Python float u; see _eval
         self._last = (math.nan, None, None)
 
-    # -- spectral primitives ----------------------------------------------
-
-    def _x_of_theta(self, theta):
-        return self.x_start + self._span * np.sin(theta) ** 2
-
-    def u_of_theta(self, theta):
-        return self._u(theta)
-
-    def w_of_theta(self, theta):
-        _, _, c, s = _phase(theta, math.pi / 2.0)
-        return self._c0 + _horner(c, s, self._w)[0]
-
-    def _theta_at(self, u: np.ndarray) -> np.ndarray:
-        """theta in [0, pi/2] with u(theta) = u, for an array u in [0, K].
-
-        The seed is linear in u between FFT-grid nodes.  Newton sums the
-        series from the powers z^n of z = exp(2 i theta) by one matrix product,
-        not a Python loop over the terms, and stops after the first step
-        below 1e-9, past which the error is of order its square.
-        """
-        theta = np.interp(u, self._seed_u, self._seed_theta)
-        a, b = self._theta_ab
-        for _ in range(8):
-            zn = np.cumprod(np.broadcast_to(np.exp(2j * theta)[:, None], (u.size, a.size)), axis=1)
-            step = (self._c0 * theta + zn.imag @ b - u) / (self._c0 + zn.real @ a)
-            theta = theta - step
-            if np.max(np.abs(step)) < 1e-9:
-                break
-        return theta
-
     def _x_samples(self, m: int) -> np.ndarray:
-        """x at u_j = 2 K j / m, j < m: one period, mirrored about u = K."""
+        """x at u_j = 2 K j / m (kappa u_j = 2 K(m) j / m), j < m: one period,
+        mirrored about u = K, with the turning points exact."""
         if m not in self._samples:
-            theta = self._theta_at(np.arange(1, m // 2) * (2.0 * self.K / m))
-            half = np.concatenate([[self.x_start], self._x_of_theta(theta), [self.x_end]])
+            p, q, s = self.x_start, self.x_end, self._s
+            cn2 = np.cos(self._landen.am(np.arange(1, m // 2) * (2.0 * self._landen.K / m))) ** 2
+            x = q - (q - p) * (q - s) * cn2 / ((p - s) + (q - p) * cn2)
+            half = np.concatenate([[p], x, [q]])
             self._samples[m] = np.concatenate([half, half[-2:0:-1]])
         return self._samples[m]
 
@@ -247,14 +249,19 @@ class QuarterBranch:
         """(x, dx/du) from one fused Horner pass."""
         return self._eval(u, True)
 
-    def invert(self, x, tol: float = 1e-12):
-        """First-quarter u in [0, K] with value(u) = x (x within the branch range)."""
+    def invert(self, x):
+        """First-quarter u in [0, K] with value(u) = x (x within the branch range):
+        F(atan2(sn, cn) | m) / kappa, sn^2 = (x-p)(q-s) / ((x-s)(q-p)), cn^2 = (q-x)(p-s) / ((x-s)(q-p)),
+        whose common positive denominator atan2 does not need."""
         lo, hi = sorted((self.x_start, self.x_end))
         x_in = np.asarray(x, dtype=float)
-        if np.any(x_in < lo - tol * (hi - lo)) or np.any(x_in > hi + tol * (hi - lo)):
+        if np.any(x_in < lo - 1e-12 * (hi - lo)) or np.any(x_in > hi + 1e-12 * (hi - lo)):
             raise ValueError(f"value outside branch range [{lo}, {hi}]")
-        ratio = np.clip((x_in - self.x_start) / self._span, 0.0, 1.0)
-        return self.u_of_theta(np.arcsin(np.sqrt(ratio)))
+        p, q, s = self.x_start, self.x_end, self._s
+        x_in = np.clip(x_in, lo, hi)
+        phi = np.arctan2(np.sqrt(np.abs((x_in - p) * (q - s))), np.sqrt(np.abs((q - x_in) * (p - s))))
+        u = self._landen.F(phi) / self._kappa
+        return float(u) if _is_scalar(x) else u
 
     def cumulative(self, fn: Callable[[np.ndarray], np.ndarray]) -> "CumulativeIntegral":
         """Antiderivative I(u) = integral_0^u fn(x(s)) ds, odd in u."""

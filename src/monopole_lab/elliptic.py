@@ -13,10 +13,10 @@ with the half periods given by the turning-point integrals
 
 Q1 satisfies 4 Q1'^2 = P(Q1); the imaginary-axis slice Q2 satisfies
 4 Q2'^2 = -P(Q2) (the slice direction flips the sign of the squared
-derivative).  Each slice is evaluated from its geometrically convergent
-cosine series in u, and its derivative from the differentiated series, which
-meets these relations to round-off, turning points included (see
-``_inversion``).
+derivative).  Each slice is a Moebius image of the Jacobi cn^2 (see
+``_inversion``), evaluated from its geometrically convergent cosine series in
+u; its derivative, the differentiated series, meets these relations to
+round-off, turning points included.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._inversion import QuarterBranch, _is_scalar
+from ._inversion import QuarterBranch, _is_scalar, _Landen
 from .errors import InadmissibleParams, NonZeroRootSum, NotEvenQuartic, OutOfRange
 from .polyroots import (
     QuarticParams,
@@ -103,18 +103,10 @@ def build_model(params: QuarticParams) -> EllipticModel:
             f"(coefficient conditions: {report.conditions_35}, {report.condition_36})"
         )
     a3 = float(params.a3)
-    # branch 1: (dx/du)^2 = P(x)/4 on [beta2, beta1]
-    branch1 = QuarterBranch(
-        x_start=b2,
-        x_end=b1,
-        rest=lambda x: (-a3 / 4.0) * (x - b3) * (x - b4),
-    )
-    # branch 2: (dx/du)^2 = -P(x)/4 on [beta3, beta2]
-    branch2 = QuarterBranch(
-        x_start=b2,
-        x_end=b3,
-        rest=lambda x: (-a3 / 4.0) * (b1 - x) * (x - b4),
-    )
+    # branch 1: (dx/du)^2 = P(x)/4 on [beta2, beta1]; branch 2: -P(x)/4 on
+    # [beta3, beta2]; the other two roots follow in projective order
+    branch1 = QuarterBranch(b2, b1, b4, b3, -a3 / 4.0)
+    branch2 = QuarterBranch(b2, b3, b4, b1, -a3 / 4.0)
     return EllipticModel(
         params=params,
         roots=roots,
@@ -173,23 +165,25 @@ def jacobi_special(model: EllipticModel, z):
     For P(x) = a3 (x^2 - beta1^2)(x^2 - beta2^2) the slice Q1 is
 
         Q1(z) = beta2 / dn(alpha z | m),
-        alpha = sqrt(-a3) * beta1 / 2,   m = 1 - (beta2/beta1)^2.
+        alpha = sqrt(-a3) * beta1 / 2,   m = 1 - (beta2/beta1)^2,
+
+    with dn^2 = k'^2 + m cn^2, k' = beta2/beta1, and cn from the Landen
+    sequence that the slices use.
 
     The phase and modulus are calibrated against Q1(0) = beta2 and
     Q1(K1) = beta1 rather than taken from any printed formula (formulas in
     circulation shift the argument by a root value and put a3 under the root
     with the wrong sign; both are transcription slips).
     """
-    from scipy.special import ellipj  # its only user; `import monopole_lab` stays scipy-free
-
     params = model.params
     if abs(params.a0) > 1e-12 * params.scale:
         raise NotEvenQuartic(f"linear coefficient a0 = {params.a0} is not zero")
     b1, b2 = model.beta[0], model.beta[1]
     alpha = math.sqrt(-params.a3) * b1 / 2.0
-    m = 1.0 - (b2 / b1) ** 2
-    _, _, dn, _ = ellipj(np.asarray(z, dtype=float) * alpha, m)
-    out = b2 / dn
+    kp = b2 / b1
+    m = (b1 - b2) * (b1 + b2) / (b1 * b1)
+    cn = np.cos(_Landen(m, kp).am(np.asarray(z, dtype=float) * alpha))
+    out = b2 / np.sqrt(kp * kp + m * cn * cn)
     return out if np.asarray(out).shape else float(out)
 
 

@@ -179,17 +179,9 @@ class Case1ConformalModel:
     def __init__(self, constants: NeumannConstants):
         a1, a2, a3 = constants.alpha
         self.constants = constants
-        # f(q) = 4 (a1-q)(a2-q)(a3-q): each branch keeps the factor without a turning point
-        self.branch1 = QuarterBranch(
-            x_start=a2,
-            x_end=a1,
-            rest=lambda q: 4.0 * (q - a3),
-        )
-        self.branch2 = QuarterBranch(
-            x_start=a2,
-            x_end=a3,
-            rest=lambda q: 4.0 * (a1 - q),
-        )
+        # f(q) = 4 (a1-q)(a2-q)(a3-q) is a cubic: its fourth root is at infinity
+        self.branch1 = QuarterBranch(a2, a1, math.inf, a3, 4.0)
+        self.branch2 = QuarterBranch(a2, a3, math.inf, a1, 4.0)
         self.K1 = self.branch1.K
         self.K2 = self.branch2.K
 

@@ -182,11 +182,18 @@ def test_simulate_rejects_bad_integrator_settings(tmp_path, capsys, flags, key):
 
 
 def test_unresolved_series_is_an_error_line(tmp_path, capsys):
-    # alpha1 far above alpha2: the conformal branch series cannot be resolved
-    cfg = dict(CASE1, geometry={"alpha": [1e6, 2.0, 1.0]})
+    # alpha1 = 1e10 far above alpha2: the conformal branch series cannot be
+    # resolved, one error line.  At 1e6 it resolves (K1 to 1.5e-17 of a
+    # 30-digit quadrature, 32768 samples), and the finite-difference curvature
+    # of so stretched a metric fails its gate: exit 1, reported, no traceback
+    cfg = dict(CASE1, geometry={"alpha": [1e10, 2.0, 1.0]})
     assert main(["metric-check", "--config", _write(tmp_path, cfg), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: SeriesNotResolved:") and err.count("\n") == 1
+    cfg = dict(CASE1, geometry={"alpha": [1e6, 2.0, 1.0]})
+    assert main(["metric-check", "--config", _write(tmp_path, cfg), "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert "max |K_closed - K_numeric|" in out and "Traceback" not in out + err
 
 
 def test_elliptic_table(tmp_path, capsys):
@@ -329,13 +336,31 @@ def test_flux_explicit_grid_zero_is_config_error(tmp_path, capsys):
 
 
 def test_cli_import_does_not_load_scipy():
-    # scipy is imported by the one function that needs it; the CLI's cold
-    # start does not pay for it
+    # scipy is a test dependency only: importing the CLI does not load it, and
+    # with it blocked every model still builds and the closed forms, the
+    # inverse, the flux and a verify run all work
+    root = Path(__file__).resolve().parents[1]
     code = "import sys, monopole_lab.cli; print('scipy' in sys.modules)"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "False"
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+from monopole_lab import build_model, from_roots
+from monopole_lab.cli import main
+from monopole_lab.elliptic import invert_u, jacobi_special
+from monopole_lab.geometry import area_and_flux, conformal_case1
+canonical = build_model(from_roots([3, 2, -1, -4], -1.0))
+even = build_model(from_roots([2, 1, -1, -2], -1.0))
+conformal_case1((3.0, 2.0, 1.0))
+jacobi_special(even, 0.3)
+invert_u(canonical, 2.5)
+area_and_flux(canonical, 0.5)
+sys.exit(main(["verify", "--config", {str(root / "demos/configs/case2.json")!r}]))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
 
 
 def _bad(cfg: dict, **change) -> dict:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import ellipk
+from scipy.special import ellipj, ellipk
 
 from monopole_lab._inversion import _cosine_coeffs, _horner, _horner_fused, _phase
 from monopole_lab.elliptic import (
@@ -25,6 +25,7 @@ from monopole_lab.errors import (
     NotEvenQuartic,
     OutOfRange,
 )
+from monopole_lab.geometry import conformal_case1
 from monopole_lab.polyroots import eval_p, from_roots
 
 
@@ -208,15 +209,6 @@ def test_memo_is_invisible(roots):
 
 def test_series_primitives_take_scalars(canonical_model):
     br = canonical_model.branch1
-    theta = np.array([0.0, 0.3, 1.2, np.pi / 2.0])
-    u_arr, w_arr = br.u_of_theta(theta), br.w_of_theta(theta)
-    assert u_arr.shape == w_arr.shape == (4,)
-    for th in (0.3, np.float64(0.3), np.array(0.3)):
-        u, w = br.u_of_theta(th), br.w_of_theta(th)
-        assert type(u) is float and type(w) is float
-        assert u == pytest.approx(u_arr[1], rel=1e-15)
-        assert w == pytest.approx(w_arr[1], rel=1e-15)
-    assert br.u_of_theta(np.pi / 2.0) == pytest.approx(br.K, rel=1e-15)
     x = float(br.value(0.4))
     assert type(br.invert(x)) is float
     assert br.invert(np.array([x, x])).shape == (2,)
@@ -241,35 +233,37 @@ def test_chop_at_round_off_plateau(canonical_model):
 
 
 def test_horner_series_matches_direct_sums():
-    # u(theta) and w(theta) by the shared Horner pass against the two trig sums
-    # of the theta-series written out term by term, on the canonical and the
+    # x(u) and dx/du by the fused Horner pass against the cosine and sine sums
+    # of the u-series written out term by term, on the canonical and the
     # near-coalescing quartics
     rng = np.random.default_rng(8)
-    theta = np.concatenate([np.linspace(0.0, np.pi / 2.0, 101), rng.uniform(-3.0, 3.0, 50)])
     models = [build_model_from_roots(r, -1.0) for r in ([3, 2, -1, -4], [3, 2.99, -1, -4.99])]
     for br in [b for m in models for b in (m.branch1, m.branch2)]:
-        cn = br._theta_ab[0]
-        n = np.arange(1, cn.size + 1)
-        sine = br._c0 * theta + np.sin(2.0 * np.outer(theta, n)) @ (cn / (2.0 * n))
-        cosine = br._c0 + np.cos(2.0 * np.outer(theta, n)) @ cn
-        s, c = br.u_of_theta(theta), br.w_of_theta(theta)
-        scale = br._c0 + np.sum(np.abs(cn))
-        assert np.max(np.abs(s - sine)) < 1e-14 * scale
-        assert np.max(np.abs(c - cosine)) < 1e-14 * scale
-        for i in (0, 37, 100, 120):  # a float sums exactly like an array element
-            assert br.u_of_theta(float(theta[i])) == s[i]
-            assert br.w_of_theta(float(theta[i])) == c[i]
+        # off the turning points, where the exact end values replace the sums
+        u = br.K * np.concatenate([np.linspace(0.0, 2.0, 102)[1:-1], rng.uniform(-3.0, 3.0, 50)])
+        a, na = np.array(br._a[::-1]), np.array(br._na[::-1])
+        n = np.arange(1, a.size + 1)
+        cosine = br._a0 + np.cos(np.outer(np.pi * u / br.K, n)) @ a
+        sine = -(np.pi / br.K) * np.sin(np.outer(np.pi * u / br.K, n)) @ na
+        x, d = br.value_and_deriv(u)
+        scale = abs(br._a0) + np.sum(np.abs(a))
+        d_scale = (np.pi / br.K) * np.sum(np.abs(na))
+        assert np.max(np.abs(x - cosine)) < 1e-14 * scale
+        assert np.max(np.abs(d - sine)) < 1e-14 * d_scale
+        for i in (0, 37, 99, 120):  # the float path against the same sums
+            xf, df = br.value_and_deriv(float(u[i]))
+            assert abs(xf - cosine[i]) < 1e-14 * scale
+            assert abs(df - sine[i]) < 1e-14 * d_scale
 
 
-def _u_by_quadrature(lo, hi, others, start, x):
-    """u(x) = int from start to x of 2 dxi / sqrt(|P|) by scipy's QAWS.
+def _u_by_quadrature(lo, hi, others, start, x, scale):
+    """u(x) = int from start to x of d xi / sqrt(|S|) by scipy's QAWS.
 
-    |P| = (xi - lo)(hi - xi) |(xi - r)(xi - s)| with a3 = -1; the algebraic
-    weights take the inverse square roots at the interval ends, and u is
-    assembled from the end nearer to x.
+    |S| = scale (xi - lo)(hi - xi) |prod (xi - r) over r in others|; the
+    algebraic weights take the inverse square roots at the interval ends, and
+    u is assembled from the end nearer to x.
     """
-    r, s = others
-    smooth = lambda xi: 2.0 / math.sqrt(abs((xi - r) * (xi - s)))
+    smooth = lambda xi: 1.0 / math.sqrt(scale * abs(math.prod(xi - r for r in others)))
     kw = dict(epsabs=1e-15, epsrel=1e-13, limit=200)
 
     def from_lo(b):
@@ -287,13 +281,24 @@ def _u_by_quadrature(lo, hi, others, start, x):
     return to_hi(x) if x >= mid else total - from_lo(x)
 
 
-def test_invert_matches_quadrature_near_coalescing():
-    m = build_model_from_roots([3, 2.99, -1, -4.99], -1.0)
+def _branches(geometry):
+    """(branch, lo, hi, other roots, scale) of both slices, |S| = scale |prod (x - root)|:
+    the quartic with these roots and a3 = -1, or the case1 (3, 2, 1) cubic."""
+    if geometry == "case1":
+        c = conformal_case1((3.0, 2.0, 1.0))
+        return [(c.branch1, 2.0, 3.0, (1.0,), 4.0), (c.branch2, 1.0, 2.0, (3.0,), 4.0)]
+    m = build_model_from_roots(list(geometry), -1.0)
     b1, b2, b3, b4 = m.beta
-    for br, lo, hi, others in ((m.branch1, b2, b1, (b3, b4)), (m.branch2, b3, b2, (b1, b4))):
-        for x in np.linspace(br.x_start, br.x_end, 30).tolist():
-            u_ref = _u_by_quadrature(lo, hi, others, br.x_start, x)
-            assert abs(br.invert(x) - u_ref) <= 1e-12 * br.K
+    return [(m.branch1, b2, b1, (b3, b4), 0.25), (m.branch2, b3, b2, (b1, b4), 0.25)]
+
+
+def test_invert_matches_quadrature_near_coalescing():
+    # the near-coalescing quartic, and the case1 cubic (its fourth root at infinity)
+    for geometry in ((3, 2.99, -1, -4.99), "case1"):
+        for br, lo, hi, others, scale in _branches(geometry):
+            for x in np.linspace(br.x_start, br.x_end, 30).tolist():
+                u_ref = _u_by_quadrature(lo, hi, others, br.x_start, x, scale)
+                assert abs(br.invert(x) - u_ref) <= 1e-12 * br.K
 
 
 def test_invert_u(canonical_model):
@@ -322,6 +327,11 @@ def test_jacobi_special(even_model):
     assert np.max(np.abs(jacobi_special(m, z) - q1(m, z))) < 1e-13
     # the scalar (float) evaluation path against the same closed form
     assert max(abs(jacobi_special(m, zi) - q1(m, zi)) for zi in z.tolist()) < 1e-13
+    # both of those take their Landen sequence from one module: scipy's dn
+    # is the independent oracle, Q1 = beta2 / dn(alpha z | 1 - (beta2/beta1)^2)
+    b1, b2 = m.beta[0], m.beta[1]
+    _, _, dn, _ = ellipj(z * math.sqrt(-m.params.a3) * b1 / 2.0, 1.0 - (b2 / b1) ** 2)
+    assert np.max(np.abs(jacobi_special(m, z) - b2 / dn)) < 1e-13
 
 
 def test_jacobi_special_rejects_generic_quartic(canonical_model):
@@ -379,23 +389,22 @@ def test_degeneration_to_limit_slice(limit_model):
     assert gap < 1e-4  # actual size is O(eps^2) ~ 3e-6
 
 
-@pytest.mark.parametrize("roots", [(3, 2, -1, -4), (4, 1, -1, -4), (3, 2.99, -1, -4.99)])
+@pytest.mark.parametrize("roots", [(3, 2, -1, -4), (4, 1, -1, -4), (3, 2.99, -1, -4.99), "case1"])
 def test_series_matches_quadrature_at_turning_points(roots):
     # x at fractions 1e-8 .. 1 - 1e-8 of each quarter, u_ref(x) by QAWS: the
     # u-series must return x there, and its derivative must be +-sqrt(S(x))
     # with S in factored form (exact differences next to the turning points)
-    m = build_model_from_roots(list(roots), -1.0)
-    b1, b2, b3, b4 = m.beta
-    bmax = max(abs(b) for b in m.beta)
+    branches = _branches(roots)
+    bmax = max(abs(r) for _, lo, hi, others, _ in branches for r in (lo, hi) + others)
     frac = [1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.5, 0.7, 0.9, 1 - 1e-2, 1 - 1e-4, 1 - 1e-6, 1 - 1e-8]
-    for br, lo, hi, others in ((m.branch1, b2, b1, (b3, b4)), (m.branch2, b3, b2, (b1, b4))):
+    for br, lo, hi, others, scale in branches:
         sign = math.copysign(1.0, br.x_end - br.x_start)
         x_err, d_err, d_max = 0.0, 0.0, 0.0
         for f in frac:
             x = br.x_start + f * (br.x_end - br.x_start)
-            u_ref = _u_by_quadrature(lo, hi, others, br.x_start, x)
+            u_ref = _u_by_quadrature(lo, hi, others, br.x_start, x, scale)
             xv, dv = br.value_and_deriv(u_ref)
-            d_ref = sign * math.sqrt(abs((x - b1) * (x - b2) * (x - b3) * (x - b4)) / 4.0)
+            d_ref = sign * math.sqrt(scale * abs(math.prod(x - r for r in (lo, hi) + others)))
             x_err = max(x_err, abs(xv - x))
             d_err = max(d_err, abs(dv - d_ref))
             d_max = max(d_max, abs(d_ref))
