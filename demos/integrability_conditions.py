@@ -2,10 +2,13 @@
 
 For a Hamiltonian in diagonal normal form with a quadratic partner integral
 the commutation {H, F} = 0 is equivalent to six first-order conditions on the
-coefficient functions.  Both built-in families satisfy them to stencil
-truncation; the quantum variant of the last condition coincides with the
-classical one whenever the magnetic density is constant, and swapping the
-roles of h and B maps one consistency expression onto the other exactly.
+coefficient functions.  The built-in grids carry the exact derivative jets of
+their fields, and both families satisfy the conditions to round-off; the
+quantum variant of the last condition coincides with the classical one
+whenever the magnetic density is constant, and swapping the roles of h and B
+maps one consistency expression onto the other exactly.  A field replaced by
+a plain array, like the corrupted potential below, is differentiated by the
+order-4 stencil.
 """
 
 import dataclasses
@@ -31,7 +34,7 @@ spec2 = case2_spec(from_roots([3, 2, -1, -4], -1.0), mu=1.0, B=0.7)
 for name, grid in (("cubic sphere family", build_case1_grid(spec1, 64)),
                    ("torus family", build_case2_grid(spec2, 64))):
     report = check_classical(grid, stencil=4)
-    print(f"-- {name}, 64x64 grid, order-4 stencils")
+    print(f"-- {name}, 64x64 grid, exact jets")
     for cond, val in report.residuals.items():
         print(f"   {cond}: {val:.3e}")
     print(f"   C6*: {check_quantum_c6star(grid):.3e}")

@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SeriesNotResolved
+from .errors import OutOfRange, SeriesNotResolved
 
 # FFT sizes of a u-series, doubled from M_U_MIN until the top eighth of the
 # spectrum is below 1e-15 of its largest term
@@ -250,13 +250,16 @@ class QuarterBranch:
         return self._eval(u, True)
 
     def invert(self, x):
-        """First-quarter u in [0, K] with value(u) = x (x within the branch range):
+        """First-quarter u in [0, K] with value(u) = x:
         F(atan2(sn, cn) | m) / kappa, sn^2 = (x-p)(q-s) / ((x-s)(q-p)), cn^2 = (q-x)(p-s) / ((x-s)(q-p)),
-        whose common positive denominator atan2 does not need."""
+        whose common positive denominator atan2 does not need.  x may leave the
+        branch range by 1e-12 of its span and is clipped to it; beyond that, or
+        NaN, raises OutOfRange."""
         lo, hi = sorted((self.x_start, self.x_end))
         x_in = np.asarray(x, dtype=float)
-        if np.any(x_in < lo - 1e-12 * (hi - lo)) or np.any(x_in > hi + 1e-12 * (hi - lo)):
-            raise ValueError(f"value outside branch range [{lo}, {hi}]")
+        slack = 1e-12 * (hi - lo)
+        if not np.all((x_in >= lo - slack) & (x_in <= hi + slack)):
+            raise OutOfRange(f"x = {x} outside the branch range [{lo}, {hi}]")
         p, q, s = self.x_start, self.x_end, self._s
         x_in = np.clip(x_in, lo, hi)
         phi = np.arctan2(np.sqrt(np.abs((x_in - p) * (q - s))), np.sqrt(np.abs((q - x_in) * (p - s))))

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from ._inversion import QuarterBranch, _is_scalar, _Landen
-from .errors import InadmissibleParams, NonZeroRootSum, NotEvenQuartic, OutOfRange
+from .errors import InadmissibleParams, NonZeroRootSum, NotEvenQuartic
 from .polyroots import (
     QuarticParams,
     RootQuadruple,
@@ -145,16 +145,12 @@ def invert_u(model: EllipticModel, x: float, branch: str = "q1") -> float:
     """First-quarter inverse: u in [0, K] with Q(u) = x.
 
     ``branch`` selects the slice: "q1" needs x in [beta2, beta1], "q2" needs
-    x in [beta3, beta2].
+    x in [beta3, beta2], each up to 1e-12 of its span (QuarterBranch.invert
+    raises OutOfRange beyond).
     """
-    b1, b2, b3, _ = model.beta
     if branch == "q1":
-        if not (b2 - 1e-12 <= x <= b1 + 1e-12):
-            raise OutOfRange(f"x = {x} outside [{b2}, {b1}]")
         return float(model.branch1.invert(x))
     if branch == "q2":
-        if not (b3 - 1e-12 <= x <= b2 + 1e-12):
-            raise OutOfRange(f"x = {x} outside [{b3}, {b2}]")
         return float(model.branch2.invert(x))
     raise ValueError(f"unknown branch {branch!r}")
 

@@ -10,7 +10,9 @@ A :class:`SystemSpec` pins one of the four implemented families:
 * ``VY``            the two-centre system on the unit sphere in e(3)* variables.
 
 The magnetic density B is a constant for every family, and the coupling in the
-second integral is always k = -4 B / a3, derived and never stored.
+second integral is always k = -4 B / a3, derived and never stored.  The CASE_I
+and CASE_II field formulas take a :class:`Jet` in place of each coordinate or
+slice value and then return the fields' exact partial derivatives too.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .polyroots import QuarticParams
 
 __all__ = [
     "Family",
+    "Jet",
     "SystemSpec",
     "case1_spec",
     "case2_spec",
@@ -177,11 +180,11 @@ def phi_components(spec: SystemSpec, point):
     if spec.family == Family.CASE_I:
         q1v, q2v = _uv(point)
         radicand = -spec.f_cubic(q1v) * spec.f_cubic(q2v)
-        if np.any(np.asarray(radicand) <= 0.0):
+        if np.any(np.asarray(_value(radicand)) <= 0.0):
             raise NegativeRadicand(
-                f"f(q1) f(q2) >= 0 somewhere at ({q1v}, {q2v}): outside the strip"
+                f"f(q1) f(q2) >= 0 somewhere at ({_value(q1v)}, {_value(q2v)}): outside the strip"
             )
-        phi1 = spec.k * np.sqrt(radicand) / (q1v - q2v)
+        phi1 = spec.k * _sqrt(radicand) / (q1v - q2v)
         return phi1, -phi1
     if spec.family == Family.CASE_II:
         u1v, u2v = _uv(point)
@@ -208,8 +211,185 @@ def varphi(spec: SystemSpec, point):
     raise ValueError(f"varphi not defined for family {spec.family}")
 
 
+# ---------------------------------------------------------------------------
+# jets: exact derivatives of the fields on a grid
+# ---------------------------------------------------------------------------
+#
+# Second-order forward-mode jets in two variables (Griewank & Walther,
+# Evaluating Derivatives, 2nd ed., 2008).  A Jet carries a function's value v
+# and its partials d1, d2, d12, d11, d22 in (u1, u2), as floats or arrays that
+# broadcast against each other.  A partial that is identically zero is None
+# and takes no arithmetic, so a function of u1 alone stays an (n, 1) column:
+# only the terms that mix the two axes fill an (n, n) grid.  The operators
+# take the value through the very operation a plain array would, so a jet's
+# value equals the plain evaluation bit for bit, and the field formulas of
+# this module take jets as they take values.
+#
+# A slice x = Q(u) with (x')^2 = c S(x) for a polynomial S seeds its jets
+# exactly: differentiating the square gives the second derivative c S'(x)/2
+# and the third c S''(x) x'/2, so one value_and_deriv per axis and two
+# polynomial evaluations give every derivative the fields need.
+
+_PARTIALS = ("d1", "d2", "d12", "d11", "d22")
+
+
+def _sum(*terms):
+    """Sum of the partials that are not None (None when all are)."""
+    out = None
+    for t in terms:
+        if t is not None:
+            out = t if out is None else out + t
+    return out
+
+
+def _diff(a, *terms):
+    """a less the terms that are not None (None when nothing is left)."""
+    rest = _sum(*terms)
+    return a if rest is None else -rest if a is None else a - rest
+
+
+def _mul(a, b):
+    return None if a is None or b is None else a * b
+
+
+def _scale(c, a):
+    return None if a is None else c * a
+
+
+def _lift(x):
+    return x if isinstance(x, Jet) else Jet(x)
+
+
+class Jet:
+    """Value and first and second partials of a function of (u1, u2)."""
+
+    __slots__ = ("v",) + _PARTIALS
+    # an ndarray operand defers to the reflected operators below, which treat
+    # it as a constant
+    __array_ufunc__ = None
+
+    def __init__(self, v, d1=None, d2=None, d12=None, d11=None, d22=None):
+        self.v, self.d1, self.d2, self.d12, self.d11, self.d22 = v, d1, d2, d12, d11, d22
+
+    @classmethod
+    def along(cls, axis: int, v, dv, ddv=None) -> "Jet":
+        """A function of u1 (axis 0) or u2 (axis 1) alone, from its value and
+        first and second derivatives."""
+        return cls(v, d1=dv, d11=ddv) if axis == 0 else cls(v, d2=dv, d22=ddv)
+
+    @classmethod
+    def from_slice(cls, branch, u, axis: int, c: float, poly) -> tuple["Jet", "Jet"]:
+        """Jets of x = Q(u) and x' = Q'(u) for a slice with x'^2 = c poly(x),
+        ``poly`` in descending coefficients; one pass of the branch."""
+        x, d = branch.value_and_deriv(u)
+        dd = 0.5 * c * np.polyval(np.polyder(poly), x)
+        ddd = 0.5 * c * np.polyval(np.polyder(poly, 2), x) * d
+        return cls.along(axis, x, d, dd), cls.along(axis, d, dd, ddd)
+
+    def partials(self) -> tuple:
+        return self.d1, self.d2, self.d12, self.d11, self.d22
+
+    def __neg__(self):
+        return Jet(-self.v, *(_scale(-1.0, p) for p in self.partials()))
+
+    def __add__(self, other):
+        b = _lift(other)
+        return Jet(self.v + b.v, *map(_sum, self.partials(), b.partials()))
+
+    def __sub__(self, other):
+        b = _lift(other)
+        return Jet(self.v - b.v, *map(_diff, self.partials(), b.partials()))
+
+    def __rsub__(self, other):
+        return _lift(other) - self
+
+    def __mul__(self, other):
+        a, b = self, _lift(other)
+        return Jet(
+            a.v * b.v,
+            _sum(_mul(a.d1, b.v), _mul(a.v, b.d1)),
+            _sum(_mul(a.d2, b.v), _mul(a.v, b.d2)),
+            _sum(_mul(a.d12, b.v), _mul(a.d1, b.d2), _mul(a.d2, b.d1), _mul(a.v, b.d12)),
+            _sum(_mul(a.d11, b.v), _scale(2.0, _mul(a.d1, b.d1)), _mul(a.v, b.d11)),
+            _sum(_mul(a.d22, b.v), _scale(2.0, _mul(a.d2, b.d2)), _mul(a.v, b.d22)),
+        )
+
+    # a constant operand takes the jet rules with no partials; + and * commute
+    # in floating point too, so the reflected forms round alike
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __pow__(self, n):
+        if n != 2:
+            raise ValueError("a jet is only squared")
+        sq = self * self
+        sq.v = self.v**2
+        return sq
+
+    def __truediv__(self, other):
+        b = _lift(other)
+        return _quotient(self, b, self.v / b.v)
+
+    def __rtruediv__(self, other):
+        return _lift(other) / self
+
+    def _chain(self, f, f1, f2) -> "Jet":
+        """g(self) from g = f, g' = f1 and g'' = f2 at the value."""
+        d1, d2 = self.d1, self.d2
+        return Jet(
+            f,
+            _mul(f1, d1),
+            _mul(f1, d2),
+            _sum(_mul(f2, _mul(d1, d2)), _mul(f1, self.d12)),
+            _sum(_mul(f2, _mul(d1, d1)), _mul(f1, self.d11)),
+            _sum(_mul(f2, _mul(d2, d2)), _mul(f1, self.d22)),
+        )
+
+    def log(self) -> "Jet":
+        r = 1.0 / self.v
+        return self._chain(np.log(self.v), r, -r * r)
+
+    def sqrt(self) -> "Jet":
+        f = np.sqrt(self.v)
+        f1 = 0.5 / f
+        return self._chain(f, f1, -0.5 * f1 / self.v)
+
+
+def _quotient(a: Jet, b: Jet, q) -> Jet:
+    """a / b with value q, each partial solved from the product rule of a = q b."""
+    r = 1.0 / b.v
+    q1 = _mul(_diff(a.d1, _mul(q, b.d1)), r)
+    q2 = _mul(_diff(a.d2, _mul(q, b.d2)), r)
+    return Jet(
+        q,
+        q1,
+        q2,
+        _mul(_diff(a.d12, _mul(q1, b.d2), _mul(q2, b.d1), _mul(q, b.d12)), r),
+        _mul(_diff(a.d11, _scale(2.0, _mul(q1, b.d1)), _mul(q, b.d11)), r),
+        _mul(_diff(a.d22, _scale(2.0, _mul(q2, b.d2)), _mul(q, b.d22)), r),
+    )
+
+
+def _value(x):
+    """The value of a jet, or x itself."""
+    return x.v if isinstance(x, Jet) else x
+
+
+def _sqrt(x):
+    return x.sqrt() if isinstance(x, Jet) else np.sqrt(x)
+
+
 # CASE_II fields from slice values x_i = Q_i(u_i) and d_i = Q_i'(u_i); any
-# broadcastable shapes, so a grid can pass one solve per axis
+# broadcastable shapes, so a grid can pass one solve per axis, and jets of
+# them as well as values
+
+
+def _torus_jets(model: EllipticModel, u1, u2):
+    """Jets of Q1, Q1' at u1 and of Q2, Q2' at u2, exact from 4 Q1'^2 = P(Q1)
+    and 4 Q2'^2 = -P(Q2): Q1'' = P'(Q1)/8, Q2'' = -P'(Q2)/8."""
+    poly = model.params.coefficients()
+    x1, d1 = Jet.from_slice(model.branch1, u1, 0, 0.25, poly)
+    x2, d2 = Jet.from_slice(model.branch2, u2, 1, -0.25, poly)
+    return x1, d1, x2, d2
 
 
 def _torus_h(spec: SystemSpec, x1, x2):
@@ -218,8 +398,9 @@ def _torus_h(spec: SystemSpec, x1, x2):
 
 def _torus_phi(spec: SystemSpec, x1, d1, x2, d2):
     gap = x1 - x2
-    if np.any(np.abs(gap) < 1e-9 * max(1.0, float(np.max(np.abs(x1))))):
-        raise DegeneratePoint(f"x1 = x2: min |Q1 - Q2| = {float(np.min(np.abs(gap))):.3e}")
+    g = np.abs(_value(gap))
+    if np.any(g < 1e-9 * max(1.0, float(np.max(np.abs(_value(x1)))))):
+        raise DegeneratePoint(f"x1 = x2: min |Q1 - Q2| = {float(np.min(g)):.3e}")
     return 2.0 * spec.k * d2 / gap, -2.0 * spec.k * d1 / gap
 
 

@@ -34,7 +34,7 @@ from .errors import (
     StencilOutsideChart,
     WrongSignature,
 )
-from .fields import Family, SystemSpec, _uv
+from .fields import Family, Jet, SystemSpec, _torus_jets, _uv
 from .polyroots import eval_p_deriv
 
 __all__ = [
@@ -48,10 +48,12 @@ __all__ = [
     "stackel_components",
     "torus_metric",
     "torus_lambda",
+    "torus_lambda_jet",
     "Case1ConformalModel",
     "conformal_case1",
     "curvature_closed",
     "curvature_numeric",
+    "curvature_from_jet",
     "curvature_flux_ratio",
     "curvature_from_cubic_pair",
     "fixed_point_chart",
@@ -161,6 +163,13 @@ def torus_lambda(model: EllipticModel, u1, u2):
     return model.q1(u1) ** 2 - model.q2(u2) ** 2
 
 
+def torus_lambda_jet(model: EllipticModel, u1, u2) -> Jet:
+    """Jet of Q1(u1)^2 - Q2(u2)^2, exact from Q1'' = P'(Q1)/8 and Q2'' = -P'(Q2)/8;
+    u1 and u2 broadcast, one slice pass each."""
+    x1, _, x2, _ = _torus_jets(model, u1, u2)
+    return x1**2 - x2**2
+
+
 def torus_metric(model: EllipticModel, p) -> MetricSample:
     """Conformal factor lam = Q1(u1)^2 - Q2(u2)^2 (zero exactly at fixed points)."""
     u1, u2 = _uv(p)
@@ -193,6 +202,14 @@ class Case1ConformalModel:
 
     def lam(self, u1, u2):
         return self.branch1.value(u1) - self.branch2.value(u2)
+
+    def lam_jet(self, u1, u2) -> Jet:
+        """Jet of lam, exact from q1'^2 = f(q1) and q2'^2 = -f(q2):
+        q1'' = f'(q1)/2 and q2'' = -f'(q2)/2."""
+        f = -4.0 * np.poly(self.constants.alpha)
+        q1, _ = Jet.from_slice(self.branch1, u1, 0, 1.0, f)
+        q2, _ = Jet.from_slice(self.branch2, u2, 1, -1.0, f)
+        return q1 - q2
 
 
 def conformal_case1(alpha) -> Case1ConformalModel:
@@ -288,6 +305,17 @@ def curvature_numeric(lam_fn, point, h: float = 1e-3):
     out = -lap / (2.0 * lam0)
     shape = np.broadcast(u1, u2).shape
     return float(out) if shape == () else np.broadcast_to(out, shape).copy()
+
+
+def curvature_from_jet(lam: Jet):
+    """Curvature -(d11 + d22) log lam / (2 lam) of the conformal metric
+    lam (du1^2 + du2^2), exact from the jet of lam (an array of the jet's
+    broadcast shape)."""
+    if np.any(lam.v <= 0.0):
+        raise DegeneratePoint("lam <= 0: the metric degenerates")
+    log = lam.log()
+    lap = sum(0.0 if d is None else d for d in (log.d11, log.d22))
+    return -lap / (2.0 * lam.v)
 
 
 def fixed_point_chart(model: EllipticModel, index: int, w: complex) -> MetricSample:

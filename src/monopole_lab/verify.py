@@ -24,13 +24,20 @@ with the quantum replacement of the last condition
 whose extra term vanishes identically for constant magnetic density.  The
 cross-differentiation consistency of (C5) is the same expression with the
 roles of h and B exchanged, and is evaluated as exactly that, so the duality
-gap is zero by construction at equal stencil orders.
+gap is zero by construction when both sides take their derivatives alike.
 
 All grid metric components here are CONTRAVARIANT (as they appear multiplying
-the momenta in H); covariant samplers are inverted at ingestion.  Derivatives
-are central differences of order 2 or 4, each taken once per check; every
-condition residual is normalized by the largest magnitude among its own
-additive terms on the grid.
+the momenta in H); covariant samplers are inverted at ingestion.  The built-in
+grids carry each field as a :class:`JetField`, its values with their exact
+first and second partials: on the torus every field is rational in
+(Q1, Q1', Q2, Q2') with Q1'' = P'(Q1)/8 and Q2'' = -P'(Q2)/8, and the case1
+grid is sampled in q itself, where every field is algebraic.  A field given
+as a plain array (a corrupted potential, a synthetic varying B) is
+differentiated by central differences of order 2 or 4 instead, and a check
+that takes any stencil reads its residuals on the interior where the stencil
+is valid; a grid of jets alone is read on every point.  Each derivative is
+taken once per check, and every condition residual is normalized by the
+largest magnitude among its own additive terms on the grid.
 """
 
 from __future__ import annotations
@@ -43,8 +50,10 @@ import numpy as np
 from .errors import GridTooSmall, FunctionalDomainError, SingularSample
 from .fields import (
     Family,
+    Jet,
     SystemSpec,
     _torus_h,
+    _torus_jets,
     _torus_phi,
     _torus_varphi,
     electric_h,
@@ -55,6 +64,7 @@ from .geometry import stackel_components
 
 __all__ = [
     "AnsatzGrid",
+    "JetField",
     "ConditionReport",
     "build_case1_grid",
     "build_case2_grid",
@@ -72,12 +82,39 @@ __all__ = [
 _WINDOW = (0.3, 0.7)  # the fraction of each axis interval that both grids sample
 
 
+class JetField(np.ndarray):
+    """Read-only grid values of a field together with its exact jet.
+
+    ``jet`` is the field's :class:`Jet`, whose partials stay broadcast columns
+    where the field allows.  An array made from a JetField (a copy, a slice,
+    arithmetic) carries no jet, so a field that is changed is differentiated
+    by the stencil and never by partials of what it was.
+    """
+
+    def __new__(cls, jet: Jet, shape: tuple[int, int]):
+        v = np.asarray(jet.v, dtype=float)  # kept as the values when it has the grid's shape
+        out = (v if v.shape == shape else np.broadcast_to(v, shape).copy()).view(cls)
+        out.jet = jet
+        out.flags.writeable = False
+        return out
+
+    def __array_finalize__(self, obj):
+        self.jet = None
+
+    def __array_wrap__(self, array, context=None, return_scalar=False):
+        return array[()] if return_scalar else array  # ufunc results are plain arrays
+
+
+_FIELDS = ("g11", "g22", "v1", "v2", "phi1", "phi2", "h", "varphi", "B")
+
+
 @dataclass(frozen=True)
 class AnsatzGrid:
     """Uniform rectangular grid of sampled normal-form fields.
 
     ``g11``/``g22`` are contravariant; ``B`` is a full field (constant for all
-    built-in systems, but synthetic grids may vary it).
+    built-in systems, but synthetic grids may vary it).  A field is a plain
+    array or a :class:`JetField`.
     """
 
     axis1: np.ndarray
@@ -105,34 +142,41 @@ class AnsatzGrid:
         return self.g11.shape
 
 
+def _jet_grid(axis1, axis2, **jets: Jet) -> AnsatzGrid:
+    shape = (axis1.size, axis2.size)
+    return AnsatzGrid(axis1=axis1, axis2=axis2, **{k: JetField(j, shape) for k, j in jets.items()})
+
+
 def build_case1_grid(spec: SystemSpec, n: int = 64) -> AnsatzGrid:
-    """Sample the cubic sphere family on an interior strip rectangle."""
+    """Sample the cubic sphere family on an interior strip rectangle, with
+    the exact jets of its fields in (q1, q2)."""
     if spec.family != Family.CASE_I:
         raise ValueError("build_case1_grid needs a CASE_I spec")
     a1, a2, a3 = spec.alpha
     lo, hi = _WINDOW
     q1 = a2 + np.linspace(lo, hi, n) * (a1 - a2)
     q2 = a3 + np.linspace(lo, hi, n) * (a2 - a3)
-    Q1, Q2 = np.meshgrid(q1, q2, indexing="ij")
+    Q1, Q2 = Jet.along(0, q1[:, None], 1.0), Jet.along(1, q2[None, :], 1.0)
     g11_cov, g22_cov = stackel_components(spec.f_cubic, Q1, Q2)
     phi1, phi2 = phi_components(spec, (Q1, Q2))
-    return AnsatzGrid(
-        axis1=q1,
-        axis2=q2,
+    return _jet_grid(
+        q1,
+        q2,
         g11=1.0 / g11_cov,
         g22=1.0 / g22_cov,
-        v1=Q2.copy(),
-        v2=Q1.copy(),
+        v1=Q2,
+        v2=Q1,
         phi1=phi1,
         phi2=phi2,
         h=electric_h(spec, (Q1, Q2)),
         varphi=varphi(spec, (Q1, Q2)),
-        B=np.full_like(Q1, spec.B),
+        B=Jet(spec.B),
     )
 
 
 def build_case2_grid(spec: SystemSpec, n: int = 64) -> AnsatzGrid:
-    """Sample the torus family on an interior window of the first quadrant.
+    """Sample the torus family on an interior window of the first quadrant,
+    with the exact jets of its fields in (u1, u2).
 
     Every field depends on u1 only through Q1, Q1' and on u2 only through
     Q2, Q2': each slice is solved once on its axis and the fields are
@@ -144,24 +188,22 @@ def build_case2_grid(spec: SystemSpec, n: int = 64) -> AnsatzGrid:
     lo, hi = _WINDOW
     u1 = np.linspace(lo, hi, n) * m.K1
     u2 = np.linspace(lo, hi, n) * m.K2
-    x1, d1 = m.branch1.value_and_deriv(u1)
-    x2, d2 = m.branch2.value_and_deriv(u2)
-    x1, d1, x2, d2 = x1[:, None], d1[:, None], x2[None, :], d2[None, :]
+    x1, d1, x2, d2 = _torus_jets(m, u1[:, None], u2[None, :])
     sq1, sq2 = x1**2, x2**2
-    lam = sq1 - sq2
+    g = 1.0 / (sq1 - sq2)
     phi1, phi2 = _torus_phi(spec, x1, d1, x2, d2)
-    return AnsatzGrid(
-        axis1=u1,
-        axis2=u2,
-        g11=1.0 / lam,
-        g22=1.0 / lam,
-        v1=np.broadcast_to(sq2, (n, n)).copy(),
-        v2=np.broadcast_to(sq1, (n, n)).copy(),
+    return _jet_grid(
+        u1,
+        u2,
+        g11=g,
+        g22=g,
+        v1=sq2,
+        v2=sq1,
         phi1=phi1,
         phi2=phi2,
         h=_torus_h(spec, x1, x2),
         varphi=_torus_varphi(spec, x1, x2),
-        B=np.full((n, n), spec.B),
+        B=Jet(spec.B),
     )
 
 
@@ -205,13 +247,25 @@ def _core(shape: tuple[int, int], stencil: int):
     return (slice(m, shape[0] - m), slice(m, shape[1] - m))
 
 
+def _check_core(grid: AnsatzGrid, stencil: int):
+    """Where a check reads its residuals: every point of a grid whose fields
+    all carry jets, else the core of the stencil (see _core)."""
+    _margin(stencil)  # a stencil order that is not 2 or 4 is refused either way
+    if all(getattr(getattr(grid, f), "jet", None) is not None for f in _FIELDS):
+        return (slice(None), slice(None))
+    return _core(grid.shape, stencil)
+
+
 class _Derivatives(dict):
-    """Central differences of one grid's fields at one stencil order, each
-    taken on first use and kept.
+    """The derivatives of one grid's fields, each taken on first use and kept:
+    read off the field's jet where it has one, else central differences at
+    one stencil order.
 
     ``D[name, axis]`` is d_(axis+1) of the grid field ``name``, or of the log
-    of a metric component for ``"log g11"``/``"log g22"``; ``D[name, 0, 1]``
-    is the mixed d2 d1, the axis-1 difference of ``D[name, 0]``.
+    of a metric component for ``"log g11"``/``"log g22"`` (from a jet,
+    d log g = dg / g); ``D[name, 0, 1]`` is the mixed d2 d1 of a grid field
+    (by the stencil, the axis-1 difference of ``D[name, 0]``).  A jet's
+    partial that is a column, or zero, is broadcast to the grid's shape.
     """
 
     def __init__(self, grid: AnsatzGrid, stencil: int):
@@ -221,14 +275,24 @@ class _Derivatives(dict):
 
     def __missing__(self, key):
         name, *axes = key
-        if len(axes) == 2:
-            F = self[name, axes[0]]
-        elif name.startswith("log "):
-            F = np.log(getattr(self._grid, name[4:]))
+        field = getattr(self._grid, name.removeprefix("log "))
+        jet = getattr(field, "jet", None)
+        if jet is not None:
+            part = jet.d12 if len(axes) == 2 else (jet.d1, jet.d2)[axes[0]]
+            if part is not None and name.startswith("log "):
+                part = part / field
+            shape = self._grid.shape
+            out = part if np.shape(part) == shape else np.broadcast_to(0.0 if part is None else part, shape)
         else:
-            F = getattr(self._grid, name)
-        axis = axes[-1]
-        out = self[key] = _d(F, (self._grid.h1, self._grid.h2)[axis], axis, self._stencil)
+            if len(axes) == 2:
+                F = self[name, axes[0]]
+            elif name.startswith("log "):
+                F = np.log(field)
+            else:
+                F = field
+            axis = axes[-1]
+            out = _d(F, (self._grid.h1, self._grid.h2)[axis], axis, self._stencil)
+        self[key] = out
         return out
 
 
@@ -252,8 +316,8 @@ class ConditionReport:
 
 
 def check_classical(grid: AnsatzGrid, stencil: int = 4) -> ConditionReport:
-    """Max normalized residuals of (C1)-(C6) by central differences."""
-    core = _core(grid.shape, stencil)
+    """Max normalized residuals of (C1)-(C6)."""
+    core = _check_core(grid, stencil)
     D = _Derivatives(grid, stencil)
     root = np.sqrt(grid.g11 * grid.g22)
     res: dict[str, float] = {}
@@ -321,13 +385,14 @@ def _c6star(grid: AnsatzGrid, stencil: int) -> tuple[np.ndarray, list[np.ndarray
 
 
 def c6star_field(grid: AnsatzGrid, stencil: int = 4) -> np.ndarray:
-    """Raw residual field of the quantum condition (C6*), NaN on the margins."""
+    """Raw residual field of the quantum condition (C6*), NaN on the margins
+    where a stencil was taken."""
     return _c6star(grid, stencil)[0]
 
 
 def check_quantum_c6star(grid: AnsatzGrid, stencil: int = 4) -> float:
     """Max normalized residual of (C6*)."""
-    core = _core(grid.shape, stencil)
+    core = _check_core(grid, stencil)
     field, terms = _c6star(grid, stencil)
     return _normalized_max(field, terms, core)
 
@@ -349,13 +414,14 @@ def check_duality(grid: AnsatzGrid, stencil: int = 4, stencil_swapped: int | Non
     With equal stencil orders the consistency field is the (C6*) field of the
     swapped grid, so the difference is zero by construction and the field is
     evaluated once; with mixed orders the difference is bounded by the two
-    truncation errors.
+    truncation errors of the fields the stencil differentiates (none on a
+    grid of jets).
     """
     if stencil_swapped is None:
         stencil_swapped = stencil
     lhs = consistency_field(grid, stencil)
     rhs = lhs if stencil_swapped == stencil else c6star_field(swap_h_and_b(grid), stencil_swapped)
-    core = _core(grid.shape, max(stencil, stencil_swapped))
+    core = _check_core(grid, max(stencil, stencil_swapped))
     return float(np.max(np.abs(lhs[core] - rhs[core])))
 
 

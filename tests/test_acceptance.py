@@ -199,10 +199,9 @@ def test_criterion_05_integrability_conditions():
     ):
         rep = ver.check_classical(grid, stencil=4)
         c6s = ver.check_quantum_c6star(grid, stencil=4)
-        core = ver._core(grid.shape, 4)
-        d1 = lambda F: ver._d(F, grid.h1, 0, 4)
-        d2 = lambda F: ver._d(F, grid.h2, 1, 4)
-        c6_only = grid.phi1 * d1(grid.h) + grid.phi2 * d2(grid.h)
+        core = ver._check_core(grid, 4)
+        D = ver._Derivatives(grid, 4)  # the grid's own derivatives: its exact jets
+        c6_only = grid.phi1 * D["h", 0] + grid.phi2 * D["h", 1]
         corr = float(np.max(np.abs(ver.c6star_field(grid, 4)[core] - c6_only[core])))
         ok = ok and rep.max_residual < 1e-6 and c6s < 1e-6 and corr < 1e-12
         details.append(f"{name} max {max(rep.max_residual, c6s):.2e} corr {corr:.2e}")

@@ -113,6 +113,29 @@ def test_verify_subcommand(tmp_path, capsys):
     assert "C6*" in out and "duality" in out
 
 
+NEAR = dict(CASE2, geometry={"roots": [3, 2.99, -1, -4.99], "a3": -1.0}, grid={"n": 64, "stencil": 4})
+
+
+@pytest.mark.parametrize(
+    "name, cfg, verify_tol, metric_tol",
+    [("case1", CASE1, 1e-10, 1e-9), ("case2", CASE2, 1e-10, 1e-9), ("near", NEAR, 1e-10, 1e-8)],
+)
+def test_grid_checks_read_round_off(tmp_path, capsys, name, cfg, verify_tol, metric_tol):
+    # exact jets: verify's residuals for n from 16 to 128 and metric-check's
+    # curvature gap at grid.n 64 are round-off; the near-coalescing quartic
+    # passes both at the default tolerance
+    path = _write(tmp_path, dict(cfg, grid={"n": 64, "stencil": 4}))
+    for n in (16, 32, 64, 128):
+        assert main(["verify", "--config", path, "--grid", str(n), "--tol", repr(verify_tol)]) == 0, n
+        out = capsys.readouterr().out
+        assert out.splitlines()[0].endswith(f"grid {n}x{n}, derivatives from exact jets")
+    for n_stencil in ("2", "4"):  # the stencil order no longer moves the table
+        main(["verify", "--config", path, "--stencil", n_stencil])
+    assert len(set(capsys.readouterr().out.split("family")[1:])) == 1
+    assert main(["metric-check", "--config", path, "--out", str(tmp_path), "--tol", repr(metric_tol)]) == 0
+    assert main(["metric-check", "--config", path, "--out", str(tmp_path)]) == 0
+
+
 def test_flux_subcommand(tmp_path, capsys):
     code = main(["flux", "--config", _write(tmp_path, CASE1), "--grid", "128"])
     out = capsys.readouterr().out
@@ -184,8 +207,9 @@ def test_simulate_rejects_bad_integrator_settings(tmp_path, capsys, flags, key):
 def test_unresolved_series_is_an_error_line(tmp_path, capsys):
     # alpha1 = 1e10 far above alpha2: the conformal branch series cannot be
     # resolved, one error line.  At 1e6 it resolves (K1 to 1.5e-17 of a
-    # 30-digit quadrature, 32768 samples), and the finite-difference curvature
-    # of so stretched a metric fails its gate: exit 1, reported, no traceback
+    # 30-digit quadrature, 32768 samples), and the curvature of so stretched a
+    # metric, from the series' q1 and q1', fails its gate: exit 1, reported,
+    # no traceback
     cfg = dict(CASE1, geometry={"alpha": [1e10, 2.0, 1.0]})
     assert main(["metric-check", "--config", _write(tmp_path, cfg), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
@@ -499,7 +523,7 @@ def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, capsys, monkey
         raise AssertionError("computed before --out was checked")
 
     monkeypatch.setattr(dynamics, "integrate", computed)
-    monkeypatch.setattr(geometry, "curvature_numeric", computed)
+    monkeypatch.setattr(geometry, "curvature_from_jet", computed)
     afile = tmp_path / "afile"
     afile.write_text("kept")
     out = afile / "x" if under else afile
@@ -538,3 +562,36 @@ def test_simulate_header_per_family(tmp_path, family, header):
     assert table[:, 1 : 1 + traj.states.shape[1]].tobytes() == traj.states.tobytes()
     for key, series in traj.monitors.items():
         assert table[:, names.index(key)].tobytes() == series.tobytes()
+
+
+def _old_csv_rows(rows) -> str:
+    """The rows as the writer formatted them value by value: the byte oracle."""
+    from monopole_lab.cli import FMT
+
+    return "".join(",".join(FMT % v for v in row) + "\n" for row in rows)
+
+
+def test_csv_writer_bytes_match_the_value_by_value_form(tmp_path, capsys):
+    from monopole_lab.cli import _write_csv
+
+    rng = np.random.default_rng(5)
+    table = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-300, 300, (40, 3))
+    table[0] = [np.nan, np.inf, -np.inf]
+    table[1] = [-0.0, 0.0, 5e-324]
+    table[2] = [1.0, -2.5, 1e16]
+    path = tmp_path / "t.csv"
+    _write_csv(path, "a,b,c", table)
+    assert path.read_text() == "a,b,c\n" + _old_csv_rows(table)
+    # the subcommands' files: each value re-formatted by the oracle, byte for byte
+    runs = [
+        ("simulate", CASE2, ["--t-end", "0.5"], "simulate.csv"),
+        ("simulate", CASE1, ["--t-end", "0.5"], "simulate.csv"),
+        ("elliptic-table", CASE2, ["--samples", "33", "--branch", "q2"], "elliptic_table.csv"),
+        ("metric-check", dict(CASE2, grid={"n": 6}), [], "metric_check.csv"),
+    ]
+    for command, cfg, flags, csv in runs:
+        out = tmp_path / command
+        assert main([command, "--config", _write(tmp_path, cfg), "--out", str(out)] + flags) == 0
+        header, *lines = (out / csv).read_text().splitlines(keepends=True)
+        rows = np.loadtxt(out / csv, delimiter=",", skiprows=1, ndmin=2)
+        assert "".join(lines) == _old_csv_rows(rows), command

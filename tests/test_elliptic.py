@@ -319,6 +319,22 @@ def test_invert_u(canonical_model):
     assert np.all(np.diff(us) > 0)
 
 
+def test_invert_range_gate_is_one_relative_gate():
+    # Q1 of the near-coalescing quartic spans only 0.01: 5e-13 past beta1 is
+    # 5e-11 of the span, refused as OutOfRange by invert_u and the branch alike
+    m = build_model_from_roots([3, 2.99, -1, -4.99], -1.0)
+    b1 = m.beta[0]
+    with pytest.raises(OutOfRange):
+        invert_u(m, b1 + 5e-13, "q1")
+    with pytest.raises(OutOfRange):
+        m.branch1.invert(np.array([b1, b1 + 5e-13]))
+    with pytest.raises(OutOfRange):
+        invert_u(m, math.nan, "q2")
+    # within 1e-12 of the span the value is clipped to the turning point
+    span = m.beta[0] - m.beta[1]
+    assert invert_u(m, b1 + 0.5e-12 * span, "q1") == invert_u(m, b1, "q1")
+
+
 def test_jacobi_special(even_model):
     m = even_model
     assert jacobi_special(m, 0.0) == pytest.approx(1.0, abs=1e-12)

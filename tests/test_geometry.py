@@ -9,6 +9,7 @@ from monopole_lab.errors import (
     AxisPoint,
     ChartOverflow,
     DegenerateCoordinates,
+    DegeneratePoint,
     InterlacingViolated,
     NonPositiveCoordinate,
     StencilOutsideChart,
@@ -214,6 +215,43 @@ def test_curvature_on_a_grid_matches_pointwise(case1, case2, canonical_model):
     for i, a in enumerate(u1):
         for j, b in enumerate(u2):
             assert kc[i, j] == pytest.approx(geo.curvature_closed(case2, (a, b)), rel=1e-14)
+
+
+@pytest.mark.parametrize("roots", [(3, 2, -1, -4), (3, 2.99, -1, -4.99), (4, 1, -1, -4), "case1"])
+def test_curvature_from_jet(case1, roots):
+    # the exact curvature of the lambda jet: the closed form to round-off, the
+    # Richardson stencil to its truncation, and lambda itself bit for bit
+    from monopole_lab.fields import case2_spec
+
+    if roots == "case1":
+        conf = geo.conformal_case1(case1.alpha)
+        K1, K2, lam_fn, lam_jet = conf.K1, conf.K2, conf.lam, conf.lam_jet
+        closed = lambda a, b: 1.0
+    else:
+        spec = case2_spec(from_roots(list(roots), -1.0), mu=1.0, B=0.5)
+        m = spec.model
+        K1, K2 = m.K1, m.K2
+        lam_fn = lambda a, b: geo.torus_lambda(m, a, b)
+        lam_jet = lambda a, b: geo.torus_lambda_jet(m, a, b)
+        closed = lambda a, b: geo.curvature_closed(spec, (a, b))
+    u1 = (np.linspace(0.15, 0.85, 64) * K1)[:, None]
+    u2 = (np.linspace(0.15, 0.85, 64) * K2)[None, :]
+    jet = lam_jet(u1, u2)
+    assert np.array_equal(np.broadcast_to(jet.v, (64, 64)), np.broadcast_to(lam_fn(u1, u2), (64, 64)))
+    k = geo.curvature_from_jet(jet)
+    assert k.shape == (64, 64)
+    bound = 1e-8 if roots == (3, 2.99, -1, -4.99) else 1e-9
+    assert np.max(np.abs(k - closed(u1, u2))) <= bound
+    fd = geo.curvature_numeric(lam_fn, (u1[::9], u2[:, ::9]), h=1e-2)
+    assert np.max(np.abs(k[::9, ::9] - fd)) < 1e-5
+
+
+def test_curvature_from_jet_guarded():
+    from monopole_lab.fields import Jet
+
+    with pytest.raises(DegeneratePoint):
+        geo.curvature_from_jet(Jet.along(0, np.array([[0.5], [-0.1]]), 1.0))
+    assert geo.curvature_from_jet(Jet(np.full((2, 3), 2.5))).tolist() == [[0.0] * 3] * 2
 
 
 def test_curvature_numeric_arrays_flat_and_guarded():

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,12 @@ import pytest
 
 from monopole_lab import verify as ver
 from monopole_lab.errors import FunctionalDomainError, GridTooSmall, SingularSample
+
+
+def _plain(grid):
+    """The grid with its jets stripped: every field a plain array, so every
+    derivative is taken by the stencil."""
+    return dataclasses.replace(grid, **{f: np.asarray(getattr(grid, f)) for f in ver._FIELDS})
 
 
 @pytest.fixture(scope="module")
@@ -39,14 +46,89 @@ def test_corrupted_potential_is_detected(grid1):
     assert rep.residuals["C2"] < 1e-6
 
 
-def test_quantum_condition_constant_b(grid1, grid2):
+def _second_difference(F, h, axis):
+    """Order-4 central second derivative, wrapping at the edges (read inside)."""
+    at = lambda k: np.roll(F, -k, axis=axis)
+    return (-at(2) + 16.0 * at(1) - 30.0 * F + 16.0 * at(-1) - at(-2)) / (12.0 * h * h)
+
+
+def _jet_gaps(grid, step):
+    """(max |jet - order-4 stencil|, max |jet|) per (field, partial) on the
+    points of the 32-interval grid's stencil core."""
+    n = grid.shape[0]
+    pts = (slice(4 * step, n - 4 * step, step),) * 2
+    out = {}
+    for f in ver._FIELDS:
+        F, jet = np.asarray(getattr(grid, f)), getattr(grid, f).jet
+        d1, d2 = ver._d(F, grid.h1, 0, 4), ver._d(F, grid.h2, 1, 4)
+        stencils = {
+            "d1": d1,
+            "d2": d2,
+            "d12": ver._d(d1, grid.h2, 1, 4),
+            "d11": _second_difference(F, grid.h1, 0),
+            "d22": _second_difference(F, grid.h2, 1),
+        }
+        for k, fd in stencils.items():
+            part = getattr(jet, k)
+            part = np.broadcast_to(0.0 if part is None else part, grid.shape)[pts]
+            gap = float(np.max(np.abs(part - fd[pts])))
+            out[f, k] = (gap, float(np.max(np.abs(part))), float(np.max(np.abs(F))))
+    return out
+
+
+@pytest.mark.parametrize("geometry", ["case1", (3, 2, -1, -4), (3, 2.99, -1, -4.99), (4, 1, -1, -4)])
+def test_jets_match_the_stencil_at_fourth_order(case1, geometry):
+    # 33 and 65 points: 32 and 64 intervals, so the coarse points are fine points
+    from monopole_lab.fields import case2_spec
+    from monopole_lab.polyroots import from_roots
+
+    if geometry == "case1":
+        build = lambda n: ver.build_case1_grid(case1, n)
+    else:
+        spec = case2_spec(from_roots(list(geometry), -1.0), mu=1.3, B=0.7)
+        build = lambda n: ver.build_case2_grid(spec, n)
+    coarse, fine = _jet_gaps(build(33), 1), _jet_gaps(build(65), 2)
+    fourth_order = set()
+    for key, (gap, scale, size) in fine.items():
+        if scale == 0.0:  # a partial that is identically zero: the stencil reads round-off
+            assert gap <= 1e-9 * max(1.0, size), key
+            continue
+        assert gap <= 1e-4 * scale, key  # agreement at n = 64
+        if coarse[key][0] > 1e-7 * coarse[key][1]:  # truncation, not round-off, at n = 32
+            assert coarse[key][0] >= 12.0 * gap, key  # 16 at fourth order
+            fourth_order.add(key[1])
+        else:
+            assert gap <= 1e-7 * scale, key
+    # every kind of partial shows the fourth-order fall somewhere
+    assert fourth_order >= {"d12"} and fourth_order & {"d1", "d2"} and fourth_order & {"d11", "d22"}
+
+
+def test_scaled_phi_and_wrong_varphi_are_detected(grid1, grid2):
+    # the jets change with their values, so the exact derivatives see the fault
     for grid in (grid1, grid2):
+        phi = ver.JetField(1.01 * grid.phi1.jet, grid.shape)
+        assert ver.check_classical(dataclasses.replace(grid, phi1=phi)).residuals["C4"] > 1e-3
+        varphi = ver.JetField(1.01 * grid.varphi.jet, grid.shape)
+        rep = ver.check_classical(dataclasses.replace(grid, varphi=varphi))
+        assert rep.residuals["C5"] > 1e-3
+        assert max(rep.residuals[c] for c in ("C1", "C2", "C3", "C4", "C6")) < 1e-10
+
+
+def test_changed_field_loses_its_jet(grid1):
+    # a copy, a slice or arithmetic is a plain array: no stale partials
+    for made in (grid1.h.copy(), grid1.h[1:], grid1.h * 1.0, np.log(grid1.g11)):
+        assert getattr(made, "jet", None) is None
+    with pytest.raises(ValueError):
+        grid1.h[0, 0] = 0.0  # the values of a field with a jet are read-only
+
+
+def test_quantum_condition_constant_b(grid1, grid2):
+    for grid in (grid1, grid2, _plain(grid1), _plain(grid2)):
         assert ver.check_quantum_c6star(grid, stencil=4) < 1e-6
         # constant B: the correction term vanishes identically
-        core = ver._core(grid.shape, 4)
-        d1 = lambda F: ver._d(F, grid.h1, 0, 4)
-        d2 = lambda F: ver._d(F, grid.h2, 1, 4)
-        c6_only = grid.phi1 * d1(grid.h) + grid.phi2 * d2(grid.h)
+        core = ver._check_core(grid, 4)
+        D = ver._Derivatives(grid, 4)
+        c6_only = grid.phi1 * D["h", 0] + grid.phi2 * D["h", 1]
         full = ver.c6star_field(grid, 4)
         assert np.max(np.abs(full[core] - c6_only[core])) < 1e-12
 
@@ -54,7 +136,7 @@ def test_quantum_condition_constant_b(grid1, grid2):
 def test_quantum_condition_synthetic_b(grid2):
     # B = u1 turns on the correction; compare with a hand-assembled stencil
     U1 = np.meshgrid(grid2.axis1, grid2.axis2, indexing="ij")[0]
-    syn = dataclasses.replace(grid2, B=U1.copy())
+    syn = dataclasses.replace(_plain(grid2), B=U1.copy())
     field = ver.c6star_field(syn, 4)
     h1, h2 = syn.h1, syn.h2
     d1 = lambda F: ver._d(F, h1, 0, 4)
@@ -74,6 +156,9 @@ def test_quantum_condition_synthetic_b(grid2):
     core = ver._core(syn.shape, 4)
     assert np.max(np.abs(field[core] - hand[core])) == 0.0
     assert ver.check_quantum_c6star(syn, 4) > 1e-3  # the correction is active
+    # the plain B on the grid of jets: B by the stencil, the rest exact
+    mixed = dataclasses.replace(grid2, B=U1.copy())
+    assert ver.check_quantum_c6star(mixed, 4) > 1e-3
 
 
 def test_duality_structural_identity(grid1, grid2):
@@ -83,16 +168,17 @@ def test_duality_structural_identity(grid1, grid2):
 
 
 def test_duality_mixed_orders_bounded_by_truncation(grid2):
-    diff = ver.check_duality(grid2, stencil=2, stencil_swapped=4)
-    core = ver._core(grid2.shape, 4)
-    res2 = float(np.max(np.abs(ver.consistency_field(grid2, 2)[core])))
-    res4 = float(np.max(np.abs(ver.consistency_field(grid2, 4)[core])))
+    grid = _plain(grid2)
+    diff = ver.check_duality(grid, stencil=2, stencil_swapped=4)
+    core = ver._core(grid.shape, 4)
+    res2 = float(np.max(np.abs(ver.consistency_field(grid, 2)[core])))
+    res4 = float(np.max(np.abs(ver.consistency_field(grid, 4)[core])))
     assert diff <= 1.01 * (res2 + res4)
 
 
 def test_stencil_convergence_second_order(case1):
-    r32 = ver.check_classical(ver.build_case1_grid(case1, 32), stencil=2).residuals
-    r64 = ver.check_classical(ver.build_case1_grid(case1, 64), stencil=2).residuals
+    r32 = ver.check_classical(_plain(ver.build_case1_grid(case1, 32)), stencil=2).residuals
+    r64 = ver.check_classical(_plain(ver.build_case1_grid(case1, 64)), stencil=2).residuals
     for cond in r32:
         if r64[cond] < 1e-12:
             continue  # condition holds to rounding at both resolutions
@@ -102,7 +188,9 @@ def test_stencil_convergence_second_order(case1):
 def test_grid_too_small(case1):
     small = ver.build_case1_grid(case1, 8)
     with pytest.raises(GridTooSmall):
-        ver.check_classical(small, stencil=4)
+        ver.check_classical(_plain(small), stencil=4)
+    # jets need no stencil core: every point is read
+    assert ver.check_classical(small, stencil=4).max_residual < 1e-12
 
 
 @pytest.mark.parametrize("roots", [(3, 2, -1, -4), (3, 2.99, -1, -4.99), (4, 1, -1, -4)])
@@ -158,9 +246,9 @@ def test_case2_grid_solves_each_slice_once(case2, monkeypatch):
 def test_min_grid_size_is_the_core_limit(case1):
     for stencil in (2, 4):
         n = ver.min_grid_size(stencil)
-        ver.check_classical(ver.build_case1_grid(case1, n), stencil)
+        ver.check_classical(_plain(ver.build_case1_grid(case1, n)), stencil)
         with pytest.raises(GridTooSmall):
-            ver.check_classical(ver.build_case1_grid(case1, n - 1), stencil)
+            ver.check_classical(_plain(ver.build_case1_grid(case1, n - 1)), stencil)
 
 
 def test_ode_identities_random_samples():
@@ -296,12 +384,12 @@ def test_derivative_table_matches_per_use_reference(case1, n):
 
     spec2 = case2_spec(from_roots([3, 2, -1, -4], -1.0), mu=1.3, B=0.7)
     near = case2_spec(from_roots([3, 2.99, -1, -4.99], -1.0), mu=1.3, B=0.7)
-    g2 = ver.build_case2_grid(spec2, n)
+    g2 = _plain(ver.build_case2_grid(spec2, n))
     U1, U2 = np.meshgrid(g2.axis1, g2.axis2, indexing="ij")
     grids = {
-        "case1": ver.build_case1_grid(case1, n),
+        "case1": _plain(ver.build_case1_grid(case1, n)),
         "case2": g2,
-        "near": ver.build_case2_grid(near, n),
+        "near": _plain(ver.build_case2_grid(near, n)),
         "varying B": dataclasses.replace(g2, B=np.sin(U1) * U2 + 0.3 * U2**2),
     }
     for name, grid in grids.items():
@@ -325,28 +413,61 @@ def test_derivative_table_matches_per_use_reference(case1, n):
                 assert _bits(ver.check_duality(grid, s, s2)) == _bits(dual), (name, s, s2)
 
 
+def _demo_grids():
+    """The grids verify builds from the demo configs it supports."""
+    from monopole_lab.cli import spec_from_config
+    from monopole_lab.errors import MonopoleLabError
+    from monopole_lab.fields import Family
+
+    build = {Family.CASE_I: ver.build_case1_grid, Family.CASE_II: ver.build_case2_grid}
+    for cfg in sorted((Path(__file__).parents[1] / "demos" / "configs").glob("*.json")):
+        spec = spec_from_config(json.loads(cfg.read_text()))
+        if spec.family not in build:
+            continue
+        try:
+            grid = build[spec.family](spec, 64)
+        except MonopoleLabError:  # an inadmissible quartic
+            continue
+        yield cfg.name, grid
+
+
 @pytest.mark.parametrize("stencil", ["2", "4"])
 def test_verify_takes_each_derivative_once(stencil, tmp_path, monkeypatch, capsys):
+    # on a built-in family every derivative comes from the grid's jets
     from monopole_lab.cli import main
 
+    d = ver._d
+    taken = []
+    monkeypatch.setattr(ver, "_d", lambda F, h, axis, s: taken.append((axis, s)) or d(F, h, axis, s))
+    ran = 0
+    for cfg in sorted((Path(__file__).parents[1] / "demos" / "configs").glob("*.json")):
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path), "--stencil", stencil])
+        if "max residual:" not in capsys.readouterr().out:
+            continue  # a family verify does not support, or an inadmissible quartic
+        ran += 1
+        assert code == 0, cfg.name
+    assert ran == 2
+    assert taken == []
+
+
+@pytest.mark.parametrize("stencil", [2, 4])
+def test_stencil_checks_take_each_derivative_once(stencil, monkeypatch):
+    # the demo grids with their jets stripped, checked as verify checks them
     d = ver._d
     taken = []  # per public check call: (input array, axis, stencil) of each _d call
     monkeypatch.setattr(
         ver, "_d", lambda F, h, axis, s: taken[-1].append((F, axis, s)) or d(F, h, axis, s)
     )
-    for name in ("check_classical", "check_quantum_c6star", "check_duality"):
-        fn = getattr(ver, name)
-        monkeypatch.setattr(ver, name, lambda *a, fn=fn, **k: taken.append([]) or fn(*a, **k))
     ran = 0
-    for cfg in sorted((Path(__file__).parents[1] / "demos" / "configs").glob("*.json")):
+    for name, grid in _demo_grids():
         taken.clear()
-        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path), "--stencil", stencil])
-        if not taken:  # a family verify does not support, or an inadmissible quartic
-            continue
+        grid = _plain(grid)
+        for check in (ver.check_classical, ver.check_quantum_c6star, ver.check_duality):
+            taken.append([])
+            check(grid, stencil)
         ran += 1
-        assert len(taken) == 3, cfg.name
-        assert 0 < sum(map(len, taken)) <= 40, cfg.name  # 57 with one stencil per use
+        assert 0 < sum(map(len, taken)) <= 40, name  # 57 with one stencil per use
         for calls in taken:  # the inputs are kept alive above, so ids are not reused
             keys = [(id(F), axis, s) for F, axis, s in calls]
-            assert len(set(keys)) == len(keys), cfg.name
+            assert len(set(keys)) == len(keys), name
     assert ran == 2
