@@ -24,9 +24,9 @@ Config schema ("num": a finite number, never a bool; "int": an integral num,
       "n_trajectories": int >= 1 = 1
     }
 
-Grid n is >= 1 in metric-check (= 32), >= 9 at stencil 4 or 5 at stencil 2
-in verify (= 64) and >= 64 in flux (= 256).  A flag gets the checks of the
-config value it overrides, and a bad value exits 2 with one "config error:"
+Grid n is >= 1 in metric-check (= 32) and verify (= 64), >= 64 in flux (= 256);
+verify checks the stencil, which selects nothing.  A flag gets the checks of
+the config value it overrides, and a bad value exits 2 with one "config error:"
 line naming it.  The quartic key "a0" is the LINEAR coefficient and "a1" the
 constant (P = a3 x^4 + a2 x^2 + a0 x + a1).  "k" is always derived as -4B/a3;
 a config that sets it to anything else is rejected.  With "n_trajectories":
@@ -289,23 +289,17 @@ def cmd_verify(args) -> int:
     spec = spec_from_config(cfg)
     tol = _threshold(args)
     grid = _read(cfg, "grid", dict, {})
-    stencil = _read(
-        grid, "stencil", int, 4, ok=(2, 4).__contains__, need="2 or 4", label="verify stencil", flag=args.stencil
-    )
-    least = ver.min_grid_size(stencil)
-    need = f"at least {least} at stencil order {stencil}"
-    n = _read(grid, "n", int, 64, ok=lambda n: n >= least, need=need, label="verify grid n", flag=args.grid)
+    _read(grid, "stencil", int, 4, ok=(2, 4).__contains__, need="2 or 4", label="verify stencil", flag=args.stencil)
+    n = _read(grid, "n", int, 64, ok=lambda n: n >= 1, need="at least 1", label="verify grid n", flag=args.grid)
     if spec.family == Family.CASE_I:
         grid = ver.build_case1_grid(spec, n)
     elif spec.family == Family.CASE_II:
         grid = ver.build_case2_grid(spec, n)
     else:
         raise ConfigError("verify supports case1 and case2")
-    report = ver.check_classical(grid, stencil)
-    c6s = ver.check_quantum_c6star(grid, stencil)
-    dual = ver.check_duality(grid, stencil)
-    # the built-in grids carry exact jets: the stencil order is checked, but
-    # only a field without a jet would be differentiated at it
+    report = ver.check_classical(grid)
+    c6s = ver.check_quantum_c6star(grid)
+    dual = ver.check_duality(grid)
     print(f"family {spec.family.value}, grid {n}x{n}, derivatives from exact jets")
     print(f"{'condition':<12}{'max normalized residual':>26}")
     for name, val in report.residuals.items():
@@ -376,7 +370,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[gated], help="integrability-condition residual table")
     p.add_argument("--grid", type=int, default=None, help="grid size (overrides the config)")
-    p.add_argument("--stencil", type=int, default=None, help="stencil order, 2 or 4 (overrides the config)")
+    p.add_argument("--stencil", type=int, default=None, help="2 or 4; checked, but every derivative is exact")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("flux", parents=[gated], help="area and flux quantization report")

@@ -97,10 +97,6 @@ class CenterSingularity(MonopoleLabError):
 
 # --- verification -------------------------------------------------------------
 
-class GridTooSmall(MonopoleLabError):
-    """Grid has too few interior points for the requested stencil."""
-
-
 class SingularSample(MonopoleLabError):
     """Sample point hits a zero of the underlying quadratic."""
 

@@ -22,22 +22,24 @@ with the quantum replacement of the last condition
                  (d2 g11/g11 d1 B + d1 g22/g22 d2 B - d1 d2 B) = 0,
 
 whose extra term vanishes identically for constant magnetic density.  The
-cross-differentiation consistency of (C5) is the same expression with the
-roles of h and B exchanged, and is evaluated as exactly that, so the duality
-gap is zero by construction when both sides take their derivatives alike.
+cross-differentiation consistency of (C5), d_2 of its first equation less d_1
+of its second, is free of varphi:
+
+    d1 v^2 d2 h - d2 v^1 d1 h + (v^2 - v^1) d1 d2 h
+        - d2 (phi^2 B / sqrt(g11 g22)) - d1 (phi^1 B / sqrt(g11 g22)),
+
+and it vanishes with (C6*) of the grid with h and B exchanged: the duality
+check reads the difference of the two, each from its own terms.
 
 All grid metric components here are CONTRAVARIANT (as they appear multiplying
-the momenta in H); covariant samplers are inverted at ingestion.  The built-in
-grids carry each field as a :class:`JetField`, its values with their exact
+the momenta in H); covariant samplers are inverted at ingestion.  Every grid
+field is a :class:`~monopole_lab.fields.Jet`, its values with their exact
 first and second partials: on the torus every field is rational in
 (Q1, Q1', Q2, Q2') with Q1'' = P'(Q1)/8 and Q2'' = -P'(Q2)/8, and the case1
-grid is sampled in q itself, where every field is algebraic.  A field given
-as a plain array (a corrupted potential, a synthetic varying B) is
-differentiated by central differences of order 2 or 4 instead, and a check
-that takes any stencil reads its residuals on the interior where the stencil
-is valid; a grid of jets alone is read on every point.  Each derivative is
-taken once per check, and every condition residual is normalized by the
-largest magnitude among its own additive terms on the grid.
+grid is sampled in q itself, where every field is algebraic.  The checks read
+every grid point, each partial is read once per check, and every condition
+residual is normalized by the largest magnitude among its own additive terms
+on the grid.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GridTooSmall, FunctionalDomainError, SingularSample
+from .errors import FunctionalDomainError, SingularSample
 from .fields import (
     Family,
     Jet,
@@ -64,11 +66,9 @@ from .geometry import stackel_components
 
 __all__ = [
     "AnsatzGrid",
-    "JetField",
     "ConditionReport",
     "build_case1_grid",
     "build_case2_grid",
-    "min_grid_size",
     "swap_h_and_b",
     "check_classical",
     "check_quantum_c6star",
@@ -81,30 +81,6 @@ __all__ = [
 
 _WINDOW = (0.3, 0.7)  # the fraction of each axis interval that both grids sample
 
-
-class JetField(np.ndarray):
-    """Read-only grid values of a field together with its exact jet.
-
-    ``jet`` is the field's :class:`Jet`, whose partials stay broadcast columns
-    where the field allows.  An array made from a JetField (a copy, a slice,
-    arithmetic) carries no jet, so a field that is changed is differentiated
-    by the stencil and never by partials of what it was.
-    """
-
-    def __new__(cls, jet: Jet, shape: tuple[int, int]):
-        v = np.asarray(jet.v, dtype=float)  # kept as the values when it has the grid's shape
-        out = (v if v.shape == shape else np.broadcast_to(v, shape).copy()).view(cls)
-        out.jet = jet
-        out.flags.writeable = False
-        return out
-
-    def __array_finalize__(self, obj):
-        self.jet = None
-
-    def __array_wrap__(self, array, context=None, return_scalar=False):
-        return array[()] if return_scalar else array  # ufunc results are plain arrays
-
-
 _FIELDS = ("g11", "g22", "v1", "v2", "phi1", "phi2", "h", "varphi", "B")
 
 
@@ -113,38 +89,31 @@ class AnsatzGrid:
     """Uniform rectangular grid of sampled normal-form fields.
 
     ``g11``/``g22`` are contravariant; ``B`` is a full field (constant for all
-    built-in systems, but synthetic grids may vary it).  A field is a plain
-    array or a :class:`JetField`.
+    built-in systems, but synthetic grids may vary it).  Every field is a
+    :class:`Jet` in (axis1, axis2) whose value and partials broadcast to the
+    grid: a scalar, an (n, 1) or (1, n) column, or the full grid.
     """
 
     axis1: np.ndarray
     axis2: np.ndarray
-    g11: np.ndarray
-    g22: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
-    phi1: np.ndarray
-    phi2: np.ndarray
-    h: np.ndarray
-    varphi: np.ndarray
-    B: np.ndarray
+    g11: Jet
+    g22: Jet
+    v1: Jet
+    v2: Jet
+    phi1: Jet
+    phi2: Jet
+    h: Jet
+    varphi: Jet
+    B: Jet
 
-    @property
-    def h1(self) -> float:
-        return float(self.axis1[1] - self.axis1[0])
-
-    @property
-    def h2(self) -> float:
-        return float(self.axis2[1] - self.axis2[0])
+    def __post_init__(self):
+        for name in _FIELDS:
+            if not isinstance(getattr(self, name), Jet):
+                raise TypeError(f"grid field {name} must be a Jet: the checks read its exact partials")
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.g11.shape
-
-
-def _jet_grid(axis1, axis2, **jets: Jet) -> AnsatzGrid:
-    shape = (axis1.size, axis2.size)
-    return AnsatzGrid(axis1=axis1, axis2=axis2, **{k: JetField(j, shape) for k, j in jets.items()})
+        return self.axis1.size, self.axis2.size
 
 
 def build_case1_grid(spec: SystemSpec, n: int = 64) -> AnsatzGrid:
@@ -159,9 +128,9 @@ def build_case1_grid(spec: SystemSpec, n: int = 64) -> AnsatzGrid:
     Q1, Q2 = Jet.along(0, q1[:, None], 1.0), Jet.along(1, q2[None, :], 1.0)
     g11_cov, g22_cov = stackel_components(spec.f_cubic, Q1, Q2)
     phi1, phi2 = phi_components(spec, (Q1, Q2))
-    return _jet_grid(
-        q1,
-        q2,
+    return AnsatzGrid(
+        axis1=q1,
+        axis2=q2,
         g11=1.0 / g11_cov,
         g22=1.0 / g22_cov,
         v1=Q2,
@@ -192,9 +161,9 @@ def build_case2_grid(spec: SystemSpec, n: int = 64) -> AnsatzGrid:
     sq1, sq2 = x1**2, x2**2
     g = 1.0 / (sq1 - sq2)
     phi1, phi2 = _torus_phi(spec, x1, d1, x2, d2)
-    return _jet_grid(
-        u1,
-        u2,
+    return AnsatzGrid(
+        axis1=u1,
+        axis2=u2,
         g11=g,
         g22=g,
         v1=sq2,
@@ -211,95 +180,41 @@ def swap_h_and_b(grid: AnsatzGrid) -> AnsatzGrid:
     return replace(grid, h=grid.B, B=grid.h)
 
 
-# ---------------------------------------------------------------------------
-# stencils
-# ---------------------------------------------------------------------------
-
-def _margin(stencil: int) -> int:
-    if stencil not in (2, 4):
-        raise ValueError("stencil order must be 2 or 4")
-    return 1 if stencil == 2 else 2
-
-
-def _d(F: np.ndarray, h: float, axis: int, stencil: int) -> np.ndarray:
-    """Central first derivative, valid on the interior; edges are NaN."""
-    m = _margin(stencil)
-    inner = (slice(m, F.shape[0] - m), slice(m, F.shape[1] - m))
-    at = lambda k: np.roll(F, -k, axis=axis)  # F[i + k] along the axis
-    out = np.full_like(F, np.nan)
-    if stencil == 2:
-        out[inner] = (at(1) - at(-1))[inner] / (2.0 * h)
-    else:
-        out[inner] = (-at(2) + 8.0 * at(1) - 8.0 * at(-1) + at(-2))[inner] / (12.0 * h)
-    return out
-
-
-def min_grid_size(stencil: int) -> int:
-    """Smallest n whose n x n grid keeps a core at this stencil order (9 or 5)."""
-    return 4 * _margin(stencil) + 1
-
-
-def _core(shape: tuple[int, int], stencil: int):
-    """Interior slice where both first and mixed second derivatives are valid."""
-    m = 2 * _margin(stencil)
-    if min(shape) < min_grid_size(stencil):
-        raise GridTooSmall(f"grid {shape} too small for stencil order {stencil}")
-    return (slice(m, shape[0] - m), slice(m, shape[1] - m))
-
-
-def _check_core(grid: AnsatzGrid, stencil: int):
-    """Where a check reads its residuals: every point of a grid whose fields
-    all carry jets, else the core of the stencil (see _core)."""
-    _margin(stencil)  # a stencil order that is not 2 or 4 is refused either way
-    if all(getattr(getattr(grid, f), "jet", None) is not None for f in _FIELDS):
-        return (slice(None), slice(None))
-    return _core(grid.shape, stencil)
-
-
 class _Derivatives(dict):
-    """The derivatives of one grid's fields, each taken on first use and kept:
-    read off the field's jet where it has one, else central differences at
-    one stencil order.
+    """The partials of one grid's fields, each read off the field's jet on
+    first use and kept.
 
     ``D[name, axis]`` is d_(axis+1) of the grid field ``name``, or of the log
-    of a metric component for ``"log g11"``/``"log g22"`` (from a jet,
-    d log g = dg / g); ``D[name, 0, 1]`` is the mixed d2 d1 of a grid field
-    (by the stencil, the axis-1 difference of ``D[name, 0]``).  A jet's
-    partial that is a column, or zero, is broadcast to the grid's shape.
+    of a metric component for ``"log g11"``/``"log g22"`` (d log g = dg / g);
+    ``D[name, 0, 1]`` is the mixed d1 d2 of a grid field.  Each keeps the
+    jet's own shape, and an identically zero partial is 0.0.
     """
 
-    def __init__(self, grid: AnsatzGrid, stencil: int):
+    def __init__(self, grid: AnsatzGrid):
         super().__init__()
         self._grid = grid
-        self._stencil = stencil
 
     def __missing__(self, key):
         name, *axes = key
-        field = getattr(self._grid, name.removeprefix("log "))
-        jet = getattr(field, "jet", None)
-        if jet is not None:
-            part = jet.d12 if len(axes) == 2 else (jet.d1, jet.d2)[axes[0]]
-            if part is not None and name.startswith("log "):
-                part = part / field
-            shape = self._grid.shape
-            out = part if np.shape(part) == shape else np.broadcast_to(0.0 if part is None else part, shape)
-        else:
-            if len(axes) == 2:
-                F = self[name, axes[0]]
-            elif name.startswith("log "):
-                F = np.log(field)
-            else:
-                F = field
-            axis = axes[-1]
-            out = _d(F, (self._grid.h1, self._grid.h2)[axis], axis, self._stencil)
-        self[key] = out
-        return out
+        jet = getattr(self._grid, name.removeprefix("log "))
+        part = jet.d12 if len(axes) == 2 else (jet.d1, jet.d2)[axes[0]]
+        if part is None:
+            part = 0.0
+        elif name.startswith("log "):
+            part = part / jet.v
+        self[key] = part
+        return part
 
 
-def _normalized_max(residual: np.ndarray, terms: list[np.ndarray], core) -> float:
-    scale = max(float(np.max(np.abs(t[core]))) for t in terms)
+def _values(grid: AnsatzGrid) -> tuple:
+    """The values of the grid's fields, in the order of _FIELDS."""
+    return tuple(getattr(grid, f).v for f in _FIELDS)
+
+
+def _normalized_max(residual, terms: list) -> float:
+    scale = max(float(np.max(np.abs(t))) for t in terms)
     scale = max(scale, 1e-300)
-    return float(np.max(np.abs(residual[core]))) / scale
+    return float(np.max(np.abs(residual))) / scale
 
 
 @dataclass(frozen=True)
@@ -308,121 +223,132 @@ class ConditionReport:
 
     residuals: dict[str, float]
     n: int
-    stencil: int
 
     @property
     def max_residual(self) -> float:
         return max(self.residuals.values())
 
 
-def check_classical(grid: AnsatzGrid, stencil: int = 4) -> ConditionReport:
-    """Max normalized residuals of (C1)-(C6)."""
-    core = _check_core(grid, stencil)
-    D = _Derivatives(grid, stencil)
-    root = np.sqrt(grid.g11 * grid.g22)
+def check_classical(grid: AnsatzGrid, stencil=None) -> ConditionReport:
+    """Max normalized residuals of (C1)-(C6).  ``stencil`` is ignored: every
+    derivative is exact, and callers that pass an order positionally still run."""
+    D = _Derivatives(grid)
+    g11, g22, v1, v2, phi1, phi2, _, _, B = _values(grid)
+    root = np.sqrt(g11 * g22)
     res: dict[str, float] = {}
 
     # C1: d1 v1 = d2 v2 = 0; scale is the size of the nonzero v-gradients
     r_c1 = np.maximum(np.abs(D["v1", 0]), np.abs(D["v2", 1]))
     v_scale = [D["v1", 1], D["v2", 0]]
-    res["C1"] = _normalized_max(r_c1, v_scale, core)
+    res["C1"] = _normalized_max(r_c1, v_scale)
 
-    # C2 (i=1, j=2y i=2, j=1)
-    t12 = (grid.v2 - grid.v1) * D["log g11", 1]
-    t21 = (grid.v1 - grid.v2) * D["log g22", 0]
+    # C2 (i=1, j=2 and i=2, j=1)
+    t12 = (v2 - v1) * D["log g11", 1]
+    t21 = (v1 - v2) * D["log g22", 0]
     r12 = D["v1", 1] - t12
     r21 = D["v2", 0] - t21
     res["C2"] = max(
-        _normalized_max(r12, [D["v1", 1], t12], core),
-        _normalized_max(r21, [D["v2", 0], t21], core),
+        _normalized_max(r12, [D["v1", 1], t12]),
+        _normalized_max(r21, [D["v2", 0], t21]),
     )
 
     # C3 for i=1 and i=2
-    t1 = (grid.phi1 * D["g11", 0] + grid.phi2 * D["g11", 1]) / (2.0 * grid.g11)
-    t2 = (grid.phi1 * D["g22", 0] + grid.phi2 * D["g22", 1]) / (2.0 * grid.g22)
+    t1 = (phi1 * D["g11", 0] + phi2 * D["g11", 1]) / (2.0 * g11)
+    t2 = (phi1 * D["g22", 0] + phi2 * D["g22", 1]) / (2.0 * g22)
     r1 = D["phi1", 0] - t1
     r2 = D["phi2", 1] - t2
     res["C3"] = max(
-        _normalized_max(r1, [D["phi1", 0], t1], core),
-        _normalized_max(r2, [D["phi2", 1], t2], core),
+        _normalized_max(r1, [D["phi1", 0], t1]),
+        _normalized_max(r2, [D["phi2", 1], t2]),
     )
 
     # C4
-    lhs = 2.0 * root * (grid.v2 - grid.v1) * grid.B
-    rhs1 = grid.g22 * D["phi1", 1]
-    rhs2 = grid.g11 * D["phi2", 0]
-    res["C4"] = _normalized_max(lhs - rhs1 - rhs2, [lhs, rhs1, rhs2], core)
+    lhs = 2.0 * root * (v2 - v1) * B
+    rhs1 = g22 * D["phi1", 1]
+    rhs2 = g11 * D["phi2", 0]
+    res["C4"] = _normalized_max(lhs - rhs1 - rhs2, [lhs, rhs1, rhs2])
 
     # C5 (both displayed equations)
-    b_over_root = grid.B / root
-    t51 = grid.v1 * D["h", 0]
-    t52 = grid.v2 * D["h", 1]
-    r51 = D["varphi", 0] - t51 - grid.phi2 * b_over_root
-    r52 = D["varphi", 1] - t52 + grid.phi1 * b_over_root
+    b_over_root = B / root
+    t51 = v1 * D["h", 0]
+    t52 = v2 * D["h", 1]
+    r51 = D["varphi", 0] - t51 - phi2 * b_over_root
+    r52 = D["varphi", 1] - t52 + phi1 * b_over_root
     res["C5"] = max(
-        _normalized_max(r51, [D["varphi", 0], t51, grid.phi2 * b_over_root], core),
-        _normalized_max(r52, [D["varphi", 1], t52, grid.phi1 * b_over_root], core),
+        _normalized_max(r51, [D["varphi", 0], t51, phi2 * b_over_root]),
+        _normalized_max(r52, [D["varphi", 1], t52, phi1 * b_over_root]),
     )
 
     # C6
-    ta = grid.phi1 * D["h", 0]
-    tb = grid.phi2 * D["h", 1]
-    res["C6"] = _normalized_max(ta + tb, [ta, tb], core)
+    ta = phi1 * D["h", 0]
+    tb = phi2 * D["h", 1]
+    res["C6"] = _normalized_max(ta + tb, [ta, tb])
 
-    return ConditionReport(residuals=res, n=grid.shape[0], stencil=stencil)
+    return ConditionReport(residuals=res, n=grid.shape[0])
 
 
-def _c6star(grid: AnsatzGrid, stencil: int) -> tuple[np.ndarray, list[np.ndarray]]:
+def _c6star(grid: AnsatzGrid) -> tuple[np.ndarray, list]:
     """The (C6*) residual field and the terms that set its scale."""
-    D = _Derivatives(grid, stencil)
-    weight = np.sqrt(grid.g11 * grid.g22) * (grid.v2 - grid.v1)
-    ta = grid.phi1 * D["h", 0]
-    tb = grid.phi2 * D["h", 1]
-    correction = weight * (
-        D["g11", 1] / grid.g11 * D["B", 0] + D["g22", 0] / grid.g22 * D["B", 1] - D["B", 0, 1]
-    )
-    return ta + tb + correction, [ta, tb, weight * D["g11", 1] / grid.g11]
+    D = _Derivatives(grid)
+    g11, g22, v1, v2, phi1, phi2, *_ = _values(grid)
+    weight = np.sqrt(g11 * g22) * (v2 - v1)
+    ta = phi1 * D["h", 0]
+    tb = phi2 * D["h", 1]
+    correction = weight * (D["g11", 1] / g11 * D["B", 0] + D["g22", 0] / g22 * D["B", 1] - D["B", 0, 1])
+    return ta + tb + correction, [ta, tb, weight * D["g11", 1] / g11]
 
 
-def c6star_field(grid: AnsatzGrid, stencil: int = 4) -> np.ndarray:
-    """Raw residual field of the quantum condition (C6*), NaN on the margins
-    where a stencil was taken."""
-    return _c6star(grid, stencil)[0]
+def c6star_field(grid: AnsatzGrid) -> np.ndarray:
+    """Raw residual field of the quantum condition (C6*)."""
+    return _c6star(grid)[0]
 
 
-def check_quantum_c6star(grid: AnsatzGrid, stencil: int = 4) -> float:
-    """Max normalized residual of (C6*)."""
-    core = _check_core(grid, stencil)
-    field, terms = _c6star(grid, stencil)
-    return _normalized_max(field, terms, core)
+def check_quantum_c6star(grid: AnsatzGrid, stencil=None) -> float:
+    """Max normalized residual of (C6*); ``stencil`` is ignored, as in
+    :func:`check_classical`."""
+    return _normalized_max(*_c6star(grid))
 
 
-def consistency_field(grid: AnsatzGrid, stencil: int = 4) -> np.ndarray:
-    """Cross-differentiation consistency of (C5):
+def _consistency(grid: AnsatzGrid) -> tuple[np.ndarray, list]:
+    """d2 (C5, first) - d1 (C5, second) and its additive terms."""
+    D = _Derivatives(grid)
+    g11, g22, v1, v2, phi1, phi2, _, _, B = _values(grid)
+    inv_root = 1.0 / np.sqrt(g11 * g22)
 
-        phi^1 d1 B + phi^2 d2 B + sqrt(g11 g22)(v^2 - v^1)
-            (d2 g11/g11 d1 h + d1 g22/g22 d2 h - d1 d2 h),
+    def d_phi_b(phi, name: str, axis: int):
+        """d_(axis+1) of phi B / sqrt(g11 g22); the root's partial through d log g."""
+        d_log_root = 0.5 * (D["log g11", axis] + D["log g22", axis])
+        return inv_root * (B * D[name, axis] + phi * D["B", axis] - phi * B * d_log_root)
 
-    which is (C6*) with h and B exchanged, and is evaluated as exactly that.
+    terms = [
+        D["v2", 0] * D["h", 1],
+        D["v1", 1] * D["h", 0],
+        (v2 - v1) * D["h", 0, 1],
+        d_phi_b(phi2, "phi2", 1),
+        d_phi_b(phi1, "phi1", 0),
+    ]
+    a, b, c, d, e = terms
+    return a - b + c - d - e, terms
+
+
+def consistency_field(grid: AnsatzGrid) -> np.ndarray:
+    """Raw cross-differentiation consistency field of (C5), d2 of its first
+    equation less d1 of its second (written out in the module docstring)."""
+    return _consistency(grid)[0]
+
+
+def check_duality(grid: AnsatzGrid) -> float:
+    """Max |consistency(grid) - c6star(grid with h and B swapped)|, normalized
+    by the largest of the consistency's terms and the swapped (C6*) scale terms.
+
+    Each side is formed from its own partials, so a field that breaks the
+    (C5) consistency, or (C3) through the divergence of phi / sqrt(g11 g22),
+    shows here; varphi cancels from the consistency and (C6*) has none, so a
+    wrong varphi is (C5)'s to catch.
     """
-    return c6star_field(swap_h_and_b(grid), stencil)
-
-
-def check_duality(grid: AnsatzGrid, stencil: int = 4, stencil_swapped: int | None = None) -> float:
-    """Max |consistency(grid) - c6star(grid with h and B swapped)| on the core.
-
-    With equal stencil orders the consistency field is the (C6*) field of the
-    swapped grid, so the difference is zero by construction and the field is
-    evaluated once; with mixed orders the difference is bounded by the two
-    truncation errors of the fields the stencil differentiates (none on a
-    grid of jets).
-    """
-    if stencil_swapped is None:
-        stencil_swapped = stencil
-    lhs = consistency_field(grid, stencil)
-    rhs = lhs if stencil_swapped == stencil else c6star_field(swap_h_and_b(grid), stencil_swapped)
-    core = _check_core(grid, max(stencil, stencil_swapped))
-    return float(np.max(np.abs(lhs[core] - rhs[core])))
+    cons, terms = _consistency(grid)
+    swapped, swapped_terms = _c6star(swap_h_and_b(grid))
+    return _normalized_max(cons - swapped, terms + swapped_terms)
 
 
 # ---------------------------------------------------------------------------

@@ -287,21 +287,28 @@ def test_metric_check_empty_grid_is_config_error(tmp_path, capsys, n):
 
 
 @pytest.mark.parametrize(
-    "cfg_grid, flags",
+    "cfg_grid, flags, code",
     [
-        ({"n": 0, "stencil": 4}, []),
-        ({"n": 32, "stencil": 4}, ["--grid", "0"]),
-        ({"n": 32, "stencil": 4}, ["--grid", "8"]),
-        ({"n": 32, "stencil": 4}, ["--grid", "4", "--stencil", "2"]),
-        ({"n": 32, "stencil": 3}, []),
+        ({"n": 0, "stencil": 4}, [], 2),
+        ({"n": 32, "stencil": 4}, ["--grid", "0"], 2),
+        # below the old stencil minimum (9 at order 4, 5 at order 2): every
+        # derivative is exact and every point is read, so these run
+        ({"n": 32, "stencil": 4}, ["--grid", "8"], 0),
+        ({"n": 32, "stencil": 4}, ["--grid", "4", "--stencil", "2"], 0),
+        ({"n": 32, "stencil": 3}, [], 2),
+        ({"n": 1, "stencil": 2}, [], 0),
     ],
+    ids=[f"cfg_grid{i}-flags{i}" for i in range(6)],  # stable ids: the code is left out of them
 )
-def test_verify_grid_below_stencil_minimum_is_config_error(tmp_path, capsys, cfg_grid, flags):
+def test_verify_grid_below_stencil_minimum_is_config_error(tmp_path, capsys, cfg_grid, flags, code):
     cfg = dict(CASE2, grid=cfg_grid)
     args = ["verify", "--config", _write(tmp_path, cfg), "--out", str(tmp_path)]
-    assert main(args + flags) == 2
+    assert main(args + flags) == code
     err = capsys.readouterr().err
-    assert err.startswith("config error: verify") and err.count("\n") == 1
+    if code:
+        assert err.startswith("config error: verify") and err.count("\n") == 1
+    else:
+        assert err == ""
 
 
 @pytest.mark.parametrize(

@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from monopole_lab import verify as ver
-from monopole_lab.errors import FunctionalDomainError, GridTooSmall, SingularSample
+from monopole_lab.errors import FunctionalDomainError, SingularSample
+from monopole_lab.fields import Jet, case2_spec
+from monopole_lab.polyroots import from_roots
 
-
-def _plain(grid):
-    """The grid with its jets stripped: every field a plain array, so every
-    derivative is taken by the stencil."""
-    return dataclasses.replace(grid, **{f: np.asarray(getattr(grid, f)) for f in ver._FIELDS})
+NEAR = (3, 2.99, -1, -4.99)  # the near-coalescing quartic
 
 
 @pytest.fixture(scope="module")
@@ -25,25 +23,41 @@ def grid2(case2):
     return ver.build_case2_grid(case2, 64)
 
 
+@pytest.fixture(scope="module")
+def grid_near():
+    return ver.build_case2_grid(case2_spec(from_roots(list(NEAR), -1.0), mu=1.0, B=0.5), 64)
+
+
+def _tilt(grid):
+    """1 + 0.01 u1 / max u1 as a jet: a 1% change across the grid, with its partials."""
+    u1 = grid.axis1[:, None]
+    return Jet.along(0, 1.0 + 0.01 * u1 / u1.max(), 0.01 / u1.max())
+
+
 def test_classical_conditions_case1(grid1):
-    rep = ver.check_classical(grid1, stencil=4)
+    rep = ver.check_classical(grid1)
     assert set(rep.residuals) == {"C1", "C2", "C3", "C4", "C5", "C6"}
     assert rep.max_residual < 1e-6
 
 
 def test_classical_conditions_case2(grid2):
-    rep = ver.check_classical(grid2, stencil=4)
+    rep = ver.check_classical(grid2)
     assert rep.max_residual < 1e-6
 
 
 def test_corrupted_potential_is_detected(grid1):
-    h_bad = grid1.h.copy()
-    h_bad[: h_bad.shape[0] // 2, :] *= 1.01
-    rep = ver.check_classical(dataclasses.replace(grid1, h=h_bad), stencil=4)
+    rep = ver.check_classical(dataclasses.replace(grid1, h=grid1.h * _tilt(grid1)))
     assert rep.residuals["C5"] > 1e-3
     assert rep.residuals["C6"] > 1e-3
     # the detector localizes: metric-only conditions stay clean
     assert rep.residuals["C2"] < 1e-6
+
+
+def _d(F, h, axis):
+    """Order-4 central first derivative, wrapping at the edges (read inside):
+    the oracle the jets are checked against."""
+    at = lambda k: np.roll(F, -k, axis=axis)
+    return (-at(2) + 8.0 * at(1) - 8.0 * at(-1) + at(-2)) / (12.0 * h)
 
 
 def _second_difference(F, h, axis):
@@ -57,16 +71,18 @@ def _jet_gaps(grid, step):
     points of the 32-interval grid's stencil core."""
     n = grid.shape[0]
     pts = (slice(4 * step, n - 4 * step, step),) * 2
+    h1, h2 = grid.axis1[1] - grid.axis1[0], grid.axis2[1] - grid.axis2[0]
     out = {}
     for f in ver._FIELDS:
-        F, jet = np.asarray(getattr(grid, f)), getattr(grid, f).jet
-        d1, d2 = ver._d(F, grid.h1, 0, 4), ver._d(F, grid.h2, 1, 4)
+        jet = getattr(grid, f)
+        F = np.broadcast_to(jet.v, grid.shape)
+        d1, d2 = _d(F, h1, 0), _d(F, h2, 1)
         stencils = {
             "d1": d1,
             "d2": d2,
-            "d12": ver._d(d1, grid.h2, 1, 4),
-            "d11": _second_difference(F, grid.h1, 0),
-            "d22": _second_difference(F, grid.h2, 1),
+            "d12": _d(d1, h2, 1),
+            "d11": _second_difference(F, h1, 0),
+            "d22": _second_difference(F, h2, 1),
         }
         for k, fd in stencils.items():
             part = getattr(jet, k)
@@ -76,12 +92,9 @@ def _jet_gaps(grid, step):
     return out
 
 
-@pytest.mark.parametrize("geometry", ["case1", (3, 2, -1, -4), (3, 2.99, -1, -4.99), (4, 1, -1, -4)])
+@pytest.mark.parametrize("geometry", ["case1", (3, 2, -1, -4), NEAR, (4, 1, -1, -4)])
 def test_jets_match_the_stencil_at_fourth_order(case1, geometry):
     # 33 and 65 points: 32 and 64 intervals, so the coarse points are fine points
-    from monopole_lab.fields import case2_spec
-    from monopole_lab.polyroots import from_roots
-
     if geometry == "case1":
         build = lambda n: ver.build_case1_grid(case1, n)
     else:
@@ -106,91 +119,71 @@ def test_jets_match_the_stencil_at_fourth_order(case1, geometry):
 def test_scaled_phi_and_wrong_varphi_are_detected(grid1, grid2):
     # the jets change with their values, so the exact derivatives see the fault
     for grid in (grid1, grid2):
-        phi = ver.JetField(1.01 * grid.phi1.jet, grid.shape)
-        assert ver.check_classical(dataclasses.replace(grid, phi1=phi)).residuals["C4"] > 1e-3
-        varphi = ver.JetField(1.01 * grid.varphi.jet, grid.shape)
-        rep = ver.check_classical(dataclasses.replace(grid, varphi=varphi))
+        rep = ver.check_classical(dataclasses.replace(grid, phi1=1.01 * grid.phi1))
+        assert rep.residuals["C4"] > 1e-3
+        rep = ver.check_classical(dataclasses.replace(grid, varphi=1.01 * grid.varphi))
         assert rep.residuals["C5"] > 1e-3
         assert max(rep.residuals[c] for c in ("C1", "C2", "C3", "C4", "C6")) < 1e-10
 
 
 def test_changed_field_loses_its_jet(grid1):
-    # a copy, a slice or arithmetic is a plain array: no stale partials
-    for made in (grid1.h.copy(), grid1.h[1:], grid1.h * 1.0, np.log(grid1.g11)):
-        assert getattr(made, "jet", None) is None
-    with pytest.raises(ValueError):
-        grid1.h[0, 0] = 0.0  # the values of a field with a jet are read-only
+    # a field changed as a plain array has lost its partials: the grid refuses it
+    with pytest.raises(TypeError, match="field h must be a Jet"):
+        dataclasses.replace(grid1, h=np.broadcast_to(grid1.h.v, grid1.shape) * 1.01)
+    # a field changed as a jet carries partials that changed with it
+    scaled = 1.01 * grid1.h
+    assert np.array_equal(scaled.d1, 1.01 * grid1.h.d1)
 
 
 def test_quantum_condition_constant_b(grid1, grid2):
-    for grid in (grid1, grid2, _plain(grid1), _plain(grid2)):
-        assert ver.check_quantum_c6star(grid, stencil=4) < 1e-6
+    for grid in (grid1, grid2):
+        assert ver.check_quantum_c6star(grid) < 1e-6
         # constant B: the correction term vanishes identically
-        core = ver._check_core(grid, 4)
-        D = ver._Derivatives(grid, 4)
-        c6_only = grid.phi1 * D["h", 0] + grid.phi2 * D["h", 1]
-        full = ver.c6star_field(grid, 4)
-        assert np.max(np.abs(full[core] - c6_only[core])) < 1e-12
+        D = ver._Derivatives(grid)
+        c6_only = grid.phi1.v * D["h", 0] + grid.phi2.v * D["h", 1]
+        full = ver.c6star_field(grid)
+        assert np.max(np.abs(full - c6_only)) < 1e-12
 
 
 def test_quantum_condition_synthetic_b(grid2):
-    # B = u1 turns on the correction; compare with a hand-assembled stencil
-    U1 = np.meshgrid(grid2.axis1, grid2.axis2, indexing="ij")[0]
-    syn = dataclasses.replace(_plain(grid2), B=U1.copy())
-    field = ver.c6star_field(syn, 4)
-    h1, h2 = syn.h1, syn.h2
-    d1 = lambda F: ver._d(F, h1, 0, 4)
-    d2 = lambda F: ver._d(F, h2, 1, 4)
-    root = np.sqrt(syn.g11 * syn.g22)
-    hand = (
-        syn.phi1 * d1(syn.h)
-        + syn.phi2 * d2(syn.h)
-        + root
-        * (syn.v2 - syn.v1)
-        * (
-            d2(syn.g11) / syn.g11 * d1(syn.B)
-            + d1(syn.g22) / syn.g22 * d2(syn.B)
-            - ver._d(ver._d(syn.B, h1, 0, 4), h2, 1, 4)
-        )
-    )
-    core = ver._core(syn.shape, 4)
-    assert np.max(np.abs(field[core] - hand[core])) == 0.0
-    assert ver.check_quantum_c6star(syn, 4) > 1e-3  # the correction is active
-    # the plain B on the grid of jets: B by the stencil, the rest exact
-    mixed = dataclasses.replace(grid2, B=U1.copy())
-    assert ver.check_quantum_c6star(mixed, 4) > 1e-3
+    # B = u1 turns on the correction; compare with a hand-assembled field
+    syn = dataclasses.replace(grid2, B=Jet.along(0, grid2.axis1[:, None], 1.0))
+    field = ver.c6star_field(syn)
+    g11, g22, v1, v2, phi1, phi2, h = (syn.g11, syn.g22, syn.v1, syn.v2, syn.phi1, syn.phi2, syn.h)
+    root = np.sqrt(g11.v * g22.v)
+    # d1 B = 1, d2 B = d1 d2 B = 0
+    correction = g11.d2 / g11.v * 1.0 + g22.d1 / g22.v * 0.0 - 0.0
+    hand = phi1.v * h.d1 + phi2.v * h.d2 + root * (v2.v - v1.v) * correction
+    assert np.max(np.abs(field - hand)) == 0.0
+    assert ver.check_quantum_c6star(syn) > 1e-3  # the correction is active
 
 
-def test_duality_structural_identity(grid1, grid2):
-    assert ver.check_duality(grid1, stencil=4) == 0.0
-    assert ver.check_duality(grid2, stencil=4) == 0.0
-    assert ver.check_duality(grid2, stencil=2) == 0.0
+def test_duality_structural_identity(grid1, grid2, grid_near):
+    # the (C5) consistency and the swapped (C6*), each from its own partials
+    for grid in (grid1, grid2, grid_near):
+        assert ver.check_duality(grid) <= 1e-12
 
 
-def test_duality_mixed_orders_bounded_by_truncation(grid2):
-    grid = _plain(grid2)
-    diff = ver.check_duality(grid, stencil=2, stencil_swapped=4)
-    core = ver._core(grid.shape, 4)
-    res2 = float(np.max(np.abs(ver.consistency_field(grid, 2)[core])))
-    res4 = float(np.max(np.abs(ver.consistency_field(grid, 4)[core])))
-    assert diff <= 1.01 * (res2 + res4)
+def test_duality_detects_tilted_phi_and_h(grid1, grid2, grid_near):
+    for grid in (grid1, grid2, grid_near):
+        tilt = _tilt(grid)
+        assert ver.check_duality(dataclasses.replace(grid, phi1=grid.phi1 * tilt)) > 1e-4
+        assert ver.check_duality(dataclasses.replace(grid, h=grid.h * tilt)) > 1e-4
+        # varphi cancels from the consistency: a wrong varphi is (C5)'s to catch
+        assert ver.check_duality(dataclasses.replace(grid, varphi=1.01 * grid.varphi)) <= 1e-12
+    # on case1 phi1 / sqrt(g11 g22) is constant, so a constant-scaled phi1 is (C4)'s to catch
+    assert ver.check_duality(dataclasses.replace(grid1, phi1=1.01 * grid1.phi1)) <= 1e-12
 
 
-def test_stencil_convergence_second_order(case1):
-    r32 = ver.check_classical(_plain(ver.build_case1_grid(case1, 32)), stencil=2).residuals
-    r64 = ver.check_classical(_plain(ver.build_case1_grid(case1, 64)), stencil=2).residuals
-    for cond in r32:
-        if r64[cond] < 1e-12:
-            continue  # condition holds to rounding at both resolutions
-        assert r32[cond] / r64[cond] >= 3.5
-
-
-def test_grid_too_small(case1):
-    small = ver.build_case1_grid(case1, 8)
-    with pytest.raises(GridTooSmall):
-        ver.check_classical(_plain(small), stencil=4)
-    # jets need no stencil core: every point is read
-    assert ver.check_classical(small, stencil=4).max_residual < 1e-12
+def test_grid_too_small(case1, case2):
+    # no grid is too small: every point is read, down to a single one
+    for n in (1, 2, 3, 8):
+        for grid in (ver.build_case1_grid(case1, n), ver.build_case2_grid(case2, n)):
+            assert grid.shape == (n, n)
+            rep = ver.check_classical(grid)
+            assert rep.n == n and rep.max_residual < 1e-12, n
+            assert ver.check_quantum_c6star(grid) < 1e-12, n
+            assert ver.check_duality(grid) < 1e-12, n
 
 
 @pytest.mark.parametrize("roots", [(3, 2, -1, -4), (3, 2.99, -1, -4.99), (4, 1, -1, -4)])
@@ -225,6 +218,7 @@ def test_case2_grid_matches_meshgrid_reference(roots):
     grid = ver.build_case2_grid(spec, n)
     for name, want in ref.items():
         got = getattr(grid, name)
+        got = got if name.startswith("axis") else np.broadcast_to(got.v, grid.shape)
         assert got.shape == want.shape, name
         assert np.array_equal(got, want), name
 
@@ -241,14 +235,6 @@ def test_case2_grid_solves_each_slice_once(case2, monkeypatch):
     ver.build_case2_grid(case2, 16)
     assert len(calls) == 2
     assert {id(b) for b in calls} == {id(m.branch1), id(m.branch2)}
-
-
-def test_min_grid_size_is_the_core_limit(case1):
-    for stencil in (2, 4):
-        n = ver.min_grid_size(stencil)
-        ver.check_classical(_plain(ver.build_case1_grid(case1, n)), stencil)
-        with pytest.raises(GridTooSmall):
-            ver.check_classical(_plain(ver.build_case1_grid(case1, n - 1)), stencil)
 
 
 def test_ode_identities_random_samples():
@@ -295,82 +281,82 @@ def test_functional_equation_cases():
         ver.check_functional_equation("cubic", 1.0, 2.0)
 
 
-# the formulas of the checks as they were written before the derivative table,
-# one stencil call per use: the reference the table must reproduce bit for bit
-def _ref_d(F, h, axis, stencil):
-    shift = lambda k: np.roll(F, -k, axis=axis)
-    m = 1 if stencil == 2 else 2
-    inner = (slice(m, F.shape[0] - m), slice(m, F.shape[1] - m))
-    out = np.full_like(F, np.nan)
-    if stencil == 2:
-        sl = shift(1) - shift(-1)
-        out[inner] = sl[inner] / (2.0 * h)
-    else:
-        sl = -shift(2) + 8.0 * shift(1) - 8.0 * shift(-1) + shift(-2)
-        out[inner] = sl[inner] / (12.0 * h)
-    return out
+# the formulas of the checks written out with one read of a jet's partial per
+# use: the reference the derivative table must reproduce bit for bit
+def _p(jet, k):
+    part = getattr(jet, k)
+    return 0.0 if part is None else part
 
 
-def _ref_classical(grid, stencil):
-    core = ver._core(grid.shape, stencil)
+def _ref_classical(grid):
     nmax = ver._normalized_max
-    d1 = lambda F: _ref_d(F, grid.h1, 0, stencil)
-    d2 = lambda F: _ref_d(F, grid.h2, 1, stencil)
-    root = np.sqrt(grid.g11 * grid.g22)
+    F = {f: getattr(grid, f) for f in ver._FIELDS}
+    g11, g22, v1, v2, phi1, phi2, h, varphi, B = (F[f].v for f in ver._FIELDS)
+    d1 = lambda f: _p(F[f], "d1")
+    d2 = lambda f: _p(F[f], "d2")
+    root = np.sqrt(g11 * g22)
     res = {}
-    r_c1 = np.maximum(np.abs(d1(grid.v1)), np.abs(d2(grid.v2)))
-    res["C1"] = nmax(r_c1, [d2(grid.v1), d1(grid.v2)], core)
-    t12 = (grid.v2 - grid.v1) * d2(np.log(grid.g11))
-    t21 = (grid.v1 - grid.v2) * d1(np.log(grid.g22))
+    r_c1 = np.maximum(np.abs(d1("v1")), np.abs(d2("v2")))
+    res["C1"] = nmax(r_c1, [d2("v1"), d1("v2")])
+    t12 = (v2 - v1) * (d2("g11") / g11)
+    t21 = (v1 - v2) * (d1("g22") / g22)
     res["C2"] = max(
-        nmax(d2(grid.v1) - t12, [d2(grid.v1), t12], core),
-        nmax(d1(grid.v2) - t21, [d1(grid.v2), t21], core),
+        nmax(d2("v1") - t12, [d2("v1"), t12]),
+        nmax(d1("v2") - t21, [d1("v2"), t21]),
     )
-    t1 = (grid.phi1 * d1(grid.g11) + grid.phi2 * d2(grid.g11)) / (2.0 * grid.g11)
-    t2 = (grid.phi1 * d1(grid.g22) + grid.phi2 * d2(grid.g22)) / (2.0 * grid.g22)
+    t1 = (phi1 * d1("g11") + phi2 * d2("g11")) / (2.0 * g11)
+    t2 = (phi1 * d1("g22") + phi2 * d2("g22")) / (2.0 * g22)
     res["C3"] = max(
-        nmax(d1(grid.phi1) - t1, [d1(grid.phi1), t1], core),
-        nmax(d2(grid.phi2) - t2, [d2(grid.phi2), t2], core),
+        nmax(d1("phi1") - t1, [d1("phi1"), t1]),
+        nmax(d2("phi2") - t2, [d2("phi2"), t2]),
     )
-    lhs = 2.0 * root * (grid.v2 - grid.v1) * grid.B
-    rhs1 = grid.g22 * d2(grid.phi1)
-    rhs2 = grid.g11 * d1(grid.phi2)
-    res["C4"] = nmax(lhs - rhs1 - rhs2, [lhs, rhs1, rhs2], core)
-    bor = grid.B / root
-    r51 = d1(grid.varphi) - grid.v1 * d1(grid.h) - grid.phi2 * bor
-    r52 = d2(grid.varphi) - grid.v2 * d2(grid.h) + grid.phi1 * bor
+    lhs = 2.0 * root * (v2 - v1) * B
+    rhs1 = g22 * d2("phi1")
+    rhs2 = g11 * d1("phi2")
+    res["C4"] = nmax(lhs - rhs1 - rhs2, [lhs, rhs1, rhs2])
+    bor = B / root
+    r51 = d1("varphi") - v1 * d1("h") - phi2 * bor
+    r52 = d2("varphi") - v2 * d2("h") + phi1 * bor
     res["C5"] = max(
-        nmax(r51, [d1(grid.varphi), grid.v1 * d1(grid.h), grid.phi2 * bor], core),
-        nmax(r52, [d2(grid.varphi), grid.v2 * d2(grid.h), grid.phi1 * bor], core),
+        nmax(r51, [d1("varphi"), v1 * d1("h"), phi2 * bor]),
+        nmax(r52, [d2("varphi"), v2 * d2("h"), phi1 * bor]),
     )
-    ta = grid.phi1 * d1(grid.h)
-    tb = grid.phi2 * d2(grid.h)
-    res["C6"] = nmax(ta + tb, [ta, tb], core)
+    ta = phi1 * d1("h")
+    tb = phi2 * d2("h")
+    res["C6"] = nmax(ta + tb, [ta, tb])
     return res
 
 
-def _ref_fields(grid, stencil):
-    """(c6star_field, consistency_field, the (C6*) scale terms), written out twice."""
-    h1, h2 = grid.h1, grid.h2
-    d1 = lambda F: _ref_d(F, h1, 0, stencil)
-    d2 = lambda F: _ref_d(F, h2, 1, stencil)
-    root = np.sqrt(grid.g11 * grid.g22)
-    c6s = grid.phi1 * d1(grid.h) + grid.phi2 * d2(grid.h) + root * (grid.v2 - grid.v1) * (
-        d2(grid.g11) / grid.g11 * d1(grid.B)
-        + d1(grid.g22) / grid.g22 * d2(grid.B)
-        - _ref_d(_ref_d(grid.B, h1, 0, stencil), h2, 1, stencil)
+def _ref_fields(grid):
+    """(c6star_field, consistency_field, the swapped c6star_field, the (C6*)
+    scale terms, the consistency's terms, the swapped (C6*) scale terms),
+    written out."""
+    F = {f: getattr(grid, f) for f in ver._FIELDS}
+    g11, g22, v1, v2, phi1, phi2, h, varphi, B = (F[f].v for f in ver._FIELDS)
+    d = lambda f, k: _p(F[f], k)
+    weight = np.sqrt(g11 * g22) * (v2 - v1)
+
+    def c6s(h, b):
+        return phi1 * d(h, "d1") + phi2 * d(h, "d2") + weight * (
+            d("g11", "d2") / g11 * d(b, "d1") + d("g22", "d1") / g22 * d(b, "d2") - d(b, "d12")
+        )
+
+    def c6_terms(h):
+        return [phi1 * d(h, "d1"), phi2 * d(h, "d2"), weight * d("g11", "d2") / g11]
+
+    inv_root = 1.0 / np.sqrt(g11 * g22)
+    d_phi_b = lambda phi, f, k: inv_root * (
+        B * d(f, k) + phi * d("B", k) - phi * B * (0.5 * (d("g11", k) / g11 + d("g22", k) / g22))
     )
-    cons = grid.phi1 * d1(grid.B) + grid.phi2 * d2(grid.B) + root * (grid.v2 - grid.v1) * (
-        d2(grid.g11) / grid.g11 * d1(grid.h)
-        + d1(grid.g22) / grid.g22 * d2(grid.h)
-        - _ref_d(_ref_d(grid.h, h1, 0, stencil), h2, 1, stencil)
-    )
-    terms = [
-        grid.phi1 * d1(grid.h),
-        grid.phi2 * d2(grid.h),
-        np.sqrt(grid.g11 * grid.g22) * (grid.v2 - grid.v1) * d2(grid.g11) / grid.g11,
+    cons_terms = [
+        d("v2", "d1") * d("h", "d2"),
+        d("v1", "d2") * d("h", "d1"),
+        (v2 - v1) * d("h", "d12"),
+        d_phi_b(phi2, "phi2", "d2"),
+        d_phi_b(phi1, "phi1", "d1"),
     ]
-    return c6s, cons, terms
+    a, b, c, e, f = cons_terms
+    return c6s("h", "B"), a - b + c - e - f, c6s("B", "h"), c6_terms("h"), cons_terms, c6_terms("B")
 
 
 def _bits(x):
@@ -379,66 +365,43 @@ def _bits(x):
 
 @pytest.mark.parametrize("n", [9, 24, 64])
 def test_derivative_table_matches_per_use_reference(case1, n):
-    from monopole_lab.fields import case2_spec
-    from monopole_lab.polyroots import from_roots
-
     spec2 = case2_spec(from_roots([3, 2, -1, -4], -1.0), mu=1.3, B=0.7)
-    near = case2_spec(from_roots([3, 2.99, -1, -4.99], -1.0), mu=1.3, B=0.7)
-    g2 = _plain(ver.build_case2_grid(spec2, n))
-    U1, U2 = np.meshgrid(g2.axis1, g2.axis2, indexing="ij")
+    near = case2_spec(from_roots(list(NEAR), -1.0), mu=1.3, B=0.7)
+    g2 = ver.build_case2_grid(spec2, n)
+    u1, u2 = Jet.along(0, g2.axis1[:, None], 1.0), Jet.along(1, g2.axis2[None, :], 1.0)
+    sin_u1 = Jet.along(0, np.sin(u1.v), np.cos(u1.v), -np.sin(u1.v))
     grids = {
-        "case1": _plain(ver.build_case1_grid(case1, n)),
+        "case1": ver.build_case1_grid(case1, n),
         "case2": g2,
-        "near": _plain(ver.build_case2_grid(near, n)),
-        "varying B": dataclasses.replace(g2, B=np.sin(U1) * U2 + 0.3 * U2**2),
+        "near": ver.build_case2_grid(near, n),
+        "varying B": dataclasses.replace(g2, B=sin_u1 * u2 + 0.3 * u2**2),
     }
     for name, grid in grids.items():
-        fields = {s: _ref_fields(grid, s) for s in (2, 4)}
-        for s in (2, 4):
-            c6s, cons, terms = fields[s]
-            core = ver._core(grid.shape, s)
-            want = _ref_classical(grid, s)
-            got = ver.check_classical(grid, s).residuals
-            assert list(got) == list(want), name
-            for cond in want:
-                assert _bits(got[cond]) == _bits(want[cond]), (name, s, cond)
-            assert _bits(ver.c6star_field(grid, s)) == _bits(c6s), (name, s)
-            assert _bits(ver.consistency_field(grid, s)) == _bits(cons), (name, s)
-            c6_ref = ver._normalized_max(c6s, terms, core)
-            assert _bits(ver.check_quantum_c6star(grid, s)) == _bits(c6_ref), (name, s)
-            for s2 in (2, 4):
-                swapped = _ref_fields(ver.swap_h_and_b(grid), s2)[0]
-                wide = ver._core(grid.shape, max(s, s2))
-                dual = float(np.max(np.abs(cons[wide] - swapped[wide])))
-                assert _bits(ver.check_duality(grid, s, s2)) == _bits(dual), (name, s, s2)
-
-
-def _demo_grids():
-    """The grids verify builds from the demo configs it supports."""
-    from monopole_lab.cli import spec_from_config
-    from monopole_lab.errors import MonopoleLabError
-    from monopole_lab.fields import Family
-
-    build = {Family.CASE_I: ver.build_case1_grid, Family.CASE_II: ver.build_case2_grid}
-    for cfg in sorted((Path(__file__).parents[1] / "demos" / "configs").glob("*.json")):
-        spec = spec_from_config(json.loads(cfg.read_text()))
-        if spec.family not in build:
-            continue
-        try:
-            grid = build[spec.family](spec, 64)
-        except MonopoleLabError:  # an inadmissible quartic
-            continue
-        yield cfg.name, grid
+        c6s, cons, swapped, terms, cons_terms, swapped_terms = _ref_fields(grid)
+        want = _ref_classical(grid)
+        got = ver.check_classical(grid).residuals
+        assert list(got) == list(want), name
+        for cond in want:
+            assert _bits(got[cond]) == _bits(want[cond]), (name, cond)
+        assert _bits(ver.c6star_field(grid)) == _bits(c6s), name
+        assert _bits(ver.consistency_field(grid)) == _bits(cons), name
+        c6_ref = ver._normalized_max(c6s, terms)
+        assert _bits(ver.check_quantum_c6star(grid)) == _bits(c6_ref), name
+        dual = ver._normalized_max(cons - swapped, cons_terms + swapped_terms)
+        assert _bits(ver.check_duality(grid)) == _bits(dual), name
 
 
 @pytest.mark.parametrize("stencil", ["2", "4"])
 def test_verify_takes_each_derivative_once(stencil, tmp_path, monkeypatch, capsys):
-    # on a built-in family every derivative comes from the grid's jets
+    # on a built-in family every partial is read off a jet once per table, and
+    # the stencil order selects nothing
     from monopole_lab.cli import main
 
-    d = ver._d
-    taken = []
-    monkeypatch.setattr(ver, "_d", lambda F, h, axis, s: taken.append((axis, s)) or d(F, h, axis, s))
+    missing = ver._Derivatives.__missing__
+    reads = []  # (table, key); the tables are kept alive, so ids are not reused
+    monkeypatch.setattr(
+        ver._Derivatives, "__missing__", lambda self, key: reads.append((self, key)) or missing(self, key)
+    )
     ran = 0
     for cfg in sorted((Path(__file__).parents[1] / "demos" / "configs").glob("*.json")):
         code = main(["verify", "--config", str(cfg), "--out", str(tmp_path), "--stencil", stencil])
@@ -447,27 +410,5 @@ def test_verify_takes_each_derivative_once(stencil, tmp_path, monkeypatch, capsy
         ran += 1
         assert code == 0, cfg.name
     assert ran == 2
-    assert taken == []
-
-
-@pytest.mark.parametrize("stencil", [2, 4])
-def test_stencil_checks_take_each_derivative_once(stencil, monkeypatch):
-    # the demo grids with their jets stripped, checked as verify checks them
-    d = ver._d
-    taken = []  # per public check call: (input array, axis, stencil) of each _d call
-    monkeypatch.setattr(
-        ver, "_d", lambda F, h, axis, s: taken[-1].append((F, axis, s)) or d(F, h, axis, s)
-    )
-    ran = 0
-    for name, grid in _demo_grids():
-        taken.clear()
-        grid = _plain(grid)
-        for check in (ver.check_classical, ver.check_quantum_c6star, ver.check_duality):
-            taken.append([])
-            check(grid, stencil)
-        ran += 1
-        assert 0 < sum(map(len, taken)) <= 40, name  # 57 with one stencil per use
-        for calls in taken:  # the inputs are kept alive above, so ids are not reused
-            keys = [(id(F), axis, s) for F, axis, s in calls]
-            assert len(set(keys)) == len(keys), name
-    assert ran == 2
+    keys = [(id(table), key) for table, key in reads]
+    assert 0 < len(keys) == len(set(keys))
