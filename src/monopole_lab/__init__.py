@@ -38,7 +38,6 @@ from .fields import (
     case2_spec,
     electric_h,
     gauge_a,
-    magnetic_density,
     phi_components,
     varphi,
     vy_spec,
@@ -68,12 +67,9 @@ from .dynamics import (
     PhaseState,
     Trajectory,
     clebsch_eval,
-    f_eval,
     flow_step,
-    h_eval,
+    hf_bracket,
     integrate,
-    lie_poisson_bracket,
-    poisson_bracket_fd,
     random_state,
     torus_eval,
     vy_eval,

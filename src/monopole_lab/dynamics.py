@@ -23,10 +23,11 @@ dx/dt = {x, H} under {M_i, M_j} = eps_ijk M_k, {M_i, x_j} = eps_ijk x_k,
 {x_i, x_j} = 0, with a per-step projection restoring the Casimirs |x|^2 = 1
 and (M, x) = nu exactly.
 
-One stepper, flow_step, steps every family: it packs the state into the
-family's integration variables, takes one core step on the family's
-right-hand side (_torus_rhs, _limit_rhs, _e3_rhs) and unpacks (_torus_state,
-_phase_state, and the Casimir projection _project_e3).
+For each family _flow packs the state into its integration variables y and
+names its right-hand side (_torus_rhs, _limit_rhs, _e3_rhs), the exact
+gradient of F in y and the unpacking (_torus_state, _phase_state, and the
+Casimir projection _project_e3).  flow_step steps every family on them, and
+hf_bracket reads {F, H} = grad F . dy/dt, the rate of change of F along H's flow.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with standard PI-free
 step control; drift bounds are enforced through the local tolerance, and a
@@ -46,13 +47,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import mul, sub
+from operator import attrgetter, mul, sub
 
 import numpy as np
 
 from .elliptic import _limit_slice
 from .errors import CenterSingularity, DegeneratePoint, FixedPointSingularity, StepRejected
-from .fields import Family, SystemSpec, gauge_a
+from .fields import Family, SystemSpec, _torus_normal_form, gauge_a
 
 __all__ = [
     "PhaseState",
@@ -60,15 +61,10 @@ __all__ = [
     "Trajectory",
     "StepResult",
     "torus_eval",
-    "h_eval",
-    "f_eval",
     "flow_step",
-    "poisson_bracket_fd",
-    "phase_gradient",
+    "hf_bracket",
     "clebsch_eval",
     "vy_eval",
-    "lie_poisson_bracket",
-    "e3_gradient",
     "limit_h_eval",
     "limit_gauge_a1",
     "integrate",
@@ -161,16 +157,6 @@ def torus_eval(spec: SystemSpec, s: PhaseState) -> tuple[float, float]:
     return float(H), float(quad + linear + scal)
 
 
-def h_eval(spec: SystemSpec, s: PhaseState) -> float:
-    """Torus Hamiltonian |w|^2/lam + mu/(Q1+Q2)."""
-    return torus_eval(spec, s)[0]
-
-
-def f_eval(spec: SystemSpec, s: PhaseState) -> float:
-    """Second integral of the torus family (see module docstring)."""
-    return torus_eval(spec, s)[1]
-
-
 def _torus_rhs(spec: SystemSpec):
     m = spec.model
     mu, B = spec.mu, spec.B
@@ -203,6 +189,22 @@ def _torus_state(spec: SystemSpec, y: tuple, _nu) -> PhaseState:
     u1, u2, w1, w2 = y
     a1, a2 = gauge_a(spec, (u1, u2))
     return PhaseState(u1=u1, u2=u2, p1=w1 + a1, p2=w2 + a2)
+
+
+def _torus_grad_f(spec: SystemSpec, y: tuple) -> tuple:
+    """grad F in y = (u1, u2, w1, w2), where in the normal form of fields
+
+        F = g (v1 w1^2 + v2 w2^2) + phi1 w1 + phi2 w2 + varphi;
+
+    the u-partials are read off the jets of the fields."""
+    u1, u2, w1, w2 = y
+    g, v1, v2, phi1, phi2, _, vphi = _torus_normal_form(spec, u1, u2)
+    gv1, gv2 = g * v1, g * v2
+    du = [
+        d(gv1) * w1 * w1 + d(gv2) * w2 * w2 + d(phi1) * w1 + d(phi2) * w2 + d(vphi)
+        for d in (attrgetter("d1"), attrgetter("d2"))
+    ]
+    return (*du, 2.0 * gv1.v * w1 + phi1.v, 2.0 * gv2.v * w2 + phi2.v)
 
 
 # ---------------------------------------------------------------------------
@@ -311,32 +313,6 @@ def _adaptive_step(rhs, y: tuple, dt: float, tol: float):
 
 
 # ---------------------------------------------------------------------------
-# finite-difference Poisson brackets
-# ---------------------------------------------------------------------------
-
-def _richardson_diff(fn, x0: np.ndarray, i: int, h: float) -> float:
-    e = np.zeros_like(x0)
-    e[i] = 1.0
-    d_h = (fn(x0 + h * e) - fn(x0 - h * e)) / (2.0 * h)
-    d_h2 = (fn(x0 + 0.5 * h * e) - fn(x0 - 0.5 * h * e)) / h
-    return (4.0 * d_h2 - d_h) / 3.0
-
-
-def phase_gradient(fn, s: PhaseState, h: float = 1e-4) -> np.ndarray:
-    """Gradient (d/du1, d/du2, d/dp1, d/dp2) by Richardson-extrapolated differences."""
-    x0 = s.as_array()
-    wrapped = lambda arr: fn(PhaseState(*arr))
-    return np.array([_richardson_diff(wrapped, x0, i, h) for i in range(4)])
-
-
-def poisson_bracket_fd(fn_a, fn_b, s: PhaseState, h: float = 1e-4) -> float:
-    """Canonical bracket {a, b} = sum_i da/du_i db/dp_i - da/dp_i db/du_i."""
-    ga = phase_gradient(fn_a, s, h)
-    gb = phase_gradient(fn_b, s, h)
-    return float(ga[0] * gb[2] - ga[2] * gb[0] + ga[1] * gb[3] - ga[3] * gb[1])
-
-
-# ---------------------------------------------------------------------------
 # e(3)* systems: Clebsch (CASE_I) and the two-centre system (VY)
 # ---------------------------------------------------------------------------
 
@@ -393,27 +369,6 @@ def vy_eval(spec: SystemSpec, s: E3State) -> tuple[float, float]:
     return H, F
 
 
-def e3_gradient(fn, s: E3State, h: float = 1e-4) -> tuple[np.ndarray, np.ndarray]:
-    """(grad_M f, grad_x f) by Richardson-extrapolated central differences."""
-    x0 = s.as_array()
-    wrapped = lambda arr: fn(E3State(M=arr[:3], x=arr[3:]))
-    g = np.array([_richardson_diff(wrapped, x0, i, h) for i in range(6)])
-    return g[:3], g[3:]
-
-
-def lie_poisson_bracket(fn_a, fn_b, s: E3State, h: float = 1e-4) -> float:
-    """Bracket assembled from the e(3)* structure constants:
-
-        {a, b} = M . (grad_M a x grad_M b)
-                 + x . (grad_M a x grad_x b + grad_x a x grad_M b).
-    """
-    gam, gax = e3_gradient(fn_a, s, h)
-    gbm, gbx = e3_gradient(fn_b, s, h)
-    return float(
-        s.M @ np.cross(gam, gbm) + s.x @ (np.cross(gam, gbx) + np.cross(gax, gbm))
-    )
-
-
 def _cross(a, b) -> tuple:
     """a x b for 3-sequences, in np.cross's order of operations."""
     a0, a1, a2 = a
@@ -454,6 +409,28 @@ def _e3_rhs(spec: SystemSpec):
         return (*_cross(gradH, q), *_cross(M, q))
 
     return rhs
+
+
+def _clebsch_grad_f(spec: SystemSpec, y: tuple) -> tuple:
+    """grad F in y = (M, x) for F = sum a_i M_i^2 + mu (a2 a3 x1^2 + a1 a3 x2^2 + a1 a2 x3^2)."""
+    a1, a2, a3 = spec.alpha
+    M, x = y[:3], y[3:]
+    c = 2.0 * spec.mu
+    return (
+        2.0 * a1 * M[0], 2.0 * a2 * M[1], 2.0 * a3 * M[2], c * a2 * a3 * x[0], c * a1 * a3 * x[1], c * a1 * a2 * x[2]
+    )
+
+
+def _vy_grad_f(spec: SystemSpec, y: tuple) -> tuple:
+    """grad F in y = (M, q) for the F of :func:`vy_eval`; c = 2 sqrt(AB)/|q|."""
+    M, q = np.array(y[:3]), np.array(y[3:])
+    va, vb, mu = spec.vy_a, spec.vy_b, spec.mu
+    sab, qn, R, e_z = math.sqrt(va * vb), np.linalg.norm(q), _vy_r(spec, q), np.array([0.0, 0.0, 1.0])
+    c, mq = 2.0 * sab / qn, M @ q
+    grad_r = np.array([2.0 * vb, 2.0 * va, 2.0 * (va + vb)]) * q - 2.0 * sab * (q[2] * q / qn + qn * e_z)
+    dM = np.array([2.0 * va * M[0], 2.0 * vb * M[1], 0.0]) + c * M[2] * q + c * mq * e_z
+    dq = c * M[2] * (M - mq * q / qn**2) + mu * sab * (q[2] * R**-1.5 * grad_r - 2.0 / math.sqrt(R) * e_z)
+    return (*dM.tolist(), *dq.tolist())
 
 
 def _project_e3(_spec: SystemSpec, y: tuple, nu: float) -> E3State:
@@ -531,28 +508,52 @@ def _phase_state(_spec: SystemSpec, y: tuple, _nu) -> PhaseState:
 
 
 # ---------------------------------------------------------------------------
-# trajectory drivers
+# the families' variables; the bracket and the trajectory drivers
 # ---------------------------------------------------------------------------
+
+def _flow(spec: SystemSpec, s: PhaseState | E3State) -> tuple:
+    """(y, rhs, grad_f, unpack) at state s: the family's integration
+    variables, the flow's right-hand side in them, grad F in them and the map
+    of y back to a state.  The torus integrates the velocities w = p - A(u),
+    the cylinder (u, p), where F = p1, and e(3)* (M, x).
+    """
+    if spec.family == Family.CASE_II:
+        a1, a2 = gauge_a(spec, (s.u1, s.u2))
+        return (s.u1, s.u2, s.p1 - a1, s.p2 - a2), _torus_rhs(spec), _torus_grad_f, _torus_state
+    if spec.family == Family.CASE_II_LIMIT:
+        return (s.u1, s.u2, s.p1, s.p2), _limit_rhs(spec), lambda *_: (0.0, 0.0, 1.0, 0.0), _phase_state
+    grad_f = _clebsch_grad_f if spec.family == Family.CASE_I else _vy_grad_f
+    return tuple(s.as_array().tolist()), _e3_rhs(spec), grad_f, _project_e3
+
+
+def hf_bracket(spec: SystemSpec, s: PhaseState | E3State) -> tuple[float, float]:
+    """{F, H} at state s and its scale: (sum_i t_i, sum_i |t_i|), where
+    t_i = dF/dy_i dy_i/dt in the family's integration variables y.
+
+    A state where the flow is singular raises the right-hand side's error,
+    and one where it is not finite DegeneratePoint.
+    """
+    y, rhs, grad_f, _ = _flow(spec, s)
+    dy = rhs(y)
+    terms = list(map(mul, grad_f(spec, y), dy))
+    scale = math.fsum(map(abs, terms))
+    if not math.isfinite(scale):
+        raise DegeneratePoint(f"the flow is not finite at {s}")
+    return math.fsum(terms), scale
+
 
 def flow_step(
     spec: SystemSpec, s: PhaseState | E3State, dt: float, tol: float = 1e-10, nu: float | None = None
 ) -> StepResult:
-    """One accepted adaptive step of the flow of any family.
-
-    The torus integrates the velocities w = p - A(u), the cylinder (u, p) and
-    e(3)* (M, x).  After the step an e(3)* state is projected onto the
+    """One accepted adaptive step of the flow of any family, in the variables
+    of :func:`_flow`.  After the step an e(3)* state is projected onto the
     Casimir leaf |x| = 1, (M, x) = nu (default: the value carried by ``s``).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if spec.family == Family.CASE_II:
-        a1, a2 = gauge_a(spec, (s.u1, s.u2))
-        y, rhs, unpack = (s.u1, s.u2, s.p1 - a1, s.p2 - a2), _torus_rhs(spec), _torus_state
-    elif spec.family == Family.CASE_II_LIMIT:
-        y, rhs, unpack = (s.u1, s.u2, s.p1, s.p2), _limit_rhs(spec), _phase_state
-    else:
-        y, rhs, unpack = tuple(s.as_array().tolist()), _e3_rhs(spec), _project_e3
-        nu = float(s.M @ s.x) if nu is None else nu
+    y, rhs, _, unpack = _flow(spec, s)
+    if nu is None and isinstance(s, E3State):
+        nu = float(s.M @ s.x)
     y, taken, dt_next = _adaptive_step(rhs, y, dt, tol)
     return StepResult(state=unpack(spec, y, nu), dt_taken=taken, dt_next=dt_next)
 

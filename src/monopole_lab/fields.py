@@ -39,7 +39,6 @@ __all__ = [
     "phi_components",
     "varphi",
     "gauge_a",
-    "magnetic_density",
 ]
 
 
@@ -408,6 +407,15 @@ def _torus_varphi(spec: SystemSpec, x1, x2):
     return -spec.mu * x1 * x2 / (x1 + x2) - spec.k * spec.B * (x1 + x2) ** 2
 
 
+def _torus_normal_form(spec: SystemSpec, u1, u2) -> tuple:
+    """Jets of the torus normal form at (u1, u2): (g, v1, v2, phi1, phi2, h,
+    varphi), with g = g^11 = g^22 = 1/(Q1^2 - Q2^2), v1 = Q2^2 and v2 = Q1^2."""
+    x1, d1, x2, d2 = _torus_jets(spec.model, u1, u2)
+    sq1, sq2 = x1**2, x2**2
+    phi1, phi2 = _torus_phi(spec, x1, d1, x2, d2)
+    return 1.0 / (sq1 - sq2), sq2, sq1, phi1, phi2, _torus_h(spec, x1, x2), _torus_varphi(spec, x1, x2)
+
+
 def gauge_a(spec: SystemSpec, point):
     """Torus gauge potential (CASE_II): A1 = 0 and
 
@@ -424,20 +432,3 @@ def gauge_a(spec: SystemSpec, point):
     a2 = spec.B * (spec.gauge_i1(u1v) - u1v * m.q2(u2v) ** 2)
     return 0.0, a2
 
-
-def magnetic_density(spec: SystemSpec, metric_fn, gauge_fn, point, step: float = 1e-5):
-    """Scalar magnetic density sqrt(g^11 g^22) (d1 A2 - d2 A1).
-
-    ``metric_fn(point) -> MetricSample`` supplies the covariant components,
-    which are inverted here (the density convention is contravariant);
-    ``gauge_fn(point) -> (A1, A2)`` is differentiated by central differences.
-    Constant for every built-in system.
-    """
-    u1v, u2v = _uv(point)
-    sample = metric_fn(point)
-    g11_cov, g22_cov = sample.g11, sample.g22
-    if g11_cov <= 0.0 or g22_cov <= 0.0:
-        raise DegeneratePoint(f"metric degenerate at ({u1v}, {u2v})")
-    d1a2 = (gauge_fn((u1v + step, u2v))[1] - gauge_fn((u1v - step, u2v))[1]) / (2.0 * step)
-    d2a1 = (gauge_fn((u1v, u2v + step))[0] - gauge_fn((u1v, u2v - step))[0]) / (2.0 * step)
-    return (d1a2 - d2a1) / np.sqrt(g11_cov * g22_cov)

@@ -50,18 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FunctionalDomainError, SingularSample
-from .fields import (
-    Family,
-    Jet,
-    SystemSpec,
-    _torus_h,
-    _torus_jets,
-    _torus_phi,
-    _torus_varphi,
-    electric_h,
-    phi_components,
-    varphi,
-)
+from .fields import Family, Jet, SystemSpec, _torus_normal_form, electric_h, phi_components, varphi
 from .geometry import stackel_components
 
 __all__ = [
@@ -157,22 +146,9 @@ def build_case2_grid(spec: SystemSpec, n: int = 64) -> AnsatzGrid:
     lo, hi = _WINDOW
     u1 = np.linspace(lo, hi, n) * m.K1
     u2 = np.linspace(lo, hi, n) * m.K2
-    x1, d1, x2, d2 = _torus_jets(m, u1[:, None], u2[None, :])
-    sq1, sq2 = x1**2, x2**2
-    g = 1.0 / (sq1 - sq2)
-    phi1, phi2 = _torus_phi(spec, x1, d1, x2, d2)
+    g, v1, v2, phi1, phi2, h, vphi = _torus_normal_form(spec, u1[:, None], u2[None, :])
     return AnsatzGrid(
-        axis1=u1,
-        axis2=u2,
-        g11=g,
-        g22=g,
-        v1=sq2,
-        v2=sq1,
-        phi1=phi1,
-        phi2=phi2,
-        h=_torus_h(spec, x1, x2),
-        varphi=_torus_varphi(spec, x1, x2),
-        B=Jet(spec.B),
+        axis1=u1, axis2=u2, g11=g, g22=g, v1=v1, v2=v2, phi1=phi1, phi2=phi2, h=h, varphi=vphi, B=Jet(spec.B)
     )
 
 
@@ -287,15 +263,18 @@ def check_classical(grid: AnsatzGrid, stencil=None) -> ConditionReport:
     return ConditionReport(residuals=res, n=grid.shape[0])
 
 
-def _c6star(grid: AnsatzGrid) -> tuple[np.ndarray, list]:
-    """The (C6*) residual field and the terms that set its scale."""
+def _c6star(grid: AnsatzGrid) -> tuple[np.ndarray, list, np.ndarray]:
+    """The (C6*) residual field, its additive terms, and the coefficient of
+    d1 B in it."""
     D = _Derivatives(grid)
     g11, g22, v1, v2, phi1, phi2, *_ = _values(grid)
     weight = np.sqrt(g11 * g22) * (v2 - v1)
     ta = phi1 * D["h", 0]
     tb = phi2 * D["h", 1]
-    correction = weight * (D["g11", 1] / g11 * D["B", 0] + D["g22", 0] / g22 * D["B", 1] - D["B", 0, 1])
-    return ta + tb + correction, [ta, tb, weight * D["g11", 1] / g11]
+    dlog11, dlog22 = D["g11", 1] / g11, D["g22", 0] / g22
+    correction = weight * (dlog11 * D["B", 0] + dlog22 * D["B", 1] - D["B", 0, 1])
+    terms = [ta, tb, weight * dlog11 * D["B", 0], weight * dlog22 * D["B", 1], weight * D["B", 0, 1]]
+    return ta + tb + correction, terms, weight * D["g11", 1] / g11
 
 
 def c6star_field(grid: AnsatzGrid) -> np.ndarray:
@@ -304,9 +283,10 @@ def c6star_field(grid: AnsatzGrid) -> np.ndarray:
 
 
 def check_quantum_c6star(grid: AnsatzGrid, stencil=None) -> float:
-    """Max normalized residual of (C6*); ``stencil`` is ignored, as in
+    """Max normalized residual of (C6*) against its own additive terms, so
+    that with constant B it reads (C6); ``stencil`` is ignored, as in
     :func:`check_classical`."""
-    return _normalized_max(*_c6star(grid))
+    return _normalized_max(*_c6star(grid)[:2])
 
 
 def _consistency(grid: AnsatzGrid) -> tuple[np.ndarray, list]:
@@ -339,7 +319,10 @@ def consistency_field(grid: AnsatzGrid) -> np.ndarray:
 
 def check_duality(grid: AnsatzGrid) -> float:
     """Max |consistency(grid) - c6star(grid with h and B swapped)|, normalized
-    by the largest of the consistency's terms and the swapped (C6*) scale terms.
+    by the largest of the consistency's terms, the swapped (C6) terms and the
+    swapped coefficient of d1 B, which unlike the swapped correction does not
+    shrink with h: each d(phi B / sqrt(g11 g22)) term cancels products of
+    size B phi within itself.
 
     Each side is formed from its own partials, so a field that breaks the
     (C5) consistency, or (C3) through the divergence of phi / sqrt(g11 g22),
@@ -347,8 +330,8 @@ def check_duality(grid: AnsatzGrid) -> float:
     wrong varphi is (C5)'s to catch.
     """
     cons, terms = _consistency(grid)
-    swapped, swapped_terms = _c6star(swap_h_and_b(grid))
-    return _normalized_max(cons - swapped, terms + swapped_terms)
+    swapped, (ta, tb, *_), coefficient = _c6star(swap_h_and_b(grid))
+    return _normalized_max(cons - swapped, terms + [ta, tb, coefficient])
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,25 @@ from monopole_lab import _inversion
 from monopole_lab import dynamics as dyn
 from monopole_lab import geometry as geo
 from monopole_lab.elliptic import limit_q2
+from monopole_lab import fields
 from monopole_lab.errors import (
     CenterSingularity,
     DegeneratePoint,
     FixedPointSingularity,
+    MonopoleLabError,
     StepRejected,
 )
 from monopole_lab.fields import Family, case2_spec, gauge_a
-from monopole_lab.polyroots import eval_p
+from monopole_lab.polyroots import eval_p, from_roots
+from richardson import (
+    e3_f_of_y,
+    e3_gradient,
+    flow_terms,
+    lie_poisson_bracket,
+    phase_gradient,
+    poisson_bracket_fd,
+    torus_f_of_y,
+)
 
 
 def _state_with_velocity(spec, u1, u2, w1, w2):
@@ -29,13 +40,13 @@ def test_h_eval_zero_velocity(case2, canonical_model):
     u1, u2 = 0.4 * m.K1, 0.6 * m.K2
     s = _state_with_velocity(case2, u1, u2, 0.0, 0.0)
     expected = case2.mu / (float(m.q1(u1)) + float(m.q2(u2)))
-    assert dyn.h_eval(case2, s) == pytest.approx(expected, rel=1e-14)
+    assert dyn.torus_eval(case2, s)[0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_f_eval_all_couplings_off(canonical_model, case2):
     free = case2_spec(case2.quartic, mu=0.0, B=0.0)
     s = _state_with_velocity(free, 0.5, 0.9, 0.0, 0.0)
-    assert dyn.f_eval(free, s) == 0.0
+    assert dyn.torus_eval(free, s)[1] == 0.0
 
 
 def test_f_eval_two_coordinate_systems(case2, canonical_model):
@@ -49,7 +60,7 @@ def test_f_eval_two_coordinate_systems(case2, canonical_model):
         u2 = m.K2 + rng.uniform(0.1, 0.9) * m.K2
         w = rng.normal(0, 1, 2)
         s = _state_with_velocity(case2, u1, u2, w[0], w[1])
-        f_torus = dyn.f_eval(case2, s)
+        f_torus = dyn.torus_eval(case2, s)[1]
         x1, x2 = float(m.q1(u1)), float(m.q2(u2))
         lam = x1 * x1 - x2 * x2
         k = case2.k
@@ -69,19 +80,18 @@ def test_f_eval_two_coordinate_systems(case2, canonical_model):
 
 def test_fixed_point_singularity(case2):
     with pytest.raises(dyn.FixedPointSingularity):
-        dyn.h_eval(case2, dyn.PhaseState(0.0, 0.0, 0.1, 0.1))
+        dyn.torus_eval(case2, dyn.PhaseState(0.0, 0.0, 0.1, 0.1))
 
 
 def test_torus_monitors_match_h_and_f(case2):
     # integrate's monitors evaluate each slice and w once; the values they
-    # record are h_eval and f_eval of the stored states, bit for bit
+    # record are torus_eval of the stored states, bit for bit
     s0 = dyn.random_state(case2, np.random.default_rng(4))
     traj = dyn.integrate(case2, s0, 0.3, tol=1e-9)
     assert len(traj.times) > 3
     for row, H, F in zip(traj.states, traj.monitors["H"], traj.monitors["F"]):
         st = dyn.PhaseState(*row)
         assert dyn.torus_eval(case2, st) == (H, F)
-        assert dyn.h_eval(case2, st) == H and dyn.f_eval(case2, st) == F
 
 
 def test_torus_eval_evaluates_each_slice_once(case2, monkeypatch):
@@ -159,8 +169,7 @@ def test_quotient_consistency(case2, canonical_model):
     w = np.array([s.p1, s.p2]) - np.array(gauge_a(case2, (s.u1, s.u2)))
     a_img = gauge_a(case2, (-s.u1, -s.u2))
     s_img = dyn.PhaseState(-s.u1, -s.u2, -w[0] + a_img[0], -w[1] + a_img[1])
-    assert dyn.h_eval(case2, s_img) == pytest.approx(dyn.h_eval(case2, s), rel=1e-12)
-    assert dyn.f_eval(case2, s_img) == pytest.approx(dyn.f_eval(case2, s), rel=1e-12)
+    assert dyn.torus_eval(case2, s_img) == pytest.approx(dyn.torus_eval(case2, s), rel=1e-12)
     t1 = dyn.integrate(case2, s, t_end=5.0, tol=1e-10, stride=10**9)
     t2 = dyn.integrate(case2, s_img, t_end=5.0, tol=1e-10, stride=10**9)
     for key in ("H", "F"):
@@ -174,31 +183,114 @@ def test_quotient_consistency(case2, canonical_model):
 
 
 # --- brackets ---------------------------------------------------------------------
+#
+# hf_bracket is exact; the finite-difference brackets of tests/richardson.py
+# are the oracle it is checked against at the same states: their {H, F}
+# vanishes to their own accuracy, and their partials of F along the flow give
+# the exact bracket's terms (value and scale) to 1e-8 of the scale.
+
+def _assert_matches_oracle(spec, s, f_of_y):
+    value, scale = dyn.hf_bracket(spec, s)
+    terms = flow_terms(spec, s, f_of_y)
+    assert abs(value - terms.sum()) <= 1e-8 * scale
+    assert abs(scale - np.abs(terms).sum()) <= 1e-8 * scale
+    return value, scale
+
 
 def test_canonical_pairs(case2):
     rng = np.random.default_rng(25)
     s = dyn.random_state(case2, rng)
-    assert dyn.poisson_bracket_fd(lambda st: st.u1, lambda st: st.p1, s) == pytest.approx(
+    assert poisson_bracket_fd(lambda st: st.u1, lambda st: st.p1, s) == pytest.approx(
         1.0, abs=1e-10
     )
-    assert dyn.poisson_bracket_fd(lambda st: st.u1, lambda st: st.p2, s) == pytest.approx(
+    assert poisson_bracket_fd(lambda st: st.u1, lambda st: st.p2, s) == pytest.approx(
         0.0, abs=1e-12
     )
-    H = lambda st: dyn.h_eval(case2, st)
-    assert dyn.poisson_bracket_fd(H, H, s) == 0.0
+    H = lambda st: dyn.torus_eval(case2, st)[0]
+    assert poisson_bracket_fd(H, H, s) == 0.0
 
 
 def test_hf_bracket_vanishes(case2):
     rng = np.random.default_rng(26)
-    H = lambda st: dyn.h_eval(case2, st)
-    F = lambda st: dyn.f_eval(case2, st)
+    H = lambda st: dyn.torus_eval(case2, st)[0]
+    F = lambda st: dyn.torus_eval(case2, st)[1]
     for _ in range(100):
         s = dyn.random_state(case2, rng)
-        br = dyn.poisson_bracket_fd(H, F, s)
-        ga = dyn.phase_gradient(H, s)
-        gb = dyn.phase_gradient(F, s)
-        scale = float(np.abs(ga[:2]) @ np.abs(gb[2:]) + np.abs(ga[2:]) @ np.abs(gb[:2]))
-        assert abs(br) < 1e-6 * max(scale, 1e-12)
+        value, scale = _assert_matches_oracle(case2, s, torus_f_of_y(case2))
+        assert abs(value) <= 1e-13 * scale
+        br = poisson_bracket_fd(H, F, s)
+        ga = phase_gradient(H, s)
+        gb = phase_gradient(F, s)
+        fd_scale = float(np.abs(ga[:2]) @ np.abs(gb[2:]) + np.abs(ga[2:]) @ np.abs(gb[:2]))
+        assert abs(br) < 1e-6 * max(fd_scale, 1e-12)
+
+
+_BRACKET_SPECS = {
+    "canonical": (lambda: case2_spec(from_roots([3, 2, -1, -4], -1.0), mu=1.0, B=0.5), 1e-13),
+    "canonical-4-1": (lambda: case2_spec(from_roots([4, 1, -1, -4], -1.0), mu=1.0, B=0.5), 1e-13),
+    # the slice series' Q2' meets 4 Q2'^2 = -P(Q2) only to ~1e-11 here
+    "near-quartic": (lambda: case2_spec(from_roots([3, 2.99, -1, -4.99], -1.0), mu=1.0, B=0.5), 1e-10),
+    "case1": ("case1", 1e-14),
+    "vy": ("vy", 1e-14),
+}
+
+
+@pytest.mark.parametrize("name", list(_BRACKET_SPECS))
+def test_hf_bracket_round_off_bounds(name, request):
+    # 1000 states, seeds 1000-1004, 200 each
+    make, bound = _BRACKET_SPECS[name]
+    spec = request.getfixturevalue(make) if isinstance(make, str) else make()
+    worst = 0.0
+    for seed in range(1000, 1005):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            value, scale = dyn.hf_bracket(spec, dyn.random_state(spec, rng))
+            worst = max(worst, abs(value) / scale)
+    assert worst <= bound
+
+
+def test_hf_bracket_cylinder_is_exactly_zero(limit_spec):
+    # F = p1 and dp1/dt = 0: every term is an exact zero
+    for seed in range(1000, 1005):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            assert dyn.hf_bracket(limit_spec, dyn.random_state(limit_spec, rng)) == (0.0, 0.0)
+
+
+def test_hf_bracket_detects_a_scaled_varphi(case2, monkeypatch):
+    # F' = F + 0.01 varphi does not commute with H; the exact bracket reads
+    # it, and the oracle's {H, F'} = -{F', H} agrees
+    m = case2.model
+    varphi = fields._torus_varphi
+    F = lambda st: dyn.torus_eval(case2, st)[1] + 0.01 * varphi(case2, m.q1(st.u1), m.q2(st.u2))
+    H = lambda st: dyn.torus_eval(case2, st)[0]
+    monkeypatch.setattr(fields, "_torus_varphi", lambda *a: 1.01 * varphi(*a))
+    rng = np.random.default_rng(1000)
+    for _ in range(20):
+        s = dyn.random_state(case2, rng)
+        value, scale = dyn.hf_bracket(case2, s)
+        assert abs(value) >= 1e-5 * scale
+        assert abs(value + poisson_bracket_fd(H, F, s)) <= 1e-8 * scale
+
+
+def test_hf_bracket_singular_states_raise(case2, limit_spec, vy):
+    # the fixed point Q1 = Q2 = beta2 and its neighbourhood, a cylinder point
+    # where lam2 rounds to 0, a Coulomb centre: library errors, never a
+    # ZeroDivisionError or a nan
+    lm = limit_spec.limit
+    center = np.array([math.sqrt(1 - vy.vy_b / vy.vy_a), 0.0, math.sqrt(vy.vy_b / vy.vy_a)])
+    cases = [
+        (case2, dyn.PhaseState(0.0, 0.0, 0.1, 0.1), FixedPointSingularity),
+        (case2, dyn.PhaseState(0.0, 0.0, 0.0, 0.0), FixedPointSingularity),
+        (case2, dyn.PhaseState(1e-12, 0.0, 0.3, 0.1), DegeneratePoint),
+        (limit_spec, dyn.PhaseState(0.0, lm.delta + 400.0, 0.3, 0.2), DegeneratePoint),
+        (vy, dyn.E3State(M=np.array([0.1, 0.2, 0.3]), x=center), CenterSingularity),
+    ]
+    with np.errstate(all="raise"):
+        for spec, s, err in cases:
+            with pytest.raises(err) as info:
+                dyn.hf_bracket(spec, s)
+            assert isinstance(info.value, MonopoleLabError)
 
 
 # --- e(3)* systems ----------------------------------------------------------------
@@ -221,11 +313,11 @@ def test_clebsch_eval_special_cases(case1):
 def test_lie_poisson_structure_constants(case1):
     rng = np.random.default_rng(28)
     s = dyn.random_state(case1, rng)
-    got = dyn.lie_poisson_bracket(lambda st: st.M[0], lambda st: st.M[1], s)
+    got = lie_poisson_bracket(lambda st: st.M[0], lambda st: st.M[1], s)
     assert got == pytest.approx(float(s.M[2]), abs=1e-10)
-    got = dyn.lie_poisson_bracket(lambda st: st.M[0], lambda st: st.x[1], s)
+    got = lie_poisson_bracket(lambda st: st.M[0], lambda st: st.x[1], s)
     assert got == pytest.approx(float(s.x[2]), abs=1e-10)
-    got = dyn.lie_poisson_bracket(lambda st: st.x[0], lambda st: st.x[1], s)
+    got = lie_poisson_bracket(lambda st: st.x[0], lambda st: st.x[1], s)
     assert got == pytest.approx(0.0, abs=1e-12)
 
 
@@ -237,8 +329,8 @@ def test_casimirs_commute(case1):
     F = lambda st: dyn.clebsch_eval(case1, st)[1]
     for _ in range(20):
         s = dyn.random_state(case1, rng)
-        assert abs(dyn.lie_poisson_bracket(C1, H, s)) < 1e-10
-        assert abs(dyn.lie_poisson_bracket(C2, F, s)) < 1e-10
+        assert abs(lie_poisson_bracket(C1, H, s)) < 1e-10
+        assert abs(lie_poisson_bracket(C2, F, s)) < 1e-10
 
 
 def test_clebsch_bracket_vanishes(case1):
@@ -247,7 +339,9 @@ def test_clebsch_bracket_vanishes(case1):
     F = lambda st: dyn.clebsch_eval(case1, st)[1]
     for _ in range(100):
         s = dyn.random_state(case1, rng)
-        assert abs(dyn.lie_poisson_bracket(H, F, s)) < 1e-10 * max(
+        value, scale = _assert_matches_oracle(case1, s, e3_f_of_y(case1, dyn.clebsch_eval))
+        assert abs(value) <= 1e-14 * scale
+        assert abs(lie_poisson_bracket(H, F, s)) < 1e-10 * max(
             1.0, float(s.M @ s.M)
         )
 
@@ -320,9 +414,11 @@ def test_vy_bracket_vanishes(vy):
         if dyn._vy_r(vy, s.x) < 1e-2:
             continue
         count += 1
-        br = dyn.lie_poisson_bracket(H, F, s)
-        gam, gax = dyn.e3_gradient(H, s)
-        gbm, gbx = dyn.e3_gradient(F, s)
+        value, scale = _assert_matches_oracle(vy, s, e3_f_of_y(vy, dyn.vy_eval))
+        assert abs(value) <= 1e-14 * scale
+        br = lie_poisson_bracket(H, F, s)
+        gam, gax = e3_gradient(H, s)
+        gbm, gbx = e3_gradient(F, s)
         scale = (
             np.linalg.norm(gam) * np.linalg.norm(gbm)
             + np.linalg.norm(gam) * np.linalg.norm(gbx)

@@ -7,7 +7,7 @@ import pytest
 
 from monopole_lab import verify as ver
 from monopole_lab.errors import FunctionalDomainError, SingularSample
-from monopole_lab.fields import Jet, case2_spec
+from monopole_lab.fields import Jet, case1_spec, case2_spec
 from monopole_lab.polyroots import from_roots
 
 NEAR = (3, 2.99, -1, -4.99)  # the near-coalescing quartic
@@ -156,6 +156,21 @@ def test_quantum_condition_synthetic_b(grid2):
     hand = phi1.v * h.d1 + phi2.v * h.d2 + root * (v2.v - v1.v) * correction
     assert np.max(np.abs(field - hand)) == 0.0
     assert ver.check_quantum_c6star(syn) > 1e-3  # the correction is active
+
+
+@pytest.mark.parametrize("mu", [1.0, 1e-3, 1e-6])
+def test_c6star_scale_is_its_own_terms(case1, mu):
+    # with constant B (C6*) is (C6) term for term, so a tilted h fails both
+    # alike at every mu; a scale that shrank with h passed it at small mu
+    grids = [ver.build_case1_grid(case1_spec(case1.alpha, mu=mu, B=0.5), 64)] + [
+        ver.build_case2_grid(case2_spec(from_roots(list(roots), -1.0), mu=mu, B=0.5), 64)
+        for roots in ((3, 2, -1, -4), NEAR)
+    ]
+    for grid in grids:
+        assert ver.check_quantum_c6star(grid) <= 1e-15
+        tilted = dataclasses.replace(grid, h=grid.h * _tilt(grid))
+        c6 = ver.check_classical(tilted).residuals["C6"]
+        assert ver.check_quantum_c6star(tilted) == c6 > 1e-2
 
 
 def test_duality_structural_identity(grid1, grid2, grid_near):
@@ -329,8 +344,8 @@ def _ref_classical(grid):
 
 def _ref_fields(grid):
     """(c6star_field, consistency_field, the swapped c6star_field, the (C6*)
-    scale terms, the consistency's terms, the swapped (C6*) scale terms),
-    written out."""
+    additive terms, the consistency's terms, the swapped (C6) terms with the
+    swapped coefficient of d1 B), written out."""
     F = {f: getattr(grid, f) for f in ver._FIELDS}
     g11, g22, v1, v2, phi1, phi2, h, varphi, B = (F[f].v for f in ver._FIELDS)
     d = lambda f, k: _p(F[f], k)
@@ -340,6 +355,15 @@ def _ref_fields(grid):
         return phi1 * d(h, "d1") + phi2 * d(h, "d2") + weight * (
             d("g11", "d2") / g11 * d(b, "d1") + d("g22", "d1") / g22 * d(b, "d2") - d(b, "d12")
         )
+
+    def c6star_terms(h, b):
+        return [
+            phi1 * d(h, "d1"),
+            phi2 * d(h, "d2"),
+            weight * (d("g11", "d2") / g11) * d(b, "d1"),
+            weight * (d("g22", "d1") / g22) * d(b, "d2"),
+            weight * d(b, "d12"),
+        ]
 
     def c6_terms(h):
         return [phi1 * d(h, "d1"), phi2 * d(h, "d2"), weight * d("g11", "d2") / g11]
@@ -356,7 +380,7 @@ def _ref_fields(grid):
         d_phi_b(phi1, "phi1", "d1"),
     ]
     a, b, c, e, f = cons_terms
-    return c6s("h", "B"), a - b + c - e - f, c6s("B", "h"), c6_terms("h"), cons_terms, c6_terms("B")
+    return c6s("h", "B"), a - b + c - e - f, c6s("B", "h"), c6star_terms("h", "B"), cons_terms, c6_terms("B")
 
 
 def _bits(x):
