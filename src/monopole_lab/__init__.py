@@ -36,10 +36,8 @@ from .fields import (
     case1_spec,
     case2_limit_spec,
     case2_spec,
-    electric_h,
     gauge_a,
-    phi_components,
-    varphi,
+    normal_form,
     vy_spec,
 )
 from .geometry import (

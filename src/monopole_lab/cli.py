@@ -204,7 +204,7 @@ def cmd_elliptic_table(args) -> int:
     branch = model.branch1 if args.branch == "q1" else model.branch2
     period = 2.0 * branch.K
     u = np.linspace(0.0, period, samples)
-    _write_csv(out, "u,Q,dQ", np.column_stack([u, branch.value(u), branch.deriv(u)]))
+    _write_csv(out, "u,Q,dQ", np.column_stack([u, *branch.value_and_deriv(u)]))
     print(f"wrote {samples} samples of {args.branch} over one period to {out}")
     print(f"K1 = {model.K1:.15g}  K2 = {model.K2:.15g}")
     return 0

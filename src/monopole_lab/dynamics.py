@@ -53,7 +53,7 @@ import numpy as np
 
 from .elliptic import _limit_slice
 from .errors import CenterSingularity, DegeneratePoint, FixedPointSingularity, StepRejected
-from .fields import Family, SystemSpec, _torus_normal_form, gauge_a
+from .fields import Family, SystemSpec, gauge_a, normal_form
 
 __all__ = [
     "PhaseState",
@@ -192,13 +192,13 @@ def _torus_state(spec: SystemSpec, y: tuple, _nu) -> PhaseState:
 
 
 def _torus_grad_f(spec: SystemSpec, y: tuple) -> tuple:
-    """grad F in y = (u1, u2, w1, w2), where in the normal form of fields
+    """grad F in y = (u1, u2, w1, w2), where in :func:`fields.normal_form`
 
         F = g (v1 w1^2 + v2 w2^2) + phi1 w1 + phi2 w2 + varphi;
 
     the u-partials are read off the jets of the fields."""
     u1, u2, w1, w2 = y
-    g, v1, v2, phi1, phi2, _, vphi = _torus_normal_form(spec, u1, u2)
+    g, _, v1, v2, phi1, phi2, _, vphi = normal_form(spec, u1, u2)
     gv1, gv2 = g * v1, g * v2
     du = [
         d(gv1) * w1 * w1 + d(gv2) * w2 * w2 + d(phi1) * w1 + d(phi2) * w2 + d(vphi)

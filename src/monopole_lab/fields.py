@@ -10,9 +10,9 @@ A :class:`SystemSpec` pins one of the four implemented families:
 * ``VY``            the two-centre system on the unit sphere in e(3)* variables.
 
 The magnetic density B is a constant for every family, and the coupling in the
-second integral is always k = -4 B / a3, derived and never stored.  The CASE_I
-and CASE_II field formulas take a :class:`Jet` in place of each coordinate or
-slice value and then return the fields' exact partial derivatives too.
+second integral is always k = -4 B / a3, derived and never stored.
+:func:`normal_form` holds the CASE_I and CASE_II fields of H and F, each as a
+:class:`Jet`: its values with their exact partial derivatives.
 """
 
 from __future__ import annotations
@@ -35,9 +35,7 @@ __all__ = [
     "case2_spec",
     "case2_limit_spec",
     "vy_spec",
-    "electric_h",
-    "phi_components",
-    "varphi",
+    "normal_form",
     "gauge_a",
 ]
 
@@ -140,76 +138,6 @@ def _uv(point):
     return a, b
 
 
-def electric_h(spec: SystemSpec, point):
-    """Electric potential h at a point.
-
-    CASE_I takes (q1, q2) and returns mu (q1 + q2); CASE_II takes torus
-    coordinates and returns mu / (Q1 + Q2) (denominator >= beta2 + beta3 > 0);
-    CASE_II_LIMIT returns mu / (beta1 + Q2(u2)).
-    """
-    if spec.family == Family.CASE_I:
-        q1v, q2v = _uv(point)
-        return spec.mu * (q1v + q2v)
-    if spec.family == Family.CASE_II:
-        u1v, u2v = _uv(point)
-        m = spec.model
-        return _torus_h(spec, m.q1(u1v), m.q2(u2v))
-    if spec.family == Family.CASE_II_LIMIT:
-        from .elliptic import limit_q2
-
-        _, u2v = _uv(point)
-        return spec.mu / (spec.limit.beta1 + limit_q2(spec.limit, u2v))
-    raise ValueError(f"electric_h not defined for family {spec.family}")
-
-
-def phi_components(spec: SystemSpec, point):
-    """Coefficients of the momentum-linear part of the second integral.
-
-    CASE_I (coordinates (q1, q2), q1 > q2 in the strip):
-
-        phi1 = k sqrt(-f(q1) f(q2)) / (q1 - q2) = -phi2.
-
-    CASE_II is evaluated in the regular torus form
-
-        phi1 = 2 k Q2'(u2) / (Q1 - Q2),   phi2 = -2 k Q1'(u1) / (Q1 - Q2),
-
-    which stays finite away from the four coordinate fixed points and vanishes
-    at momenta-turning points where Q1' = Q2' = 0.
-    """
-    if spec.family == Family.CASE_I:
-        q1v, q2v = _uv(point)
-        radicand = -spec.f_cubic(q1v) * spec.f_cubic(q2v)
-        if np.any(np.asarray(_value(radicand)) <= 0.0):
-            raise NegativeRadicand(
-                f"f(q1) f(q2) >= 0 somewhere at ({_value(q1v)}, {_value(q2v)}): outside the strip"
-            )
-        phi1 = spec.k * _sqrt(radicand) / (q1v - q2v)
-        return phi1, -phi1
-    if spec.family == Family.CASE_II:
-        u1v, u2v = _uv(point)
-        m = spec.model
-        x1, d1 = m.branch1.value_and_deriv(u1v)
-        x2, d2 = m.branch2.value_and_deriv(u2v)
-        return _torus_phi(spec, x1, d1, x2, d2)
-    raise ValueError(f"phi_components not defined for family {spec.family}")
-
-
-def varphi(spec: SystemSpec, point):
-    """Scalar part of the second integral.
-
-    CASE_I:  mu q1 q2 - k B (q1 + q2);
-    CASE_II: -mu Q1 Q2 / (Q1 + Q2) - k B (Q1 + Q2)^2.
-    """
-    if spec.family == Family.CASE_I:
-        q1v, q2v = _uv(point)
-        return spec.mu * q1v * q2v - spec.k * spec.B * (q1v + q2v)
-    if spec.family == Family.CASE_II:
-        u1v, u2v = _uv(point)
-        m = spec.model
-        return _torus_varphi(spec, m.q1(u1v), m.q2(u2v))
-    raise ValueError(f"varphi not defined for family {spec.family}")
-
-
 # ---------------------------------------------------------------------------
 # jets: exact derivatives of the fields on a grid
 # ---------------------------------------------------------------------------
@@ -221,8 +149,7 @@ def varphi(spec: SystemSpec, point):
 # and takes no arithmetic, so a function of u1 alone stays an (n, 1) column:
 # only the terms that mix the two axes fill an (n, n) grid.  The operators
 # take the value through the very operation a plain array would, so a jet's
-# value equals the plain evaluation bit for bit, and the field formulas of
-# this module take jets as they take values.
+# value equals the plain evaluation bit for bit.
 #
 # A slice x = Q(u) with (x')^2 = c S(x) for a polynomial S seeds its jets
 # exactly: differentiating the square gives the second derivative c S'(x)/2
@@ -368,18 +295,15 @@ def _quotient(a: Jet, b: Jet, q) -> Jet:
     )
 
 
-def _value(x):
-    """The value of a jet, or x itself."""
-    return x.v if isinstance(x, Jet) else x
+# ---------------------------------------------------------------------------
+# the normal forms: each coordinate or slice enters as a jet, so every field
+# comes with its exact partials
+# ---------------------------------------------------------------------------
 
 
-def _sqrt(x):
-    return x.sqrt() if isinstance(x, Jet) else np.sqrt(x)
-
-
-# CASE_II fields from slice values x_i = Q_i(u_i) and d_i = Q_i'(u_i); any
-# broadcastable shapes, so a grid can pass one solve per axis, and jets of
-# them as well as values
+def stackel_components(f, q1, q2):
+    """Covariant separable components ((q1-q2)/f(q1), (q2-q1)/f(q2)), vectorized."""
+    return (q1 - q2) / f(q1), (q2 - q1) / f(q2)
 
 
 def _torus_jets(model: EllipticModel, u1, u2):
@@ -391,29 +315,55 @@ def _torus_jets(model: EllipticModel, u1, u2):
     return x1, d1, x2, d2
 
 
-def _torus_h(spec: SystemSpec, x1, x2):
-    return spec.mu / (x1 + x2)
-
-
-def _torus_phi(spec: SystemSpec, x1, d1, x2, d2):
-    gap = x1 - x2
-    g = np.abs(_value(gap))
-    if np.any(g < 1e-9 * max(1.0, float(np.max(np.abs(_value(x1)))))):
-        raise DegeneratePoint(f"x1 = x2: min |Q1 - Q2| = {float(np.min(g)):.3e}")
-    return 2.0 * spec.k * d2 / gap, -2.0 * spec.k * d1 / gap
-
-
 def _torus_varphi(spec: SystemSpec, x1, x2):
     return -spec.mu * x1 * x2 / (x1 + x2) - spec.k * spec.B * (x1 + x2) ** 2
 
 
-def _torus_normal_form(spec: SystemSpec, u1, u2) -> tuple:
-    """Jets of the torus normal form at (u1, u2): (g, v1, v2, phi1, phi2, h,
-    varphi), with g = g^11 = g^22 = 1/(Q1^2 - Q2^2), v1 = Q2^2 and v2 = Q1^2."""
-    x1, d1, x2, d2 = _torus_jets(spec.model, u1, u2)
-    sq1, sq2 = x1**2, x2**2
-    phi1, phi2 = _torus_phi(spec, x1, d1, x2, d2)
-    return 1.0 / (sq1 - sq2), sq2, sq1, phi1, phi2, _torus_h(spec, x1, x2), _torus_varphi(spec, x1, x2)
+def normal_form(spec: SystemSpec, a, b) -> tuple:
+    """Jets of the diagonal normal form
+
+        H = g^11 (p1-A1)^2 + g^22 (p2-A2)^2 + h,
+        F = g^11 v^1 (p1-A1)^2 + g^22 v^2 (p2-A2)^2
+            + phi^1 (p1-A1) + phi^2 (p2-A2) + varphi
+
+    at (a, b), as (g11, g22, v1, v2, phi1, phi2, h, varphi) with g
+    contravariant; a and b are floats or arrays that broadcast.
+
+    CASE_I takes strip coordinates (q1, q2), q1 > q2, with the separable metric
+    g_ii = +-(q1-q2)/f(q_i), v1 = q2, v2 = q1, h = mu (q1 + q2) and
+
+        phi1 = -phi2 = k sqrt(-f(q1) f(q2)) / (q1 - q2),
+        varphi = mu q1 q2 - k B (q1 + q2).
+
+    CASE_II takes torus coordinates (u1, u2), with g^11 = g^22 = 1/(Q1^2 - Q2^2),
+    v1 = Q2^2, v2 = Q1^2, h = mu / (Q1 + Q2) (denominator >= beta2 + beta3 > 0),
+
+        phi1 = 2 k Q2' / (Q1 - Q2),   phi2 = -2 k Q1' / (Q1 - Q2),
+        varphi = -mu Q1 Q2 / (Q1 + Q2) - k B (Q1 + Q2)^2,
+
+    the regular torus form of phi: finite away from the four fixed points,
+    where Q1 = Q2, and zero at the momenta-turning points Q1' = Q2' = 0.
+    """
+    if spec.family == Family.CASE_I:
+        q1, q2 = Jet.along(0, a, 1.0), Jet.along(1, b, 1.0)
+        radicand = -spec.f_cubic(q1) * spec.f_cubic(q2)
+        if np.any(radicand.v <= 0.0):
+            raise NegativeRadicand(f"f(q1) f(q2) >= 0 somewhere at ({a}, {b}): outside the strip")
+        g11, g22 = stackel_components(spec.f_cubic, q1, q2)
+        phi1 = spec.k * radicand.sqrt() / (q1 - q2)
+        varphi = spec.mu * q1 * q2 - spec.k * spec.B * (q1 + q2)
+        return 1.0 / g11, 1.0 / g22, q2, q1, phi1, -phi1, spec.mu * (q1 + q2), varphi
+    if spec.family == Family.CASE_II:
+        x1, d1, x2, d2 = _torus_jets(spec.model, a, b)
+        gap = x1 - x2
+        sep = np.abs(gap.v)
+        if np.any(sep < 1e-9 * max(1.0, float(np.max(np.abs(x1.v))))):
+            raise DegeneratePoint(f"x1 = x2: min |Q1 - Q2| = {float(np.min(sep)):.3e}")
+        sq1, sq2 = x1**2, x2**2
+        g = 1.0 / (sq1 - sq2)
+        phi1, phi2 = 2.0 * spec.k * d2 / gap, -2.0 * spec.k * d1 / gap
+        return g, g, sq2, sq1, phi1, phi2, spec.mu / (x1 + x2), _torus_varphi(spec, x1, x2)
+    raise ValueError(f"no normal form for family {spec.family}")
 
 
 def gauge_a(spec: SystemSpec, point):

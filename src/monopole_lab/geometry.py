@@ -34,7 +34,7 @@ from .errors import (
     StencilOutsideChart,
     WrongSignature,
 )
-from .fields import Family, Jet, SystemSpec, _torus_jets, _uv
+from .fields import Family, Jet, SystemSpec, _torus_jets, _uv, stackel_components
 from .polyroots import eval_p_deriv
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "torus_point",
     "sphere_point",
     "stackel_metric",
-    "stackel_components",
     "torus_metric",
     "torus_lambda",
     "torus_lambda_jet",
@@ -139,11 +138,6 @@ def sphere_point(model: EllipticModel, p: TorusPoint) -> SpherePoint:
             chart = idx
             break
     return SpherePoint(rep=TorusPoint(*rep), chart=chart)
-
-
-def stackel_components(f, q1, q2):
-    """Covariant separable components ((q1-q2)/f(q1), (q2-q1)/f(q2)), vectorized."""
-    return (q1 - q2) / f(q1), (q2 - q1) / f(q2)
 
 
 def stackel_metric(f, q1: float, q2: float) -> MetricSample:

@@ -96,8 +96,9 @@ class AdmissibilityReport:
 
     ``conditions_35``  sign pattern of the coefficients: a2 > 0, a3 < 0 and
                        a1 < a2/(4 a3) < 0.
-    ``condition_36``   the degree-six coefficient inequality equivalent to a
-                       positive discriminant under a3 < 0.
+    ``condition_36``   the degree-six coefficient inequality: a positive
+                       discriminant (the inequality as printed divides it by
+                       a3 < 0).
     ``root_inequalities``  beta1 + beta4 < 0 and beta2 + beta3 > 0, evaluated on
                        the numerically extracted roots (False when four real
                        roots cannot be extracted).
@@ -213,15 +214,7 @@ def admissibility(params: QuarticParams) -> AdmissibilityReport:
     a3, a2, a0, a1 = params.a3, params.a2, params.a0, params.a1
     quarter = a2 / (4.0 * a3)
     conditions_35 = (a2 > 0.0) and (a3 < 0.0) and (a1 < quarter < 0.0)
-    lhs_36 = (
-        256.0 * a1**3 * a3**2
-        - 128.0 * a1**2 * a2**2 * a3
-        + 144.0 * a0**2 * a1 * a2 * a3
-        - 27.0 * a0**4 * a3
-        + 16.0 * a1 * a2**4
-        - 4.0 * a0**2 * a2**3
-    )
-    condition_36 = lhs_36 < 0.0
+    disc = discriminant(params)
     roots: RootQuadruple | None
     try:
         roots = real_roots(params)
@@ -231,9 +224,9 @@ def admissibility(params: QuarticParams) -> AdmissibilityReport:
         root_inequalities = False
     return AdmissibilityReport(
         conditions_35=conditions_35,
-        condition_36=condition_36,
+        condition_36=disc > 0.0,
         root_inequalities=root_inequalities,
-        discriminant=discriminant(params),
+        discriminant=disc,
         roots=roots,
     )
 

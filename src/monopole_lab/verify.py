@@ -36,10 +36,10 @@ the momenta in H); covariant samplers are inverted at ingestion.  Every grid
 field is a :class:`~monopole_lab.fields.Jet`, its values with their exact
 first and second partials: on the torus every field is rational in
 (Q1, Q1', Q2, Q2') with Q1'' = P'(Q1)/8 and Q2'' = -P'(Q2)/8, and the case1
-grid is sampled in q itself, where every field is algebraic.  The checks read
-every grid point, each partial is read once per check, and every condition
-residual is normalized by the largest magnitude among its own additive terms
-on the grid.
+grid is sampled in q itself, where every field is algebraic; both come from
+:func:`~monopole_lab.fields.normal_form`.  The checks read every grid point,
+and every condition residual is normalized by the largest magnitude among its
+own additive terms on the grid.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FunctionalDomainError, SingularSample
-from .fields import Family, Jet, SystemSpec, _torus_normal_form, electric_h, phi_components, varphi
-from .geometry import stackel_components
+from .fields import Family, Jet, SystemSpec, normal_form
 
 __all__ = [
     "AnsatzGrid",
@@ -105,6 +104,12 @@ class AnsatzGrid:
         return self.axis1.size, self.axis2.size
 
 
+def _grid(spec: SystemSpec, axis1: np.ndarray, axis2: np.ndarray) -> AnsatzGrid:
+    """The normal form's jets on the mesh of two axes, taken on an (n, 1) and a
+    (1, n) column, so what depends on one axis alone is evaluated n times."""
+    return AnsatzGrid(axis1, axis2, *normal_form(spec, axis1[:, None], axis2[None, :]), B=Jet(spec.B))
+
+
 def build_case1_grid(spec: SystemSpec, n: int = 64) -> AnsatzGrid:
     """Sample the cubic sphere family on an interior strip rectangle, with
     the exact jets of its fields in (q1, q2)."""
@@ -112,24 +117,7 @@ def build_case1_grid(spec: SystemSpec, n: int = 64) -> AnsatzGrid:
         raise ValueError("build_case1_grid needs a CASE_I spec")
     a1, a2, a3 = spec.alpha
     lo, hi = _WINDOW
-    q1 = a2 + np.linspace(lo, hi, n) * (a1 - a2)
-    q2 = a3 + np.linspace(lo, hi, n) * (a2 - a3)
-    Q1, Q2 = Jet.along(0, q1[:, None], 1.0), Jet.along(1, q2[None, :], 1.0)
-    g11_cov, g22_cov = stackel_components(spec.f_cubic, Q1, Q2)
-    phi1, phi2 = phi_components(spec, (Q1, Q2))
-    return AnsatzGrid(
-        axis1=q1,
-        axis2=q2,
-        g11=1.0 / g11_cov,
-        g22=1.0 / g22_cov,
-        v1=Q2,
-        v2=Q1,
-        phi1=phi1,
-        phi2=phi2,
-        h=electric_h(spec, (Q1, Q2)),
-        varphi=varphi(spec, (Q1, Q2)),
-        B=Jet(spec.B),
-    )
+    return _grid(spec, a2 + np.linspace(lo, hi, n) * (a1 - a2), a3 + np.linspace(lo, hi, n) * (a2 - a3))
 
 
 def build_case2_grid(spec: SystemSpec, n: int = 64) -> AnsatzGrid:
@@ -137,49 +125,31 @@ def build_case2_grid(spec: SystemSpec, n: int = 64) -> AnsatzGrid:
     with the exact jets of its fields in (u1, u2).
 
     Every field depends on u1 only through Q1, Q1' and on u2 only through
-    Q2, Q2': each slice is solved once on its axis and the fields are
-    broadcast from the (n, 1) and (1, n) columns.
+    Q2, Q2', so each slice is solved on its axis alone.
     """
     if spec.family != Family.CASE_II:
         raise ValueError("build_case2_grid needs a CASE_II spec")
     m = spec.model
     lo, hi = _WINDOW
-    u1 = np.linspace(lo, hi, n) * m.K1
-    u2 = np.linspace(lo, hi, n) * m.K2
-    g, v1, v2, phi1, phi2, h, vphi = _torus_normal_form(spec, u1[:, None], u2[None, :])
-    return AnsatzGrid(
-        axis1=u1, axis2=u2, g11=g, g22=g, v1=v1, v2=v2, phi1=phi1, phi2=phi2, h=h, varphi=vphi, B=Jet(spec.B)
-    )
+    return _grid(spec, np.linspace(lo, hi, n) * m.K1, np.linspace(lo, hi, n) * m.K2)
 
 
 def swap_h_and_b(grid: AnsatzGrid) -> AnsatzGrid:
     return replace(grid, h=grid.B, B=grid.h)
 
 
-class _Derivatives(dict):
-    """The partials of one grid's fields, each read off the field's jet on
-    first use and kept.
+def _d(jet: Jet, axis: int, log: bool = False):
+    """d_(axis+1) of a grid field, or of its log (d log g = dg / g), in the
+    jet's own shape; an identically zero partial is 0.0."""
+    part = (jet.d1, jet.d2)[axis]
+    if part is None:
+        return 0.0
+    return part / jet.v if log else part
 
-    ``D[name, axis]`` is d_(axis+1) of the grid field ``name``, or of the log
-    of a metric component for ``"log g11"``/``"log g22"`` (d log g = dg / g);
-    ``D[name, 0, 1]`` is the mixed d1 d2 of a grid field.  Each keeps the
-    jet's own shape, and an identically zero partial is 0.0.
-    """
 
-    def __init__(self, grid: AnsatzGrid):
-        super().__init__()
-        self._grid = grid
-
-    def __missing__(self, key):
-        name, *axes = key
-        jet = getattr(self._grid, name.removeprefix("log "))
-        part = jet.d12 if len(axes) == 2 else (jet.d1, jet.d2)[axes[0]]
-        if part is None:
-            part = 0.0
-        elif name.startswith("log "):
-            part = part / jet.v
-        self[key] = part
-        return part
+def _d12(jet: Jet):
+    """The mixed d1 d2 of a grid field, 0.0 when identically zero."""
+    return 0.0 if jet.d12 is None else jet.d12
 
 
 def _values(grid: AnsatzGrid) -> tuple:
@@ -208,56 +178,55 @@ class ConditionReport:
 def check_classical(grid: AnsatzGrid, stencil=None) -> ConditionReport:
     """Max normalized residuals of (C1)-(C6).  ``stencil`` is ignored: every
     derivative is exact, and callers that pass an order positionally still run."""
-    D = _Derivatives(grid)
     g11, g22, v1, v2, phi1, phi2, _, _, B = _values(grid)
     root = np.sqrt(g11 * g22)
     res: dict[str, float] = {}
 
     # C1: d1 v1 = d2 v2 = 0; scale is the size of the nonzero v-gradients
-    r_c1 = np.maximum(np.abs(D["v1", 0]), np.abs(D["v2", 1]))
-    v_scale = [D["v1", 1], D["v2", 0]]
+    r_c1 = np.maximum(np.abs(_d(grid.v1, 0)), np.abs(_d(grid.v2, 1)))
+    v_scale = [_d(grid.v1, 1), _d(grid.v2, 0)]
     res["C1"] = _normalized_max(r_c1, v_scale)
 
     # C2 (i=1, j=2 and i=2, j=1)
-    t12 = (v2 - v1) * D["log g11", 1]
-    t21 = (v1 - v2) * D["log g22", 0]
-    r12 = D["v1", 1] - t12
-    r21 = D["v2", 0] - t21
+    t12 = (v2 - v1) * _d(grid.g11, 1, log=True)
+    t21 = (v1 - v2) * _d(grid.g22, 0, log=True)
+    r12 = _d(grid.v1, 1) - t12
+    r21 = _d(grid.v2, 0) - t21
     res["C2"] = max(
-        _normalized_max(r12, [D["v1", 1], t12]),
-        _normalized_max(r21, [D["v2", 0], t21]),
+        _normalized_max(r12, [_d(grid.v1, 1), t12]),
+        _normalized_max(r21, [_d(grid.v2, 0), t21]),
     )
 
     # C3 for i=1 and i=2
-    t1 = (phi1 * D["g11", 0] + phi2 * D["g11", 1]) / (2.0 * g11)
-    t2 = (phi1 * D["g22", 0] + phi2 * D["g22", 1]) / (2.0 * g22)
-    r1 = D["phi1", 0] - t1
-    r2 = D["phi2", 1] - t2
+    t1 = (phi1 * _d(grid.g11, 0) + phi2 * _d(grid.g11, 1)) / (2.0 * g11)
+    t2 = (phi1 * _d(grid.g22, 0) + phi2 * _d(grid.g22, 1)) / (2.0 * g22)
+    r1 = _d(grid.phi1, 0) - t1
+    r2 = _d(grid.phi2, 1) - t2
     res["C3"] = max(
-        _normalized_max(r1, [D["phi1", 0], t1]),
-        _normalized_max(r2, [D["phi2", 1], t2]),
+        _normalized_max(r1, [_d(grid.phi1, 0), t1]),
+        _normalized_max(r2, [_d(grid.phi2, 1), t2]),
     )
 
     # C4
     lhs = 2.0 * root * (v2 - v1) * B
-    rhs1 = g22 * D["phi1", 1]
-    rhs2 = g11 * D["phi2", 0]
+    rhs1 = g22 * _d(grid.phi1, 1)
+    rhs2 = g11 * _d(grid.phi2, 0)
     res["C4"] = _normalized_max(lhs - rhs1 - rhs2, [lhs, rhs1, rhs2])
 
     # C5 (both displayed equations)
     b_over_root = B / root
-    t51 = v1 * D["h", 0]
-    t52 = v2 * D["h", 1]
-    r51 = D["varphi", 0] - t51 - phi2 * b_over_root
-    r52 = D["varphi", 1] - t52 + phi1 * b_over_root
+    t51 = v1 * _d(grid.h, 0)
+    t52 = v2 * _d(grid.h, 1)
+    r51 = _d(grid.varphi, 0) - t51 - phi2 * b_over_root
+    r52 = _d(grid.varphi, 1) - t52 + phi1 * b_over_root
     res["C5"] = max(
-        _normalized_max(r51, [D["varphi", 0], t51, phi2 * b_over_root]),
-        _normalized_max(r52, [D["varphi", 1], t52, phi1 * b_over_root]),
+        _normalized_max(r51, [_d(grid.varphi, 0), t51, phi2 * b_over_root]),
+        _normalized_max(r52, [_d(grid.varphi, 1), t52, phi1 * b_over_root]),
     )
 
     # C6
-    ta = phi1 * D["h", 0]
-    tb = phi2 * D["h", 1]
+    ta = phi1 * _d(grid.h, 0)
+    tb = phi2 * _d(grid.h, 1)
     res["C6"] = _normalized_max(ta + tb, [ta, tb])
 
     return ConditionReport(residuals=res, n=grid.shape[0])
@@ -266,15 +235,14 @@ def check_classical(grid: AnsatzGrid, stencil=None) -> ConditionReport:
 def _c6star(grid: AnsatzGrid) -> tuple[np.ndarray, list, np.ndarray]:
     """The (C6*) residual field, its additive terms, and the coefficient of
     d1 B in it."""
-    D = _Derivatives(grid)
     g11, g22, v1, v2, phi1, phi2, *_ = _values(grid)
     weight = np.sqrt(g11 * g22) * (v2 - v1)
-    ta = phi1 * D["h", 0]
-    tb = phi2 * D["h", 1]
-    dlog11, dlog22 = D["g11", 1] / g11, D["g22", 0] / g22
-    correction = weight * (dlog11 * D["B", 0] + dlog22 * D["B", 1] - D["B", 0, 1])
-    terms = [ta, tb, weight * dlog11 * D["B", 0], weight * dlog22 * D["B", 1], weight * D["B", 0, 1]]
-    return ta + tb + correction, terms, weight * D["g11", 1] / g11
+    ta = phi1 * _d(grid.h, 0)
+    tb = phi2 * _d(grid.h, 1)
+    dlog11, dlog22 = _d(grid.g11, 1, log=True), _d(grid.g22, 0, log=True)
+    correction = weight * (dlog11 * _d(grid.B, 0) + dlog22 * _d(grid.B, 1) - _d12(grid.B))
+    terms = [ta, tb, weight * dlog11 * _d(grid.B, 0), weight * dlog22 * _d(grid.B, 1), weight * _d12(grid.B)]
+    return ta + tb + correction, terms, weight * _d(grid.g11, 1) / g11
 
 
 def c6star_field(grid: AnsatzGrid) -> np.ndarray:
@@ -291,21 +259,20 @@ def check_quantum_c6star(grid: AnsatzGrid, stencil=None) -> float:
 
 def _consistency(grid: AnsatzGrid) -> tuple[np.ndarray, list]:
     """d2 (C5, first) - d1 (C5, second) and its additive terms."""
-    D = _Derivatives(grid)
-    g11, g22, v1, v2, phi1, phi2, _, _, B = _values(grid)
+    g11, g22, v1, v2, *_, B = _values(grid)
     inv_root = 1.0 / np.sqrt(g11 * g22)
 
-    def d_phi_b(phi, name: str, axis: int):
+    def d_phi_b(phi: Jet, axis: int):
         """d_(axis+1) of phi B / sqrt(g11 g22); the root's partial through d log g."""
-        d_log_root = 0.5 * (D["log g11", axis] + D["log g22", axis])
-        return inv_root * (B * D[name, axis] + phi * D["B", axis] - phi * B * d_log_root)
+        d_log_root = 0.5 * (_d(grid.g11, axis, log=True) + _d(grid.g22, axis, log=True))
+        return inv_root * (B * _d(phi, axis) + phi.v * _d(grid.B, axis) - phi.v * B * d_log_root)
 
     terms = [
-        D["v2", 0] * D["h", 1],
-        D["v1", 1] * D["h", 0],
-        (v2 - v1) * D["h", 0, 1],
-        d_phi_b(phi2, "phi2", 1),
-        d_phi_b(phi1, "phi1", 0),
+        _d(grid.v2, 0) * _d(grid.h, 1),
+        _d(grid.v1, 1) * _d(grid.h, 0),
+        (v2 - v1) * _d12(grid.h),
+        d_phi_b(grid.phi2, 1),
+        d_phi_b(grid.phi1, 0),
     ]
     a, b, c, d, e = terms
     return a - b + c - d - e, terms
@@ -328,6 +295,11 @@ def check_duality(grid: AnsatzGrid) -> float:
     (C5) consistency, or (C3) through the divergence of phi / sqrt(g11 g22),
     shows here; varphi cancels from the consistency and (C6*) has none, so a
     wrong varphi is (C5)'s to catch.
+
+    The scale does not shrink with h, but the residual a broken h leaves does:
+    a 1% tilt of h on case1 reads 2.0e-2 / 2.0e-5 / 2.0e-8 at mu = 1 / 1e-3 /
+    1e-6, below the default tol 1e-6 at small mu.  The row is outside the
+    exit gate.
     """
     cons, terms = _consistency(grid)
     swapped, (ta, tb, *_), coefficient = _c6star(swap_h_and_b(grid))

@@ -195,8 +195,7 @@ def test_criterion_05_integrability_conditions():
     ):
         rep = ver.check_classical(grid)
         c6s = ver.check_quantum_c6star(grid)
-        D = ver._Derivatives(grid)  # the grid's own derivatives: its exact jets
-        c6_only = grid.phi1.v * D["h", 0] + grid.phi2.v * D["h", 1]
+        c6_only = grid.phi1.v * grid.h.d1 + grid.phi2.v * grid.h.d2  # the grid's exact jets
         corr = float(np.max(np.abs(ver.c6star_field(grid) - c6_only)))
         ok = ok and rep.max_residual < 1e-6 and c6s < 1e-6 and corr < 1e-12
         details.append(f"{name} max {max(rep.max_residual, c6s):.2e} corr {corr:.2e}")

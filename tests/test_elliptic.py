@@ -261,24 +261,34 @@ def _u_by_quadrature(lo, hi, others, start, x, scale):
 
     |S| = scale (xi - lo)(hi - xi) |prod (xi - r) over r in others|; the
     algebraic weights take the inverse square roots at the interval ends, and
-    u is assembled from the end nearer to x.
+    u is assembled from the end nearer to x.  The oracle checks itself: every
+    quadrature's error estimate is at most 2e-13 of the quarter period, the
+    integral over [lo, hi].
     """
     smooth = lambda xi: 1.0 / math.sqrt(scale * abs(math.prod(xi - r for r in others)))
-    kw = dict(epsabs=1e-15, epsrel=1e-13, limit=200)
+    errors = []
+
+    def integral(f, a, b, wvar):
+        value, err = quad(f, a, b, weight="alg", wvar=wvar, epsabs=1e-15, epsrel=1e-13, limit=200, full_output=1)[:2]
+        errors.append(err)
+        return value
 
     def from_lo(b):
         f = lambda xi: smooth(xi) / math.sqrt(hi - xi)
-        return 0.0 if b == lo else quad(f, lo, b, weight="alg", wvar=(-0.5, 0.0), **kw)[0]
+        return 0.0 if b == lo else integral(f, lo, b, (-0.5, 0.0))
 
     def to_hi(a):
         f = lambda xi: smooth(xi) / math.sqrt(xi - lo)
-        return 0.0 if a == hi else quad(f, a, hi, weight="alg", wvar=(0.0, -0.5), **kw)[0]
+        return 0.0 if a == hi else integral(f, a, hi, (0.0, -0.5))
 
     mid = 0.5 * (lo + hi)
-    total = from_lo(mid) + to_hi(mid)
+    quarter = from_lo(mid) + to_hi(mid)
     if start == lo:
-        return from_lo(x) if x <= mid else total - to_hi(x)
-    return to_hi(x) if x >= mid else total - from_lo(x)
+        u = from_lo(x) if x <= mid else quarter - to_hi(x)
+    else:
+        u = to_hi(x) if x >= mid else quarter - from_lo(x)
+    assert max(errors) <= 2e-13 * quarter, (lo, hi, x, max(errors) / quarter)
+    return u
 
 
 def _branches(geometry):

@@ -9,12 +9,27 @@ from monopole_lab.fields import (
     SystemSpec,
     case1_spec,
     case2_spec,
-    electric_h,
     gauge_a,
-    phi_components,
-    varphi,
+    normal_form,
     vy_spec,
 )
+
+
+def _values(spec, a, b):
+    """The values of the normal-form fields (g11, g22, v1, v2, phi1, phi2, h, varphi) at (a, b)."""
+    return tuple(jet.v for jet in normal_form(spec, a, b))
+
+
+def _h(spec, a, b):
+    return _values(spec, a, b)[6]
+
+
+def _phi(spec, a, b):
+    return _values(spec, a, b)[4:6]
+
+
+def _varphi(spec, a, b):
+    return _values(spec, a, b)[7]
 
 
 def test_spec_validation():
@@ -35,9 +50,12 @@ def test_k_derived(case2):
     assert case2.k == 2.0  # B = 0.5, a3 = -1
 
 
-def test_electric_h_case2_fixed_point(case2, canonical_model):
-    beta2 = canonical_model.beta[1]
-    assert electric_h(case2, (0.0, 0.0)) == pytest.approx(case2.mu / (2 * beta2), rel=1e-14)
+def test_electric_h_case2_turning_point(case2, canonical_model):
+    # the normal form is singular at the fixed points (g = 1/lam, phi = 0/0);
+    # at the turning point (K1, K2) Q1 = beta1 and Q2 = beta3
+    m = canonical_model
+    beta1, beta3 = m.beta[0], m.beta[2]
+    assert _h(case2, m.K1, m.K2) == pytest.approx(case2.mu / (beta1 + beta3), rel=1e-14)
 
 
 def test_electric_h_case2_supremum(case2, canonical_model):
@@ -48,7 +66,7 @@ def test_electric_h_case2_supremum(case2, canonical_model):
     H = case2.mu / (m.q1(u1)[:, None] + m.q2(u2)[None, :])
     bound = case2.mu / (m.beta[1] + m.beta[2])
     assert np.max(np.abs(H)) <= bound + 1e-12
-    assert electric_h(case2, (0.0, m.K2)) == pytest.approx(bound, rel=1e-14)
+    assert _h(case2, 0.0, m.K2) == pytest.approx(bound, rel=1e-14)
 
 
 def test_electric_h_case1_quadratic_in_cartesian(case1):
@@ -60,7 +78,7 @@ def test_electric_h_case1_quadratic_in_cartesian(case1):
         q2 = rng.uniform(a3, a2)
         x = geo.neumann_to_cartesian(c, q1, q2, (1, 1, -1))
         quad = (a2 + a3) * x[0] ** 2 + (a1 + a3) * x[1] ** 2 + (a1 + a2) * x[2] ** 2
-        assert electric_h(case1, (q1, q2)) == pytest.approx(case1.mu * quad, rel=1e-12)
+        assert _h(case1, q1, q2) == pytest.approx(case1.mu * quad, rel=1e-12)
 
 
 def test_phi_case1_antisymmetry(case1):
@@ -68,36 +86,41 @@ def test_phi_case1_antisymmetry(case1):
     for _ in range(100):
         q1 = rng.uniform(2.05, 2.95)
         q2 = rng.uniform(1.05, 1.95)
-        p1, p2 = phi_components(case1, (q1, q2))
+        p1, p2 = _phi(case1, q1, q2)
         assert p1 + p2 == 0.0
         assert p1 > 0.0  # k > 0 on the strip with q1 > q2
 
 
 def test_phi_case1_outside_strip(case1):
     with pytest.raises(NegativeRadicand):
-        phi_components(case1, (2.8, 2.2))
+        normal_form(case1, 2.8, 2.2)
 
 
 def test_phi_case2_turning_points(case2, canonical_model):
     m = canonical_model
-    assert phi_components(case2, (m.K1, m.K2)) == (0.0, -0.0)
-    p1, p2 = phi_components(case2, (m.K1, 0.3 * m.K2))
+    assert _phi(case2, m.K1, m.K2) == (0.0, -0.0)
+    p1, p2 = _phi(case2, m.K1, 0.3 * m.K2)
     assert p1 != 0.0 and p2 == -0.0  # only Q1' vanishes at u1 = K1
 
 
 def test_phi_case2_degenerate_point(case2):
     with pytest.raises(DegeneratePoint):
-        phi_components(case2, (0.0, 0.0))
+        normal_form(case2, 0.0, 0.0)
+
+
+def test_normal_form_needs_case1_or_case2(vy, limit_spec):
+    for spec in (vy, limit_spec):
+        with pytest.raises(ValueError, match="no normal form"):
+            normal_form(spec, 0.4, 0.7)
 
 
 def test_varphi_values(case2, case1, canonical_model):
-    beta2 = canonical_model.beta[1]
+    beta1, beta3 = canonical_model.beta[0], canonical_model.beta[2]
+    m = canonical_model
     nomu = case2_spec(case2.quartic, mu=0.0, B=case2.B)
-    assert varphi(nomu, (0.0, 1e-6)) == pytest.approx(
-        -nomu.k * nomu.B * (2 * beta2) ** 2, rel=1e-9
-    )
+    assert _varphi(nomu, m.K1, m.K2) == pytest.approx(-nomu.k * nomu.B * (beta1 + beta3) ** 2, rel=1e-9)
     nomu1 = case1_spec(case1.alpha, mu=0.0, B=case1.B)
-    assert varphi(nomu1, (2.5, 1.5)) == pytest.approx(-nomu1.k * nomu1.B * 4.0, rel=1e-14)
+    assert _varphi(nomu1, 2.5, 1.5) == pytest.approx(-nomu1.k * nomu1.B * 4.0, rel=1e-14)
 
 
 def test_varphi_gradient_consistency_case2(case2, canonical_model):
@@ -110,13 +133,13 @@ def test_varphi_gradient_consistency_case2(case2, canonical_model):
         u1 = rng.uniform(0.2, 0.8) * m.K1
         u2 = rng.uniform(0.2, 0.8) * m.K2
         lam = geo.torus_metric(m, (u1, u2)).lam
-        p1, p2 = phi_components(case2, (u1, u2))
+        p1, p2 = _phi(case2, u1, u2)
         v1 = float(m.q2(u2)) ** 2
         v2 = float(m.q1(u1)) ** 2
-        d1_varphi = (varphi(case2, (u1 + h, u2)) - varphi(case2, (u1 - h, u2))) / (2 * h)
-        d2_varphi = (varphi(case2, (u1, u2 + h)) - varphi(case2, (u1, u2 - h))) / (2 * h)
-        d1_h = (electric_h(case2, (u1 + h, u2)) - electric_h(case2, (u1 - h, u2))) / (2 * h)
-        d2_h = (electric_h(case2, (u1, u2 + h)) - electric_h(case2, (u1, u2 - h))) / (2 * h)
+        d1_varphi = (_varphi(case2, u1 + h, u2) - _varphi(case2, u1 - h, u2)) / (2 * h)
+        d2_varphi = (_varphi(case2, u1, u2 + h) - _varphi(case2, u1, u2 - h)) / (2 * h)
+        d1_h = (_h(case2, u1 + h, u2) - _h(case2, u1 - h, u2)) / (2 * h)
+        d2_h = (_h(case2, u1, u2 + h) - _h(case2, u1, u2 - h)) / (2 * h)
         assert d1_varphi == pytest.approx(v1 * d1_h + p2 * case2.B * lam, abs=5e-8)
         assert d2_varphi == pytest.approx(v2 * d2_h - p1 * case2.B * lam, abs=5e-8)
 
@@ -128,12 +151,12 @@ def test_varphi_gradient_consistency_case1(case1):
     for _ in range(30):
         q1 = rng.uniform(2.2, 2.8)
         q2 = rng.uniform(1.2, 1.8)
-        p1, p2 = phi_components(case1, (q1, q2))
+        p1, p2 = _phi(case1, q1, q2)
         root = math.sqrt(-f(q1) * f(q2)) / (q1 - q2)  # sqrt(g11 g22), contravariant
-        d1_varphi = (varphi(case1, (q1 + h, q2)) - varphi(case1, (q1 - h, q2))) / (2 * h)
-        d2_varphi = (varphi(case1, (q1, q2 + h)) - varphi(case1, (q1, q2 - h))) / (2 * h)
-        d1_h = (electric_h(case1, (q1 + h, q2)) - electric_h(case1, (q1 - h, q2))) / (2 * h)
-        d2_h = (electric_h(case1, (q1, q2 + h)) - electric_h(case1, (q1, q2 - h))) / (2 * h)
+        d1_varphi = (_varphi(case1, q1 + h, q2) - _varphi(case1, q1 - h, q2)) / (2 * h)
+        d2_varphi = (_varphi(case1, q1, q2 + h) - _varphi(case1, q1, q2 - h)) / (2 * h)
+        d1_h = (_h(case1, q1 + h, q2) - _h(case1, q1 - h, q2)) / (2 * h)
+        d2_h = (_h(case1, q1, q2 + h) - _h(case1, q1, q2 - h)) / (2 * h)
         assert d1_varphi == pytest.approx(q2 * d1_h + p2 * case1.B / root, abs=1e-7)
         assert d2_varphi == pytest.approx(q1 * d2_h - p1 * case1.B / root, abs=1e-7)
 
