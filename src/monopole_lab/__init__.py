@@ -22,13 +22,8 @@ from .elliptic import (
     LimitModel,
     build_model,
     build_model_from_roots,
-    dq1,
-    dq2,
-    invert_u,
     jacobi_special,
     limit_q2,
-    q1,
-    q2,
 )
 from .fields import (
     Family,

@@ -132,11 +132,6 @@ class StepResult:
 # torus family
 # ---------------------------------------------------------------------------
 
-def _torus_w(spec: SystemSpec, s: PhaseState) -> np.ndarray:
-    a1, a2 = gauge_a(spec, (s.u1, s.u2))
-    return np.array([s.p1 - a1, s.p2 - a2])
-
-
 def torus_eval(spec: SystemSpec, s: PhaseState) -> tuple[float, float]:
     """(H, F) of the torus family from one evaluation of each slice and of w.
 
@@ -148,7 +143,8 @@ def torus_eval(spec: SystemSpec, s: PhaseState) -> tuple[float, float]:
     lam = x1 * x1 - x2 * x2
     if lam < 1e-10 * m.beta[0] ** 2:
         raise FixedPointSingularity(f"lam = {lam:.3e} at ({s.u1}, {s.u2})")
-    w = _torus_w(spec, s)
+    a1, a2 = gauge_a(spec, (s.u1, s.u2))
+    w = np.array([s.p1 - a1, s.p2 - a2])
     k = spec.k
     H = (w @ w) / lam + spec.mu / (x1 + x2)
     quad = (x2 * x2 * w[0] ** 2 + x1 * x1 * w[1] ** 2) / lam
@@ -332,9 +328,9 @@ def clebsch_eval(spec: SystemSpec, s: E3State) -> tuple[float, float]:
     return H, F
 
 
-def _vy_r(spec: SystemSpec, q: np.ndarray) -> float:
+def _vy_r(spec: SystemSpec, q: np.ndarray, qn: float) -> float:
+    """R(q) of :func:`vy_eval`; qn = |q| is the caller's."""
     va, vb = spec.vy_a, spec.vy_b
-    qn = float(np.linalg.norm(q))
     return float(
         vb * q[0] ** 2
         + va * q[1] ** 2
@@ -354,8 +350,8 @@ def vy_eval(spec: SystemSpec, s: E3State) -> tuple[float, float]:
         raise ValueError("vy_eval needs a VY spec")
     M, q = s.M, s.x
     va, vb = spec.vy_a, spec.vy_b
-    R = _vy_r(spec, q)
     qn = float(np.linalg.norm(q))
+    R = _vy_r(spec, q, qn)
     if R < 1e-12 * max(1.0, qn**2):
         raise CenterSingularity(f"R(q) = {R:.3e}")
     sab = math.sqrt(va * vb)
@@ -397,7 +393,7 @@ def _e3_rhs(spec: SystemSpec):
     def rhs(y: tuple) -> tuple:
         M, q = y[:3], y[3:]
         qn = float(np.linalg.norm(q))
-        R = _vy_r(spec, q)
+        R = _vy_r(spec, q, qn)
         if R < 1e-12 * max(1.0, qn**2):
             raise CenterSingularity(f"orbit reached a Coulomb center: R = {R:.3e}")
         q2 = q[2]
@@ -425,7 +421,8 @@ def _vy_grad_f(spec: SystemSpec, y: tuple) -> tuple:
     """grad F in y = (M, q) for the F of :func:`vy_eval`; c = 2 sqrt(AB)/|q|."""
     M, q = np.array(y[:3]), np.array(y[3:])
     va, vb, mu = spec.vy_a, spec.vy_b, spec.mu
-    sab, qn, R, e_z = math.sqrt(va * vb), np.linalg.norm(q), _vy_r(spec, q), np.array([0.0, 0.0, 1.0])
+    sab, qn, e_z = math.sqrt(va * vb), np.linalg.norm(q), np.array([0.0, 0.0, 1.0])
+    R = _vy_r(spec, q, qn)
     c, mq = 2.0 * sab / qn, M @ q
     grad_r = np.array([2.0 * vb, 2.0 * va, 2.0 * (va + vb)]) * q - 2.0 * sab * (q[2] * q / qn + qn * e_z)
     dM = np.array([2.0 * va * M[0], 2.0 * vb * M[1], 0.0]) + c * M[2] * q + c * mq * e_z

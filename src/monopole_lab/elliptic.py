@@ -42,11 +42,6 @@ __all__ = [
     "LimitModel",
     "build_model",
     "build_model_from_roots",
-    "q1",
-    "q2",
-    "dq1",
-    "dq2",
-    "invert_u",
     "jacobi_special",
     "limit_q2",
 ]
@@ -78,10 +73,6 @@ class EllipticModel:
 
     def dq2(self, u2):
         return self.branch2.deriv(u2)
-
-    def q1_squared_antiderivative(self):
-        """Callable I(u) = integral_0^u Q1(s)^2 ds (used by the torus gauge)."""
-        return self.branch1.cumulative(lambda x: x * x)
 
 
 def build_model(params: QuarticParams) -> EllipticModel:
@@ -119,40 +110,6 @@ def build_model(params: QuarticParams) -> EllipticModel:
 
 def build_model_from_roots(beta, a3: float = -1.0) -> EllipticModel:
     return build_model(from_roots(beta, a3))
-
-
-def q1(model: EllipticModel, u1):
-    """First slice: range [beta2, beta1], even, period 2 K1."""
-    return model.q1(u1)
-
-
-def q2(model: EllipticModel, u2):
-    """Second slice: range [beta3, beta2], even, period 2 K2."""
-    return model.q2(u2)
-
-
-def dq1(model: EllipticModel, u1):
-    """Q1', odd and 2 K1-periodic, with 4 Q1'^2 = P(Q1)."""
-    return model.dq1(u1)
-
-
-def dq2(model: EllipticModel, u2):
-    """Q2', odd and 2 K2-periodic, with 4 Q2'^2 = -P(Q2)."""
-    return model.dq2(u2)
-
-
-def invert_u(model: EllipticModel, x: float, branch: str = "q1") -> float:
-    """First-quarter inverse: u in [0, K] with Q(u) = x.
-
-    ``branch`` selects the slice: "q1" needs x in [beta2, beta1], "q2" needs
-    x in [beta3, beta2], each up to 1e-12 of its span (QuarterBranch.invert
-    raises OutOfRange beyond).
-    """
-    if branch == "q1":
-        return float(model.branch1.invert(x))
-    if branch == "q2":
-        return float(model.branch2.invert(x))
-    raise ValueError(f"unknown branch {branch!r}")
 
 
 def jacobi_special(model: EllipticModel, z):

@@ -112,7 +112,7 @@ class SystemSpec:
     @cached_property
     def gauge_i1(self):
         """Antiderivative of Q1^2 used by the torus gauge (CASE_II)."""
-        return self.model.q1_squared_antiderivative()
+        return self.model.branch1.cumulative(lambda x: x * x)
 
 
 def case1_spec(alpha, mu: float = 0.0, B: float = 0.0) -> SystemSpec:

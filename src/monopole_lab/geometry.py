@@ -53,7 +53,6 @@ __all__ = [
     "curvature_closed",
     "curvature_numeric",
     "curvature_from_jet",
-    "curvature_flux_ratio",
     "curvature_from_cubic_pair",
     "fixed_point_chart",
     "area_and_flux",
@@ -236,16 +235,6 @@ def curvature_closed(spec: SystemSpec, point=None):
         k = -spec.a3 / 4.0 + spec.quartic.a0 / (8.0 * (x1 + x2) ** 3)
         return float(k) if np.ndim(k) == 0 else k
     raise ValueError(f"no closed curvature for family {spec.family}")
-
-
-def curvature_flux_ratio(spec: SystemSpec) -> float:
-    """The ratio B/k, which equals the constant curvature -a3/4.
-
-    The same constant is produced by the two-point combination of the metric
-    cubic (see :func:`curvature_from_cubic_pair`); the numerical agreement of
-    the three values is checked in the test suite.
-    """
-    return spec.B / spec.k
 
 
 def curvature_from_cubic_pair(spec: SystemSpec, q1: float, q2: float) -> float:

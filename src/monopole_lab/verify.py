@@ -330,11 +330,6 @@ def _power_of_quadratic(coeffs, alpha: float, q: np.ndarray):
     return y, y1, y2, y3
 
 
-def _rel(residual, *terms):
-    scale = max(float(np.max(np.abs(np.asarray(t)))) for t in terms)
-    return float(np.max(np.abs(np.asarray(residual)))) / max(scale, 1e-300)
-
-
 def check_ode_identities(samples, coeffs=(1.0, 0.0, 1.0), exponents=(-2.0 / 3.0, 2.0, 3.0)) -> dict:
     """Closed-form residuals of the three solvable ODE identities.
 
@@ -354,19 +349,19 @@ def check_ode_identities(samples, coeffs=(1.0, 0.0, 1.0), exponents=(-2.0 / 3.0,
     t1 = (40.0 / 9.0) * g1**3
     t2 = -5.0 * g * g1 * g2
     t3 = g * g * g3
-    out["third_order"] = _rel(t1 + t2 + t3, t1, t2, t3)
+    out["third_order"] = _normalized_max(t1 + t2 + t3, [t1, t2, t3])
 
     for n in exponents:
         y, y1, y2, y3 = _power_of_quadratic(coeffs, 1.0 / n, q)
         t1 = (n - 1.0) * (n - 2.0) * y1**3
         t2 = 3.0 * (n - 1.0) * y * y1 * y2
         t3 = y * y * y3
-        out[f"solvable_n={n:g}"] = _rel(t1 + t2 + t3, t1, t2, t3)
+        out[f"solvable_n={n:g}"] = _normalized_max(t1 + t2 + t3, [t1, t2, t3])
 
     g, g1, g2, g3 = _power_of_quadratic(coeffs, 0.5, q)
     t1 = 3.0 * g * g * g1 * g2
     t2 = g**3 * g3
-    out["case_b"] = _rel(t1 + t2, t1, t2)
+    out["case_b"] = _normalized_max(t1 + t2, [t1, t2])
     return out
 
 
@@ -393,4 +388,4 @@ def check_functional_equation(case: str, q1: float, q2: float, coeff: float = 1.
         raise ValueError(f"unknown case {case!r}")
     left = dda(q1) * (a(q1) - a(q2) - (q1 - q2) * da(q2)) ** 3
     right = dda(q2) * (a(q2) - a(q1) + (q1 - q2) * da(q1)) ** 3
-    return _rel(left - right, left, right, 1e-30)
+    return _normalized_max(left - right, [left, right, 1e-30])

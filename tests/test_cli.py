@@ -111,6 +111,8 @@ def test_verify_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "C6*" in out and "duality" in out
+    # the duality row is reported, but only (C1)-(C6) and (C6*) set the exit code
+    assert out.splitlines()[-1].endswith("(tol 1e-06; duality not gated)")
 
 
 NEAR = dict(CASE2, geometry={"roots": [3, 2.99, -1, -4.99], "a3": -1.0}, grid={"n": 64, "stencil": 4})
@@ -380,18 +382,36 @@ import sys
 sys.modules["scipy"] = None
 from monopole_lab import build_model, from_roots
 from monopole_lab.cli import main
-from monopole_lab.elliptic import invert_u, jacobi_special
+from monopole_lab.elliptic import jacobi_special
 from monopole_lab.geometry import area_and_flux, conformal_case1
 canonical = build_model(from_roots([3, 2, -1, -4], -1.0))
 even = build_model(from_roots([2, 1, -1, -2], -1.0))
 conformal_case1((3.0, 2.0, 1.0))
 jacobi_special(even, 0.3)
-invert_u(canonical, 2.5)
+canonical.branch1.invert(2.5)
 area_and_flux(canonical, 0.5)
 sys.exit(main(["verify", "--config", {str(root / "demos/configs/case2.json")!r}]))
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
+
+
+def test_all_and_package_exports_agree():
+    # every name in a module's __all__ exists, and the package root imports
+    # only names its modules export
+    import ast
+    import importlib
+
+    root = Path(__file__).resolve().parents[1] / "src" / "monopole_lab"
+    for node in ast.parse((root / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            module = importlib.import_module(f"monopole_lab.{node.module}")
+            missing = [a.name for a in node.names if a.name not in module.__all__]
+            assert not missing, (node.module, missing)
+    for path in sorted(root.glob("*.py")):
+        module = importlib.import_module(f"monopole_lab.{path.stem}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (path.stem, missing)
 
 
 def _bad(cfg: dict, **change) -> dict:

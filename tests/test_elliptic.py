@@ -10,14 +10,9 @@ from monopole_lab.elliptic import (
     LimitModel,
     build_model,
     build_model_from_roots,
-    dq1,
-    dq2,
-    invert_u,
     jacobi_special,
     limit_q2,
     limit_q2_deriv,
-    q1,
-    q2,
 )
 from monopole_lab.errors import (
     InadmissibleParams,
@@ -56,26 +51,26 @@ def test_even_quartic_legendre_values(even_model):
 
 def test_slice_endpoints_exact(canonical_model):
     m = canonical_model
-    assert q1(m, 0.0) == m.beta[1]
-    assert q1(m, m.K1) == m.beta[0]
-    assert q2(m, 0.0) == m.beta[1]
-    assert q2(m, m.K2) == m.beta[2]
+    assert m.q1(0.0) == m.beta[1]
+    assert m.q1(m.K1) == m.beta[0]
+    assert m.q2(0.0) == m.beta[1]
+    assert m.q2(m.K2) == m.beta[2]
 
 
 def test_evenness_and_periodicity(canonical_model):
     m = canonical_model
     u = np.linspace(-7.0, 7.0, 1001)
-    assert np.max(np.abs(q1(m, u) - q1(m, -u))) < 1e-12
-    assert np.max(np.abs(q2(m, u) - q2(m, -u))) < 1e-12
-    assert np.max(np.abs(q1(m, u + 2 * m.K1) - q1(m, u))) < 1e-9
-    assert np.max(np.abs(q2(m, u + 2 * m.K2) - q2(m, u))) < 1e-9
+    assert np.max(np.abs(m.q1(u) - m.q1(-u))) < 1e-12
+    assert np.max(np.abs(m.q2(u) - m.q2(-u))) < 1e-12
+    assert np.max(np.abs(m.q1(u + 2 * m.K1) - m.q1(u))) < 1e-9
+    assert np.max(np.abs(m.q2(u + 2 * m.K2) - m.q2(u))) < 1e-9
 
 
 def test_range_confinement(canonical_model):
     m = canonical_model
     u = np.linspace(-10.0, 10.0, 4001)
-    x1 = q1(m, u)
-    x2 = q2(m, u)
+    x1 = m.q1(u)
+    x2 = m.q2(u)
     eps = 1e-12
     assert np.all(x1 >= m.beta[1] - eps) and np.all(x1 <= m.beta[0] + eps)
     assert np.all(x2 >= m.beta[2] - eps) and np.all(x2 <= m.beta[1] + eps)
@@ -87,7 +82,7 @@ def test_defining_ode_with_fd_derivative(canonical_model):
     m = canonical_model
     h = 1e-3
     u = np.linspace(0.0137, 4.0 * m.K1, 1000)
-    for Q, sign in ((lambda x: q1(m, x), 1.0), (lambda x: q2(m, x), -1.0)):
+    for Q, sign in ((lambda x: m.q1(x), 1.0), (lambda x: m.q2(x), -1.0)):
         d_h = (Q(u + h) - Q(u - h)) / (2 * h)
         d_h2 = (Q(u + h / 2) - Q(u - h / 2)) / h
         d = (4.0 * d_h2 - d_h) / 3.0
@@ -98,19 +93,19 @@ def test_defining_ode_with_fd_derivative(canonical_model):
 
 def test_closed_form_derivative(canonical_model):
     m = canonical_model
-    assert dq1(m, 0.0) == 0.0
-    assert dq1(m, m.K1) == 0.0
-    assert dq2(m, m.K2) == 0.0
+    assert m.dq1(0.0) == 0.0
+    assert m.dq1(m.K1) == 0.0
+    assert m.dq2(m.K2) == 0.0
     mid = 0.5 * m.K1
-    assert dq1(m, mid) == pytest.approx(
-        np.sqrt(eval_p(m.params, q1(m, mid))) / 2.0, rel=1e-12
+    assert m.dq1(mid) == pytest.approx(
+        np.sqrt(eval_p(m.params, m.q1(mid))) / 2.0, rel=1e-12
     )
-    assert dq1(m, mid + m.K1) == pytest.approx(-dq1(m, m.K1 - mid), rel=1e-12)
+    assert m.dq1(mid + m.K1) == pytest.approx(-m.dq1(m.K1 - mid), rel=1e-12)
     # cross-check against finite differences away from turning points
     u = np.linspace(0.05, 2 * m.K1 - 0.05, 301)
     h = 1e-3
-    fd = (8 * (q1(m, u + h / 2) - q1(m, u - h / 2)) / h - (q1(m, u + h) - q1(m, u - h)) / h) / 6
-    assert np.max(np.abs(dq1(m, u) - fd)) < 1e-10 * max(1.0, np.max(np.abs(fd)))
+    fd = (8 * (m.q1(u + h / 2) - m.q1(u - h / 2)) / h - (m.q1(u + h) - m.q1(u - h)) / h) / 6
+    assert np.max(np.abs(m.dq1(u) - fd)) < 1e-10 * max(1.0, np.max(np.abs(fd)))
 
 
 @pytest.mark.parametrize("roots", [(3, 2, -1, -4), (3, 2.99, -1, -4.99)])
@@ -313,36 +308,36 @@ def test_invert_matches_quadrature_near_coalescing():
 
 def test_invert_u(canonical_model):
     m = canonical_model
-    assert invert_u(m, m.beta[1], "q1") == 0.0
-    assert invert_u(m, m.beta[0], "q1") == pytest.approx(m.K1, rel=1e-12)
+    assert m.branch1.invert(m.beta[1]) == 0.0
+    assert m.branch1.invert(m.beta[0]) == pytest.approx(m.K1, rel=1e-12)
     u_target = 0.3 * m.K1
-    assert invert_u(m, float(q1(m, u_target)), "q1") == pytest.approx(u_target, abs=1e-10)
+    assert m.branch1.invert(float(m.q1(u_target))) == pytest.approx(u_target, abs=1e-10)
     for x in np.linspace(m.beta[1], m.beta[0], 17):
-        assert q1(m, invert_u(m, float(x), "q1")) == pytest.approx(float(x), abs=1e-9)
+        assert m.q1(m.branch1.invert(float(x))) == pytest.approx(float(x), abs=1e-9)
     for x in np.linspace(m.beta[2], m.beta[1], 17):
-        assert q2(m, invert_u(m, float(x), "q2")) == pytest.approx(float(x), abs=1e-9)
+        assert m.q2(m.branch2.invert(float(x))) == pytest.approx(float(x), abs=1e-9)
     with pytest.raises(OutOfRange):
-        invert_u(m, m.beta[0] + 0.5, "q1")
+        m.branch1.invert(m.beta[0] + 0.5)
     # monotone in x
     xs = np.linspace(m.beta[1], m.beta[0], 50)
-    us = [invert_u(m, float(x), "q1") for x in xs]
+    us = [m.branch1.invert(float(x)) for x in xs]
     assert np.all(np.diff(us) > 0)
 
 
 def test_invert_range_gate_is_one_relative_gate():
     # Q1 of the near-coalescing quartic spans only 0.01: 5e-13 past beta1 is
-    # 5e-11 of the span, refused as OutOfRange by invert_u and the branch alike
+    # 5e-11 of the span, refused as OutOfRange for a scalar and an array alike
     m = build_model_from_roots([3, 2.99, -1, -4.99], -1.0)
     b1 = m.beta[0]
     with pytest.raises(OutOfRange):
-        invert_u(m, b1 + 5e-13, "q1")
+        m.branch1.invert(b1 + 5e-13)
     with pytest.raises(OutOfRange):
         m.branch1.invert(np.array([b1, b1 + 5e-13]))
     with pytest.raises(OutOfRange):
-        invert_u(m, math.nan, "q2")
+        m.branch2.invert(math.nan)
     # within 1e-12 of the span the value is clipped to the turning point
     span = m.beta[0] - m.beta[1]
-    assert invert_u(m, b1 + 0.5e-12 * span, "q1") == invert_u(m, b1, "q1")
+    assert m.branch1.invert(b1 + 0.5e-12 * span) == m.branch1.invert(b1)
 
 
 def test_jacobi_special(even_model):
@@ -350,9 +345,9 @@ def test_jacobi_special(even_model):
     assert jacobi_special(m, 0.0) == pytest.approx(1.0, abs=1e-12)
     assert jacobi_special(m, m.K1) == pytest.approx(2.0, rel=1e-12)
     z = np.linspace(0.0, 2.0 * m.K1, 100)
-    assert np.max(np.abs(jacobi_special(m, z) - q1(m, z))) < 1e-13
+    assert np.max(np.abs(jacobi_special(m, z) - m.q1(z))) < 1e-13
     # the scalar (float) evaluation path against the same closed form
-    assert max(abs(jacobi_special(m, zi) - q1(m, zi)) for zi in z.tolist()) < 1e-13
+    assert max(abs(jacobi_special(m, zi) - m.q1(zi)) for zi in z.tolist()) < 1e-13
     # both of those take their Landen sequence from one module: scipy's dn
     # is the independent oracle, Q1 = beta2 / dn(alpha z | 1 - (beta2/beta1)^2)
     b1, b2 = m.beta[0], m.beta[1]
