@@ -38,9 +38,9 @@ exceeds the arithmetic.  Each sum and product is taken in the order of the
 elementwise numpy form y + dt * sum_j a_j k_j (and np.cross), so the
 trajectories are bitwise those of that form.  The sums are written out as
 left folds: the builtin sum of floats is compensated from Python 3.12 on.
-The e(3)* projection, |q| in the two-centre flow and the monitors stay in
-numpy: a BLAS dot or norm rounds differently from a Python sum, and numpy's
-cosh/sinh/tanh/arctanh differ from libm's in the last bit on some inputs.
+The BLAS dots of the e(3)* projection, of |q| and of the monitors stay (a
+BLAS dot rounds differently from a Python sum); the wrappers go: a norm is
+math.sqrt(v.dot(v)), as np.linalg.norm takes it, with float arithmetic around.
 """
 
 from __future__ import annotations
@@ -317,14 +317,11 @@ def clebsch_eval(spec: SystemSpec, s: E3State) -> tuple[float, float]:
     if spec.family != Family.CASE_I:
         raise ValueError("clebsch_eval needs a CASE_I spec")
     a1, a2, a3 = spec.alpha
-    M, x = s.M, s.x
-    H = float(M @ M - spec.mu * (a1 * x[0] ** 2 + a2 * x[1] ** 2 + a3 * x[2] ** 2))
-    F = float(
-        a1 * M[0] ** 2
-        + a2 * M[1] ** 2
-        + a3 * M[2] ** 2
-        + spec.mu * (a2 * a3 * x[0] ** 2 + a1 * a3 * x[1] ** 2 + a1 * a2 * x[2] ** 2)
-    )
+    mu = spec.mu
+    M0, M1, M2 = s.M.tolist()
+    x0, x1, x2 = s.x.tolist()
+    H = float(s.M.dot(s.M)) - mu * (a1 * x0**2 + a2 * x1**2 + a3 * x2**2)
+    F = a1 * M0**2 + a2 * M1**2 + a3 * M2**2 + mu * (a2 * a3 * x0**2 + a1 * a3 * x1**2 + a1 * a2 * x2**2)
     return H, F
 
 
@@ -350,7 +347,7 @@ def vy_eval(spec: SystemSpec, s: E3State) -> tuple[float, float]:
         raise ValueError("vy_eval needs a VY spec")
     M, q = s.M, s.x
     va, vb = spec.vy_a, spec.vy_b
-    qn = float(np.linalg.norm(q))
+    qn = math.sqrt(q.dot(q))
     R = _vy_r(spec, q, qn)
     if R < 1e-12 * max(1.0, qn**2):
         raise CenterSingularity(f"R(q) = {R:.3e}")
@@ -365,44 +362,42 @@ def vy_eval(spec: SystemSpec, s: E3State) -> tuple[float, float]:
     return H, F
 
 
-def _cross(a, b) -> tuple:
-    """a x b for 3-sequences, in np.cross's order of operations."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-
-
 def _e3_rhs(spec: SystemSpec):
-    """The e(3)* right-hand side of a CASE_I or VY spec."""
+    """The e(3)* right-hand side of a CASE_I or VY spec, written out flat."""
     if spec.family == Family.CASE_I:
-        alpha = spec.alpha
+        a1, a2, a3 = spec.alpha
         m2mu = -2.0 * spec.mu
 
         def rhs(y: tuple) -> tuple:
-            M, x = y[:3], y[3:]
-            ax = tuple(map(mul, alpha, x))
-            return (*[m2mu * v for v in _cross(ax, x)], *[2.0 * v for v in _cross(M, x)])
+            M0, M1, M2, x0, x1, x2 = y
+            ax0, ax1, ax2 = a1 * x0, a2 * x1, a3 * x2
+            return (  # -2 mu (alpha x) x x and 2 M x x
+                m2mu * (ax1 * x2 - ax2 * x1), m2mu * (ax2 * x0 - ax0 * x2), m2mu * (ax0 * x1 - ax1 * x0),
+                2.0 * (M1 * x2 - M2 * x1), 2.0 * (M2 * x0 - M0 * x2), 2.0 * (M0 * x1 - M1 * x0),
+            )
 
         return rhs
     # Family.VY
     va, vb, mu = spec.vy_a, spec.vy_b, spec.mu
     two_sab = 2.0 * math.sqrt(va * vb)
-    diag = (2.0 * vb, 2.0 * va, 2.0 * (va + vb))
-    e_z = (0.0, 0.0, 1.0)
+    d0, d1, d2 = 2.0 * vb, 2.0 * va, 2.0 * (va + vb)
 
     def rhs(y: tuple) -> tuple:
-        M, q = y[:3], y[3:]
-        qn = float(np.linalg.norm(q))
+        M0, M1, M2, q0, q1, q2 = y
+        q = y[3:]
+        qn = math.sqrt(np.dot(q, q))
         R = _vy_r(spec, q, qn)
         if R < 1e-12 * max(1.0, qn**2):
             raise CenterSingularity(f"orbit reached a Coulomb center: R = {R:.3e}")
-        q2 = q[2]
-        # grad R = diag q - 2 sqrt(AB) (q3 q/|q| + |q| e_z)
-        gradR = [d * qi - two_sab * (q2 * qi / qn + qn * ez) for d, qi, ez in zip(diag, q, e_z)]
+        # grad H = -mu q/|q| / sqrt(R) + c grad R, grad R = diag q - 2 sqrt(AB) (q3 q/|q| + |q| e_z)
+        # (the + 0.0 are |q| e_z's zero components: they fix the sign of a zero); then grad H x q, M x q
         sqR = math.sqrt(R)
         c = 0.5 * mu * qn * R**-1.5
-        gradH = [-mu * (qi / qn) / sqR + c * gi for qi, gi in zip(q, gradR)]
-        return (*_cross(gradH, q), *_cross(M, q))
+        h0 = -mu * (q0 / qn) / sqR + c * (d0 * q0 - two_sab * (q2 * q0 / qn + 0.0))
+        h1 = -mu * (q1 / qn) / sqR + c * (d1 * q1 - two_sab * (q2 * q1 / qn + 0.0))
+        h2 = -mu * (q2 / qn) / sqR + c * (d2 * q2 - two_sab * (q2 * q2 / qn + qn))
+        return (h1 * q2 - h2 * q1, h2 * q0 - h0 * q2, h0 * q1 - h1 * q0,
+                M1 * q2 - M2 * q1, M2 * q0 - M0 * q2, M0 * q1 - M1 * q0)
 
     return rhs
 
@@ -421,7 +416,7 @@ def _vy_grad_f(spec: SystemSpec, y: tuple) -> tuple:
     """grad F in y = (M, q) for the F of :func:`vy_eval`; c = 2 sqrt(AB)/|q|."""
     M, q = np.array(y[:3]), np.array(y[3:])
     va, vb, mu = spec.vy_a, spec.vy_b, spec.mu
-    sab, qn, e_z = math.sqrt(va * vb), np.linalg.norm(q), np.array([0.0, 0.0, 1.0])
+    sab, qn, e_z = math.sqrt(va * vb), math.sqrt(q.dot(q)), np.array([0.0, 0.0, 1.0])
     R = _vy_r(spec, q, qn)
     c, mq = 2.0 * sab / qn, M @ q
     grad_r = np.array([2.0 * vb, 2.0 * va, 2.0 * (va + vb)]) * q - 2.0 * sab * (q[2] * q / qn + qn * e_z)
@@ -432,10 +427,9 @@ def _vy_grad_f(spec: SystemSpec, y: tuple) -> tuple:
 
 def _project_e3(_spec: SystemSpec, y: tuple, nu: float) -> E3State:
     """The state of y projected onto the leaf |x| = 1, (M, x) = nu."""
-    y = np.array(y)
-    M, x = y[:3], y[3:]
-    x = x / np.linalg.norm(x)
-    return E3State(M=M + (nu - M @ x) * x, x=x)
+    M, x = np.array(y[:3]), np.array(y[3:])
+    x = x / math.sqrt(x.dot(x))
+    return E3State(M=M + (nu - M.dot(x)) * x, x=x)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +514,7 @@ def _flow(spec: SystemSpec, s: PhaseState | E3State) -> tuple:
     if spec.family == Family.CASE_II_LIMIT:
         return (s.u1, s.u2, s.p1, s.p2), _limit_rhs(spec), lambda *_: (0.0, 0.0, 1.0, 0.0), _phase_state
     grad_f = _clebsch_grad_f if spec.family == Family.CASE_I else _vy_grad_f
-    return tuple(s.as_array().tolist()), _e3_rhs(spec), grad_f, _project_e3
+    return tuple(s.M.tolist() + s.x.tolist()), _e3_rhs(spec), grad_f, _project_e3
 
 
 def hf_bracket(spec: SystemSpec, s: PhaseState | E3State) -> tuple[float, float]:

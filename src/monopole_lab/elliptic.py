@@ -22,7 +22,7 @@ round-off, turning points included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -158,6 +158,7 @@ class LimitModel:
     beta1: float
     beta3: float
     beta4: float
+    _last: tuple = field(default=(math.nan, None), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         s = 2.0 * self.beta1 + self.beta3 + self.beta4
@@ -188,13 +189,29 @@ class LimitModel:
         return math.log(self.D) / math.sqrt(self.c)
 
     @cached_property
-    def _slice_constants(self) -> tuple[float, float, float, float, float]:
-        """sqrt(c), a = sqrt(D), w, J1(-inf) and J2(-inf) of :func:`_limit_slice`."""
+    def _slice_constants(self) -> tuple[float, float, float, float, float, float]:
+        """sqrt(c), a = sqrt(D), w, J1(-inf), J2(-inf) and s_float of :func:`_limit_slice`."""
         b, c = self.b, self.c
         sqc, a = math.sqrt(c), math.sqrt(self.D)
         w = math.sqrt((b - a) / (b + a))
         j1_inf = -math.atanh(w) / sqc
-        return sqc, a, w, j1_inf, (b * j1_inf + 1.0) / (4.0 * c)
+        s_float = min(700.0, math.log(5e149) - math.log(a + b))  # den <= 2 (a + b) e^|s| < 1e150
+        return sqc, a, w, j1_inf, (b * j1_inf + 1.0) / (4.0 * c), s_float
+
+
+def _limit_terms(lm: LimitModel, s, f):
+    """(Q2, dQ2/du, G, den) of :func:`_limit_slice` at s; f maps each ufunc result."""
+    b, c = lm.b, lm.c
+    sqc, a, w, j1_inf, j2_inf, _ = lm._slice_constants
+    cosh = f(np.cosh(s))
+    den = 2.0 * a * cosh + 2.0 * b
+    q2 = lm.beta1 - 4.0 * c / den
+    d2 = 4.0 * c * a * sqc * f(np.sinh(s)) / den**2
+    j1 = f(np.arctanh(w * f(np.tanh(s / 2.0)))) / sqc
+    j2 = (b * j1 - a * f(np.tanh(s)) / (a + b * (1.0 / cosh))) / (4.0 * c)
+    e1 = (2.0 / sqc) * 2.0 * c * (j1 - j1_inf)
+    e2 = (2.0 / sqc) * 4.0 * c * c * (j2 - j2_inf)
+    return q2, d2, 2.0 * lm.beta1 * e1 - e2, den
 
 
 def _limit_slice(lm: LimitModel, u2):
@@ -214,28 +231,32 @@ def _limit_slice(lm: LimitModel, u2):
         J2(s) = [b J1(s) - a tanh(s)/(a + b sech(s))] / (4c).
 
     A scalar u gives floats, an array arrays.  The hyperbolic functions stay
-    numpy's for both: the libm ones round differently on some inputs.
+    numpy's for both: the libm ones round differently on some inputs.  A
+    scalar converts each ufunc result to a float and does the arithmetic in
+    floats while |s| < s_float (about 340), where den^2 is finite: past it
+    Python's float ** raises OverflowError where numpy gives inf, and numpy's
+    cosh warns past |s| = 710.5, so there it takes numpy scalars with overflow
+    silenced, as an array does.  The result at the last Python float u is
+    kept, in _last (u = 0 aside: 0.0 == -0.0, and Q2' keeps the sign of
+    s = -0.0); 0-d numpy values and arrays bypass it.
     """
+    last_u, out = lm._last
+    if type(u2) is float and last_u == u2 and u2 != 0.0:
+        return out
     scalar = _is_scalar(u2)
-    u = float(u2) if scalar else np.asarray(u2, dtype=float)
-    b, c = lm.b, lm.c
-    sqc, a, w, j1_inf, j2_inf = lm._slice_constants
-    s = 0.5 * sqc * (u - lm.delta)
-    # cosh overflows to inf far out (Q2 -> beta1, dQ2/du -> 0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cosh = np.cosh(s)
-        den = 2.0 * a * cosh + 2.0 * b
-        q2 = lm.beta1 - 4.0 * c / den
-        d2 = 4.0 * c * a * sqc * np.sinh(s) / den**2
-        d2 = (d2 if math.isfinite(den) else 0.0) if scalar else np.where(np.isfinite(den), d2, 0.0)
-        j1 = np.arctanh(w * np.tanh(s / 2.0)) / sqc
-        j2 = (b * j1 - a * np.tanh(s) / (a + b * (1.0 / cosh))) / (4.0 * c)
-        e1 = (2.0 / sqc) * 2.0 * c * (j1 - j1_inf)
-        e2 = (2.0 / sqc) * 4.0 * c * c * (j2 - j2_inf)
-        g = 2.0 * lm.beta1 * e1 - e2
-    if scalar:
-        return float(q2), float(d2), float(g)
-    return q2, d2, g
+    sqc, _, _, _, _, s_float = lm._slice_constants
+    s = 0.5 * sqc * ((float(u2) if scalar else np.asarray(u2, dtype=float)) - lm.delta)
+    if scalar and abs(s) < s_float:
+        out = _limit_terms(lm, s, float)[:3]
+    else:
+        # cosh overflows to inf far out (Q2 -> beta1, dQ2/du -> 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q2, d2, g, den = _limit_terms(lm, s, lambda v: v)
+            d2 = np.where(np.isfinite(den), d2, 0.0)
+        out = (float(q2), float(d2), float(g)) if scalar else (q2, d2, g)
+    if type(u2) is float:
+        object.__setattr__(lm, "_last", (u2, out))
+    return out
 
 
 def limit_q2(lm: LimitModel, u2):

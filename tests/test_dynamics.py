@@ -699,10 +699,22 @@ def _outcome(step, *args):
     return np.array(y).tobytes(), dt, dt_next
 
 
-@pytest.mark.parametrize("family", ["case2", "case1", "vy", "limit_spec"])
+@pytest.fixture(scope="module")
+def case1_odd_mu():
+    return fields.case1_spec((5.0, 1.5, -2.0), mu=1.3, B=-0.8)
+
+
+@pytest.fixture(scope="module")
+def vy_odd_mu():
+    return fields.vy_spec(1.7, 0.6, mu=0.3)
+
+
+@pytest.mark.parametrize("family", ["case2", "case1", "vy", "limit_spec", "case1_odd_mu", "vy_odd_mu"])
 def test_core_matches_numpy_reference(family, request, monkeypatch):
     # the reference adds left to right on every Python version; so must the
-    # core, whatever the builtin sum of floats does
+    # core, whatever the builtin sum of floats does.  With mu = 1 a factor
+    # -2 mu or mu rounds nothing, so the e(3)* right-hand sides' order of
+    # operations is pinned on a mu that does round too
     monkeypatch.setattr(dyn, "sum", _compensated_sum, raising=False)
     spec = request.getfixturevalue(family)
     rng = np.random.default_rng(37)
@@ -809,6 +821,57 @@ def test_limit_slice_matches_separate_formulas(limit_spec, roots):
         _ref_limit_q2_deriv(lm, 1.3),
         _ref_limit_gauge_a1(limit_spec, 1.3),
     )
+
+
+def _limit_model_spec(limit_spec, roots):
+    from monopole_lab.elliptic import LimitModel
+    from monopole_lab.fields import case2_limit_spec
+
+    return limit_spec if roots is None else case2_limit_spec(LimitModel(*roots), mu=0.8, B=-0.45)
+
+
+@pytest.mark.parametrize("roots", [None, (1.3, -0.21, -2.39), (40.0, -1.0, -79.0)])
+def test_limit_slice_float_path_at_its_overflow_tails(limit_spec, roots):
+    # a float u runs the slice in Python floats while den^2 and cosh are
+    # finite: Python's float ** raises OverflowError past den ~ 1.3e154, where
+    # numpy gives inf, and numpy's cosh warns past |s| ~ 710.5 (an error in
+    # this suite); on both sides of either edge the floats are the bytes of
+    # the numpy reference (large roots overflow den at a smaller s)
+    from monopole_lab.elliptic import _limit_slice
+
+    spec = _limit_model_spec(limit_spec, roots)
+    lm = spec.limit
+    sqc, s_float = math.sqrt(lm.c), lm._slice_constants[5]
+    s = [0.5, 300.0, 340.0, 345.0, 350.0, 355.0, 360.0, 500.0, 700.0, 705.0, 709.0, 710.4, 711.0, 900.0]
+    s += [math.nextafter(s_float, 0.0), s_float]
+    for u in [lm.delta + sign * 2.0 * v / sqc for v in s for sign in (1.0, -1.0)]:
+        q2, d2, g = _limit_slice(lm, u)
+        assert all(type(v) is float for v in (q2, d2, g))
+        want = (_ref_limit_q2(lm, u), _ref_limit_q2_deriv(lm, u), _ref_limit_gauge_a1(spec, u))
+        assert np.array([q2, d2, (spec.B / lm.c) * g]).tobytes() == np.array(want).tobytes(), u
+
+
+@pytest.mark.parametrize("roots", [None, (1.3, -0.21, -2.39), (40.0, -1.0, -79.0), (1.0, -0.5, -1.5)])
+def test_limit_slice_memo_is_invisible(limit_spec, roots):
+    # the slice keeps its result at the last Python float u; interleaved
+    # float, 0-d and array calls (repeated, negated, far-out and signed-zero
+    # u) return the floats of the memo-free 0-d path.  On (1, -0.5, -1.5)
+    # delta = 0, so u = -0.0 gives s = -0.0 and a Q2' of the other sign
+    from monopole_lab.elliptic import _limit_slice
+
+    lm = _limit_model_spec(limit_spec, roots).limit
+    far = lm.delta + 2.0 * 800.0 / math.sqrt(lm.c)
+    us = [0.3, 0.3, -0.3, 0.3, 0.0, -0.0, 0.0, -0.0, -0.0, lm.delta, lm.delta, far, far, -far, 0.3]
+    order = us + [us[i] for i in np.random.default_rng(6).permutation(len(us))]
+    for n, u in enumerate(order):
+        if n % 3 == 0:
+            _limit_slice(lm, np.array([u, 1.7]))
+        if n % 4 == 1:
+            _limit_slice(lm, np.float64(-u))
+        got = _limit_slice(lm, u)
+        assert np.array(got).tobytes() == np.array(_limit_slice(lm, np.float64(u))).tobytes(), u
+    if lm.delta == 0.0:
+        assert np.array(_limit_slice(lm, 0.0)).tobytes() != np.array(_limit_slice(lm, -0.0)).tobytes()
 
 
 # --- one stepper for every family, against the per-family steppers ---------------

@@ -145,11 +145,12 @@ def test_value_and_deriv_agree_bitwise(roots):
 
 def test_fused_pass_is_two_single_passes():
     # the fused value/derivative loop makes each sum's multiply-adds in the
-    # order of its own single pass, for floats and for arrays
+    # order of its own single pass, for floats and for arrays, on series of
+    # 1-303 terms whose coefficients span 1e-15 to 1e2
     rng = np.random.default_rng(11)
-    for n in (1, 5, 13, 32, 303):
-        a, b = rng.normal(size=n).tolist(), rng.normal(size=n).tolist()
-        phi = rng.uniform(0.0, 2.0 * np.pi, 64)
+    for n in [1, 5, 13, 32, 303] + rng.integers(1, 304, 40).tolist():
+        a, b = ((10.0 ** rng.uniform(-15.0, 2.0, n) * rng.choice([-1.0, 1.0], n)).tolist() for _ in range(2))
+        phi = rng.uniform(0.0, 2.0 * np.pi, 16)
         c, s = np.cos(phi), np.sin(phi)
         x, d = _horner_fused(c, s, a, b)
         assert x.tobytes() == _horner(c, s, a)[0].tobytes()
