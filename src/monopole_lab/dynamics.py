@@ -29,7 +29,9 @@ gradient of F in y and the unpacking (_torus_state, _phase_state, and the
 Casimir projection _project_e3).  flow_step steps every family on them, and
 hf_bracket reads {F, H} = grad F . dy/dt, the rate of change of F along H's flow.
 
-The integrator is an embedded Dormand-Prince 5(4) pair with standard PI-free
+The integrator is Hairer's DOP853, an explicit Runge-Kutta method of order 8
+with embedded error estimates of orders 5 and 3 (Hairer, Norsett & Wanner,
+Solving Ordinary Differential Equations I, 2nd ed., II.10), under PI-free
 step control; drift bounds are enforced through the local tolerance, and a
 step that cannot meet it above the smallest step size raises StepRejected.
 The attempt, the step control and every flow right-hand side run in Python
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter, mul, sub
+from operator import attrgetter, mul
 
 import numpy as np
 
@@ -204,83 +206,186 @@ def _torus_grad_f(spec: SystemSpec, y: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# embedded Dormand-Prince 5(4)
+# Dormand-Prince 8(5,3): Hairer's DOP853
 # ---------------------------------------------------------------------------
 
-# rows a_ij of stages 2..6
-_DP_A = (
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
+# The coefficients of scipy's dop853_coefficients.py, after Hairer's dop853.f.
+# Row i of _DOP_A holds the nonzero a_ij of stage i + 2 as {j: a_ij}; stage 12
+# sits at c = 1.  y_new takes the weights _DOP_B, and the embedded error
+# estimates of orders 5 and 3 the weights _DOP_E5 and _DOP_B - _DOP_BHH.
+_DOP_A = (
+    {1: 5.26001519587677318785587544488e-2},
+    {1: 1.97250569845378994544595329183e-2, 2: 5.91751709536136983633785987549e-2},
+    {1: 2.95875854768068491816892993775e-2, 3: 8.87627564304205475450678981324e-2},
+    {
+        1: 2.41365134159266685502369798665e-1,
+        3: -8.84549479328286085344864962717e-1,
+        4: 9.24834003261792003115737966543e-1,
+    },
+    {
+        1: 3.7037037037037037037037037037e-2,
+        4: 1.70828608729473871279604482173e-1,
+        5: 1.25467687566822425016691814123e-1,
+    },
+    {
+        1: 3.7109375e-2,
+        4: 1.70252211019544039314978060272e-1,
+        5: 6.02165389804559606850219397283e-2,
+        6: -1.7578125e-2,
+    },
+    {
+        1: 3.70920001185047927108779319836e-2,
+        4: 1.70383925712239993810214054705e-1,
+        5: 1.07262030446373284651809199168e-1,
+        6: -1.53194377486244017527936158236e-2,
+        7: 8.27378916381402288758473766002e-3,
+    },
+    {
+        1: 6.24110958716075717114429577812e-1,
+        4: -3.36089262944694129406857109825,
+        5: -8.68219346841726006818189891453e-1,
+        6: 2.75920996994467083049415600797e1,
+        7: 2.01540675504778934086186788979e1,
+        8: -4.34898841810699588477366255144e1,
+    },
+    {
+        1: 4.77662536438264365890433908527e-1,
+        4: -2.48811461997166764192642586468,
+        5: -5.90290826836842996371446475743e-1,
+        6: 2.12300514481811942347288949897e1,
+        7: 1.52792336328824235832596922938e1,
+        8: -3.32882109689848629194453265587e1,
+        9: -2.03312017085086261358222928593e-2,
+    },
+    {
+        1: -9.3714243008598732571704021658e-1,
+        4: 5.18637242884406370830023853209,
+        5: 1.09143734899672957818500254654,
+        6: -8.14978701074692612513997267357,
+        7: -1.85200656599969598641566180701e1,
+        8: 2.27394870993505042818970056734e1,
+        9: 2.49360555267965238987089396762,
+        10: -3.0467644718982195003823669022,
+    },
+    {
+        1: 2.27331014751653820792359768449,
+        4: -1.05344954667372501984066689879e1,
+        5: -2.00087205822486249909675718444,
+        6: -1.79589318631187989172765950534e1,
+        7: 2.79488845294199600508499808837e1,
+        8: -2.85899827713502369474065508674,
+        9: -8.87285693353062954433549289258,
+        10: 1.23605671757943030647266201528e1,
+        11: 6.43392746015763530355970484046e-1,
+    },
 )
-_DP_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0)
-_DP_B4 = (
-    5179.0 / 57600.0,
-    0.0,
-    7571.0 / 16695.0,
-    393.0 / 640.0,
-    -92097.0 / 339200.0,
-    187.0 / 2100.0,
-    1.0 / 40.0,
-)
-
+_DOP_B = {
+    1: 5.42937341165687622380535766363e-2,
+    6: 4.45031289275240888144113950566,
+    7: 1.89151789931450038304281599044,
+    8: -5.8012039600105847814672114227,
+    9: 3.1116436695781989440891606237e-1,
+    10: -1.52160949662516078556178806805e-1,
+    11: 2.01365400804030348374776537501e-1,
+    12: 4.47106157277725905176885569043e-2,
+}
+_DOP_E5 = {
+    1: 0.1312004499419488073250102996e-1,
+    6: -0.1225156446376204440720569753e1,
+    7: -0.4957589496572501915214079952,
+    8: 0.1664377182454986536961530415e1,
+    9: -0.3503288487499736816886487290,
+    10: 0.3341791187130174790297318841,
+    11: 0.8192320648511571246570742613e-1,
+    12: -0.2235530786388629525884427845e-1,
+}
+_DOP_BHH = {1: 0.244094488188976377952755905512, 9: 0.733846688281611857341361741547, 12: 0.220588235294117647058823529412e-1}
+_DOP_E3 = {j: b - _DOP_BHH.get(j, 0.0) for j, b in _DOP_B.items()}
 
 (
     (_A21,),
     (_A31, _A32),
-    (_A41, _A42, _A43),
-    (_A51, _A52, _A53, _A54),
-    (_A61, _A62, _A63, _A64, _A65),
-) = _DP_A
-# y5 cannot use k7 = rhs(y5); its weight in _DP_B5 is 0
-_B1, _B2, _B3, _B4, _B5, _B6 = _DP_B5[:6]
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_B4
+    (_A41, _A43),
+    (_A51, _A53, _A54),
+    (_A61, _A64, _A65),
+    (_A71, _A74, _A75, _A76),
+    (_A81, _A84, _A85, _A86, _A87),
+    (_A91, _A94, _A95, _A96, _A97, _A98),
+    (_A101, _A104, _A105, _A106, _A107, _A108, _A109),
+    (_A111, _A114, _A115, _A116, _A117, _A118, _A119, _A1110),
+    (_A121, _A124, _A125, _A126, _A127, _A128, _A129, _A1210, _A1211),
+) = (tuple(row.values()) for row in _DOP_A)
+# the weights of k1 and k6..k12 in y_new (_B), e5 (_F) and e3 (_G)
+_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12 = _DOP_B.values()
+_F1, _F6, _F7, _F8, _F9, _F10, _F11, _F12 = _DOP_E5.values()
+_G1, _G6, _G7, _G8, _G9, _G10, _G11, _G12 = _DOP_E3.values()
 _DT_MIN = 1e-13  # smallest step size an adaptive step tries
 
 
-def _dp_attempt(rhs, y: tuple, k1: tuple, dt: float):
-    """One 5(4) attempt from y with k1 = rhs(y): (y5, y5 - y4).
+def _dop853_attempt(rhs, y: tuple, k1: tuple, dt: float):
+    """One DOP853 attempt from y with k1 = rhs(y): (y_new, e5, e3), the
+    order-8 solution and the order-5 and order-3 error estimates.
 
-    Each stage sum is written out from 0.0, zero coefficients included, so
-    it is added left to right exactly as the elementwise numpy form
-    y + dt * sum_j a_j k_j adds it.
+    Every sum is a left fold over its nonzero coefficients, exactly as the
+    elementwise numpy form y + dt * (a_i1 k1 + a_i2 k2 + ...) adds it.
     """
-    k2 = rhs(tuple([v + dt * (0.0 + _A21 * p1) for v, p1 in zip(y, k1)]))
-    k3 = rhs(tuple([v + dt * (0.0 + _A31 * p1 + _A32 * p2) for v, p1, p2 in zip(y, k1, k2)]))
-    k4 = rhs(tuple([
-        v + dt * (0.0 + _A41 * p1 + _A42 * p2 + _A43 * p3)
-        for v, p1, p2, p3 in zip(y, k1, k2, k3)
+    k2 = rhs(tuple([v + dt * (_A21 * p1) for v, p1 in zip(y, k1)]))
+    k3 = rhs(tuple([v + dt * (_A31 * p1 + _A32 * p2) for v, p1, p2 in zip(y, k1, k2)]))
+    k4 = rhs(tuple([v + dt * (_A41 * p1 + _A43 * p3) for v, p1, p3 in zip(y, k1, k3)]))
+    k5 = rhs(tuple([v + dt * (_A51 * p1 + _A53 * p3 + _A54 * p4) for v, p1, p3, p4 in zip(y, k1, k3, k4)]))
+    k6 = rhs(tuple([v + dt * (_A61 * p1 + _A64 * p4 + _A65 * p5) for v, p1, p4, p5 in zip(y, k1, k4, k5)]))
+    k7 = rhs(tuple([
+        v + dt * (_A71 * p1 + _A74 * p4 + _A75 * p5 + _A76 * p6)
+        for v, p1, p4, p5, p6 in zip(y, k1, k4, k5, k6)
     ]))
-    k5 = rhs(tuple([
-        v + dt * (0.0 + _A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4)
-        for v, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)
+    k8 = rhs(tuple([
+        v + dt * (_A81 * p1 + _A84 * p4 + _A85 * p5 + _A86 * p6 + _A87 * p7)
+        for v, p1, p4, p5, p6, p7 in zip(y, k1, k4, k5, k6, k7)
     ]))
-    k6 = rhs(tuple([
-        v + dt * (0.0 + _A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
-        for v, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)
+    k9 = rhs(tuple([
+        v + dt * (_A91 * p1 + _A94 * p4 + _A95 * p5 + _A96 * p6 + _A97 * p7 + _A98 * p8)
+        for v, p1, p4, p5, p6, p7, p8 in zip(y, k1, k4, k5, k6, k7, k8)
     ]))
-    y5 = tuple([
-        v + dt * (0.0 + _B1 * p1 + _B2 * p2 + _B3 * p3 + _B4 * p4 + _B5 * p5 + _B6 * p6)
-        for v, p1, p2, p3, p4, p5, p6 in zip(y, k1, k2, k3, k4, k5, k6)
-    ])
-    k7 = rhs(y5)
-    y4 = [
+    k10 = rhs(tuple([
+        v + dt * (_A101 * p1 + _A104 * p4 + _A105 * p5 + _A106 * p6 + _A107 * p7 + _A108 * p8 + _A109 * p9)
+        for v, p1, p4, p5, p6, p7, p8, p9 in zip(y, k1, k4, k5, k6, k7, k8, k9)
+    ]))
+    k11 = rhs(tuple([
         v
-        + dt * (0.0 + _E1 * p1 + _E2 * p2 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6 + _E7 * p7)
-        for v, p1, p2, p3, p4, p5, p6, p7 in zip(y, k1, k2, k3, k4, k5, k6, k7)
-    ]
-    return y5, tuple(map(sub, y5, y4))
+        + dt
+        * (_A111 * p1 + _A114 * p4 + _A115 * p5 + _A116 * p6 + _A117 * p7 + _A118 * p8 + _A119 * p9 + _A1110 * p10)
+        for v, p1, p4, p5, p6, p7, p8, p9, p10 in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)
+    ]))
+    k12 = rhs(tuple([
+        v
+        + dt
+        * (
+            _A121 * p1 + _A124 * p4 + _A125 * p5 + _A126 * p6 + _A127 * p7
+            + _A128 * p8 + _A129 * p9 + _A1210 * p10 + _A1211 * p11
+        )
+        for v, p1, p4, p5, p6, p7, p8, p9, p10, p11 in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)
+    ]))
+    y_new, e5, e3 = [], [], []
+    for v, p1, p6, p7, p8, p9, p10, p11, p12 in zip(y, k1, k6, k7, k8, k9, k10, k11, k12):
+        y_new.append(
+            v + dt * (_B1 * p1 + _B6 * p6 + _B7 * p7 + _B8 * p8 + _B9 * p9 + _B10 * p10 + _B11 * p11 + _B12 * p12)
+        )
+        e5.append(dt * (_F1 * p1 + _F6 * p6 + _F7 * p7 + _F8 * p8 + _F9 * p9 + _F10 * p10 + _F11 * p11 + _F12 * p12))
+        e3.append(dt * (_G1 * p1 + _G6 * p6 + _G7 * p7 + _G8 * p8 + _G9 * p9 + _G10 * p10 + _G11 * p11 + _G12 * p12))
+    return tuple(y_new), e5, e3
 
 
 def _adaptive_step(rhs, y: tuple, dt: float, tol: float):
-    """One accepted 5(4) step; returns (y_new, dt_taken, dt_next).
+    """One accepted DOP853 step; returns (y_new, dt_taken, dt_next).
 
-    A step whose error norm exceeds 1 is retried with a smaller dt, and so is
-    one that meets a fixed point (FixedPointSingularity) on its way;
-    StepRejected is raised once dt falls below _DT_MIN.  k1 = rhs(y) does not
-    depend on dt and is evaluated once.
+    The error norm is Hairer's err5^2 / sqrt((err5^2 + 0.01 err3^2) n), each
+    estimate taken on the scale tol (1 + max(|y_i|, |y_new_i|)).  A step
+    whose norm exceeds 1 is retried with a smaller dt, and so is one that
+    meets a fixed point (FixedPointSingularity) on its way, or whose norm is
+    not finite; StepRejected is raised once dt falls below _DT_MIN.
+    k1 = rhs(y) does not depend on dt and is evaluated once per step: it is
+    the 13th evaluation rhs(y_new) of the step before, so an attempt costs
+    the 11 right-hand sides of stages 2 to 12.
     """
     dt = float(dt)
     k1 = None
@@ -290,22 +395,25 @@ def _adaptive_step(rhs, y: tuple, dt: float, tol: float):
         try:
             if k1 is None:
                 k1 = rhs(y)
-            y5, err = _dp_attempt(rhs, y, k1, dt)
+            y_new, e5, e3 = _dop853_attempt(rhs, y, k1, dt)
         except FixedPointSingularity:
             dt *= 0.25
             continue
-        q = [e / (tol * (1.0 + max(abs(a), abs(b)))) for e, a, b in zip(err, y, y5)]
-        ssq = 0.0
-        for v in q:
-            ssq += v * v
-        norm = math.sqrt(ssq / len(q))
-        if not math.isfinite(norm):
+        sq5 = sq3 = 0.0
+        for a5, a3, a, b in zip(e5, e3, y, y_new):
+            scale = tol * (1.0 + max(abs(a), abs(b)))
+            q5, q3 = a5 / scale, a3 / scale
+            sq5 += q5 * q5
+            sq3 += q3 * q3
+        den = math.sqrt((sq5 + 0.01 * sq3) * len(y))
+        if not math.isfinite(den):
             dt *= 0.2
             continue
+        norm = sq5 / den if den else 0.0
         if norm <= 1.0:
-            factor = 0.9 * (norm + 1e-300) ** -0.2
-            return y5, dt, dt * min(5.0, max(0.2, factor))
-        dt *= max(0.2, 0.9 * norm**-0.2)
+            factor = 0.9 * (norm + 1e-300) ** -0.125
+            return y_new, dt, dt * min(5.0, max(0.2, factor))
+        dt *= max(0.2, 0.9 * norm**-0.125)
 
 
 # ---------------------------------------------------------------------------

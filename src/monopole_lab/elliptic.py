@@ -220,7 +220,7 @@ def _limit_slice(lm: LimitModel, u2):
     With s = sqrt(c)(u - delta)/2 and den = 2 sqrt(D) cosh(s) + 2b,
 
         Q2  = beta1 - 4c / den,
-        Q2' = 4c sqrt(D) sqrt(c) sinh(s) / den^2   (0 where den overflows),
+        Q2' = 4c sqrt(D) sqrt(c) sinh(s) / den^2   (0 where den or Q2' overflows),
         G   = (2/sqrt(c)) [4c beta1 (J1(s) - J1(-inf)) - 4c^2 (J2(s) - J2(-inf))],
 
     where G = integral_{-inf}^{u} (beta1^2 - Q2^2) is the gauge integral
@@ -249,10 +249,11 @@ def _limit_slice(lm: LimitModel, u2):
     if scalar and abs(s) < s_float:
         out = _limit_terms(lm, s, float)[:3]
     else:
-        # cosh overflows to inf far out (Q2 -> beta1, dQ2/du -> 0)
+        # cosh overflows to inf far out (Q2 -> beta1, dQ2/du -> 0), and just
+        # before it sinh(s) times 4c sqrt(D) sqrt(c) does, so den^2 is inf first
         with np.errstate(over="ignore", invalid="ignore"):
             q2, d2, g, den = _limit_terms(lm, s, lambda v: v)
-            d2 = np.where(np.isfinite(den), d2, 0.0)
+            d2 = np.where(np.isfinite(den) & np.isfinite(d2), d2, 0.0)
         out = (float(q2), float(d2), float(g)) if scalar else (q2, d2, g)
     if type(u2) is float:
         object.__setattr__(lm, "_last", (u2, out))

@@ -1,7 +1,10 @@
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
+from scipy.integrate._ivp import dop853_coefficients
 
 from monopole_lab import _inversion
 from monopole_lab import dynamics as dyn
@@ -519,28 +522,33 @@ def test_limit_h_eval_degenerate_far_out(limit_spec):
 
 # --- integrator core against the elementwise numpy form ------------------------------
 #
-# The reference is the numpy form of the DP5(4) core and of the e(3)* right-hand
+# The reference is the numpy form of the DOP853 core and of the e(3)* right-hand
 # sides (np.cross).  The float core takes every sum and product in the same
 # order, so the two agree bit for bit; the reference keeps the old forced
 # accept of a failing step once dt < 4 dt_min, which the core no longer has.
 
-_DP_C = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
+_DOP_C = tuple(dop853_coefficients.C[:12].tolist())
 
 
-def _ref_dp_attempt(rhs, t, y, dt):
+def _fold(weights, k):
+    """sum_j w_j k_j over the nonzero weights {j: w_j}, added left to right."""
+    return reduce(add, (w * k[j - 1] for j, w in weights.items()))
+
+
+def _ref_dop853_attempt(rhs, t, y, dt):
     k = [rhs(t, y)]
-    for i in range(1, 6):
-        yi = y + dt * sum(a * kk for a, kk in zip(dyn._DP_A[i - 1], k))
-        k.append(rhs(t + _DP_C[i] * dt, yi))
-    y5 = y + dt * sum(b * kk for b, kk in zip(dyn._DP_B5, k))
-    k.append(rhs(t + dt, y5))
-    y4 = y + dt * sum(b * kk for b, kk in zip(dyn._DP_B4, k))
-    return y5, y5 - y4
+    for i in range(1, 12):
+        k.append(rhs(t + _DOP_C[i] * dt, y + dt * _fold(dyn._DOP_A[i - 1], k)))
+    return y + dt * _fold(dyn._DOP_B, k), dt * _fold(dyn._DOP_E5, k), dt * _fold(dyn._DOP_E3, k)
 
 
-def _ref_norm(y, y5, err, tol):
-    scale = tol * (1.0 + np.maximum(np.abs(y), np.abs(y5)))
-    return math.sqrt(float(np.mean((err / scale) ** 2)))
+def _ref_norm(y, y_new, e5, e3, tol):
+    scale = tol * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
+    sq5, sq3 = float(np.sum((e5 / scale) ** 2)), float(np.sum((e3 / scale) ** 2))
+    den = math.sqrt((sq5 + 0.01 * sq3) * len(y))
+    if not math.isfinite(den):
+        return math.nan
+    return sq5 / den if den else 0.0
 
 
 def _ref_adaptive_step(rhs, t, y, dt, tol, dt_min=1e-13):
@@ -549,18 +557,18 @@ def _ref_adaptive_step(rhs, t, y, dt, tol, dt_min=1e-13):
         if dt < dt_min:
             raise StepRejected(f"step size underflow at t = {t}")
         try:
-            y5, err = _ref_dp_attempt(rhs, t, y, dt)
+            y_new, e5, e3 = _ref_dop853_attempt(rhs, t, y, dt)
         except FixedPointSingularity:
             dt *= 0.25
             continue
-        norm = _ref_norm(y, y5, err, tol)
+        norm = _ref_norm(y, y_new, e5, e3, tol)
         if not math.isfinite(norm):
             dt *= 0.2
             continue
         if norm <= 1.0 or dt < 4.0 * dt_min:
-            factor = 0.9 * (norm + 1e-300) ** -0.2
-            return y5, dt, dt * min(5.0, max(0.2, factor))
-        dt *= max(0.2, 0.9 * norm**-0.2)
+            factor = 0.9 * (norm + 1e-300) ** -0.125
+            return y_new, dt, dt * min(5.0, max(0.2, factor))
+        dt *= max(0.2, 0.9 * norm**-0.125)
 
 
 def _ref_e3_rhs(spec):
@@ -610,7 +618,7 @@ def _ref_limit_q2_deriv(lm, u2):
     with np.errstate(over="ignore", invalid="ignore"):
         den = 2.0 * sqD * np.cosh(s) + 2.0 * lm.b
         out = 4.0 * lm.c * sqD * sqc * np.sinh(s) / den**2
-        out = np.where(np.isfinite(den), out, 0.0)
+        out = np.where(np.isfinite(den) & np.isfinite(out), out, 0.0)
     return out if out.shape else float(out)
 
 
@@ -730,7 +738,7 @@ def test_core_matches_numpy_reference(family, request, monkeypatch):
                     want = _outcome(_ref_adaptive_step, ref, 0.0, np.array(y), dt, tol)
                 assert _outcome(dyn._adaptive_step, counted, y, dt, tol) == want
                 assert calls.count(True) == 1  # k1, once for all attempts
-                retried += len(calls) > 7
+                retried += len(calls) > 12  # k1 and one attempt's 11 stages
         # the right-hand sides themselves, bitwise
         assert np.array(new(y)).tobytes() == ref(0.0, np.array(y)).tobytes()
     assert retried > 0
@@ -740,14 +748,48 @@ def test_stage_sums_are_left_folds(monkeypatch):
     # stages of +-1e16 and O(1): a compensated sum keeps the O(1) parts the
     # left fold of the numpy form rounds away
     monkeypatch.setattr(dyn, "sum", _compensated_sum, raising=False)
-    ks = [1e16, 1.0, -1e16, 3.0, -1e16, 1e16, 1.0]
+    ks = [1e16, 1.0, -1e16, 3.0, -1e16, 1e16, 1.0, -1e16, 3.0, 1e16, -1e16, 1.0]
     new_k, ref_k = iter(ks[1:]), iter(ks)
-    y5, err = dyn._dp_attempt(lambda _y: (next(new_k),), (0.5,), (ks[0],), 1.0)
+    got = dyn._dop853_attempt(lambda _y: (next(new_k),), (0.5,), (ks[0],), 1.0)
     ref = lambda _t, _y: np.array([next(ref_k)])
-    want5, want_err = _ref_dp_attempt(ref, 0.0, np.array([0.5]), 1.0)
-    assert np.array(y5).tobytes() == want5.tobytes()
-    assert np.array(err).tobytes() == want_err.tobytes()
-    assert y5[0] != 0.5 + _compensated_sum(b * k for b, k in zip(dyn._DP_B5, ks[:6]))
+    want = _ref_dop853_attempt(ref, 0.0, np.array([0.5]), 1.0)
+    for g, w in zip(got, want):
+        assert np.array(g).tobytes() == w.tobytes()
+    assert got[0][0] != 0.5 + _compensated_sum(b * ks[j - 1] for j, b in dyn._DOP_B.items())
+
+
+def test_dop853_tableau():
+    # the literals are scipy's, bit for bit, and satisfy the conditions a
+    # mistyped digit would break: each row of A sums to its node, the weights
+    # integrate c^(k-1) exactly to order 8, and both error weights sum to 0
+    dense = lambda weights, n: [weights.get(j, 0.0) for j in range(1, n + 1)]
+    rows = [dense(row, 12) for row in dyn._DOP_A]
+    assert np.array(rows).tobytes() == dop853_coefficients.A[1:12, :12].tobytes()
+    assert np.array(dense(dyn._DOP_B, 12)).tobytes() == dop853_coefficients.B.tobytes()
+    assert np.array(dense(dyn._DOP_E5, 13)).tobytes() == dop853_coefficients.E5.tobytes()
+    assert np.array(dense(dyn._DOP_E3, 13)).tobytes() == dop853_coefficients.E3.tobytes()
+    c = np.array(_DOP_C)
+    for i, row in enumerate(dyn._DOP_A, start=1):
+        assert abs(math.fsum(row.values()) - c[i]) <= 1e-14, i
+    b = np.array(dense(dyn._DOP_B, 12))
+    for k in range(1, 9):
+        assert abs(math.fsum(b * c ** (k - 1)) - 1.0 / k) <= 1e-14, k
+    assert abs(math.fsum(dyn._DOP_E5.values())) <= 1e-14
+    assert abs(math.fsum(dyn._DOP_E3.values())) <= 1e-14
+
+
+def test_dop853_is_eighth_order():
+    # y' = -y to t = 4 in fixed steps of 1 and 1/2: halving the step divides
+    # the error by about 2^8
+    rhs = lambda y: (-y[0],)
+
+    def error(dt):
+        y = (1.0,)
+        for _ in range(round(4.0 / dt)):
+            y = dyn._dop853_attempt(rhs, y, rhs(y), dt)[0]
+        return abs(y[0] - math.exp(-4.0))
+
+    assert error(1.0) >= 2.0**7 * error(0.5) > 0.0
 
 
 def test_core_lets_arithmetic_errors_through():
@@ -790,7 +832,7 @@ def test_step_above_tolerance_is_raised_not_kept():
     y0 = np.array([1.0])
     y5, dt, _ = _ref_adaptive_step(ref, 0.0, y0, 1e-3, 1e-10)
     assert dt < 4e-13
-    assert _ref_norm(y0, y5, _ref_dp_attempt(ref, 0.0, y0, dt)[1], 1e-10) > 1.0
+    assert _ref_norm(y0, *_ref_dop853_attempt(ref, 0.0, y0, dt), 1e-10) > 1.0
     with pytest.raises(StepRejected):
         dyn._adaptive_step(lambda v: (-C * v[0],), (1.0,), 1e-3, 1e-10)
 
@@ -849,6 +891,22 @@ def test_limit_slice_float_path_at_its_overflow_tails(limit_spec, roots):
         assert all(type(v) is float for v in (q2, d2, g))
         want = (_ref_limit_q2(lm, u), _ref_limit_q2_deriv(lm, u), _ref_limit_gauge_a1(spec, u))
         assert np.array([q2, d2, (spec.B / lm.c) * g]).tobytes() == np.array(want).tobytes(), u
+
+
+@pytest.mark.parametrize("roots, s_values", [((3.0, -1.0, -5.0), (705.0,)), ((40.0, -1.0, -79.0), (700.0, 705.0))])
+def test_limit_slice_derivative_is_finite_below_cosh_overflow(roots, s_values):
+    # 4c sqrt(D) sqrt(c) sinh(s) overflows a little before den does, where
+    # the quotient was inf/inf = nan: Q2' is 0 wherever it overflows
+    from monopole_lab.elliptic import LimitModel, _limit_slice, limit_q2_deriv
+
+    lm = LimitModel(*roots)
+    sqc = math.sqrt(lm.c)
+    us = [lm.delta + sign * 2.0 * s / sqc for s in s_values for sign in (1.0, -1.0)]
+    for u in us:
+        assert _limit_slice(lm, u)[1] == 0.0, u
+    assert np.all(limit_q2_deriv(lm, np.array(us)) == 0.0)
+    band = lm.delta + 2.0 * np.arange(650.0, 760.0, 0.25) / sqc
+    assert np.all(np.isfinite(limit_q2_deriv(lm, band)))
 
 
 @pytest.mark.parametrize("roots", [None, (1.3, -0.21, -2.39), (40.0, -1.0, -79.0), (1.0, -0.5, -1.5)])
@@ -1013,8 +1071,8 @@ def test_flow_step_matches_per_family_steppers(family, request):
 def test_integrate_matches_reference_driver(family, seed, request):
     spec = request.getfixturevalue(family)
     s0 = dyn.random_state(spec, np.random.default_rng(seed))
-    want = _ref_integrate(spec, s0, 2.0, tol=1e-9, stride=3)
-    got = dyn.integrate(spec, s0, 2.0, tol=1e-9, stride=3)
+    want = _ref_integrate(spec, s0, 5.0, tol=1e-9, stride=3)
+    got = dyn.integrate(spec, s0, 5.0, tol=1e-9, stride=3)
     assert len(got.times) > 5
     assert got.times.tobytes() == want.times.tobytes()
     assert got.states.tobytes() == want.states.tobytes()
@@ -1097,15 +1155,15 @@ def test_flow_step_retries_non_finite_cylinder_stages(limit_spec, monkeypatch):
 
 
 def test_torus_step_sums_each_slice_point_once(canonical_params, monkeypatch):
-    # an attempt evaluates both slices at its six new stages, one fused
-    # value/derivative pass each; k1, the gauge, the monitors and the next
-    # step's k1 all reuse the last stage's point, so an accepted step adds one
-    # single pass (the gauge antiderivative at the new u1).  The constant 2
-    # is both slices' fused pass for the monitors at state0, which no stage
-    # has evaluated.
+    # an attempt evaluates both slices at its eleven new stages, one fused
+    # value/derivative pass each, and k1 reuses the last point of the step
+    # before.  An accepted step adds two single passes, the gauge's Q2 value
+    # and antiderivative at its new point, and the monitors' fused pass there,
+    # which the gauge, the next step's unpacking and k1 then reuse.  The
+    # constant 2 is both slices' fused pass for the monitors at state0.
     spec = case2_spec(canonical_params, mu=1.0, B=0.5)
-    s0 = dyn.random_state(spec, np.random.default_rng(8))  # 98 steps, 3 rejected attempts
-    count = dict.fromkeys(["_horner", "_horner_fused", "_dp_attempt"], 0)
+    s0 = dyn.random_state(spec, np.random.default_rng(8))  # 34 steps, 5 rejected attempts
+    count = dict.fromkeys(["_horner", "_horner_fused", "_dop853_attempt"], 0)
 
     def counting(module, name):
         fn = getattr(module, name)
@@ -1118,9 +1176,9 @@ def test_torus_step_sums_each_slice_point_once(canonical_params, monkeypatch):
 
     counting(_inversion, "_horner")
     counting(_inversion, "_horner_fused")
-    counting(dyn, "_dp_attempt")
-    traj = dyn.integrate(spec, s0, t_end=2.0, tol=1e-10)
+    counting(dyn, "_dop853_attempt")
+    traj = dyn.integrate(spec, s0, t_end=3.0, tol=1e-10)
     steps = len(traj.times) - 1
-    assert steps > 30 and count["_dp_attempt"] > steps
-    assert count["_horner_fused"] <= 12 * count["_dp_attempt"] + 2
-    assert count["_horner"] <= steps
+    assert steps > 30 and count["_dop853_attempt"] > steps
+    assert count["_horner_fused"] <= 24 * count["_dop853_attempt"] + 2
+    assert count["_horner"] <= 2 * steps
