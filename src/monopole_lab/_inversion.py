@@ -204,19 +204,24 @@ class QuarterBranch:
     # -- evaluation --------------------------------------------------------------
 
     def _eval(self, u, with_deriv: bool):
-        """(x, dx/du) at any real u; dx/du is None unless ``with_deriv``.
+        """(x, dx/du) at any real u; dx/du is None unless ``with_deriv`` or u is
+        a Python float.
 
         One pass of the u-series at |u| mod 2K (exact evenness); dx/du is the
         differentiated series, odd in u.  Where |u| mod 2K is exactly 0 or K
         the turning point and a zero derivative are returned.  A Python float
-        u equal to the last one returns the stored result; the slot is
-        replaced whole, so a reader on another thread sees a consistent one.
+        u always takes the fused pass, whose x is the single pass's bit for
+        bit, and is stored whole: the same u again returns the stored result,
+        so a value at a step's new point serves the derivative asked there
+        next.  The slot is replaced whole, so a reader on another thread sees
+        a consistent one.
         """
         memo = type(u) is float
         if memo:
             last_u, x, d = self._last
-            if last_u == u and (d is not None or not with_deriv):
+            if last_u == u:
                 return x, d
+            with_deriv = True
         u, r, c, s = _phase(u, self.K)
         if with_deriv:
             x, d = _horner_fused(c, s, self._a, self._na)
