@@ -25,17 +25,18 @@ off the real axis, so its cosine series in u itself,
 converges geometrically (Trefethen & Weideman, SIAM Rev. 2014).  Its
 coefficients come once, at construction, from the FFT of x at equispaced u,
 chopped at the round-off plateau that the spectrum shows (Aurentz & Trefethen,
-ACM TOMS 2017).  Evaluating x and the differentiated series dx/du is one
-Horner pass in z = exp(i phi), written in real arithmetic on
-(cos phi, sin phi), with phi from |u| mod 2K: valid for every real u, exactly
-even, and exact at the turning points themselves; x and dx/du share one loop
-that carries both accumulators.  Antiderivatives d0 u + sum_n b_n sin(n phi)
-take the same pass.  A 0-d argument is evaluated in Python floats, an array
-in numpy, by the same operations in the same order, so a point's value never
-depends on the batch it is evaluated in.  Each evaluator keeps the result at
-the last Python float u it was given, keyed on that exact float, and returns
-those same floats when called with it again (a flow evaluates each slice
-point several times); arrays and 0-d numpy values neither read nor write it.
+ACM TOMS 2017).  With c = cos phi, x = a0 + sum_n a_n T_n(c) and
+dx/du = -(pi/K) sin phi sum_n n a_n U_(n-1)(c), each summed by one Clenshaw
+recurrence (Clenshaw, Math. Comp. 9 (1955) 118), with phi from |u| mod 2K:
+valid for every real u, exactly even, and exact at the turning points
+themselves.  Antiderivatives d0 u + sum_n b_n sin(n phi) are
+d0 u + sin phi sum_n b_n U_(n-1)(c), the same recurrence.  A 0-d argument is
+evaluated in Python floats, an array in numpy, by the same operations in the
+same order, so a point's value never depends on the batch it is evaluated in.
+Each evaluator keeps the result at the last Python float u it was given, keyed
+on that exact float, and returns those same floats when called with it again
+(a flow evaluates each slice point several times); arrays and 0-d numpy values
+neither read nor write it.
 """
 
 from __future__ import annotations
@@ -110,22 +111,15 @@ def _phase(u, K: float):
     return u, r, xp.cos(phi), xp.sin(phi)
 
 
-def _horner(c, s, coeffs: list):
-    """(Re, Im) of sum_n coeffs_n z^n, z = c + i s, coeffs from the highest n down
-    to n = 1; real arithmetic, so a float and an array element round alike."""
-    pr = pi = 0.0
-    for a in coeffs:
-        pr, pi = pr * c - pi * s + a, pr * s + pi * c
-    return pr * c - pi * s, pr * s + pi * c
-
-
-def _horner_fused(c, s, a: list, b: list):
-    """(Re of the a-sum, Im of the b-sum) of _horner, both from one loop that
-    makes each sum's multiply-adds in _horner's order."""
-    pr = pi = qr = qi = 0.0
-    for an, bn in zip(a, b):
-        pr, pi, qr, qi = pr * c - pi * s + an, pr * s + pi * c, qr * c - qi * s + bn, qr * s + qi * c
-    return pr * c - pi * s, qr * s + qi * c
+def _clenshaw(c, coeffs: list):
+    """(b1, b2) of Clenshaw's recurrence b_k = g_k + 2c b_(k+1) - b_(k+2) over
+    coeffs = g_N ... g_1, highest n first: sum_n g_n T_n(c) = c b1 - b2 and
+    sum_n g_n U_(n-1)(c) = b1.  A float and an array element round alike."""
+    c2 = 2.0 * c
+    b1 = b2 = 0.0
+    for g in coeffs:
+        b1, b2 = g + c2 * b1 - b2, b1
+    return b1, b2
 
 
 class _Landen:
@@ -207,14 +201,13 @@ class QuarterBranch:
         """(x, dx/du) at any real u; dx/du is None unless ``with_deriv`` or u is
         a Python float.
 
-        One pass of the u-series at |u| mod 2K (exact evenness); dx/du is the
-        differentiated series, odd in u.  Where |u| mod 2K is exactly 0 or K
-        the turning point and a zero derivative are returned.  A Python float
-        u always takes the fused pass, whose x is the single pass's bit for
-        bit, and is stored whole: the same u again returns the stored result,
-        so a value at a step's new point serves the derivative asked there
-        next.  The slot is replaced whole, so a reader on another thread sees
-        a consistent one.
+        One recurrence over the u-series at |u| mod 2K (exact evenness) and,
+        for dx/du, one over the differentiated series, odd in u.  Where
+        |u| mod 2K is exactly 0 or K the turning point and a zero derivative
+        are returned.  A Python float u always takes both sums and stores them
+        whole: the same u again returns the stored result, so a value at a
+        step's new point serves the derivative asked there next.  The slot is
+        replaced whole, so a reader on another thread sees a consistent one.
         """
         memo = type(u) is float
         if memo:
@@ -223,11 +216,9 @@ class QuarterBranch:
                 return x, d
             with_deriv = True
         u, r, c, s = _phase(u, self.K)
-        if with_deriv:
-            x, d = _horner_fused(c, s, self._a, self._na)
-            x, d = self._a0 + x, -(math.pi / self.K) * d
-        else:
-            x, d = self._a0 + _horner(c, s, self._a)[0], None
+        b1, b2 = _clenshaw(c, self._a)
+        x = self._a0 + (c * b1 - b2)
+        d = -(math.pi / self.K) * s * _clenshaw(c, self._na)[0] if with_deriv else None
         if isinstance(u, float):
             if r == 0.0 or r == self.K:
                 x, d = (self.x_start if r == 0.0 else self.x_end), (0.0 if with_deriv else None)
@@ -251,7 +242,7 @@ class QuarterBranch:
         return self._eval(u, True)[1]
 
     def value_and_deriv(self, u):
-        """(x, dx/du) from one fused Horner pass."""
+        """(x, dx/du), one recurrence each."""
         return self._eval(u, True)
 
     def invert(self, x):
@@ -299,7 +290,7 @@ class CumulativeIntegral:
             if last_u == u:
                 return out
         u, _, c, s = _phase(u, self._K)
-        out = self._d0 * abs(u) + _horner(c, s, self._b)[1]
+        out = self._d0 * abs(u) + s * _clenshaw(c, self._b)[0]
         if isinstance(u, float):
             out = -out if u < 0.0 else out
             if memo:

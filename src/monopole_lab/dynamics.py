@@ -647,9 +647,11 @@ def flow_step(
     """One accepted adaptive step of the flow of any family, in the variables
     of :func:`_flow`.  After the step an e(3)* state is projected onto the
     Casimir leaf |x| = 1, (M, x) = nu (default: the value carried by ``s``).
+    dt and tol must be finite and positive (a NaN or infinite dt never
+    shrinks below _DT_MIN), or ValueError is raised.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not (0.0 < dt < math.inf and 0.0 < tol < math.inf):
+        raise ValueError(f"dt and tol must be finite and positive, got dt = {dt}, tol = {tol}")
     y, rhs, _, unpack = _flow(spec, s)
     if nu is None and isinstance(s, E3State):
         nu = float(s.M @ s.x)
@@ -667,8 +669,14 @@ def integrate(
     """Integrate to t_end, monitoring H and F every accepted step.
 
     Stored samples are decimated by ``stride``; e(3)* runs also record the
-    Casimirs C1 = |x|^2 and C2 = (M, x).
+    Casimirs C1 = |x|^2 and C2 = (M, x).  Before any step, ValueError is
+    raised unless t_end is finite and >= 0, tol finite and > 0 and stride an
+    int >= 1.
     """
+    if not (0.0 <= t_end < math.inf and 0.0 < tol < math.inf):
+        raise ValueError(f"t_end must be finite and >= 0, tol finite and > 0, got t_end = {t_end}, tol = {tol}")
+    if not (isinstance(stride, int) and stride >= 1):
+        raise ValueError(f"stride must be an int >= 1, got {stride!r}")
     nu = None
     if spec.family == Family.CASE_II:
         def monitors(st):
@@ -734,10 +742,12 @@ def random_state(spec: SystemSpec, rng: np.random.Generator):
             # leaf value nu doubles as the magnetic density for sphere runs
             M = M + (spec.B - M @ x) * x
         return E3State(M=M, x=x)
-    # Family.CASE_II_LIMIT
+    # Family.CASE_II_LIMIT: |s| = sqrt(c) |u2 - delta| / 2 <= 6 keeps the state
+    # off the plateau where Q2 has rounded to beta1 (h = 2 for sqrt(c) <= 6)
+    h = min(2.0, 12.0 / math.sqrt(spec.limit.c))
     return PhaseState(
         u1=float(rng.uniform(0.0, 2.0 * math.pi)),
-        u2=float(spec.limit.delta + rng.uniform(-2.0, 2.0)),
+        u2=float(spec.limit.delta + rng.uniform(-h, h)),
         p1=float(rng.normal(0.0, 1.0)),
         p2=float(rng.normal(0.0, 1.0)),
     )

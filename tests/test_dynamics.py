@@ -9,7 +9,7 @@ from scipy.integrate._ivp import dop853_coefficients
 from monopole_lab import _inversion
 from monopole_lab import dynamics as dyn
 from monopole_lab import geometry as geo
-from monopole_lab.elliptic import limit_q2
+from monopole_lab.elliptic import LimitModel, limit_q2
 from monopole_lab import fields
 from monopole_lab.errors import (
     CenterSingularity,
@@ -18,7 +18,7 @@ from monopole_lab.errors import (
     MonopoleLabError,
     StepRejected,
 )
-from monopole_lab.fields import Family, case2_spec, gauge_a
+from monopole_lab.fields import Family, case2_limit_spec, case2_spec, gauge_a
 from monopole_lab.polyroots import eval_p, from_roots
 from richardson import (
     e3_f_of_y,
@@ -159,6 +159,46 @@ def test_flow_step_contract(case2, limit_spec, case1, vy):
         for dt in (-1.0, 0.0):
             with pytest.raises(ValueError):
                 dyn.flow_step(spec, s, dt=dt)
+
+
+def _no_step(*args):
+    raise AssertionError("a step was attempted")
+
+
+@pytest.mark.parametrize(
+    "bad", [{"dt": math.nan}, {"dt": math.inf}, {"tol": 0.0}, {"tol": -1e-10}, {"tol": math.nan}, {"tol": math.inf}]
+)
+def test_flow_step_rejects_bad_inputs(case2, limit_spec, case1, vy, bad, monkeypatch):
+    # a NaN or infinite dt never fell below _DT_MIN, so the step looped for
+    # ever; tol = 0 divided by zero and tol = NaN ended in StepRejected
+    monkeypatch.setattr(dyn, "_adaptive_step", _no_step)
+    for spec in (case2, case1, vy, limit_spec):
+        s = dyn.random_state(spec, np.random.default_rng(22))
+        with pytest.raises(ValueError):
+            dyn.flow_step(spec, s, **{"dt": 0.01, "tol": 1e-10, **bad})
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"t_end": math.inf},
+        {"t_end": math.nan},
+        {"t_end": -1.0},
+        {"tol": 0.0},
+        {"tol": math.nan},
+        {"stride": 0},
+        {"stride": -1},
+        {"stride": 2.0},
+    ],
+)
+def test_integrate_rejects_bad_inputs(case2, limit_spec, bad, monkeypatch):
+    # checked before any step: t_end = inf ran for ever, stride = 0 and
+    # tol = 0 raised ZeroDivisionError
+    monkeypatch.setattr(dyn, "flow_step", _no_step)
+    for spec in (case2, limit_spec):
+        s = dyn.random_state(spec, np.random.default_rng(22))
+        with pytest.raises(ValueError):
+            dyn.integrate(spec, s, **{"t_end": 1.0, "tol": 1e-10, "stride": 1, **bad})
 
 
 def test_flow_step_rejects_at_fixed_point(case2):
@@ -488,6 +528,28 @@ def test_limit_flow_p1_exact_and_h_conserved(limit_spec):
     H = traj.monitors["H"]
     assert np.max(np.abs(H - H[0])) / abs(H[0]) < 1e-8
     assert np.max(np.abs(traj.monitors["F"] - s.p1)) == 0.0
+
+
+def test_random_cylinder_states_stay_off_the_plateau(limit_spec):
+    # u2 is drawn within delta +- min(2, 12 / sqrt(c)), so |s| <= 6.  The
+    # window +-2 put every (40, -1, -79) state where Q2 has rounded to beta1
+    # (StepRejected or DegeneratePoint), and (10, -1, -19) seed 1 drifted 1e-3
+    for roots in [(40.0, -1.0, -79.0), (10.0, -1.0, -19.0)]:
+        spec = case2_limit_spec(LimitModel(*roots), mu=1.0, B=0.6)
+        for seed in range(4):
+            s = dyn.random_state(spec, np.random.default_rng(seed))
+            assert math.sqrt(spec.limit.c) * abs(s.u2 - spec.limit.delta) / 2.0 <= 6.0
+            assert dyn.integrate(spec, s, t_end=5.0, tol=1e-10).max_drift("H") <= 1e-9
+    # sqrt(c) <= 6 keeps the window +-2: the (2, -1, -3) states are those drawn before
+    want = [
+        ("0x1.002332afaea2fp+2", "-0x1.203632168103cp-1", "0x1.47e57a468b06dp-1", "0x1.adabbec84d4f0p-4"),
+        ("0x1.9ba1a1c011fe0p+1", "0x1.14742500dcb0cp+1", "0x1.525e18ce5fc0ap-2", "-0x1.4d9bb65b49607p+0"),
+        ("0x1.a4cd4aeec5e3ap+0", "-0x1.cad99d836fed7p-2", "-0x1.a6fa212826f90p-2", "-0x1.388200d1582ddp+1"),
+        ("0x1.138857c684f2bp-1", "-0x1.63bf39b12853cp-1", "0x1.ac221aa4baeafp-2", "-0x1.22b2b2a3f6eacp-1"),
+    ]
+    for seed, bits in enumerate(want):
+        s = dyn.random_state(limit_spec, np.random.default_rng(seed))
+        assert tuple(v.hex() for v in (s.u1, s.u2, s.p1, s.p2)) == bits
 
 
 def test_trajectory_contract(case2):
@@ -1155,31 +1217,33 @@ def test_flow_step_retries_non_finite_cylinder_stages(limit_spec, monkeypatch):
 
 
 def test_torus_step_sums_each_slice_point_once(canonical_params, monkeypatch):
-    # an attempt evaluates both slices at its eleven new stages, one fused
-    # value/derivative pass each, and k1 reuses the last point of the step
-    # before.  An accepted step adds the fused pass of each slice at its new
+    # an attempt evaluates both slices at its eleven new stages, one value and
+    # one derivative recurrence each, and k1 reuses the last point of the step
+    # before.  An accepted step adds both recurrences of each slice at its new
     # point, which the gauge's Q2 value or the monitors make first and the
     # rest of the step, the next step's unpacking and k1 reuse, and one
-    # single pass (the gauge antiderivative at the new u1).  The constant 2
-    # is both slices' fused pass for the monitors at state0.
+    # antiderivative recurrence (the gauge's I1 at the new u1).  The constant
+    # 2 is both slices' recurrences for the monitors at state0.
     spec = case2_spec(canonical_params, mu=1.0, B=0.5)
     s0 = dyn.random_state(spec, np.random.default_rng(8))  # 34 steps, 5 rejected attempts
-    count = dict.fromkeys(["_horner", "_horner_fused", "_dop853_attempt"], 0)
+    m = spec.model
+    kind = {id(m.branch1._a): "value", id(m.branch2._a): "value"}
+    kind.update({id(m.branch1._na): "deriv", id(m.branch2._na): "deriv", id(spec.gauge_i1._b): "anti"})
+    count = dict.fromkeys(["value", "deriv", "anti", "attempt"], 0)
+    clenshaw, attempt = _inversion._clenshaw, dyn._dop853_attempt
 
-    def counting(module, name):
-        fn = getattr(module, name)
+    def counted_clenshaw(c, coeffs):
+        count[kind[id(coeffs)]] += 1
+        return clenshaw(c, coeffs)
 
-        def counted(*args):
-            count[name] += 1
-            return fn(*args)
+    def counted_attempt(*args):
+        count["attempt"] += 1
+        return attempt(*args)
 
-        monkeypatch.setattr(module, name, counted)
-
-    counting(_inversion, "_horner")
-    counting(_inversion, "_horner_fused")
-    counting(dyn, "_dop853_attempt")
+    monkeypatch.setattr(_inversion, "_clenshaw", counted_clenshaw)
+    monkeypatch.setattr(dyn, "_dop853_attempt", counted_attempt)
     traj = dyn.integrate(spec, s0, t_end=3.0, tol=1e-10)
     steps = len(traj.times) - 1
-    assert steps > 30 and count["_dop853_attempt"] > steps
-    assert count["_horner_fused"] <= 24 * count["_dop853_attempt"] + 2
-    assert count["_horner"] <= steps
+    assert steps > 30 and count["attempt"] > steps
+    assert count["value"] == count["deriv"] <= 24 * count["attempt"] + 2
+    assert count["anti"] <= steps

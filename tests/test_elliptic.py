@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ellipj, ellipk
 
-from monopole_lab._inversion import _cosine_coeffs, _horner, _horner_fused, _phase
+from monopole_lab._inversion import _clenshaw, _cosine_coeffs, _phase
 from monopole_lab.elliptic import (
     LimitModel,
     build_model,
@@ -143,20 +143,29 @@ def test_value_and_deriv_agree_bitwise(roots):
         assert cum(2.0 * K) == pytest.approx(2.0 * cum.quarter, rel=1e-14)
 
 
-def test_fused_pass_is_two_single_passes():
-    # the fused value/derivative loop makes each sum's multiply-adds in the
-    # order of its own single pass, for floats and for arrays, on series of
-    # 1-303 terms whose coefficients span 1e-15 to 1e2
+def test_clenshaw_matches_direct_sums():
+    # c b1 - b2 and sin(phi) b1 against the cosine and sine sums written out
+    # term by term, on series of 1-303 terms whose coefficients span 1e-15 to
+    # 1e2, within eps sum_n n^2 |g_n|, the size of Clenshaw's forward error
+    # near phi = 0 and pi (Oliver, IMA J. Appl. Math. 20 (1977) 379);
+    # phi = 2 pi j / m, so n phi reduces exactly.  A float and an array
+    # element give the same bits.
     rng = np.random.default_rng(11)
+    m = 1 << 12
+    eps = np.finfo(float).eps
     for n in [1, 5, 13, 32, 303] + rng.integers(1, 304, 40).tolist():
-        a, b = ((10.0 ** rng.uniform(-15.0, 2.0, n) * rng.choice([-1.0, 1.0], n)).tolist() for _ in range(2))
-        phi = rng.uniform(0.0, 2.0 * np.pi, 16)
+        g = 10.0 ** rng.uniform(-15.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        j = np.concatenate([[0, 1, m // 2 - 1, m // 2, m // 2 + 1, m - 1], rng.integers(0, m, 16)])
+        phi = 2.0 * np.pi * j / m
         c, s = np.cos(phi), np.sin(phi)
-        x, d = _horner_fused(c, s, a, b)
-        assert x.tobytes() == _horner(c, s, a)[0].tobytes()
-        assert d.tobytes() == _horner(c, s, b)[1].tobytes()
-        for ci, si in zip(c.tolist(), s.tolist()):
-            assert _horner_fused(ci, si, a, b) == (_horner(ci, si, a)[0], _horner(ci, si, b)[1])
+        nphi = 2.0 * np.pi * (np.outer(j, np.arange(1, n + 1)) % m) / m
+        bound = eps * np.sum(np.arange(1, n + 1) ** 2 * np.abs(g))
+        coeffs = g[::-1].tolist()
+        b1, b2 = np.broadcast_arrays(*_clenshaw(c, coeffs))  # one term leaves b2 = 0.0
+        assert np.max(np.abs(c * b1 - b2 - np.cos(nphi) @ g)) <= bound
+        assert np.max(np.abs(s * b1 - np.sin(nphi) @ g)) <= bound
+        for i, ci in enumerate(c.tolist()):
+            assert _bits(_clenshaw(ci, coeffs)) == _bits((b1[i], b2[i]))
 
 
 def _bits(values) -> list:
@@ -228,8 +237,8 @@ def test_chop_at_round_off_plateau(canonical_model):
     assert canonical_model.branch2.n_terms <= 32
 
 
-def test_horner_series_matches_direct_sums():
-    # x(u) and dx/du by the fused Horner pass against the cosine and sine sums
+def test_slice_series_matches_direct_sums():
+    # x(u) and dx/du by the Clenshaw recurrences against the cosine and sine sums
     # of the u-series written out term by term, on the canonical and the
     # near-coalescing quartics
     rng = np.random.default_rng(8)
