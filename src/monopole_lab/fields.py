@@ -335,6 +335,11 @@ def normal_form(spec: SystemSpec, a, b) -> tuple:
         phi1 = -phi2 = k sqrt(-f(q1) f(q2)) / (q1 - q2),
         varphi = mu q1 q2 - k B (q1 + q2).
 
+    This is the e(3)* Clebsch system on the leaf M.x = nu = B, with
+    H_Clebsch = H + nu^2 - mu sum(alpha) and F_Clebsch = F + nu^2 sum(alpha),
+    in one octant of the sphere: the strip chart covers each octant, and phi
+    flips with the octant's orientation, so it is taken at -sgn(x1 x2 x3).
+
     CASE_II takes torus coordinates (u1, u2), with g^11 = g^22 = 1/(Q1^2 - Q2^2),
     v1 = Q2^2, v2 = Q1^2, h = mu / (Q1 + Q2) (denominator >= beta2 + beta3 > 0),
 

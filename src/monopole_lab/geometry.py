@@ -18,6 +18,7 @@ with coefficient -> (P'(beta2)/16) * beta2 / 2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,8 +333,10 @@ def area_and_flux(obj, B: float, n: int = 256) -> dict:
     :class:`NeumannConstants` (cubic sphere family).  Midpoint quadrature; for
     the torus the integrand lam is periodic-analytic in both directions, so the
     rule converges spectrally.  Reports the distance of the flux ratio to the
-    nearest integer.
+    nearest integer.  ``n`` is an integer (numpy integers too): a fractional
+    one would put the midpoint nodes off the period.
     """
+    n = operator.index(n)
     if n < 64:
         raise ValueError("use at least a 64-point rule")
     if isinstance(obj, EllipticModel):

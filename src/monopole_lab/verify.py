@@ -44,7 +44,9 @@ own additive terms on the grid.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -163,6 +165,16 @@ def _normalized_max(residual, terms: list) -> float:
     return float(np.max(np.abs(residual))) / scale
 
 
+def _sum(terms: list):
+    """A row's signed terms added left to right; a - b is exactly a + (-b)."""
+    return functools.reduce(operator.add, terms)
+
+
+def _row(terms: list) -> float:
+    """Max |sum of a row's signed additive terms| on the grid over the largest |term|."""
+    return _normalized_max(_sum(terms), terms)
+
+
 @dataclass(frozen=True)
 class ConditionReport:
     """Max normalized residuals per condition."""
@@ -179,56 +191,27 @@ def check_classical(grid: AnsatzGrid, stencil=None) -> ConditionReport:
     """Max normalized residuals of (C1)-(C6).  ``stencil`` is ignored: every
     derivative is exact, and callers that pass an order positionally still run."""
     g11, g22, v1, v2, phi1, phi2, _, _, B = _values(grid)
+    d1 = lambda jet, log=False: _d(jet, 0, log)
+    d2 = lambda jet, log=False: _d(jet, 1, log)
     root = np.sqrt(g11 * g22)
-    res: dict[str, float] = {}
-
-    # C1: d1 v1 = d2 v2 = 0; scale is the size of the nonzero v-gradients
-    r_c1 = np.maximum(np.abs(_d(grid.v1, 0)), np.abs(_d(grid.v2, 1)))
-    v_scale = [_d(grid.v1, 1), _d(grid.v2, 0)]
-    res["C1"] = _normalized_max(r_c1, v_scale)
-
-    # C2 (i=1, j=2 and i=2, j=1)
-    t12 = (v2 - v1) * _d(grid.g11, 1, log=True)
-    t21 = (v1 - v2) * _d(grid.g22, 0, log=True)
-    r12 = _d(grid.v1, 1) - t12
-    r21 = _d(grid.v2, 0) - t21
-    res["C2"] = max(
-        _normalized_max(r12, [_d(grid.v1, 1), t12]),
-        _normalized_max(r21, [_d(grid.v2, 0), t21]),
-    )
-
-    # C3 for i=1 and i=2
-    t1 = (phi1 * _d(grid.g11, 0) + phi2 * _d(grid.g11, 1)) / (2.0 * g11)
-    t2 = (phi1 * _d(grid.g22, 0) + phi2 * _d(grid.g22, 1)) / (2.0 * g22)
-    r1 = _d(grid.phi1, 0) - t1
-    r2 = _d(grid.phi2, 1) - t2
-    res["C3"] = max(
-        _normalized_max(r1, [_d(grid.phi1, 0), t1]),
-        _normalized_max(r2, [_d(grid.phi2, 1), t2]),
-    )
-
-    # C4
-    lhs = 2.0 * root * (v2 - v1) * B
-    rhs1 = g22 * _d(grid.phi1, 1)
-    rhs2 = g11 * _d(grid.phi2, 0)
-    res["C4"] = _normalized_max(lhs - rhs1 - rhs2, [lhs, rhs1, rhs2])
-
-    # C5 (both displayed equations)
     b_over_root = B / root
-    t51 = v1 * _d(grid.h, 0)
-    t52 = v2 * _d(grid.h, 1)
-    r51 = _d(grid.varphi, 0) - t51 - phi2 * b_over_root
-    r52 = _d(grid.varphi, 1) - t52 + phi1 * b_over_root
-    res["C5"] = max(
-        _normalized_max(r51, [_d(grid.varphi, 0), t51, phi2 * b_over_root]),
-        _normalized_max(r52, [_d(grid.varphi, 1), t52, phi1 * b_over_root]),
-    )
-
-    # C6
-    ta = phi1 * _d(grid.h, 0)
-    tb = phi2 * _d(grid.h, 1)
-    res["C6"] = _normalized_max(ta + tb, [ta, tb])
-
+    # C1's own terms are its residual, so it is scaled by the other v-gradients
+    c1 = np.maximum(np.abs(d1(grid.v1)), np.abs(d2(grid.v2)))
+    res = {"C1": _normalized_max(c1, [d2(grid.v1), d1(grid.v2)])}
+    rows = {
+        "C2": [[d2(grid.v1), (v1 - v2) * d2(grid.g11, log=True)], [d1(grid.v2), (v2 - v1) * d1(grid.g22, log=True)]],
+        "C3": [
+            [d1(grid.phi1), -(phi1 * d1(grid.g11) + phi2 * d2(grid.g11)) / (2.0 * g11)],
+            [d2(grid.phi2), -(phi1 * d1(grid.g22) + phi2 * d2(grid.g22)) / (2.0 * g22)],
+        ],
+        "C4": [[2.0 * root * (v2 - v1) * B, -g22 * d2(grid.phi1), -g11 * d1(grid.phi2)]],
+        "C5": [
+            [d1(grid.varphi), -v1 * d1(grid.h), -phi2 * b_over_root],
+            [d2(grid.varphi), -v2 * d2(grid.h), phi1 * b_over_root],
+        ],
+        "C6": [[phi1 * d1(grid.h), phi2 * d2(grid.h)]],
+    }
+    res.update((name, max(map(_row, eqs))) for name, eqs in rows.items())
     return ConditionReport(residuals=res, n=grid.shape[0])
 
 
@@ -254,11 +237,12 @@ def check_quantum_c6star(grid: AnsatzGrid, stencil=None) -> float:
     """Max normalized residual of (C6*) against its own additive terms, so
     that with constant B it reads (C6); ``stencil`` is ignored, as in
     :func:`check_classical`."""
+    # the correction is summed factored by sqrt(g11 g22) (v2 - v1), not term by term
     return _normalized_max(*_c6star(grid)[:2])
 
 
-def _consistency(grid: AnsatzGrid) -> tuple[np.ndarray, list]:
-    """d2 (C5, first) - d1 (C5, second) and its additive terms."""
+def _consistency(grid: AnsatzGrid) -> list:
+    """The signed additive terms of d2 (C5, first) - d1 (C5, second)."""
     g11, g22, v1, v2, *_, B = _values(grid)
     inv_root = 1.0 / np.sqrt(g11 * g22)
 
@@ -267,21 +251,19 @@ def _consistency(grid: AnsatzGrid) -> tuple[np.ndarray, list]:
         d_log_root = 0.5 * (_d(grid.g11, axis, log=True) + _d(grid.g22, axis, log=True))
         return inv_root * (B * _d(phi, axis) + phi.v * _d(grid.B, axis) - phi.v * B * d_log_root)
 
-    terms = [
+    return [
         _d(grid.v2, 0) * _d(grid.h, 1),
-        _d(grid.v1, 1) * _d(grid.h, 0),
+        -_d(grid.v1, 1) * _d(grid.h, 0),
         (v2 - v1) * _d12(grid.h),
-        d_phi_b(grid.phi2, 1),
-        d_phi_b(grid.phi1, 0),
+        -d_phi_b(grid.phi2, 1),
+        -d_phi_b(grid.phi1, 0),
     ]
-    a, b, c, d, e = terms
-    return a - b + c - d - e, terms
 
 
 def consistency_field(grid: AnsatzGrid) -> np.ndarray:
     """Raw cross-differentiation consistency field of (C5), d2 of its first
     equation less d1 of its second (written out in the module docstring)."""
-    return _consistency(grid)[0]
+    return _sum(_consistency(grid))
 
 
 def check_duality(grid: AnsatzGrid) -> float:
@@ -301,9 +283,10 @@ def check_duality(grid: AnsatzGrid) -> float:
     1e-6, below the default tol 1e-6 at small mu.  The row is outside the
     exit gate.
     """
-    cons, terms = _consistency(grid)
+    terms = _consistency(grid)
     swapped, (ta, tb, *_), coefficient = _c6star(swap_h_and_b(grid))
-    return _normalized_max(cons - swapped, terms + [ta, tb, coefficient])
+    # the scale adds the swapped coefficient of d1 B, which is no term of either side
+    return _normalized_max(_sum(terms) - swapped, terms + [ta, tb, coefficient])
 
 
 # ---------------------------------------------------------------------------
@@ -346,22 +329,12 @@ def check_ode_identities(samples, coeffs=(1.0, 0.0, 1.0), exponents=(-2.0 / 3.0,
     out: dict[str, float] = {}
 
     g, g1, g2, g3 = _power_of_quadratic(coeffs, -1.5, q)
-    t1 = (40.0 / 9.0) * g1**3
-    t2 = -5.0 * g * g1 * g2
-    t3 = g * g * g3
-    out["third_order"] = _normalized_max(t1 + t2 + t3, [t1, t2, t3])
-
+    out["third_order"] = _row([(40.0 / 9.0) * g1**3, -5.0 * g * g1 * g2, g * g * g3])
     for n in exponents:
         y, y1, y2, y3 = _power_of_quadratic(coeffs, 1.0 / n, q)
-        t1 = (n - 1.0) * (n - 2.0) * y1**3
-        t2 = 3.0 * (n - 1.0) * y * y1 * y2
-        t3 = y * y * y3
-        out[f"solvable_n={n:g}"] = _normalized_max(t1 + t2 + t3, [t1, t2, t3])
-
+        out[f"solvable_n={n:g}"] = _row([(n - 1.0) * (n - 2.0) * y1**3, 3.0 * (n - 1.0) * y * y1 * y2, y * y * y3])
     g, g1, g2, g3 = _power_of_quadratic(coeffs, 0.5, q)
-    t1 = 3.0 * g * g * g1 * g2
-    t2 = g**3 * g3
-    out["case_b"] = _normalized_max(t1 + t2, [t1, t2])
+    out["case_b"] = _row([3.0 * g * g * g1 * g2, g**3 * g3])
     return out
 
 
@@ -388,4 +361,5 @@ def check_functional_equation(case: str, q1: float, q2: float, coeff: float = 1.
         raise ValueError(f"unknown case {case!r}")
     left = dda(q1) * (a(q1) - a(q2) - (q1 - q2) * da(q2)) ** 3
     right = dda(q2) * (a(q2) - a(q1) + (q1 - q2) * da(q1)) ** 3
+    # the 1e-30 floor keeps a zero bracket, where both sides vanish, from dividing by zero
     return _normalized_max(left - right, [left, right, 1e-30])

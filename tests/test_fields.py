@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from monopole_lab import geometry as geo
+from monopole_lab.dynamics import clebsch_eval, random_state
 from monopole_lab.errors import DegeneratePoint, NegativeRadicand
 from monopole_lab.fields import (
     SystemSpec,
@@ -287,3 +288,70 @@ def test_gauge_covariance_of_h_and_f(case2, canonical_model):
         H0 = float((p - a) @ (p - a)) / lam(u1, u2)
         H1 = float((p + c - (a + c)) @ (p + c - (a + c))) / lam(u1, u2)
         assert abs(H0 - H1) < 1e-10
+
+
+# the e(3)* Clebsch system and case1's normal form are one system: the map
+# from (M, x) to strip coordinates lives here, as no library code needs it
+_BRIDGE_SPECS = [
+    case1_spec((3.0, 2.0, 1.0), mu=0.7, B=0.5),
+    case1_spec((5.0, 1.5, -2.0), mu=1.3, B=-0.8),
+    case1_spec((4.0, 0.5, -1.0), mu=0.9, B=0.0),
+]
+
+
+def _off_plane_states(spec, count=40):
+    """random_state's states with min |x_j| > 0.2: dx/dq is 0/0 where x_j -> 0."""
+    rng = np.random.default_rng(11)
+    states = []
+    while len(states) < count:
+        s = random_state(spec, rng)
+        if np.min(np.abs(s.x)) > 0.2:
+            states.append(s)
+    return states
+
+
+def _bridge_gaps(spec, state, phi_sign=1.0, phi_scale=1.0, varphi_scale=1.0):
+    """Relative gaps of 1/g^ii = |dx/dq_i|^2, H_Clebsch = H_nf + nu^2 - mu sum(alpha)
+    and F_Clebsch = F_nf + nu^2 sum(alpha) at one state on the leaf M.x = nu.
+
+    The kinetic momentum pi = M x x (M = x x pi + nu x) has strip components
+    pi_i = pi . dx/dq_i, with dx_j/dq_i = -x_j / (2 (alpha_j - q_i)); phi is
+    taken at the sign -sgn(x1 x2 x3).  H and F are relative to the sum of the
+    magnitudes of the Clebsch side's terms."""
+    M, x = state.M, state.x
+    alpha = np.array(spec.alpha)
+    q1, q2 = geo.cartesian_to_neumann(geo.NeumannConstants(spec.alpha), x)
+    e = np.array([-x / (2.0 * (alpha - q)) for q in (q1, q2)])
+    p1, p2 = e @ np.cross(M, x)
+    g11, g22, v1, v2, phi1, phi2, h, varphi = _values(spec, q1, q2)
+    sign = -np.sign(np.prod(x)) * phi_sign * phi_scale
+    nu = float(M @ x)
+    h_nf = g11 * p1**2 + g22 * p2**2 + h
+    f_nf = g11 * v1 * p1**2 + g22 * v2 * p2**2 + sign * (phi1 * p1 + phi2 * p2) + varphi_scale * varphi
+    H, F = clebsch_eval(spec, state)
+    a1, a2, a3 = alpha
+    h_scale = M @ M + abs(spec.mu) * np.abs(alpha) @ x**2
+    f_scale = np.abs(alpha) @ M**2 + abs(spec.mu) * np.abs([a2 * a3, a1 * a3, a1 * a2]) @ x**2
+    return (
+        max(abs(1.0 / g - ei @ ei) / (ei @ ei) for g, ei in ((g11, e[0]), (g22, e[1]))),
+        abs(H - (h_nf + nu**2 - spec.mu * alpha.sum())) / h_scale,
+        abs(F - (f_nf + nu**2 * alpha.sum())) / f_scale,
+    )
+
+
+@pytest.mark.parametrize("spec", _BRIDGE_SPECS, ids=lambda s: f"B={s.B:g}")
+def test_clebsch_is_case1_normal_form(spec):
+    gaps = np.max([_bridge_gaps(spec, s) for s in _off_plane_states(spec)], axis=0)
+    assert np.all(gaps <= 1e-13), gaps
+
+
+@pytest.mark.parametrize("mutation", ["phi sign", "phi x 1.01", "varphi x 1.01", "k != B"])
+def test_clebsch_bridge_catches_mutations(mutation, monkeypatch):
+    kwargs = {"phi sign": {"phi_sign": -1.0}, "phi x 1.01": {"phi_scale": 1.01}, "varphi x 1.01": {"varphi_scale": 1.01}}
+    if mutation == "k != B":
+        kwargs[mutation] = {}
+        monkeypatch.setattr(SystemSpec, "k", property(lambda spec: 1.01 * spec.B))
+    # at B = 0, phi and the k B term vanish: only varphi's mu q1 q2 is left to break
+    for spec in _BRIDGE_SPECS if mutation == "varphi x 1.01" else _BRIDGE_SPECS[:2]:
+        gaps = [_bridge_gaps(spec, s, **kwargs[mutation])[2] for s in _off_plane_states(spec)]
+        assert max(gaps) >= 1e-4, (spec.alpha, max(gaps))

@@ -352,6 +352,16 @@ def test_area_needs_resolution(canonical_model):
         geo.area_and_flux(canonical_model, 1.0, 32)
 
 
+def test_area_needs_an_integral_rule(canonical_model, case1):
+    # a fractional n once shifted the nodes off the period: case1 read 12.757
+    # at n = 64.5 against 4 pi, and the torus was 3e-7 relative off 32 pi at n = 100.9
+    for obj, n in ((geo.NeumannConstants(case1.alpha), 64.5), (canonical_model, 100.9)):
+        with pytest.raises(TypeError):
+            geo.area_and_flux(obj, 0.5, n)
+    area = geo.area_and_flux(canonical_model, 1.0, np.int64(256))["area"]
+    assert area == geo.area_and_flux(canonical_model, 1.0, 256)["area"]
+
+
 # --- elliptic coordinates on the sphere -----------------------------------------
 
 def test_neumann_identities():
