@@ -16,7 +16,12 @@ w = p - A(u), where Hamilton's equations close without any reference to A:
     dw_2/dt = -2 B w_1 + |w|^2 d2(lam)/lam^2 - d2 h,
 
 with lam = Q1^2 - Q2^2 (the Lorentz term is the curl of A folded through the
-chain rule, so no gauge re-anchoring is ever needed).
+chain rule, so no gauge re-anchoring is ever needed).  The slices ride in the
+state, y = (u1, u2, w1, w2, Q1, Q1', Q2, Q2'), by 4 Q1'^2 = P(Q1) and
+4 Q2'^2 = -P(Q2): dQ_i/dt = Q_i' du_i/dt, dQ1'/dt = P'(Q1)/8 du1/dt and
+dQ2'/dt = -P'(Q2)/8 du2/dt, so no stage sums a slice series.  Each step
+reseeds (Q, Q') from the series at its u, which the monitors have just put in
+the slice memo, and its error norm counts the 4 dimensions of T*T^2, not 8.
 
 e(3)* systems (CASE_I Clebsch and VY) integrate dM/dt = {M, H},
 dx/dt = {x, H} under {M_i, M_j} = eps_ijk M_k, {M_i, x_j} = eps_ijk x_k,
@@ -35,13 +40,13 @@ Solving Ordinary Differential Equations I, 2nd ed., II.10), under PI-free
 step control; drift bounds are enforced through the local tolerance, and a
 step that cannot meet it above the smallest step size raises StepRejected.
 The attempt, the step control and every flow right-hand side run in Python
-floats on tuples: on states of 4 and 6 components numpy's per-call cost
+floats on tuples: on states of 4 to 8 components numpy's per-call cost
 exceeds the arithmetic.  Each sum and product is taken in the order of the
 elementwise numpy form y + dt * sum_j a_j k_j (and np.cross), so the
 trajectories are bitwise those of that form.  The sums are written out as
 left folds: the builtin sum of floats is compensated from Python 3.12 on.
-The BLAS dots of the e(3)* projection, of |q| and of the monitors stay (a
-BLAS dot rounds differently from a Python sum); the wrappers go: a norm is
+The BLAS dots of the e(3)* projection, of |q| and of the e(3)* monitors stay
+(a BLAS dot rounds differently from a Python sum); the wrappers go: a norm is
 math.sqrt(v.dot(v)), as np.linalg.norm takes it, with float arithmetic around.
 """
 
@@ -146,23 +151,22 @@ def torus_eval(spec: SystemSpec, s: PhaseState) -> tuple[float, float]:
     if lam < 1e-10 * m.beta[0] ** 2:
         raise FixedPointSingularity(f"lam = {lam:.3e} at ({s.u1}, {s.u2})")
     a1, a2 = gauge_a(spec, (s.u1, s.u2))
-    w = np.array([s.p1 - a1, s.p2 - a2])
+    w1, w2 = s.p1 - a1, s.p2 - a2
     k = spec.k
-    H = (w @ w) / lam + spec.mu / (x1 + x2)
-    quad = (x2 * x2 * w[0] ** 2 + x1 * x1 * w[1] ** 2) / lam
-    linear = 2.0 * k * (d2 * w[0] - d1 * w[1]) / (x1 - x2)
+    H = (w1 * w1 + w2 * w2) / lam + spec.mu / (x1 + x2)
+    quad = (x2 * x2 * w1 * w1 + x1 * x1 * w2 * w2) / lam
+    linear = 2.0 * k * (d2 * w1 - d1 * w2) / (x1 - x2)
     scal = -spec.mu * x1 * x2 / (x1 + x2) - k * spec.B * (x1 + x2) ** 2
     return float(H), float(quad + linear + scal)
 
 
 def _torus_rhs(spec: SystemSpec):
-    m = spec.model
     mu, B = spec.mu, spec.B
+    a3, _, a2, a0, _ = spec.quartic.coefficients()
+    c3, c1, c0 = 0.5 * a3, 0.25 * a2, 0.125 * a0  # P'(x)/8 = c3 x^3 + c1 x + c0
 
     def rhs(y: tuple) -> tuple:
-        u1, u2, w1, w2 = y
-        x1, d1 = m.branch1.value_and_deriv(u1)
-        x2, d2 = m.branch2.value_and_deriv(u2)
+        u1, u2, w1, w2, x1, d1, x2, d2 = y
         lam = x1 * x1 - x2 * x2
         if lam <= 0.0:
             raise FixedPointSingularity(f"lam = {lam:.3e} during flow")
@@ -172,37 +176,39 @@ def _torus_rhs(spec: SystemSpec):
         dh1 = -mu * d1 / ssum**2
         dh2 = -mu * d2 / ssum**2
         wsq = w1 * w1 + w2 * w2
+        du1, du2 = 2.0 * w1 / lam, 2.0 * w2 / lam
         return (
-            2.0 * w1 / lam,
-            2.0 * w2 / lam,
+            du1, du2,
             2.0 * B * w2 + wsq * dlam1 / lam**2 - dh1,
             -2.0 * B * w1 + wsq * dlam2 / lam**2 - dh2,
+            d1 * du1, ((c3 * x1 * x1 + c1) * x1 + c0) * du1,
+            d2 * du2, -((c3 * x2 * x2 + c1) * x2 + c0) * du2,
         )
 
     return rhs
 
 
 def _torus_state(spec: SystemSpec, y: tuple, _nu) -> PhaseState:
-    """The state of the torus variables y = (u1, u2, w1, w2): p = w + A(u)."""
-    u1, u2, w1, w2 = y
+    """The state of the torus variables y = (u1, u2, w1, w2, ...): p = w + A(u)."""
+    u1, u2, w1, w2 = y[:4]
     a1, a2 = gauge_a(spec, (u1, u2))
     return PhaseState(u1=u1, u2=u2, p1=w1 + a1, p2=w2 + a2)
 
 
 def _torus_grad_f(spec: SystemSpec, y: tuple) -> tuple:
-    """grad F in y = (u1, u2, w1, w2), where in :func:`fields.normal_form`
+    """grad F in y = (u1, u2, w1, w2, Q, Q'), where in :func:`fields.normal_form`
 
         F = g (v1 w1^2 + v2 w2^2) + phi1 w1 + phi2 w2 + varphi;
 
-    the u-partials are read off the jets of the fields."""
-    u1, u2, w1, w2 = y
+    the u-partials come from the jets of the fields at u, those in Q, Q' are 0."""
+    u1, u2, w1, w2 = y[:4]
     g, _, v1, v2, phi1, phi2, _, vphi = normal_form(spec, u1, u2)
     gv1, gv2 = g * v1, g * v2
     du = [
         d(gv1) * w1 * w1 + d(gv2) * w2 * w2 + d(phi1) * w1 + d(phi2) * w2 + d(vphi)
         for d in (attrgetter("d1"), attrgetter("d2"))
     ]
-    return (*du, 2.0 * gv1.v * w1 + phi1.v, 2.0 * gv2.v * w2 + phi2.v)
+    return (*du, 2.0 * gv1.v * w1 + phi1.v, 2.0 * gv2.v * w2 + phi2.v, 0.0, 0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +381,15 @@ def _dop853_attempt(rhs, y: tuple, k1: tuple, dt: float):
     return tuple(y_new), e5, e3
 
 
-def _adaptive_step(rhs, y: tuple, dt: float, tol: float):
+def _adaptive_step(rhs, y: tuple, dt: float, tol: float, n: int = 0):
     """One accepted DOP853 step; returns (y_new, dt_taken, dt_next).
 
     The error norm is Hairer's err5^2 / sqrt((err5^2 + 0.01 err3^2) n), each
-    estimate taken on the scale tol (1 + max(|y_i|, |y_new_i|)).  A step
-    whose norm exceeds 1 is retried with a smaller dt, and so is one that
-    meets a fixed point (FixedPointSingularity) on its way, or whose norm is
-    not finite; StepRejected is raised once dt falls below _DT_MIN.
+    estimate taken on the scale tol (1 + max(|y_i|, |y_new_i|)) and n the
+    phase-space dimension (default len(y)).  A step whose norm exceeds 1 is
+    retried with a smaller dt, and so is one that meets a fixed point
+    (FixedPointSingularity) on its way, or whose norm is not finite;
+    StepRejected is raised once dt falls below _DT_MIN.
     k1 = rhs(y) does not depend on dt and is evaluated once per step: it is
     the 13th evaluation rhs(y_new) of the step before, so an attempt costs
     the 11 right-hand sides of stages 2 to 12.
@@ -405,7 +412,7 @@ def _adaptive_step(rhs, y: tuple, dt: float, tol: float):
             q5, q3 = a5 / scale, a3 / scale
             sq5 += q5 * q5
             sq3 += q3 * q3
-        den = math.sqrt((sq5 + 0.01 * sq3) * len(y))
+        den = math.sqrt((sq5 + 0.01 * sq3) * (n or len(y)))
         if not math.isfinite(den):
             dt *= 0.2
             continue
@@ -611,18 +618,19 @@ def _phase_state(_spec: SystemSpec, y: tuple, _nu) -> PhaseState:
 # ---------------------------------------------------------------------------
 
 def _flow(spec: SystemSpec, s: PhaseState | E3State) -> tuple:
-    """(y, rhs, grad_f, unpack) at state s: the family's integration
-    variables, the flow's right-hand side in them, grad F in them and the map
-    of y back to a state.  The torus integrates the velocities w = p - A(u),
-    the cylinder (u, p), where F = p1, and e(3)* (M, x).
+    """(y, rhs, grad_f, unpack, n) at state s: the family's integration
+    variables, the flow's right-hand side and grad F in them, the map of y
+    back to a state and the phase-space dimension.  The torus integrates
+    (u, w = p - A(u), Q, Q'), the cylinder (u, p), where F = p1, and e(3)* (M, x).
     """
     if spec.family == Family.CASE_II:
-        a1, a2 = gauge_a(spec, (s.u1, s.u2))
-        return (s.u1, s.u2, s.p1 - a1, s.p2 - a2), _torus_rhs(spec), _torus_grad_f, _torus_state
+        (a1, a2), m = gauge_a(spec, (s.u1, s.u2)), spec.model
+        y = (s.u1, s.u2, s.p1 - a1, s.p2 - a2) + m.branch1.value_and_deriv(s.u1) + m.branch2.value_and_deriv(s.u2)
+        return y, _torus_rhs(spec), _torus_grad_f, _torus_state, 4
     if spec.family == Family.CASE_II_LIMIT:
-        return (s.u1, s.u2, s.p1, s.p2), _limit_rhs(spec), lambda *_: (0.0, 0.0, 1.0, 0.0), _phase_state
+        return (s.u1, s.u2, s.p1, s.p2), _limit_rhs(spec), lambda *_: (0.0, 0.0, 1.0, 0.0), _phase_state, 4
     grad_f = _clebsch_grad_f if spec.family == Family.CASE_I else _vy_grad_f
-    return tuple(s.M.tolist() + s.x.tolist()), _e3_rhs(spec), grad_f, _project_e3
+    return tuple(s.M.tolist() + s.x.tolist()), _e3_rhs(spec), grad_f, _project_e3, 6
 
 
 def hf_bracket(spec: SystemSpec, s: PhaseState | E3State) -> tuple[float, float]:
@@ -632,7 +640,7 @@ def hf_bracket(spec: SystemSpec, s: PhaseState | E3State) -> tuple[float, float]
     A state where the flow is singular raises the right-hand side's error,
     and one where it is not finite DegeneratePoint.
     """
-    y, rhs, grad_f, _ = _flow(spec, s)
+    y, rhs, grad_f, *_ = _flow(spec, s)
     dy = rhs(y)
     terms = list(map(mul, grad_f(spec, y), dy))
     scale = math.fsum(map(abs, terms))
@@ -652,10 +660,10 @@ def flow_step(
     """
     if not (0.0 < dt < math.inf and 0.0 < tol < math.inf):
         raise ValueError(f"dt and tol must be finite and positive, got dt = {dt}, tol = {tol}")
-    y, rhs, _, unpack = _flow(spec, s)
+    y, rhs, _, unpack, n = _flow(spec, s)
     if nu is None and isinstance(s, E3State):
         nu = float(s.M @ s.x)
-    y, taken, dt_next = _adaptive_step(rhs, y, dt, tol)
+    y, taken, dt_next = _adaptive_step(rhs, y, dt, tol, n)
     return StepResult(state=unpack(spec, y, nu), dt_taken=taken, dt_next=dt_next)
 
 

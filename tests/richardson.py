@@ -65,7 +65,8 @@ def flow_terms(spec, s, f_of_y, h: float = 1e-4) -> np.ndarray:
 
 
 def torus_f_of_y(spec):
-    """The torus F as a function of y = (u1, u2, w1, w2), through p = w + A(u)."""
+    """The torus F as a function of y = (u1, u2, w1, w2, Q, Q'), through
+    p = w + A(u): the slice components enter only through u."""
     return lambda y: dyn.torus_eval(spec, dyn._torus_state(spec, tuple(y), None))[1]
 
 

@@ -2,15 +2,22 @@
 
 Drift does not see a phase error, so each panel compares the state itself:
 one spec over ``random_state`` seeds 0-9, each run to t = 10 at tol 1e-10 and
-compared, in the family's integration variables, with ``solve_ivp`` of the
-same right-hand side at rtol = atol = 1e-13.  A reference that needs more than
-_BUDGET right-hand sides (a vy orbit through a Coulomb centre) does not
-finish: its seed stays in the panel, as None, and is still integrated.
+compared with ``solve_ivp`` at rtol = atol = 1e-13.  The e(3)* and cylinder
+references integrate the flow's own right-hand side, in (M, x) and (u, p).
+The torus flow carries the slices (Q1, Q1', Q2, Q2') in its state, so its
+reference must not: it integrates _slice_rhs, the torus right-hand side in
+(u, w) with both slice series summed at every call, and the panel compares
+(u, p) with p = w + A(u).  A wrong slice row (a sign or a factor of P') is
+then an error against the series, not part of its own reference.  A reference
+that needs more than _BUDGET right-hand sides (a vy orbit through a Coulomb
+centre) does not finish: its seed stays in the panel, as None, and is still
+integrated.
 
 _DP5 holds the same panels of the embedded Dormand-Prince 5(4) core that the
-DOP853 core replaced, measured with this file at commit 76f892f.  The gate:
-the median per-seed ratio to it is at most 1, and the panel maximum at most
-twice its maximum.
+DOP853 core replaced, measured with this file at commit 76f892f (the torus
+then in (u, w) against its own right-hand side).  The gate: the median
+per-seed ratio to it is at most 1, and the panel maximum at most twice its
+maximum.
 
 The error gate does not see cost.  vy seed 4 passes within R ~ 2e-9 of a
 Coulomb centre, where DOP853 crawls at dt ~ 1e-11: 107 392 right-hand sides
@@ -71,17 +78,43 @@ def _reference(rhs, y0):
     return sol.y[:, -1]
 
 
+def _slice_rhs(spec):
+    """The torus right-hand side in y = (u1, u2, w1, w2) with Q and Q' summed
+    from the slice series at every call: operation for operation the (u, w)
+    rows of dynamics._torus_rhs, with no slice rows."""
+    m, mu, B = spec.model, spec.mu, spec.B
+
+    def rhs(y):
+        u1, u2, w1, w2 = y
+        x1, d1 = m.branch1.value_and_deriv(u1)
+        x2, d2 = m.branch2.value_and_deriv(u2)
+        lam, ssum, wsq = x1 * x1 - x2 * x2, x1 + x2, w1 * w1 + w2 * w2
+        dlam1, dlam2 = 2.0 * x1 * d1, -2.0 * x2 * d2
+        dh1, dh2 = -mu * d1 / ssum**2, -mu * d2 / ssum**2
+        return (
+            2.0 * w1 / lam,
+            2.0 * w2 / lam,
+            2.0 * B * w2 + wsq * dlam1 / lam**2 - dh1,
+            -2.0 * B * w1 + wsq * dlam2 / lam**2 - dh2,
+        )
+
+    return rhs
+
+
 def _panel(spec, tol=1e-10):
-    """max |y - y_ref| at t_end for seeds 0-9; None where the reference did not finish."""
+    """max |state - state_ref| at t_end for seeds 0-9; None where the reference did not finish."""
     errors = []
     for seed in range(10):
         s0 = dyn.random_state(spec, np.random.default_rng(seed))
-        y0, rhs, _, _ = dyn._flow(spec, s0)
         end = dyn.integrate(spec, s0, _T_END, tol=tol).states[-1]
-        if isinstance(s0, dyn.PhaseState):
-            end = dyn._flow(spec, dyn.PhaseState(*end.tolist()))[0]
-        ref = _reference(rhs, y0)
-        errors.append(None if ref is None else float(np.max(np.abs(np.array(end) - ref))))
+        if spec.family == fields.Family.CASE_II:
+            a1, a2 = fields.gauge_a(spec, (s0.u1, s0.u2))
+            ref = _reference(_slice_rhs(spec), (s0.u1, s0.u2, s0.p1 - a1, s0.p2 - a2))
+            ref = None if ref is None else dyn._torus_state(spec, tuple(ref.tolist()), None).as_array()
+        else:
+            y0, rhs, *_ = dyn._flow(spec, s0)
+            ref = _reference(rhs, y0)
+        errors.append(None if ref is None else float(np.max(np.abs(end - ref))))
     return errors
 
 
