@@ -39,6 +39,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -162,10 +163,19 @@ def _out_dir(args) -> Path:
 
 
 def _write_csv(path: Path, header: str, table: np.ndarray) -> None:
-    """The header, then each row of the 2-d float table, each value as FMT;
-    a block of rows at a time, as Python floats."""
+    """The header, then each row of the 2-d float table, each value as FMT, a
+    block of rows at a time.  An existing file is rewritten in place: on ext4, a
+    file truncated to 0 bytes (open's "w") or renamed over starts its writeback
+    at close() (auto_da_alloc).  It is cut to 1 byte first, so no old row is left
+    even by a failed write.  A path that cannot be opened is a ConfigError."""
     row = ",".join([FMT] * (header.count(",") + 1)) + "\n"
-    with open(path, "w") as fh:
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except OSError as exc:  # a directory, or no write permission
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+    with open(fd, "w") as fh:
+        if os.fstat(fd).st_size > 1:  # 0 for a new file; a pipe or /dev/null cannot be cut
+            os.ftruncate(fd, 1)
         fh.write(header + "\n")
         for start in range(0, len(table), 256):
             fh.write("".join(row % tuple(r) for r in table[start : start + 256].tolist()))

@@ -622,3 +622,71 @@ def test_csv_writer_bytes_match_the_value_by_value_form(tmp_path, capsys):
         header, *lines = (out / csv).read_text().splitlines(keepends=True)
         rows = np.loadtxt(out / csv, delimiter=",", skiprows=1, ndmin=2)
         assert "".join(lines) == _old_csv_rows(rows), command
+
+
+def test_csv_rewrite_in_place_leaves_only_the_new_bytes(tmp_path):
+    # an existing file is rewritten, not replaced: a shorter table over a longer
+    # file leaves exactly the new bytes, and a symlink stays a link to them
+    from monopole_lab.cli import _write_csv
+
+    rng = np.random.default_rng(9)
+    long, short = rng.standard_normal((700, 3)), rng.standard_normal((5, 3))
+    path = tmp_path / "t.csv"
+    _write_csv(path, "a,b,c", long)
+    _write_csv(path, "a,b,c", short)
+    assert path.read_text() == "a,b,c\n" + _old_csv_rows(short)
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    _write_csv(target, "a,b,c", long)
+    link.symlink_to(target)
+    _write_csv(link, "x,y,z", short)
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_text() == "x,y,z\n" + _old_csv_rows(short)
+
+
+class _SecondBlockFails:
+    """A table whose rows from 256 on, the writer's second block, cannot be read."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, key):
+        if key.start >= 256:
+            raise RuntimeError("second block")
+        return self.rows[key]
+
+
+def test_csv_write_that_fails_part_way_leaves_no_old_byte(tmp_path):
+    from monopole_lab.cli import _write_csv
+
+    rng = np.random.default_rng(10)
+    old, new = np.full((2000, 3), 1.0 / 3.0), rng.standard_normal((600, 3))
+    path = tmp_path / "t.csv"
+    _write_csv(path, "a,b,c", old)
+    assert path.stat().st_size > 4 * len(_old_csv_rows(new[:256]))
+    with pytest.raises(RuntimeError, match="second block"):
+        _write_csv(path, "a,b,c", _SecondBlockFails(new))
+    # the header and the first block, flushed at close, and nothing after them
+    assert path.read_text() == "a,b,c\n" + _old_csv_rows(new[:256])
+
+
+@pytest.mark.parametrize(
+    "command, cfg, csv",
+    [
+        ("simulate", dict(CASE1, integrator=dict(CASE1["integrator"], t_end=0.1)), "simulate.csv"),
+        ("elliptic-table", CASE2, "elliptic_table.csv"),
+    ],
+)
+def test_output_file_that_cannot_be_opened_is_config_error(tmp_path, capsys, command, cfg, csv):
+    # a directory where the CSV goes: one "config error:" line naming the file,
+    # exit 2, and not the exit 1 kept for numerical breaches
+    out = tmp_path / "out"
+    (out / csv).mkdir(parents=True)
+    assert main([command, "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot write {out / csv}: ")
+    assert captured.err.count("\n") == 1
+    assert (out / csv).is_dir() and not any((out / csv).iterdir())
