@@ -36,7 +36,9 @@ same order, so a point's value never depends on the batch it is evaluated in.
 Each evaluator keeps the result at the last Python float u it was given, keyed
 on that exact float, and returns those same floats when called with it again
 (a flow evaluates each slice point several times); arrays and 0-d numpy values
-neither read nor write it.
+neither read nor write it.  A hit returns exactly what a fresh evaluation
+would, so no result depends on who called before: every SystemSpec of one
+quartic shares one model, and with it these memos.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Subcommands: roots | elliptic-table | metric-check | simulate | verify | flux.
 Every run is driven by a JSON config (see demos/configs/) plus a few flags;
 outputs are deterministic given the config and seed.  Exit codes: 0 all
-thresholds met, 1 numerical threshold breached, 2 configuration error.
+thresholds met, 1 numerical breach, 2 configuration error or refused geometry.
 
 Config schema ("num": a finite number, never a bool; "int": an integral num,
 64.0 too; "= v": the default of an absent key; each section is an object):
@@ -49,7 +49,7 @@ from . import dynamics as dyn
 from . import geometry as geo
 from . import verify as ver
 from .elliptic import LimitModel
-from .errors import ConfigError, MonopoleLabError
+from .errors import ConfigError, GeometryError, MonopoleLabError
 from .fields import (
     Family,
     SystemSpec,
@@ -103,10 +103,10 @@ def _threshold(args, dest: str = "tol", flag: str = "--tol") -> float:
 
 
 def _build(geom: dict, make, *args, **kwargs):
-    """make(*args, **kwargs), with a library constructor's ValueError raised as a ConfigError."""
+    """make(*args, **kwargs), with a geometry the library refuses raised as a ConfigError."""
     try:
         return make(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, GeometryError) as exc:
         raise ConfigError(f'"geometry" = {json.dumps(geom, default=str)}: {exc}') from exc
 
 
@@ -128,6 +128,7 @@ def spec_from_config(cfg: dict) -> SystemSpec:
         _read(cfg, "nu", float, b, ok=b.__eq__, need=f"B = {b}: case1 runs live on the leaf (M,x) = B")
     elif fam == Family.CASE_II:
         spec = case2_spec(quartic_from_config(geom), mu=mu, B=b)
+        _build(geom, getattr, spec, "model")  # shared per quartic, so built once per process
     elif fam == Family.CASE_II_LIMIT:
         betas = [_read(geom, k, float) for k in ("beta1", "beta3", "beta4")]
         spec = case2_limit_spec(_build(geom, LimitModel, *betas), mu=mu, B=b)

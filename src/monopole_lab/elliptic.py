@@ -74,9 +74,14 @@ class EllipticModel:
     def dq2(self, u2):
         return self.branch2.deriv(u2)
 
+    @cached_property
+    def i1(self):
+        """I1(u1) = integral_0^u1 Q1^2, the antiderivative in the torus gauge."""
+        return self.branch1.cumulative(lambda x: x * x)
+
 
 def build_model(params: QuarticParams) -> EllipticModel:
-    """Build the evaluators; raises InadmissibleParams outside the regular regime.
+    """Build a new model on every call; raises InadmissibleParams outside the regular regime.
 
     The closed admissible region is accepted: the boundary beta1 + beta4 = 0
     (even quartic, a0 = 0) still carries a regular metric, only the electric

@@ -11,21 +11,25 @@ class ConfigError(MonopoleLabError):
 
 # --- quartic root analysis ---------------------------------------------------
 
-class FewerThanFourRealRoots(MonopoleLabError):
+class GeometryError(MonopoleLabError):
+    """Geometry parameters the library refuses to build a system from."""
+
+
+class FewerThanFourRealRoots(GeometryError):
     """The quartic does not have four real roots."""
 
 
-class MultipleRootDetected(MonopoleLabError):
+class MultipleRootDetected(GeometryError):
     """Discriminant too small: (nearly) multiple roots, use the limit-case API."""
 
 
-class NonZeroRootSum(MonopoleLabError):
+class NonZeroRootSum(GeometryError):
     """Root quadruple does not sum to zero (cubic term would not vanish)."""
 
 
 # --- elliptic engine ----------------------------------------------------------
 
-class InadmissibleParams(MonopoleLabError):
+class InadmissibleParams(GeometryError):
     """Quartic parameters outside the admissible regime."""
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -105,14 +105,22 @@ class SystemSpec:
 
     @cached_property
     def model(self) -> EllipticModel:
+        """The quartic's model, shared by every spec of that quartic in the process,
+        memos included (see _inversion); a refused quartic raises on every call."""
         if self.family != Family.CASE_II:
             raise ValueError("elliptic model only exists for CASE_II")
-        return build_model(self.quartic)
+        return _shared_model(self.quartic, repr(self.quartic))
 
     @cached_property
     def gauge_i1(self):
-        """Antiderivative of Q1^2 used by the torus gauge (CASE_II)."""
-        return self.model.branch1.cumulative(lambda x: x * x)
+        """The model's I1, the antiderivative of Q1^2 in the torus gauge (CASE_II)."""
+        return self.model.i1
+
+
+@lru_cache(maxsize=8)
+def _shared_model(quartic: QuarticParams, exact: str) -> EllipticModel:
+    # keyed on the repr too: a coefficient -0.0 equals 0.0 but keeps its sign in model.params
+    return build_model(quartic)
 
 
 def case1_spec(alpha, mu: float = 0.0, B: float = 0.0) -> SystemSpec:
@@ -384,6 +392,6 @@ def gauge_a(spec: SystemSpec, point):
         raise ValueError("gauge_a is defined for CASE_II only")
     u1v, u2v = _uv(point)
     m = spec.model
-    a2 = spec.B * (spec.gauge_i1(u1v) - u1v * m.q2(u2v) ** 2)
+    a2 = spec.B * (m.i1(u1v) - u1v * m.q2(u2v) ** 2)
     return 0.0, a2
 

@@ -690,3 +690,63 @@ def test_output_file_that_cannot_be_opened_is_config_error(tmp_path, capsys, com
     assert captured.err.startswith(f"config error: cannot write {out / csv}: ")
     assert captured.err.count("\n") == 1
     assert (out / csv).is_dir() and not any((out / csv).iterdir())
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize(
+    "family, geometry",
+    [
+        ("case2", {"roots": [3, 2, -1, -3], "a3": -1.0}),
+        ("case2", {"a3": -1.0, "a2": 0.0, "a0": 0.0, "a1": -1.0}),
+        ("case2", {"roots": [2, 2, -1, -3], "a3": -1.0}),
+        ("case2", {"roots": [4, 1, -2, -3], "a3": -1.0}),
+        ("case2_limit", {"beta1": 2.0, "beta3": -1.0, "beta4": -2.0}),
+    ],
+    ids=["root-sum", "no-real-roots", "double-root", "inadmissible", "cylinder-root-sum"],
+)
+def test_refused_geometry_is_one_config_error_line(tmp_path, capsys, command, family, geometry):
+    # a geometry the library refuses is the config's fault: exit 2, one line,
+    # and nothing made under --out, as for a3 >= 0 or an alpha out of order
+    out = tmp_path / "out"
+    cfg = dict(CASE2, family=family, geometry=geometry)
+    assert main([command, "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith('config error: "geometry" = ') and captured.err.count("\n") == 1
+
+
+def test_output_does_not_depend_on_earlier_calls(tmp_path, capsys, monkeypatch):
+    # specs of one quartic share one model and its last-point memos: a chain of
+    # calls in one process prints and writes the bytes each call does in a
+    # fresh interpreter
+    near = dict(CASE2, geometry={"roots": [3, 2.99, -1, -4.99], "a3": -1.0}, grid={"n": 16})
+    case2, near = _write(tmp_path, CASE2), _write(tmp_path, near, "near.json")
+    chain = [
+        ["simulate", "--config", case2, "--seed", "5", "--out", "sim5"],
+        ["verify", "--config", near],
+        ["elliptic-table", "--config", case2, "--branch", "q2", "--samples", "64", "--out", "table"],
+        ["metric-check", "--config", near, "--out", "metric"],
+        ["simulate", "--config", case2, "--seed", "9", "--out", "sim9"],
+        ["simulate", "--config", case2, "--seed", "5", "--out", "sim5_again"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    (tmp_path / "chain").mkdir()
+    (tmp_path / "fresh").mkdir()
+    monkeypatch.chdir(tmp_path / "chain")
+    for argv in chain:
+        code = main(argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "monopole_lab.cli", *argv],
+            cwd=tmp_path / "fresh",
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout), argv
+    csvs = sorted(p.relative_to(tmp_path / "chain") for p in (tmp_path / "chain").rglob("*.csv"))
+    assert csvs == sorted(p.relative_to(tmp_path / "fresh") for p in (tmp_path / "fresh").rglob("*.csv"))
+    assert len(csvs) == 5
+    for rel in csvs:
+        assert (tmp_path / "chain" / rel).read_bytes() == (tmp_path / "fresh" / rel).read_bytes(), rel
+    first, again = (tmp_path / "chain" / name / "simulate.csv" for name in ("sim5", "sim5_again"))
+    assert first.read_bytes() == again.read_bytes()

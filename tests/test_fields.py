@@ -5,7 +5,8 @@ import pytest
 
 from monopole_lab import geometry as geo
 from monopole_lab.dynamics import clebsch_eval, random_state
-from monopole_lab.errors import DegeneratePoint, NegativeRadicand
+from monopole_lab.elliptic import build_model
+from monopole_lab.errors import DegeneratePoint, InadmissibleParams, NegativeRadicand
 from monopole_lab.fields import (
     SystemSpec,
     case1_spec,
@@ -14,6 +15,7 @@ from monopole_lab.fields import (
     normal_form,
     vy_spec,
 )
+from monopole_lab.polyroots import QuarticParams, from_roots
 
 
 def _values(spec, a, b):
@@ -355,3 +357,30 @@ def test_clebsch_bridge_catches_mutations(mutation, monkeypatch):
     for spec in _BRIDGE_SPECS if mutation == "varphi x 1.01" else _BRIDGE_SPECS[:2]:
         gaps = [_bridge_gaps(spec, s, **kwargs[mutation])[2] for s in _off_plane_states(spec)]
         assert max(gaps) >= 1e-4, (spec.alpha, max(gaps))
+
+
+def test_specs_of_one_quartic_share_one_model(canonical_params):
+    # the model and the gauge's I1 depend on the quartic alone: every spec of
+    # an equal quartic shares them, whatever its mu and B
+    spec = case2_spec(canonical_params, mu=1.0, B=0.5)
+    again = case2_spec(from_roots([3, 2, -1, -4], -1.0), mu=-0.3, B=2.0)
+    assert again.quartic is not spec.quartic
+    assert again.model is spec.model and again.gauge_i1 is spec.gauge_i1 is spec.model.i1
+    near = case2_spec(from_roots([3, 2.99, -1, -4.99], -1.0), mu=1.0, B=0.5)
+    assert near.model is not spec.model and near.gauge_i1 is not spec.gauge_i1
+    # build_model itself always builds
+    fresh = build_model(canonical_params)
+    assert fresh is not spec.model and fresh is not build_model(canonical_params)
+    # a coefficient -0.0 equals 0.0, but each quartic gets a model with its own params
+    even = from_roots([2, 1, -1, -2], -1.0)
+    for a0 in (-0.0, 0.0):
+        params = case2_spec(QuarticParams(even.a3, even.a2, a0, even.a1)).model.params
+        assert math.copysign(1.0, params.a0) == math.copysign(1.0, a0)
+
+
+def test_refused_quartic_raises_on_every_call():
+    # an error is not cached: each new spec of the quartic raises again
+    bad = from_roots([4, 1, -2, -3], -1.0)
+    for _ in range(3):
+        with pytest.raises(InadmissibleParams):
+            case2_spec(bad).model
