@@ -33,12 +33,7 @@ themselves.  Antiderivatives d0 u + sum_n b_n sin(n phi) are
 d0 u + sin phi sum_n b_n U_(n-1)(c), the same recurrence.  A 0-d argument is
 evaluated in Python floats, an array in numpy, by the same operations in the
 same order, so a point's value never depends on the batch it is evaluated in.
-Each evaluator keeps the result at the last Python float u it was given, keyed
-on that exact float, and returns those same floats when called with it again
-(a flow evaluates each slice point several times); arrays and 0-d numpy values
-neither read nor write it.  A hit returns exactly what a fresh evaluation
-would, so no result depends on who called before: every SystemSpec of one
-quartic shares one model, and with it these memos.
+The evaluators keep no state after construction: every call sums its series.
 """
 
 from __future__ import annotations
@@ -176,47 +171,32 @@ class QuarterBranch:
         self._landen = _Landen((q - p) * rs / ((q - s) * rp), math.sqrt((p - s) * rq / ((q - s) * rp)))
         self._kappa = 0.5 * math.sqrt(scale * abs((q - s) * rp))
         self.K = self._landen.K / self._kappa
-        self._samples = {}
         coeffs, self._m = _resolved_coeffs(self._x_samples, M_U_MIN, 0.0)
         n = np.arange(1, len(coeffs), dtype=float)
         self._a0 = float(coeffs[0])
         self._a = coeffs[:0:-1].tolist()
         self._na = (n * coeffs[1:])[::-1].tolist()
         self.n_terms = len(coeffs)
-        # (u, x, dx/du or None) at the last Python float u; see _eval
-        self._last = (math.nan, None, None)
 
     def _x_samples(self, m: int) -> np.ndarray:
         """x at u_j = 2 K j / m (kappa u_j = 2 K(m) j / m), j < m: one period,
         mirrored about u = K, with the turning points exact."""
-        if m not in self._samples:
-            p, q, s = self.x_start, self.x_end, self._s
-            cn2 = np.cos(self._landen.am(np.arange(1, m // 2) * (2.0 * self._landen.K / m))) ** 2
-            x = q - (q - p) * (q - s) * cn2 / ((p - s) + (q - p) * cn2)
-            half = np.concatenate([[p], x, [q]])
-            self._samples[m] = np.concatenate([half, half[-2:0:-1]])
-        return self._samples[m]
+        p, q, s = self.x_start, self.x_end, self._s
+        cn2 = np.cos(self._landen.am(np.arange(1, m // 2) * (2.0 * self._landen.K / m))) ** 2
+        x = q - (q - p) * (q - s) * cn2 / ((p - s) + (q - p) * cn2)
+        half = np.concatenate([[p], x, [q]])
+        return np.concatenate([half, half[-2:0:-1]])
 
     # -- evaluation --------------------------------------------------------------
 
     def _eval(self, u, with_deriv: bool):
-        """(x, dx/du) at any real u; dx/du is None unless ``with_deriv`` or u is
-        a Python float.
+        """(x, dx/du, or None unless ``with_deriv``) at any real u.
 
         One recurrence over the u-series at |u| mod 2K (exact evenness) and,
         for dx/du, one over the differentiated series, odd in u.  Where
         |u| mod 2K is exactly 0 or K the turning point and a zero derivative
-        are returned.  A Python float u always takes both sums and stores them
-        whole: the same u again returns the stored result, so a value at a
-        step's new point serves the derivative asked there next.  The slot is
-        replaced whole, so a reader on another thread sees a consistent one.
+        are returned.
         """
-        memo = type(u) is float
-        if memo:
-            last_u, x, d = self._last
-            if last_u == u:
-                return x, d
-            with_deriv = True
         u, r, c, s = _phase(u, self.K)
         b1, b2 = _clenshaw(c, self._a)
         x = self._a0 + (c * b1 - b2)
@@ -226,8 +206,6 @@ class QuarterBranch:
                 x, d = (self.x_start if r == 0.0 else self.x_end), (0.0 if with_deriv else None)
             elif with_deriv and u < 0.0:
                 d = -d
-            if memo:
-                self._last = (u, x, d)
             return x, d
         turn = (r == 0.0) | (r == self.K)
         x = np.where(turn, np.where(r == 0.0, self.x_start, self.x_end), x)
@@ -283,19 +261,10 @@ class CumulativeIntegral:
         n = np.arange(1, len(coeffs), dtype=float)
         self._b = (coeffs[1:] * (self._K / math.pi) / n)[::-1].tolist()
         self.quarter = self._d0 * self._K  # integral over [0, K]
-        self._last = (math.nan, None)  # (u, I(u)) at the last Python float u
 
     def __call__(self, u):
-        memo = type(u) is float
-        if memo:
-            last_u, out = self._last
-            if last_u == u:
-                return out
         u, _, c, s = _phase(u, self._K)
         out = self._d0 * abs(u) + s * _clenshaw(c, self._b)[0]
         if isinstance(u, float):
-            out = -out if u < 0.0 else out
-            if memo:
-                self._last = (u, out)
-            return out
+            return -out if u < 0.0 else out
         return np.where(u < 0.0, -out, out)

@@ -20,8 +20,8 @@ chain rule, so no gauge re-anchoring is ever needed).  The slices ride in the
 state, y = (u1, u2, w1, w2, Q1, Q1', Q2, Q2'), by 4 Q1'^2 = P(Q1) and
 4 Q2'^2 = -P(Q2): dQ_i/dt = Q_i' du_i/dt, dQ1'/dt = P'(Q1)/8 du1/dt and
 dQ2'/dt = -P'(Q2)/8 du2/dt, so no stage sums a slice series.  Each step
-reseeds (Q, Q') from the series at its u, which the monitors have just put in
-the slice memo, and its error norm counts the 4 dimensions of T*T^2, not 8.
+reseeds (Q, Q') from EllipticModel.at(u), kept since the last step's unpacking,
+and its error norm counts the 4 dimensions of T*T^2, not 8.
 
 e(3)* systems (CASE_I Clebsch and VY) integrate dM/dt = {M, H},
 dx/dt = {x, H} under {M_i, M_j} = eps_ijk M_k, {M_i, x_j} = eps_ijk x_k,
@@ -140,18 +140,16 @@ class StepResult:
 # ---------------------------------------------------------------------------
 
 def torus_eval(spec: SystemSpec, s: PhaseState) -> tuple[float, float]:
-    """(H, F) of the torus family from one evaluation of each slice and of w.
+    """(H, F) of the torus family from one EllipticModel.at of the point.
 
     H = |w|^2/lam + mu/(Q1+Q2) and F as in the module docstring.
     """
     m = spec.model
-    x1, d1 = m.branch1.value_and_deriv(s.u1)
-    x2, d2 = m.branch2.value_and_deriv(s.u2)
+    x1, d1, x2, d2, g = m.at(s.u1, s.u2)
     lam = x1 * x1 - x2 * x2
     if lam < 1e-10 * m.beta[0] ** 2:
         raise FixedPointSingularity(f"lam = {lam:.3e} at ({s.u1}, {s.u2})")
-    a1, a2 = gauge_a(spec, (s.u1, s.u2))
-    w1, w2 = s.p1 - a1, s.p2 - a2
+    w1, w2 = s.p1, s.p2 - spec.B * g
     k = spec.k
     H = (w1 * w1 + w2 * w2) / lam + spec.mu / (x1 + x2)
     quad = (x2 * x2 * w1 * w1 + x1 * x1 * w2 * w2) / lam
@@ -191,8 +189,7 @@ def _torus_rhs(spec: SystemSpec):
 def _torus_state(spec: SystemSpec, y: tuple, _nu) -> PhaseState:
     """The state of the torus variables y = (u1, u2, w1, w2, ...): p = w + A(u)."""
     u1, u2, w1, w2 = y[:4]
-    a1, a2 = gauge_a(spec, (u1, u2))
-    return PhaseState(u1=u1, u2=u2, p1=w1 + a1, p2=w2 + a2)
+    return PhaseState(u1=u1, u2=u2, p1=w1, p2=w2 + spec.B * spec.model.at(u1, u2)[4])
 
 
 def _torus_grad_f(spec: SystemSpec, y: tuple) -> tuple:
@@ -624,8 +621,8 @@ def _flow(spec: SystemSpec, s: PhaseState | E3State) -> tuple:
     (u, w = p - A(u), Q, Q'), the cylinder (u, p), where F = p1, and e(3)* (M, x).
     """
     if spec.family == Family.CASE_II:
-        (a1, a2), m = gauge_a(spec, (s.u1, s.u2)), spec.model
-        y = (s.u1, s.u2, s.p1 - a1, s.p2 - a2) + m.branch1.value_and_deriv(s.u1) + m.branch2.value_and_deriv(s.u2)
+        x1, d1, x2, d2, g = spec.model.at(s.u1, s.u2)
+        y = (s.u1, s.u2, s.p1, s.p2 - spec.B * g, x1, d1, x2, d2)
         return y, _torus_rhs(spec), _torus_grad_f, _torus_state, 4
     if spec.family == Family.CASE_II_LIMIT:
         return (s.u1, s.u2, s.p1, s.p2), _limit_rhs(spec), lambda *_: (0.0, 0.0, 1.0, 0.0), _phase_state, 4

@@ -57,6 +57,7 @@ class EllipticModel:
     K2: float
     branch1: QuarterBranch
     branch2: QuarterBranch
+    _last: tuple = field(default=(math.nan, math.nan, None), init=False, repr=False, compare=False)
 
     @property
     def beta(self) -> tuple[float, float, float, float]:
@@ -78,6 +79,25 @@ class EllipticModel:
     def i1(self):
         """I1(u1) = integral_0^u1 Q1^2, the antiderivative in the torus gauge."""
         return self.branch1.cumulative(lambda x: x * x)
+
+    def at(self, u1, u2) -> tuple:
+        """(Q1, Q1', Q2, Q2', G) at the torus point (u1, u2), G = I1(u1) - u1 Q2(u2)^2
+        (the torus gauge is A2 = B G).  The result at the last pair of Python
+        floats is kept in _last, one slot replaced whole; a hit returns what a
+        fresh evaluation would (-0.0 gives what 0.0 does), NaN never hits, and
+        arrays and 0-d numpy values bypass the slot.
+        """
+        memo = type(u1) is float and type(u2) is float
+        if memo:
+            last_u1, last_u2, out = self._last
+            if last_u1 == u1 and last_u2 == u2:
+                return out
+        x1, d1 = self.branch1.value_and_deriv(u1)
+        x2, d2 = self.branch2.value_and_deriv(u2)
+        out = (x1, d1, x2, d2, self.i1(u1) - u1 * x2**2)
+        if memo:
+            object.__setattr__(self, "_last", (u1, u2, out))
+        return out
 
 
 def build_model(params: QuarticParams) -> EllipticModel:

@@ -105,8 +105,8 @@ class SystemSpec:
 
     @cached_property
     def model(self) -> EllipticModel:
-        """The quartic's model, shared by every spec of that quartic in the process,
-        memos included (see _inversion); a refused quartic raises on every call."""
+        """The quartic's model, shared by every spec of that quartic in the process
+        (EllipticModel.at's last point too); a refused quartic raises on every call."""
         if self.family != Family.CASE_II:
             raise ValueError("elliptic model only exists for CASE_II")
         return _shared_model(self.quartic, repr(self.quartic))
@@ -137,13 +137,6 @@ def case2_limit_spec(limit: LimitModel, mu: float = 0.0, B: float = 0.0) -> Syst
 
 def vy_spec(vy_a: float, vy_b: float, mu: float = 0.0, B: float = 0.0) -> SystemSpec:
     return SystemSpec(family=Family.VY, mu=mu, B=B, vy_a=vy_a, vy_b=vy_b)
-
-
-def _uv(point):
-    if hasattr(point, "u1"):
-        return point.u1, point.u2
-    a, b = point
-    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +375,15 @@ def normal_form(spec: SystemSpec, a, b) -> tuple:
 def gauge_a(spec: SystemSpec, point):
     """Torus gauge potential (CASE_II): A1 = 0 and
 
-        A2(u1, u2) = B * (I1(u1) - u1 * Q2(u2)^2),  I1(u1) = integral_0^u1 Q1^2.
+        A2(u1, u2) = B * (I1(u1) - u1 * Q2(u2)^2),  I1(u1) = integral_0^u1 Q1^2,
 
-    By construction d1 A2 - d2 A1 = B (Q1^2 - Q2^2) pointwise.  The expression
+    at point = (u1, u2), the bracket being the G of EllipticModel.at.  By
+    construction d1 A2 - d2 A1 = B (Q1^2 - Q2^2) pointwise.  The expression
     lives on the covering plane; it is not periodic in u1 (the total flux
     obstructs any global gauge on the torus).
     """
     if spec.family != Family.CASE_II:
         raise ValueError("gauge_a is defined for CASE_II only")
-    u1v, u2v = _uv(point)
-    m = spec.model
-    a2 = spec.B * (m.i1(u1v) - u1v * m.q2(u2v) ** 2)
-    return 0.0, a2
+    u1, u2 = point
+    return 0.0, spec.B * spec.model.at(u1, u2)[4]
 

@@ -35,7 +35,7 @@ from .errors import (
     StencilOutsideChart,
     WrongSignature,
 )
-from .fields import Family, Jet, SystemSpec, _torus_jets, _uv, stackel_components
+from .fields import Family, Jet, SystemSpec, _torus_jets, stackel_components
 from .polyroots import eval_p_deriv
 
 __all__ = [
@@ -166,7 +166,7 @@ def torus_lambda_jet(model: EllipticModel, u1, u2) -> Jet:
 
 def torus_metric(model: EllipticModel, p) -> MetricSample:
     """Conformal factor lam = Q1(u1)^2 - Q2(u2)^2 (zero exactly at fixed points)."""
-    u1, u2 = _uv(p)
+    u1, u2 = p
     lam = float(torus_lambda(model, u1, u2))
     return MetricSample(g11=lam, g22=lam, lam=lam)
 
@@ -227,7 +227,7 @@ def curvature_closed(spec: SystemSpec, point=None):
     if spec.family == Family.CASE_II:
         if point is None:
             raise ValueError("CASE_II curvature needs a point")
-        u1, u2 = _uv(point)
+        u1, u2 = point
         m = spec.model
         x1 = m.q1(u1)
         x2 = m.q2(u2)
@@ -266,7 +266,7 @@ def curvature_numeric(lam_fn, point, h: float = 1e-3):
     (an array of their broadcast shape); ``lam_fn`` is called once per
     stencil offset, 9 times in all, with the point's own coordinates shifted.
     """
-    u1, u2 = _uv(point)
+    u1, u2 = point
 
     lam0 = lam_fn(u1, u2)
     if np.any(np.asarray(lam0) <= 0.0):
@@ -465,7 +465,7 @@ def limit_cylinder_metric(lm: LimitModel, u_tilde) -> MetricSample:
     beta1^2 - Qt2^2 decays like A e^(-2|ut2|) with A = 8 beta1 c / sqrt(D),
     the same exponent as the cylinder form of the round metric.
     """
-    _, ut2 = _uv(u_tilde)
+    _, ut2 = u_tilde
     qt = float(limit_tilde_q2(lm, ut2))
     lam = 16.0 * (lm.beta1**2 - qt**2) / lm.c
     return MetricSample(g11=lam, g22=lam, lam=lam)

@@ -125,10 +125,9 @@ def eval_p(params: QuarticParams, x):
     return np.polyval(params.coefficients(), x)
 
 
-def eval_p_deriv(params: QuarticParams, x, order: int = 1):
-    """Evaluate a derivative of P at x (order 1 or 2)."""
-    c = np.polyder(np.array(params.coefficients()), order)
-    return np.polyval(c, x)
+def eval_p_deriv(params: QuarticParams, x):
+    """Evaluate P'(x) (scalar or array)."""
+    return np.polyval(np.polyder(np.array(params.coefficients())), x)
 
 
 def discriminant(params: QuarticParams) -> float:

@@ -716,17 +716,19 @@ def test_refused_geometry_is_one_config_error_line(tmp_path, capsys, command, fa
 
 
 def test_output_does_not_depend_on_earlier_calls(tmp_path, capsys, monkeypatch):
-    # specs of one quartic share one model and its last-point memos: a chain of
-    # calls in one process prints and writes the bytes each call does in a
-    # fresh interpreter
+    # specs of one quartic share one model and its last torus point: a chain of
+    # calls in one process, another mu and B of the quartic included, prints
+    # and writes the bytes each call does in a fresh interpreter
     near = dict(CASE2, geometry={"roots": [3, 2.99, -1, -4.99], "a3": -1.0}, grid={"n": 16})
     case2, near = _write(tmp_path, CASE2), _write(tmp_path, near, "near.json")
+    other = _write(tmp_path, dict(CASE2, mu=0.3, B=-0.2), "other.json")
     chain = [
         ["simulate", "--config", case2, "--seed", "5", "--out", "sim5"],
         ["verify", "--config", near],
         ["elliptic-table", "--config", case2, "--branch", "q2", "--samples", "64", "--out", "table"],
         ["metric-check", "--config", near, "--out", "metric"],
         ["simulate", "--config", case2, "--seed", "9", "--out", "sim9"],
+        ["simulate", "--config", other, "--seed", "5", "--out", "other5"],
         ["simulate", "--config", case2, "--seed", "5", "--out", "sim5_again"],
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -745,7 +747,7 @@ def test_output_does_not_depend_on_earlier_calls(tmp_path, capsys, monkeypatch):
         assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout), argv
     csvs = sorted(p.relative_to(tmp_path / "chain") for p in (tmp_path / "chain").rglob("*.csv"))
     assert csvs == sorted(p.relative_to(tmp_path / "fresh") for p in (tmp_path / "fresh").rglob("*.csv"))
-    assert len(csvs) == 5
+    assert len(csvs) == 6
     for rel in csvs:
         assert (tmp_path / "chain" / rel).read_bytes() == (tmp_path / "fresh" / rel).read_bytes(), rel
     first, again = (tmp_path / "chain" / name / "simulate.csv" for name in ("sim5", "sim5_again"))

@@ -114,9 +114,12 @@ def test_torus_eval_evaluates_each_slice_once(case2, monkeypatch):
             monkeypatch.setattr(cls, name, lambda self, u, _fn=fn, _n=name: calls.append(_n) or _fn(self, u))
     s = dyn.random_state(case2, np.random.default_rng(5))
     calls.clear()
+    # random_state's gauge has just evaluated the point in EllipticModel.at
     dyn.torus_eval(case2, s)
-    # Q1 and Q2 with their derivatives, Q2 again inside the gauge, one I1(u1)
-    assert sorted(calls) == ["__call__", "value", "value_and_deriv", "value_and_deriv"]
+    assert calls == []
+    # at a new point: Q1 and Q2 with their derivatives and one I1(u1)
+    dyn.torus_eval(case2, dyn.PhaseState(s.u1 + 0.125, s.u2 - 0.125, s.p1, s.p2))
+    assert sorted(calls) == ["__call__", "value_and_deriv", "value_and_deriv"]
 
 
 # --- torus flow -----------------------------------------------------------------
@@ -1254,15 +1257,11 @@ def test_flow_step_retries_non_finite_cylinder_stages(limit_spec, monkeypatch):
 
 def test_torus_step_sums_each_slice_point_once(canonical_params, monkeypatch):
     # the flow carries (Q1, Q1', Q2, Q2') in its state, so an attempt sums no
-    # slice series.  An accepted step sums each slice once at its new point,
-    # one value and one derivative recurrence, which the gauge's Q2 value or
-    # the monitors make first and the monitors, the next step's seeding of
-    # the slices and its unpacking reuse; and one antiderivative recurrence
-    # (the gauge's I1 at the new u1).  The 1 is Q1 for the monitors at
-    # state0, where random_state's gauge already summed Q2 and I1.  Specs of
-    # one quartic share a model and its last-point memos, so the shared models
-    # are dropped first: an earlier test's Q1 at this initial u1 would count 1 less
-    fields._shared_model.cache_clear()
+    # slice series.  An accepted step sums 5 recurrences, all in the unpacking's
+    # EllipticModel.at of its new point: a value and a derivative of each slice
+    # and the gauge's I1.  The monitors and the next step's seeding of the
+    # slices read that point again from the model's slot, as the monitors at
+    # state0 read the point random_state's gauge evaluated
     spec = case2_spec(canonical_params, mu=1.0, B=0.5)
     s0 = dyn.random_state(spec, np.random.default_rng(8))  # 37 steps, 7 rejected attempts
     m = spec.model
@@ -1284,5 +1283,5 @@ def test_torus_step_sums_each_slice_point_once(canonical_params, monkeypatch):
     traj = dyn.integrate(spec, s0, t_end=3.0, tol=1e-10)
     steps = len(traj.times) - 1
     assert steps > 30 and count["attempt"] > steps
-    assert count["value"] == count["deriv"] == 2 * steps + 1
+    assert count["value"] == count["deriv"] == 2 * steps
     assert count["anti"] == steps

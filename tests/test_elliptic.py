@@ -174,17 +174,18 @@ def _bits(values) -> list:
 
 @pytest.mark.parametrize("roots", [(3, 2, -1, -4), (3, 2.99, -1, -4.99)])
 def test_memo_is_invisible(roots):
-    # a branch and its antiderivative keep their result at the last Python
-    # float u; interleaved scalar calls (signed zeros, turning points,
-    # negative, repeated and int u, arrays in between) return the floats of
-    # the memo-free 0-d path, and of the array path wherever math and numpy
-    # agree on cos and sin at that phase
+    # a branch and its antiderivative keep no state after construction:
+    # interleaved scalar calls (signed zeros, turning points, negative,
+    # repeated and int u, arrays in between) leave vars() as built and return
+    # the floats of the 0-d path, and of the array path wherever math and
+    # numpy agree on cos and sin at that phase
     m = build_model_from_roots(list(roots), -1.0)
     rng = np.random.default_rng(5)
     for br in (m.branch1, m.branch2):
         K = br.K
         cum = br.cumulative(lambda v: v * v)
         calls = {"value": br.value, "deriv": br.deriv, "both": br.value_and_deriv, "cum": cum}
+        built = {obj: dict(vars(obj)) for obj in (br, cum)}
 
         def parts(kind, x, d, i):
             return {"value": [x], "deriv": [d], "both": [x, d], "cum": [i]}[kind]
@@ -199,6 +200,9 @@ def test_memo_is_invisible(roots):
                 arr = np.array([u, -u, 1.1 * K], dtype=float)
                 br.value_and_deriv(arr), br.value(arr), cum(arr)
             got = calls[kind](u)
+            for obj, state in built.items():
+                assert vars(obj).keys() == state.keys()
+                assert all(vars(obj)[k] is v for k, v in state.items()), (u, kind)
             got = _bits(got if kind == "both" else [got])
             x, d = br.value_and_deriv(np.float64(u))
             assert got == _bits(parts(kind, x, d, cum(np.float64(u)))), (u, kind)
@@ -210,6 +214,31 @@ def test_memo_is_invisible(roots):
                 assert got == _bits(parts(kind, x[0], d[0], cum(ua)[0])), (u, kind)
                 against_array += 1
         assert against_array > len(order) // 2
+
+
+def test_at_hit_is_a_fresh_evaluation(canonical_params):
+    # EllipticModel.at keeps its last pair of Python floats: a hit returns the
+    # stored tuple, bit for bit a fresh model's, at a random point, at u = +-0.0
+    # on each axis and at u1 = K1.  A new value on either axis, NaN and numpy
+    # values miss, and numpy values leave the slot as it was
+    m = build_model(canonical_params)
+    rng = np.random.default_rng(3)
+    u1, u2 = float(rng.uniform(0.0, 4.0 * m.K1)), float(rng.uniform(0.0, 2.0 * m.K2))
+    pairs = [((u1, u2), (u1, u2)), ((m.K1, u2), (m.K1, u2))]
+    pairs += [((a, u2), (b, u2)) for a, b in ((0.0, -0.0), (-0.0, 0.0))]
+    pairs += [((u1, a), (u1, b)) for a, b in ((0.0, -0.0), (-0.0, 0.0))]
+    for first, again in pairs:
+        out = m.at(*first)
+        assert m.at(*again) is out, again
+        assert _bits(out) == _bits(build_model(canonical_params).at(*again)), again
+    for miss in ((u1, 0.5 * u2), (0.5 * u1, u2)):
+        m.at(u1, u2)
+        assert _bits(m.at(*miss)) == _bits(build_model(canonical_params).at(*miss)), miss
+    out = m.at(u1, u2)
+    assert m.at(np.float64(u1), u2) is not out
+    m.at(np.array([u1, 0.5]), np.array([u2, 0.5]))
+    assert m.at(u1, u2) is out
+    assert m.at(math.nan, u2) is not m.at(math.nan, u2)
 
 
 def test_series_primitives_take_scalars(canonical_model):
