@@ -43,8 +43,11 @@ The attempt, the step control and every flow right-hand side run in Python
 floats on tuples: on states of 4 to 8 components numpy's per-call cost
 exceeds the arithmetic.  Each sum and product is taken in the order of the
 elementwise numpy form y + dt * sum_j a_j k_j (and np.cross), so the
-trajectories are bitwise those of that form.  The sums are written out as
-left folds: the builtin sum of floats is compensated from Python 3.12 on.
+trajectories are bitwise those of that form.  The attempt is generated from
+the tableau once per state length (_attempt_kernel) as straight-line code,
+each sum a left fold over literal coefficients: the builtin sum of floats is
+compensated from Python 3.12 on, and a walk over zip per stage costs more
+than its arithmetic.
 The BLAS dots of the e(3)* projection, of |q| and of the e(3)* monitors stay
 (a BLAS dot rounds differently from a Python sum); the wrappers go: a norm is
 math.sqrt(v.dot(v)), as np.linalg.norm takes it, with float arithmetic around.
@@ -52,6 +55,7 @@ math.sqrt(v.dot(v)), as np.linalg.norm takes it, with float arithmetic around.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter, mul
@@ -305,77 +309,39 @@ _DOP_E5 = {
 _DOP_BHH = {1: 0.244094488188976377952755905512, 9: 0.733846688281611857341361741547, 12: 0.220588235294117647058823529412e-1}
 _DOP_E3 = {j: b - _DOP_BHH.get(j, 0.0) for j, b in _DOP_B.items()}
 
-(
-    (_A21,),
-    (_A31, _A32),
-    (_A41, _A43),
-    (_A51, _A53, _A54),
-    (_A61, _A64, _A65),
-    (_A71, _A74, _A75, _A76),
-    (_A81, _A84, _A85, _A86, _A87),
-    (_A91, _A94, _A95, _A96, _A97, _A98),
-    (_A101, _A104, _A105, _A106, _A107, _A108, _A109),
-    (_A111, _A114, _A115, _A116, _A117, _A118, _A119, _A1110),
-    (_A121, _A124, _A125, _A126, _A127, _A128, _A129, _A1210, _A1211),
-) = (tuple(row.values()) for row in _DOP_A)
-# the weights of k1 and k6..k12 in y_new (_B), e5 (_F) and e3 (_G)
-_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12 = _DOP_B.values()
-_F1, _F6, _F7, _F8, _F9, _F10, _F11, _F12 = _DOP_E5.values()
-_G1, _G6, _G7, _G8, _G9, _G10, _G11, _G12 = _DOP_E3.values()
 _DT_MIN = 1e-13  # smallest step size an adaptive step tries
+
+
+@functools.cache
+def _attempt_kernel(n: int):
+    """The DOP853 attempt on states of n components, generated from the
+    tableau and compiled on the first call for that n.
+
+    The kernel is straight-line float code: y and each stage k unpacked into
+    locals, every coefficient a literal (repr round-trips a float), only the
+    nonzero entries the tableau holds.  Each stage sum and y_new, e5 and e3
+    are left folds over those entries, in their order, as the elementwise
+    numpy form y + dt * (a_i1 k1 + a_i2 k2 + ...) adds them.
+    """
+    comps = lambda name: "".join(f"{name}_{i}, " for i in range(n))
+    fold = lambda weights, i: " + ".join(f"{w!r} * k{j}_{i}" for j, w in weights.items())
+    lines = ["def attempt(rhs, y, k1, dt):", f"    {comps('y')}= y", f"    {comps('k1')}= k1"]
+    for j, row in enumerate(_DOP_A, start=2):
+        stage = "".join(f"y_{i} + dt * ({fold(row, i)}), " for i in range(n))
+        lines.append(f"    {comps(f'k{j}')}= rhs(({stage}))")
+    y_new = "".join(f"y_{i} + dt * ({fold(_DOP_B, i)}), " for i in range(n))
+    e5, e3 = ("".join(f"dt * ({fold(w, i)}), " for i in range(n)) for w in (_DOP_E5, _DOP_E3))
+    lines.append(f"    return ({y_new}), ({e5}), ({e3})")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<DOP853 attempt, n = {n}>", "exec"), namespace)
+    return namespace["attempt"]
 
 
 def _dop853_attempt(rhs, y: tuple, k1: tuple, dt: float):
     """One DOP853 attempt from y with k1 = rhs(y): (y_new, e5, e3), the
-    order-8 solution and the order-5 and order-3 error estimates.
-
-    Every sum is a left fold over its nonzero coefficients, exactly as the
-    elementwise numpy form y + dt * (a_i1 k1 + a_i2 k2 + ...) adds it.
-    """
-    k2 = rhs(tuple([v + dt * (_A21 * p1) for v, p1 in zip(y, k1)]))
-    k3 = rhs(tuple([v + dt * (_A31 * p1 + _A32 * p2) for v, p1, p2 in zip(y, k1, k2)]))
-    k4 = rhs(tuple([v + dt * (_A41 * p1 + _A43 * p3) for v, p1, p3 in zip(y, k1, k3)]))
-    k5 = rhs(tuple([v + dt * (_A51 * p1 + _A53 * p3 + _A54 * p4) for v, p1, p3, p4 in zip(y, k1, k3, k4)]))
-    k6 = rhs(tuple([v + dt * (_A61 * p1 + _A64 * p4 + _A65 * p5) for v, p1, p4, p5 in zip(y, k1, k4, k5)]))
-    k7 = rhs(tuple([
-        v + dt * (_A71 * p1 + _A74 * p4 + _A75 * p5 + _A76 * p6)
-        for v, p1, p4, p5, p6 in zip(y, k1, k4, k5, k6)
-    ]))
-    k8 = rhs(tuple([
-        v + dt * (_A81 * p1 + _A84 * p4 + _A85 * p5 + _A86 * p6 + _A87 * p7)
-        for v, p1, p4, p5, p6, p7 in zip(y, k1, k4, k5, k6, k7)
-    ]))
-    k9 = rhs(tuple([
-        v + dt * (_A91 * p1 + _A94 * p4 + _A95 * p5 + _A96 * p6 + _A97 * p7 + _A98 * p8)
-        for v, p1, p4, p5, p6, p7, p8 in zip(y, k1, k4, k5, k6, k7, k8)
-    ]))
-    k10 = rhs(tuple([
-        v + dt * (_A101 * p1 + _A104 * p4 + _A105 * p5 + _A106 * p6 + _A107 * p7 + _A108 * p8 + _A109 * p9)
-        for v, p1, p4, p5, p6, p7, p8, p9 in zip(y, k1, k4, k5, k6, k7, k8, k9)
-    ]))
-    k11 = rhs(tuple([
-        v
-        + dt
-        * (_A111 * p1 + _A114 * p4 + _A115 * p5 + _A116 * p6 + _A117 * p7 + _A118 * p8 + _A119 * p9 + _A1110 * p10)
-        for v, p1, p4, p5, p6, p7, p8, p9, p10 in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)
-    ]))
-    k12 = rhs(tuple([
-        v
-        + dt
-        * (
-            _A121 * p1 + _A124 * p4 + _A125 * p5 + _A126 * p6 + _A127 * p7
-            + _A128 * p8 + _A129 * p9 + _A1210 * p10 + _A1211 * p11
-        )
-        for v, p1, p4, p5, p6, p7, p8, p9, p10, p11 in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)
-    ]))
-    y_new, e5, e3 = [], [], []
-    for v, p1, p6, p7, p8, p9, p10, p11, p12 in zip(y, k1, k6, k7, k8, k9, k10, k11, k12):
-        y_new.append(
-            v + dt * (_B1 * p1 + _B6 * p6 + _B7 * p7 + _B8 * p8 + _B9 * p9 + _B10 * p10 + _B11 * p11 + _B12 * p12)
-        )
-        e5.append(dt * (_F1 * p1 + _F6 * p6 + _F7 * p7 + _F8 * p8 + _F9 * p9 + _F10 * p10 + _F11 * p11 + _F12 * p12))
-        e3.append(dt * (_G1 * p1 + _G6 * p6 + _G7 * p7 + _G8 * p8 + _G9 * p9 + _G10 * p10 + _G11 * p11 + _G12 * p12))
-    return tuple(y_new), e5, e3
+    order-8 solution and the order-5 and order-3 error estimates, by the
+    kernel :func:`_attempt_kernel` generates for len(y)."""
+    return _attempt_kernel(len(y))(rhs, y, k1, dt)
 
 
 def _adaptive_step(rhs, y: tuple, dt: float, tol: float, n: int = 0):

@@ -208,7 +208,11 @@ class Jet:
     def from_slice(cls, branch, u, axis: int, c: float, poly) -> tuple["Jet", "Jet"]:
         """Jets of x = Q(u) and x' = Q'(u) for a slice with x'^2 = c poly(x),
         ``poly`` in descending coefficients; one pass of the branch."""
-        x, d = branch.value_and_deriv(u)
+        return cls.from_values(*branch.value_and_deriv(u), axis, c, poly)
+
+    @classmethod
+    def from_values(cls, x, d, axis: int, c: float, poly) -> tuple["Jet", "Jet"]:
+        """The jets of :meth:`from_slice` from the slice's value x and derivative d."""
         dd = 0.5 * c * np.polyval(np.polyder(poly), x)
         ddd = 0.5 * c * np.polyval(np.polyder(poly, 2), x) * d
         return cls.along(axis, x, d, dd), cls.along(axis, d, dd, ddd)
@@ -309,11 +313,15 @@ def stackel_components(f, q1, q2):
 
 def _torus_jets(model: EllipticModel, u1, u2):
     """Jets of Q1, Q1' at u1 and of Q2, Q2' at u2, exact from 4 Q1'^2 = P(Q1)
-    and 4 Q2'^2 = -P(Q2): Q1'' = P'(Q1)/8, Q2'' = -P'(Q2)/8."""
+    and 4 Q2'^2 = -P(Q2): Q1'' = P'(Q1)/8, Q2'' = -P'(Q2)/8.  A pair of Python
+    floats reads the slices from EllipticModel.at, which keeps the flow's last
+    point; arrays take one value_and_deriv per axis and no I1."""
     poly = model.params.coefficients()
-    x1, d1 = Jet.from_slice(model.branch1, u1, 0, 0.25, poly)
-    x2, d2 = Jet.from_slice(model.branch2, u2, 1, -0.25, poly)
-    return x1, d1, x2, d2
+    if type(u1) is float and type(u2) is float:
+        x1, d1, x2, d2, _ = model.at(u1, u2)
+    else:
+        (x1, d1), (x2, d2) = model.branch1.value_and_deriv(u1), model.branch2.value_and_deriv(u2)
+    return (*Jet.from_values(x1, d1, 0, 0.25, poly), *Jet.from_values(x2, d2, 1, -0.25, poly))
 
 
 def _torus_varphi(spec: SystemSpec, x1, x2):

@@ -1218,7 +1218,7 @@ def test_flow_step_shrinks_past_a_fixed_point(case2, monkeypatch):
 
     monkeypatch.setattr(dyn, "_torus_rhs", counted)
     u2, w2 = 0.1, -1.0
-    dt = -u2 / (dyn._A21 * torus_rhs(case2)(_torus_y(case2, 0.0, u2, 0.0, w2))[1])
+    dt = -u2 / (dyn._DOP_A[0][1] * torus_rhs(case2)(_torus_y(case2, 0.0, u2, 0.0, w2))[1])
     a1, a2 = gauge_a(case2, (0.0, u2))
     s = dyn.PhaseState(u1=0.0, u2=u2, p1=a1, p2=w2 + a2)
     want = _step_outcome(_ref_flow_step, case2, s, dt, 1e-10)
@@ -1285,3 +1285,39 @@ def test_torus_step_sums_each_slice_point_once(canonical_params, monkeypatch):
     assert steps > 30 and count["attempt"] > steps
     assert count["value"] == count["deriv"] == 2 * steps
     assert count["anti"] == steps
+
+
+def test_torus_bracket_sums_each_slice_point_once(canonical_params, monkeypatch):
+    # hf_bracket's normal-form jets read (Q1, Q1', Q2, Q2') from the
+    # EllipticModel.at of _flow's packing: a new point sums a value and a
+    # derivative of each slice and one I1, and the bracket and its scale are
+    # those of jets seeded from the branches, bit for bit.  Arrays keep one
+    # value_and_deriv per axis and take no I1
+    spec = case2_spec(canonical_params, mu=1.0, B=0.5)
+    m = spec.model
+    u1, u2 = (np.random.default_rng(9).uniform(0.15, 0.85, 2) * (m.K1, m.K2)).tolist()
+    s = dyn.PhaseState(u1=u1, u2=u2, p1=0.3, p2=-0.7)
+    kind = {id(m.branch1._a): "value", id(m.branch2._a): "value"}
+    kind.update({id(m.branch1._na): "deriv", id(m.branch2._na): "deriv", id(m.i1._b): "anti"})
+    count = dict.fromkeys(["value", "deriv", "anti"], 0)
+    clenshaw = _inversion._clenshaw
+
+    def counted_clenshaw(c, coeffs):
+        count[kind[id(coeffs)]] += 1
+        return clenshaw(c, coeffs)
+
+    def branch_jets(model, a, b):
+        poly = model.params.coefficients()
+        x1, d1 = fields.Jet.from_slice(model.branch1, a, 0, 0.25, poly)
+        return x1, d1, *fields.Jet.from_slice(model.branch2, b, 1, -0.25, poly)
+
+    m.at(0.0, 0.0)  # the slot holds another point
+    with monkeypatch.context() as patch:
+        patch.setattr(_inversion, "_clenshaw", counted_clenshaw)
+        got = dyn.hf_bracket(spec, s)
+        assert count == {"value": 2, "deriv": 2, "anti": 1}
+        fields.normal_form(spec, np.array([[u1], [0.5 * u1]]), np.array([[u2, 0.5 * u2]]))
+        assert count == {"value": 4, "deriv": 4, "anti": 1}
+    monkeypatch.setattr(fields, "_torus_jets", branch_jets)
+    want = dyn.hf_bracket(spec, s)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
