@@ -23,6 +23,13 @@ dQ2'/dt = -P'(Q2)/8 du2/dt, so no stage sums a slice series.  Each step
 reseeds (Q, Q') from EllipticModel.at(u), kept since the last step's unpacking,
 and its error norm counts the 4 dimensions of T*T^2, not 8.
 
+The cylinder limit (CASE_II_LIMIT) integrates (u, p), where F = p1, with its
+slice carried the same way: y = (u1, u2, p1, p2, Q2, Q2', G), by
+4 Q2'^2 = Pt(Q2), Pt(x) = (x - beta1)^2 (x - beta3)(x - beta4):
+dQ2/dt = Q2' du2/dt, dQ2'/dt = Pt'(Q2)/8 du2/dt and dG/dt = lam2 du2/dt = 2 p2.
+Each step reseeds them from the closed form at u2, and a stage whose Q2 is at
+or past beta1 (lam2 <= 0) is non-finite and retried.
+
 e(3)* systems (CASE_I Clebsch and VY) integrate dM/dt = {M, H},
 dx/dt = {x, H} under {M_i, M_j} = eps_ijk M_k, {M_i, x_j} = eps_ijk x_k,
 {x_i, x_j} = 0, with a per-step projection restoring the Casimirs |x|^2 = 1
@@ -545,35 +552,40 @@ def limit_h_eval(spec: SystemSpec, s: PhaseState) -> float:
 def _limit_rhs(spec: SystemSpec):
     lm = spec.limit
     c, mu, B = lm.c, spec.mu, spec.B
-    b1 = lm.beta1
+    b1, b3, b4 = lm.beta1, lm.beta3, lm.beta4
     b_over_c = B / c
 
     def rhs(y: tuple) -> tuple:
-        _u1, u2, p1, p2 = y
-        x2, d2, g = _limit_slice(lm, u2)
+        _u1, _u2, p1, p2, x2, d2, g = y
         lam2 = b1 * b1 - x2 * x2
-        a1 = b_over_c * g
-        da1 = B * lam2 / c
-        dlam2 = -2.0 * x2 * d2
-        try:
-            num = 0.25 * c * (p1 - a1) ** 2 + p2 * p2
-            return (
-                0.5 * c * (p1 - a1) / lam2,
-                2.0 * p2 / lam2,
-                0.0,
-                0.5 * c * (p1 - a1) * da1 / lam2 + num * dlam2 / lam2**2 + mu * d2 / (b1 + x2) ** 2,
-            )
-        except (ZeroDivisionError, OverflowError):
-            # lam2 = 0 where Q2 has reached its plateau beta1 far out, or a
-            # runaway stage: numpy's inf and nan, which the step control
-            # retries as a non-finite error norm
-            return (math.nan,) * 4
+        if lam2 > 0.0:
+            a1 = b_over_c * g
+            da1 = B * lam2 / c
+            dlam2 = -2.0 * x2 * d2
+            try:
+                num = 0.25 * c * (p1 - a1) ** 2 + p2 * p2
+                du2 = 2.0 * p2 / lam2
+                return (
+                    0.5 * c * (p1 - a1) / lam2,
+                    du2,
+                    0.0,
+                    0.5 * c * (p1 - a1) * da1 / lam2 + num * dlam2 / lam2**2 + mu * d2 / (b1 + x2) ** 2,
+                    d2 * du2,
+                    0.25 * (x2 - b1) * ((x2 - b3) * (x2 - b4) - lam2) * du2,  # Pt'(Q2)/8 du2/dt
+                    2.0 * p2,  # lam2 du2/dt
+                )
+            except (ZeroDivisionError, OverflowError):
+                pass
+        # lam2 <= 0 where the carried Q2 is at or past its plateau beta1, or a
+        # runaway stage: NaN, which the step control retries as a non-finite
+        # error norm
+        return (math.nan,) * 7
 
     return rhs
 
 
 def _phase_state(_spec: SystemSpec, y: tuple, _nu) -> PhaseState:
-    return PhaseState(*y)
+    return PhaseState(*y[:4])
 
 
 # ---------------------------------------------------------------------------
@@ -584,14 +596,16 @@ def _flow(spec: SystemSpec, s: PhaseState | E3State) -> tuple:
     """(y, rhs, grad_f, unpack, n) at state s: the family's integration
     variables, the flow's right-hand side and grad F in them, the map of y
     back to a state and the phase-space dimension.  The torus integrates
-    (u, w = p - A(u), Q, Q'), the cylinder (u, p), where F = p1, and e(3)* (M, x).
+    (u, w = p - A(u), Q, Q'), the cylinder (u, p, Q2, Q2', G), where F = p1,
+    and e(3)* (M, x).
     """
     if spec.family == Family.CASE_II:
         x1, d1, x2, d2, g = spec.model.at(s.u1, s.u2)
         y = (s.u1, s.u2, s.p1, s.p2 - spec.B * g, x1, d1, x2, d2)
         return y, _torus_rhs(spec), _torus_grad_f, _torus_state, 4
     if spec.family == Family.CASE_II_LIMIT:
-        return (s.u1, s.u2, s.p1, s.p2), _limit_rhs(spec), lambda *_: (0.0, 0.0, 1.0, 0.0), _phase_state, 4
+        y = (s.u1, s.u2, s.p1, s.p2, *_limit_slice(spec.limit, s.u2))
+        return y, _limit_rhs(spec), lambda *_: (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0), _phase_state, 4
     grad_f = _clebsch_grad_f if spec.family == Family.CASE_I else _vy_grad_f
     return tuple(s.M.tolist() + s.x.tolist()), _e3_rhs(spec), grad_f, _project_e3, 6
 

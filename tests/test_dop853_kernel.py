@@ -86,8 +86,9 @@ def _oracle_attempt(rhs, y, k1, dt):
     return tuple(y_new), e5, e3
 
 
-# 9 is the Sundman state of the torus with t as a ninth component
-SIZES = (1, 2, 4, 6, 8, 9)
+# 6, 7 and 8 are the states of the e(3)*, cylinder and torus flows; 9 is the
+# Sundman state of the torus with t as a ninth component
+SIZES = (1, 2, 4, 6, 7, 8, 9)
 
 
 def _bits(values) -> bytes:

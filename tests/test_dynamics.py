@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate._ivp import dop853_coefficients
 
-from monopole_lab import _inversion
+from monopole_lab import _inversion, elliptic
 from monopole_lab import dynamics as dyn
 from monopole_lab import geometry as geo
-from monopole_lab.elliptic import LimitModel, limit_q2
+from monopole_lab.elliptic import LimitModel, _limit_slice, limit_q2
 from monopole_lab import fields
 from monopole_lab.errors import (
     CenterSingularity,
@@ -29,7 +29,7 @@ from richardson import (
     poisson_bracket_fd,
     torus_f_of_y,
 )
-from test_global_error import _slice_rhs
+from test_global_error import _closed_form_limit_rhs, _slice_rhs
 
 
 def _state_with_velocity(spec, u1, u2, w1, w2):
@@ -41,6 +41,13 @@ def _torus_y(spec, u1, u2, w1, w2):
     """The torus flow's variables: (u, w) and the slices (Q1, Q1', Q2, Q2') at u."""
     m = spec.model
     return (u1, u2, w1, w2, *m.branch1.value_and_deriv(u1), *m.branch2.value_and_deriv(u2))
+
+
+def _limit_y(spec, u1, u2, p1, p2):
+    """The cylinder flow's variables: (u, p) and (Q2, Q2', G) at u2, from the
+    reference's separate closed forms."""
+    lm = spec.limit
+    return (u1, u2, p1, p2, _ref_limit_q2(lm, u2), _ref_limit_q2_deriv(lm, u2), _ref_limit_g(lm, u2))
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -562,6 +569,42 @@ def test_limit_flow_p1_exact_and_h_conserved(limit_spec):
     assert np.max(np.abs(traj.monitors["F"] - s.p1)) == 0.0
 
 
+@pytest.mark.parametrize("roots", [None, (10.0, -1.0, -19.0)])
+def test_limit_slice_meets_its_quartic(limit_spec, roots):
+    # 4 Q2'^2 = Pt(Q2), Pt(x) = (x - beta1)^2 (x - beta3)(x - beta4), over
+    # |s| <= 6, relative to c (beta1 - Q2)^2, the size of Pt but for its
+    # zero at Q2 = beta3, s = 0
+    lm = _limit_model_spec(limit_spec, roots).limit
+    b1, b3, b4 = lm.beta1, lm.beta3, lm.beta4
+    for s in np.linspace(-6.0, 6.0, 241).tolist():
+        x2, d2, _ = _limit_slice(lm, lm.delta + 2.0 * s / math.sqrt(lm.c))
+        pt = (x2 - b1) ** 2 * (x2 - b3) * (x2 - b4)
+        assert abs(4.0 * d2 * d2 - pt) <= 1e-13 * lm.c * (b1 - x2) ** 2, s
+
+
+@pytest.mark.parametrize("roots", [None, (10.0, -1.0, -19.0)])
+def test_limit_rhs_is_the_closed_form_rhs(limit_spec, roots):
+    # with (Q2, Q2', G) packed from the closed form at u2, the (u, p) rows are
+    # those of the right-hand side that evaluates it at every call, bit for
+    # bit, and the slice rows are the chain rule through it: dQ2/dt = Q2'
+    # du2/dt, and dQ2'/dt = Pt'(Q2)/8 du2/dt and dG/dt = lam2 du2/dt match
+    # central differences of Q2' and G in u2 (step 1e-4 in s)
+    spec = _limit_model_spec(limit_spec, roots)
+    lm = spec.limit
+    rhs, closed_form = dyn._limit_rhs(spec), _closed_form_limit_rhs(spec)
+    h = 2e-4 / math.sqrt(lm.c)
+    rng = np.random.default_rng(45)
+    for _ in range(200):
+        u2 = lm.delta + 2.0 * rng.uniform(-6.0, 6.0) / math.sqrt(lm.c)
+        y, *_ = dyn._flow(spec, dyn.PhaseState(0.5, u2, *rng.normal(0.0, 1.0, 2).tolist()))
+        dy = rhs(y)
+        assert dy[:4] == closed_form(y[:4])
+        assert dy[4] == y[5] * dy[1]
+        (_, d_lo, g_lo), (_, d_hi, g_hi) = _limit_slice(lm, u2 - h), _limit_slice(lm, u2 + h)
+        for got, deriv, size in ((dy[5], (d_hi - d_lo) / (2.0 * h), lm.c**2), (dy[6], (g_hi - g_lo) / (2.0 * h), lm.c)):
+            assert abs(got / dy[1] - deriv) <= 1e-8 * size, u2
+
+
 def test_random_cylinder_states_stay_off_the_plateau(limit_spec):
     # u2 is drawn within delta +- min(2, 12 / sqrt(c)), so |s| <= 6.  The
     # window +-2 put every (40, -1, -79) state where Q2 has rounded to beta1
@@ -718,10 +761,9 @@ def _ref_limit_q2_deriv(lm, u2):
     return out if out.shape else float(out)
 
 
-def _ref_limit_gauge_a1(spec, u2):
-    lm = spec.limit
+def _ref_limit_g(lm, u2):
     a = math.sqrt(lm.D)
-    b, c, B = lm.b, lm.c, spec.B
+    b, c = lm.b, lm.c
     w = math.sqrt((b - a) / (b + a))
     sqc = math.sqrt(c)
 
@@ -739,30 +781,39 @@ def _ref_limit_gauge_a1(spec, u2):
     with np.errstate(over="ignore"):
         e1 = (2.0 / sqc) * 2.0 * c * (j1(s) - j1_inf)
         e2 = (2.0 / sqc) * 4.0 * c * c * (j2(s) - j2_inf)
-    out = (B / c) * (2.0 * lm.beta1 * e1 - e2)
+    out = 2.0 * lm.beta1 * e1 - e2
     return out if np.asarray(out).shape else float(out)
+
+
+def _ref_limit_gauge_a1(spec, u2):
+    return (spec.B / spec.limit.c) * _ref_limit_g(spec.limit, u2)
 
 
 def _ref_limit_rhs(spec):
     lm = spec.limit
     c, mu, B = lm.c, spec.mu, spec.B
-    b1 = lm.beta1
+    b1, b3, b4 = lm.beta1, lm.beta3, lm.beta4
 
     def rhs(_t, y):
-        _u1, u2, p1, p2 = y
-        x2 = _ref_limit_q2(lm, u2)
-        d2 = _ref_limit_q2_deriv(lm, u2)
+        _u1, _u2, p1, p2, x2, d2, g = y
         lam2 = b1 * b1 - x2 * x2
-        a1 = _ref_limit_gauge_a1(spec, u2)
+        if not lam2 > 0.0:  # the carried Q2 at or past beta1
+            return np.full(7, np.nan)
+        a1 = (B / c) * g
         da1 = B * lam2 / c
         dlam2 = -2.0 * x2 * d2
         num = 0.25 * c * (p1 - a1) ** 2 + p2 * p2
+        du2 = 2.0 * p2 / lam2
+        # 4 Q2'^2 = Pt(Q2) = (Q2 - b1)^2 (Q2 - b3)(Q2 - b4), Pt'/8 = (Q2 - b1)((Q2 - b3)(Q2 - b4) - lam2)/4
         return np.array(
             [
                 0.5 * c * (p1 - a1) / lam2,
-                2.0 * p2 / lam2,
+                du2,
                 0.0,
                 0.5 * c * (p1 - a1) * da1 / lam2 + num * dlam2 / lam2**2 + mu * d2 / (b1 + x2) ** 2,
+                d2 * du2,
+                0.25 * (x2 - b1) * ((x2 - b3) * (x2 - b4) - lam2) * du2,
+                2.0 * p2,
             ]
         )
 
@@ -776,7 +827,7 @@ def _core_case(spec, state):
         new = dyn._torus_rhs(spec)
         y = _torus_y(spec, state.u1, state.u2, state.p1 - a1, state.p2 - a2)
     elif spec.family == Family.CASE_II_LIMIT:
-        y = (state.u1, state.u2, state.p1, state.p2)
+        y = _limit_y(spec, state.u1, state.u2, state.p1, state.p2)
         return _ref_limit_rhs(spec), dyn._limit_rhs(spec), y
     else:
         y = tuple(state.as_array().tolist())
@@ -829,7 +880,7 @@ def test_core_matches_numpy_reference(family, request, monkeypatch):
             for tol in (1e-10, 1e-6):
                 calls = []
                 counted = lambda v: calls.append(v == y) or new(v)
-                # far out on the cylinder numpy scalars divide by lam2 = 0
+                # a runaway cylinder stage overflows in numpy scalars
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     want = _outcome(_ref_adaptive_step, ref, 0.0, np.array(y), dt, tol)
                 assert _outcome(dyn._adaptive_step, counted, y, dt, tol) == want
@@ -895,14 +946,18 @@ def test_core_lets_arithmetic_errors_through():
 
 
 def test_limit_rhs_is_non_finite_on_the_plateau(limit_spec):
-    # far out Q2 = beta1 in floats, so lam2 = 0: the right-hand side gives
-    # numpy's non-finite values instead of raising, and the step retries
+    # far out Q2 = beta1 in floats, so lam2 = 0, and a carried Q2 past beta1
+    # gives lam2 < 0: the right-hand side gives non-finite values instead of
+    # raising or turning back, and the step retries
     lm = limit_spec.limit
-    y = (0.0, lm.delta + 400.0, 0.3, 0.2)
-    assert limit_q2(lm, y[1]) == lm.beta1
-    assert not all(map(math.isfinite, dyn._limit_rhs(limit_spec)(y)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        assert not np.all(np.isfinite(_ref_limit_rhs(limit_spec)(0.0, np.array(y))))
+    y = _limit_y(limit_spec, 0.0, lm.delta + 400.0, 0.3, 0.2)
+    assert y[4] == lm.beta1
+    near = _limit_y(limit_spec, 0.0, lm.delta + 1.0, 0.3, 0.2)
+    for x2 in (lm.beta1, math.nextafter(lm.beta1, math.inf), lm.beta1 + 0.5):
+        for v in (y, near):
+            v = (*v[:4], x2, *v[5:])
+            assert not any(map(math.isfinite, dyn._limit_rhs(limit_spec)(v)))
+            assert not np.any(np.isfinite(_ref_limit_rhs(limit_spec)(0.0, np.array(v))))
 
 
 def test_core_shrinks_past_a_singular_stage():
@@ -1072,9 +1127,10 @@ def _ref_limit_system_step(spec, s, dt, tol=1e-10):
         raise ValueError("limit_system_step needs a CASE_II_LIMIT spec")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    y = (s.u1, s.u2, s.p1, s.p2)
-    y_new, taken, dt_next = dyn._adaptive_step(dyn._limit_rhs(spec), y, dt, tol)
-    return dyn.StepResult(state=dyn.PhaseState(*y_new), dt_taken=taken, dt_next=dt_next)
+    y = _limit_y(spec, s.u1, s.u2, s.p1, s.p2)
+    # the error norm divides by the phase-space dimension 4, not by len(y)
+    (u1, u2, p1, p2, *_), taken, dt_next = dyn._adaptive_step(dyn._limit_rhs(spec), y, dt, tol, 4)
+    return dyn.StepResult(state=dyn.PhaseState(u1, u2, p1, p2), dt_taken=taken, dt_next=dt_next)
 
 
 def _ref_step(spec, s, dt, tol, nu=None):
@@ -1229,8 +1285,9 @@ def test_flow_step_shrinks_past_a_fixed_point(case2, monkeypatch):
 
 
 def test_flow_step_retries_non_finite_cylinder_stages(limit_spec, monkeypatch):
-    # fast enough that large steps carry u2 out onto the plateau, where
-    # lam2 = 0 and the right-hand side is non-finite
+    # fast enough that a large step's stages carry Q2 along its tangent to or
+    # past its plateau beta1, where lam2 <= 0 and the right-hand side is
+    # non-finite
     bad = []
     limit_rhs = dyn._limit_rhs
 
@@ -1250,7 +1307,9 @@ def test_flow_step_retries_non_finite_cylinder_stages(limit_spec, monkeypatch):
     want = _step_outcome(_ref_limit_system_step, limit_spec, s, 0.5, 1e-9)
     n_bad = len(bad)
     assert want[0] == "PhaseState"
-    assert any(limit_q2(limit_spec.limit, y[1]) == limit_spec.limit.beta1 for y in bad)
+    # an attempt's first bad stage carries Q2 >= beta1, and the stages after it its NaN
+    beta1 = limit_spec.limit.beta1
+    assert any(y[4] >= beta1 for y in bad) and not any(y[4] < beta1 for y in bad)
     assert _step_outcome(dyn.flow_step, limit_spec, s, 0.5, 1e-9) == want
     assert len(bad) == 2 * n_bad
 
@@ -1285,6 +1344,32 @@ def test_torus_step_sums_each_slice_point_once(canonical_params, monkeypatch):
     assert steps > 30 and count["attempt"] > steps
     assert count["value"] == count["deriv"] == 2 * steps
     assert count["anti"] == steps
+
+
+def test_cylinder_step_evaluates_each_slice_point_once(monkeypatch):
+    # the flow carries (Q2, Q2', G) in its state, so no stage evaluates the
+    # closed-form slice.  An accepted step evaluates it once, in the H monitor
+    # at its new u2; the next step's packing reads that point from the model's
+    # slot, as the first step's reads the point of the monitor at state0
+    spec = case2_limit_spec(LimitModel(2.0, -1.0, -3.0), mu=1.0, B=0.6)  # an empty slot
+    s0 = dyn.random_state(spec, np.random.default_rng(2))  # 37 steps, 6 rejected attempts
+    count = dict.fromkeys(["slice", "attempt"], 0)
+    terms, attempt = elliptic._limit_terms, dyn._dop853_attempt
+
+    def counted_terms(*args):
+        count["slice"] += 1
+        return terms(*args)
+
+    def counted_attempt(*args):
+        count["attempt"] += 1
+        return attempt(*args)
+
+    monkeypatch.setattr(elliptic, "_limit_terms", counted_terms)
+    monkeypatch.setattr(dyn, "_dop853_attempt", counted_attempt)
+    traj = dyn.integrate(spec, s0, t_end=3.0, tol=1e-10)
+    steps = len(traj.times) - 1
+    assert steps > 30 and count["attempt"] > steps
+    assert count["slice"] == steps + 1
 
 
 def test_torus_bracket_sums_each_slice_point_once(canonical_params, monkeypatch):

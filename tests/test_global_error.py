@@ -2,16 +2,18 @@
 
 Drift does not see a phase error, so each panel compares the state itself:
 one spec over ``random_state`` seeds 0-9, each run to t = 10 at tol 1e-10 and
-compared with ``solve_ivp`` at rtol = atol = 1e-13.  The e(3)* and cylinder
-references integrate the flow's own right-hand side, in (M, x) and (u, p).
-The torus flow carries the slices (Q1, Q1', Q2, Q2') in its state, so its
-reference must not: it integrates _slice_rhs, the torus right-hand side in
-(u, w) with both slice series summed at every call, and the panel compares
-(u, p) with p = w + A(u).  A wrong slice row (a sign or a factor of P') is
-then an error against the series, not part of its own reference.  A reference
-that needs more than _BUDGET right-hand sides (a vy orbit through a Coulomb
-centre) does not finish: its seed stays in the panel, as None, and is still
-integrated.
+compared with ``solve_ivp`` at rtol = atol = 1e-13.  The e(3)* references
+integrate the flow's own right-hand side in (M, x).  The torus and cylinder
+flows carry their slices in their states, (Q1, Q1', Q2, Q2') and (Q2, Q2', G),
+so their references must not: _slice_rhs is the torus right-hand side in
+(u, w) with both slice series summed at every call, _closed_form_limit_rhs
+the cylinder's in (u, p) with its closed-form slice evaluated at every call,
+and each panel compares (u, p), with p = w + A(u) on the torus.  A wrong
+slice row (a sign, a factor of P' or of the gauge's G) is then an error
+against the series or the closed form, not part of its own reference.  A
+reference that needs more than _BUDGET right-hand sides (a vy orbit through a
+Coulomb centre) does not finish: its seed stays in the panel, as None, and is
+still integrated.
 
 _DP5 holds the same panels of the embedded Dormand-Prince 5(4) core that the
 DOP853 core replaced, measured with this file at commit 76f892f (the torus
@@ -32,7 +34,7 @@ from scipy.integrate import solve_ivp
 
 from monopole_lab import dynamics as dyn
 from monopole_lab import fields
-from monopole_lab.elliptic import LimitModel
+from monopole_lab.elliptic import LimitModel, _limit_slice
 from monopole_lab.polyroots import from_roots
 
 SPECS = {
@@ -101,6 +103,29 @@ def _slice_rhs(spec):
     return rhs
 
 
+def _closed_form_limit_rhs(spec):
+    """The cylinder right-hand side in y = (u1, u2, p1, p2) with (Q2, Q2', G)
+    evaluated in closed form at every call: operation for operation the
+    (u, p) rows of dynamics._limit_rhs, with no slice rows."""
+    lm, mu, B = spec.limit, spec.mu, spec.B
+    c, b1 = lm.c, lm.beta1
+
+    def rhs(y):
+        _u1, u2, p1, p2 = y
+        x2, d2, g = _limit_slice(lm, u2)
+        lam2 = b1 * b1 - x2 * x2
+        a1, da1, dlam2 = (B / c) * g, B * lam2 / c, -2.0 * x2 * d2
+        num = 0.25 * c * (p1 - a1) ** 2 + p2 * p2
+        return (
+            0.5 * c * (p1 - a1) / lam2,
+            2.0 * p2 / lam2,
+            0.0,
+            0.5 * c * (p1 - a1) * da1 / lam2 + num * dlam2 / lam2**2 + mu * d2 / (b1 + x2) ** 2,
+        )
+
+    return rhs
+
+
 def _panel(spec, tol=1e-10):
     """max |state - state_ref| at t_end for seeds 0-9; None where the reference did not finish."""
     errors = []
@@ -111,6 +136,8 @@ def _panel(spec, tol=1e-10):
             a1, a2 = fields.gauge_a(spec, (s0.u1, s0.u2))
             ref = _reference(_slice_rhs(spec), (s0.u1, s0.u2, s0.p1 - a1, s0.p2 - a2))
             ref = None if ref is None else dyn._torus_state(spec, tuple(ref.tolist()), None).as_array()
+        elif spec.family == fields.Family.CASE_II_LIMIT:
+            ref = _reference(_closed_form_limit_rhs(spec), (s0.u1, s0.u2, s0.p1, s0.p2))
         else:
             y0, rhs, *_ = dyn._flow(spec, s0)
             ref = _reference(rhs, y0)
