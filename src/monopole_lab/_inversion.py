@@ -30,14 +30,16 @@ dx/du = -(pi/K) sin phi sum_n n a_n U_(n-1)(c), each summed by one Clenshaw
 recurrence (Clenshaw, Math. Comp. 9 (1955) 118), with phi from |u| mod 2K:
 valid for every real u, exactly even, and exact at the turning points
 themselves.  Antiderivatives d0 u + sum_n b_n sin(n phi) are
-d0 u + sin phi sum_n b_n U_(n-1)(c), the same recurrence.  A 0-d argument is
-evaluated in Python floats, an array in numpy, by the same operations in the
-same order, so a point's value never depends on the batch it is evaluated in.
+d0 u + sin phi sum_n b_n U_(n-1)(c), the same recurrence; series at one c are
+summed in one pass, as the columns of one fold.  A 0-d argument is evaluated
+in Python floats, an array in numpy, by the same operations in the same order,
+so a point's value depends neither on its batch nor on the series beside it.
 The evaluators keep no state after construction: every call sums its series.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -108,15 +110,31 @@ def _phase(u, K: float):
     return u, r, xp.cos(phi), xp.sin(phi)
 
 
-def _clenshaw(c, coeffs: list):
-    """(b1, b2) of Clenshaw's recurrence b_k = g_k + 2c b_(k+1) - b_(k+2) over
-    coeffs = g_N ... g_1, highest n first: sum_n g_n T_n(c) = c b1 - b2 and
-    sum_n g_n U_(n-1)(c) = b1.  A float and an array element round alike."""
-    c2 = 2.0 * c
-    b1 = b2 = 0.0
-    for g in coeffs:
-        b1, b2 = g + c2 * b1 - b2, b1
-    return b1, b2
+@functools.cache
+def _fold_kernel(k: int):
+    """The fold of _clenshaw over k columns as straight-line code, compiled on
+    the first call for that k; each column updates in the one-column order."""
+    lines = ["def fold(c, rows):", "    c2 = 2.0 * c", "    " + "".join(f"b1_{j} = b2_{j} = " for j in range(k)) + "0.0"]
+    lines.append(f"    for {', '.join(f'g{j}' for j in range(k))} in rows:")
+    lines += [f"        b1_{j}, b2_{j} = g{j} + c2 * b1_{j} - b2_{j}, b1_{j}" for j in range(k)]
+    lines.append("    return " + "".join(f"b1_{j}, b2_{j}, " for j in range(k)))
+    namespace = {}
+    exec(compile("\n".join(lines), f"<Clenshaw fold, k = {k}>", "exec"), namespace)
+    return namespace["fold"]
+
+
+def _clenshaw(c, rows: list, k: int = 1):
+    """b1, b2 of each of k columns g_N ... g_1 (the column itself for k = 1, else
+    its _rows) of Clenshaw's recurrence b_n = g_n + 2c b_(n+1) - b_(n+2), one c:
+    sum_n g_n T_n(c) = c b1 - b2, sum_n g_n U_(n-1)(c) = b1.  A float and an
+    array element round alike, whatever the columns beside them."""
+    return _fold_kernel(k)(c, rows)
+
+
+def _rows(*columns: list) -> list:
+    """Rows of the columns, the shorter padded at the high-n end by 0.0, which leaves b1 = b2 = +0.0."""
+    n = max(map(len, columns))
+    return list(zip(*([0.0] * (n - len(col)) + col for col in columns)))
 
 
 class _Landen:
@@ -176,6 +194,7 @@ class QuarterBranch:
         self._a0 = float(coeffs[0])
         self._a = coeffs[:0:-1].tolist()
         self._na = (n * coeffs[1:])[::-1].tolist()
+        self._rows = _rows(self._a, self._na)
         self.n_terms = len(coeffs)
 
     def _x_samples(self, m: int) -> np.ndarray:
@@ -189,29 +208,27 @@ class QuarterBranch:
 
     # -- evaluation --------------------------------------------------------------
 
-    def _eval(self, u, with_deriv: bool):
-        """(x, dx/du, or None unless ``with_deriv``) at any real u.
-
-        One recurrence over the u-series at |u| mod 2K (exact evenness) and,
-        for dx/du, one over the differentiated series, odd in u.  Where
-        |u| mod 2K is exactly 0 or K the turning point and a zero derivative
-        are returned.
-        """
+    def _eval(self, u, with_deriv: bool, anti=None):
+        """(x, dx/du or None unless ``with_deriv``), and anti(u) with ``anti``, at
+        any real u from one fold at |u| mod 2K (exact evenness); dx/du is odd in
+        u.  Where |u| mod 2K is exactly 0 or K the turning point and a zero
+        derivative are returned."""
         u, r, c, s = _phase(u, self.K)
-        b1, b2 = _clenshaw(c, self._a)
-        x = self._a0 + (c * b1 - b2)
-        d = -(math.pi / self.K) * s * _clenshaw(c, self._na)[0] if with_deriv else None
+        rows, k = (self._rows, 2) if anti is None else (anti._joint, 3)
+        b = _clenshaw(c, rows, k) if with_deriv else _clenshaw(c, self._a)
+        x = self._a0 + (c * b[0] - b[1])
+        d = -(math.pi / self.K) * s * b[2] if with_deriv else None
         if isinstance(u, float):
             if r == 0.0 or r == self.K:
                 x, d = (self.x_start if r == 0.0 else self.x_end), (0.0 if with_deriv else None)
             elif with_deriv and u < 0.0:
                 d = -d
-            return x, d
-        turn = (r == 0.0) | (r == self.K)
-        x = np.where(turn, np.where(r == 0.0, self.x_start, self.x_end), x)
-        if with_deriv:
-            d = np.where(turn, 0.0, np.where(u < 0.0, -d, d))
-        return x, d
+        else:
+            turn = (r == 0.0) | (r == self.K)
+            x = np.where(turn, np.where(r == 0.0, self.x_start, self.x_end), x)
+            if with_deriv:
+                d = np.where(turn, 0.0, np.where(u < 0.0, -d, d))
+        return (x, d) if anti is None else (x, d, anti._odd(u, s, b[4]))
 
     def value(self, u):
         """x(u) for any real u (even, 2K-periodic)."""
@@ -221,9 +238,9 @@ class QuarterBranch:
         """dx/du from the differentiated series, odd in u."""
         return self._eval(u, True)[1]
 
-    def value_and_deriv(self, u):
-        """(x, dx/du), one recurrence each."""
-        return self._eval(u, True)
+    def value_and_deriv(self, u, anti: "CumulativeIntegral | None" = None):
+        """(x, dx/du) from one fold, and anti(u) in it for ``anti`` from this branch's ``cumulative``."""
+        return self._eval(u, True, anti)
 
     def invert(self, x):
         """First-quarter u in [0, K] with value(u) = x:
@@ -245,7 +262,7 @@ class QuarterBranch:
     def cumulative(self, fn: Callable[[np.ndarray], np.ndarray]) -> "CumulativeIntegral":
         """Antiderivative I(u) = integral_0^u fn(x(s)) ds, odd in u."""
         coeffs, _ = _resolved_coeffs(lambda m: fn(self._x_samples(m)), self._m, 1.0)
-        return CumulativeIntegral(self.K, coeffs)
+        return CumulativeIntegral(self.K, coeffs, (self._a, self._na))
 
 
 class CumulativeIntegral:
@@ -253,18 +270,24 @@ class CumulativeIntegral:
 
     With fn(x(u)) = d0 + sum_n e_n cos(n pi u / K), I(u) is
     d0 u + sum_n e_n K / (n pi) sin(n pi u / K), odd and correct for every u.
+    _joint holds the rows of the branch's x and dx/du columns beside its own.
     """
 
-    def __init__(self, K: float, coeffs: np.ndarray):
+    def __init__(self, K: float, coeffs: np.ndarray, branch_columns: tuple):
         self._K = K
         self._d0 = float(coeffs[0])
         n = np.arange(1, len(coeffs), dtype=float)
         self._b = (coeffs[1:] * (self._K / math.pi) / n)[::-1].tolist()
+        self._joint = _rows(*branch_columns, self._b)
         self.quarter = self._d0 * self._K  # integral over [0, K]
 
-    def __call__(self, u):
-        u, _, c, s = _phase(u, self._K)
-        out = self._d0 * abs(u) + s * _clenshaw(c, self._b)[0]
+    def _odd(self, u, s, b1):
+        """I(u) from the phase's u and sin phi and the fold's b1 of the sine series."""
+        out = self._d0 * abs(u) + s * b1
         if isinstance(u, float):
             return -out if u < 0.0 else out
         return np.where(u < 0.0, -out, out)
+
+    def __call__(self, u):
+        u, _, c, s = _phase(u, self._K)
+        return self._odd(u, s, _clenshaw(c, self._b)[0])

@@ -170,7 +170,7 @@ def torus_eval(spec: SystemSpec, s: PhaseState) -> tuple[float, float]:
 
 
 def _torus_rhs(spec: SystemSpec):
-    mu, B = spec.mu, spec.B
+    nmu, B2, nB2 = -spec.mu, 2.0 * spec.B, -2.0 * spec.B  # -mu, 2B and -2B of dw/dt
     a3, _, a2, a0, _ = spec.quartic.coefficients()
     c3, c1, c0 = 0.5 * a3, 0.25 * a2, 0.125 * a0  # P'(x)/8 = c3 x^3 + c1 x + c0
 
@@ -179,17 +179,13 @@ def _torus_rhs(spec: SystemSpec):
         lam = x1 * x1 - x2 * x2
         if lam <= 0.0:
             raise FixedPointSingularity(f"lam = {lam:.3e} during flow")
-        ssum = x1 + x2
-        dlam1 = 2.0 * x1 * d1
-        dlam2 = -2.0 * x2 * d2
-        dh1 = -mu * d1 / ssum**2
-        dh2 = -mu * d2 / ssum**2
+        lam_sq, ssum_sq = lam**2, (x1 + x2) ** 2
         wsq = w1 * w1 + w2 * w2
         du1, du2 = 2.0 * w1 / lam, 2.0 * w2 / lam
         return (
             du1, du2,
-            2.0 * B * w2 + wsq * dlam1 / lam**2 - dh1,
-            -2.0 * B * w1 + wsq * dlam2 / lam**2 - dh2,
+            B2 * w2 + wsq * (2.0 * x1 * d1) / lam_sq - nmu * d1 / ssum_sq,
+            nB2 * w1 + wsq * (-2.0 * x2 * d2) / lam_sq - nmu * d2 / ssum_sq,
             d1 * du1, ((c3 * x1 * x1 + c1) * x1 + c0) * du1,
             d2 * du2, -((c3 * x2 * x2 + c1) * x2 + c0) * du2,
         )
@@ -377,8 +373,8 @@ def _adaptive_step(rhs, y: tuple, dt: float, tol: float, n: int = 0):
             dt *= 0.25
             continue
         sq5 = sq3 = 0.0
-        for a5, a3, a, b in zip(e5, e3, y, y_new):
-            scale = tol * (1.0 + max(abs(a), abs(b)))
+        for a5, a3, a, b in zip(e5, e3, map(abs, y), map(abs, y_new)):
+            scale = tol * (1.0 + (b if b > a else a))  # max(a, b), without the builtin's call
             q5, q3 = a5 / scale, a3 / scale
             sq5 += q5 * q5
             sq3 += q3 * q3
@@ -662,26 +658,24 @@ def integrate(
         raise ValueError(f"t_end must be finite and >= 0, tol finite and > 0, got t_end = {t_end}, tol = {tol}")
     if not (isinstance(stride, int) and stride >= 1):
         raise ValueError(f"stride must be an int >= 1, got {stride!r}")
-    nu = None
+    nu, names = None, ("H", "F", "C1", "C2")  # the e(3)* monitors add the Casimirs
     if spec.family == Family.CASE_II:
-        def monitors(st):
-            H, F = torus_eval(spec, st)
-            return {"H": H, "F": F}
+        monitors = lambda st: torus_eval(spec, st)
     elif spec.family == Family.CASE_II_LIMIT:
-        monitors = lambda st: {"H": limit_h_eval(spec, st), "F": st.p1}
+        monitors = lambda st: (limit_h_eval(spec, st), st.p1)
     else:
         ev = clebsch_eval if spec.family == Family.CASE_I else vy_eval
 
         def monitors(st):
-            H, F = ev(spec, st)
-            return {"H": H, "F": F, "C1": float(st.x @ st.x), "C2": float(st.M @ st.x)}
+            return (*ev(spec, st), float(st.x @ st.x), float(st.M @ st.x))
 
         nu = float(state0.M @ state0.x)
 
     times = [0.0]
     states = [state0.as_array()]
-    mon = {k: [v] for k, v in monitors(state0).items()}
-    extremes = {k: (v[0], v[0]) for k, v in mon.items()}
+    vals = monitors(state0)
+    mon = [[v] for v in vals]
+    lo, hi = list(vals), list(vals)  # the running extremes over every accepted step
     t = 0.0
     dt = 1e-3
     state = state0
@@ -694,19 +688,21 @@ def integrate(
         dt = res.dt_next
         n_accepted += 1
         vals = monitors(state)
-        for k, v in vals.items():
-            lo, hi = extremes[k]
-            extremes[k] = (min(lo, v), max(hi, v))
+        for i, v in enumerate(vals):  # min() and max(), which keep the old value unless v passes it
+            if v < lo[i]:
+                lo[i] = v
+            if v > hi[i]:
+                hi[i] = v
         if n_accepted % stride == 0 or t >= t_end - 1e-14:
             times.append(t)
             states.append(state.as_array())
-            for k, v in vals.items():
-                mon[k].append(v)
+            for series, v in zip(mon, vals):
+                series.append(v)
     return Trajectory(
         times=np.array(times),
         states=np.array(states),
-        monitors={k: np.array(v) for k, v in mon.items()},
-        monitor_extremes=extremes,
+        monitors={k: np.array(v) for k, v in zip(names, mon)},
+        monitor_extremes={k: (a, b) for k, a, b in zip(names, lo, hi)},
     )
 
 
@@ -714,8 +710,8 @@ def random_state(spec: SystemSpec, rng: np.random.Generator):
     """Reproducible random state away from singular loci."""
     if spec.family == Family.CASE_II:
         m = spec.model
-        u1 = float(rng.uniform(0.15, 0.85) * m.K1 + rng.choice([0.0, m.K1, 2.0 * m.K1]))
-        u2 = float(rng.uniform(0.15, 0.85) * m.K2 + rng.choice([0.0, m.K2, 2.0 * m.K2]))
+        u1 = float(rng.uniform(0.15, 0.85) * m.K1 + (0.0, m.K1, 2.0 * m.K1)[rng.integers(0, 3)])
+        u2 = float(rng.uniform(0.15, 0.85) * m.K2 + (0.0, m.K2, 2.0 * m.K2)[rng.integers(0, 3)])
         w = rng.normal(0.0, 1.0, 2)
         a1, a2 = gauge_a(spec, (u1, u2))
         return PhaseState(u1=u1, u2=u2, p1=float(w[0] + a1), p2=float(w[1] + a2))

@@ -82,19 +82,20 @@ class EllipticModel:
 
     def at(self, u1, u2) -> tuple:
         """(Q1, Q1', Q2, Q2', G) at the torus point (u1, u2), G = I1(u1) - u1 Q2(u2)^2
-        (the torus gauge is A2 = B G).  The result at the last pair of Python
-        floats is kept in _last, one slot replaced whole; a hit returns what a
-        fresh evaluation would (-0.0 gives what 0.0 does), NaN never hits, and
-        arrays and 0-d numpy values bypass the slot.
+        (the torus gauge is A2 = B G), in one pass per axis: Q1, Q1' and I1 at
+        u1, Q2 and Q2' at u2.  The result at the last pair of Python floats is
+        kept in _last, one slot replaced whole; a hit returns what a fresh
+        evaluation would (-0.0 gives what 0.0 does), NaN never hits, and arrays
+        and 0-d numpy values bypass the slot.
         """
         memo = type(u1) is float and type(u2) is float
         if memo:
             last_u1, last_u2, out = self._last
             if last_u1 == u1 and last_u2 == u2:
                 return out
-        x1, d1 = self.branch1.value_and_deriv(u1)
+        x1, d1, i1 = self.branch1.value_and_deriv(u1, self.i1)
         x2, d2 = self.branch2.value_and_deriv(u2)
-        out = (x1, d1, x2, d2, self.i1(u1) - u1 * x2**2)
+        out = (x1, d1, x2, d2, i1 - u1 * x2**2)
         if memo:
             object.__setattr__(self, "_last", (u1, u2, out))
         return out

@@ -111,22 +111,34 @@ def test_torus_monitors_match_h_and_f(case2):
         assert dyn.torus_eval(case2, st) == (H, F)
 
 
-def test_torus_eval_evaluates_each_slice_once(case2, monkeypatch):
-    from monopole_lab._inversion import CumulativeIntegral, QuarterBranch
+def _fold_counter(m):
+    """A stand-in for _inversion._clenshaw and its counts: the folds by the rows
+    they sum, and their columns.  u1's fold of Q1, Q1' and I1 sums the rows of
+    m.i1, u1's of Q1 and Q1' alone those of branch1, u2's of Q2 and Q2' those of
+    branch2; any other fold raises KeyError."""
+    axis = {id(m.i1._joint): "u1+I1", id(m.branch1._rows): "u1", id(m.branch2._rows): "u2"}
+    count = dict.fromkeys(["u1+I1", "u1", "u2", "columns"], 0)
+    clenshaw = _inversion._clenshaw
 
-    calls = []
-    for cls, names in ((QuarterBranch, ("value", "deriv", "value_and_deriv")), (CumulativeIntegral, ("__call__",))):
-        for name in names:
-            fn = getattr(cls, name)
-            monkeypatch.setattr(cls, name, lambda self, u, _fn=fn, _n=name: calls.append(_n) or _fn(self, u))
+    def counted(c, rows, k=1):
+        count[axis[id(rows)]] += 1
+        count["columns"] += k
+        return clenshaw(c, rows, k)
+
+    return counted, count
+
+
+def test_torus_eval_evaluates_each_slice_once(case2, monkeypatch):
+    counted, count = _fold_counter(case2.model)
+    monkeypatch.setattr(_inversion, "_clenshaw", counted)
     s = dyn.random_state(case2, np.random.default_rng(5))
-    calls.clear()
+    count.update(dict.fromkeys(count, 0))
     # random_state's gauge has just evaluated the point in EllipticModel.at
     dyn.torus_eval(case2, s)
-    assert calls == []
-    # at a new point: Q1 and Q2 with their derivatives and one I1(u1)
+    assert set(count.values()) == {0}
+    # at a new point: one pass per axis, Q1, Q1' and I1(u1) at u1, Q2 and Q2' at u2
     dyn.torus_eval(case2, dyn.PhaseState(s.u1 + 0.125, s.u2 - 0.125, s.p1, s.p2))
-    assert sorted(calls) == ["__call__", "value_and_deriv", "value_and_deriv"]
+    assert count == {"u1+I1": 1, "u1": 0, "u2": 1, "columns": 5}
 
 
 # --- torus flow -----------------------------------------------------------------
@@ -820,20 +832,47 @@ def _ref_limit_rhs(spec):
     return rhs
 
 
+def _ref_torus_rhs(spec):
+    """The torus right-hand side as first written in floats, each intermediate
+    named and each repeated factor taken again, as rhs(t, y) on arrays."""
+    mu, B = spec.mu, spec.B
+    a3, _, a2, a0, _ = spec.quartic.coefficients()
+    c3, c1, c0 = 0.5 * a3, 0.25 * a2, 0.125 * a0  # P'(x)/8 = c3 x^3 + c1 x + c0
+
+    def floats(y):
+        u1, u2, w1, w2, x1, d1, x2, d2 = y
+        lam = x1 * x1 - x2 * x2
+        if lam <= 0.0:
+            raise FixedPointSingularity(f"lam = {lam:.3e} during flow")
+        ssum = x1 + x2
+        dlam1 = 2.0 * x1 * d1
+        dlam2 = -2.0 * x2 * d2
+        dh1 = -mu * d1 / ssum**2
+        dh2 = -mu * d2 / ssum**2
+        wsq = w1 * w1 + w2 * w2
+        du1, du2 = 2.0 * w1 / lam, 2.0 * w2 / lam
+        return (
+            du1, du2,
+            2.0 * B * w2 + wsq * dlam1 / lam**2 - dh1,
+            -2.0 * B * w1 + wsq * dlam2 / lam**2 - dh2,
+            d1 * du1, ((c3 * x1 * x1 + c1) * x1 + c0) * du1,
+            d2 * du2, -((c3 * x2 * x2 + c1) * x2 + c0) * du2,
+        )
+
+    return lambda _t, y: np.array(floats(np.asarray(y).tolist()))
+
+
 def _core_case(spec, state):
     """(reference rhs(t, y), float rhs(y), integration variables) of a family."""
     if spec.family == Family.CASE_II:
         a1, a2 = gauge_a(spec, (state.u1, state.u2))
-        new = dyn._torus_rhs(spec)
         y = _torus_y(spec, state.u1, state.u2, state.p1 - a1, state.p2 - a2)
-    elif spec.family == Family.CASE_II_LIMIT:
+        return _ref_torus_rhs(spec), dyn._torus_rhs(spec), y
+    if spec.family == Family.CASE_II_LIMIT:
         y = _limit_y(spec, state.u1, state.u2, state.p1, state.p2)
         return _ref_limit_rhs(spec), dyn._limit_rhs(spec), y
-    else:
-        y = tuple(state.as_array().tolist())
-        return _ref_e3_rhs(spec), dyn._e3_rhs(spec), y
-    # the torus right-hand side was already float arithmetic
-    return (lambda _t, v: np.array(new(tuple(v)))), new, y
+    y = tuple(state.as_array().tolist())
+    return _ref_e3_rhs(spec), dyn._e3_rhs(spec), y
 
 
 def _compensated_sum(values, start=0):
@@ -855,6 +894,11 @@ def _outcome(step, *args):
 
 
 @pytest.fixture(scope="module")
+def case2_odd_mu(canonical_params):
+    return case2_spec(canonical_params, mu=1.3, B=-0.7)
+
+
+@pytest.fixture(scope="module")
 def case1_odd_mu():
     return fields.case1_spec((5.0, 1.5, -2.0), mu=1.3, B=-0.8)
 
@@ -864,7 +908,9 @@ def vy_odd_mu():
     return fields.vy_spec(1.7, 0.6, mu=0.3)
 
 
-@pytest.mark.parametrize("family", ["case2", "case1", "vy", "limit_spec", "case1_odd_mu", "vy_odd_mu"])
+@pytest.mark.parametrize(
+    "family", ["case2", "case1", "vy", "limit_spec", "case2_odd_mu", "case1_odd_mu", "vy_odd_mu"]
+)
 def test_core_matches_numpy_reference(family, request, monkeypatch):
     # the reference adds left to right on every Python version; so must the
     # core, whatever the builtin sum of floats does.  With mu = 1 a factor
@@ -889,6 +935,59 @@ def test_core_matches_numpy_reference(family, request, monkeypatch):
         # the right-hand sides themselves, bitwise
         assert np.array(new(y)).tobytes() == ref(0.0, np.array(y)).tobytes()
     assert retried > 0
+
+
+@pytest.mark.parametrize("family", ["case2", "case2_odd_mu"])
+def test_torus_rhs_matches_reference_near_fixed_points(family, request):
+    # where lam = Q1^2 - Q2^2 is small, the right-hand side gives the
+    # reference's bits, and where it is 0 or negative both raise
+    # FixedPointSingularity.  Steps aimed at the fixed point u = (0, 0) call
+    # the same stages in the same order, the same one raising, and end alike
+    spec = request.getfixturevalue(family)
+    ref, new = _ref_torus_rhs(spec), dyn._torus_rhs(spec)
+    m = spec.model
+
+    def outcome(rhs, v):
+        try:
+            return np.array(rhs(v)).tobytes()
+        except FixedPointSingularity:
+            return "FixedPointSingularity"
+
+    ys = [_torus_y(spec, f * m.K1, f * m.K2, 0.4, -0.3) for f in (1e-2, 1e-4, 1e-6, 0.0)]
+    singular = 0
+    for y in ys:
+        x1 = y[4]
+        for x2 in (y[6], x1, -x1, math.nextafter(x1, math.inf), math.nextafter(x1, -math.inf), x1 + 1e-9):
+            v = (*y[:6], x2, y[7])
+            want = outcome(lambda a: ref(0.0, np.array(a)), v)
+            assert outcome(new, v) == want
+            singular += want == "FixedPointSingularity"
+    assert singular >= 3 * len(ys)
+
+    raised = 0
+    for f in (1e-2, 1e-3):
+        y = _torus_y(spec, f * m.K1, f * m.K2, -1.0, -0.8)
+        for dt in (1e-3, 0.05, 0.4, 2.5):
+            stages = {"ref": [], "new": []}
+
+            def logged(name, rhs):
+                def wrapped(v):
+                    got = outcome(rhs, v)
+                    stages[name].append((np.array(v).tobytes(), got))
+                    if got == "FixedPointSingularity":
+                        raise FixedPointSingularity("stage")
+                    return rhs(v)
+
+                return wrapped
+
+            log_ref = logged("ref", lambda v: ref(0.0, np.array(v)))
+            want = _outcome(_ref_adaptive_step, lambda _t, v: log_ref(v), 0.0, np.array(y), dt, 1e-10)
+            assert _outcome(dyn._adaptive_step, logged("new", new), y, dt, 1e-10) == want
+            # the core evaluates k1 = rhs(y) once per step, the reference once per attempt
+            k1 = stages["ref"][0]
+            assert stages["new"] == [k1] + [st for st in stages["ref"] if st != k1]
+            raised += any(got == "FixedPointSingularity" for _, got in stages["new"])
+    assert raised > 0
 
 
 def test_stage_sums_are_left_folds(monkeypatch):
@@ -1207,6 +1306,45 @@ def _step_outcome(step, *args):
 FAMILIES = ["case2", "case1", "vy", "limit_spec"]
 
 
+def _ref_random_state(spec, rng):
+    """random_state as first written, the torus sheet drawn by rng.choice."""
+    if spec.family == Family.CASE_II:
+        m = spec.model
+        u1 = float(rng.uniform(0.15, 0.85) * m.K1 + rng.choice([0.0, m.K1, 2.0 * m.K1]))
+        u2 = float(rng.uniform(0.15, 0.85) * m.K2 + rng.choice([0.0, m.K2, 2.0 * m.K2]))
+        w = rng.normal(0.0, 1.0, 2)
+        a1, a2 = gauge_a(spec, (u1, u2))
+        return dyn.PhaseState(u1=u1, u2=u2, p1=float(w[0] + a1), p2=float(w[1] + a2))
+    if spec.family in (Family.CASE_I, Family.VY):
+        x = rng.normal(0.0, 1.0, 3)
+        x /= np.linalg.norm(x)
+        M = rng.normal(0.0, 1.0, 3)
+        if spec.family == Family.CASE_I:
+            M = M + (spec.B - M @ x) * x
+        return dyn.E3State(M=M, x=x)
+    h = min(2.0, 12.0 / math.sqrt(spec.limit.c))
+    return dyn.PhaseState(
+        u1=float(rng.uniform(0.0, 2.0 * math.pi)),
+        u2=float(spec.limit.delta + rng.uniform(-h, h)),
+        p1=float(rng.normal(0.0, 1.0)),
+        p2=float(rng.normal(0.0, 1.0)),
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_random_state_is_pinned(family, request):
+    # seeds 0-199 draw the bits of the first draw, and leave the generator
+    # where it left it: the next draw is the same
+    spec = request.getfixturevalue(family)
+    for seed in range(200):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = dyn.random_state(spec, got_rng), _ref_random_state(spec, want_rng)
+        assert type(got) is type(want)
+        assert got.as_array().tobytes() == want.as_array().tobytes(), seed
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.random() == want_rng.random()
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_flow_step_matches_per_family_steppers(family, request):
     spec = request.getfixturevalue(family)
@@ -1317,33 +1455,22 @@ def test_flow_step_retries_non_finite_cylinder_stages(limit_spec, monkeypatch):
 def test_torus_step_sums_each_slice_point_once(canonical_params, monkeypatch):
     # the flow carries (Q1, Q1', Q2, Q2') in its state, so an attempt sums no
     # slice series.  An accepted step sums 5 recurrences, all in the unpacking's
-    # EllipticModel.at of its new point: a value and a derivative of each slice
-    # and the gauge's I1.  The monitors and the next step's seeding of the
-    # slices read that point again from the model's slot, as the monitors at
-    # state0 read the point random_state's gauge evaluated
+    # EllipticModel.at of its new point, one pass per axis: a value, a
+    # derivative and the gauge's I1 at u1, a value and a derivative at u2.
+    # The monitors and the next step's seeding of the slices read that point
+    # again from the model's slot, as the monitors at state0 read the point
+    # random_state's gauge evaluated
     spec = case2_spec(canonical_params, mu=1.0, B=0.5)
     s0 = dyn.random_state(spec, np.random.default_rng(8))  # 37 steps, 7 rejected attempts
-    m = spec.model
-    kind = {id(m.branch1._a): "value", id(m.branch2._a): "value"}
-    kind.update({id(m.branch1._na): "deriv", id(m.branch2._na): "deriv", id(m.i1._b): "anti"})
-    count = dict.fromkeys(["value", "deriv", "anti", "attempt"], 0)
-    clenshaw, attempt = _inversion._clenshaw, dyn._dop853_attempt
-
-    def counted_clenshaw(c, coeffs):
-        count[kind[id(coeffs)]] += 1
-        return clenshaw(c, coeffs)
-
-    def counted_attempt(*args):
-        count["attempt"] += 1
-        return attempt(*args)
-
-    monkeypatch.setattr(_inversion, "_clenshaw", counted_clenshaw)
-    monkeypatch.setattr(dyn, "_dop853_attempt", counted_attempt)
+    counted, count = _fold_counter(spec.model)
+    attempts = []
+    attempt = dyn._dop853_attempt
+    monkeypatch.setattr(_inversion, "_clenshaw", counted)
+    monkeypatch.setattr(dyn, "_dop853_attempt", lambda *args: attempts.append(1) or attempt(*args))
     traj = dyn.integrate(spec, s0, t_end=3.0, tol=1e-10)
     steps = len(traj.times) - 1
-    assert steps > 30 and count["attempt"] > steps
-    assert count["value"] == count["deriv"] == 2 * steps
-    assert count["anti"] == steps
+    assert steps > 30 and len(attempts) > steps
+    assert count == {"u1+I1": steps, "u1": 0, "u2": steps, "columns": 5 * steps}
 
 
 def test_cylinder_step_evaluates_each_slice_point_once(monkeypatch):
@@ -1375,21 +1502,14 @@ def test_cylinder_step_evaluates_each_slice_point_once(monkeypatch):
 def test_torus_bracket_sums_each_slice_point_once(canonical_params, monkeypatch):
     # hf_bracket's normal-form jets read (Q1, Q1', Q2, Q2') from the
     # EllipticModel.at of _flow's packing: a new point sums a value and a
-    # derivative of each slice and one I1, and the bracket and its scale are
-    # those of jets seeded from the branches, bit for bit.  Arrays keep one
-    # value_and_deriv per axis and take no I1
+    # derivative of each slice and one I1, one pass per axis, and the bracket
+    # and its scale are those of jets seeded from the branches, bit for bit.
+    # Arrays keep one value_and_deriv per axis and take no I1
     spec = case2_spec(canonical_params, mu=1.0, B=0.5)
     m = spec.model
     u1, u2 = (np.random.default_rng(9).uniform(0.15, 0.85, 2) * (m.K1, m.K2)).tolist()
     s = dyn.PhaseState(u1=u1, u2=u2, p1=0.3, p2=-0.7)
-    kind = {id(m.branch1._a): "value", id(m.branch2._a): "value"}
-    kind.update({id(m.branch1._na): "deriv", id(m.branch2._na): "deriv", id(m.i1._b): "anti"})
-    count = dict.fromkeys(["value", "deriv", "anti"], 0)
-    clenshaw = _inversion._clenshaw
-
-    def counted_clenshaw(c, coeffs):
-        count[kind[id(coeffs)]] += 1
-        return clenshaw(c, coeffs)
+    counted_clenshaw, count = _fold_counter(m)
 
     def branch_jets(model, a, b):
         poly = model.params.coefficients()
@@ -1400,9 +1520,9 @@ def test_torus_bracket_sums_each_slice_point_once(canonical_params, monkeypatch)
     with monkeypatch.context() as patch:
         patch.setattr(_inversion, "_clenshaw", counted_clenshaw)
         got = dyn.hf_bracket(spec, s)
-        assert count == {"value": 2, "deriv": 2, "anti": 1}
+        assert count == {"u1+I1": 1, "u1": 0, "u2": 1, "columns": 5}
         fields.normal_form(spec, np.array([[u1], [0.5 * u1]]), np.array([[u2, 0.5 * u2]]))
-        assert count == {"value": 4, "deriv": 4, "anti": 1}
+        assert count == {"u1+I1": 1, "u1": 1, "u2": 2, "columns": 9}
     monkeypatch.setattr(fields, "_torus_jets", branch_jets)
     want = dyn.hf_bracket(spec, s)
     assert [v.hex() for v in got] == [v.hex() for v in want]

@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import ellipj, ellipk
 
-from monopole_lab._inversion import _clenshaw, _cosine_coeffs, _phase
+from monopole_lab._inversion import _clenshaw, _cosine_coeffs, _phase, _rows
 from monopole_lab.elliptic import (
     LimitModel,
     build_model,
@@ -170,6 +174,87 @@ def test_clenshaw_matches_direct_sums():
 
 def _bits(values) -> list:
     return [float(v).hex() for v in values]
+
+
+def _raw(values) -> list:
+    """The bytes of each value, NaN sign and payload included."""
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+QUARTICS = [(3, 2, -1, -4), (3, 2.99, -1, -4.99), (4, 1, -1, -4)]
+
+
+@pytest.mark.parametrize("roots", QUARTICS)
+def test_fold_columns_match_one_column_folds(roots):
+    # a k-column fold gives each column the bytes of its own one-column fold,
+    # the shorter columns padded with zeros at the high-n end: on floats and on
+    # arrays, for the columns of each branch, of branch 1 with I1 (one longer)
+    # and of random lengths, at the phases of u = 0, K, 2K, +-0.0, negative u,
+    # |u| >> K and NaN
+    m = build_model_from_roots(list(roots), -1.0)
+    rng = np.random.default_rng(12)
+    b1, b2 = m.branch1, m.branch2
+    cases = [(b1, [b1._a, b1._na]), (b2, [b2._a, b2._na]), (b1, [b1._a, b1._na, m.i1._b])]
+    assert len(m.i1._b) > len(b1._a)
+    for k in (1, 2, 3, 4):
+        for _ in range(3):
+            lengths = rng.integers(1, 40, k)
+            cases.append((b2, [(rng.standard_normal(n) * 10.0 ** rng.uniform(-15, 2, n)).tolist() for n in lengths]))
+    for br, cols in cases:
+        K = br.K
+        u = [0.0, -0.0, K, 2.0 * K, -K, -2.0 * K, 0.3 * K, -0.3 * K, -7.7 * K, 1e6 * K, -1e9 * K, math.nan]
+        u += rng.uniform(-50.0 * K, 50.0 * K, 200).tolist()
+        rows = _rows(*cols) if len(cols) > 1 else cols[0]
+        for ui in u:
+            c = _phase(ui, K)[2]
+            got = _clenshaw(c, rows, len(cols))
+            assert _raw(got) == _raw([b for col in cols for b in _clenshaw(c, col)]), ui
+        c = _phase(np.array(u), K)[2]
+        got = _clenshaw(c, rows, len(cols))
+        assert _raw(got) == _raw([b for col in cols for b in _clenshaw(c, col)])
+
+
+def test_folds_are_built_lazily_once_per_width():
+    # importing the CLI compiles no fold; each column count builds one on its
+    # first use, and every later fold of that width reuses it
+    script = """
+import monopole_lab.cli
+from monopole_lab import _inversion
+from monopole_lab.elliptic import build_model_from_roots
+assert _inversion._fold_kernel.cache_info().currsize == 0
+m = build_model_from_roots([3, 2, -1, -4], -1.0)
+for u in (0.1, 0.2, 0.3):
+    m.at(u, u)
+    m.branch2.value(u)
+info = _inversion._fold_kernel.cache_info()
+assert (info.misses, info.currsize) == (3, 3), info
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("roots", QUARTICS)
+def test_at_is_the_per_branch_composition(roots):
+    # EllipticModel.at folds Q1, Q1' and I1 at u1 in one pass, and Q2, Q2' at
+    # u2 in another: the bytes of value_and_deriv on each branch and I1(u1),
+    # on Python floats and on arrays, at 10^4 random points and at the turning
+    # points, signed zeros and NaN
+    m = build_model_from_roots(list(roots), -1.0)
+    rng = np.random.default_rng(13)
+    special = [0.0, -0.0, m.K1, 2.0 * m.K1, -m.K1, m.K2, -2.0 * m.K2, 1e7, math.nan]
+    pts = rng.uniform(-30.0, 30.0, (10_000, 2)).tolist() + [[a, b] for a in special for b in special]
+
+    def composed(u1, u2):
+        x1, d1 = m.branch1.value_and_deriv(u1)
+        x2, d2 = m.branch2.value_and_deriv(u2)
+        return x1, d1, x2, d2, m.i1(u1) - u1 * x2**2
+
+    for u1, u2 in pts:
+        got = m.at(u1, u2)
+        assert all(type(v) is float for v in got)
+        assert _raw(got) == _raw(composed(u1, u2)), (u1, u2)
+    u1, u2 = np.array(pts).T
+    assert _raw(m.at(u1, u2)) == _raw(composed(u1, u2))
 
 
 @pytest.mark.parametrize("roots", [(3, 2, -1, -4), (3, 2.99, -1, -4.99)])
