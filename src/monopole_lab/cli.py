@@ -1,36 +1,9 @@
-"""Command-line interface.
+"""Command-line interface: roots | elliptic-table | metric-check | simulate | verify | flux.
 
-Subcommands: roots | elliptic-table | metric-check | simulate | verify | flux.
-Every run is driven by a JSON config (see demos/configs/) plus a few flags;
-outputs are deterministic given the config and seed.  Exit codes: 0 all
-thresholds met, 1 numerical breach, 2 configuration error or refused geometry.
-
-Config schema ("num": a finite number, never a bool; "int": an integral num,
-64.0 too; "= v": the default of an absent key; each section is an object):
-
-    {
-      "family": "case1" | "case2" | "case2_limit" | "vy",
-      "mu": num = 0, "B": num = 0,
-      "geometry": {
-         case1:       {"alpha": [3 nums, strictly descending]},
-         case2:       {"a3": num < 0, "a2": num, "a0": num, "a1": num}
-                      or {"roots": [4 nums summing to 0], "a3": num < 0 = -1},
-         case2_limit: {"beta1", "beta3", "beta4": nums, beta1 > 0 > beta3 > beta4},
-         vy:          {"vyA", "vyB": nums, vyA > vyB > 0}
-      },
-      "integrator": {"t_end": num >= 0 = 50, "tol": num > 0 = 1e-10,
-                     "stride": int >= 1 = 10, "seed": int >= 0 = 0},
-      "grid": {"n": int, "stencil": 2 | 4 = 4},
-      "n_trajectories": int >= 1 = 1
-    }
-
-Grid n is >= 1 in metric-check (= 32) and verify (= 64), >= 64 in flux (= 256);
-verify checks the stencil, which selects nothing.  A flag gets the checks of
-the config value it overrides, and a bad value exits 2 with one "config error:"
-line naming it.  The quartic key "a0" is the LINEAR coefficient and "a1" the
-constant (P = a3 x^4 + a2 x^2 + a0 x + a1).  "k" is always derived as -4B/a3;
-a config that sets it to anything else is rejected.  With "n_trajectories":
-N > 1, simulate runs seeds seed, ..., seed + N - 1 in sequence.
+Every run is driven by a JSON config (see demos/configs/) plus a few flags; outputs
+are deterministic given the config and seed.  Exit codes: 0 all thresholds met,
+1 numerical breach, 2 configuration error or refused geometry.  SCHEMA is the
+config schema, which `monopole-lab <subcommand> --help` lists.
 """
 
 from __future__ import annotations
@@ -41,6 +14,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -50,22 +24,78 @@ from . import geometry as geo
 from . import verify as ver
 from .elliptic import LimitModel
 from .errors import ConfigError, GeometryError, MonopoleLabError
-from .fields import (
-    Family,
-    SystemSpec,
-    case1_spec,
-    case2_limit_spec,
-    case2_spec,
-    vy_spec,
-)
+from .fields import Family, SystemSpec, case1_spec, case2_limit_spec, case2_spec, vy_spec
 from .polyroots import QuarticParams, admissibility, from_roots
 
 FMT = "%.17g"
 
+Key = namedtuple("Key", "kind default ok need label flag", defaults=(None, None, "", "", ""))
+
+
+def _at_least(kind, default, lo: int, label: str = "", flag: str = "") -> Key:
+    return Key(kind, default, lambda v: v >= lo, f"at least {lo}", label, flag)
+
+
+FAMILIES = {  # subcommand -> the families it takes
+    "roots": ("case2",), "elliptic-table": ("case2",), "metric-check": ("case1", "case2"),
+    "simulate": tuple(f.value for f in Family), "verify": ("case1", "case2"), "flux": ("case1", "case2"),
+}
+_NUM, _SECTION, _TOL = Key(float), Key(dict, {}), _at_least(float, 1e-6, 0)
+_K = Key(float, "-4B/a3", lambda v, k: math.isclose(v, k, rel_tol=1e-12), "-4B/a3")  # derived, never chosen
+_KINDS = {float: "a finite number", int: "an integer", str: "a string", dict: "an object"}
+_KINDS.update({(float,) * n: f"a list of {n} finite numbers" for n in (3, 4)})
+
+# scope -> path -> Key(kind (see _typed), default (None: required), range check, what it
+# asks for (with no check, the library checks it as it builds the geometry), the name of
+# an error line if not the quoted key, the flag that stands for it).  A scope is "" (read
+# by each subcommand that builds a spec), a family (read by those, for that family;
+# "case2 roots" is case2's other form) or a subcommand (read by it, for the families it
+# takes).  A "--" path is a flag that stands for no key.  Geometry keys are in the order
+# of the arguments of what makes the geometry (QuarticParams, from_roots, LimitModel, ...).
+SCHEMA = {
+    "": {
+        "family": Key(str, None, FAMILIES["simulate"].__contains__, "one of " + ", ".join(FAMILIES["simulate"])),
+        "mu": Key(float, 0.0), "B": Key(float, 0.0), "geometry": Key(dict),
+    },
+    "case1": {  # case1 runs live on the leaf (M, x) = B
+        "nu": Key(float, "B", float.__eq__, "B"), "k": _K, "geometry.alpha": Key((float,) * 3, need="descending"),
+    },
+    "case2": {  # P = a3 x^4 + a2 x^2 + a0 x + a1: "a0" is the LINEAR coefficient, "a1" the constant
+        "k": _K, "geometry.a3": Key(float, need="< 0"), "geometry.a2": _NUM, "geometry.a0": _NUM, "geometry.a1": _NUM,
+    },
+    "case2 roots": {"geometry.roots": Key((float,) * 4, need="zero-sum"), "geometry.a3": Key(float, -1.0, need="< 0")},
+    "case2_limit": {"k": _K, "geometry.beta1": Key(float, need="> 0 > beta3 > beta4"),
+                    "geometry.beta3": _NUM, "geometry.beta4": _NUM},
+    "vy": {"geometry.vyA": Key(float, need="> vyB > 0"), "geometry.vyB": _NUM},
+    "elliptic-table": {"--samples": _at_least(int, 256, 1)},
+    "metric-check": {"--tol": _TOL, "grid": _SECTION, "grid.n": _at_least(int, 32, 1, "metric-check grid n")},
+    "simulate": {
+        "integrator": _SECTION,
+        "integrator.t_end": _at_least(float, 50.0, 0, flag="--t-end"),
+        "integrator.tol": Key(float, 1e-10, lambda t: t > 0.0, "positive", flag="--tol"),
+        "integrator.stride": _at_least(int, 10, 1, flag="--stride"),
+        "integrator.seed": _at_least(int, 0, 0, flag="--seed"),
+        "n_trajectories": _at_least(int, 1, 1),  # seeds seed, ..., seed + N - 1
+        "--max-drift": _TOL,
+    },
+    "verify": {  # the stencil selects nothing: every derivative is exact
+        "--tol": _TOL, "grid": _SECTION,
+        "grid.stencil": Key(int, 4, (2, 4).__contains__, "2 or 4", "verify stencil", "--stencil"),
+        "grid.n": _at_least(int, 64, 1, "verify grid n", "--grid"),
+    },
+    "flux": {"--tol": _TOL, "grid": _SECTION, "grid.n": _at_least(int, 256, 64, "flux grid n", "--grid")},
+}
+_KNOWN = {  # family -> the config keys that some subcommand reads in a config of that family
+    fam: {path for scope, keys in SCHEMA.items() for path in keys if path[0] != "-"
+          and scope.partition(" ")[0] in {"", fam, *(c for c, fams in FAMILIES.items() if fam in fams)}}
+    for fam in FAMILIES["simulate"]
+}
+
 
 def _typed(value, kind):
-    """`value` as `kind` (see _read), or None when it is not one."""
-    if isinstance(kind, list):
+    """`value` as `kind`, or None when it is not one: float takes a finite number and int an
+    integral one (64.0 too), never a bool; (float,) * n a list of n numbers, as a tuple."""
+    if isinstance(kind, tuple):
         items = [_typed(v, float) for v in value] if isinstance(value, list) else []
         return tuple(items) if len(items) == len(kind) and None not in items else None
     if kind is not float and kind is not int:
@@ -75,31 +105,35 @@ def _typed(value, kind):
     return kind(value) if kind is float or value % 1 == 0 else None
 
 
-def _read(section: dict, key: str, kind, default=None, ok=None, need: str = "", label: str = "", flag=None):
-    """The value of `key` in `section` as `kind`, or `default` when it is absent.
-
-    A `flag` other than None stands in for the config's value and gets its checks.
-    float takes a finite number and int an integral one, never a bool; [float] * n
-    a list of n numbers, as a tuple; any other kind is an isinstance check.  `ok`
-    is the range check: the value must be `need`.  A failure raises ConfigError.
-    """
-    if flag is None and key not in section:
-        if default is None:
-            raise ConfigError(f'missing "{key}" key')
-        return default
-    raw = section[key] if flag is None else flag
-    value = _typed(raw, kind)
+def _get(values: dict, path: str, scope: str = "", flag=None, ref=None):
+    """SCHEMA[scope][path], read from `values`, the dict that holds it, or a `flag` other than None
+    in its place.  `ref` is the value that a derived key (nu, k) must match, and its default."""
+    key, name = SCHEMA[scope][path], path.rpartition(".")[2]
+    if flag is None and name not in values:
+        if key.default is None:
+            raise ConfigError(f'missing "{name}" key')
+        return key.default if ref is None else ref
+    raw = values[name] if flag is None else flag
+    value = _typed(raw, key.kind)
     if value is None:
-        kinds = {float: "a finite number", int: "an integer", str: "a string", dict: "an object"}
-        need = f"a list of {len(kind)} finite numbers" if isinstance(kind, list) else kinds[kind]
-    elif ok is None or ok(value):
+        need = _KINDS[key.kind]
+    elif key.ok is None or (key.ok(value) if ref is None else key.ok(value, ref)):
         return value
-    raise ConfigError(f"{label or json.dumps(key)} = {json.dumps(raw, default=str)}: must be {need}")
+    else:
+        need = key.need if ref is None else f"{key.need} = {ref}"
+    label = key.label or (name if name[0] == "-" else json.dumps(name))
+    raise ConfigError(f"{label} = {json.dumps(raw, default=str)}: must be {need}")
 
 
-def _threshold(args, dest: str = "tol", flag: str = "--tol") -> float:
-    """The exit-threshold flag `dest`, a number >= 0."""
-    return _read(vars(args), dest, float, ok=lambda v: v >= 0.0, need="at least 0", label=flag)
+def _geometry(geom: dict, scope: str) -> list:
+    return [_get(geom, path, scope) for path in SCHEMA[scope] if path.startswith("geometry.")]
+
+
+def _refuse_unknown(cfg: dict, fam: str) -> None:
+    """A key that no subcommand reads in a config of family `fam` is a ConfigError naming its path."""
+    for path in [*cfg, *(f"{name}.{k}" for name, value in cfg.items() if isinstance(value, dict) for k in value)]:
+        if path not in _KNOWN[fam]:
+            raise ConfigError(f'"{path}" is not a key of a {fam} config')
 
 
 def _build(geom: dict, make, *args, **kwargs):
@@ -112,34 +146,43 @@ def _build(geom: dict, make, *args, **kwargs):
 
 def quartic_from_config(geom: dict) -> QuarticParams:
     if "roots" not in geom:
-        return _build(geom, QuarticParams, *[_read(geom, k, float) for k in ("a3", "a2", "a0", "a1")])
+        return _build(geom, QuarticParams, *_geometry(geom, "case2"))
     if any(k in geom for k in ("a2", "a0", "a1")):
         raise ConfigError('give either "roots" or coefficients, not both')
-    return _build(geom, from_roots, _read(geom, "roots", [float] * 4), _read(geom, "a3", float, -1.0))
+    return _build(geom, from_roots, *_geometry(geom, "case2 roots"))
 
 
 def spec_from_config(cfg: dict) -> SystemSpec:
-    names = [f.value for f in Family]
-    fam = Family(_read(cfg, "family", str, ok=names.__contains__, need="one of " + ", ".join(names)))
-    mu, b = _read(cfg, "mu", float, 0.0), _read(cfg, "B", float, 0.0)
-    geom = _read(cfg, "geometry", dict)
+    fam = Family(_get(cfg, "family"))
+    mu, b = _get(cfg, "mu"), _get(cfg, "B")
+    geom = _get(cfg, "geometry")
     if fam == Family.CASE_I:
-        spec = _build(geom, case1_spec, _read(geom, "alpha", [float] * 3), mu=mu, B=b)
-        _read(cfg, "nu", float, b, ok=b.__eq__, need=f"B = {b}: case1 runs live on the leaf (M,x) = B")
+        spec = _build(geom, case1_spec, *_geometry(geom, fam.value), mu=mu, B=b)
+        _get(cfg, "nu", fam.value, ref=b)
     elif fam == Family.CASE_II:
         spec = case2_spec(quartic_from_config(geom), mu=mu, B=b)
         _build(geom, getattr, spec, "model")  # shared per quartic, so built once per process
     elif fam == Family.CASE_II_LIMIT:
-        betas = [_read(geom, k, float) for k in ("beta1", "beta3", "beta4")]
-        spec = case2_limit_spec(_build(geom, LimitModel, *betas), mu=mu, B=b)
+        spec = case2_limit_spec(_build(geom, LimitModel, *_geometry(geom, fam.value)), mu=mu, B=b)
     else:
-        spec = _build(geom, vy_spec, _read(geom, "vyA", float), _read(geom, "vyB", float), mu=mu, B=b)
-    if fam == Family.VY and "k" in cfg:
-        raise ConfigError('"k" has no meaning for the VY family')
+        spec = _build(geom, vy_spec, *_geometry(geom, fam.value), mu=mu, B=b)
     if fam != Family.VY:
-        k = spec.k
-        _read(cfg, "k", float, k, ok=lambda v: math.isclose(v, k, rel_tol=1e-12), need=f"-4B/a3 = {k}")
+        _get(cfg, "k", fam.value, ref=spec.k)
+    _refuse_unknown(cfg, fam.value)  # after the values, whose errors come first
     return spec
+
+
+def _read_config(args) -> tuple[SystemSpec, dict]:
+    """The spec of --config, of a family the subcommand takes, and each value of the subcommand's
+    scope by its path, with a flag (whose dest is that path) in place of the key it stands for."""
+    cfg = _load_config(args.config)
+    spec, fams = spec_from_config(cfg), FAMILIES[args.command]
+    if spec.family.value not in fams:
+        raise ConfigError(f"{args.command} takes {' and '.join(fams)} configs, not {spec.family.value}")
+    got, flags = {}, vars(args)
+    for path in SCHEMA.get(args.command, ()):
+        got[path] = _get(got.get(path.rpartition(".")[0], cfg), path, args.command, flags.get(path))
+    return spec, got
 
 
 def _load_config(path: str) -> dict:
@@ -150,7 +193,9 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8 text
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return _read({path: value}, path, dict)  # the config itself is an object too
+    if not isinstance(value, dict):  # the config itself is an object too
+        raise ConfigError(f"{json.dumps(path)} = {json.dumps(value)}: must be an object")
+    return value
 
 
 def _out_dir(args) -> Path:
@@ -188,7 +233,9 @@ def _write_csv(path: Path, header: str, table: np.ndarray) -> None:
 
 def cmd_roots(args) -> int:
     cfg = _load_config(args.config)
-    params = quartic_from_config(_read(cfg, "geometry", dict, cfg))
+    cfg = cfg if "geometry" in cfg else {"geometry": cfg}  # a bare case2 geometry is a config too
+    params = quartic_from_config(_get(cfg, "geometry"))
+    _refuse_unknown(cfg, "case2")
     report = admissibility(params)
     print(f"P(x) = {params.a3:g} x^4 + {params.a2:g} x^2 + {params.a0:g} x + {params.a1:g}")
     if report.roots is not None:
@@ -205,40 +252,31 @@ def cmd_roots(args) -> int:
 
 
 def cmd_elliptic_table(args) -> int:
-    cfg = _load_config(args.config)
-    spec = spec_from_config(cfg)
-    samples = _read(vars(args), "samples", int, ok=lambda n: n >= 1, need="at least 1", label="--samples")
-    if spec.family != Family.CASE_II:
-        raise ConfigError("elliptic-table needs a case2 config")
+    spec, got = _read_config(args)
     out = _out_dir(args) / "elliptic_table.csv"
     model = spec.model
     branch = model.branch1 if args.branch == "q1" else model.branch2
     period = 2.0 * branch.K
-    u = np.linspace(0.0, period, samples)
+    u = np.linspace(0.0, period, got["--samples"])
     _write_csv(out, "u,Q,dQ", np.column_stack([u, *branch.value_and_deriv(u)]))
-    print(f"wrote {samples} samples of {args.branch} over one period to {out}")
+    print(f"wrote {got['--samples']} samples of {args.branch} over one period to {out}")
     print(f"K1 = {model.K1:.15g}  K2 = {model.K2:.15g}")
     return 0
 
 
 def cmd_metric_check(args) -> int:
-    cfg = _load_config(args.config)
-    spec = spec_from_config(cfg)
-    tol = _threshold(args)
-    grid = _read(cfg, "grid", dict, {})
-    n = _read(grid, "n", int, 32, ok=lambda n: n >= 1, need="at least 1", label="metric-check grid n")
+    spec, got = _read_config(args)
+    n = got["grid.n"]
     if spec.family == Family.CASE_II:
         model = spec.model
         lam_jet = lambda a, b: geo.torus_lambda_jet(model, a, b)
         k_closed = lambda a, b: geo.curvature_closed(spec, (a, b))
         K1, K2 = model.K1, model.K2
-    elif spec.family == Family.CASE_I:
+    else:
         conf = geo.conformal_case1(spec.alpha)
         lam_jet = conf.lam_jet
         k_closed = lambda a, b: geo.curvature_closed(spec)
         K1, K2 = conf.K1, conf.K2
-    else:
-        raise ConfigError("metric-check supports case1 and case2")
     out = _out_dir(args) / "metric_check.csv"
     u1 = np.linspace(0.15, 0.85, n) * K1
     u2 = np.linspace(0.15, 0.85, n) * K2
@@ -252,7 +290,7 @@ def cmd_metric_check(args) -> int:
     _write_csv(out, "u1,u2,lambda,K_closed,K_numeric", table.reshape(n * n, 5))
     print(f"wrote {n * n} samples to {out}")
     print(f"max |K_closed - K_numeric| = {worst:.3e}")
-    return 0 if worst <= tol else 1
+    return 0 if worst <= got["--tol"] else 1
 
 
 def _simulate_one(spec: SystemSpec, t_end: float, tol: float, stride: int, seed: int, path: Path) -> dict:
@@ -273,41 +311,25 @@ def _simulate_one(spec: SystemSpec, t_end: float, tol: float, stride: int, seed:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    spec = spec_from_config(cfg)
-    integ = _read(cfg, "integrator", dict, {})
-    t_end = _read(integ, "t_end", float, 50.0, ok=lambda t: t >= 0.0, need="at least 0", flag=args.t_end)
-    tol = _read(integ, "tol", float, 1e-10, ok=lambda t: t > 0.0, need="positive", flag=args.tol)
-    stride = _read(integ, "stride", int, 10, ok=lambda s: s >= 1, need="at least 1", flag=args.stride)
-    seed = _read(integ, "seed", int, 0, ok=lambda s: s >= 0, need="at least 0", flag=args.seed)
-    n_traj = _read(cfg, "n_trajectories", int, 1, ok=lambda n: n >= 1, need="at least 1")
-    max_drift = _threshold(args, "max_drift", "--max-drift")
+    spec, got = _read_config(args)
+    n_traj = got["n_trajectories"]
     names = [f"simulate_{i:03d}.csv" for i in range(n_traj)] if n_traj > 1 else ["simulate.csv"]
     out = _out_dir(args)
     worst = 0.0
-    for sd, name in enumerate(names, start=seed):
+    for sd, name in enumerate(names, start=got["integrator.seed"]):
         path = out / name
-        drifts = _simulate_one(spec, t_end, tol, stride, sd, path)
+        drifts = _simulate_one(spec, got["integrator.t_end"], got["integrator.tol"], got["integrator.stride"], sd, path)
         line = "  ".join(f"{k} drift {v:.3e}" for k, v in drifts.items())
         print(f"{path.name} (seed {sd}): {line}")
         worst = max(worst, max(drifts.values()))
     print(f"max relative drift: {worst:.3e}")
-    return 0 if worst <= max_drift else 1
+    return 0 if worst <= got["--max-drift"] else 1
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
-    spec = spec_from_config(cfg)
-    tol = _threshold(args)
-    grid = _read(cfg, "grid", dict, {})
-    _read(grid, "stencil", int, 4, ok=(2, 4).__contains__, need="2 or 4", label="verify stencil", flag=args.stencil)
-    n = _read(grid, "n", int, 64, ok=lambda n: n >= 1, need="at least 1", label="verify grid n", flag=args.grid)
-    if spec.family == Family.CASE_I:
-        grid = ver.build_case1_grid(spec, n)
-    elif spec.family == Family.CASE_II:
-        grid = ver.build_case2_grid(spec, n)
-    else:
-        raise ConfigError("verify supports case1 and case2")
+    spec, got = _read_config(args)
+    n, tol = got["grid.n"], got["--tol"]
+    grid = (ver.build_case1_grid if spec.family == Family.CASE_I else ver.build_case2_grid)(spec, n)
     rows = ver.check_classical(grid).residuals | {"C6*": ver.check_quantum_c6star(grid)}
     worst = max(rows.values())
     rows["duality"] = ver.check_duality(grid)
@@ -320,71 +342,49 @@ def cmd_verify(args) -> int:
 
 
 def cmd_flux(args) -> int:
-    cfg = _load_config(args.config)
-    spec = spec_from_config(cfg)
-    tol = _threshold(args)
-    n = _read(_read(cfg, "grid", dict, {}), "n", int, 256, label="flux grid n", flag=args.grid)
-    if spec.family == Family.CASE_II:
-        obj = spec.model
-    elif spec.family == Family.CASE_I:
-        obj = geo.NeumannConstants(alpha=spec.alpha)
-    else:
-        raise ConfigError("flux supports case1 and case2")
-    try:
-        res = geo.area_and_flux(obj, spec.B, n)
-    except ValueError as exc:  # quadrature size below the rule's minimum
-        raise ConfigError(f"flux grid n = {n}: {exc}") from exc
+    spec, got = _read_config(args)
+    obj = spec.model if spec.family == Family.CASE_II else geo.NeumannConstants(alpha=spec.alpha)
+    res = geo.area_and_flux(obj, spec.B, got["grid.n"])
     print(f"area          : {res['area']:.12g}")
     print(f"flux / (2 pi) : {res['flux_over_2pi']:.12g}")
     print(f"nearest int   : {res['nearest_integer']}")
     print(f"gap           : {res['gap']:.3e}")
-    return 1 if args.require_integer and res["gap"] > tol else 0
+    return 1 if args.require_integer and res["gap"] > got["--tol"] else 0
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused by every main()."""
-    parser = argparse.ArgumentParser(
-        prog="monopole-lab",
-        description="integrable magnetic-monopole generalisations: roots, elliptic tables, "
-        "metrics, flows, condition checks, flux",
-    )
+    """The argument parser, built on the first call and reused by every main().  The flags that
+    stand for a value, and the config keys that each --help lists, come from SCHEMA."""
+    keys = ["config keys (scope: the family or subcommand that reads a key; blank, every one):"]
+    for scope, table in SCHEMA.items():
+        for path, key in table.items():
+            if key.kind is not dict and path[0] != "-":
+                need = f", must be {key.need}" if key.need else ""
+                default = "required" if key.default is None else f"= {key.default}"
+                keys.append(f"  {path:<17} {scope:<12} {_KINDS[key.kind]}{need}; {default}")
+    keys = "\n".join(keys + ["Any other key, or one no subcommand reads in a config of its family, exits 2."])
+    parser = argparse.ArgumentParser(prog="monopole-lab", description="integrable magnetic-monopole generalisations")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    io = argparse.ArgumentParser(add_help=False)
-    io.add_argument("--config", required=True, help="JSON config path")
-    io.add_argument("--out", default=".", help="output directory")
-    gated = argparse.ArgumentParser(add_help=False, parents=[io])
-    gated.add_argument("--tol", type=float, default=1e-6, help="threshold for exit code, >= 0")
-
-    p = sub.add_parser("roots", parents=[io], help="root/admissibility report")
-    p.set_defaults(fn=cmd_roots)
-
-    p = sub.add_parser("elliptic-table", parents=[io], help="dump (u, Q, dQ) over one period")
-    p.add_argument("--samples", type=int, default=256, help="number of samples, >= 1")
-    p.add_argument("--branch", choices=("q1", "q2"), default="q1")
-    p.set_defaults(fn=cmd_elliptic_table)
-
-    p = sub.add_parser("metric-check", parents=[gated], help="conformal factor and curvature cross-check")
-    p.set_defaults(fn=cmd_metric_check)
-
-    p = sub.add_parser("simulate", parents=[io], help="integrate a trajectory and monitor H, F")
-    p.add_argument("--tol", type=float, default=None, help="integrator tolerance (overrides the config)")
-    p.add_argument("--seed", type=int, default=None, help="seed (overrides the config)")
-    p.add_argument("--t-end", type=float, default=None)
-    p.add_argument("--stride", type=int, default=None)
-    p.add_argument("--max-drift", type=float, default=1e-6, help="breach threshold, >= 0")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("verify", parents=[gated], help="integrability-condition residual table")
-    p.add_argument("--grid", type=int, default=None, help="grid size (overrides the config)")
-    p.add_argument("--stencil", type=int, default=None, help="2 or 4; checked, but every derivative is exact")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("flux", parents=[gated], help="area and flux quantization report")
-    p.add_argument("--grid", type=int, default=None, help="quadrature size (overrides the config)")
-    p.add_argument("--require-integer", action="store_true")
-    p.set_defaults(fn=cmd_flux)
+    for command, fn, text in (
+        ("roots", cmd_roots, "root/admissibility report"),
+        ("elliptic-table", cmd_elliptic_table, "dump (u, Q, dQ) over one period"),
+        ("metric-check", cmd_metric_check, "conformal factor and curvature cross-check, gated by --tol"),
+        ("simulate", cmd_simulate, "integrate a trajectory and monitor H, F, gated by --max-drift"),
+        ("verify", cmd_verify, "integrability-condition residual table, gated by --tol"),
+        ("flux", cmd_flux, "area and flux quantization report"),
+    ):
+        p = sub.add_parser(command, help=text, epilog=keys, formatter_class=argparse.RawDescriptionHelpFormatter)
+        p.set_defaults(fn=fn)
+        p.add_argument("--config", required=True, help="JSON config path")
+        p.add_argument("--out", default=".", help="output directory")
+        for path, key in SCHEMA.get(command, {}).items():
+            if key.flag or path[0] == "-":
+                default, doc = (None, f"overrides {path}") if key.flag else (key.default, f"{key.need}; = %(default)s")
+                p.add_argument(key.flag or path, dest=path, type=key.kind, default=default, help=doc,
+                               metavar=key.kind.__name__.upper())
+    sub.choices["elliptic-table"].add_argument("--branch", choices=("q1", "q2"), default="q1")
+    sub.choices["flux"].add_argument("--require-integer", action="store_true", help="gate the gap by --tol")
     return parser
 
 

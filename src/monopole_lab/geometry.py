@@ -54,7 +54,6 @@ __all__ = [
     "curvature_closed",
     "curvature_numeric",
     "curvature_from_jet",
-    "curvature_from_cubic_pair",
     "fixed_point_chart",
     "area_and_flux",
     "neumann_to_cartesian",
@@ -236,25 +235,6 @@ def curvature_closed(spec: SystemSpec, point=None):
         k = -spec.a3 / 4.0 + spec.quartic.a0 / (8.0 * (x1 + x2) ** 3)
         return float(k) if np.ndim(k) == 0 else k
     raise ValueError(f"no closed curvature for family {spec.family}")
-
-
-def curvature_from_cubic_pair(spec: SystemSpec, q1: float, q2: float) -> float:
-    """Constant-curvature value extracted from the cubic at two points:
-
-        (f(q1) - f(q2)) / (2 (q1-q2)^3) - (f'(q1) + f'(q2)) / (4 (q1-q2)^2).
-
-    Equals -a3/4 identically for any cubic f (the quadratic and linear parts
-    cancel pairwise).
-    """
-    if spec.family != Family.CASE_I:
-        raise ValueError("cubic-pair curvature needs a CASE_I spec")
-    f = spec.f_cubic
-    a1, a2c, a3c = spec.alpha
-    coeffs = -4.0 * np.poly([a1, a2c, a3c])
-    dcoeffs = np.polyder(coeffs)
-    df = lambda q: float(np.polyval(dcoeffs, q))
-    gap = q1 - q2
-    return float((f(q1) - f(q2)) / (2.0 * gap**3) - (df(q1) + df(q2)) / (4.0 * gap**2))
 
 
 def curvature_numeric(lam_fn, point, h: float = 1e-3):

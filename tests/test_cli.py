@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -462,6 +463,15 @@ VY = {"family": "vy", "mu": 1.0, "geometry": {"vyA": 2.0, "vyB": 1.0}}
         ("metric-check", CASE1, ["--tol=-1"], "--tol"),
         ("flux", CASE1, ["--tol", "inf"], "--tol"),
         ("simulate", CASE1, ["--max-drift", "nan"], "--max-drift"),
+        # and these ran, each key ignored: one no subcommand reads for the config's family
+        ("simulate", dict(CASE2, seed=1000), [], '"seed"'),
+        ("verify", _bad(CASE2, integrator={"t_edn": 1.0}), [], '"integrator.t_edn"'),
+        ("simulate", dict(CASE2, grdi={"n": 32}), [], '"grdi"'),
+        ("verify", _bad(CASE2, geometry={"rootz": 1}), [], '"geometry.rootz"'),
+        ("simulate", dict(CASE2, n_trajectory=3), [], '"n_trajectory"'),
+        ("metric-check", dict(CASE2, nu=0.5), [], '"nu"'),
+        ("roots", _bad(CASE2, geometry={"alpha": [3.0, 2.0, 1.0]}), [], '"geometry.alpha"'),
+        ("simulate", dict(VY, grid={"n": 8}), [], '"grid"'),
     ],
 )
 def test_bad_outside_input_is_one_config_error_line(tmp_path, capsys, command, cfg, flags, key):
@@ -473,6 +483,100 @@ def test_bad_outside_input_is_one_config_error_line(tmp_path, capsys, command, c
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1 and key in err
     assert not out.exists() or not any(out.iterdir())
+
+
+# the config shapes that bench/workloads.py writes, copied as literals
+_BENCH_SHAPE = {
+    "family": "case2", "mu": 1.0, "B": 0.5, "integrator": {"t_end": 2.0, "tol": 1e-10, "stride": 10, "seed": 7},
+}
+BENCH_SHAPES = {
+    "torus-flow": dict(_BENCH_SHAPE, geometry={"roots": [3.0, 2.0, -1.0, -4.0], "a3": -1.0}),
+    **{
+        f"sphere-{fam}{tag}": dict(_BENCH_SHAPE, family=fam, geometry=geometry, **extra, **batch)
+        for fam, geometry, extra in (
+            ("case1", {"alpha": [3.0, 2.0, 1.0]}, {}),
+            ("case2_limit", {"beta1": 2.0, "beta3": -1.0, "beta4": -3.0}, {"B": 0.6}),
+        )
+        for tag, batch in (("", {"n_trajectories": 4}), ("-single", {}))
+    },
+    **{
+        f"grid-{name}": dict(_BENCH_SHAPE, family=fam, geometry=geometry, grid={"n": 8, "stencil": 4})
+        for name, fam, geometry in (
+            ("case1", "case1", {"alpha": [3.0, 2.0, 1.0]}),
+            ("case2", "case2", {"roots": [3.0, 2.0, -1.0, -4.0], "a3": -1.0}),
+            ("near", "case2", {"roots": [3.0, 2.99, -1.0, -4.99], "a3": -1.0}),
+        )
+    },
+}
+TAKES = {  # subcommand -> the families it runs, and flags that keep each run short
+    "roots": (("case2",), []),
+    "elliptic-table": (("case2",), ["--samples", "32"]),
+    "metric-check": (("case1", "case2"), []),
+    "simulate": (("case1", "case2", "case2_limit", "vy"), ["--t-end", "0.05"]),
+    "verify": (("case1", "case2"), ["--grid", "16"]),
+    "flux": (("case1", "case2"), ["--grid", "64"]),
+}
+
+
+def _only_read_by(command: str, cfg: dict) -> dict:
+    """`cfg` with only the keys that `command` reads."""
+    if command == "roots":
+        return {"geometry": cfg["geometry"]}
+    own = {"simulate": ("integrator", "n_trajectories"), "elliptic-table": ()}.get(command, ("grid",))
+    keep = ("family", "mu", "B", "geometry", "nu", "k", *own)
+    return {k: v for k, v in cfg.items() if k in keep}
+
+
+def test_shipped_configs_run_and_help_lists_the_schema(tmp_path, capsys):
+    # every demo config and every shape the benchmark writes runs under each
+    # subcommand that takes its family, whole: exit 0 (roots on the
+    # inadmissible quartic, 1), and the bytes of a run on only the keys that
+    # subcommand reads, so no key meant for another subcommand is refused or
+    # changes what runs
+    from monopole_lab.cli import SCHEMA
+
+    demos = Path(__file__).resolve().parents[1] / "demos" / "configs"
+    shapes = {p.stem: json.loads(p.read_text()) for p in sorted(demos.glob("*.json"))} | BENCH_SHAPES
+    assert len(shapes) == 13
+    out = tmp_path / "out"
+    for name, cfg in shapes.items():
+        if name != "inadmissible":
+            spec_from_config(cfg)
+        for command, (families, flags) in TAKES.items():
+            if cfg["family"] not in families or (name == "inadmissible" and command != "roots"):
+                continue
+            runs = []
+            for c in (cfg, _only_read_by(command, cfg)):
+                code = main([command, "--config", _write(tmp_path, c), "--out", str(out)] + flags)
+                captured = capsys.readouterr()
+                csvs = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+                runs.append((code, captured.out, captured.err, csvs))
+                shutil.rmtree(out, ignore_errors=True)
+            assert runs[0] == runs[1], (name, command)
+            assert runs[0][:3:2] == (1 if name == "inadmissible" else 0, ""), (name, command)
+    # the defaults of an absent key, as they were
+    bare = _write(tmp_path, {"family": "case1", "geometry": {"alpha": [3.0, 2.0, 1.0]}})
+    for argv, line in (
+        (["verify"], "family case1, grid 64x64, derivatives from exact jets"),
+        (["metric-check"], f"wrote 1024 samples to {out / 'metric_check.csv'}"),
+        (["simulate", "--t-end", "0.05"], "simulate.csv (seed 0): "),
+    ):
+        assert main(argv + ["--config", bare, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[0].startswith(line)
+    # --help names every config key of SCHEMA with its scope and default, and each flag's default
+    for command in TAKES:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        lines = capsys.readouterr().out.splitlines()
+        for scope, keys in SCHEMA.items():
+            for path, key in keys.items():
+                default = "required" if key.default is None else f"= {key.default}"
+                if path.startswith("--") and scope == command:
+                    assert any(line.split()[:1] == [path] and line.endswith(default) for line in lines), path
+                elif not path.startswith("--") and key.kind is not dict:
+                    assert any(
+                        line.split()[:1] == [path] and f" {scope} " in line and line.endswith(default) for line in lines
+                    ), path
 
 
 @pytest.mark.parametrize("content", [b"[1, 2]", b"5", b"null", b"\xff\xfe", None, b"{", "missing"])
