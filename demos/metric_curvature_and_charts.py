@@ -35,7 +35,7 @@ print("-- curvature: closed form vs the exact jet of lam and its differences")
 lam_fn = lambda a, b: float(model.q1(a) ** 2 - model.q2(b) ** 2)
 pt = (0.4 * model.K1, 0.6 * model.K2)
 print(f"closed  K = {curvature_closed(spec, pt):.10f}")
-print(f"jet     K = {curvature_from_jet(torus_lambda_jet(model, *pt)):.10f}")
+print(f"jet     K = {curvature_from_jet(*torus_lambda_jet(model, *pt)):.10f}")
 print(f"numeric K = {curvature_numeric(lam_fn, pt):.10f}")
 
 x1, x2 = model.q1(pt[0]), model.q2(pt[1])
@@ -45,7 +45,7 @@ print()
 print("-- the sphere family with cubic f: constant curvature 1")
 conf = conformal_case1((3.0, 2.0, 1.0))
 kn = curvature_numeric(lambda a, b: conf.lam(a, b), (0.5 * conf.K1, 0.5 * conf.K2))
-print(f"jet     K = {curvature_from_jet(conf.lam_jet(0.5 * conf.K1, 0.5 * conf.K2)):.10f}")
+print(f"jet     K = {curvature_from_jet(*conf.lam_jet(0.5 * conf.K1, 0.5 * conf.K2)):.10f}")
 print(f"numeric K = {kn:.10f}")
 
 print()

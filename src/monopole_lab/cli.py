@@ -176,13 +176,19 @@ def _read_config(args) -> tuple[SystemSpec, dict]:
     """The spec of --config, of a family the subcommand takes, and each value of the subcommand's
     scope by its path, with a flag (whose dest is that path) in place of the key it stands for."""
     cfg = _load_config(args.config)
-    spec, fams = spec_from_config(cfg), FAMILIES[args.command]
-    if spec.family.value not in fams:
-        raise ConfigError(f"{args.command} takes {' and '.join(fams)} configs, not {spec.family.value}")
+    spec = spec_from_config(cfg)
+    _take_family(args.command, spec.family.value)
     got, flags = {}, vars(args)
     for path in SCHEMA.get(args.command, ()):
         got[path] = _get(got.get(path.rpartition(".")[0], cfg), path, args.command, flags.get(path))
     return spec, got
+
+
+def _take_family(command: str, fam: str) -> None:
+    """A family that the subcommand does not take is a ConfigError."""
+    fams = FAMILIES[command]
+    if fam not in fams:
+        raise ConfigError(f"{command} takes {' and '.join(fams)} configs, not {fam}")
 
 
 def _load_config(path: str) -> dict:
@@ -234,6 +240,8 @@ def _write_csv(path: Path, header: str, table: np.ndarray) -> None:
 def cmd_roots(args) -> int:
     cfg = _load_config(args.config)
     cfg = cfg if "geometry" in cfg else {"geometry": cfg}  # a bare case2 geometry is a config too
+    if "family" in cfg:
+        _take_family(args.command, _get(cfg, "family"))
     params = quartic_from_config(_get(cfg, "geometry"))
     _refuse_unknown(cfg, "case2")
     report = admissibility(params)
@@ -282,9 +290,9 @@ def cmd_metric_check(args) -> int:
     u2 = np.linspace(0.15, 0.85, n) * K2
     # the whole grid at once: rows run over u2 inside u1, as the flattened (u1, u2) mesh
     a, b = u1[:, None], u2[None, :]
-    lam = lam_jet(a, b)
+    lam, lam11, lam22 = lam_jet(a, b)
     table = np.empty((n, n, 5))
-    for j, column in enumerate((a, b, lam.v, k_closed(a, b), geo.curvature_from_jet(lam))):
+    for j, column in enumerate((a, b, lam.v, k_closed(a, b), geo.curvature_from_jet(lam, lam11, lam22))):
         table[:, :, j] = column
     worst = float(np.max(np.abs(table[:, :, 3] - table[:, :, 4])))
     _write_csv(out, "u1,u2,lambda,K_closed,K_numeric", table.reshape(n * n, 5))

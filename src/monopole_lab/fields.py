@@ -143,21 +143,19 @@ def vy_spec(vy_a: float, vy_b: float, mu: float = 0.0, B: float = 0.0) -> System
 # jets: exact derivatives of the fields on a grid
 # ---------------------------------------------------------------------------
 #
-# Second-order forward-mode jets in two variables (Griewank & Walther,
-# Evaluating Derivatives, 2nd ed., 2008).  A Jet carries a function's value v
-# and its partials d1, d2, d12, d11, d22 in (u1, u2), as floats or arrays that
-# broadcast against each other.  A partial that is identically zero is None
-# and takes no arithmetic, so a function of u1 alone stays an (n, 1) column:
-# only the terms that mix the two axes fill an (n, n) grid.  The operators
-# take the value through the very operation a plain array would, so a jet's
-# value equals the plain evaluation bit for bit.
+# Forward-mode jets in two variables (Griewank & Walther, Evaluating
+# Derivatives, 2nd ed., 2008).  A Jet carries a function's value v and its
+# partials d1, d2 and d12 in (u1, u2), as floats or arrays that broadcast:
+# no rule forms them from d11 or d22, and no check reads those.  A partial
+# that is identically zero is None and takes no arithmetic, so a function of
+# u1 alone stays an (n, 1) column: only the terms that mix the two axes fill
+# an (n, n) grid.  The operators take the value through the very operation a
+# plain array would, so a jet's value equals the plain evaluation bit for bit.
 #
 # A slice x = Q(u) with (x')^2 = c S(x) for a polynomial S seeds its jets
-# exactly: differentiating the square gives the second derivative c S'(x)/2
-# and the third c S''(x) x'/2, so one value_and_deriv per axis and two
-# polynomial evaluations give every derivative the fields need.
-
-_PARTIALS = ("d1", "d2", "d12", "d11", "d22")
+# exactly: differentiating the square gives the second derivative c S'(x)/2,
+# so one value_and_deriv per axis and one polynomial evaluation give every
+# derivative the fields need.
 
 
 def _sum(*terms):
@@ -179,30 +177,25 @@ def _mul(a, b):
     return None if a is None or b is None else a * b
 
 
-def _scale(c, a):
-    return None if a is None else c * a
-
-
 def _lift(x):
     return x if isinstance(x, Jet) else Jet(x)
 
 
 class Jet:
-    """Value and first and second partials of a function of (u1, u2)."""
+    """Value, first partials and mixed partial of a function of (u1, u2)."""
 
-    __slots__ = ("v",) + _PARTIALS
+    __slots__ = ("v", "d1", "d2", "d12")
     # an ndarray operand defers to the reflected operators below, which treat
     # it as a constant
     __array_ufunc__ = None
 
-    def __init__(self, v, d1=None, d2=None, d12=None, d11=None, d22=None):
-        self.v, self.d1, self.d2, self.d12, self.d11, self.d22 = v, d1, d2, d12, d11, d22
+    def __init__(self, v, d1=None, d2=None, d12=None):
+        self.v, self.d1, self.d2, self.d12 = v, d1, d2, d12
 
     @classmethod
-    def along(cls, axis: int, v, dv, ddv=None) -> "Jet":
-        """A function of u1 (axis 0) or u2 (axis 1) alone, from its value and
-        first and second derivatives."""
-        return cls(v, d1=dv, d11=ddv) if axis == 0 else cls(v, d2=dv, d22=ddv)
+    def along(cls, axis: int, v, dv) -> "Jet":
+        """A function of u1 (axis 0) or u2 (axis 1) alone, from its value and derivative."""
+        return cls(v, d1=dv) if axis == 0 else cls(v, d2=dv)
 
     @classmethod
     def from_slice(cls, branch, u, axis: int, c: float, poly) -> tuple["Jet", "Jet"]:
@@ -214,14 +207,13 @@ class Jet:
     def from_values(cls, x, d, axis: int, c: float, poly) -> tuple["Jet", "Jet"]:
         """The jets of :meth:`from_slice` from the slice's value x and derivative d."""
         dd = 0.5 * c * np.polyval(np.polyder(poly), x)
-        ddd = 0.5 * c * np.polyval(np.polyder(poly, 2), x) * d
-        return cls.along(axis, x, d, dd), cls.along(axis, d, dd, ddd)
+        return cls.along(axis, x, d), cls.along(axis, d, dd)
 
     def partials(self) -> tuple:
-        return self.d1, self.d2, self.d12, self.d11, self.d22
+        return self.d1, self.d2, self.d12
 
     def __neg__(self):
-        return Jet(-self.v, *(_scale(-1.0, p) for p in self.partials()))
+        return Jet(-self.v, *(_mul(-1.0, p) for p in self.partials()))
 
     def __add__(self, other):
         b = _lift(other)
@@ -241,8 +233,6 @@ class Jet:
             _sum(_mul(a.d1, b.v), _mul(a.v, b.d1)),
             _sum(_mul(a.d2, b.v), _mul(a.v, b.d2)),
             _sum(_mul(a.d12, b.v), _mul(a.d1, b.d2), _mul(a.d2, b.d1), _mul(a.v, b.d12)),
-            _sum(_mul(a.d11, b.v), _scale(2.0, _mul(a.d1, b.d1)), _mul(a.v, b.d11)),
-            _sum(_mul(a.d22, b.v), _scale(2.0, _mul(a.d2, b.d2)), _mul(a.v, b.d22)),
         )
 
     # a constant operand takes the jet rules with no partials; + and * commute
@@ -257,8 +247,12 @@ class Jet:
         return sq
 
     def __truediv__(self, other):
-        b = _lift(other)
-        return _quotient(self, b, self.v / b.v)
+        """a / b = q, each partial solved from the product rule of a = q b."""
+        a, b = self, _lift(other)
+        q, r = a.v / b.v, 1.0 / b.v
+        q1 = _mul(_diff(a.d1, _mul(q, b.d1)), r)
+        q2 = _mul(_diff(a.d2, _mul(q, b.d2)), r)
+        return Jet(q, q1, q2, _mul(_diff(a.d12, _mul(q1, b.d2), _mul(q2, b.d1), _mul(q, b.d12)), r))
 
     def __rtruediv__(self, other):
         return _lift(other) / self
@@ -271,33 +265,12 @@ class Jet:
             _mul(f1, d1),
             _mul(f1, d2),
             _sum(_mul(f2, _mul(d1, d2)), _mul(f1, self.d12)),
-            _sum(_mul(f2, _mul(d1, d1)), _mul(f1, self.d11)),
-            _sum(_mul(f2, _mul(d2, d2)), _mul(f1, self.d22)),
         )
-
-    def log(self) -> "Jet":
-        r = 1.0 / self.v
-        return self._chain(np.log(self.v), r, -r * r)
 
     def sqrt(self) -> "Jet":
         f = np.sqrt(self.v)
         f1 = 0.5 / f
         return self._chain(f, f1, -0.5 * f1 / self.v)
-
-
-def _quotient(a: Jet, b: Jet, q) -> Jet:
-    """a / b with value q, each partial solved from the product rule of a = q b."""
-    r = 1.0 / b.v
-    q1 = _mul(_diff(a.d1, _mul(q, b.d1)), r)
-    q2 = _mul(_diff(a.d2, _mul(q, b.d2)), r)
-    return Jet(
-        q,
-        q1,
-        q2,
-        _mul(_diff(a.d12, _mul(q1, b.d2), _mul(q2, b.d1), _mul(q, b.d12)), r),
-        _mul(_diff(a.d11, _scale(2.0, _mul(q1, b.d1)), _mul(q, b.d11)), r),
-        _mul(_diff(a.d22, _scale(2.0, _mul(q2, b.d2)), _mul(q, b.d22)), r),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .errors import (
     StencilOutsideChart,
     WrongSignature,
 )
-from .fields import Family, Jet, SystemSpec, _torus_jets, stackel_components
+from .fields import Family, Jet, SystemSpec, _mul, _sum, _torus_jets, stackel_components
 from .polyroots import eval_p_deriv
 
 __all__ = [
@@ -156,11 +156,14 @@ def torus_lambda(model: EllipticModel, u1, u2):
     return model.q1(u1) ** 2 - model.q2(u2) ** 2
 
 
-def torus_lambda_jet(model: EllipticModel, u1, u2) -> Jet:
-    """Jet of Q1(u1)^2 - Q2(u2)^2, exact from Q1'' = P'(Q1)/8 and Q2'' = -P'(Q2)/8;
-    u1 and u2 broadcast, one slice pass each."""
-    x1, _, x2, _ = _torus_jets(model, u1, u2)
-    return x1**2 - x2**2
+def torus_lambda_jet(model: EllipticModel, u1, u2) -> tuple:
+    """Jet of lam = Q1(u1)^2 - Q2(u2)^2 with its second partials d11 lam and d22 lam,
+    exact from Q1'' = P'(Q1)/8 and Q2'' = -P'(Q2)/8; u1 and u2 broadcast, one slice
+    pass each."""
+    x1, dx1, x2, dx2 = _torus_jets(model, u1, u2)
+    # (x^2)'' = x'' x + 2 x'^2 + x x'', summed as the second-order product rule sums it
+    second = lambda x, d, dd: dd * x + 2.0 * (d * d) + x * dd
+    return x1**2 - x2**2, second(x1.v, x1.d1, dx1.d1), -second(x2.v, x2.d2, dx2.d2)
 
 
 def torus_metric(model: EllipticModel, p) -> MetricSample:
@@ -196,13 +199,13 @@ class Case1ConformalModel:
     def lam(self, u1, u2):
         return self.branch1.value(u1) - self.branch2.value(u2)
 
-    def lam_jet(self, u1, u2) -> Jet:
-        """Jet of lam, exact from q1'^2 = f(q1) and q2'^2 = -f(q2):
-        q1'' = f'(q1)/2 and q2'' = -f'(q2)/2."""
+    def lam_jet(self, u1, u2) -> tuple:
+        """Jet of lam with its second partials d11 lam and d22 lam, exact from
+        q1'^2 = f(q1) and q2'^2 = -f(q2): q1'' = f'(q1)/2 and q2'' = -f'(q2)/2."""
         f = -4.0 * np.poly(self.constants.alpha)
-        q1, _ = Jet.from_slice(self.branch1, u1, 0, 1.0, f)
-        q2, _ = Jet.from_slice(self.branch2, u2, 1, -1.0, f)
-        return q1 - q2
+        q1, dq1 = Jet.from_slice(self.branch1, u1, 0, 1.0, f)
+        q2, dq2 = Jet.from_slice(self.branch2, u2, 1, -1.0, f)
+        return q1 - q2, dq1.d1, -dq2.d2
 
 
 def conformal_case1(alpha) -> Case1ConformalModel:
@@ -271,14 +274,19 @@ def curvature_numeric(lam_fn, point, h: float = 1e-3):
     return float(out) if shape == () else np.broadcast_to(out, shape).copy()
 
 
-def curvature_from_jet(lam: Jet):
+def curvature_from_jet(lam: Jet, lam11, lam22):
     """Curvature -(d11 + d22) log lam / (2 lam) of the conformal metric
-    lam (du1^2 + du2^2), exact from the jet of lam (an array of the jet's
+    lam (du1^2 + du2^2), exact from the jet of lam and its second partials
+    lam11 and lam22, each None where it is identically zero (an array of their
     broadcast shape)."""
     if np.any(lam.v <= 0.0):
         raise DegeneratePoint("lam <= 0: the metric degenerates")
-    log = lam.log()
-    lap = sum(0.0 if d is None else d for d in (log.d11, log.d22))
+    # d_ii log lam = -r^2 lam_i^2 + r lam_ii, summed as the chain rule of log sums it;
+    # a partial that is None is identically zero, and a term of only such partials drops out
+    r = 1.0 / lam.v
+    f2 = -r * r
+    parts = (_sum(_mul(f2, _mul(d, d)), _mul(r, dd)) for d, dd in ((lam.d1, lam11), (lam.d2, lam22)))
+    lap = sum(0.0 if d is None else d for d in parts)
     return -lap / (2.0 * lam.v)
 
 

@@ -34,7 +34,7 @@ check reads the difference of the two, each from its own terms.
 All grid metric components here are CONTRAVARIANT (as they appear multiplying
 the momenta in H); covariant samplers are inverted at ingestion.  Every grid
 field is a :class:`~monopole_lab.fields.Jet`, its values with their exact
-first and second partials: on the torus every field is rational in
+partials d1, d2 and d1 d2: on the torus every field is rational in
 (Q1, Q1', Q2, Q2') with Q1'' = P'(Q1)/8 and Q2'' = -P'(Q2)/8, and the case1
 grid is sampled in q itself, where every field is algebraic; both come from
 :func:`~monopole_lab.fields.normal_form`.  The checks read every grid point,
@@ -160,9 +160,10 @@ def _values(grid: AnsatzGrid) -> tuple:
 
 
 def _normalized_max(residual, terms: list) -> float:
-    scale = max(float(np.max(np.abs(t))) for t in terms)
+    # np.abs of a float is a numpy scalar, so .max() takes floats and arrays alike
+    scale = max(float(np.abs(t).max()) for t in terms)
     scale = max(scale, 1e-300)
-    return float(np.max(np.abs(residual))) / scale
+    return float(np.abs(residual).max()) / scale
 
 
 def _sum(terms: list):

@@ -329,12 +329,16 @@ def test_out_directory_is_created(tmp_path, capsys, command, cfg, csv):
 
 
 def test_unknown_family(tmp_path, capsys):
+    # roots reads only the geometry, but refuses a config of another family as
+    # every subcommand does: one config error line, exit 2; a bare geometry runs
     cfg = dict(CASE2, family="case3")
-    code = main(["roots", "--config", _write(tmp_path, cfg)])
-    # the roots subcommand only needs the geometry, so this still parses;
-    # simulate must reject it
-    code = main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(tmp_path)])
-    assert code == 2
+    for command in ("roots", "simulate"):
+        assert main([command, "--config", _write(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == 'config error: "family" = "case3": must be one of case1, case2, case2_limit, vy\n'
+    assert main(["roots", "--config", _write(tmp_path, dict(CASE2, family="case1"))]) == 2
+    assert capsys.readouterr().err == "config error: roots takes case2 configs, not case1\n"
+    assert main(["roots", "--config", _write(tmp_path, CASE2["geometry"])]) == 0
 
 
 def test_batch_member_matches_solo_run(tmp_path):

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from monopole_lab import geometry as geo
+from monopole_lab.cli import main
 from monopole_lab.elliptic import limit_q2
 from monopole_lab.errors import (
     AxisPoint,
@@ -17,6 +19,7 @@ from monopole_lab.errors import (
 )
 from monopole_lab.polyroots import eval_p, eval_p_deriv, from_roots
 from monopole_lab.elliptic import build_model
+from second_order_jets import Jet2, curvature
 
 ALPHA = (3.0, 2.0, 1.0)
 
@@ -218,15 +221,21 @@ def test_curvature_on_a_grid_matches_pointwise(case1, case2, canonical_model):
 
 
 @pytest.mark.parametrize("roots", [(3, 2, -1, -4), (3, 2.99, -1, -4.99), (4, 1, -1, -4), "case1"])
-def test_curvature_from_jet(case1, roots):
+def test_curvature_from_jet(case1, roots, tmp_path, capsys):
     # the exact curvature of the lambda jet: the closed form to round-off, the
-    # Richardson stencil to its truncation, and lambda itself bit for bit
+    # Richardson stencil to its truncation, and lambda itself bit for bit; and
+    # metric-check's K_numeric is the second-order jets' curvature bit for bit
     from monopole_lab.fields import case2_spec
 
     if roots == "case1":
         conf = geo.conformal_case1(case1.alpha)
         K1, K2, lam_fn, lam_jet = conf.K1, conf.K2, conf.lam, conf.lam_jet
         closed = lambda a, b: 1.0
+        f = -4.0 * np.poly(case1.alpha)
+        reference = lambda a, b: (
+            Jet2.from_slice(conf.branch1, a, 0, 1.0, f)[0] - Jet2.from_slice(conf.branch2, b, 1, -1.0, f)[0]
+        )
+        cfg = {"family": "case1", "mu": case1.mu, "B": case1.B, "geometry": {"alpha": list(case1.alpha)}}
     else:
         spec = case2_spec(from_roots(list(roots), -1.0), mu=1.0, B=0.5)
         m = spec.model
@@ -234,24 +243,43 @@ def test_curvature_from_jet(case1, roots):
         lam_fn = lambda a, b: geo.torus_lambda(m, a, b)
         lam_jet = lambda a, b: geo.torus_lambda_jet(m, a, b)
         closed = lambda a, b: geo.curvature_closed(spec, (a, b))
+        poly = m.params.coefficients()
+        reference = lambda a, b: (
+            Jet2.from_slice(m.branch1, a, 0, 0.25, poly)[0] ** 2 - Jet2.from_slice(m.branch2, b, 1, -0.25, poly)[0] ** 2
+        )
+        cfg = {"family": "case2", "mu": 1.0, "B": 0.5, "geometry": {"roots": list(roots), "a3": -1.0}}
     u1 = (np.linspace(0.15, 0.85, 64) * K1)[:, None]
     u2 = (np.linspace(0.15, 0.85, 64) * K2)[None, :]
-    jet = lam_jet(u1, u2)
+    jet, lam11, lam22 = lam_jet(u1, u2)
     assert np.array_equal(np.broadcast_to(jet.v, (64, 64)), np.broadcast_to(lam_fn(u1, u2), (64, 64)))
-    k = geo.curvature_from_jet(jet)
+    k = geo.curvature_from_jet(jet, lam11, lam22)
     assert k.shape == (64, 64)
     bound = 1e-8 if roots == (3, 2.99, -1, -4.99) else 1e-9
     assert np.max(np.abs(k - closed(u1, u2))) <= bound
     fd = geo.curvature_numeric(lam_fn, (u1[::9], u2[:, ::9]), h=1e-2)
     assert np.max(np.abs(k[::9, ::9] - fd)) < 1e-5
+    assert k.tobytes() == curvature(reference(u1, u2)).tobytes()
+    # %.17g round-trips a double, so the CSV column reads back the same bits
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(cfg, grid={"n": 64})))
+    assert main(["metric-check", "--config", str(path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    table = np.loadtxt(tmp_path / "metric_check.csv", delimiter=",", skiprows=1)
+    assert table[:, 4].tobytes() == k.tobytes()
 
 
 def test_curvature_from_jet_guarded():
     from monopole_lab.fields import Jet
 
     with pytest.raises(DegeneratePoint):
-        geo.curvature_from_jet(Jet.along(0, np.array([[0.5], [-0.1]]), 1.0))
-    assert geo.curvature_from_jet(Jet(np.full((2, 3), 2.5))).tolist() == [[0.0] * 3] * 2
+        geo.curvature_from_jet(Jet.along(0, np.array([[0.5], [-0.1]]), 1.0), 0.0, 0.0)
+    # a partial that is None is identically zero: a constant jet, and one of a single axis
+    assert geo.curvature_from_jet(Jet(np.full((2, 3), 2.5)), None, None).tolist() == [[0.0] * 3] * 2
+    assert geo.curvature_from_jet(Jet(np.full((2, 3), 2.5), 0.0, 0.0), 0.0, 0.0).tolist() == [[0.0] * 3] * 2
+    lam, lam11 = Jet.along(0, np.array([[2.0], [3.0]]), np.array([[0.5], [1.5]])), np.array([[0.25], [-1.0]])
+    k = geo.curvature_from_jet(lam, lam11, None)
+    assert k.tobytes() == geo.curvature_from_jet(Jet(lam.v, lam.d1, 0.0), lam11, 0.0).tobytes()
+    assert np.allclose(k, -(lam11 / lam.v - (lam.d1 / lam.v) ** 2) / (2.0 * lam.v), rtol=1e-15, atol=0.0)
 
 
 def test_curvature_numeric_arrays_flat_and_guarded():

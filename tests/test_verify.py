@@ -5,10 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from monopole_lab import dynamics as dyn
+from monopole_lab import fields
+from monopole_lab import geometry as geo
 from monopole_lab import verify as ver
 from monopole_lab.errors import FunctionalDomainError, SingularSample
 from monopole_lab.fields import Jet, case1_spec, case2_spec
 from monopole_lab.polyroots import from_roots
+from second_order_jets import Jet2
 
 NEAR = (3, 2.99, -1, -4.99)  # the near-coalescing quartic
 
@@ -66,29 +70,42 @@ def _second_difference(F, h, axis):
     return (-at(2) + 16.0 * at(1) - 30.0 * F + 16.0 * at(-1) - at(-2)) / (12.0 * h * h)
 
 
-def _jet_gaps(grid, step):
-    """(max |jet - order-4 stencil|, max |jet|) per (field, partial) on the
-    points of the 32-interval grid's stencil core."""
-    n = grid.shape[0]
+def _gaps(F, parts: dict, h1, h2, step):
+    """(max |partial - order-4 stencil|, max |partial|, max |F|) per named
+    partial of F on the points of the 32-interval grid's stencil core."""
+    n = F.shape[0]
     pts = (slice(4 * step, n - 4 * step, step),) * 2
+    d1 = _d(F, h1, 0)
+    stencils = {
+        "d1": d1,
+        "d2": _d(F, h2, 1),
+        "d12": _d(d1, h2, 1),
+        "d11": _second_difference(F, h1, 0),
+        "d22": _second_difference(F, h2, 1),
+    }
+    out = {}
+    for k, part in parts.items():
+        part = np.broadcast_to(0.0 if part is None else part, F.shape)[pts]
+        gap = float(np.max(np.abs(part - stencils[k][pts])))
+        out[k] = (gap, float(np.max(np.abs(part))), float(np.max(np.abs(F))))
+    return out
+
+
+def _jet_gaps(grid, lam_jet, K1, K2, step):
+    """The gaps of every grid field's d1, d2 and d12, and of lambda's d11 and
+    d22 on the n-point mesh of the same window of (u1, u2) in [0, K1] x [0, K2]."""
     h1, h2 = grid.axis1[1] - grid.axis1[0], grid.axis2[1] - grid.axis2[0]
     out = {}
     for f in ver._FIELDS:
         jet = getattr(grid, f)
-        F = np.broadcast_to(jet.v, grid.shape)
-        d1, d2 = _d(F, h1, 0), _d(F, h2, 1)
-        stencils = {
-            "d1": d1,
-            "d2": d2,
-            "d12": _d(d1, h2, 1),
-            "d11": _second_difference(F, h1, 0),
-            "d22": _second_difference(F, h2, 1),
-        }
-        for k, fd in stencils.items():
-            part = getattr(jet, k)
-            part = np.broadcast_to(0.0 if part is None else part, grid.shape)[pts]
-            gap = float(np.max(np.abs(part - fd[pts])))
-            out[f, k] = (gap, float(np.max(np.abs(part))), float(np.max(np.abs(F))))
+        parts = {k: getattr(jet, k) for k in ("d1", "d2", "d12")}
+        gaps = _gaps(np.broadcast_to(jet.v, grid.shape), parts, h1, h2, step)
+        out.update(((f, k), gap) for k, gap in gaps.items())
+    u1, u2 = np.linspace(*ver._WINDOW, grid.shape[0]) * K1, np.linspace(*ver._WINDOW, grid.shape[1]) * K2
+    lam, lam11, lam22 = lam_jet(u1[:, None], u2[None, :])
+    F = np.broadcast_to(lam.v, grid.shape)
+    gaps = _gaps(F, {"d11": lam11, "d22": lam22}, u1[1] - u1[0], u2[1] - u2[0], step)
+    out.update((("lambda", k), gap) for k, gap in gaps.items())
     return out
 
 
@@ -97,10 +114,14 @@ def test_jets_match_the_stencil_at_fourth_order(case1, geometry):
     # 33 and 65 points: 32 and 64 intervals, so the coarse points are fine points
     if geometry == "case1":
         build = lambda n: ver.build_case1_grid(case1, n)
+        conf = geo.conformal_case1(case1.alpha)
+        lam = (conf.lam_jet, conf.K1, conf.K2)
     else:
         spec = case2_spec(from_roots(list(geometry), -1.0), mu=1.3, B=0.7)
         build = lambda n: ver.build_case2_grid(spec, n)
-    coarse, fine = _jet_gaps(build(33), 1), _jet_gaps(build(65), 2)
+        m = spec.model
+        lam = (lambda a, b: geo.torus_lambda_jet(m, a, b), m.K1, m.K2)
+    coarse, fine = _jet_gaps(build(33), *lam, 1), _jet_gaps(build(65), *lam, 2)
     fourth_order = set()
     for key, (gap, scale, size) in fine.items():
         if scale == 0.0:  # a partial that is identically zero: the stencil reads round-off
@@ -418,7 +439,7 @@ def test_derivative_table_matches_per_use_reference(case1, n):
     near = case2_spec(from_roots(list(NEAR), -1.0), mu=1.3, B=0.7)
     g2 = ver.build_case2_grid(spec2, n)
     u1, u2 = Jet.along(0, g2.axis1[:, None], 1.0), Jet.along(1, g2.axis2[None, :], 1.0)
-    sin_u1 = Jet.along(0, np.sin(u1.v), np.cos(u1.v), -np.sin(u1.v))
+    sin_u1 = Jet.along(0, np.sin(u1.v), np.cos(u1.v))
     grids = {
         "case1": ver.build_case1_grid(case1, n),
         "case2": g2,
@@ -438,6 +459,27 @@ def test_derivative_table_matches_per_use_reference(case1, n):
         assert _bits(ver.check_quantum_c6star(grid)) == _bits(c6_ref), name
         dual = ver._normalized_max(cons - swapped, cons_terms + swapped_terms)
         assert _bits(ver.check_duality(grid)) == _bits(dual), name
+
+
+@pytest.mark.parametrize("geometry", ["case1", (3, 2, -1, -4), NEAR, (4, 1, -1, -4)])
+def test_partials_match_the_second_order_reference(case1, geometry, monkeypatch):
+    # a jet without d11 and d22 forms every value and partial the checks read,
+    # and hf_bracket at a torus state, with the bits of the second-order rules
+    spec = case1 if geometry == "case1" else case2_spec(from_roots(list(geometry), -1.0), mu=1.3, B=0.7)
+    grid = (ver.build_case1_grid if geometry == "case1" else ver.build_case2_grid)(spec, 24)
+    rng = np.random.default_rng(3)
+    states = [dyn.random_state(spec, rng) for _ in range(20)] if geometry != "case1" else []
+
+    def run():
+        jets = fields.normal_form(spec, grid.axis1[:, None], grid.axis2[None, :])
+        parts = [[None if p is None else (np.shape(p), _bits(p)) for p in (j.v, j.d1, j.d2, j.d12)] for j in jets]
+        return parts, [dyn.hf_bracket(spec, s) for s in states], type(jets[0])
+
+    got = run()
+    monkeypatch.setattr(fields, "Jet", Jet2)
+    want = run()
+    assert (got[2], want[2]) == (Jet, Jet2)
+    assert got[:2] == want[:2]
 
 
 @pytest.mark.parametrize("stencil", ["2", "4"])
