@@ -38,7 +38,7 @@ print(f"decay constant A = 8 beta1 c / sqrt(D) = {A}")
 for ut in (3.0, 5.0, 7.0):
     val = lm.beta1**2 - float(limit_tilde_q2(lm, ut)) ** 2
     print(f"ut2 = {ut}: (beta1^2 - Qt2^2) e^(2 ut2) / A = {val * math.exp(2 * ut) / A:.8f}")
-lam = limit_cylinder_metric(lm, (0.0, 5.0)).lam
+lam = limit_cylinder_metric(lm, (0.0, 5.0))
 print(f"(conformal factor itself is 16/c times that: lam e^10/A = {lam * math.exp(10.0) / A:.6f})")
 
 print()

@@ -34,9 +34,8 @@ spec2 = case2_spec(from_roots([3, 2, -1, -4], -1.0), mu=1.0, B=0.7)
 
 for name, grid in (("cubic sphere family", build_case1_grid(spec1, 64)),
                    ("torus family", build_case2_grid(spec2, 64))):
-    report = check_classical(grid)
     print(f"-- {name}, 64x64 grid, exact jets")
-    for cond, val in report.residuals.items():
+    for cond, val in check_classical(grid).items():
         print(f"   {cond}: {val:.3e}")
     print(f"   C6*: {check_quantum_c6star(grid):.3e}")
     print(f"   h <-> B duality gap: {check_duality(grid):.3e}")
@@ -47,9 +46,9 @@ grid = build_case1_grid(spec1, 64)
 q1 = grid.axis1[:, None]
 tilt = Jet.along(0, 1.0 + 0.01 * q1 / q1.max(), 0.01 / q1.max())
 bad = dataclasses.replace(grid, h=grid.h * tilt)
-rep = check_classical(bad)
-print(f"   C5 residual jumps to {rep.residuals['C5']:.3e}, C6 to {rep.residuals['C6']:.3e}, "
-      f"the duality gap to {check_duality(bad):.3e}; C2 stays at {rep.residuals['C2']:.3e}")
+res = check_classical(bad)
+print(f"   C5 residual jumps to {res['C5']:.3e}, C6 to {res['C6']:.3e}, "
+      f"the duality gap to {check_duality(bad):.3e}; C2 stays at {res['C2']:.3e}")
 
 print()
 print("-- closed-form classification identities at 1000 random samples")

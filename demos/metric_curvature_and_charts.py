@@ -15,7 +15,7 @@ from monopole_lab import (
     curvature_numeric,
     fixed_point_chart,
     from_roots,
-    torus_metric,
+    torus_lambda,
 )
 from monopole_lab.geometry import curvature_from_jet, torus_lambda_jet
 from monopole_lab.polyroots import eval_p_deriv
@@ -54,10 +54,10 @@ limit = 0.5 * (eval_p_deriv(params, model.beta[1]) / 16.0) * model.beta[1]
 print(f"limit value P'(beta2) beta2 / 32 = {limit}")
 for radius in (1e-2, 1e-3, 1e-4):
     w = radius * np.exp(1j * 0.7)
-    got = fixed_point_chart(model, 0, w).lam
+    got = fixed_point_chart(model, 0, w)
     print(f"|w| = {radius:g}: coefficient = {got:.8f} (rel. gap {abs(got-limit)/limit:.2e})")
 
 print()
 print("-- involution consistency: lam(p) = lam(-p)")
 p = (0.537, 1.234)
-print(torus_metric(model, p).lam - torus_metric(model, (-p[0], -p[1])).lam)
+print(float(torus_lambda(model, *p) - torus_lambda(model, -p[0], -p[1])))

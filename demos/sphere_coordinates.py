@@ -35,8 +35,8 @@ for _ in range(4):
 print()
 print("-- the separable metric components at a strip point")
 f = lambda q: 4.0 * (a1 - q) * (a2 - q) * (a3 - q)
-sample = stackel_metric(f, 2.5, 1.5)
-print(f"g11 = {sample.g11:.6f}, g22 = {sample.g22:.6f} (both positive)")
+g11, g22 = stackel_metric(f, 2.5, 1.5)
+print(f"g11 = {g11:.6f}, g22 = {g22:.6f} (both positive)")
 
 print()
 print("-- degenerate cubic f = 4 q^3: upper half plane")

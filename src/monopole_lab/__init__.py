@@ -36,10 +36,7 @@ from .fields import (
     vy_spec,
 )
 from .geometry import (
-    MetricSample,
     NeumannConstants,
-    SpherePoint,
-    TorusPoint,
     area_and_flux,
     cartesian_to_neumann,
     conformal_case1,
@@ -52,7 +49,7 @@ from .geometry import (
     neumann_to_cartesian,
     sphere_point,
     stackel_metric,
-    torus_metric,
+    torus_lambda,
     torus_point,
 )
 from .dynamics import (
@@ -69,7 +66,6 @@ from .dynamics import (
 )
 from .verify import (
     AnsatzGrid,
-    ConditionReport,
     build_case1_grid,
     build_case2_grid,
     check_classical,

@@ -77,7 +77,6 @@ __all__ = [
     "PhaseState",
     "E3State",
     "Trajectory",
-    "StepResult",
     "torus_eval",
     "flow_step",
     "hf_bracket",
@@ -137,13 +136,6 @@ class Trajectory:
         lo, hi = self.monitor_extremes[key]
         v0 = float(self.monitors[key][0])
         return max(abs(hi - v0), abs(lo - v0))
-
-
-@dataclass(frozen=True)
-class StepResult:
-    state: "PhaseState | E3State"
-    dt_taken: float
-    dt_next: float
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +616,10 @@ def hf_bracket(spec: SystemSpec, s: PhaseState | E3State) -> tuple[float, float]
 
 def flow_step(
     spec: SystemSpec, s: PhaseState | E3State, dt: float, tol: float = 1e-10, nu: float | None = None
-) -> StepResult:
+) -> tuple:
     """One accepted adaptive step of the flow of any family, in the variables
-    of :func:`_flow`.  After the step an e(3)* state is projected onto the
+    of :func:`_flow`: (state, dt_taken, dt_next), as :func:`_adaptive_step`
+    returns them.  After the step an e(3)* state is projected onto the
     Casimir leaf |x| = 1, (M, x) = nu (default: the value carried by ``s``).
     dt and tol must be finite and positive (a NaN or infinite dt never
     shrinks below _DT_MIN), or ValueError is raised.
@@ -637,7 +630,7 @@ def flow_step(
     if nu is None and isinstance(s, E3State):
         nu = float(s.M @ s.x)
     y, taken, dt_next = _adaptive_step(rhs, y, dt, tol, n)
-    return StepResult(state=unpack(spec, y, nu), dt_taken=taken, dt_next=dt_next)
+    return unpack(spec, y, nu), taken, dt_next
 
 
 def integrate(
@@ -682,10 +675,8 @@ def integrate(
     n_accepted = 0
     while t < t_end - 1e-14:
         dt = min(dt, t_end - t)
-        res = flow_step(spec, state, dt, tol, nu)
-        state = res.state
-        t += res.dt_taken
-        dt = res.dt_next
+        state, taken, dt = flow_step(spec, state, dt, tol, nu)
+        t += taken
         n_accepted += 1
         vals = monitors(state)
         for i, v in enumerate(vals):  # min() and max(), which keep the old value unless v passes it

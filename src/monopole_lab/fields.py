@@ -286,14 +286,10 @@ def stackel_components(f, q1, q2):
 
 def _torus_jets(model: EllipticModel, u1, u2):
     """Jets of Q1, Q1' at u1 and of Q2, Q2' at u2, exact from 4 Q1'^2 = P(Q1)
-    and 4 Q2'^2 = -P(Q2): Q1'' = P'(Q1)/8, Q2'' = -P'(Q2)/8.  A pair of Python
-    floats reads the slices from EllipticModel.at, which keeps the flow's last
-    point; arrays take one value_and_deriv per axis and no I1."""
+    and 4 Q2'^2 = -P(Q2): Q1'' = P'(Q1)/8, Q2'' = -P'(Q2)/8; one value_and_deriv
+    per axis and no I1."""
     poly = model.params.coefficients()
-    if type(u1) is float and type(u2) is float:
-        x1, d1, x2, d2, _ = model.at(u1, u2)
-    else:
-        (x1, d1), (x2, d2) = model.branch1.value_and_deriv(u1), model.branch2.value_and_deriv(u2)
+    (x1, d1), (x2, d2) = model.branch1.value_and_deriv(u1), model.branch2.value_and_deriv(u2)
     return (*Jet.from_values(x1, d1, 0, 0.25, poly), *Jet.from_values(x2, d2, 1, -0.25, poly))
 
 

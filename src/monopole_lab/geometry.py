@@ -39,14 +39,10 @@ from .fields import Family, Jet, SystemSpec, _mul, _sum, _torus_jets, stackel_co
 from .polyroots import eval_p_deriv
 
 __all__ = [
-    "TorusPoint",
-    "SpherePoint",
-    "MetricSample",
     "NeumannConstants",
     "torus_point",
     "sphere_point",
     "stackel_metric",
-    "torus_metric",
     "torus_lambda",
     "torus_lambda_jet",
     "Case1ConformalModel",
@@ -67,35 +63,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TorusPoint:
-    """Point on the period torus, canonical in [0, 4K1) x [0, 4K2)."""
-
-    u1: float
-    u2: float
-
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """Involution orbit {p, sigma(p)} with a chart tag.
-
-    ``chart`` is -1 in the bulk, otherwise the index 0..3 of the nearby
-    fixed point.
-    """
-
-    rep: TorusPoint
-    chart: int
-
-
-@dataclass(frozen=True)
-class MetricSample:
-    """Covariant diagonal metric components; ``lam`` set when conformal."""
-
-    g11: float
-    g22: float
-    lam: float | None = None
-
-
-@dataclass(frozen=True)
 class NeumannConstants:
     """Strictly descending constants alpha1 > alpha2 > alpha3."""
 
@@ -107,9 +74,10 @@ class NeumannConstants:
             raise ValueError(f"alpha must be strictly descending, got {self.alpha}")
 
 
-def torus_point(model: EllipticModel, u1: float, u2: float) -> TorusPoint:
-    """Canonical representative of (u1, u2) on the period torus."""
-    return TorusPoint(u1=float(np.mod(u1, 4.0 * model.K1)), u2=float(np.mod(u2, 4.0 * model.K2)))
+def torus_point(model: EllipticModel, u1: float, u2: float) -> tuple[float, float]:
+    """Canonical representative (u1, u2) of the point on the period torus,
+    in [0, 4K1) x [0, 4K2)."""
+    return float(np.mod(u1, 4.0 * model.K1)), float(np.mod(u2, 4.0 * model.K2))
 
 
 def _fixed_points(model: EllipticModel) -> list[tuple[float, float]]:
@@ -121,11 +89,13 @@ def _fixed_points(model: EllipticModel) -> list[tuple[float, float]]:
     ]
 
 
-def sphere_point(model: EllipticModel, p: TorusPoint) -> SpherePoint:
-    """Orbit of p under sigma(u) = -u with the chart tag of the atlas."""
+def sphere_point(model: EllipticModel, p: tuple[float, float]) -> tuple[tuple[float, float], int]:
+    """Orbit {p, sigma(p)} of a canonical torus point p under sigma(u) = -u, as
+    (rep, chart): rep the lesser of p and its image, chart -1 in the bulk,
+    otherwise the index 0..3 of the nearby fixed point."""
     L1, L2 = 4.0 * model.K1, 4.0 * model.K2
-    image = (float(np.mod(-p.u1, L1)), float(np.mod(-p.u2, L2)))
-    rep = min((p.u1, p.u2), image)
+    image = (float(np.mod(-p[0], L1)), float(np.mod(-p[1], L2)))
+    rep = min(tuple(p), image)
     r0 = min(model.K1, model.K2) / 8.0
     chart = -1
     for idx, (c1, c2) in enumerate(_fixed_points(model)):
@@ -136,11 +106,12 @@ def sphere_point(model: EllipticModel, p: TorusPoint) -> SpherePoint:
         if math.hypot(d1, d2) < r0:
             chart = idx
             break
-    return SpherePoint(rep=TorusPoint(*rep), chart=chart)
+    return rep, chart
 
 
-def stackel_metric(f, q1: float, q2: float) -> MetricSample:
-    """Separable-form metric components g11 = (q1-q2)/f(q1), g22 = (q2-q1)/f(q2)."""
+def stackel_metric(f, q1: float, q2: float) -> tuple[float, float]:
+    """Covariant separable-form metric components (g11, g22), g11 = (q1-q2)/f(q1)
+    and g22 = (q2-q1)/f(q2)."""
     if abs(q1 - q2) < 1e-14 * max(1.0, abs(q1), abs(q2)):
         raise DegenerateCoordinates(f"q1 = q2 = {q1}")
     g11, g22 = stackel_components(f, q1, q2)
@@ -148,7 +119,7 @@ def stackel_metric(f, q1: float, q2: float) -> MetricSample:
         raise WrongSignature(
             f"metric not positive at ({q1}, {q2}): g11 = {g11:.3e}, g22 = {g22:.3e}"
         )
-    return MetricSample(g11=float(g11), g22=float(g22), lam=None)
+    return float(g11), float(g22)
 
 
 def torus_lambda(model: EllipticModel, u1, u2):
@@ -164,13 +135,6 @@ def torus_lambda_jet(model: EllipticModel, u1, u2) -> tuple:
     # (x^2)'' = x'' x + 2 x'^2 + x x'', summed as the second-order product rule sums it
     second = lambda x, d, dd: dd * x + 2.0 * (d * d) + x * dd
     return x1**2 - x2**2, second(x1.v, x1.d1, dx1.d1), -second(x2.v, x2.d2, dx2.d2)
-
-
-def torus_metric(model: EllipticModel, p) -> MetricSample:
-    """Conformal factor lam = Q1(u1)^2 - Q2(u2)^2 (zero exactly at fixed points)."""
-    u1, u2 = p
-    lam = float(torus_lambda(model, u1, u2))
-    return MetricSample(g11=lam, g22=lam, lam=lam)
 
 
 class Case1ConformalModel:
@@ -290,8 +254,8 @@ def curvature_from_jet(lam: Jet, lam11, lam22):
     return -lap / (2.0 * lam.v)
 
 
-def fixed_point_chart(model: EllipticModel, index: int, w: complex) -> MetricSample:
-    """Metric coefficient in the quotient chart w = z^2 at a fixed point.
+def fixed_point_chart(model: EllipticModel, index: int, w: complex) -> float:
+    """Conformal metric coefficient in the quotient chart w = z^2 at a fixed point.
 
     The pullback of lam (du1^2 + du2^2) under z = sqrt(w) has conformal
     coefficient lam(z) / (4 |w|), which extends over w = 0 with the limit
@@ -305,13 +269,10 @@ def fixed_point_chart(model: EllipticModel, index: int, w: complex) -> MetricSam
         raise ChartOverflow(f"|w| = {abs(w):.3e} exceeds chart radius {r_max:.3e}")
     beta2 = model.beta[1]
     if w == 0:
-        coeff = 0.5 * (eval_p_deriv(model.params, beta2) / 16.0) * beta2
-        return MetricSample(g11=float(coeff), g22=float(coeff), lam=float(coeff))
+        return float(0.5 * (eval_p_deriv(model.params, beta2) / 16.0) * beta2)
     z = np.sqrt(w)
     c1, c2 = _fixed_points(model)[index]
-    lam = torus_metric(model, (c1 + z.real, c2 + z.imag)).lam
-    coeff = lam / (4.0 * abs(w))
-    return MetricSample(g11=float(coeff), g22=float(coeff), lam=float(coeff))
+    return float(torus_lambda(model, c1 + z.real, c2 + z.imag)) / (4.0 * abs(w))
 
 
 def area_and_flux(obj, B: float, n: int = 256) -> dict:
@@ -410,9 +371,12 @@ def cartesian_to_neumann(c: NeumannConstants, x) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class HyperbolicChart:
+    """The chart point (u, v), the conformal factor lam = 1/v^2 of the metric
+    there, and the potential over mu."""
+
     u: float
     v: float
-    metric: MetricSample
+    lam: float
     h_over_mu: float
 
 
@@ -433,7 +397,7 @@ def hyperbolic_chart(q1: float, q2_mag: float) -> HyperbolicChart:
     return HyperbolicChart(
         u=float(u),
         v=float(v),
-        metric=MetricSample(g11=float(g), g22=float(g), lam=float(g)),
+        lam=float(g),
         h_over_mu=float(-4.0 * u / (v * v)),
     )
 
@@ -444,7 +408,7 @@ def limit_tilde_q2(lm: LimitModel, ut2):
         return lm.beta1 - 2.0 * lm.c / (sqD * np.cosh(2.0 * np.asarray(ut2, dtype=float)) + lm.b)
 
 
-def limit_cylinder_metric(lm: LimitModel, u_tilde) -> MetricSample:
+def limit_cylinder_metric(lm: LimitModel, u_tilde) -> float:
     """Conformal factor of the cylinder limit in rescaled coordinates:
 
         lam = 16 (beta1^2 - Qt2(ut2)^2) / c,
@@ -455,8 +419,7 @@ def limit_cylinder_metric(lm: LimitModel, u_tilde) -> MetricSample:
     """
     _, ut2 = u_tilde
     qt = float(limit_tilde_q2(lm, ut2))
-    lam = 16.0 * (lm.beta1**2 - qt**2) / lm.c
-    return MetricSample(g11=lam, g22=lam, lam=lam)
+    return 16.0 * (lm.beta1**2 - qt**2) / lm.c
 
 
 def limit_metric_decay_constant(lm: LimitModel) -> float:

@@ -86,9 +86,6 @@ class RootQuadruple:
         b = self.beta
         return (b[0] + b[3] < 0.0) and (b[1] + b[2] > 0.0)
 
-    def __iter__(self):
-        return iter(self.beta)
-
 
 @dataclass(frozen=True)
 class AdmissibilityReport:

@@ -56,7 +56,6 @@ from .fields import Family, Jet, SystemSpec, normal_form
 
 __all__ = [
     "AnsatzGrid",
-    "ConditionReport",
     "build_case1_grid",
     "build_case2_grid",
     "swap_h_and_b",
@@ -176,21 +175,10 @@ def _row(terms: list) -> float:
     return _normalized_max(_sum(terms), terms)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Max normalized residuals per condition."""
-
-    residuals: dict[str, float]
-    n: int
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
-
-
-def check_classical(grid: AnsatzGrid, stencil=None) -> ConditionReport:
-    """Max normalized residuals of (C1)-(C6).  ``stencil`` is ignored: every
-    derivative is exact, and callers that pass an order positionally still run."""
+def check_classical(grid: AnsatzGrid, stencil=None) -> dict[str, float]:
+    """Max normalized residuals of (C1)-(C6), as {condition: residual}.
+    ``stencil`` is ignored: every derivative is exact, and callers that pass
+    an order positionally still run."""
     g11, g22, v1, v2, phi1, phi2, _, _, B = _values(grid)
     d1 = lambda jet, log=False: _d(jet, 0, log)
     d2 = lambda jet, log=False: _d(jet, 1, log)
@@ -213,7 +201,7 @@ def check_classical(grid: AnsatzGrid, stencil=None) -> ConditionReport:
         "C6": [[phi1 * d1(grid.h), phi2 * d2(grid.h)]],
     }
     res.update((name, max(map(_row, eqs))) for name, eqs in rows.items())
-    return ConditionReport(residuals=res, n=grid.shape[0])
+    return res
 
 
 def _c6star(grid: AnsatzGrid) -> tuple[np.ndarray, list, np.ndarray]:

@@ -51,6 +51,21 @@ def test_roots_inadmissible(tmp_path, capsys):
     assert "root_inequalities: False" in capsys.readouterr().out
 
 
+def test_roots_and_coefficients_together_is_config_error(tmp_path, capsys):
+    cfg = dict(CASE2, geometry={"roots": [3, 2, -1, -4], "a3": -1.0, "a2": 15.0})
+    code = main(["roots", "--config", _write(tmp_path, cfg)])
+    assert code == 2
+    assert capsys.readouterr().err == 'config error: give either "roots" or coefficients, not both\n'
+
+
+def test_roots_of_a_quartic_without_four_real_roots(tmp_path, capsys):
+    # P = -x^4 - x^2 - 1 has no real root: a numerical failure, not a refused config
+    cfg = dict(CASE2, geometry={"a3": -1.0, "a2": -1.0, "a0": 0.0, "a1": -1.0})
+    code = main(["roots", "--config", _write(tmp_path, cfg)])
+    assert code == 1
+    assert "roots: not four distinct real roots\n" in capsys.readouterr().out
+
+
 def test_missing_key_names_it(tmp_path, capsys):
     cfg = dict(CASE2, geometry={"a2": 15.0, "a0": -10.0, "a1": -24.0})
     code = main(["roots", "--config", _write(tmp_path, cfg)])

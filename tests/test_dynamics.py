@@ -202,9 +202,9 @@ def test_torus_run_aimed_at_fixed_point(canonical_params, mu):
 def test_flow_step_contract(case2, limit_spec, case1, vy):
     rng = np.random.default_rng(22)
     s = dyn.random_state(case2, rng)
-    res = dyn.flow_step(case2, s, dt=0.01, tol=1e-10)
-    assert 0 < res.dt_taken <= 0.01
-    assert res.dt_next > 0
+    _, taken, dt_next = dyn.flow_step(case2, s, dt=0.01, tol=1e-10)
+    assert 0 < taken <= 0.01
+    assert dt_next > 0
     for spec in (case2, case1, vy, limit_spec):
         s = dyn.random_state(spec, rng)
         for dt in (-1.0, 0.0):
@@ -571,9 +571,7 @@ def test_limit_flow_p1_exact_and_h_conserved(limit_spec):
     state = s
     dt = 1e-2
     for _ in range(10_000):
-        res = dyn.flow_step(limit_spec, state, dt, tol=1e-9)
-        state = res.state
-        dt = res.dt_next
+        state, _, dt = dyn.flow_step(limit_spec, state, dt, tol=1e-9)
         assert state.p1 == s.p1  # bitwise: the coordinate is cyclic
     traj = dyn.integrate(limit_spec, s, t_end=50.0, tol=1e-10, stride=50)
     H = traj.monitors["H"]
@@ -1059,6 +1057,14 @@ def test_limit_rhs_is_non_finite_on_the_plateau(limit_spec):
             assert not np.any(np.isfinite(_ref_limit_rhs(limit_spec)(0.0, np.array(v))))
 
 
+def test_limit_rhs_is_non_finite_at_a_runaway_stage(limit_spec):
+    # (p1 - A1)^2 of a Python float raises OverflowError past 1e154: the
+    # right-hand side gives the all-NaN row, which the step retries
+    lm = limit_spec.limit
+    y = _limit_y(limit_spec, 0.0, lm.delta + 1.0, 1e200, 0.2)
+    assert all(map(math.isnan, dyn._limit_rhs(limit_spec)(y)))
+
+
 def test_core_shrinks_past_a_singular_stage():
     # every stage beyond y = 0.5 meets a fixed point: the step shrinks by 4x
     # until none does, exactly as in the reference
@@ -1200,7 +1206,7 @@ def _ref_flow_step(spec, s, dt, tol=1e-10):
     (u1, u2, w1, w2, *_), taken, dt_next = dyn._adaptive_step(dyn._torus_rhs(spec), y, dt, tol, 4)
     a1, a2 = gauge_a(spec, (u1, u2))
     out = dyn.PhaseState(u1=u1, u2=u2, p1=w1 + a1, p2=w2 + a2)
-    return dyn.StepResult(state=out, dt_taken=taken, dt_next=dt_next)
+    return out, taken, dt_next
 
 
 def _ref_project_e3(y, nu):
@@ -1218,7 +1224,7 @@ def _ref_e3_flow_step(spec, s, dt, tol=1e-10, nu=None):
         nu = float(s.M @ s.x)
     y_new, taken, dt_next = dyn._adaptive_step(dyn._e3_rhs(spec), y, dt, tol)
     y_new = _ref_project_e3(np.array(y_new), nu)
-    return dyn.StepResult(state=dyn.E3State(M=y_new[:3], x=y_new[3:]), dt_taken=taken, dt_next=dt_next)
+    return dyn.E3State(M=y_new[:3], x=y_new[3:]), taken, dt_next
 
 
 def _ref_limit_system_step(spec, s, dt, tol=1e-10):
@@ -1229,7 +1235,7 @@ def _ref_limit_system_step(spec, s, dt, tol=1e-10):
     y = _limit_y(spec, s.u1, s.u2, s.p1, s.p2)
     # the error norm divides by the phase-space dimension 4, not by len(y)
     (u1, u2, p1, p2, *_), taken, dt_next = dyn._adaptive_step(dyn._limit_rhs(spec), y, dt, tol, 4)
-    return dyn.StepResult(state=dyn.PhaseState(u1, u2, p1, p2), dt_taken=taken, dt_next=dt_next)
+    return dyn.PhaseState(u1, u2, p1, p2), taken, dt_next
 
 
 def _ref_step(spec, s, dt, tol, nu=None):
@@ -1270,10 +1276,8 @@ def _ref_integrate(spec, state0, t_end, tol=1e-10, stride=1):
     n_accepted = 0
     while t < t_end - 1e-14:
         dt = min(dt, t_end - t)
-        res = stepper(state, dt)
-        state = res.state
-        t += res.dt_taken
-        dt = res.dt_next
+        state, taken, dt = stepper(state, dt)
+        t += taken
         n_accepted += 1
         vals = monitors(state)
         for k, v in vals.items():
@@ -1293,7 +1297,8 @@ def _ref_integrate(spec, state0, t_end, tol=1e-10, stride=1):
 
 
 def _step_key(res):
-    return type(res.state).__name__, res.state.as_array().tobytes(), res.dt_taken, res.dt_next
+    state, taken, dt_next = res
+    return type(state).__name__, state.as_array().tobytes(), taken, dt_next
 
 
 def _step_outcome(step, *args):
@@ -1385,7 +1390,7 @@ def test_e3_flow_step_on_a_pinned_leaf(family, request):
         res = dyn.flow_step(spec, got, dt_got, 1e-10, nu=nu)
         ref = _ref_e3_flow_step(spec, want, dt_want, 1e-10, nu=nu)
         assert _step_key(res) == _step_key(ref)
-        got, dt_got, want, dt_want = res.state, res.dt_next, ref.state, ref.dt_next
+        (got, _, dt_got), (want, _, dt_want) = res, ref
     assert abs(float(got.M @ got.x) - nu) < 1e-14
 
 
@@ -1500,11 +1505,10 @@ def test_cylinder_step_evaluates_each_slice_point_once(monkeypatch):
 
 
 def test_torus_bracket_sums_each_slice_point_once(canonical_params, monkeypatch):
-    # hf_bracket's normal-form jets read (Q1, Q1', Q2, Q2') from the
-    # EllipticModel.at of _flow's packing: a new point sums a value and a
-    # derivative of each slice and one I1, one pass per axis, and the bracket
-    # and its scale are those of jets seeded from the branches, bit for bit.
-    # Arrays keep one value_and_deriv per axis and take no I1
+    # hf_bracket's packing sums the EllipticModel.at of a new point, one pass
+    # per axis with I1 in the u1 pass; its normal-form jets add one
+    # value_and_deriv per axis and no I1, as arrays do, and the bracket and
+    # its scale are those of jets seeded from the branches, bit for bit
     spec = case2_spec(canonical_params, mu=1.0, B=0.5)
     m = spec.model
     u1, u2 = (np.random.default_rng(9).uniform(0.15, 0.85, 2) * (m.K1, m.K2)).tolist()
@@ -1520,9 +1524,9 @@ def test_torus_bracket_sums_each_slice_point_once(canonical_params, monkeypatch)
     with monkeypatch.context() as patch:
         patch.setattr(_inversion, "_clenshaw", counted_clenshaw)
         got = dyn.hf_bracket(spec, s)
-        assert count == {"u1+I1": 1, "u1": 0, "u2": 1, "columns": 5}
-        fields.normal_form(spec, np.array([[u1], [0.5 * u1]]), np.array([[u2, 0.5 * u2]]))
         assert count == {"u1+I1": 1, "u1": 1, "u2": 2, "columns": 9}
+        fields.normal_form(spec, np.array([[u1], [0.5 * u1]]), np.array([[u2, 0.5 * u2]]))
+        assert count == {"u1+I1": 1, "u1": 2, "u2": 3, "columns": 13}
     monkeypatch.setattr(fields, "_torus_jets", branch_jets)
     want = dyn.hf_bracket(spec, s)
     assert [v.hex() for v in got] == [v.hex() for v in want]

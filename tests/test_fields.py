@@ -135,7 +135,7 @@ def test_varphi_gradient_consistency_case2(case2, canonical_model):
     for _ in range(30):
         u1 = rng.uniform(0.2, 0.8) * m.K1
         u2 = rng.uniform(0.2, 0.8) * m.K2
-        lam = geo.torus_metric(m, (u1, u2)).lam
+        lam = float(geo.torus_lambda(m, u1, u2))
         p1, p2 = _phi(case2, u1, u2)
         v1 = float(m.q2(u2)) ** 2
         v2 = float(m.q1(u1)) ** 2
@@ -199,13 +199,12 @@ def magnetic_density(spec, metric_fn, gauge_fn, point, step: float = 1e-5):
     differences of the gauge: the check of the closed-form gauge against its
     density, which an exact curl of the same formula would read by construction.
 
-    ``metric_fn(point) -> MetricSample`` supplies the covariant components,
+    ``metric_fn(point) -> (g11, g22)`` supplies the covariant components,
     which are inverted here (the density convention is contravariant);
     ``gauge_fn(point) -> (A1, A2)``.
     """
     u1v, u2v = point
-    sample = metric_fn(point)
-    g11_cov, g22_cov = sample.g11, sample.g22
+    g11_cov, g22_cov = metric_fn(point)
     if g11_cov <= 0.0 or g22_cov <= 0.0:
         raise DegeneratePoint(f"metric degenerate at ({u1v}, {u2v})")
     d1a2 = (gauge_fn((u1v + step, u2v))[1] - gauge_fn((u1v - step, u2v))[1]) / (2.0 * step)
@@ -215,7 +214,7 @@ def magnetic_density(spec, metric_fn, gauge_fn, point, step: float = 1e-5):
 
 def test_magnetic_density_constant(case2, canonical_model):
     m = canonical_model
-    metric_fn = lambda p: geo.torus_metric(m, p)
+    metric_fn = lambda p: (float(geo.torus_lambda(m, *p)),) * 2
     gauge_fn = lambda p: gauge_a(case2, p)
     rng = np.random.default_rng(15)
     for _ in range(64):
@@ -227,7 +226,7 @@ def test_magnetic_density_constant(case2, canonical_model):
 
 def test_magnetic_density_zero_and_linear(canonical_model, case2):
     m = canonical_model
-    metric_fn = lambda p: geo.torus_metric(m, p)
+    metric_fn = lambda p: (float(geo.torus_lambda(m, *p)),) * 2
     zero = case2_spec(case2.quartic, mu=1.0, B=0.0)
     val = magnetic_density(zero, metric_fn, lambda p: gauge_a(zero, p), (1.0, 1.0))
     assert val == 0.0
@@ -240,7 +239,7 @@ def test_magnetic_density_zero_and_linear(canonical_model, case2):
 def test_magnetic_density_bulk_grid(case2, canonical_model):
     # the standing assumption: constant density over the bulk, on a 64^2 grid
     m = canonical_model
-    metric_fn = lambda p: geo.torus_metric(m, p)
+    metric_fn = lambda p: (float(geo.torus_lambda(m, *p)),) * 2
     gauge_fn = lambda p: gauge_a(case2, p)
     u1 = np.linspace(0.2, 0.8, 64) * m.K1
     u2 = np.linspace(0.2, 0.8, 64) * m.K2

@@ -28,8 +28,8 @@ ALPHA = (3.0, 2.0, 1.0)
 
 def test_stackel_metric_case1_positive():
     f = lambda q: 4.0 * (ALPHA[0] - q) * (ALPHA[1] - q) * (ALPHA[2] - q)
-    s = geo.stackel_metric(f, 2.5, 1.5)
-    assert s.g11 > 0.0 and s.g22 > 0.0
+    g11, g22 = geo.stackel_metric(f, 2.5, 1.5)
+    assert g11 > 0.0 and g22 > 0.0
 
 
 def test_stackel_metric_degenerate_and_signature():
@@ -53,22 +53,22 @@ def test_stackel_equals_torus_through_jacobian(canonical_model):
         x1, x2 = float(m.q1(u1)), float(m.q2(u2))
         if x2 <= 0.05:  # q2 = x2^2 chart needs the positive part of the slice
             continue
-        sample = geo.stackel_metric(f, x1**2, x2**2)
-        lam = geo.torus_metric(m, (u1, u2)).lam
+        g11, g22 = geo.stackel_metric(f, x1**2, x2**2)
+        lam = float(geo.torus_lambda(m, u1, u2))
         # dq1/du1 = 2 x1 dx1/du1 = x1 sqrt(P(x1))
         dq1_du1 = x1 * math.sqrt(eval_p(params, x1))
         dq2_du2 = x2 * math.sqrt(-eval_p(params, x2))
-        assert sample.g11 * dq1_du1**2 == pytest.approx(lam, rel=1e-9)
-        assert sample.g22 * dq2_du2**2 == pytest.approx(lam, rel=1e-9)
+        assert g11 * dq1_du1**2 == pytest.approx(lam, rel=1e-9)
+        assert g22 * dq2_du2**2 == pytest.approx(lam, rel=1e-9)
 
 
 # --- torus metric -------------------------------------------------------------
 
-def test_torus_metric_fixed_points_and_endpoint(canonical_model):
+def test_torus_lambda_fixed_points_and_endpoint(canonical_model):
     m = canonical_model
     for c in [(0.0, 0.0), (2 * m.K1, 0.0), (0.0, 2 * m.K2), (2 * m.K1, 2 * m.K2)]:
-        assert geo.torus_metric(m, c).lam == 0.0
-    assert geo.torus_metric(m, (m.K1, m.K2)).lam == pytest.approx(8.0, rel=1e-12)
+        assert geo.torus_lambda(m, *c) == 0.0
+    assert geo.torus_lambda(m, m.K1, m.K2) == pytest.approx(8.0, rel=1e-12)
 
 
 def test_degeneracy_locus_scan(canonical_model):
@@ -93,7 +93,7 @@ def test_sigma_equivariance_exact(canonical_model):
     rng = np.random.default_rng(0)
     for _ in range(50):
         p = (rng.uniform(0, 4 * m.K1), rng.uniform(0, 4 * m.K2))
-        assert geo.torus_metric(m, p).lam == geo.torus_metric(m, (-p[0], -p[1])).lam
+        assert geo.torus_lambda(m, *p) == geo.torus_lambda(m, -p[0], -p[1])
 
 
 def test_lambda_lower_bound(canonical_model):
@@ -105,7 +105,7 @@ def test_lambda_lower_bound(canonical_model):
         u2 = rng.uniform(0, 4 * m.K2)
         x1, x2 = float(m.q1(u1)), float(m.q2(u2))
         assert x1 + x2 >= m.beta[1] + m.beta[2] - 1e-12
-        assert geo.torus_metric(m, (u1, u2)).lam == pytest.approx(
+        assert geo.torus_lambda(m, u1, u2) == pytest.approx(
             (x1 + x2) * (x1 - x2), rel=1e-12, abs=1e-12
         )
 
@@ -114,22 +114,22 @@ def test_lambda_lower_bound(canonical_model):
 
 def test_torus_point_canonical(canonical_model):
     m = canonical_model
-    p = geo.torus_point(m, -1.0, 4.0 * m.K2 + 0.5)
-    assert 0.0 <= p.u1 < 4 * m.K1 and 0.0 <= p.u2 < 4 * m.K2
+    u1, u2 = geo.torus_point(m, -1.0, 4.0 * m.K2 + 0.5)
+    assert 0.0 <= u1 < 4 * m.K1 and 0.0 <= u2 < 4 * m.K2
 
 
 def test_sphere_point_orbit_and_chart(canonical_model):
     m = canonical_model
     p = geo.torus_point(m, 3.0, 1.0)
-    sp = geo.sphere_point(m, p)
+    rep, chart = geo.sphere_point(m, p)
     image = geo.torus_point(m, -3.0, -1.0)
-    sp2 = geo.sphere_point(m, image)
-    assert sp.rep == sp2.rep
-    assert sp.chart == -1
-    near = geo.sphere_point(m, geo.torus_point(m, 1e-3, 1e-3))
-    assert near.chart == 0
-    near2 = geo.sphere_point(m, geo.torus_point(m, 2 * m.K1 + 1e-3, 1e-3))
-    assert near2.chart == 1
+    rep2, _ = geo.sphere_point(m, image)
+    assert rep == rep2
+    assert chart == -1
+    _, near = geo.sphere_point(m, geo.torus_point(m, 1e-3, 1e-3))
+    assert near == 0
+    _, near2 = geo.sphere_point(m, geo.torus_point(m, 2 * m.K1 + 1e-3, 1e-3))
+    assert near2 == 1
 
 
 # --- curvature -----------------------------------------------------------------
@@ -148,6 +148,12 @@ def test_curvature_case2_closed_vs_numeric(case2, canonical_model):
         kc = geo.curvature_closed(case2, (u1, u2))
         kn = geo.curvature_numeric(lam_fn, (u1, u2), h=1e-3)
         assert abs(kc - kn) < 1e-6
+
+
+def test_curvature_case2_degenerates_at_a_fixed_point(case2):
+    # Q1 = Q2 = beta2 at (0, 0), where lam = 0
+    with pytest.raises(DegeneratePoint):
+        geo.curvature_closed(case2, (0.0, 0.0))
 
 
 def test_curvature_case2_endpoint_value(case2, canonical_model):
@@ -308,10 +314,10 @@ def test_fixed_point_chart_limit(canonical_model):
     # limit P'(beta2) beta2 / 32
     limit = eval_p_deriv(m.params, m.beta[1]) * m.beta[1] / 32.0
     assert limit == pytest.approx(1.125, rel=1e-14)
-    assert geo.fixed_point_chart(m, 0, 0.0).lam == pytest.approx(limit, rel=1e-14)
+    assert geo.fixed_point_chart(m, 0, 0.0) == pytest.approx(limit, rel=1e-14)
     for ang in (0.3, 2.0, 4.4):
-        c3 = geo.fixed_point_chart(m, 0, 1e-3 * np.exp(1j * ang)).lam
-        c4 = geo.fixed_point_chart(m, 0, 1e-4 * np.exp(1j * ang)).lam
+        c3 = geo.fixed_point_chart(m, 0, 1e-3 * np.exp(1j * ang))
+        c4 = geo.fixed_point_chart(m, 0, 1e-4 * np.exp(1j * ang))
         assert abs(c3 - limit) / limit < 1e-2
         assert abs(c4 - limit) / limit < 1e-3
         assert abs(c3 - c4) / limit < 1e-2  # convergence between radii
@@ -321,7 +327,7 @@ def test_fixed_point_chart_all_indices(canonical_model):
     m = canonical_model
     limit = eval_p_deriv(m.params, m.beta[1]) * m.beta[1] / 32.0
     for idx in range(4):
-        got = geo.fixed_point_chart(m, idx, 1e-4 + 5e-5j).lam
+        got = geo.fixed_point_chart(m, idx, 1e-4 + 5e-5j)
         assert abs(got - limit) / limit < 1e-3
 
 
@@ -329,10 +335,10 @@ def test_fixed_point_chart_involution_consistency(canonical_model):
     m = canonical_model
     w = 1e-3 * np.exp(0.9j)
     z = np.sqrt(w)
-    a = geo.torus_metric(m, (z.real, z.imag)).lam
-    b = geo.torus_metric(m, (-z.real, -z.imag)).lam
+    a = geo.torus_lambda(m, z.real, z.imag)
+    b = geo.torus_lambda(m, -z.real, -z.imag)
     assert a == b
-    assert geo.fixed_point_chart(m, 0, w).lam == pytest.approx(a / (4 * abs(w)), rel=1e-14)
+    assert geo.fixed_point_chart(m, 0, w) == pytest.approx(a / (4 * abs(w)), rel=1e-14)
 
 
 def test_fixed_point_chart_overflow(canonical_model):
@@ -438,8 +444,7 @@ def test_neumann_pullback_matches_separable_form():
         x_p = geo.neumann_to_cartesian(c, q1, q2 + h, (1, -1, 1))
         x_m = geo.neumann_to_cartesian(c, q1, q2 - h, (1, -1, 1))
         g22 = float(((x_p - x_m) / (2 * h)) @ ((x_p - x_m) / (2 * h)))
-        assert g11 == pytest.approx(sample.g11, rel=1e-5)
-        assert g22 == pytest.approx(sample.g22, rel=1e-5)
+        assert (g11, g22) == pytest.approx(sample, rel=1e-5)
 
 
 # --- hyperbolic chart ----------------------------------------------------------
@@ -448,7 +453,7 @@ def test_hyperbolic_chart_basic():
     chart = geo.hyperbolic_chart(1.0, 1.0)
     assert (chart.u, chart.v) == (0.0, 2.0)
     assert chart.h_over_mu == 0.0
-    assert chart.metric.lam == 0.25
+    assert chart.lam == 0.25
     with pytest.raises(NonPositiveCoordinate):
         geo.hyperbolic_chart(-1.0, 1.0)
 
@@ -480,8 +485,7 @@ def test_hyperbolic_chart_metric_pullback():
         cm = geo.hyperbolic_chart(q1, m2 - h)
         du, dv = (cp.u - cm.u) / (2 * h), (cp.v - cm.v) / (2 * h)
         g22 = (du * du + dv * dv) / c0.v**2
-        assert g11 == pytest.approx(sample.g11, rel=1e-6)
-        assert g22 == pytest.approx(sample.g22, rel=1e-6)
+        assert (g11, g22) == pytest.approx(sample, rel=1e-6)
 
 
 # --- cylinder limit ---------------------------------------------------------------
@@ -490,7 +494,7 @@ def test_limit_cylinder_metric_at_symmetry_point(limit_model):
     lm = limit_model
     qt0 = lm.beta1 - 2.0 * lm.c / (math.sqrt(lm.D) + lm.b)
     expected = 16.0 * (lm.beta1**2 - qt0**2) / lm.c
-    assert geo.limit_cylinder_metric(lm, (0.0, 0.0)).lam == pytest.approx(
+    assert geo.limit_cylinder_metric(lm, (0.0, 0.0)) == pytest.approx(
         expected, rel=1e-14
     )
     assert qt0 == pytest.approx(float(limit_q2(lm, lm.delta)), rel=1e-14)
@@ -506,7 +510,7 @@ def test_limit_metric_decay(limit_model):
             ratio = (lm.beta1**2 - qt**2) * math.exp(2.0 * ut) / A
             assert abs(ratio - 1.0) < tol
     # the conformal factor carries the extra constant 16/c
-    lam = geo.limit_cylinder_metric(lm, (0.0, 6.0)).lam
+    lam = geo.limit_cylinder_metric(lm, (0.0, 6.0))
     qt = float(geo.limit_tilde_q2(lm, 6.0))
     assert lam == pytest.approx(16.0 * (lm.beta1**2 - qt**2) / lm.c, rel=1e-14)
 
@@ -514,7 +518,7 @@ def test_limit_metric_decay(limit_model):
 def test_limit_decay_exponent_matches_round_cylinder(limit_model):
     # same e^(-2 u) falloff as the cylinder form 1/cosh(v)^2 of the round metric
     lm = limit_model
-    lam = lambda u: geo.limit_cylinder_metric(lm, (0.0, u)).lam
+    lam = lambda u: geo.limit_cylinder_metric(lm, (0.0, u))
     slope = math.log(lam(6.0) / lam(5.0))
     round_slope = math.log((1 / math.cosh(6.0) ** 2) / (1 / math.cosh(5.0) ** 2))
     assert slope == pytest.approx(-2.0, abs=1e-3)
