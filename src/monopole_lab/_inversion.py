@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import OutOfRange, SeriesNotResolved
+from .errors import DegeneratePoint, SeriesNotResolved
 
 # FFT sizes of a u-series, doubled from M_U_MIN until the top eighth of the
 # spectrum is below 1e-15 of its largest term
@@ -247,12 +247,12 @@ class QuarterBranch:
         F(atan2(sn, cn) | m) / kappa, sn^2 = (x-p)(q-s) / ((x-s)(q-p)), cn^2 = (q-x)(p-s) / ((x-s)(q-p)),
         whose common positive denominator atan2 does not need.  x may leave the
         branch range by 1e-12 of its span and is clipped to it; beyond that, or
-        NaN, raises OutOfRange."""
+        NaN, raises DegeneratePoint."""
         lo, hi = sorted((self.x_start, self.x_end))
         x_in = np.asarray(x, dtype=float)
         slack = 1e-12 * (hi - lo)
         if not np.all((x_in >= lo - slack) & (x_in <= hi + slack)):
-            raise OutOfRange(f"x = {x} outside the branch range [{lo}, {hi}]")
+            raise DegeneratePoint(f"x = {x} outside the branch range [{lo}, {hi}]")
         p, q, s = self.x_start, self.x_end, self._s
         x_in = np.clip(x_in, lo, hi)
         phi = np.arctan2(np.sqrt(np.abs((x_in - p) * (q - s))), np.sqrt(np.abs((q - x_in) * (p - s))))

@@ -65,13 +65,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter, mul
+from operator import mul
 
 import numpy as np
 
 from .elliptic import _limit_slice
-from .errors import CenterSingularity, DegeneratePoint, FixedPointSingularity, StepRejected
-from .fields import Family, SystemSpec, gauge_a, normal_form
+from .errors import DegeneratePoint, FixedPointSingularity, StepRejected
+from .fields import Family, SystemSpec, gauge_a
 
 __all__ = [
     "PhaseState",
@@ -153,12 +153,17 @@ def torus_eval(spec: SystemSpec, s: PhaseState) -> tuple[float, float]:
     if lam < 1e-10 * m.beta[0] ** 2:
         raise FixedPointSingularity(f"lam = {lam:.3e} at ({s.u1}, {s.u2})")
     w1, w2 = s.p1, s.p2 - spec.B * g
-    k = spec.k
     H = (w1 * w1 + w2 * w2) / lam + spec.mu / (x1 + x2)
-    quad = (x2 * x2 * w1 * w1 + x1 * x1 * w2 * w2) / lam
+    return float(H), _torus_f(spec, w1, w2, x1, d1, x2, d2)
+
+
+def _torus_f(spec: SystemSpec, w1, w2, x1, d1, x2, d2) -> float:
+    """F of the module docstring in w = p - A(u) and the slices (Q1, Q1', Q2, Q2')."""
+    k = spec.k
+    quad = (x2 * x2 * w1 * w1 + x1 * x1 * w2 * w2) / (x1 * x1 - x2 * x2)
     linear = 2.0 * k * (d2 * w1 - d1 * w2) / (x1 - x2)
     scal = -spec.mu * x1 * x2 / (x1 + x2) - k * spec.B * (x1 + x2) ** 2
-    return float(H), float(quad + linear + scal)
+    return float(quad + linear + scal)
 
 
 def _torus_rhs(spec: SystemSpec):
@@ -192,19 +197,28 @@ def _torus_state(spec: SystemSpec, y: tuple, _nu) -> PhaseState:
 
 
 def _torus_grad_f(spec: SystemSpec, y: tuple) -> tuple:
-    """grad F in y = (u1, u2, w1, w2, Q, Q'), where in :func:`fields.normal_form`
-
-        F = g (v1 w1^2 + v2 w2^2) + phi1 w1 + phi2 w2 + varphi;
-
-    the u-partials come from the jets of the fields at u, those in Q, Q' are 0."""
-    u1, u2, w1, w2 = y[:4]
-    g, _, v1, v2, phi1, phi2, _, vphi = normal_form(spec, u1, u2)
-    gv1, gv2 = g * v1, g * v2
-    du = [
-        d(gv1) * w1 * w1 + d(gv2) * w2 * w2 + d(phi1) * w1 + d(phi2) * w2 + d(vphi)
-        for d in (attrgetter("d1"), attrgetter("d2"))
-    ]
-    return (*du, 2.0 * gv1.v * w1 + phi1.v, 2.0 * gv2.v * w2 + phi2.v, 0.0, 0.0, 0.0, 0.0)
+    """grad F in y = (u1, u2, w1, w2, Q1, Q1', Q2, Q2') for the F of :func:`_torus_f`,
+    in closed form: F reads u only through the slices, so dF/du = 0.  With
+    lam = Q1^2 - Q2^2 and L = 2 k (Q2' w1 - Q1' w2) / (Q1 - Q2) its linear term,
+    dL/dQ1 = -L / (Q1 - Q2) and dL/dQ2 = L / (Q1 - Q2)."""
+    _, _, w1, w2, x1, d1, x2, d2 = y
+    gap = x1 - x2
+    if abs(gap) < 1e-9 * max(1.0, abs(x1)):
+        raise DegeneratePoint(f"x1 = x2: min |Q1 - Q2| = {abs(gap):.3e}")
+    lam, ssum = x1 * x1 - x2 * x2, x1 + x2
+    quad = (x2 * x2 * w1 * w1 + x1 * x1 * w2 * w2) / lam
+    kg = 2.0 * spec.k / gap
+    dl = kg * (d2 * w1 - d1 * w2) / gap
+    nmu, dscal = -spec.mu / ssum**2, -2.0 * spec.k * spec.B * ssum
+    return (
+        0.0, 0.0,
+        2.0 * x2 * x2 * w1 / lam + kg * d2,
+        2.0 * x1 * x1 * w2 / lam - kg * d1,
+        2.0 * x1 * (w2 * w2 - quad) / lam - dl + nmu * x2 * x2 + dscal,
+        -kg * w2,
+        2.0 * x2 * (w1 * w1 + quad) / lam + dl + nmu * x1 * x1 + dscal,
+        kg * w1,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +437,7 @@ def vy_eval(spec: SystemSpec, s: E3State) -> tuple[float, float]:
     qn = math.sqrt(q.dot(q))
     R = _vy_r(spec, q, qn)
     if R < 1e-12 * max(1.0, qn**2):
-        raise CenterSingularity(f"R(q) = {R:.3e}")
+        raise DegeneratePoint(f"R(q) = {R:.3e}")
     sab = math.sqrt(va * vb)
     H = float(0.5 * (M @ M) - spec.mu * qn / math.sqrt(R))
     F = float(
@@ -461,7 +475,7 @@ def _e3_rhs(spec: SystemSpec):
         qn = math.sqrt(np.dot(q, q))
         R = _vy_r(spec, q, qn)
         if R < 1e-12 * max(1.0, qn**2):
-            raise CenterSingularity(f"orbit reached a Coulomb center: R = {R:.3e}")
+            raise DegeneratePoint(f"orbit reached a Coulomb center: R = {R:.3e}")
         # grad H = -mu q/|q| / sqrt(R) + c grad R, grad R = diag q - 2 sqrt(AB) (q3 q/|q| + |q| e_z)
         # (the + 0.0 are |q| e_z's zero components: they fix the sign of a zero); then grad H x q, M x q
         sqR = math.sqrt(R)

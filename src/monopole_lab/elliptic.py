@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from ._inversion import QuarterBranch, _is_scalar, _Landen
-from .errors import InadmissibleParams, NonZeroRootSum, NotEvenQuartic
+from .errors import GeometryError
 from .polyroots import (
     QuarticParams,
     RootQuadruple,
@@ -102,7 +102,7 @@ class EllipticModel:
 
 
 def build_model(params: QuarticParams) -> EllipticModel:
-    """Build a new model on every call; raises InadmissibleParams outside the regular regime.
+    """Build a new model on every call; raises GeometryError outside the regular regime.
 
     The closed admissible region is accepted: the boundary beta1 + beta4 = 0
     (even quartic, a0 = 0) still carries a regular metric, only the electric
@@ -114,7 +114,7 @@ def build_model(params: QuarticParams) -> EllipticModel:
     tol = 1e-12 * max(abs(x) for x in roots.beta)
     if b1 + b4 > tol or b2 + b3 < -tol:
         report = admissibility(params)
-        raise InadmissibleParams(
+        raise GeometryError(
             f"root inequalities fail: beta1+beta4 = {b1 + b4:.3e}, "
             f"beta2+beta3 = {b2 + b3:.3e} "
             f"(coefficient conditions: {report.conditions_35}, {report.condition_36})"
@@ -156,7 +156,7 @@ def jacobi_special(model: EllipticModel, z):
     """
     params = model.params
     if abs(params.a0) > 1e-12 * params.scale:
-        raise NotEvenQuartic(f"linear coefficient a0 = {params.a0} is not zero")
+        raise GeometryError(f"linear coefficient a0 = {params.a0} is not zero")
     b1, b2 = model.beta[0], model.beta[1]
     alpha = math.sqrt(-params.a3) * b1 / 2.0
     kp = b2 / b1
@@ -189,14 +189,14 @@ class LimitModel:
     def __post_init__(self) -> None:
         s = 2.0 * self.beta1 + self.beta3 + self.beta4
         if abs(s) > 1e-10 * max(1.0, abs(self.beta1), abs(self.beta4)):
-            raise NonZeroRootSum(f"2*beta1 + beta3 + beta4 = {s:.3e} must vanish")
+            raise GeometryError(f"2*beta1 + beta3 + beta4 = {s:.3e} must vanish")
         if not (self.beta1 > 0.0 > self.beta3 > self.beta4):
             raise ValueError(
                 f"need beta1 > 0 > beta3 > beta4, got "
                 f"({self.beta1}, {self.beta3}, {self.beta4})"
             )
         if not self.beta1 + self.beta3 > 0.0:
-            raise InadmissibleParams("limit model needs beta2 + beta3 = beta1 + beta3 > 0")
+            raise GeometryError("limit model needs beta2 + beta3 = beta1 + beta3 > 0")
 
     @cached_property
     def b(self) -> float:

@@ -1,4 +1,19 @@
-"""Exception hierarchy shared by all modules."""
+"""The library's exceptions: one class for each failure a caller acts on.
+
+ConfigError is a run configuration the CLI refuses (exit 2).  GeometryError
+is a geometry the library will not build a system from: a quartic without
+four simple real roots, roots that do not sum to zero, parameters outside
+the admissible regime, a quartic that is not even; the CLI reports it as a
+config error (exit 2).  DegeneratePoint is a point outside a chart or a
+domain, or on a degeneracy locus: coordinates that collide or leave their
+range, a stencil or sample off the chart, a Coulomb centre of the two-centre
+flow.  SeriesNotResolved is a turning-point series that does not reach
+spectral accuracy, FixedPointSingularity a state at a coordinate fixed point
+of the torus flow, StepRejected an adaptive step whose size underflowed.
+The CLI exits 1 on each of these and on any other MonopoleLabError.  The
+step control retries only FixedPointSingularity (with a smaller step); every
+other error of a stage ends the step.
+"""
 
 
 class MonopoleLabError(Exception):
@@ -9,83 +24,17 @@ class ConfigError(MonopoleLabError):
     """Invalid or inconsistent run configuration."""
 
 
-# --- quartic root analysis ---------------------------------------------------
-
 class GeometryError(MonopoleLabError):
     """Geometry parameters the library refuses to build a system from."""
 
 
-class FewerThanFourRealRoots(GeometryError):
-    """The quartic does not have four real roots."""
-
-
-class MultipleRootDetected(GeometryError):
-    """Discriminant too small: (nearly) multiple roots, use the limit-case API."""
-
-
-class NonZeroRootSum(GeometryError):
-    """Root quadruple does not sum to zero (cubic term would not vanish)."""
-
-
-# --- elliptic engine ----------------------------------------------------------
-
-class InadmissibleParams(GeometryError):
-    """Quartic parameters outside the admissible regime."""
-
-
-class NotEvenQuartic(MonopoleLabError):
-    """Operation requires a vanishing linear coefficient (a0 = 0)."""
-
-
-class OutOfRange(MonopoleLabError):
-    """Argument outside the branch interval."""
+class DegeneratePoint(MonopoleLabError):
+    """Point outside a chart or domain, or on a degeneracy locus."""
 
 
 class SeriesNotResolved(MonopoleLabError):
     """A turning-point series did not reach spectral accuracy (nearly degenerate parameters)."""
 
-
-# --- geometry -----------------------------------------------------------------
-
-class DegenerateCoordinates(MonopoleLabError):
-    """Coordinates collide (q1 = q2): metric expression degenerates."""
-
-
-class WrongSignature(MonopoleLabError):
-    """Metric components are not both positive."""
-
-
-class DegeneratePoint(MonopoleLabError):
-    """Point on the degeneracy locus of the metric."""
-
-
-class StencilOutsideChart(MonopoleLabError):
-    """Finite-difference stencil leaves the valid chart."""
-
-
-class ChartOverflow(MonopoleLabError):
-    """Argument outside the fixed-point chart radius."""
-
-
-class InterlacingViolated(MonopoleLabError):
-    """Elliptic coordinates do not interlace the constants alpha."""
-
-
-class AxisPoint(MonopoleLabError):
-    """Cartesian point on a coordinate axis: elliptic coordinates degenerate."""
-
-
-class NonPositiveCoordinate(MonopoleLabError):
-    """Hyperbolic chart requires strictly positive inputs."""
-
-
-# --- fields -------------------------------------------------------------------
-
-class NegativeRadicand(MonopoleLabError):
-    """f(q1) f(q2) > 0: point outside the coordinate strip."""
-
-
-# --- dynamics -----------------------------------------------------------------
 
 class FixedPointSingularity(MonopoleLabError):
     """State too close to a coordinate fixed point (1/(Q1^2-Q2^2) blows up)."""
@@ -93,17 +42,3 @@ class FixedPointSingularity(MonopoleLabError):
 
 class StepRejected(MonopoleLabError):
     """Adaptive step size underflowed without meeting the error tolerance."""
-
-
-class CenterSingularity(MonopoleLabError):
-    """State at one of the two Coulomb centers (R(q) = 0)."""
-
-
-# --- verification -------------------------------------------------------------
-
-class SingularSample(MonopoleLabError):
-    """Sample point hits a zero of the underlying quadratic."""
-
-
-class FunctionalDomainError(MonopoleLabError):
-    """Sample outside the domain of the functional-equation case."""

@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .elliptic import EllipticModel, LimitModel, build_model
-from .errors import DegeneratePoint, NegativeRadicand
+from .errors import DegeneratePoint
 from .polyroots import QuarticParams
 
 __all__ = [
@@ -331,7 +331,7 @@ def normal_form(spec: SystemSpec, a, b) -> tuple:
         q1, q2 = Jet.along(0, a, 1.0), Jet.along(1, b, 1.0)
         radicand = -spec.f_cubic(q1) * spec.f_cubic(q2)
         if np.any(radicand.v <= 0.0):
-            raise NegativeRadicand(f"f(q1) f(q2) >= 0 somewhere at ({a}, {b}): outside the strip")
+            raise DegeneratePoint(f"f(q1) f(q2) >= 0 somewhere at ({a}, {b}): outside the strip")
         g11, g22 = stackel_components(spec.f_cubic, q1, q2)
         phi1 = spec.k * radicand.sqrt() / (q1 - q2)
         varphi = spec.mu * q1 * q2 - spec.k * spec.B * (q1 + q2)

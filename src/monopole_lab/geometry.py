@@ -25,16 +25,7 @@ import numpy as np
 
 from ._inversion import QuarterBranch
 from .elliptic import EllipticModel, LimitModel
-from .errors import (
-    AxisPoint,
-    ChartOverflow,
-    DegenerateCoordinates,
-    DegeneratePoint,
-    InterlacingViolated,
-    NonPositiveCoordinate,
-    StencilOutsideChart,
-    WrongSignature,
-)
+from .errors import DegeneratePoint
 from .fields import Family, Jet, SystemSpec, _mul, _sum, _torus_jets, stackel_components
 from .polyroots import eval_p_deriv
 
@@ -113,10 +104,10 @@ def stackel_metric(f, q1: float, q2: float) -> tuple[float, float]:
     """Covariant separable-form metric components (g11, g22), g11 = (q1-q2)/f(q1)
     and g22 = (q2-q1)/f(q2)."""
     if abs(q1 - q2) < 1e-14 * max(1.0, abs(q1), abs(q2)):
-        raise DegenerateCoordinates(f"q1 = q2 = {q1}")
+        raise DegeneratePoint(f"q1 = q2 = {q1}")
     g11, g22 = stackel_components(f, q1, q2)
     if g11 <= 0.0 or g22 <= 0.0:
-        raise WrongSignature(
+        raise DegeneratePoint(
             f"metric not positive at ({q1}, {q2}): g11 = {g11:.3e}, g22 = {g22:.3e}"
         )
     return float(g11), float(g22)
@@ -217,7 +208,7 @@ def curvature_numeric(lam_fn, point, h: float = 1e-3):
 
     lam0 = lam_fn(u1, u2)
     if np.any(np.asarray(lam0) <= 0.0):
-        raise StencilOutsideChart(f"lam <= 0 at ({u1}, {u2})")
+        raise DegeneratePoint(f"lam <= 0 at ({u1}, {u2})")
     log0 = np.log(lam0)
 
     def lap_log(step: float):
@@ -225,7 +216,7 @@ def curvature_numeric(lam_fn, point, h: float = 1e-3):
         for a, b in ((u1 + step, u2), (u1 - step, u2), (u1, u2 + step), (u1, u2 - step)):
             vals = lam_fn(a, b)
             if np.any(np.asarray(vals) <= 0.0):
-                raise StencilOutsideChart(f"lam <= 0 on stencil around ({u1}, {u2})")
+                raise DegeneratePoint(f"lam <= 0 on stencil around ({u1}, {u2})")
             logs.append(np.log(vals))
         l1, l2, l3, l4 = logs
         return (l1 + l2 + l3 + l4 - 4.0 * log0) / step**2
@@ -266,7 +257,7 @@ def fixed_point_chart(model: EllipticModel, index: int, w: complex) -> float:
     r_max = math.sqrt(model.K1 * model.K2) / 4.0
     w = complex(w)
     if abs(w) > r_max:
-        raise ChartOverflow(f"|w| = {abs(w):.3e} exceeds chart radius {r_max:.3e}")
+        raise DegeneratePoint(f"|w| = {abs(w):.3e} exceeds chart radius {r_max:.3e}")
     beta2 = model.beta[1]
     if w == 0:
         return float(0.5 * (eval_p_deriv(model.params, beta2) / 16.0) * beta2)
@@ -336,7 +327,7 @@ def neumann_to_cartesian(c: NeumannConstants, q1: float, q2: float, signs=(1, 1,
     """
     a = c.alpha
     if not (a[0] >= q1 >= a[1] >= q2 >= a[2]):
-        raise InterlacingViolated(f"need alpha1 >= q1 >= alpha2 >= q2 >= alpha3, got {q1}, {q2}")
+        raise DegeneratePoint(f"need alpha1 >= q1 >= alpha2 >= q2 >= alpha3, got {q1}, {q2}")
     x = np.empty(3)
     for i in range(3):
         others = [a[k] for k in range(3) if k != i]
@@ -357,7 +348,7 @@ def cartesian_to_neumann(c: NeumannConstants, x) -> tuple[float, float]:
     if abs(float(x @ x) - 1.0) > 1e-10:
         raise ValueError(f"|x|^2 = {float(x @ x)} is not 1")
     if np.min(np.abs(x)) < 1e-12:
-        raise AxisPoint("a Cartesian component vanishes: elliptic coordinates degenerate")
+        raise DegeneratePoint("a Cartesian component vanishes: elliptic coordinates degenerate")
     a1, a2, a3 = c.alpha
     xx = x**2
     s = (a2 + a3) * xx[0] + (a1 + a3) * xx[1] + (a1 + a2) * xx[2]
@@ -388,7 +379,7 @@ def hyperbolic_chart(q1: float, q2_mag: float) -> HyperbolicChart:
     becomes (du^2 + dv^2)/v^2 and the potential h = mu (q1 + q2) = -4 mu u / v^2.
     """
     if q1 <= 0.0 or q2_mag <= 0.0:
-        raise NonPositiveCoordinate(f"need positive inputs, got ({q1}, {q2_mag})")
+        raise DegeneratePoint(f"need positive inputs, got ({q1}, {q2_mag})")
     X = q1 ** (-0.5)
     Y = q2_mag ** (-0.5)
     u = X * X - Y * Y

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    FewerThanFourRealRoots,
-    MultipleRootDetected,
-    NonZeroRootSum,
-)
+from .errors import GeometryError
 
 __all__ = [
     "QuarticParams",
@@ -78,7 +74,7 @@ class RootQuadruple:
             raise ValueError(f"roots must be strictly descending, got {b}")
         tol = 1e-10 * max(abs(x) for x in b)
         if abs(sum(b)) > tol:
-            raise NonZeroRootSum(f"root sum {sum(b):.3e} exceeds tolerance {tol:.3e}")
+            raise GeometryError(f"root sum {sum(b):.3e} exceeds tolerance {tol:.3e}")
 
     @property
     def admissible(self) -> bool:
@@ -171,15 +167,14 @@ def real_roots(params: QuarticParams) -> RootQuadruple:
     """Extract the four real roots, sorted descending.
 
     Companion-matrix eigenvalues (via ``numpy.roots``) followed by a Newton
-    polish.  Raises :class:`MultipleRootDetected` when the discriminant is
-    below the degeneracy threshold and :class:`FewerThanFourRealRoots` when
-    complex roots are present.
+    polish.  Raises :class:`GeometryError` when the discriminant is
+    below the degeneracy threshold or complex roots are present.
     """
     scale = params.scale
     disc = discriminant(params)
     # the quartic discriminant is homogeneous of degree 6 in the coefficients
     if abs(disc) < 1e-10 * scale**6:
-        raise MultipleRootDetected(
+        raise GeometryError(
             f"|discriminant| = {abs(disc):.3e} below threshold; "
             "use the limit-case operations for coalescing roots"
         )
@@ -187,7 +182,7 @@ def real_roots(params: QuarticParams) -> RootQuadruple:
     imag_tol = 1e-8 * max(1.0, float(np.max(np.abs(raw))))
     reals = [float(r.real) for r in raw if abs(r.imag) < imag_tol]
     if len(reals) != 4:
-        raise FewerThanFourRealRoots(
+        raise GeometryError(
             f"found {len(reals)} real roots (discriminant {disc:.3e})"
         )
     coeffs = [float(a) for a in params.coefficients()]
@@ -198,7 +193,7 @@ def real_roots(params: QuarticParams) -> RootQuadruple:
         res_scale = 1e-10 * scale * max(1.0, abs(r)) ** 4
         residual = abs(_horner(coeffs, r))
         if residual > res_scale:
-            raise FewerThanFourRealRoots(f"root {r!r} failed to polish: |P| = {residual:.3e}")
+            raise GeometryError(f"root {r!r} failed to polish: |P| = {residual:.3e}")
     return RootQuadruple(beta=tuple(polished))
 
 
@@ -215,7 +210,7 @@ def admissibility(params: QuarticParams) -> AdmissibilityReport:
     try:
         roots = real_roots(params)
         root_inequalities = roots.admissible
-    except (FewerThanFourRealRoots, MultipleRootDetected, NonZeroRootSum):
+    except GeometryError:
         roots = None
         root_inequalities = False
     return AdmissibilityReport(
@@ -237,7 +232,7 @@ def from_roots(beta, a3: float) -> QuarticParams:
         raise ValueError("expected exactly four roots")
     tol = 1e-10 * max(1.0, max(abs(x) for x in b))
     if abs(sum(b)) > tol:
-        raise NonZeroRootSum(f"root sum {sum(b):.3e} exceeds tolerance {tol:.3e}")
+        raise GeometryError(f"root sum {sum(b):.3e} exceeds tolerance {tol:.3e}")
     monic = np.poly(b)  # [1, -e1, e2, -e3, e4]
     coeffs = a3 * monic
     return QuarticParams(a3=a3, a2=float(coeffs[2]), a0=float(coeffs[3]), a1=float(coeffs[4]))

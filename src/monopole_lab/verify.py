@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FunctionalDomainError, SingularSample
+from .errors import DegeneratePoint
 from .fields import Family, Jet, SystemSpec, normal_form
 
 __all__ = [
@@ -287,9 +287,9 @@ def _power_of_quadratic(coeffs, alpha: float, q: np.ndarray):
     c0, c1, c2 = coeffs
     s = c0 + c1 * q + c2 * q * q
     if np.any(np.abs(s) < 1e-12):
-        raise SingularSample("sample hits a zero of the quadratic")
+        raise DegeneratePoint("sample hits a zero of the quadratic")
     if alpha != round(alpha) and np.any(s <= 0.0):
-        raise SingularSample("fractional power of a non-positive quadratic")
+        raise DegeneratePoint("fractional power of a non-positive quadratic")
     ds = c1 + 2.0 * c2 * q
     dds = 2.0 * c2
     y = s**alpha
@@ -338,7 +338,7 @@ def check_functional_equation(case: str, q1: float, q2: float, coeff: float = 1.
     """
     if case == "sqrt":
         if q1 <= 0.0 or q2 <= 0.0:
-            raise FunctionalDomainError("sqrt case needs positive arguments")
+            raise DegeneratePoint("sqrt case needs positive arguments")
         a = lambda q: coeff * math.sqrt(q)
         da = lambda q: 0.5 * coeff / math.sqrt(q)
         dda = lambda q: -0.25 * coeff * q**-1.5

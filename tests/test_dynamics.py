@@ -12,7 +12,6 @@ from monopole_lab import geometry as geo
 from monopole_lab.elliptic import LimitModel, _limit_slice, limit_q2
 from monopole_lab import fields
 from monopole_lab.errors import (
-    CenterSingularity,
     DegeneratePoint,
     FixedPointSingularity,
     MonopoleLabError,
@@ -369,12 +368,23 @@ def test_hf_bracket_cylinder_is_exactly_zero(limit_spec):
 
 def test_hf_bracket_detects_a_scaled_varphi(case2, monkeypatch):
     # F' = F + 0.01 varphi does not commute with H; the exact bracket reads
-    # it, and the oracle's {H, F'} = -{F', H} agrees
+    # its gradient, varphi's in (Q1, Q2) added to grad F, and the oracle's
+    # {H, F'} = -{F', H} agrees
     m = case2.model
     varphi = fields._torus_varphi
     F = lambda st: dyn.torus_eval(case2, st)[1] + 0.01 * varphi(case2, m.q1(st.u1), m.q2(st.u2))
     H = lambda st: dyn.torus_eval(case2, st)[0]
-    monkeypatch.setattr(fields, "_torus_varphi", lambda *a: 1.01 * varphi(*a))
+    grad_f, mu, kb = dyn._torus_grad_f, case2.mu, case2.k * case2.B
+
+    def scaled_grad_f(spec, y):
+        x1, x2 = y[4], y[6]
+        ssum = x1 + x2
+        g = list(grad_f(spec, y))
+        g[4] += 0.01 * (-mu * x2 * x2 / ssum**2 - 2.0 * kb * ssum)
+        g[6] += 0.01 * (-mu * x1 * x1 / ssum**2 - 2.0 * kb * ssum)
+        return tuple(g)
+
+    monkeypatch.setattr(dyn, "_torus_grad_f", scaled_grad_f)
     rng = np.random.default_rng(1000)
     for _ in range(20):
         s = dyn.random_state(case2, rng)
@@ -390,15 +400,15 @@ def test_hf_bracket_singular_states_raise(case2, limit_spec, vy):
     lm = limit_spec.limit
     center = np.array([math.sqrt(1 - vy.vy_b / vy.vy_a), 0.0, math.sqrt(vy.vy_b / vy.vy_a)])
     cases = [
-        (case2, dyn.PhaseState(0.0, 0.0, 0.1, 0.1), FixedPointSingularity),
-        (case2, dyn.PhaseState(0.0, 0.0, 0.0, 0.0), FixedPointSingularity),
-        (case2, dyn.PhaseState(1e-12, 0.0, 0.3, 0.1), DegeneratePoint),
-        (limit_spec, dyn.PhaseState(0.0, lm.delta + 400.0, 0.3, 0.2), DegeneratePoint),
-        (vy, dyn.E3State(M=np.array([0.1, 0.2, 0.3]), x=center), CenterSingularity),
+        (case2, dyn.PhaseState(0.0, 0.0, 0.1, 0.1), FixedPointSingularity, r"^lam = .* during flow$"),
+        (case2, dyn.PhaseState(0.0, 0.0, 0.0, 0.0), FixedPointSingularity, r"^lam = .* during flow$"),
+        (case2, dyn.PhaseState(1e-12, 0.0, 0.3, 0.1), DegeneratePoint, r"^x1 = x2: min \|Q1 - Q2\| = "),
+        (limit_spec, dyn.PhaseState(0.0, lm.delta + 400.0, 0.3, 0.2), DegeneratePoint, r"^the flow is not finite at "),
+        (vy, dyn.E3State(M=np.array([0.1, 0.2, 0.3]), x=center), DegeneratePoint, r"^orbit reached a Coulomb center: R = "),
     ]
     with np.errstate(all="raise"):
-        for spec, s, err in cases:
-            with pytest.raises(err) as info:
+        for spec, s, err, match in cases:
+            with pytest.raises(err, match=match) as info:
                 dyn.hf_bracket(spec, s)
             assert isinstance(info.value, MonopoleLabError)
 
@@ -510,7 +520,7 @@ def test_vy_r_positivity_scan(vy):
 def test_vy_center_singularity(vy):
     va, vb = vy.vy_a, vy.vy_b
     center = np.array([math.sqrt(1 - vb / va), 0.0, math.sqrt(vb / va)])
-    with pytest.raises(CenterSingularity):
+    with pytest.raises(DegeneratePoint, match=r"^R\(q\) = "):
         dyn.vy_eval(vy, dyn.E3State(M=np.zeros(3), x=center))
 
 
@@ -663,7 +673,7 @@ def test_limit_h_eval_degenerate_far_out(limit_spec):
     lm = limit_spec.limit
     far = lambda d: dyn.PhaseState(u1=0.0, u2=lm.delta + d, p1=0.3, p2=0.2)
     assert math.isfinite(dyn.limit_h_eval(limit_spec, far(20.0)))
-    with pytest.raises(DegeneratePoint):
+    with pytest.raises(DegeneratePoint, match=r"^lam2 rounds to 0 at u2 = .* \(Q2 = beta1 = "):
         dyn.limit_h_eval(limit_spec, far(30.0))
 
 
@@ -740,7 +750,7 @@ def _ref_e3_rhs(spec):
         qn = float(np.linalg.norm(q))
         R = dyn._vy_r(spec, q, qn)
         if R < 1e-12 * max(1.0, qn**2):
-            raise CenterSingularity(f"orbit reached a Coulomb center: R = {R:.3e}")
+            raise DegeneratePoint(f"orbit reached a Coulomb center: R = {R:.3e}")
         gradR = np.array([2.0 * vb * q[0], 2.0 * va * q[1], 2.0 * (va + vb) * q[2]])
         gradR -= 2.0 * sab * (q[2] * q / qn + qn * np.array([0.0, 0.0, 1.0]))
         gradH = -mu * (q / qn) / math.sqrt(R) + 0.5 * mu * qn * R**-1.5 * gradR
@@ -883,11 +893,18 @@ def _compensated_sum(values, start=0):
     return total + comp
 
 
+def _failure(exc):
+    """The outcome of a step that raised: its class.  The one DegeneratePoint
+    a step may raise is a Coulomb centre met by a vy stage."""
+    assert isinstance(exc, StepRejected) or str(exc).startswith("orbit reached a Coulomb center"), exc
+    return type(exc).__name__
+
+
 def _outcome(step, *args):
     try:
         y, dt, dt_next = step(*args)
-    except (StepRejected, CenterSingularity) as exc:
-        return type(exc).__name__
+    except (StepRejected, DegeneratePoint) as exc:
+        return _failure(exc)
     return np.array(y).tobytes(), dt, dt_next
 
 
@@ -1040,6 +1057,27 @@ def test_core_lets_arithmetic_errors_through():
     # only FixedPointSingularity and a non-finite error norm are retried
     with pytest.raises(ZeroDivisionError):
         dyn._adaptive_step(lambda y: (y[0] / (y[0] - 1.0),), (1.0,), 0.1, 1e-10)
+
+
+def test_core_lets_a_degenerate_point_through(vy):
+    # a stage at a point off its domain ends the step on the first attempt;
+    # the same stages as FixedPointSingularity are retried (the test above)
+    calls = []
+
+    def rhs(y):
+        calls.append(y[0])
+        if y[0] > 0.5:
+            raise DegeneratePoint("stage beyond 0.5")
+        return (1.0 + y[0] * y[0],)
+
+    with pytest.raises(DegeneratePoint, match=r"^stage beyond 0\.5$"):
+        dyn._adaptive_step(rhs, (0.4,), 1.0, 1e-10)
+    assert len(calls) <= 12 and calls[-1] > 0.5 and all(c <= 0.5 for c in calls[:-1])
+    # a vy state at a Coulomb centre: reported, not shrunk towards StepRejected
+    va, vb = vy.vy_a, vy.vy_b
+    center = (0.1, 0.2, 0.3, math.sqrt(1 - vb / va), 0.0, math.sqrt(vb / va))
+    with pytest.raises(DegeneratePoint, match=r"^orbit reached a Coulomb center: R = "):
+        dyn._adaptive_step(dyn._e3_rhs(vy), center, 1e-3, 1e-10, 6)
 
 
 def test_limit_rhs_is_non_finite_on_the_plateau(limit_spec):
@@ -1304,8 +1342,8 @@ def _step_key(res):
 def _step_outcome(step, *args):
     try:
         return _step_key(step(*args))
-    except (StepRejected, CenterSingularity) as exc:
-        return type(exc).__name__
+    except (StepRejected, DegeneratePoint) as exc:
+        return _failure(exc)
 
 
 FAMILIES = ["case2", "case1", "vy", "limit_spec"]
@@ -1506,27 +1544,17 @@ def test_cylinder_step_evaluates_each_slice_point_once(monkeypatch):
 
 def test_torus_bracket_sums_each_slice_point_once(canonical_params, monkeypatch):
     # hf_bracket's packing sums the EllipticModel.at of a new point, one pass
-    # per axis with I1 in the u1 pass; its normal-form jets add one
-    # value_and_deriv per axis and no I1, as arrays do, and the bracket and
-    # its scale are those of jets seeded from the branches, bit for bit
+    # per axis with I1 in the u1 pass, and grad F reads the packed slices in
+    # closed form: 5 columns.  The normal-form jets of an array call add one
+    # value_and_deriv per axis and no I1
     spec = case2_spec(canonical_params, mu=1.0, B=0.5)
     m = spec.model
     u1, u2 = (np.random.default_rng(9).uniform(0.15, 0.85, 2) * (m.K1, m.K2)).tolist()
     s = dyn.PhaseState(u1=u1, u2=u2, p1=0.3, p2=-0.7)
     counted_clenshaw, count = _fold_counter(m)
-
-    def branch_jets(model, a, b):
-        poly = model.params.coefficients()
-        x1, d1 = fields.Jet.from_slice(model.branch1, a, 0, 0.25, poly)
-        return x1, d1, *fields.Jet.from_slice(model.branch2, b, 1, -0.25, poly)
-
     m.at(0.0, 0.0)  # the slot holds another point
-    with monkeypatch.context() as patch:
-        patch.setattr(_inversion, "_clenshaw", counted_clenshaw)
-        got = dyn.hf_bracket(spec, s)
-        assert count == {"u1+I1": 1, "u1": 1, "u2": 2, "columns": 9}
-        fields.normal_form(spec, np.array([[u1], [0.5 * u1]]), np.array([[u2, 0.5 * u2]]))
-        assert count == {"u1+I1": 1, "u1": 2, "u2": 3, "columns": 13}
-    monkeypatch.setattr(fields, "_torus_jets", branch_jets)
-    want = dyn.hf_bracket(spec, s)
-    assert [v.hex() for v in got] == [v.hex() for v in want]
+    monkeypatch.setattr(_inversion, "_clenshaw", counted_clenshaw)
+    dyn.hf_bracket(spec, s)
+    assert count == {"u1+I1": 1, "u1": 0, "u2": 1, "columns": 5}
+    fields.normal_form(spec, np.array([[u1], [0.5 * u1]]), np.array([[u2, 0.5 * u2]]))
+    assert count == {"u1+I1": 1, "u1": 1, "u2": 2, "columns": 9}

@@ -18,12 +18,7 @@ from monopole_lab.elliptic import (
     limit_q2,
     limit_q2_deriv,
 )
-from monopole_lab.errors import (
-    InadmissibleParams,
-    NonZeroRootSum,
-    NotEvenQuartic,
-    OutOfRange,
-)
+from monopole_lab.errors import DegeneratePoint, GeometryError
 from monopole_lab.geometry import conformal_case1
 from monopole_lab.polyroots import eval_p, from_roots
 
@@ -440,7 +435,7 @@ def test_invert_u(canonical_model):
         assert m.q1(m.branch1.invert(float(x))) == pytest.approx(float(x), abs=1e-9)
     for x in np.linspace(m.beta[2], m.beta[1], 17):
         assert m.q2(m.branch2.invert(float(x))) == pytest.approx(float(x), abs=1e-9)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(DegeneratePoint, match=r"^x = 3\.5 outside the branch range \[2\.0, 3\.0\]$"):
         m.branch1.invert(m.beta[0] + 0.5)
     # monotone in x
     xs = np.linspace(m.beta[1], m.beta[0], 50)
@@ -450,14 +445,14 @@ def test_invert_u(canonical_model):
 
 def test_invert_range_gate_is_one_relative_gate():
     # Q1 of the near-coalescing quartic spans only 0.01: 5e-13 past beta1 is
-    # 5e-11 of the span, refused as OutOfRange for a scalar and an array alike
+    # 5e-11 of the span, refused as DegeneratePoint for a scalar and an array alike
     m = build_model_from_roots([3, 2.99, -1, -4.99], -1.0)
     b1 = m.beta[0]
-    with pytest.raises(OutOfRange):
+    with pytest.raises(DegeneratePoint, match=r"^x = 3\.0000000000005\d* outside the branch range "):
         m.branch1.invert(b1 + 5e-13)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(DegeneratePoint, match=r"^x = \[3\.  *3\.\] outside the branch range "):
         m.branch1.invert(np.array([b1, b1 + 5e-13]))
-    with pytest.raises(OutOfRange):
+    with pytest.raises(DegeneratePoint, match=r"^x = nan outside the branch range "):
         m.branch2.invert(math.nan)
     # within 1e-12 of the span the value is clipped to the turning point
     span = m.beta[0] - m.beta[1]
@@ -480,12 +475,12 @@ def test_jacobi_special(even_model):
 
 
 def test_jacobi_special_rejects_generic_quartic(canonical_model):
-    with pytest.raises(NotEvenQuartic):
+    with pytest.raises(GeometryError, match=r"^linear coefficient a0 = -10\.0 is not zero$"):
         jacobi_special(canonical_model, 0.3)
 
 
 def test_build_model_rejects_inadmissible():
-    with pytest.raises(InadmissibleParams):
+    with pytest.raises(GeometryError, match=r"^root inequalities fail: beta1\+beta4 = 1\.000e\+00, "):
         build_model_from_roots([4, 1, -2, -3], -1.0)
 
 
@@ -494,7 +489,7 @@ def test_limit_model_constants(limit_model):
     assert lm.b == 8.0 and lm.c == 15.0 and lm.D == 4.0
     # D = 4 (beta1 + beta3)^2 exactly
     assert lm.D == pytest.approx(4.0 * (lm.beta1 + lm.beta3) ** 2, rel=1e-14)
-    with pytest.raises(NonZeroRootSum):
+    with pytest.raises(GeometryError, match=r"^2\*beta1 \+ beta3 \+ beta4 = 1\.000e\+00 must vanish$"):
         LimitModel(beta1=2.0, beta3=-1.0, beta4=-2.0)
     # under the zero-sum constraint a root-inequality violation shows up as
     # an ordering violation (beta3 > beta4 <=> beta1 + beta3 > 0)

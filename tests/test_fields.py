@@ -6,7 +6,7 @@ import pytest
 from monopole_lab import geometry as geo
 from monopole_lab.dynamics import clebsch_eval, random_state
 from monopole_lab.elliptic import build_model
-from monopole_lab.errors import DegeneratePoint, InadmissibleParams, NegativeRadicand
+from monopole_lab.errors import DegeneratePoint, GeometryError
 from monopole_lab.fields import (
     SystemSpec,
     case1_spec,
@@ -95,7 +95,7 @@ def test_phi_case1_antisymmetry(case1):
 
 
 def test_phi_case1_outside_strip(case1):
-    with pytest.raises(NegativeRadicand):
+    with pytest.raises(DegeneratePoint, match=r"^f\(q1\) f\(q2\) >= 0 somewhere at \(2\.8, 2\.2\): outside the strip$"):
         normal_form(case1, 2.8, 2.2)
 
 
@@ -107,7 +107,7 @@ def test_phi_case2_turning_points(case2, canonical_model):
 
 
 def test_phi_case2_degenerate_point(case2):
-    with pytest.raises(DegeneratePoint):
+    with pytest.raises(DegeneratePoint, match=r"^x1 = x2: min \|Q1 - Q2\| = 0\.000e\+00$"):
         normal_form(case2, 0.0, 0.0)
 
 
@@ -381,5 +381,5 @@ def test_refused_quartic_raises_on_every_call():
     # an error is not cached: each new spec of the quartic raises again
     bad = from_roots([4, 1, -2, -3], -1.0)
     for _ in range(3):
-        with pytest.raises(InadmissibleParams):
+        with pytest.raises(GeometryError, match=r"^root inequalities fail: beta1\+beta4 = 1\.000e\+00, "):
             case2_spec(bad).model

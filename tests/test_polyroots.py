@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
 
-from monopole_lab.errors import (
-    FewerThanFourRealRoots,
-    MultipleRootDetected,
-    NonZeroRootSum,
-)
+from monopole_lab import polyroots
+from monopole_lab.errors import GeometryError
 from monopole_lab.polyroots import (
     QuarticParams,
     _horner,
@@ -65,13 +62,13 @@ def test_real_roots_biquadratic():
 
 def test_real_roots_complex_pair_raises():
     # -(x^2-1)(x^2+1): only two real roots
-    with pytest.raises(FewerThanFourRealRoots):
+    with pytest.raises(GeometryError, match=r"^found 2 real roots \(discriminant "):
         real_roots(QuarticParams(a3=-1.0, a2=0.0, a0=0.0, a1=1.0))
 
 
 def test_multiple_root_detected():
     params = from_roots([1, 1, -1, -1], -1.0)  # accepted by the sum check
-    with pytest.raises(MultipleRootDetected):
+    with pytest.raises(GeometryError, match=r"^\|discriminant\| = .* below threshold; use the limit-case operations"):
         real_roots(params)
 
 
@@ -85,6 +82,31 @@ def test_admissibility_root_inequalities_fail():
     rep = admissibility(from_roots([4, 1, -2, -3], -1.0))
     assert not rep.root_inequalities  # beta1 + beta4 = 1 > 0
     assert not rep.admissible
+
+
+def test_admissibility_reports_each_refusal_of_the_roots(monkeypatch):
+    # a complex pair, a multiple root, a root that fails to polish and a
+    # quadruple that does not sum to zero: real_roots raises GeometryError,
+    # and admissibility reports no roots instead of raising
+    complex_pair = QuarticParams(a3=-1.0, a2=0.0, a0=0.0, a1=1.0)
+    double = from_roots([1, 1, -1, -1], -1.0)
+    canonical = from_roots([3, 2, -1, -4], -1.0)
+    polish = polyroots._newton_polish
+    shifted = lambda *args: polish(*args) + 0.1
+    cases = [
+        (complex_pair, None, r"^found 2 real roots \(discriminant "),
+        (double, None, r"^\|discriminant\| = .* below threshold; "),
+        (canonical, ("_newton_polish", shifted), r"^root 3\.1\d* failed to polish: \|P\| = "),
+        (canonical, ("real_roots", lambda _: polyroots.RootQuadruple((4.0, 2.0, -1.0, -4.0))), r"^root sum 1\.000e\+00 "),
+    ]
+    for params, patch, match in cases:
+        with monkeypatch.context() as m:
+            if patch:
+                m.setattr(polyroots, *patch)
+            with pytest.raises(GeometryError, match=match):
+                polyroots.real_roots(params)
+            rep = admissibility(params)
+        assert (rep.roots, rep.root_inequalities, rep.admissible) == (None, False, False)
 
 
 def test_admissibility_coefficient_sign_fail():
@@ -101,7 +123,7 @@ def test_from_roots_examples():
 
 
 def test_from_roots_nonzero_sum_raises():
-    with pytest.raises(NonZeroRootSum):
+    with pytest.raises(GeometryError, match=r"^root sum 1\.000e\+01 exceeds tolerance 4\.000e-10$"):
         from_roots([1, 2, 3, 4], -1.0)
 
 
@@ -159,7 +181,8 @@ def test_float_polish_matches_polyval_polish():
         params = from_roots(beta, -rng.uniform(0.5, 3.0))
         try:
             got = real_roots(params).beta
-        except MultipleRootDetected:
+        except GeometryError as exc:  # a multiple root, and no other refusal
+            assert str(exc).startswith("|discriminant| = "), exc
             continue
         near += i % 3 == 0
         reals = [float(r.real) for r in np.roots(params.coefficients())]

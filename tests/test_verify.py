@@ -5,11 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monopole_lab import dynamics as dyn
 from monopole_lab import fields
 from monopole_lab import geometry as geo
 from monopole_lab import verify as ver
-from monopole_lab.errors import FunctionalDomainError, SingularSample
+from monopole_lab.errors import DegeneratePoint
 from monopole_lab.fields import Jet, case1_spec, case2_spec
 from monopole_lab.polyroots import from_roots
 from second_order_jets import Jet2
@@ -320,7 +319,7 @@ def test_ode_identity_constant_quadratic():
 
 
 def test_ode_identities_singular_sample():
-    with pytest.raises(SingularSample):
+    with pytest.raises(DegeneratePoint, match=r"^sample hits a zero of the quadratic$"):
         ver.check_ode_identities(np.array([1.0]), coeffs=(-1.0, 0.0, 1.0))
 
 
@@ -334,7 +333,7 @@ def test_functional_equation_cases():
             continue
         assert ver.check_functional_equation("sqrt", q1, q2, 1.3) < 1e-10
         assert ver.check_functional_equation("quadratic", q1, -q2, 0.7) < 1e-10
-    with pytest.raises(FunctionalDomainError):
+    with pytest.raises(DegeneratePoint, match=r"^sqrt case needs positive arguments$"):
         ver.check_functional_equation("sqrt", -1.0, 1.0)
     with pytest.raises(ValueError):
         ver.check_functional_equation("cubic", 1.0, 2.0)
@@ -461,23 +460,21 @@ def test_derivative_table_matches_per_use_reference(case1, n):
 
 @pytest.mark.parametrize("geometry", ["case1", (3, 2, -1, -4), NEAR, (4, 1, -1, -4)])
 def test_partials_match_the_second_order_reference(case1, geometry, monkeypatch):
-    # a jet without d11 and d22 forms every value and partial the checks read,
-    # and hf_bracket at a torus state, with the bits of the second-order rules
+    # a jet without d11 and d22 forms every value and partial the checks read
+    # with the bits of the second-order rules
     spec = case1 if geometry == "case1" else case2_spec(from_roots(list(geometry), -1.0), mu=1.3, B=0.7)
     grid = (ver.build_case1_grid if geometry == "case1" else ver.build_case2_grid)(spec, 24)
-    rng = np.random.default_rng(3)
-    states = [dyn.random_state(spec, rng) for _ in range(20)] if geometry != "case1" else []
 
     def run():
         jets = fields.normal_form(spec, grid.axis1[:, None], grid.axis2[None, :])
         parts = [[None if p is None else (np.shape(p), _bits(p)) for p in (j.v, j.d1, j.d2, j.d12)] for j in jets]
-        return parts, [dyn.hf_bracket(spec, s) for s in states], type(jets[0])
+        return parts, type(jets[0])
 
     got = run()
     monkeypatch.setattr(fields, "Jet", Jet2)
     want = run()
-    assert (got[2], want[2]) == (Jet, Jet2)
-    assert got[:2] == want[:2]
+    assert (got[1], want[1]) == (Jet, Jet2)
+    assert got[0] == want[0]
 
 
 @pytest.mark.parametrize("stencil", ["2", "4"])
