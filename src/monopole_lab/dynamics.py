@@ -23,12 +23,18 @@ dQ2'/dt = -P'(Q2)/8 du2/dt, so no stage sums a slice series.  Each step
 reseeds (Q, Q') from EllipticModel.at(u), kept since the last step's unpacking,
 and its error norm counts the 4 dimensions of T*T^2, not 8.
 
-The cylinder limit (CASE_II_LIMIT) integrates (u, p), where F = p1, with its
-slice carried the same way: y = (u1, u2, p1, p2, Q2, Q2', G), by
-4 Q2'^2 = Pt(Q2), Pt(x) = (x - beta1)^2 (x - beta3)(x - beta4):
-dQ2/dt = Q2' du2/dt, dQ2'/dt = Pt'(Q2)/8 du2/dt and dG/dt = lam2 du2/dt = 2 p2.
-Each step reseeds them from the closed form at u2, and a stage whose Q2 is at
-or past beta1 (lam2 <= 0) is non-finite and retried.
+The cylinder limit (CASE_II_LIMIT) is the same flow with Q1 frozen at beta1.
+In its gauge A = (A1(u2), 0), A1 = (B/c) G, dG/du2 = beta1^2 - Q2^2, its H is
+(c/4 w1^2 + w2^2)/lam + mu/(beta1 + Q2) in the field -(B/c) lam, and
+4 Q2'^2 = -Pt(Q2), Pt(x) = -(x - beta1)^2 (x - beta3)(x - beta4).  So one
+factory, _torus_rhs, writes the flow of (k1 w1^2 + w2^2)/lam + mu/(Q1 + Q2) in
+a field b lam: the torus at (k1, b) = (1, B), the cylinder at (c/4, -B/c) in
+y = (u1, u2, p1 - A1, p2, beta1, 0, Q2, Q2'), with Pt's c0 chosen so that
+Pt'(beta1)/8 is an exact 0 and Q1 stays beta1 bit for bit.  Each step
+reseeds (Q2, Q2') from the closed form at u2, and its unpacking restores p1
+as it was packed: F = p1 is exact, as the e(3)* projection restores the
+Casimirs.  A stage whose Q2 is at or past beta1 (lam <= 0) raises
+FixedPointSingularity and is retried, as at the torus fixed point.
 
 e(3)* systems (CASE_I Clebsch and VY) integrate dM/dt = {M, H},
 dx/dt = {x, H} under {M_i, M_j} = eps_ijk M_k, {M_i, x_j} = eps_ijk x_k,
@@ -36,10 +42,11 @@ dx/dt = {x, H} under {M_i, M_j} = eps_ijk M_k, {M_i, x_j} = eps_ijk x_k,
 and (M, x) = nu exactly.
 
 For each family _flow packs the state into its integration variables y and
-names its right-hand side (_torus_rhs, _limit_rhs, _e3_rhs), the exact
-gradient of F in y and the unpacking (_torus_state, _phase_state, and the
-Casimir projection _project_e3).  flow_step steps every family on them, and
-hf_bracket reads {F, H} = grad F . dy/dt, the rate of change of F along H's flow.
+names its right-hand side (_torus_rhs on the torus and the cylinder, _e3_rhs),
+the exact gradient of F in y and the unpacking (_torus_state, the cylinder's
+p1 restored, and the Casimir projection _project_e3).  flow_step steps every
+family on them, and hf_bracket reads {F, H} = grad F . dy/dt, the rate of
+change of F along H's flow.
 
 The integrator is Hairer's DOP853, an explicit Runge-Kutta method of order 8
 with embedded error estimates of orders 5 and 3 (Hairer, Norsett & Wanner,
@@ -166,10 +173,12 @@ def _torus_f(spec: SystemSpec, w1, w2, x1, d1, x2, d2) -> float:
     return float(quad + linear + scal)
 
 
-def _torus_rhs(spec: SystemSpec):
-    nmu, B2, nB2 = -spec.mu, 2.0 * spec.B, -2.0 * spec.B  # -mu, 2B and -2B of dw/dt
-    a3, _, a2, a0, _ = spec.quartic.coefficients()
-    c3, c1, c0 = 0.5 * a3, 0.25 * a2, 0.125 * a0  # P'(x)/8 = c3 x^3 + c1 x + c0
+def _torus_rhs(mu, b, k1, c3, c1, c0):
+    """The rational flow in y = (u1, u2, w1, w2, Q1, Q1', Q2, Q2') of
+    H = (k1 w1^2 + w2^2)/lam + mu/(Q1 + Q2) in the field b lam, with
+    P'(x)/8 = c3 x^3 + c1 x + c0 in the slice rows: the torus at k1 = 1,
+    b = B, and the cylinder at k1 = c/4, b = -B/c (module docstring)."""
+    nmu, b2, nbk2, k2 = -mu, 2.0 * b, -2.0 * b * k1, 2.0 * k1  # -mu, 2b, -2b k1 and 2 k1 of dy/dt
 
     def rhs(y: tuple) -> tuple:
         u1, u2, w1, w2, x1, d1, x2, d2 = y
@@ -177,12 +186,12 @@ def _torus_rhs(spec: SystemSpec):
         if lam <= 0.0:
             raise FixedPointSingularity(f"lam = {lam:.3e} during flow")
         lam_sq, ssum_sq = lam**2, (x1 + x2) ** 2
-        wsq = w1 * w1 + w2 * w2
-        du1, du2 = 2.0 * w1 / lam, 2.0 * w2 / lam
+        wsq = k1 * w1 * w1 + w2 * w2
+        du1, du2 = k2 * w1 / lam, 2.0 * w2 / lam
         return (
             du1, du2,
-            B2 * w2 + wsq * (2.0 * x1 * d1) / lam_sq - nmu * d1 / ssum_sq,
-            nB2 * w1 + wsq * (-2.0 * x2 * d2) / lam_sq - nmu * d2 / ssum_sq,
+            b2 * w2 + wsq * (2.0 * x1 * d1) / lam_sq - nmu * d1 / ssum_sq,
+            nbk2 * w1 + wsq * (-2.0 * x2 * d2) / lam_sq - nmu * d2 / ssum_sq,
             d1 * du1, ((c3 * x1 * x1 + c1) * x1 + c0) * du1,
             d2 * du2, -((c3 * x2 * x2 + c1) * x2 + c0) * du2,
         )
@@ -551,45 +560,6 @@ def limit_h_eval(spec: SystemSpec, s: PhaseState) -> float:
     )
 
 
-def _limit_rhs(spec: SystemSpec):
-    lm = spec.limit
-    c, mu, B = lm.c, spec.mu, spec.B
-    b1, b3, b4 = lm.beta1, lm.beta3, lm.beta4
-    b_over_c = B / c
-
-    def rhs(y: tuple) -> tuple:
-        _u1, _u2, p1, p2, x2, d2, g = y
-        lam2 = b1 * b1 - x2 * x2
-        if lam2 > 0.0:
-            a1 = b_over_c * g
-            da1 = B * lam2 / c
-            dlam2 = -2.0 * x2 * d2
-            try:
-                num = 0.25 * c * (p1 - a1) ** 2 + p2 * p2
-                du2 = 2.0 * p2 / lam2
-                return (
-                    0.5 * c * (p1 - a1) / lam2,
-                    du2,
-                    0.0,
-                    0.5 * c * (p1 - a1) * da1 / lam2 + num * dlam2 / lam2**2 + mu * d2 / (b1 + x2) ** 2,
-                    d2 * du2,
-                    0.25 * (x2 - b1) * ((x2 - b3) * (x2 - b4) - lam2) * du2,  # Pt'(Q2)/8 du2/dt
-                    2.0 * p2,  # lam2 du2/dt
-                )
-            except (ZeroDivisionError, OverflowError):
-                pass
-        # lam2 <= 0 where the carried Q2 is at or past its plateau beta1, or a
-        # runaway stage: NaN, which the step control retries as a non-finite
-        # error norm
-        return (math.nan,) * 7
-
-    return rhs
-
-
-def _phase_state(_spec: SystemSpec, y: tuple, _nu) -> PhaseState:
-    return PhaseState(*y[:4])
-
-
 # ---------------------------------------------------------------------------
 # the families' variables; the bracket and the trajectory drivers
 # ---------------------------------------------------------------------------
@@ -597,17 +567,27 @@ def _phase_state(_spec: SystemSpec, y: tuple, _nu) -> PhaseState:
 def _flow(spec: SystemSpec, s: PhaseState | E3State) -> tuple:
     """(y, rhs, grad_f, unpack, n) at state s: the family's integration
     variables, the flow's right-hand side and grad F in them, the map of y
-    back to a state and the phase-space dimension.  The torus integrates
-    (u, w = p - A(u), Q, Q'), the cylinder (u, p, Q2, Q2', G), where F = p1,
-    and e(3)* (M, x).
+    back to a state and the phase-space dimension.  The torus and the
+    cylinder integrate (u, w = p - A(u), Q, Q'), the cylinder with
+    (Q1, Q1') = (beta1, 0), and e(3)* (M, x).  On the cylinder
+    F = p1 = w1 + A1(u2), and the unpacking returns s.p1.
     """
     if spec.family == Family.CASE_II:
         x1, d1, x2, d2, g = spec.model.at(s.u1, s.u2)
-        y = (s.u1, s.u2, s.p1, s.p2 - spec.B * g, x1, d1, x2, d2)
-        return y, _torus_rhs(spec), _torus_grad_f, _torus_state, 4
+        a3, _, a2, a0, _ = spec.quartic.coefficients()
+        rhs = _torus_rhs(spec.mu, spec.B, 1.0, 0.5 * a3, 0.25 * a2, 0.125 * a0)
+        return (s.u1, s.u2, s.p1, s.p2 - spec.B * g, x1, d1, x2, d2), rhs, _torus_grad_f, _torus_state, 4
     if spec.family == Family.CASE_II_LIMIT:
-        y = (s.u1, s.u2, s.p1, s.p2, *_limit_slice(spec.limit, s.u2))
-        return y, _limit_rhs(spec), lambda *_: (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0), _phase_state, 4
+        # Pt(x) = -(x - beta1)^2 (x - beta3)(x - beta4); c0 makes Pt'(beta1)/8
+        # an exact 0, so the Q1 rows are exact zeros and Q1 stays beta1
+        lm, p1 = spec.limit, s.p1
+        b1, b_over_c = lm.beta1, spec.B / lm.c
+        c3, c1 = -0.5, 0.25 * (3.0 * b1 * b1 - lm.beta3 * lm.beta4)
+        rhs = _torus_rhs(spec.mu, -b_over_c, 0.25 * lm.c, c3, c1, -((c3 * b1 * b1 + c1) * b1))
+        x2, d2, g = _limit_slice(lm, s.u2)
+        y = (s.u1, s.u2, p1 - b_over_c * g, s.p2, b1, 0.0, x2, d2)
+        grad_f = lambda _spec, y: (0.0, b_over_c * (y[4] * y[4] - y[6] * y[6]), 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return y, rhs, grad_f, lambda _spec, y, _nu: PhaseState(y[0], y[1], p1, y[3]), 4
     grad_f = _clebsch_grad_f if spec.family == Family.CASE_I else _vy_grad_f
     return tuple(s.M.tolist() + s.x.tolist()), _e3_rhs(spec), grad_f, _project_e3, 6
 

@@ -3,14 +3,16 @@
 Drift does not see a phase error, so each panel compares the state itself:
 one spec over ``random_state`` seeds 0-9, each run to t = 10 at tol 1e-10 and
 compared with ``solve_ivp`` at rtol = atol = 1e-13.  The e(3)* references
-integrate the flow's own right-hand side in (M, x).  The torus and cylinder
-flows carry their slices in their states, (Q1, Q1', Q2, Q2') and (Q2, Q2', G),
-so their references must not: _slice_rhs is the torus right-hand side in
-(u, w) with both slice series summed at every call, _closed_form_limit_rhs
-the cylinder's in (u, p) with its closed-form slice evaluated at every call,
+integrate the flow's own right-hand side in (M, x).  The torus and the
+cylinder share one flow, which carries the slices (Q1, Q1', Q2, Q2') in its
+state (on the cylinder Q1 = beta1, Q1' = 0), so their references must not:
+_slice_rhs is the torus right-hand side in (u, w) with both slice series
+summed at every call, _closed_form_limit_rhs the cylinder's in (u, p), the
+form of its H, with its closed-form slice and gauge evaluated at every call,
 and each panel compares (u, p), with p = w + A(u) on the torus.  A wrong
-slice row (a sign, a factor of P' or of the gauge's G) is then an error
-against the series or the closed form, not part of its own reference.  A
+slice row (a sign, a factor of P' or of the cylinder's c/4 and -B/c) is then
+an error against the series or the closed form, not part of its own
+reference.  A
 reference that needs more than _BUDGET right-hand sides (a vy orbit through a
 Coulomb centre) does not finish: its seed stays in the panel, as None, and is
 still integrated.
@@ -105,8 +107,8 @@ def _slice_rhs(spec):
 
 def _closed_form_limit_rhs(spec):
     """The cylinder right-hand side in y = (u1, u2, p1, p2) with (Q2, Q2', G)
-    evaluated in closed form at every call: operation for operation the
-    (u, p) rows of dynamics._limit_rhs, with no slice rows."""
+    evaluated in closed form at every call: Hamilton's equations of
+    dynamics.limit_h_eval's H, with dp1/dt = 0, and no slice rows."""
     lm, mu, B = spec.limit, spec.mu, spec.B
     c, b1 = lm.c, lm.beta1
 

@@ -66,12 +66,19 @@ def _scaled(rhs, factor):
     return lambda y: tuple(factor(y) * v for v in rhs(y))
 
 
+def _rhs(spec):
+    """The right-hand side of spec's flow: on the torus and the cylinder the
+    one factory dynamics._torus_rhs, with the family's constants (a flipped
+    B flips the field b)."""
+    return dyn._flow(spec, dyn.PhaseState(0.1, 0.2, 0.0, 0.0))[1]
+
+
 MUTANTS = {
-    "torus-rescaled": ("case2", lambda spec: _scaled(dyn._torus_rhs(spec), lambda y: 1.0 + 0.01 * (y[4] ** 2 - y[6] ** 2))),
-    "torus-flipped-B": ("case2", lambda spec: dyn._torus_rhs(dataclasses.replace(spec, B=-spec.B))),
+    "torus-rescaled": ("case2", lambda spec: _scaled(_rhs(spec), lambda y: 1.0 + 0.01 * (y[4] ** 2 - y[6] ** 2))),
+    "torus-flipped-B": ("case2", lambda spec: _rhs(dataclasses.replace(spec, B=-spec.B))),
     "case1-rescaled": ("case1", lambda spec: _scaled(dyn._e3_rhs(spec), lambda y: 1.0 + 0.01 * y[3])),
-    "cylinder-rescaled": ("cylinder", lambda spec: _scaled(dyn._limit_rhs(spec), lambda y: 1.001)),
-    "cylinder-flipped-B": ("cylinder", lambda spec: dyn._limit_rhs(dataclasses.replace(spec, B=-spec.B))),
+    "cylinder-rescaled": ("cylinder", lambda spec: _scaled(_rhs(spec), lambda y: 1.001)),
+    "cylinder-flipped-B": ("cylinder", lambda spec: _rhs(dataclasses.replace(spec, B=-spec.B))),
 }
 
 
