@@ -62,9 +62,11 @@ the tableau once per state length (_attempt_kernel) as straight-line code,
 each sum a left fold over literal coefficients: the builtin sum of floats is
 compensated from Python 3.12 on, and a walk over zip per stage costs more
 than its arithmetic.
-The BLAS dots of the e(3)* projection, of |q| and of the e(3)* monitors stay
-(a BLAS dot rounds differently from a Python sum); the wrappers go: a norm is
-math.sqrt(v.dot(v)), as np.linalg.norm takes it, with float arithmetic around.
+The e(3)* path has no BLAS call either: E3State holds tuples, and every
+3-vector dot (|q|, the projection, the monitors, random_state's M . x) is the
+left fold a0 b0 + a1 b1 + a2 b2 (_dot).  A BLAS dot rounds by the kernel
+OpenBLAS picks at run time, so it would give each CPU its own e(3)* CSVs;
+the fold gives the bits of the Haswell kernel's dot on every CPU.
 """
 
 from __future__ import annotations
@@ -111,17 +113,18 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class E3State:
-    """Angular momentum and Poisson vector of an e(3)* system."""
+    """Angular momentum and Poisson vector of an e(3)* system, each held as
+    a tuple of 3 floats (any sequence of 3 numbers is taken)."""
 
-    M: np.ndarray
-    x: np.ndarray
+    M: tuple
+    x: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "M", np.asarray(self.M, dtype=float))
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
+        object.__setattr__(self, "M", tuple(map(float, self.M)))
+        object.__setattr__(self, "x", tuple(map(float, self.x)))
 
     def as_array(self) -> np.ndarray:
-        return np.concatenate([self.M, self.x])
+        return np.array(self.M + self.x)
 
 
 @dataclass
@@ -408,28 +411,32 @@ def _adaptive_step(rhs, y: tuple, dt: float, tol: float, n: int = 0):
 # e(3)* systems: Clebsch (CASE_I) and the two-centre system (VY)
 # ---------------------------------------------------------------------------
 
+def _dot(a, b) -> float:
+    """a . b of two 3-vectors, a left fold in floats: the same bits on every
+    CPU, where a BLAS dot's depend on the kernel OpenBLAS picks at run time."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a0 * b0 + a1 * b1 + a2 * b2
+
+
 def clebsch_eval(spec: SystemSpec, s: E3State) -> tuple[float, float]:
     """H = |M|^2 - mu sum alpha_i x_i^2 and its quadratic partner integral."""
     if spec.family != Family.CASE_I:
         raise ValueError("clebsch_eval needs a CASE_I spec")
     a1, a2, a3 = spec.alpha
     mu = spec.mu
-    M0, M1, M2 = s.M.tolist()
-    x0, x1, x2 = s.x.tolist()
-    H = float(s.M.dot(s.M)) - mu * (a1 * x0**2 + a2 * x1**2 + a3 * x2**2)
+    M0, M1, M2 = s.M
+    x0, x1, x2 = s.x
+    H = _dot(s.M, s.M) - mu * (a1 * x0**2 + a2 * x1**2 + a3 * x2**2)
     F = a1 * M0**2 + a2 * M1**2 + a3 * M2**2 + mu * (a2 * a3 * x0**2 + a1 * a3 * x1**2 + a1 * a2 * x2**2)
     return H, F
 
 
-def _vy_r(spec: SystemSpec, q: np.ndarray, qn: float) -> float:
+def _vy_r(spec: SystemSpec, q, qn: float) -> float:
     """R(q) of :func:`vy_eval`; qn = |q| is the caller's."""
     va, vb = spec.vy_a, spec.vy_b
-    return float(
-        vb * q[0] ** 2
-        + va * q[1] ** 2
-        + (va + vb) * q[2] ** 2
-        - 2.0 * math.sqrt(va * vb) * qn * q[2]
-    )
+    q0, q1, q2 = q
+    return vb * q0**2 + va * q1**2 + (va + vb) * q2**2 - 2.0 * math.sqrt(va * vb) * qn * q2
 
 
 def vy_eval(spec: SystemSpec, s: E3State) -> tuple[float, float]:
@@ -443,16 +450,16 @@ def vy_eval(spec: SystemSpec, s: E3State) -> tuple[float, float]:
         raise ValueError("vy_eval needs a VY spec")
     M, q = s.M, s.x
     va, vb = spec.vy_a, spec.vy_b
-    qn = math.sqrt(q.dot(q))
+    qn = math.sqrt(_dot(q, q))
     R = _vy_r(spec, q, qn)
     if R < 1e-12 * max(1.0, qn**2):
         raise DegeneratePoint(f"R(q) = {R:.3e}")
     sab = math.sqrt(va * vb)
-    H = float(0.5 * (M @ M) - spec.mu * qn / math.sqrt(R))
-    F = float(
+    H = 0.5 * _dot(M, M) - spec.mu * qn / math.sqrt(R)
+    F = (
         va * M[0] ** 2
         + vb * M[1] ** 2
-        + (2.0 * sab / qn) * (M @ q) * M[2]
+        + (2.0 * sab / qn) * _dot(M, q) * M[2]
         - 2.0 * spec.mu * sab * q[2] / math.sqrt(R)
     )
     return H, F
@@ -480,9 +487,8 @@ def _e3_rhs(spec: SystemSpec):
 
     def rhs(y: tuple) -> tuple:
         M0, M1, M2, q0, q1, q2 = y
-        q = y[3:]
-        qn = math.sqrt(np.dot(q, q))
-        R = _vy_r(spec, q, qn)
+        qn = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2)
+        R = _vy_r(spec, y[3:], qn)
         if R < 1e-12 * max(1.0, qn**2):
             raise DegeneratePoint(f"orbit reached a Coulomb center: R = {R:.3e}")
         # grad H = -mu q/|q| / sqrt(R) + c grad R, grad R = diag q - 2 sqrt(AB) (q3 q/|q| + |q| e_z)
@@ -509,23 +515,32 @@ def _clebsch_grad_f(spec: SystemSpec, y: tuple) -> tuple:
 
 
 def _vy_grad_f(spec: SystemSpec, y: tuple) -> tuple:
-    """grad F in y = (M, q) for the F of :func:`vy_eval`; c = 2 sqrt(AB)/|q|."""
-    M, q = np.array(y[:3]), np.array(y[3:])
+    """grad F in y = (M, q) for the F of :func:`vy_eval`; with c = 2 sqrt(AB)/|q|,
+    dF/dM = (2A M1, 2B M2, 0) + c M3 q + c (M, q) e_z and
+    dF/dq = c M3 (M - (M, q) q/|q|^2) + mu sqrt(AB) (q3 R^-3/2 grad R - 2/sqrt(R) e_z),
+    grad R as in the right-hand side."""
+    M0, M1, M2, q0, q1, q2 = y
     va, vb, mu = spec.vy_a, spec.vy_b, spec.mu
-    sab, qn, e_z = math.sqrt(va * vb), math.sqrt(q.dot(q)), np.array([0.0, 0.0, 1.0])
-    R = _vy_r(spec, q, qn)
-    c, mq = 2.0 * sab / qn, M @ q
-    grad_r = np.array([2.0 * vb, 2.0 * va, 2.0 * (va + vb)]) * q - 2.0 * sab * (q[2] * q / qn + qn * e_z)
-    dM = np.array([2.0 * va * M[0], 2.0 * vb * M[1], 0.0]) + c * M[2] * q + c * mq * e_z
-    dq = c * M[2] * (M - mq * q / qn**2) + mu * sab * (q[2] * R**-1.5 * grad_r - 2.0 / math.sqrt(R) * e_z)
-    return (*dM.tolist(), *dq.tolist())
+    sab, qn = math.sqrt(va * vb), math.sqrt(q0 * q0 + q1 * q1 + q2 * q2)
+    R = _vy_r(spec, y[3:], qn)
+    c, mq, two_sab = 2.0 * sab / qn, M0 * q0 + M1 * q1 + M2 * q2, 2.0 * sab
+    cm, qn2, musab, r32 = c * M2, qn**2, mu * sab, q2 * R**-1.5
+    return (
+        2.0 * va * M0 + cm * q0, 2.0 * vb * M1 + cm * q1, cm * q2 + c * mq,
+        cm * (M0 - mq * q0 / qn2) + musab * (r32 * (2.0 * vb * q0 - two_sab * (q2 * q0 / qn))),
+        cm * (M1 - mq * q1 / qn2) + musab * (r32 * (2.0 * va * q1 - two_sab * (q2 * q1 / qn))),
+        cm * (M2 - mq * q2 / qn2)
+        + musab * (r32 * (2.0 * (va + vb) * q2 - two_sab * (q2 * q2 / qn + qn)) - 2.0 / math.sqrt(R)),
+    )
 
 
 def _project_e3(_spec: SystemSpec, y: tuple, nu: float) -> E3State:
     """The state of y projected onto the leaf |x| = 1, (M, x) = nu."""
-    M, x = np.array(y[:3]), np.array(y[3:])
-    x = x / math.sqrt(x.dot(x))
-    return E3State(M=M + (nu - M.dot(x)) * x, x=x)
+    M0, M1, M2, x0, x1, x2 = y
+    n = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+    x0, x1, x2 = x0 / n, x1 / n, x2 / n
+    c = nu - (M0 * x0 + M1 * x1 + M2 * x2)
+    return E3State(M=(M0 + c * x0, M1 + c * x1, M2 + c * x2), x=(x0, x1, x2))
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +604,7 @@ def _flow(spec: SystemSpec, s: PhaseState | E3State) -> tuple:
         grad_f = lambda _spec, y: (0.0, b_over_c * (y[4] * y[4] - y[6] * y[6]), 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         return y, rhs, grad_f, lambda _spec, y, _nu: PhaseState(y[0], y[1], p1, y[3]), 4
     grad_f = _clebsch_grad_f if spec.family == Family.CASE_I else _vy_grad_f
-    return tuple(s.M.tolist() + s.x.tolist()), _e3_rhs(spec), grad_f, _project_e3, 6
+    return s.M + s.x, _e3_rhs(spec), grad_f, _project_e3, 6
 
 
 def hf_bracket(spec: SystemSpec, s: PhaseState | E3State) -> tuple[float, float]:
@@ -622,7 +637,7 @@ def flow_step(
         raise ValueError(f"dt and tol must be finite and positive, got dt = {dt}, tol = {tol}")
     y, rhs, _, unpack, n = _flow(spec, s)
     if nu is None and isinstance(s, E3State):
-        nu = float(s.M @ s.x)
+        nu = _dot(s.M, s.x)
     y, taken, dt_next = _adaptive_step(rhs, y, dt, tol, n)
     return unpack(spec, y, nu), taken, dt_next
 
@@ -654,9 +669,9 @@ def integrate(
         ev = clebsch_eval if spec.family == Family.CASE_I else vy_eval
 
         def monitors(st):
-            return (*ev(spec, st), float(st.x @ st.x), float(st.M @ st.x))
+            return (*ev(spec, st), _dot(st.x, st.x), _dot(st.M, st.x))
 
-        nu = float(state0.M @ state0.x)
+        nu = _dot(state0.M, state0.x)
 
     times = [0.0]
     states = [state0.as_array()]
@@ -692,7 +707,15 @@ def integrate(
 
 
 def random_state(spec: SystemSpec, rng: np.random.Generator):
-    """Reproducible random state away from singular loci."""
+    """Reproducible random state of spec's family, drawn from rng.
+
+    The torus state keeps each u_i at least 0.15 K_i from a multiple of K_i,
+    and the cylinder's keeps off the plateau where Q2 has rounded to beta1.
+    An e(3)* state has x uniform on the unit sphere and M standard normal,
+    on case1 moved onto the leaf (M, x) = B.  A vy state is not kept off the
+    Coulomb centres, where R(q) = 0: a run from near one crawls, drifts, and
+    may end in StepRejected.
+    """
     if spec.family == Family.CASE_II:
         m = spec.model
         u1 = float(rng.uniform(0.15, 0.85) * m.K1 + (0.0, m.K1, 2.0 * m.K1)[rng.integers(0, 3)])
@@ -701,12 +724,14 @@ def random_state(spec: SystemSpec, rng: np.random.Generator):
         a1, a2 = gauge_a(spec, (u1, u2))
         return PhaseState(u1=u1, u2=u2, p1=float(w[0] + a1), p2=float(w[1] + a2))
     if spec.family in (Family.CASE_I, Family.VY):
-        x = rng.normal(0.0, 1.0, 3)
-        x /= np.linalg.norm(x)
-        M = rng.normal(0.0, 1.0, 3)
+        x = rng.normal(0.0, 1.0, 3).tolist()
+        n = math.sqrt(_dot(x, x))
+        x = [v / n for v in x]
+        M = rng.normal(0.0, 1.0, 3).tolist()
         if spec.family == Family.CASE_I:
             # leaf value nu doubles as the magnetic density for sphere runs
-            M = M + (spec.B - M @ x) * x
+            c = spec.B - _dot(M, x)
+            M = [m + c * v for m, v in zip(M, x)]
         return E3State(M=M, x=x)
     # Family.CASE_II_LIMIT: |s| = sqrt(c) |u2 - delta| / 2 <= 6 keeps the state
     # off the plateau where Q2 has rounded to beta1 (h = 2 for sqrt(c) <= 6)

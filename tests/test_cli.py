@@ -875,3 +875,27 @@ def test_output_does_not_depend_on_earlier_calls(tmp_path, capsys, monkeypatch):
         assert (tmp_path / "chain" / rel).read_bytes() == (tmp_path / "fresh" / rel).read_bytes(), rel
     first, again = (tmp_path / "chain" / name / "simulate.csv" for name in ("sim5", "sim5_again"))
     assert first.read_bytes() == again.read_bytes()
+
+
+@pytest.mark.parametrize("family", ["case1", "vy"])
+def test_e3_csv_does_not_depend_on_the_blas_kernel(tmp_path, family):
+    # the e(3)* flow, its projection, monitors and initial state run in Python
+    # floats, so the kernel OpenBLAS picks at run time moves no bit of the CSV.
+    # A BLAS dot would: Prescott's generic kernel rounds a 3-vector's dot by
+    # its memory offset, and SkylakeX's differs from Haswell's left fold
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(root / "src")
+    csvs = {}
+    for core in ("default", "Prescott", "Haswell"):
+        run_env = env if core == "default" else dict(env, OPENBLAS_CORETYPE=core)
+        out = tmp_path / core
+        argv = ["simulate", "--config", str(root / "demos" / "configs" / f"{family}.json"), "--t-end", "5"]
+        done = subprocess.run(
+            [sys.executable, "-m", "monopole_lab.cli", *argv, "--out", str(out)],
+            capture_output=True, text=True, env=run_env, timeout=60,
+        )
+        assert done.returncode == 0, (core, done.stderr)
+        csvs[core] = (out / "simulate.csv").read_bytes()
+    assert csvs["Prescott"] == csvs["default"]
+    assert csvs["Haswell"] == csvs["default"]

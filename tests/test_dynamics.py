@@ -430,7 +430,7 @@ def test_clebsch_eval_special_cases(case1):
     rng = np.random.default_rng(27)
     s = dyn.random_state(iso, rng)
     H, F = dyn.clebsch_eval(iso, s)
-    assert F == pytest.approx(2.0 * float(s.M @ s.M) + 4.0 * iso.mu * float(s.x @ s.x), rel=1e-6)
+    assert F == pytest.approx(2.0 * np.dot(s.M, s.M) + 4.0 * iso.mu * np.dot(s.x, s.x), rel=1e-6)
 
 
 def test_lie_poisson_structure_constants(case1):
@@ -446,8 +446,8 @@ def test_lie_poisson_structure_constants(case1):
 
 def test_casimirs_commute(case1):
     rng = np.random.default_rng(29)
-    C1 = lambda st: float(st.x @ st.x)
-    C2 = lambda st: float(st.M @ st.x)
+    C1 = lambda st: np.dot(st.x, st.x)
+    C2 = lambda st: np.dot(st.M, st.x)
     H = lambda st: dyn.clebsch_eval(case1, st)[0]
     F = lambda st: dyn.clebsch_eval(case1, st)[1]
     for _ in range(20):
@@ -464,9 +464,7 @@ def test_clebsch_bracket_vanishes(case1):
         s = dyn.random_state(case1, rng)
         value, scale = _assert_matches_oracle(case1, s, e3_f_of_y(case1, dyn.clebsch_eval))
         assert abs(value) <= 1e-14 * scale
-        assert abs(lie_poisson_bracket(H, F, s)) < 1e-10 * max(
-            1.0, float(s.M @ s.M)
-        )
+        assert abs(lie_poisson_bracket(H, F, s)) < 1e-10 * max(1.0, np.dot(s.M, s.M))
 
 
 def test_e3_flow_free_case(case1):
@@ -499,7 +497,7 @@ def test_vy_eval_basic(vy):
 
     free = vy_spec(2.0, 1.0, mu=0.0)
     H, _ = dyn.vy_eval(free, s)
-    assert H == pytest.approx(0.5 * float(s.M @ s.M), rel=1e-14)
+    assert H == pytest.approx(0.5 * np.dot(s.M, s.M), rel=1e-14)
 
 
 def test_vy_r_positivity_scan(vy):
@@ -709,8 +707,9 @@ def test_limit_h_eval_degenerate_far_out(limit_spec):
 # --- integrator core against the elementwise numpy form ------------------------------
 #
 # The reference is the numpy form of the DOP853 core and of the e(3)* right-hand
-# sides (np.cross).  The float core takes every sum and product in the same
-# order, so the two agree bit for bit; the reference keeps the old forced
+# sides (np.cross), each 3-vector dot the left fold _fold_dot.  The float core
+# takes every sum and product in the same order, so the two agree bit for bit
+# whatever BLAS kernel numpy runs on; the reference keeps the old forced
 # accept of a failing step once dt < 4 dt_min, which the core no longer has.
 
 _DOP_C = tuple(dop853_coefficients.C[:12].tolist())
@@ -726,6 +725,12 @@ def _ref_dop853_attempt(rhs, t, y, dt):
     for i in range(1, 12):
         k.append(rhs(t + _DOP_C[i] * dt, y + dt * _fold(dyn._DOP_A[i - 1], k)))
     return y + dt * _fold(dyn._DOP_B, k), dt * _fold(dyn._DOP_E5, k), dt * _fold(dyn._DOP_E3, k)
+
+
+def _fold_dot(a, b):
+    """a . b of two 3-vectors: the elementwise products, added left to right.
+    A BLAS dot (np.dot, @) rounds by the kernel OpenBLAS picks at run time."""
+    return reduce(add, (np.asarray(a) * np.asarray(b)).tolist())
 
 
 def _ref_norm(y, y_new, e5, e3, tol):
@@ -776,7 +781,7 @@ def _ref_e3_rhs(spec):
 
     def rhs(_t, y):
         M, q = y[:3], y[3:]
-        qn = float(np.linalg.norm(q))
+        qn = math.sqrt(_fold_dot(q, q))
         R = dyn._vy_r(spec, q, qn)
         if R < 1e-12 * max(1.0, qn**2):
             raise DegeneratePoint(f"orbit reached a Coulomb center: R = {R:.3e}")
@@ -1266,8 +1271,8 @@ def _ref_flow_step(spec, s, dt, tol=1e-10):
 
 def _ref_project_e3(y, nu):
     M, x = y[:3], y[3:]
-    x = x / np.linalg.norm(x)
-    M = M + (nu - M @ x) * x
+    x = x / math.sqrt(_fold_dot(x, x))
+    M = M + (nu - _fold_dot(M, x)) * x
     return np.concatenate([M, x])
 
 
@@ -1276,7 +1281,7 @@ def _ref_e3_flow_step(spec, s, dt, tol=1e-10, nu=None):
         raise ValueError("dt must be positive")
     y = tuple(s.as_array().tolist())
     if nu is None:
-        nu = float(s.M @ s.x)
+        nu = _fold_dot(s.M, s.x)
     y_new, taken, dt_next = dyn._adaptive_step(dyn._e3_rhs(spec), y, dt, tol)
     y_new = _ref_project_e3(np.array(y_new), nu)
     return dyn.E3State(M=y_new[:3], x=y_new[3:]), taken, dt_next
@@ -1314,9 +1319,9 @@ def _ref_integrate(spec, state0, t_end, tol=1e-10, stride=1):
 
         def monitors(st):
             H, F = ev(spec, st)
-            return {"H": H, "F": F, "C1": float(st.x @ st.x), "C2": float(st.M @ st.x)}
+            return {"H": H, "F": F, "C1": _fold_dot(st.x, st.x), "C2": _fold_dot(st.M, st.x)}
 
-        nu = float(state0.M @ state0.x)
+        nu = _fold_dot(state0.M, state0.x)
         stepper = lambda st, dt: _ref_e3_flow_step(spec, st, dt, tol, nu=nu)
     else:
         monitors = lambda st: {"H": dyn.limit_h_eval(spec, st), "F": st.p1}
@@ -1378,10 +1383,10 @@ def _ref_random_state(spec, rng):
         return dyn.PhaseState(u1=u1, u2=u2, p1=float(w[0] + a1), p2=float(w[1] + a2))
     if spec.family in (Family.CASE_I, Family.VY):
         x = rng.normal(0.0, 1.0, 3)
-        x /= np.linalg.norm(x)
+        x /= math.sqrt(_fold_dot(x, x))
         M = rng.normal(0.0, 1.0, 3)
         if spec.family == Family.CASE_I:
-            M = M + (spec.B - M @ x) * x
+            M = M + (spec.B - _fold_dot(M, x)) * x
         return dyn.E3State(M=M, x=x)
     h = min(2.0, 12.0 / math.sqrt(spec.limit.c))
     return dyn.PhaseState(
@@ -1439,7 +1444,7 @@ def test_e3_flow_step_on_a_pinned_leaf(family, request):
     # integrate's e(3)* steps: every one returns to the leaf (M, x) of state0
     spec = request.getfixturevalue(family)
     s0 = dyn.random_state(spec, np.random.default_rng(42))
-    nu = float(s0.M @ s0.x)
+    nu = _fold_dot(s0.M, s0.x)
     got = want = s0
     dt_got = dt_want = 0.05
     for _ in range(120):
@@ -1447,7 +1452,7 @@ def test_e3_flow_step_on_a_pinned_leaf(family, request):
         ref = _ref_e3_flow_step(spec, want, dt_want, 1e-10, nu=nu)
         assert _step_key(res) == _step_key(ref)
         (got, _, dt_got), (want, _, dt_want) = res, ref
-    assert abs(float(got.M @ got.x) - nu) < 1e-14
+    assert abs(_fold_dot(got.M, got.x) - nu) < 1e-14
 
 
 def test_flow_step_shrinks_past_a_fixed_point(case2, monkeypatch):

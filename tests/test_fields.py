@@ -319,7 +319,7 @@ def _bridge_gaps(spec, state, phi_sign=1.0, phi_scale=1.0, varphi_scale=1.0):
     pi_i = pi . dx/dq_i, with dx_j/dq_i = -x_j / (2 (alpha_j - q_i)); phi is
     taken at the sign -sgn(x1 x2 x3).  H and F are relative to the sum of the
     magnitudes of the Clebsch side's terms."""
-    M, x = state.M, state.x
+    M, x = np.array(state.M), np.array(state.x)
     alpha = np.array(spec.alpha)
     q1, q2 = geo.cartesian_to_neumann(geo.NeumannConstants(spec.alpha), x)
     e = np.array([-x / (2.0 * (alpha - q)) for q in (q1, q2)])
