@@ -40,8 +40,8 @@ print(f"g11 = {g11:.6f}, g22 = {g22:.6f} (both positive)")
 
 print()
 print("-- degenerate cubic f = 4 q^3: upper half plane")
-chart = hyperbolic_chart(1.0, 1.0)
-print(f"(q1, |q2|) = (1, 1) maps to (u, v) = ({chart.u}, {chart.v}); h/mu = {chart.h_over_mu}")
-chart = hyperbolic_chart(0.25, 4.0)
-print(f"(q1, |q2|) = (0.25, 4) maps to (u, v) = ({chart.u:.4f}, {chart.v:.4f}); "
-      f"h/mu = {chart.h_over_mu:.4f} = q1 + q2 = {0.25 - 4.0:.4f}")
+u, v, _, h_over_mu = hyperbolic_chart(1.0, 1.0)
+print(f"(q1, |q2|) = (1, 1) maps to (u, v) = ({u}, {v}); h/mu = {h_over_mu}")
+u, v, _, h_over_mu = hyperbolic_chart(0.25, 4.0)
+print(f"(q1, |q2|) = (0.25, 4) maps to (u, v) = ({u:.4f}, {v:.4f}); "
+      f"h/mu = {h_over_mu:.4f} = q1 + q2 = {0.25 - 4.0:.4f}")

@@ -23,7 +23,6 @@ from .elliptic import (
     build_model,
     build_model_from_roots,
     jacobi_special,
-    limit_q2,
 )
 from .fields import (
     Family,

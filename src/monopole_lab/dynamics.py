@@ -31,7 +31,7 @@ factory, _torus_rhs, writes the flow of (k1 w1^2 + w2^2)/lam + mu/(Q1 + Q2) in
 a field b lam: the torus at (k1, b) = (1, B), the cylinder at (c/4, -B/c) in
 y = (u1, u2, p1 - A1, p2, beta1, 0, Q2, Q2'), with Pt's c0 chosen so that
 Pt'(beta1)/8 is an exact 0 and Q1 stays beta1 bit for bit.  Each step
-reseeds (Q2, Q2') from the closed form at u2, and its unpacking restores p1
+reseeds (Q2, Q2') from LimitModel.at(u2), and its unpacking restores p1
 as it was packed: F = p1 is exact, as the e(3)* projection restores the
 Casimirs.  A stage whose Q2 is at or past beta1 (lam <= 0) raises
 FixedPointSingularity and is retried, as at the torus fixed point.
@@ -78,7 +78,6 @@ from operator import mul
 
 import numpy as np
 
-from .elliptic import _limit_slice
 from .errors import DegeneratePoint, FixedPointSingularity, StepRejected
 from .fields import Family, SystemSpec, gauge_a
 
@@ -114,14 +113,19 @@ class PhaseState:
 @dataclass(frozen=True)
 class E3State:
     """Angular momentum and Poisson vector of an e(3)* system, each held as
-    a tuple of 3 floats (any sequence of 3 numbers is taken)."""
+    a tuple of 3 floats (any sequence of 3 numbers is taken, another length
+    raises ValueError)."""
 
     M: tuple
     x: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "M", tuple(map(float, self.M)))
-        object.__setattr__(self, "x", tuple(map(float, self.x)))
+        M, x = tuple(map(float, self.M)), tuple(map(float, self.x))
+        if len(M) != 3 or len(x) != 3:
+            name, v = ("M", M) if len(M) != 3 else ("x", x)
+            raise ValueError(f"E3State.{name} needs 3 components, got {len(v)}")
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "x", x)
 
     def as_array(self) -> np.ndarray:
         return np.array(self.M + self.x)
@@ -548,12 +552,12 @@ def _project_e3(_spec: SystemSpec, y: tuple, nu: float) -> E3State:
 # ---------------------------------------------------------------------------
 
 def limit_gauge_a1(spec: SystemSpec, u2) -> float:
-    """Gauge A1(u2) = (B/c) * integral_{-inf}^{u2} (beta1^2 - Q2^2), A2 = 0.
-
-    The integral is in closed form (see ``elliptic._limit_slice``).
-    """
+    """Gauge A1(u2) = (B/c) * integral_{-inf}^{u2} (beta1^2 - Q2^2), A2 = 0,
+    the integral in closed form (see ``LimitModel.at``)."""
+    if spec.family != Family.CASE_II_LIMIT:
+        raise ValueError("limit_gauge_a1 needs a CASE_II_LIMIT spec")
     lm = spec.limit
-    return (spec.B / lm.c) * _limit_slice(lm, u2)[2]
+    return (spec.B / lm.c) * lm.at(u2)[2]
 
 
 def limit_h_eval(spec: SystemSpec, s: PhaseState) -> float:
@@ -564,8 +568,10 @@ def limit_h_eval(spec: SystemSpec, s: PhaseState) -> float:
 
     Far out on the cylinder Q2 rounds to beta1 and lam2 to 0: DegeneratePoint.
     """
+    if spec.family != Family.CASE_II_LIMIT:
+        raise ValueError("limit_h_eval needs a CASE_II_LIMIT spec")
     lm = spec.limit
-    x2, _, g = _limit_slice(lm, s.u2)
+    x2, _, g = lm.at(s.u2)
     lam2 = lm.beta1**2 - x2**2
     if lam2 == 0.0:
         raise DegeneratePoint(f"lam2 rounds to 0 at u2 = {s.u2} (Q2 = beta1 = {x2})")
@@ -599,7 +605,7 @@ def _flow(spec: SystemSpec, s: PhaseState | E3State) -> tuple:
         b1, b_over_c = lm.beta1, spec.B / lm.c
         c3, c1 = -0.5, 0.25 * (3.0 * b1 * b1 - lm.beta3 * lm.beta4)
         rhs = _torus_rhs(spec.mu, -b_over_c, 0.25 * lm.c, c3, c1, -((c3 * b1 * b1 + c1) * b1))
-        x2, d2, g = _limit_slice(lm, s.u2)
+        x2, d2, g = lm.at(s.u2)
         y = (s.u1, s.u2, p1 - b_over_c * g, s.p2, b1, 0.0, x2, d2)
         grad_f = lambda _spec, y: (0.0, b_over_c * (y[4] * y[4] - y[6] * y[6]), 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         return y, rhs, grad_f, lambda _spec, y, _nu: PhaseState(y[0], y[1], p1, y[3]), 4

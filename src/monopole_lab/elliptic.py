@@ -16,7 +16,9 @@ Q1 satisfies 4 Q1'^2 = P(Q1); the imaginary-axis slice Q2 satisfies
 derivative).  Each slice is a Moebius image of the Jacobi cn^2 (see
 ``_inversion``), evaluated from its geometrically convergent cosine series in
 u; its derivative, the differentiated series, meets these relations to
-round-off, turning points included.
+round-off, turning points included.  In the coalescing-root limit
+beta2 -> beta1, ``LimitModel.at`` gives the elementary Q2, Q2' and the gauge
+integral at u2, as ``EllipticModel.at`` gives a torus point's.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ __all__ = [
     "build_model",
     "build_model_from_roots",
     "jacobi_special",
-    "limit_q2",
 ]
 
 
@@ -216,7 +217,7 @@ class LimitModel:
 
     @cached_property
     def _slice_constants(self) -> tuple[float, float, float, float, float, float]:
-        """sqrt(c), a = sqrt(D), w, J1(-inf), J2(-inf) and s_float of :func:`_limit_slice`."""
+        """sqrt(c), a = sqrt(D), w, J1(-inf), J2(-inf) and s_float of :meth:`at`."""
         b, c = self.b, self.c
         sqc, a = math.sqrt(c), math.sqrt(self.D)
         w = math.sqrt((b - a) / (b + a))
@@ -224,9 +225,56 @@ class LimitModel:
         s_float = min(700.0, math.log(5e149) - math.log(a + b))  # den <= 2 (a + b) e^|s| < 1e150
         return sqc, a, w, j1_inf, (b * j1_inf + 1.0) / (4.0 * c), s_float
 
+    def at(self, u2):
+        """(Q2, dQ2/du, G) of the degenerate slice from one s and one cosh(s).
+
+        With s = sqrt(c)(u - delta)/2 and den = 2 sqrt(D) cosh(s) + 2b,
+
+            Q2  = beta1 - 4c / den,
+            Q2' = 4c sqrt(D) sqrt(c) sinh(s) / den^2   (0 where den or Q2' overflows),
+            G   = (2/sqrt(c)) [4c beta1 (J1(s) - J1(-inf)) - 4c^2 (J2(s) - J2(-inf))],
+
+        where G = integral_{-inf}^{u} (beta1^2 - Q2^2) is the gauge integral
+        (A1 = (B/c) G), in closed form through the antiderivatives of
+        1/(a cosh s + b) and its square, a = sqrt(D):
+
+            J1(s) = artanh(w tanh(s/2)) / sqrt(c),   w = sqrt((b-a)/(b+a)),
+            J2(s) = [b J1(s) - a tanh(s)/(a + b sech(s))] / (4c).
+
+        Q2 is symmetric about u = delta and tends to beta1 as u -> +-inf.
+
+        A scalar u gives floats, an array arrays.  The hyperbolic functions stay
+        numpy's for both: the libm ones round differently on some inputs.  A
+        scalar converts each ufunc result to a float and does the arithmetic in
+        floats while |s| < s_float (about 340), where den^2 is finite: past it
+        Python's float ** raises OverflowError where numpy gives inf, and numpy's
+        cosh warns past |s| = 710.5, so there it takes numpy scalars with overflow
+        silenced, as an array does.  The result at the last Python float u is
+        kept, in _last (u = 0 aside: 0.0 == -0.0, and Q2' keeps the sign of
+        s = -0.0); 0-d numpy values and arrays bypass it.
+        """
+        last_u, out = self._last
+        if type(u2) is float and last_u == u2 and u2 != 0.0:
+            return out
+        scalar = _is_scalar(u2)
+        sqc, _, _, _, _, s_float = self._slice_constants
+        s = 0.5 * sqc * ((float(u2) if scalar else np.asarray(u2, dtype=float)) - self.delta)
+        if scalar and abs(s) < s_float:
+            out = _limit_terms(self, s, float)[:3]
+        else:
+            # cosh overflows to inf far out (Q2 -> beta1, dQ2/du -> 0), and just
+            # before it sinh(s) times 4c sqrt(D) sqrt(c) does, so den^2 is inf first
+            with np.errstate(over="ignore", invalid="ignore"):
+                q2, d2, g, den = _limit_terms(self, s, lambda v: v)
+                d2 = np.where(np.isfinite(den) & np.isfinite(d2), d2, 0.0)
+            out = (float(q2), float(d2), float(g)) if scalar else (q2, d2, g)
+        if type(u2) is float:
+            object.__setattr__(self, "_last", (u2, out))
+        return out
+
 
 def _limit_terms(lm: LimitModel, s, f):
-    """(Q2, dQ2/du, G, den) of :func:`_limit_slice` at s; f maps each ufunc result."""
+    """(Q2, dQ2/du, G, den) of :meth:`LimitModel.at` at s; f maps each ufunc result."""
     b, c = lm.b, lm.c
     sqc, a, w, j1_inf, j2_inf, _ = lm._slice_constants
     cosh = f(np.cosh(s))
@@ -238,66 +286,3 @@ def _limit_terms(lm: LimitModel, s, f):
     e1 = (2.0 / sqc) * 2.0 * c * (j1 - j1_inf)
     e2 = (2.0 / sqc) * 4.0 * c * c * (j2 - j2_inf)
     return q2, d2, 2.0 * lm.beta1 * e1 - e2, den
-
-
-def _limit_slice(lm: LimitModel, u2):
-    """(Q2, dQ2/du, G) of the degenerate slice from one s and one cosh(s).
-
-    With s = sqrt(c)(u - delta)/2 and den = 2 sqrt(D) cosh(s) + 2b,
-
-        Q2  = beta1 - 4c / den,
-        Q2' = 4c sqrt(D) sqrt(c) sinh(s) / den^2   (0 where den or Q2' overflows),
-        G   = (2/sqrt(c)) [4c beta1 (J1(s) - J1(-inf)) - 4c^2 (J2(s) - J2(-inf))],
-
-    where G = integral_{-inf}^{u} (beta1^2 - Q2^2) is the gauge integral
-    (A1 = (B/c) G), in closed form through the antiderivatives of
-    1/(a cosh s + b) and its square, a = sqrt(D):
-
-        J1(s) = artanh(w tanh(s/2)) / sqrt(c),   w = sqrt((b-a)/(b+a)),
-        J2(s) = [b J1(s) - a tanh(s)/(a + b sech(s))] / (4c).
-
-    A scalar u gives floats, an array arrays.  The hyperbolic functions stay
-    numpy's for both: the libm ones round differently on some inputs.  A
-    scalar converts each ufunc result to a float and does the arithmetic in
-    floats while |s| < s_float (about 340), where den^2 is finite: past it
-    Python's float ** raises OverflowError where numpy gives inf, and numpy's
-    cosh warns past |s| = 710.5, so there it takes numpy scalars with overflow
-    silenced, as an array does.  The result at the last Python float u is
-    kept, in _last (u = 0 aside: 0.0 == -0.0, and Q2' keeps the sign of
-    s = -0.0); 0-d numpy values and arrays bypass it.
-    """
-    last_u, out = lm._last
-    if type(u2) is float and last_u == u2 and u2 != 0.0:
-        return out
-    scalar = _is_scalar(u2)
-    sqc, _, _, _, _, s_float = lm._slice_constants
-    s = 0.5 * sqc * ((float(u2) if scalar else np.asarray(u2, dtype=float)) - lm.delta)
-    if scalar and abs(s) < s_float:
-        out = _limit_terms(lm, s, float)[:3]
-    else:
-        # cosh overflows to inf far out (Q2 -> beta1, dQ2/du -> 0), and just
-        # before it sinh(s) times 4c sqrt(D) sqrt(c) does, so den^2 is inf first
-        with np.errstate(over="ignore", invalid="ignore"):
-            q2, d2, g, den = _limit_terms(lm, s, lambda v: v)
-            d2 = np.where(np.isfinite(den) & np.isfinite(d2), d2, 0.0)
-        out = (float(q2), float(d2), float(g)) if scalar else (q2, d2, g)
-    if type(u2) is float:
-        object.__setattr__(lm, "_last", (u2, out))
-    return out
-
-
-def limit_q2(lm: LimitModel, u2):
-    """Degenerate second slice
-
-        Q2(u) = beta1 - 4 c e^(s) / ((b + e^s)^2 - 4c),   s = sqrt(c) u / 2,
-              = beta1 - 4 c / (2 sqrt(D) cosh(sqrt(c)(u - delta)/2) + 2 b),
-
-    symmetric about u = delta, approaching beta1 as u -> +-inf.  The cosh form
-    is used for evaluation (it degrades gracefully to beta1 on overflow).
-    """
-    return _limit_slice(lm, u2)[0]
-
-
-def limit_q2_deriv(lm: LimitModel, u2):
-    """dQ2/du for the degenerate slice (closed form)."""
-    return _limit_slice(lm, u2)[1]

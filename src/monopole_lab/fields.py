@@ -198,14 +198,9 @@ class Jet:
         return cls(v, d1=dv) if axis == 0 else cls(v, d2=dv)
 
     @classmethod
-    def from_slice(cls, branch, u, axis: int, c: float, poly) -> tuple["Jet", "Jet"]:
-        """Jets of x = Q(u) and x' = Q'(u) for a slice with x'^2 = c poly(x),
-        ``poly`` in descending coefficients; one pass of the branch."""
-        return cls.from_values(*branch.value_and_deriv(u), axis, c, poly)
-
-    @classmethod
     def from_values(cls, x, d, axis: int, c: float, poly) -> tuple["Jet", "Jet"]:
-        """The jets of :meth:`from_slice` from the slice's value x and derivative d."""
+        """Jets of x = Q(u) and x' = Q'(u) from the slice's value x and derivative d,
+        for a slice with x'^2 = c poly(x), ``poly`` in descending coefficients."""
         dd = 0.5 * c * np.polyval(np.polyder(poly), x)
         return cls.along(axis, x, d), cls.along(axis, d, dd)
 

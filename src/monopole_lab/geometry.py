@@ -46,9 +46,7 @@ __all__ = [
     "neumann_to_cartesian",
     "cartesian_to_neumann",
     "hyperbolic_chart",
-    "HyperbolicChart",
     "limit_cylinder_metric",
-    "limit_tilde_q2",
     "limit_metric_decay_constant",
 ]
 
@@ -158,8 +156,8 @@ class Case1ConformalModel:
         """Jet of lam with its second partials d11 lam and d22 lam, exact from
         q1'^2 = f(q1) and q2'^2 = -f(q2): q1'' = f'(q1)/2 and q2'' = -f'(q2)/2."""
         f = -4.0 * np.poly(self.constants.alpha)
-        q1, dq1 = Jet.from_slice(self.branch1, u1, 0, 1.0, f)
-        q2, dq2 = Jet.from_slice(self.branch2, u2, 1, -1.0, f)
+        q1, dq1 = Jet.from_values(*self.branch1.value_and_deriv(u1), 0, 1.0, f)
+        q2, dq2 = Jet.from_values(*self.branch2.value_and_deriv(u2), 1, -1.0, f)
         return q1 - q2, dq1.d1, -dq2.d2
 
 
@@ -360,19 +358,10 @@ def cartesian_to_neumann(c: NeumannConstants, x) -> tuple[float, float]:
     return float(q1), float(q2)
 
 
-@dataclass(frozen=True)
-class HyperbolicChart:
-    """The chart point (u, v), the conformal factor lam = 1/v^2 of the metric
-    there, and the potential over mu."""
-
-    u: float
-    v: float
-    lam: float
-    h_over_mu: float
-
-
-def hyperbolic_chart(q1: float, q2_mag: float) -> HyperbolicChart:
-    """Upper-half-plane chart for the degenerate cubic f(q) = 4 q^3.
+def hyperbolic_chart(q1: float, q2_mag: float) -> tuple[float, float, float, float]:
+    """Upper-half-plane chart for the degenerate cubic f(q) = 4 q^3, as
+    (u, v, lam, h_over_mu): the chart point, the conformal factor lam = 1/v^2
+    of the metric there, and the potential over mu.
 
     The strip has q1 > 0 > q2; the second argument is |q2|.  With
     X = q1^(-1/2), Y = |q2|^(-1/2) and z = (X + iY)^2 = u + iv the metric
@@ -384,35 +373,24 @@ def hyperbolic_chart(q1: float, q2_mag: float) -> HyperbolicChart:
     Y = q2_mag ** (-0.5)
     u = X * X - Y * Y
     v = 2.0 * X * Y
-    g = 1.0 / (v * v)
-    return HyperbolicChart(
-        u=float(u),
-        v=float(v),
-        lam=float(g),
-        h_over_mu=float(-4.0 * u / (v * v)),
-    )
-
-
-def limit_tilde_q2(lm: LimitModel, ut2):
-    sqD = math.sqrt(lm.D)
-    with np.errstate(over="ignore"):
-        return lm.beta1 - 2.0 * lm.c / (sqD * np.cosh(2.0 * np.asarray(ut2, dtype=float)) + lm.b)
+    return float(u), float(v), float(1.0 / (v * v)), float(-4.0 * u / (v * v))
 
 
 def limit_cylinder_metric(lm: LimitModel, u_tilde) -> float:
-    """Conformal factor of the cylinder limit in rescaled coordinates:
+    """Conformal factor of the cylinder limit in the rescaled coordinate
+    ut2 = sqrt(c)(u2 - delta)/4, with Q2 from ``lm.at``:
 
-        lam = 16 (beta1^2 - Qt2(ut2)^2) / c,
-        Qt2(ut)  = beta1 - 2 c / (sqrt(D) cosh(2 ut) + b).
+        lam = 16 (beta1^2 - Q2^2) / c,
+        Q2  = beta1 - 2 c / (sqrt(D) cosh(2 ut2) + b).
 
-    beta1^2 - Qt2^2 decays like A e^(-2|ut2|) with A = 8 beta1 c / sqrt(D),
+    beta1^2 - Q2^2 decays like A e^(-2|ut2|) with A = 8 beta1 c / sqrt(D),
     the same exponent as the cylinder form of the round metric.
     """
     _, ut2 = u_tilde
-    qt = float(limit_tilde_q2(lm, ut2))
-    return 16.0 * (lm.beta1**2 - qt**2) / lm.c
+    q2 = lm.at(lm.delta + 4.0 * ut2 / math.sqrt(lm.c))[0]
+    return 16.0 * (lm.beta1**2 - q2**2) / lm.c
 
 
 def limit_metric_decay_constant(lm: LimitModel) -> float:
-    """Decay constant A = 8 beta1 c / sqrt(D) of beta1^2 - Qt2^2."""
+    """Decay constant A = 8 beta1 c / sqrt(D) of beta1^2 - Q2^2 in ut2."""
     return 8.0 * lm.beta1 * lm.c / math.sqrt(lm.D)

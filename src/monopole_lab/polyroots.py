@@ -51,10 +51,6 @@ class QuarticParams:
         """Coefficients in descending powers, including the zero cubic term."""
         return [self.a3, 0.0, self.a2, self.a0, self.a1]
 
-    def config_dict(self) -> dict:
-        """JSON-config form; "a0" is the linear key, "a1" the constant."""
-        return {"a3": self.a3, "a2": self.a2, "a0": self.a0, "a1": self.a1}
-
 
 @dataclass(frozen=True)
 class RootQuadruple:

@@ -58,7 +58,6 @@ __all__ = [
     "AnsatzGrid",
     "build_case1_grid",
     "build_case2_grid",
-    "swap_h_and_b",
     "check_classical",
     "check_quantum_c6star",
     "c6star_field",
@@ -133,10 +132,6 @@ def build_case2_grid(spec: SystemSpec, n: int = 64) -> AnsatzGrid:
     m = spec.model
     lo, hi = _WINDOW
     return _grid(spec, np.linspace(lo, hi, n) * m.K1, np.linspace(lo, hi, n) * m.K2)
-
-
-def swap_h_and_b(grid: AnsatzGrid) -> AnsatzGrid:
-    return replace(grid, h=grid.B, B=grid.h)
 
 
 def _d(jet: Jet, axis: int, log: bool = False):
@@ -273,7 +268,7 @@ def check_duality(grid: AnsatzGrid) -> float:
     exit gate.
     """
     terms = _consistency(grid)
-    swapped, (ta, tb, *_), coefficient = _c6star(swap_h_and_b(grid))
+    swapped, (ta, tb, *_), coefficient = _c6star(replace(grid, h=grid.B, B=grid.h))
     # the scale adds the swapped coefficient of d1 B, which is no term of either side
     return _normalized_max(_sum(terms) - swapped, terms + [ta, tb, coefficient])
 

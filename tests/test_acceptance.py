@@ -13,7 +13,7 @@ from scipy.special import ellipk
 from monopole_lab import dynamics as dyn
 from monopole_lab import geometry as geo
 from monopole_lab import verify as ver
-from monopole_lab.elliptic import LimitModel, build_model, limit_q2
+from monopole_lab.elliptic import LimitModel, build_model
 from monopole_lab.fields import case1_spec, case2_spec, case2_limit_spec, vy_spec
 from monopole_lab.polyroots import eval_p, eval_p_deriv, from_roots
 
@@ -272,17 +272,12 @@ def test_criterion_09_limit_case():
     """
     lm = LIMIT
     u = np.linspace(-6.0, 8.0, 101)
-    sym = float(np.max(np.abs(limit_q2(lm, 2 * lm.delta - u) - limit_q2(lm, u))))
+    sym = float(np.max(np.abs(lm.at(2 * lm.delta - u)[0] - lm.at(u)[0])))
 
     A = geo.limit_metric_decay_constant(lm)
-    dev5 = max(
-        abs((lm.beta1**2 - float(geo.limit_tilde_q2(lm, s * 5.0)) ** 2) * math.exp(10.0) / A - 1.0)
-        for s in (1.0, -1.0)
-    )
-    dev7 = max(
-        abs((lm.beta1**2 - float(geo.limit_tilde_q2(lm, s * 7.0)) ** 2) * math.exp(14.0) / A - 1.0)
-        for s in (1.0, -1.0)
-    )
+    q2_at_tilde = lambda ut: lm.at(lm.delta + 4.0 * ut / math.sqrt(lm.c))[0]
+    dev5 = max(abs((lm.beta1**2 - q2_at_tilde(s * 5.0) ** 2) * math.exp(10.0) / A - 1.0) for s in (1.0, -1.0))
+    dev7 = max(abs((lm.beta1**2 - q2_at_tilde(s * 7.0) ** 2) * math.exp(14.0) / A - 1.0) for s in (1.0, -1.0))
 
     spec = case2_limit_spec(lm, mu=1.0, B=0.6)
     rng = np.random.default_rng(35)

@@ -78,7 +78,7 @@ def test_quartic_config_round_trip():
     from monopole_lab.polyroots import from_roots
 
     params = from_roots([3, 2, -1, -4], -1.0)
-    assert quartic_from_config(params.config_dict()) == params
+    assert quartic_from_config({"a3": params.a3, "a2": params.a2, "a0": params.a0, "a1": params.a1}) == params
 
 
 def test_config_rejects_user_k(tmp_path):

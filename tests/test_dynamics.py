@@ -9,7 +9,7 @@ from scipy.integrate._ivp import dop853_coefficients
 from monopole_lab import _inversion, elliptic
 from monopole_lab import dynamics as dyn
 from monopole_lab import geometry as geo
-from monopole_lab.elliptic import LimitModel, _limit_slice, limit_q2
+from monopole_lab.elliptic import LimitModel
 from monopole_lab import fields
 from monopole_lab.errors import (
     DegeneratePoint,
@@ -183,7 +183,7 @@ def test_torus_rhs_is_the_slice_series_rhs(roots, mu, B):
         dy = rhs(y)
         assert dy[:4] == series_rhs(y[:4])
         for i, (branch, c) in enumerate(((m.branch1, 0.25), (m.branch2, -0.25))):
-            _, d = fields.Jet.from_slice(branch, y[i], i, c, poly)
+            _, d = fields.Jet.from_values(*branch.value_and_deriv(y[i]), i, c, poly)
             want = (d.d1 if i == 0 else d.d2) * dy[i]
             assert dy[4 + 2 * i] == d.v * dy[i]
             assert abs(dy[5 + 2 * i] - want) <= 1e-13 * max(1.0, abs(want))
@@ -489,6 +489,40 @@ def test_e3_flow_casimirs_and_conservation(case1):
         assert np.max(np.abs(m - m[0])) / max(1.0, abs(m[0])) < 1e-7
 
 
+
+def test_e3_state_needs_3_vectors():
+    # a 2-vector used to construct and fail inside the flow's unpacking
+    with pytest.raises(ValueError, match=r"^E3State\.M needs 3 components, got 2$"):
+        dyn.E3State(M=(1.0, 2.0), x=(1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match=r"^E3State\.x needs 3 components, got 4$"):
+        dyn.E3State(M=(1.0, 2.0, 3.0), x=np.zeros(4))
+
+
+# each evaluator, the fixture of a spec of another family and the ValueError's message
+_WRONG_FAMILY = {
+    "torus_eval": ("limit_spec", "only exists for CASE_II"),
+    "clebsch_eval": ("vy", "needs a CASE_I spec"),
+    "vy_eval": ("case1", "needs a VY spec"),
+    "limit_h_eval": ("case1", "needs a CASE_II_LIMIT spec"),
+    "limit_gauge_a1": ("case2", "needs a CASE_II_LIMIT spec"),
+}
+
+
+@pytest.mark.parametrize("evaluator", list(_WRONG_FAMILY))
+def test_evaluators_refuse_another_family(evaluator, request):
+    # a spec of another family is a ValueError, not an AttributeError on a
+    # field that family leaves None
+    family, match = _WRONG_FAMILY[evaluator]
+    spec = request.getfixturevalue(family)
+    state = {
+        "torus_eval": dyn.PhaseState(0.3, 1.1, 0.4, -0.2),
+        "limit_h_eval": dyn.PhaseState(0.3, 1.1, 0.4, -0.2),
+        "limit_gauge_a1": 1.1,
+    }.get(evaluator, dyn.E3State(M=(0.3, -0.2, 0.5), x=(0.0, 1.0, 0.0)))
+    with pytest.raises(ValueError, match=match):
+        getattr(dyn, evaluator)(spec, state)
+
+
 # --- VY two-centre system ----------------------------------------------------------
 
 def test_vy_eval_basic(vy):
@@ -567,7 +601,7 @@ def test_limit_gauge_matches_quadrature(limit_spec):
     for u2 in (-3.0, 0.5, 2.0, 6.0):
         closed = dyn.limit_gauge_a1(limit_spec, u2)
         oracle = quad(
-            lambda xi: limit_spec.B * (lm.beta1**2 - float(limit_q2(lm, xi)) ** 2) / lm.c,
+            lambda xi: limit_spec.B * (lm.beta1**2 - float(lm.at(xi)[0]) ** 2) / lm.c,
             -60.0,
             u2,
             epsabs=1e-13,
@@ -615,7 +649,7 @@ def test_limit_slice_meets_its_quartic(limit_spec, roots):
     lm = _limit_model_spec(limit_spec, roots).limit
     b1, b3, b4 = lm.beta1, lm.beta3, lm.beta4
     for s in np.linspace(-6.0, 6.0, 241).tolist():
-        x2, d2, _ = _limit_slice(lm, lm.delta + 2.0 * s / math.sqrt(lm.c))
+        x2, d2, _ = lm.at(lm.delta + 2.0 * s / math.sqrt(lm.c))
         pt = (x2 - b1) ** 2 * (x2 - b3) * (x2 - b4)
         assert abs(4.0 * d2 * d2 - pt) <= 1e-13 * lm.c * (b1 - x2) ** 2, s
 
@@ -648,7 +682,7 @@ def test_limit_rhs_is_the_closed_form_rhs(limit_spec, roots):
         assert want[2] == 0.0 and abs(got[2]) <= 1e-15 * abs(lorentz), u2
         assert dy[4] == dy[5] == 0.0
         assert dy[6] == y[7] * dy[1]
-        (_, d_lo, _), (_, d_hi, _) = _limit_slice(lm, u2 - h), _limit_slice(lm, u2 + h)
+        (_, d_lo, _), (_, d_hi, _) = lm.at(u2 - h), lm.at(u2 + h)
         assert abs(dy[7] / dy[1] - (d_hi - d_lo) / (2.0 * h)) <= 1e-8 * lm.c**2, u2
 
 
@@ -686,7 +720,7 @@ def test_trajectory_contract(case2):
 def test_limit_h_eval_structure(limit_spec):
     lm = limit_spec.limit
     s = dyn.PhaseState(u1=0.3, u2=1.1, p1=0.4, p2=-0.2)
-    x2 = float(limit_q2(lm, s.u2))
+    x2 = float(lm.at(s.u2)[0])
     lam2 = lm.beta1**2 - x2**2
     a1 = dyn.limit_gauge_a1(limit_spec, s.u2)
     expected = (0.25 * lm.c * (s.p1 - a1) ** 2 + s.p2**2) / lam2 + limit_spec.mu / (
@@ -1158,7 +1192,7 @@ def test_limit_slice_matches_separate_formulas(limit_spec, roots):
     # Q2, Q2' and A1 share one s and one cosh(s) now; each is bit for bit
     # the closed form it was evaluated by on its own, for arrays and scalars
     # (on the second model, regrouping a product of constants moves bits)
-    from monopole_lab.elliptic import LimitModel, _limit_slice, limit_q2_deriv
+    from monopole_lab.elliptic import LimitModel
     from monopole_lab.fields import case2_limit_spec
 
     if roots is not None:
@@ -1166,14 +1200,14 @@ def test_limit_slice_matches_separate_formulas(limit_spec, roots):
     lm = limit_spec.limit
     u = np.concatenate([np.random.default_rng(38).uniform(-40.0, 40.0, 400), [lm.delta, 400.0, -900.0]])
     pairs = [
-        (limit_q2, _ref_limit_q2),
-        (limit_q2_deriv, _ref_limit_q2_deriv),
+        (lambda _lm, v: _lm.at(v)[0], _ref_limit_q2),
+        (lambda _lm, v: _lm.at(v)[1], _ref_limit_q2_deriv),
         (lambda _lm, v: dyn.limit_gauge_a1(limit_spec, v), lambda _lm, v: _ref_limit_gauge_a1(limit_spec, v)),
     ]
     for got, want in pairs:
         assert got(lm, u).tobytes() == want(lm, u).tobytes()
         assert np.array([got(lm, float(v)) for v in u]).tobytes() == np.array([want(lm, v) for v in u]).tobytes()
-    q2, d2, g = _limit_slice(lm, 1.3)
+    q2, d2, g = lm.at(1.3)
     assert (q2, d2, (limit_spec.B / lm.c) * g) == (
         _ref_limit_q2(lm, 1.3),
         _ref_limit_q2_deriv(lm, 1.3),
@@ -1195,15 +1229,13 @@ def test_limit_slice_float_path_at_its_overflow_tails(limit_spec, roots):
     # numpy gives inf, and numpy's cosh warns past |s| ~ 710.5 (an error in
     # this suite); on both sides of either edge the floats are the bytes of
     # the numpy reference (large roots overflow den at a smaller s)
-    from monopole_lab.elliptic import _limit_slice
-
     spec = _limit_model_spec(limit_spec, roots)
     lm = spec.limit
     sqc, s_float = math.sqrt(lm.c), lm._slice_constants[5]
     s = [0.5, 300.0, 340.0, 345.0, 350.0, 355.0, 360.0, 500.0, 700.0, 705.0, 709.0, 710.4, 711.0, 900.0]
     s += [math.nextafter(s_float, 0.0), s_float]
     for u in [lm.delta + sign * 2.0 * v / sqc for v in s for sign in (1.0, -1.0)]:
-        q2, d2, g = _limit_slice(lm, u)
+        q2, d2, g = lm.at(u)
         assert all(type(v) is float for v in (q2, d2, g))
         want = (_ref_limit_q2(lm, u), _ref_limit_q2_deriv(lm, u), _ref_limit_gauge_a1(spec, u))
         assert np.array([q2, d2, (spec.B / lm.c) * g]).tobytes() == np.array(want).tobytes(), u
@@ -1213,16 +1245,14 @@ def test_limit_slice_float_path_at_its_overflow_tails(limit_spec, roots):
 def test_limit_slice_derivative_is_finite_below_cosh_overflow(roots, s_values):
     # 4c sqrt(D) sqrt(c) sinh(s) overflows a little before den does, where
     # the quotient was inf/inf = nan: Q2' is 0 wherever it overflows
-    from monopole_lab.elliptic import LimitModel, _limit_slice, limit_q2_deriv
-
     lm = LimitModel(*roots)
     sqc = math.sqrt(lm.c)
     us = [lm.delta + sign * 2.0 * s / sqc for s in s_values for sign in (1.0, -1.0)]
     for u in us:
-        assert _limit_slice(lm, u)[1] == 0.0, u
-    assert np.all(limit_q2_deriv(lm, np.array(us)) == 0.0)
+        assert lm.at(u)[1] == 0.0, u
+    assert np.all(lm.at(np.array(us))[1] == 0.0)
     band = lm.delta + 2.0 * np.arange(650.0, 760.0, 0.25) / sqc
-    assert np.all(np.isfinite(limit_q2_deriv(lm, band)))
+    assert np.all(np.isfinite(lm.at(band)[1]))
 
 
 @pytest.mark.parametrize("roots", [None, (1.3, -0.21, -2.39), (40.0, -1.0, -79.0), (1.0, -0.5, -1.5)])
@@ -1231,21 +1261,19 @@ def test_limit_slice_memo_is_invisible(limit_spec, roots):
     # float, 0-d and array calls (repeated, negated, far-out and signed-zero
     # u) return the floats of the memo-free 0-d path.  On (1, -0.5, -1.5)
     # delta = 0, so u = -0.0 gives s = -0.0 and a Q2' of the other sign
-    from monopole_lab.elliptic import _limit_slice
-
     lm = _limit_model_spec(limit_spec, roots).limit
     far = lm.delta + 2.0 * 800.0 / math.sqrt(lm.c)
     us = [0.3, 0.3, -0.3, 0.3, 0.0, -0.0, 0.0, -0.0, -0.0, lm.delta, lm.delta, far, far, -far, 0.3]
     order = us + [us[i] for i in np.random.default_rng(6).permutation(len(us))]
     for n, u in enumerate(order):
         if n % 3 == 0:
-            _limit_slice(lm, np.array([u, 1.7]))
+            lm.at(np.array([u, 1.7]))
         if n % 4 == 1:
-            _limit_slice(lm, np.float64(-u))
-        got = _limit_slice(lm, u)
-        assert np.array(got).tobytes() == np.array(_limit_slice(lm, np.float64(u))).tobytes(), u
+            lm.at(np.float64(-u))
+        got = lm.at(u)
+        assert np.array(got).tobytes() == np.array(lm.at(np.float64(u))).tobytes(), u
     if lm.delta == 0.0:
-        assert np.array(_limit_slice(lm, 0.0)).tobytes() != np.array(_limit_slice(lm, -0.0)).tobytes()
+        assert np.array(lm.at(0.0)).tobytes() != np.array(lm.at(-0.0)).tobytes()
 
 
 # --- one stepper for every family, against the per-family steppers ---------------

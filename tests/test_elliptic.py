@@ -15,8 +15,6 @@ from monopole_lab.elliptic import (
     build_model,
     build_model_from_roots,
     jacobi_special,
-    limit_q2,
-    limit_q2_deriv,
 )
 from monopole_lab.errors import DegeneratePoint, GeometryError
 from monopole_lab.geometry import conformal_case1
@@ -500,12 +498,12 @@ def test_limit_model_constants(limit_model):
 def test_limit_q2_values(limit_model):
     lm = limit_model
     # cosh minimum at the symmetry point: beta1 - 2c/(sqrt(D)+b) = -1 exactly here
-    assert limit_q2(lm, lm.delta) == pytest.approx(-1.0, abs=1e-13)
+    assert lm.at(lm.delta)[0] == pytest.approx(-1.0, abs=1e-13)
     u = np.linspace(-6.0, 8.0, 57)
-    assert np.max(np.abs(limit_q2(lm, 2.0 * lm.delta - u) - limit_q2(lm, u))) < 1e-12
-    assert abs(limit_q2(lm, 50.0) - lm.beta1) < 1e-8
-    assert abs(limit_q2(lm, -50.0) - lm.beta1) < 1e-8
-    vals = limit_q2(lm, u)
+    assert np.max(np.abs(lm.at(2.0 * lm.delta - u)[0] - lm.at(u)[0])) < 1e-12
+    assert abs(lm.at(50.0)[0] - lm.beta1) < 1e-8
+    assert abs(lm.at(-50.0)[0] - lm.beta1) < 1e-8
+    vals = lm.at(u)[0]
     assert np.all(vals >= lm.beta3 - 1e-12) and np.all(vals < lm.beta1)
 
 
@@ -513,8 +511,8 @@ def test_limit_q2_deriv_matches_fd(limit_model):
     lm = limit_model
     u = np.linspace(-4.0, 5.0, 41)
     h = 1e-5
-    fd = (limit_q2(lm, u + h) - limit_q2(lm, u - h)) / (2 * h)
-    assert np.max(np.abs(limit_q2_deriv(lm, u) - fd)) < 1e-8
+    fd = (lm.at(u + h)[0] - lm.at(u - h)[0]) / (2 * h)
+    assert np.max(np.abs(lm.at(u)[1] - fd)) < 1e-8
 
 
 def test_degeneration_to_limit_slice(limit_model):
@@ -522,7 +520,7 @@ def test_degeneration_to_limit_slice(limit_model):
     # closed form once the minima (at K2 resp. delta) are aligned
     lm = limit_model
     us = np.linspace(-3.0, 3.0, 25)
-    target = limit_q2(lm, us + lm.delta)
+    target = lm.at(us + lm.delta)[0]
     eps = 1e-3
     full = build_model(from_roots([2 + eps, 2 - eps, -1, -3], -1.0))
     gap = np.max(np.abs(full.q2(us + full.K2) - target))

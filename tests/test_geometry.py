@@ -1,15 +1,15 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from monopole_lab import geometry as geo
 from monopole_lab.cli import main
-from monopole_lab.elliptic import limit_q2
 from monopole_lab.errors import DegeneratePoint
 from monopole_lab.polyroots import eval_p, eval_p_deriv, from_roots
-from monopole_lab.elliptic import build_model
+from monopole_lab.elliptic import LimitModel, build_model
 from second_order_jets import Jet2, curvature
 
 ALPHA = (3.0, 2.0, 1.0)
@@ -441,10 +441,7 @@ def test_neumann_pullback_matches_separable_form():
 # --- hyperbolic chart ----------------------------------------------------------
 
 def test_hyperbolic_chart_basic():
-    chart = geo.hyperbolic_chart(1.0, 1.0)
-    assert (chart.u, chart.v) == (0.0, 2.0)
-    assert chart.h_over_mu == 0.0
-    assert chart.lam == 0.25
+    assert geo.hyperbolic_chart(1.0, 1.0) == (0.0, 2.0, 0.25, 0.0)
     with pytest.raises(DegeneratePoint, match=r"^need positive inputs, got \(-1\.0, 1\.0\)$"):
         geo.hyperbolic_chart(-1.0, 1.0)
 
@@ -454,8 +451,8 @@ def test_hyperbolic_chart_potential_identity():
     for _ in range(50):
         q1 = rng.uniform(0.2, 3.0)
         m2 = rng.uniform(0.2, 3.0)
-        chart = geo.hyperbolic_chart(q1, m2)
-        assert chart.h_over_mu == pytest.approx(q1 - m2, rel=1e-12, abs=1e-12)
+        *_, h_over_mu = geo.hyperbolic_chart(q1, m2)
+        assert h_over_mu == pytest.approx(q1 - m2, rel=1e-12, abs=1e-12)
 
 
 def test_hyperbolic_chart_metric_pullback():
@@ -467,15 +464,13 @@ def test_hyperbolic_chart_metric_pullback():
         q1 = rng.uniform(0.3, 2.5)
         m2 = rng.uniform(0.3, 2.5)
         sample = geo.stackel_metric(f, q1, -m2)
-        c0 = geo.hyperbolic_chart(q1, m2)
-        cp = geo.hyperbolic_chart(q1 + h, m2)
-        cm = geo.hyperbolic_chart(q1 - h, m2)
-        du, dv = (cp.u - cm.u) / (2 * h), (cp.v - cm.v) / (2 * h)
-        g11 = (du * du + dv * dv) / c0.v**2
-        cp = geo.hyperbolic_chart(q1, m2 + h)
-        cm = geo.hyperbolic_chart(q1, m2 - h)
-        du, dv = (cp.u - cm.u) / (2 * h), (cp.v - cm.v) / (2 * h)
-        g22 = (du * du + dv * dv) / c0.v**2
+        _, v0, _, _ = geo.hyperbolic_chart(q1, m2)
+        (up, vp, *_), (um, vm, *_) = geo.hyperbolic_chart(q1 + h, m2), geo.hyperbolic_chart(q1 - h, m2)
+        du, dv = (up - um) / (2 * h), (vp - vm) / (2 * h)
+        g11 = (du * du + dv * dv) / v0**2
+        (up, vp, *_), (um, vm, *_) = geo.hyperbolic_chart(q1, m2 + h), geo.hyperbolic_chart(q1, m2 - h)
+        du, dv = (up - um) / (2 * h), (vp - vm) / (2 * h)
+        g22 = (du * du + dv * dv) / v0**2
         assert (g11, g22) == pytest.approx(sample, rel=1e-6)
 
 
@@ -488,7 +483,12 @@ def test_limit_cylinder_metric_at_symmetry_point(limit_model):
     assert geo.limit_cylinder_metric(lm, (0.0, 0.0)) == pytest.approx(
         expected, rel=1e-14
     )
-    assert qt0 == pytest.approx(float(limit_q2(lm, lm.delta)), rel=1e-14)
+    assert qt0 == pytest.approx(float(lm.at(lm.delta)[0]), rel=1e-14)
+
+
+def _q2_at_tilde(lm, ut2):
+    """Q2 at the rescaled coordinate ut2 = sqrt(c)(u2 - delta)/4."""
+    return lm.at(lm.delta + 4.0 * ut2 / math.sqrt(lm.c))[0]
 
 
 def test_limit_metric_decay(limit_model):
@@ -497,13 +497,28 @@ def test_limit_metric_decay(limit_model):
     assert A == pytest.approx(8.0 * lm.beta1 * lm.c / math.sqrt(lm.D), rel=1e-14)
     for ut, tol in ((5.0, 1e-3), (7.0, 1e-4)):
         for sgn in (1.0, -1.0):
-            qt = float(geo.limit_tilde_q2(lm, sgn * ut))
+            qt = _q2_at_tilde(lm, sgn * ut)
             ratio = (lm.beta1**2 - qt**2) * math.exp(2.0 * ut) / A
             assert abs(ratio - 1.0) < tol
     # the conformal factor carries the extra constant 16/c
     lam = geo.limit_cylinder_metric(lm, (0.0, 6.0))
-    qt = float(geo.limit_tilde_q2(lm, 6.0))
+    qt = _q2_at_tilde(lm, 6.0)
     assert lam == pytest.approx(16.0 * (lm.beta1**2 - qt**2) / lm.c, rel=1e-14)
+
+
+@pytest.mark.parametrize("roots", [(2.0, -1.0, -3.0), (3.0, -1.0, -5.0), (10.0, -1.0, -19.0)])
+def test_limit_cylinder_metric_reads_lm_at(roots):
+    # the metric is 16 (beta1^2 - Q2^2)/c with Q2 from LimitModel.at, bit for
+    # bit; at ut2 = +-400 (s = +-800, past numpy's cosh overflow) Q2 is beta1
+    # and the metric 0.0, with no warning
+    lm = LimitModel(*roots)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ut in (400.0, -400.0):
+            assert geo.limit_cylinder_metric(lm, (0.0, ut)) == 0.0
+        for ut in (0.0, 0.3, -1.7, 5.0, 7.0):
+            q2 = _q2_at_tilde(lm, ut)
+            assert geo.limit_cylinder_metric(lm, (0.0, ut)) == 16.0 * (lm.beta1**2 - q2**2) / lm.c
 
 
 def test_limit_decay_exponent_matches_round_cylinder(limit_model):

@@ -36,7 +36,7 @@ from scipy.integrate import solve_ivp
 
 from monopole_lab import dynamics as dyn
 from monopole_lab import fields
-from monopole_lab.elliptic import LimitModel, _limit_slice
+from monopole_lab.elliptic import LimitModel
 from monopole_lab.polyroots import from_roots
 
 SPECS = {
@@ -114,7 +114,7 @@ def _closed_form_limit_rhs(spec):
 
     def rhs(y):
         _u1, u2, p1, p2 = y
-        x2, d2, g = _limit_slice(lm, u2)
+        x2, d2, g = lm.at(u2)
         lam2 = b1 * b1 - x2 * x2
         a1, da1, dlam2 = (B / c) * g, B * lam2 / c, -2.0 * x2 * d2
         num = 0.25 * c * (p1 - a1) ** 2 + p2 * p2
