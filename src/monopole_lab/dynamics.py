@@ -34,7 +34,8 @@ Pt'(beta1)/8 is an exact 0 and Q1 stays beta1 bit for bit.  Each step
 reseeds (Q2, Q2') from LimitModel.at(u2), and its unpacking restores p1
 as it was packed: F = p1 is exact, as the e(3)* projection restores the
 Casimirs.  A stage whose Q2 is at or past beta1 (lam <= 0) raises
-FixedPointSingularity and is retried, as at the torus fixed point.
+FixedPointSingularity and is retried, as at the torus fixed point.  The Q1
+rows are exact zeros, so the attempt holds (Q1, Q1') fixed, out of its sums.
 
 e(3)* systems (CASE_I Clebsch and VY) integrate dM/dt = {M, H},
 dx/dt = {x, H} under {M_i, M_j} = eps_ijk M_k, {M_i, x_j} = eps_ijk x_k,
@@ -44,7 +45,9 @@ and (M, x) = nu exactly.
 For each family _flow packs the state into its integration variables y and
 names its right-hand side (_torus_rhs on the torus and the cylinder, _e3_rhs),
 the exact gradient of F in y and the unpacking (_torus_state, the cylinder's
-p1 restored, and the Casimir projection _project_e3).  flow_step steps every
+p1 restored, and the Casimir projection _project_e3, which builds its E3State
+from the floats it computed).  All but the packing are built once per spec
+and kept until a flow of another spec (_flow_parts).  flow_step steps every
 family on them, and hf_bracket reads {F, H} = grad F . dy/dt, the rate of
 change of F along H's flow.
 
@@ -58,10 +61,12 @@ floats on tuples: on states of 4 to 8 components numpy's per-call cost
 exceeds the arithmetic.  Each sum and product is taken in the order of the
 elementwise numpy form y + dt * sum_j a_j k_j (and np.cross), so the
 trajectories are bitwise those of that form.  The attempt is generated from
-the tableau once per state length (_attempt_kernel) as straight-line code,
-each sum a left fold over literal coefficients: the builtin sum of floats is
-compensated from Python 3.12 on, and a walk over zip per stage costs more
-than its arithmetic.
+the tableau once per state length and set of fixed components
+(_attempt_kernel) as straight-line code, each sum a left fold over literal
+coefficients: the builtin sum of floats is compensated from Python 3.12 on,
+and a walk over zip per stage costs more than its arithmetic.  The attempt
+also sums the squares of the scaled error estimates, so the step control
+only forms the error norm from two floats.
 The e(3)* path has no BLAS call either: E3State holds tuples, and every
 3-vector dot (|q|, the projection, the monitors, random_state's M . x) is the
 left fold a0 b0 + a1 b1 + a2 b2 (_dot).  A BLAS dot rounds by the kernel
@@ -338,38 +343,55 @@ _DT_MIN = 1e-13  # smallest step size an adaptive step tries
 
 
 @functools.cache
-def _attempt_kernel(n: int):
-    """The DOP853 attempt on states of n components, generated from the
-    tableau and compiled on the first call for that n.
+def _attempt_kernel(n: int, fixed: tuple):
+    """The DOP853 attempt on states of n components, components ``fixed``
+    held, generated from the tableau and compiled on the first call for that
+    (n, fixed).
 
     The kernel is straight-line float code: y and each stage k unpacked into
     locals, every coefficient a literal (repr round-trips a float), only the
     nonzero entries the tableau holds.  Each stage sum and y_new, e5 and e3
     are left folds over those entries, in their order, as the elementwise
-    numpy form y + dt * (a_i1 k1 + a_i2 k2 + ...) adds them.
+    numpy form y + dt * (a_i1 k1 + a_i2 k2 + ...) adds them.  The error
+    norm's two sums of squares follow, from 0.0, one component at a time in
+    order.  A fixed component has rows of exact zeros and a value other than
+    -0.0: every stage sum and y_new give its value back, and it adds an
+    exact 0 to both sums of squares, so the kernel leaves it out of them all.
     """
-    comps = lambda name: "".join(f"{name}_{i}, " for i in range(n))
+    live = [i for i in range(n) if i not in fixed]
+    comps = lambda name: "".join(f"{name}_{i}, " if i in live else "_, " for i in range(n))
     fold = lambda weights, i: " + ".join(f"{w!r} * k{j}_{i}" for j, w in weights.items())
-    lines = ["def attempt(rhs, y, k1, dt):", f"    {comps('y')}= y", f"    {comps('k1')}= k1"]
+    y = "".join(f"y_{i}, " for i in range(n))
+    lines = ["def attempt(rhs, y, k1, dt, tol):", f"    {y}= y", f"    {comps('k1')}= k1"]
     for j, row in enumerate(_DOP_A, start=2):
-        stage = "".join(f"y_{i} + dt * ({fold(row, i)}), " for i in range(n))
+        stage = "".join(f"y_{i} + dt * ({fold(row, i)}), " if i in live else f"y_{i}, " for i in range(n))
         lines.append(f"    {comps(f'k{j}')}= rhs(({stage}))")
-    y_new = "".join(f"y_{i} + dt * ({fold(_DOP_B, i)}), " for i in range(n))
-    e5, e3 = ("".join(f"dt * ({fold(w, i)}), " for i in range(n)) for w in (_DOP_E5, _DOP_E3))
-    lines.append(f"    return ({y_new}), ({e5}), ({e3})")
+    for i in live:
+        lines += [
+            f"    n_{i} = y_{i} + dt * ({fold(_DOP_B, i)})",
+            f"    a, b = abs(y_{i}), abs(n_{i})",
+            "    scale = tol * (1.0 + (b if b > a else a))",  # max(a, b), without the builtin's call
+            f"    q5_{i} = dt * ({fold(_DOP_E5, i)}) / scale",
+            f"    q3_{i} = dt * ({fold(_DOP_E3, i)}) / scale",
+        ]
+    y_new = "".join(f"n_{i}, " if i in live else f"y_{i}, " for i in range(n))
+    sq5, sq3 = ("".join(f" + {q}_{i} * {q}_{i}" for i in live) for q in ("q5", "q3"))
+    lines.append(f"    return ({y_new}), 0.0{sq5}, 0.0{sq3}")
     namespace = {}
-    exec(compile("\n".join(lines), f"<DOP853 attempt, n = {n}>", "exec"), namespace)
+    exec(compile("\n".join(lines), f"<DOP853 attempt, n = {n}, fixed = {fixed}>", "exec"), namespace)
     return namespace["attempt"]
 
 
-def _dop853_attempt(rhs, y: tuple, k1: tuple, dt: float):
-    """One DOP853 attempt from y with k1 = rhs(y): (y_new, e5, e3), the
-    order-8 solution and the order-5 and order-3 error estimates, by the
-    kernel :func:`_attempt_kernel` generates for len(y)."""
-    return _attempt_kernel(len(y))(rhs, y, k1, dt)
+def _dop853_attempt(rhs, y: tuple, k1: tuple, dt: float, tol: float, fixed: tuple = ()):
+    """One DOP853 attempt from y with k1 = rhs(y): (y_new, sq5, sq3), the
+    order-8 solution and the sums of squares of the order-5 and order-3
+    error estimates, each component's on the scale tol (1 + max(|y_i|,
+    |y_new_i|)), by the kernel :func:`_attempt_kernel` generates for
+    (len(y), fixed)."""
+    return _attempt_kernel(len(y), fixed)(rhs, y, k1, dt, tol)
 
 
-def _adaptive_step(rhs, y: tuple, dt: float, tol: float, n: int = 0):
+def _adaptive_step(rhs, y: tuple, dt: float, tol: float, n: int = 0, fixed: tuple = ()):
     """One accepted DOP853 step; returns (y_new, dt_taken, dt_next).
 
     The error norm is Hairer's err5^2 / sqrt((err5^2 + 0.01 err3^2) n), each
@@ -380,7 +402,8 @@ def _adaptive_step(rhs, y: tuple, dt: float, tol: float, n: int = 0):
     StepRejected is raised once dt falls below _DT_MIN.
     k1 = rhs(y) does not depend on dt and is evaluated once per step: it is
     the 13th evaluation rhs(y_new) of the step before, so an attempt costs
-    the 11 right-hand sides of stages 2 to 12.
+    the 11 right-hand sides of stages 2 to 12.  The components ``fixed``
+    have rows of exact zeros, and y_new keeps their values.
     """
     dt = float(dt)
     k1 = None
@@ -390,16 +413,10 @@ def _adaptive_step(rhs, y: tuple, dt: float, tol: float, n: int = 0):
         try:
             if k1 is None:
                 k1 = rhs(y)
-            y_new, e5, e3 = _dop853_attempt(rhs, y, k1, dt)
+            y_new, sq5, sq3 = _dop853_attempt(rhs, y, k1, dt, tol, fixed)
         except FixedPointSingularity:
             dt *= 0.25
             continue
-        sq5 = sq3 = 0.0
-        for a5, a3, a, b in zip(e5, e3, map(abs, y), map(abs, y_new)):
-            scale = tol * (1.0 + (b if b > a else a))  # max(a, b), without the builtin's call
-            q5, q3 = a5 / scale, a3 / scale
-            sq5 += q5 * q5
-            sq3 += q3 * q3
         den = math.sqrt((sq5 + 0.01 * sq3) * (n or len(y)))
         if not math.isfinite(den):
             dt *= 0.2
@@ -543,8 +560,13 @@ def _project_e3(_spec: SystemSpec, y: tuple, nu: float) -> E3State:
     M0, M1, M2, x0, x1, x2 = y
     n = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
     x0, x1, x2 = x0 / n, x1 / n, x2 / n
-    c = nu - (M0 * x0 + M1 * x1 + M2 * x2)
-    return E3State(M=(M0 + c * x0, M1 + c * x1, M2 + c * x2), x=(x0, x1, x2))
+    c = float(nu) - (M0 * x0 + M1 * x1 + M2 * x2)
+    # two tuples of 3 floats: the constructor's conversion and length check
+    # would only copy them
+    s = object.__new__(E3State)
+    attrs = s.__dict__
+    attrs["M"], attrs["x"] = (M0 + c * x0, M1 + c * x1, M2 + c * x2), (x0, x1, x2)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -585,32 +607,79 @@ def limit_h_eval(spec: SystemSpec, s: PhaseState) -> float:
 # the families' variables; the bracket and the trajectory drivers
 # ---------------------------------------------------------------------------
 
-def _flow(spec: SystemSpec, s: PhaseState | E3State) -> tuple:
-    """(y, rhs, grad_f, unpack, n) at state s: the family's integration
-    variables, the flow's right-hand side and grad F in them, the map of y
-    back to a state and the phase-space dimension.  The torus and the
-    cylinder integrate (u, w = p - A(u), Q, Q'), the cylinder with
-    (Q1, Q1') = (beta1, 0), and e(3)* (M, x).  On the cylinder
-    F = p1 = w1 + A1(u2), and the unpacking returns s.p1.
+# the last spec whose flow was built, and its state type and parts: one slot
+# replaced whole, matched by identity (hashing a spec costs more than the
+# building saves), and kept out of the spec, which stays picklable
+_last_flow = (None, None)
+
+
+def _flow_parts(spec: SystemSpec, s: PhaseState | E3State) -> tuple:
+    """(pack, rhs, grad_f, n, fixed): the parts of spec's flow that do not
+    read the state, built when spec is not the spec of the last call.
+    pack(s) returns the integration variables y at s and the map of y back
+    to a state, and n is the phase-space dimension.  ValueError is raised
+    unless s is a state of spec's family.
+    """
+    global _last_flow
+    last, built = _last_flow
+    if last is not spec:
+        built = _build_flow_parts(spec)
+        _last_flow = spec, built
+    kind, parts = built
+    if not isinstance(s, kind):
+        raise ValueError(f"a {spec.family.name} flow needs a state of type {kind.__name__}, got {type(s).__name__}")
+    return parts
+
+
+def _build_flow_parts(spec: SystemSpec) -> tuple:
+    """The state type and the :func:`_flow_parts` of spec.
+
+    The torus and the cylinder integrate (u, w = p - A(u), Q, Q'), and
+    e(3)* (M, x).  On the cylinder F = p1 = w1 + A1(u2), and the unpacking
+    returns s.p1.  Its (Q1, Q1') = (beta1, +0.0) are fixed: their rows
+    0.0 * du1 are exact zeros while du1 is finite.  A stage whose du1 is
+    not gives the attempt a non-finite error norm with or without them held,
+    but where the summed Q1 turns NaN a held one may meet lam <= 0 at a
+    later stage, and the step retries at dt / 4 rather than dt / 5.
     """
     if spec.family == Family.CASE_II:
-        x1, d1, x2, d2, g = spec.model.at(s.u1, s.u2)
+        model, B = spec.model, spec.B
         a3, _, a2, a0, _ = spec.quartic.coefficients()
-        rhs = _torus_rhs(spec.mu, spec.B, 1.0, 0.5 * a3, 0.25 * a2, 0.125 * a0)
-        return (s.u1, s.u2, s.p1, s.p2 - spec.B * g, x1, d1, x2, d2), rhs, _torus_grad_f, _torus_state, 4
+
+        def pack(s):
+            x1, d1, x2, d2, g = model.at(s.u1, s.u2)
+            return (s.u1, s.u2, s.p1, s.p2 - B * g, x1, d1, x2, d2), _torus_state
+
+        rhs = _torus_rhs(spec.mu, B, 1.0, 0.5 * a3, 0.25 * a2, 0.125 * a0)
+        return PhaseState, (pack, rhs, _torus_grad_f, 4, ())
     if spec.family == Family.CASE_II_LIMIT:
         # Pt(x) = -(x - beta1)^2 (x - beta3)(x - beta4); c0 makes Pt'(beta1)/8
         # an exact 0, so the Q1 rows are exact zeros and Q1 stays beta1
-        lm, p1 = spec.limit, s.p1
+        lm = spec.limit
         b1, b_over_c = lm.beta1, spec.B / lm.c
         c3, c1 = -0.5, 0.25 * (3.0 * b1 * b1 - lm.beta3 * lm.beta4)
+
+        def pack(s):
+            p1 = s.p1
+            x2, d2, g = lm.at(s.u2)
+            y = (s.u1, s.u2, p1 - b_over_c * g, s.p2, b1, 0.0, x2, d2)
+            return y, lambda _spec, y, _nu: PhaseState(y[0], y[1], p1, y[3])
+
         rhs = _torus_rhs(spec.mu, -b_over_c, 0.25 * lm.c, c3, c1, -((c3 * b1 * b1 + c1) * b1))
-        x2, d2, g = lm.at(s.u2)
-        y = (s.u1, s.u2, p1 - b_over_c * g, s.p2, b1, 0.0, x2, d2)
         grad_f = lambda _spec, y: (0.0, b_over_c * (y[4] * y[4] - y[6] * y[6]), 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        return y, rhs, grad_f, lambda _spec, y, _nu: PhaseState(y[0], y[1], p1, y[3]), 4
+        return PhaseState, (pack, rhs, grad_f, 4, (4, 5))
     grad_f = _clebsch_grad_f if spec.family == Family.CASE_I else _vy_grad_f
-    return s.M + s.x, _e3_rhs(spec), grad_f, _project_e3, 6
+    return E3State, (lambda s: (s.M + s.x, _project_e3), _e3_rhs(spec), grad_f, 6, ())
+
+
+def _flow(spec: SystemSpec, s: PhaseState | E3State) -> tuple:
+    """(y, rhs, grad_f, unpack, n, fixed) at state s: the family's
+    integration variables, the flow's right-hand side and grad F in them,
+    the map of y back to a state, the phase-space dimension and the
+    components of y whose rows are exact zeros (:func:`_flow_parts`)."""
+    pack, rhs, grad_f, n, fixed = _flow_parts(spec, s)
+    y, unpack = pack(s)
+    return y, rhs, grad_f, unpack, n, fixed
 
 
 def hf_bracket(spec: SystemSpec, s: PhaseState | E3State) -> tuple[float, float]:
@@ -641,10 +710,10 @@ def flow_step(
     """
     if not (0.0 < dt < math.inf and 0.0 < tol < math.inf):
         raise ValueError(f"dt and tol must be finite and positive, got dt = {dt}, tol = {tol}")
-    y, rhs, _, unpack, n = _flow(spec, s)
+    y, rhs, _, unpack, n, fixed = _flow(spec, s)
     if nu is None and isinstance(s, E3State):
         nu = _dot(s.M, s.x)
-    y, taken, dt_next = _adaptive_step(rhs, y, dt, tol, n)
+    y, taken, dt_next = _adaptive_step(rhs, y, dt, tol, n, fixed)
     return unpack(spec, y, nu), taken, dt_next
 
 
@@ -659,13 +728,14 @@ def integrate(
 
     Stored samples are decimated by ``stride``; e(3)* runs also record the
     Casimirs C1 = |x|^2 and C2 = (M, x).  Before any step, ValueError is
-    raised unless t_end is finite and >= 0, tol finite and > 0 and stride an
-    int >= 1.
+    raised unless t_end is finite and >= 0, tol finite and > 0, stride an
+    int >= 1 and state0 a state of spec's family.
     """
     if not (0.0 <= t_end < math.inf and 0.0 < tol < math.inf):
         raise ValueError(f"t_end must be finite and >= 0, tol finite and > 0, got t_end = {t_end}, tol = {tol}")
     if not (isinstance(stride, int) and stride >= 1):
         raise ValueError(f"stride must be an int >= 1, got {stride!r}")
+    _flow_parts(spec, state0)  # a state of the other kind, refused before the monitors read it
     nu, names = None, ("H", "F", "C1", "C2")  # the e(3)* monitors add the Casimirs
     if spec.family == Family.CASE_II:
         monitors = lambda st: torus_eval(spec, st)

@@ -94,7 +94,7 @@ def hamilton_gap(spec, s, rhs=None, h: float = 1e-4, h_unpack: float = 1e-6) -> 
     :func:`lie_poisson_bracket`: M' = grad_M H x M + grad_x H x x and
     x' = grad_M H x x.
     """
-    y, flow_rhs, _, unpack, _ = dyn._flow(spec, s)
+    y, flow_rhs, _, unpack, *_ = dyn._flow(spec, s)
     dy = np.array((rhs or flow_rhs)(y))
     if isinstance(s, E3State):
         ev = dyn.clebsch_eval if spec.family == Family.CASE_I else dyn.vy_eval

@@ -2,9 +2,11 @@
 
 The oracle below is the attempt as it was written out by hand: one list
 comprehension per stage over zip(y, k1, ...), each sum a left fold over the
-nonzero coefficients.  The kernel generated from the tableau must give the
-same bits, call the right-hand side on the same stage states and stop at the
-same stage when the right-hand side raises.
+nonzero coefficients, and the error norm's sums of squares as the step
+control's loop over zip(e5, e3, |y|, |y_new|) took them.  The kernel
+generated from the tableau must give the same bits, call the right-hand side
+on the same stage states and stop at the same stage when the right-hand side
+raises.
 """
 
 import math
@@ -86,26 +88,46 @@ def _oracle_attempt(rhs, y, k1, dt):
     return tuple(y_new), e5, e3
 
 
-# 6, 7 and 8 are the states of the e(3)*, cylinder and torus flows; 9 is the
-# Sundman state of the torus with t as a ninth component
-SIZES = (1, 2, 4, 6, 7, 8, 9)
+def _oracle_sums(y, y_new, e5, e3, tol):
+    """(sq5, sq3), the sums of squares of the scaled error estimates, by the
+    step control's loop the kernel's straight-line sums replaced."""
+    sq5 = sq3 = 0.0
+    for a5, a3, a, b in zip(e5, e3, map(abs, y), map(abs, y_new)):
+        scale = tol * (1.0 + (b if b > a else a))
+        q5, q3 = a5 / scale, a3 / scale
+        sq5 += q5 * q5
+        sq3 += q3 * q3
+    return sq5, sq3
+
+
+def _oracle_step_attempt(rhs, y, k1, dt, tol):
+    """The oracle's attempt in the kernel's form: (y_new, sq5, sq3)."""
+    y_new, e5, e3 = _oracle_attempt(rhs, y, k1, dt)
+    return (y_new, *_oracle_sums(y, y_new, e5, e3, tol))
+
+
+# 6, 8 and 9 are the states of the e(3)* flows, of the torus and cylinder
+# flow and of the Sundman state of the torus with t as a ninth component
+SIZES = tuple(range(1, 10))
+TOL = 1e-10
 
 
 def _bits(values) -> bytes:
     return struct.pack(f"{len(values)}d", *values)
 
 
-def _both(make_rhs, y, dt):
+def _both(make_rhs, y, dt, tol=TOL, attempts=(dyn._dop853_attempt, _oracle_step_attempt)):
     """(calls, outcome) of the kernel and of the oracle from y, each with a
-    fresh right-hand side; an outcome is the three results' bits or the
-    exception raised."""
+    fresh right-hand side; an outcome is the bits of y_new, sq5 and sq3, or
+    the exception raised."""
     runs = []
-    for attempt in (dyn._dop853_attempt, _oracle_attempt):
+    for attempt in attempts:
         calls, rhs = [], make_rhs()
         counted = lambda v: calls.append(_bits(v)) or rhs(v)
         k1 = rhs(y)
         try:
-            outcome = tuple(_bits(part) for part in attempt(counted, y, k1, dt))
+            y_new, sq5, sq3 = attempt(counted, y, k1, dt, tol)
+            outcome = _bits(y_new), _bits((sq5, sq3))
         except FixedPointSingularity as exc:
             outcome = str(exc)
         runs.append((calls, outcome))
@@ -124,10 +146,38 @@ def test_kernel_matches_the_oracle(n, dt):
 
     for _ in range(5):
         y = tuple(rng.normal(0.0, 2.0, n).tolist())
-        (got_calls, got), (want_calls, want) = _both(make_rhs, y, dt)
-        assert len(got_calls) == 11
-        assert got_calls == want_calls
-        assert got == want
+        for tol in (TOL, 1e-6):
+            (got_calls, got), (want_calls, want) = _both(make_rhs, y, dt, tol)
+            assert len(got_calls) == 11
+            assert got_calls == want_calls
+            assert got == want
+
+
+@pytest.mark.parametrize("n", SIZES[1:])
+@pytest.mark.parametrize("dt", [1e-3, 0.2, 10.0])
+def test_fixed_components_are_the_full_kernel(n, dt):
+    # components whose rows are exact zeros (+-0.0, as the cylinder's Q1 rows
+    # 0.0 * du1 are while du1 is finite) and whose values are not -0.0: the
+    # kernel that holds them gives the full kernel's stage states, y_new and
+    # sums, bit for bit.  The rows are bounded, so every stage is finite
+    rng = np.random.default_rng(100 + n)
+    c = rng.normal(0.0, 1.0, n).tolist()
+    for fixed in ((0,), (n - 1,), tuple(range(0, n - 1, 2))):
+        held = lambda *args: dyn._dop853_attempt(*args, fixed)
+
+        def make_rhs():
+            def rhs(v):
+                row = [math.sin(c[i] * v[(i + 1) % n]) - c[i] * math.tanh(v[i] * v[i - 1]) for i in range(n)]
+                return tuple(0.0 * r if i in fixed else r for i, r in enumerate(row))
+
+            return rhs
+
+        for _ in range(5):
+            y = rng.normal(0.0, 2.0, n).tolist()
+            y = tuple(0.0 if i in fixed and i % 3 == 0 else v for i, v in enumerate(y))
+            (got_calls, got), (want_calls, want) = _both(make_rhs, y, dt, attempts=(held, dyn._dop853_attempt))
+            assert got_calls == want_calls and got == want
+            assert all(struct.unpack(f"{n}d", got[0])[i] == y[i] for i in fixed)
 
 
 def _scripted(stages):
@@ -152,6 +202,7 @@ def test_kernel_keeps_the_left_fold_at_extreme_stages(n):
     y_new = struct.unpack(f"{n}d", got[0])
     exact = math.fsum(b * stages[j - 1][0] for j, b in dyn._DOP_B.items())
     assert y_new[0] != 0.5 + exact
+    assert all(map(math.isfinite, struct.unpack("2d", got[1])))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -165,6 +216,7 @@ def test_kernel_carries_non_finite_stages(n):
         assert got_calls == want_calls and got == want
     y_new = struct.unpack(f"{n}d", got[0])
     assert not all(map(math.isfinite, y_new))
+    assert not all(map(math.isfinite, struct.unpack("2d", got[1])))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -188,20 +240,21 @@ def test_kernel_stops_where_the_rhs_raises(n):
 
 
 def test_kernels_are_built_lazily_once_per_length():
-    # importing the CLI compiles no kernel; each state length builds one, on
-    # its first attempt, and every later attempt of that length reuses it
+    # importing the CLI compiles no kernel; each state length and set of
+    # fixed components builds one, on its first attempt, and every later
+    # attempt of that (length, fixed) reuses it
     script = """
 import monopole_lab.cli
 from monopole_lab import dynamics as dyn
 assert dyn._attempt_kernel.cache_info().currsize == 0
 rhs = lambda v: tuple(-x for x in v)
 for _ in range(3):
-    for n in (1, 2, 4):
+    for n, fixed in ((1, ()), (2, ()), (4, ()), (4, (1, 2))):
         y = (1.0,) * n
-        dyn._dop853_attempt(rhs, y, rhs(y), 0.1)
+        dyn._dop853_attempt(rhs, y, rhs(y), 0.1, 1e-10, fixed)
 info = dyn._attempt_kernel.cache_info()
-assert (info.misses, info.currsize) == (3, 3), info
-assert dyn._attempt_kernel(4) is dyn._attempt_kernel(4)
+assert (info.misses, info.currsize) == (4, 4), info
+assert dyn._attempt_kernel(4, ()) is dyn._attempt_kernel(4, ())
 """
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=60)

@@ -1,4 +1,7 @@
 import math
+import pickle
+import sys
+import threading
 from functools import reduce
 from operator import add
 
@@ -388,6 +391,7 @@ def test_hf_bracket_detects_a_scaled_varphi(case2, monkeypatch):
         return tuple(g)
 
     monkeypatch.setattr(dyn, "_torus_grad_f", scaled_grad_f)
+    monkeypatch.setattr(dyn, "_last_flow", (None, None))  # the flow is built again, on the patched grad F
     rng = np.random.default_rng(1000)
     for _ in range(20):
         s = dyn.random_state(case2, rng)
@@ -521,6 +525,69 @@ def test_evaluators_refuse_another_family(evaluator, request):
     }.get(evaluator, dyn.E3State(M=(0.3, -0.2, 0.5), x=(0.0, 1.0, 0.0)))
     with pytest.raises(ValueError, match=match):
         getattr(dyn, evaluator)(spec, state)
+
+
+_WRONG_STATE = {
+    "case2": ("CASE_II", "PhaseState", dyn.E3State(M=(0.3, -0.2, 0.5), x=(0.0, 1.0, 0.0))),
+    "limit_spec": ("CASE_II_LIMIT", "PhaseState", dyn.E3State(M=(0.3, -0.2, 0.5), x=(0.0, 1.0, 0.0))),
+    "case1": ("CASE_I", "E3State", dyn.PhaseState(0.3, 1.1, 0.4, -0.2)),
+    "vy": ("VY", "E3State", dyn.PhaseState(0.3, 1.1, 0.4, -0.2)),
+}
+
+
+@pytest.mark.parametrize("family", list(_WRONG_STATE))
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda spec, s: dyn.flow_step(spec, s, 1e-3),
+        lambda spec, s: dyn.hf_bracket(spec, s),
+        lambda spec, s: dyn.integrate(spec, s, 0.1),
+    ],
+    ids=["flow_step", "hf_bracket", "integrate"],
+)
+def test_flows_refuse_a_state_of_another_kind(family, entry, request):
+    # a state of the other kind is a ValueError naming the family and the
+    # state's type, not an AttributeError on a field it lacks; integrate
+    # raises it before its monitors read state0
+    name, kind, state = _WRONG_STATE[family]
+    spec = request.getfixturevalue(family)
+    with pytest.raises(ValueError, match=rf"^a {name} flow needs a state of type {kind}, got {type(state).__name__}$"):
+        entry(spec, state)
+
+
+@pytest.mark.parametrize("family", list(_WRONG_STATE))
+def test_a_spec_pickles_after_its_flow(family, request):
+    # the parts a flow builds once per spec are kept out of the spec, so a
+    # spec still pickles (for a process pool) after it has been stepped
+    spec = request.getfixturevalue(family)
+    dyn.integrate(spec, dyn.random_state(spec, np.random.default_rng(0)), 0.1)
+    assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+def test_threads_stepping_two_specs_get_their_own_flows(case1, limit_spec):
+    # the flow parts sit in one slot shared by every thread: threads that
+    # step two specs at once, switching every microsecond, must each get the
+    # trajectory of a serial run of their own spec, bit for bit
+    specs = [case1, limit_spec] * 2
+    states = [dyn.random_state(spec, np.random.default_rng(5)) for spec in specs]
+    want = [dyn.integrate(spec, s, 1.0, stride=1).states.tobytes() for spec, s in zip(specs, states)]
+    got = [None] * len(specs)
+
+    def run(i):
+        got[i] = dyn.integrate(specs[i], states[i], 1.0, stride=1).states.tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(specs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
 
 
 # --- VY two-centre system ----------------------------------------------------------
@@ -767,11 +834,15 @@ def _fold_dot(a, b):
     return reduce(add, (np.asarray(a) * np.asarray(b)).tolist())
 
 
-def _ref_norm(y, y_new, e5, e3, tol):
+def _ref_sums(y, y_new, e5, e3, tol):
     # summed left to right: np.sum regroups pairwise from 8 terms on, and the
     # torus flow has 8 components
     scale = tol * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
-    sq5, sq3 = reduce(add, ((e5 / scale) ** 2).tolist()), reduce(add, ((e3 / scale) ** 2).tolist())
+    return reduce(add, ((e5 / scale) ** 2).tolist()), reduce(add, ((e3 / scale) ** 2).tolist())
+
+
+def _ref_norm(y, y_new, e5, e3, tol):
+    sq5, sq3 = _ref_sums(y, y_new, e5, e3, tol)
     den = math.sqrt((sq5 + 0.01 * sq3) * len(y))
     if not math.isfinite(den):
         return math.nan
@@ -1061,11 +1132,11 @@ def test_stage_sums_are_left_folds(monkeypatch):
     monkeypatch.setattr(dyn, "sum", _compensated_sum, raising=False)
     ks = [1e16, 1.0, -1e16, 3.0, -1e16, 1e16, 1.0, -1e16, 3.0, 1e16, -1e16, 1.0]
     new_k, ref_k = iter(ks[1:]), iter(ks)
-    got = dyn._dop853_attempt(lambda _y: (next(new_k),), (0.5,), (ks[0],), 1.0)
+    got = dyn._dop853_attempt(lambda _y: (next(new_k),), (0.5,), (ks[0],), 1.0, 1e-10)
     ref = lambda _t, _y: np.array([next(ref_k)])
-    want = _ref_dop853_attempt(ref, 0.0, np.array([0.5]), 1.0)
-    for g, w in zip(got, want):
-        assert np.array(g).tobytes() == w.tobytes()
+    y_new, e5, e3 = _ref_dop853_attempt(ref, 0.0, np.array([0.5]), 1.0)
+    assert np.array(got[0]).tobytes() == y_new.tobytes()
+    assert got[1:] == _ref_sums(np.array([0.5]), y_new, e5, e3, 1e-10)
     assert got[0][0] != 0.5 + _compensated_sum(b * ks[j - 1] for j, b in dyn._DOP_B.items())
 
 
@@ -1097,7 +1168,7 @@ def test_dop853_is_eighth_order():
     def error(dt):
         y = (1.0,)
         for _ in range(round(4.0 / dt)):
-            y = dyn._dop853_attempt(rhs, y, rhs(y), dt)[0]
+            y = dyn._dop853_attempt(rhs, y, rhs(y), dt, 1e-10)[0]
         return abs(y[0] - math.exp(-4.0))
 
     assert error(1.0) >= 2.0**7 * error(0.5) > 0.0
@@ -1157,6 +1228,46 @@ def test_limit_rhs_is_non_finite_at_a_runaway_stage(limit_spec):
     dy = _rhs(limit_spec)(y)
     assert not all(map(math.isfinite, dy))
     assert np.array(dy).tobytes() == _ref_limit_rhs(limit_spec)(0.0, np.array(y)).tobytes()
+
+
+def test_cylinder_step_holds_q1_as_the_full_step(limit_spec):
+    # the cylinder's step holds (Q1, Q1') = (beta1, +0.0) out of every sum;
+    # it must give the outcome of the step that sums them: the same y_new
+    # bytes, dt_taken and dt_next, or the same failure.  Random states, the
+    # runaway state above and its neighbours up to w ~ 1e200, and Q2 within
+    # 1e-16 to 1e-1 of beta1, each at one dt from 1e-6 to 10
+    lm = limit_spec.limit
+    rhs = _rhs(limit_spec)
+    rng = np.random.default_rng(35)
+    pt = lambda x: -((x - lm.beta1) ** 2) * (x - lm.beta3) * (x - lm.beta4)
+    ys = [_limit_y(limit_spec, 0.0, lm.delta + 1.0, 1e200, 0.2)]
+    for _ in range(400):
+        ys.append(dyn._flow(limit_spec, dyn.random_state(limit_spec, rng))[0])
+        w = rng.normal(0.0, 1.0, 2) * 10.0 ** rng.uniform(0, 200, 2)
+        s = dyn.PhaseState(0.5, float(lm.delta + rng.uniform(-4.0, 4.0)), *w.tolist())
+        ys.append(dyn._flow(limit_spec, s)[0])
+        x2 = lm.beta1 - 10.0 ** rng.uniform(-16, -1)
+        d2 = math.copysign(math.sqrt(-pt(x2)) / 2.0, rng.normal())
+        ys.append((0.5, 0.0, *rng.normal(0.0, 1.0, 2).tolist(), lm.beta1, 0.0, x2, d2))
+    outcomes = set()
+    for y in ys:
+        dt = 10.0 ** rng.uniform(-6, 1)
+        got = _outcome(dyn._adaptive_step, rhs, y, dt, 1e-10, 4, (4, 5))
+        assert got == _outcome(dyn._adaptive_step, rhs, y, dt, 1e-10, 4), (y, dt)
+        outcomes.add(got if isinstance(got, str) else "accepted")
+    assert len(ys) > 1000 and outcomes == {"accepted", "StepRejected"}
+
+
+def test_cylinder_run_keeps_q1_exact(limit_spec, monkeypatch):
+    # every accepted step of a stride-1 cylinder run carries Q1 = beta1 and
+    # Q1' = +0.0 bit for bit in its packed y
+    accepted, step = [], dyn._adaptive_step
+    monkeypatch.setattr(dyn, "_adaptive_step", lambda *args: accepted.append(step(*args)) or accepted[-1])
+    s0 = dyn.random_state(limit_spec, np.random.default_rng(4))
+    traj = dyn.integrate(limit_spec, s0, t_end=10.0, stride=1)
+    assert len(accepted) == len(traj.times) - 1 > 60
+    beta1 = limit_spec.limit.beta1
+    assert all(y[4] == beta1 and math.copysign(1.0, y[5]) == 1.0 and y[5] == 0.0 for y, _, _ in accepted)
 
 
 def test_core_shrinks_past_a_singular_stage():
@@ -1469,17 +1580,20 @@ def test_integrate_matches_reference_driver(family, seed, request):
 
 @pytest.mark.parametrize("family", ["case1", "vy"])
 def test_e3_flow_step_on_a_pinned_leaf(family, request):
-    # integrate's e(3)* steps: every one returns to the leaf (M, x) of state0
+    # integrate's e(3)* steps: every one returns to the leaf (M, x) of state0.
+    # A numpy leaf value still gives a state of Python floats, as E3State's
+    # constructor makes them
     spec = request.getfixturevalue(family)
     s0 = dyn.random_state(spec, np.random.default_rng(42))
     nu = _fold_dot(s0.M, s0.x)
     got = want = s0
     dt_got = dt_want = 0.05
-    for _ in range(120):
-        res = dyn.flow_step(spec, got, dt_got, 1e-10, nu=nu)
+    for i in range(120):
+        res = dyn.flow_step(spec, got, dt_got, 1e-10, nu=np.float64(nu) if i % 2 else nu)
         ref = _ref_e3_flow_step(spec, want, dt_want, 1e-10, nu=nu)
         assert _step_key(res) == _step_key(ref)
         (got, _, dt_got), (want, _, dt_want) = res, ref
+        assert all(type(v) is float for v in got.M + got.x)
     assert abs(_fold_dot(got.M, got.x) - nu) < 1e-14
 
 
@@ -1507,6 +1621,7 @@ def test_flow_step_shrinks_past_a_fixed_point(case2, monkeypatch):
     u2, w2 = 0.1, -1.0
     dt = -u2 / (dyn._DOP_A[0][1] * _rhs(case2)(_torus_y(case2, 0.0, u2, 0.0, w2))[1])
     monkeypatch.setattr(dyn, "_torus_rhs", counted)
+    monkeypatch.setattr(dyn, "_last_flow", (None, None))  # the flow is built again, on the counted factory
     a1, a2 = gauge_a(case2, (0.0, u2))
     s = dyn.PhaseState(u1=0.0, u2=u2, p1=a1, p2=w2 + a2)
     want = _step_outcome(_ref_flow_step, case2, s, dt, 1e-10)
@@ -1537,6 +1652,7 @@ def test_flow_step_retries_non_finite_cylinder_stages(limit_spec, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(dyn, "_torus_rhs", counted)
+    monkeypatch.setattr(dyn, "_last_flow", (None, None))  # the flow is built again, on the counted factory
     s = dyn.PhaseState(u1=0.0, u2=limit_spec.limit.delta + 10.0, p1=0.3, p2=0.5)
     want = _step_outcome(_ref_limit_system_step, limit_spec, s, 0.5, 1e-9)
     n_bad = len(bad)
