@@ -216,10 +216,11 @@ def _out_dir(args) -> Path:
 
 def _write_csv(path: Path, header: str, table: np.ndarray) -> None:
     """The header, then each row of the 2-d float table, each value as FMT, a
-    block of rows at a time.  An existing file is rewritten in place: on ext4, a
-    file truncated to 0 bytes (open's "w") or renamed over starts its writeback
-    at close() (auto_da_alloc).  It is cut to 1 byte first, so no old row is left
-    even by a failed write.  A path that cannot be opened is a ConfigError."""
+    block of rows at a time, formatted by one % over the block's values.  An
+    existing file is rewritten in place: on ext4, a file truncated to 0 bytes
+    (open's "w") or renamed over starts its writeback at close()
+    (auto_da_alloc).  It is cut to 1 byte first, so no old row is left even by
+    a failed write.  A path that cannot be opened is a ConfigError."""
     row = ",".join([FMT] * (header.count(",") + 1)) + "\n"
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
@@ -230,7 +231,8 @@ def _write_csv(path: Path, header: str, table: np.ndarray) -> None:
             os.ftruncate(fd, 1)
         fh.write(header + "\n")
         for start in range(0, len(table), 256):
-            fh.write("".join(row % tuple(r) for r in table[start : start + 256].tolist()))
+            block = table[start : start + 256]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -142,6 +143,8 @@ class Case1ConformalModel:
         self.branch2 = QuarterBranch(a2, a3, math.inf, a1, 4.0)
         self.K1 = self.branch1.K
         self.K2 = self.branch2.K
+        self._f = -4.0 * np.poly(constants.alpha)
+        self._f.flags.writeable = False  # the model is shared per alpha
 
     def q1(self, u1):
         return self.branch1.value(u1)
@@ -155,14 +158,22 @@ class Case1ConformalModel:
     def lam_jet(self, u1, u2) -> tuple:
         """Jet of lam with its second partials d11 lam and d22 lam, exact from
         q1'^2 = f(q1) and q2'^2 = -f(q2): q1'' = f'(q1)/2 and q2'' = -f'(q2)/2."""
-        f = -4.0 * np.poly(self.constants.alpha)
-        q1, dq1 = Jet.from_values(*self.branch1.value_and_deriv(u1), 0, 1.0, f)
-        q2, dq2 = Jet.from_values(*self.branch2.value_and_deriv(u2), 1, -1.0, f)
+        q1, dq1 = Jet.from_values(*self.branch1.value_and_deriv(u1), 0, 1.0, self._f)
+        q2, dq2 = Jet.from_values(*self.branch2.value_and_deriv(u2), 1, -1.0, self._f)
         return q1 - q2, dq1.d1, -dq2.d2
 
 
 def conformal_case1(alpha) -> Case1ConformalModel:
-    return Case1ConformalModel(NeumannConstants(alpha=tuple(float(a) for a in alpha)))
+    """The conformal model of the constants ``alpha``, shared per alpha as
+    ``SystemSpec.model`` is per quartic; ``Case1ConformalModel`` builds a new one."""
+    alpha = tuple(float(a) for a in alpha)
+    return _shared_conformal(alpha, repr(alpha))
+
+
+@lru_cache(maxsize=8)
+def _shared_conformal(alpha: tuple, exact: str) -> Case1ConformalModel:
+    # keyed on the repr too: a constant -0.0 equals 0.0 but keeps its sign in the tables
+    return Case1ConformalModel(NeumannConstants(alpha=alpha))
 
 
 def curvature_closed(spec: SystemSpec, point=None):
@@ -188,7 +199,9 @@ def curvature_closed(spec: SystemSpec, point=None):
         x2 = m.q2(u2)
         if np.any(x1 - x2 < 1e-9 * np.maximum(1.0, np.abs(x1))):
             raise DegeneratePoint(f"metric degenerate at ({u1}, {u2})")
-        k = -spec.a3 / 4.0 + spec.quartic.a0 / (8.0 * (x1 + x2) ** 3)
+        s = x1 + x2
+        # s * s * s, not s ** 3: numpy's float power rounds by the SIMD loop it dispatches to
+        k = -spec.a3 / 4.0 + spec.quartic.a0 / (8.0 * (s * s * s))
         return float(k) if np.ndim(k) == 0 else k
     raise ValueError(f"no closed curvature for family {spec.family}")
 
@@ -305,15 +318,18 @@ def _torus_area(model: EllipticModel, n: int) -> float:
 
 
 def _neumann_area(constants: NeumannConstants, n: int) -> float:
+    # The midpoint double sum of (q1 - q2) r1 r2, r1 = (q1 - a3)^-1/2 and
+    # r2 = (a1 - q2)^-1/2, separates in O(n) with q1 - q2 = (q1 - a2) + (a2 - q2),
+    # q1 - a2 = (a1 - a2) sin^2 t and a2 - q2 = (a2 - a3) cos^2 t: every summand is
+    # positive, where q1 r1 sum(r2) - sum(r1) q2 r2 would cancel.
     a1, a2, a3 = constants.alpha
     h = (math.pi / 2.0) / n
-    t1 = (np.arange(n) + 0.5) * h
-    t2 = (np.arange(n) + 0.5) * h
-    q1 = a2 + (a1 - a2) * np.sin(t1) ** 2
-    q2 = a3 + (a2 - a3) * np.sin(t2) ** 2
-    den = np.sqrt(np.outer(q1 - a3, a1 - q2))
-    integrand = (q1[:, None] - q2[None, :]) / den
-    return float(8.0 * h * h * np.sum(integrand))
+    t = (np.arange(n) + 0.5) * h
+    sin2, cos2 = np.sin(t) ** 2, np.cos(t) ** 2
+    r1 = 1.0 / np.sqrt((a2 - a3) + (a1 - a2) * sin2)
+    r2 = 1.0 / np.sqrt(a1 - (a3 + (a2 - a3) * sin2))
+    total = np.sum((a1 - a2) * sin2 * r1) * np.sum(r2) + np.sum(r1) * np.sum((a2 - a3) * cos2 * r2)
+    return float(8.0 * h * h * total)
 
 
 def neumann_to_cartesian(c: NeumannConstants, q1: float, q2: float, signs=(1, 1, 1)):

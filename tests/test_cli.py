@@ -732,6 +732,14 @@ def test_csv_writer_bytes_match_the_value_by_value_form(tmp_path, capsys):
     path = tmp_path / "t.csv"
     _write_csv(path, "a,b,c", table)
     assert path.read_text() == "a,b,c\n" + _old_csv_rows(table)
+    # each block formatted at once: tables that end at, before and after a
+    # 256-row block edge, and narrow and wide rows
+    tables = [(rows, 3) for rows in (1, 255, 256, 257, 512)] + [(300, 1), (300, 11)]
+    for rows, cols in tables:
+        table = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-20, 20, (rows, cols))
+        header = ",".join(f"c{j}" for j in range(cols))
+        _write_csv(path, header, table)
+        assert path.read_text() == header + "\n" + _old_csv_rows(table), (rows, cols)
     # the subcommands' files: each value re-formatted by the oracle, byte for byte
     runs = [
         ("simulate", CASE2, ["--t-end", "0.5"], "simulate.csv"),
@@ -899,3 +907,67 @@ def test_e3_csv_does_not_depend_on_the_blas_kernel(tmp_path, family):
         csvs[core] = (out / "simulate.csv").read_bytes()
     assert csvs["Prescott"] == csvs["default"]
     assert csvs["Haswell"] == csvs["default"]
+
+
+def _dispatched_simd_groups() -> list:
+    """The groups above numpy's baseline that it dispatches to on this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [group for group in __cpu_dispatch__ if __cpu_features__.get(group)]
+
+
+# Runs one CLI call after it checks which SIMD groups numpy reports on:
+# argv = the groups, "on" or "off", then the CLI's argv.
+_SIMD_CHILD = """
+import sys
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+groups, state = sys.argv[1].split(","), sys.argv[2]
+assert all(__cpu_features__[g] == (state == "on") for g in groups), (state, __cpu_features__)
+from monopole_lab.cli import main
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+def test_metric_check_does_not_depend_on_numpy_simd_dispatch(tmp_path):
+    # K_closed's cube is s * s * s: numpy's float power rounded (x1 + x2) ** 3
+    # by the SIMD loop it dispatched to (AVX-512 apart from AVX2 and baseline)
+    groups = _dispatched_simd_groups()
+    if not groups:
+        pytest.skip("numpy dispatches to no SIMD group above its baseline on this CPU")
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k not in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")}
+    env["PYTHONPATH"] = str(root / "src")
+    runs = {}
+    for state in ("on", "off"):
+        run_env = env if state == "on" else dict(env, NPY_DISABLE_CPU_FEATURES=",".join(groups))
+        (tmp_path / state).mkdir()
+        argv = ["metric-check", "--config", str(root / "demos" / "configs" / "case2.json"), "--out", "out"]
+        done = subprocess.run(
+            [sys.executable, "-c", _SIMD_CHILD, ",".join(groups), state, *argv],
+            cwd=tmp_path / state, capture_output=True, text=True, env=run_env, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, ""), state
+        runs[state] = (done.stdout, (tmp_path / state / "out" / "metric_check.csv").read_bytes())
+    assert runs["off"] == runs["on"]
+
+
+def test_shared_conformal_tables_write_a_fresh_process_bytes(tmp_path, capsys, monkeypatch):
+    # metric-check on case1 reads the conformal model shared per alpha: two calls
+    # in one process write the bytes of a fresh process's first call
+    root = Path(__file__).resolve().parents[1]
+    argv = ["metric-check", "--config", str(root / "demos" / "configs" / "case1.json"), "--out", "out"]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    fresh = subprocess.run([sys.executable, "-m", "monopole_lab.cli", *argv], cwd=tmp_path,
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert fresh.returncode == 0, fresh.stderr
+    want = (fresh.stdout, (tmp_path / "out" / "metric_check.csv").read_bytes())
+    for call in ("first", "second"):
+        (tmp_path / call).mkdir()
+        monkeypatch.chdir(tmp_path / call)
+        assert main(argv) == 0
+        assert (capsys.readouterr().out, (tmp_path / call / "out" / "metric_check.csv").read_bytes()) == want, call

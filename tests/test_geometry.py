@@ -380,6 +380,78 @@ def test_area_needs_an_integral_rule(canonical_model, case1):
     assert area == geo.area_and_flux(canonical_model, 1.0, 256)["area"]
 
 
+def _neumann_area_outer(alpha, n: int) -> float:
+    """The Clebsch midpoint rule as the full n x n double sum: the oracle."""
+    a1, a2, a3 = alpha
+    h = (math.pi / 2.0) / n
+    t = (np.arange(n) + 0.5) * h
+    q1 = a2 + (a1 - a2) * np.sin(t) ** 2
+    q2 = a3 + (a2 - a3) * np.sin(t) ** 2
+    integrand = (q1[:, None] - q2[None, :]) / np.sqrt(np.outer(q1 - a3, a1 - q2))
+    return float(8.0 * h * h * np.sum(integrand))
+
+
+def _clebsch_panel():
+    """Fixed constants, and seeded descending triples whose two gaps are within a
+    factor 10 of each other (a gap far smaller than the other needs a larger rule)."""
+    rng = np.random.default_rng(36)
+    panel = [(3.0, 2.0, 1.0), (3.0, 2.0, -1.0), (10.0, 2.0, 1.0), (1e3, 2.0, 1.0), (5.0, -1.0, -4.0)]
+    for _ in range(61):
+        a3, g1, g2 = rng.uniform(-5.0, 5.0), *rng.uniform(0.5, 5.0, 2)
+        panel.append((a3 + g2 + g1, a3 + g2, a3))
+    return panel
+
+
+def test_clebsch_area_is_4pi_to_round_off():
+    # the separable O(n) sum has only positive terms: within 2 ulp of 4 pi
+    for alpha in _clebsch_panel():
+        for n in (256, 512, 1024):
+            area = geo.area_and_flux(geo.NeumannConstants(alpha), 1.0, n)["area"]
+            assert abs(area - 4.0 * math.pi) <= 2.0 * math.ulp(4.0 * math.pi), (alpha, n, area)
+
+
+def test_clebsch_area_matches_the_double_sum():
+    # at a coarse rule, where the quadrature error shows, the same rule as the n x n sum
+    for alpha in _clebsch_panel():
+        area = geo.area_and_flux(geo.NeumannConstants(alpha), 1.0, 64)["area"]
+        oracle = _neumann_area_outer(alpha, 64)
+        assert abs(area - oracle) <= 1e-15 * abs(oracle), (alpha, area, oracle)
+
+
+def test_clebsch_area_memory_is_linear_in_n():
+    # a few length-n arrays at a time, never an n x n one (32 GB at this n)
+    import tracemalloc
+
+    n = 1 << 16
+    tracemalloc.start()
+    try:
+        res = geo.area_and_flux(geo.NeumannConstants((3.0, 2.0, 1.0)), 0.5, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * n, peak
+    assert res["nearest_integer"] == 1 and res["gap"] < 1e-14
+
+
+def test_conformal_case1_is_shared_per_alpha():
+    shared = geo.conformal_case1((3, 2, 1))
+    assert geo.conformal_case1([3.0, 2, 1]) is shared
+    assert geo.conformal_case1(np.array([3.0, 2.0, 1.0])) is shared
+    # -0.0 equals 0.0 but is another key: its model keeps the sign
+    neg, pos = geo.conformal_case1((1.0, -0.0, -1.0)), geo.conformal_case1((1.0, 0.0, -1.0))
+    assert neg is not pos
+    assert math.copysign(1.0, neg.constants.alpha[1]) == -1.0
+    assert math.copysign(1.0, pos.constants.alpha[1]) == 1.0
+    # the class builds a model of its own, with the same tables
+    own = geo.Case1ConformalModel(geo.NeumannConstants((3.0, 2.0, 1.0)))
+    assert own is not shared
+    u1, u2 = np.linspace(0.1, 0.9, 7) * own.K1, np.linspace(0.1, 0.9, 7) * own.K2
+    assert (own.K1, own.K2) == (shared.K1, shared.K2)
+    assert own.lam(u1, u2).tobytes() == shared.lam(u1, u2).tobytes()
+    with pytest.raises(ValueError, match="descending"):
+        geo.conformal_case1((1.0, 2.0, 3.0))
+
+
 # --- elliptic coordinates on the sphere -----------------------------------------
 
 def test_neumann_identities():
