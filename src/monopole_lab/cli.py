@@ -3,7 +3,9 @@
 Every run is driven by a JSON config (see demos/configs/) plus a few flags; outputs
 are deterministic given the config and seed.  Exit codes: 0 all thresholds met,
 1 numerical breach, 2 configuration error or refused geometry.  SCHEMA is the
-config schema, which `monopole-lab <subcommand> --help` lists.
+config schema, which `monopole-lab <subcommand> --help` lists.  Each call reads and
+parses its config; the spec is built once per config text in the process
+(_shared_spec), so the calls on one config share it and the flow built for it.
 """
 
 from __future__ import annotations
@@ -172,11 +174,19 @@ def spec_from_config(cfg: dict) -> SystemSpec:
     return spec
 
 
+@functools.lru_cache(maxsize=8)
+def _shared_spec(text: str) -> SystemSpec:
+    """The spec of the config whose JSON text is `text`, built once per text in the process, as
+    the model is per quartic: each call on one config then finds its flow in _flow_parts' slot.
+    A config that is refused is not kept, and raises again on every call."""
+    return spec_from_config(json.loads(text))
+
+
 def _read_config(args) -> tuple[SystemSpec, dict]:
     """The spec of --config, of a family the subcommand takes, and each value of the subcommand's
     scope by its path, with a flag (whose dest is that path) in place of the key it stands for."""
-    cfg = _load_config(args.config)
-    spec = spec_from_config(cfg)
+    text, cfg = _load_config(args.config)
+    spec = _shared_spec(text)
     _take_family(args.command, spec.family.value)
     got, flags = {}, vars(args)
     for path in SCHEMA.get(args.command, ()):
@@ -191,22 +201,26 @@ def _take_family(command: str, fam: str) -> None:
         raise ConfigError(f"{command} takes {' and '.join(fams)} configs, not {fam}")
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str) -> tuple[str, dict]:
+    """The text of the config file at `path` and the JSON object it holds."""
     try:
         with open(path) as fh:
-            value = json.load(fh)
+            text = fh.read()
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8 text
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(value, dict):  # the config itself is an object too
         raise ConfigError(f"{json.dumps(path)} = {json.dumps(value)}: must be an object")
-    return value
+    return text, value
 
 
 def _out_dir(args) -> Path:
     """The --out directory, made if it is absent; one that cannot be made is a ConfigError."""
     out = Path(args.out)
+    if out.is_dir():
+        return out
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a regular file, or a path under one
@@ -216,7 +230,8 @@ def _out_dir(args) -> Path:
 
 def _write_csv(path: Path, header: str, table: np.ndarray) -> None:
     """The header, then each row of the 2-d float table, each value as FMT, a
-    block of rows at a time, formatted by one % over the block's values.  An
+    block of rows at a time, formatted by one % over the block's values and
+    written to the file's descriptor as bytes.  An
     existing file is rewritten in place: on ext4, a file truncated to 0 bytes
     (open's "w") or renamed over starts its writeback at close()
     (auto_da_alloc).  It is cut to 1 byte first, so no old row is left even by
@@ -226,13 +241,22 @@ def _write_csv(path: Path, header: str, table: np.ndarray) -> None:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except OSError as exc:  # a directory, or no write permission
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
-    with open(fd, "w") as fh:
+    try:
         if os.fstat(fd).st_size > 1:  # 0 for a new file; a pipe or /dev/null cannot be cut
             os.ftruncate(fd, 1)
-        fh.write(header + "\n")
+        _write_all(fd, (header + "\n").encode())
         for start in range(0, len(table), 256):
             block = table[start : start + 256]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            _write_all(fd, (row * len(block) % tuple(block.ravel().tolist())).encode())
+    finally:
+        os.close(fd)
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    """Every byte of data to fd, at as many os.write calls as the file takes."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +264,7 @@ def _write_csv(path: Path, header: str, table: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_roots(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config)[1]
     cfg = cfg if "geometry" in cfg else {"geometry": cfg}  # a bare case2 geometry is a config too
     if "family" in cfg:
         _take_family(args.command, _get(cfg, "family"))
@@ -303,16 +327,27 @@ def cmd_metric_check(args) -> int:
     return 0 if worst <= got["--tol"] else 1
 
 
+_HEADERS = {}  # (state type, monitor names) -> the header of simulate's CSV
+
+
+def _simulate_header(s0, monitors: tuple) -> str:
+    """t, the state's fields in order, a vector field numbered from 1 (M1, M2, M3), then the
+    monitors: built on the first trajectory of each state type and monitor names."""
+    key = (type(s0), monitors)
+    if key not in _HEADERS:
+        columns = ["t"]
+        for name, value in vars(s0).items():
+            columns += [name] if np.ndim(value) == 0 else [f"{name}{i}" for i in range(1, len(value) + 1)]
+        _HEADERS[key] = ",".join(columns + list(monitors))
+    return _HEADERS[key]
+
+
 def _simulate_one(spec: SystemSpec, t_end: float, tol: float, stride: int, seed: int, path: Path) -> dict:
     rng = np.random.default_rng(seed)
     s0 = dyn.random_state(spec, rng)
     traj = dyn.integrate(spec, s0, t_end=t_end, tol=tol, stride=stride)
-    # the state's fields in order, a vector field numbered from 1 (M1, M2, M3)
-    columns = ["t"]
-    for name, value in vars(s0).items():
-        columns += [name] if np.ndim(value) == 0 else [f"{name}{i}" for i in range(1, len(value) + 1)]
     rows = np.column_stack([traj.times, traj.states, *traj.monitors.values()])
-    _write_csv(path, ",".join(columns + list(traj.monitors)), rows)
+    _write_csv(path, _simulate_header(s0, tuple(traj.monitors)), rows)
     drifts = {}
     for key, series in traj.monitors.items():
         scale = max(1.0, abs(float(series[0])))

@@ -971,3 +971,79 @@ def test_shared_conformal_tables_write_a_fresh_process_bytes(tmp_path, capsys, m
         monkeypatch.chdir(tmp_path / call)
         assert main(argv) == 0
         assert (capsys.readouterr().out, (tmp_path / call / "out" / "metric_check.csv").read_bytes()) == want, call
+
+
+def test_csv_writer_finishes_short_writes(tmp_path, monkeypatch):
+    # os.write may take fewer bytes than it is given: the writer writes the
+    # rest, so a file written 7 bytes at a time has the bytes of one written whole
+    from monopole_lab import cli
+
+    table = np.random.default_rng(11).standard_normal((300, 3))
+    whole, short = tmp_path / "whole.csv", tmp_path / "short.csv"
+    cli._write_csv(whole, "a,b,c", table)
+    write, sizes = os.write, []
+
+    def short_write(fd, data):
+        sizes.append(min(len(data), 7))
+        return write(fd, data[:7])
+
+    monkeypatch.setattr(os, "write", short_write)
+    cli._write_csv(short, "a,b,c", table)
+    assert short.read_bytes() == whole.read_bytes()
+    assert sum(sizes) == whole.stat().st_size and max(sizes) == 7
+
+
+def test_config_text_builds_its_spec_once_per_process(tmp_path, capsys, monkeypatch):
+    # two calls on one config build its spec once (the second call takes the
+    # spec the first built) and write the same bytes
+    from monopole_lab import cli
+
+    built = []
+
+    def spy(cfg):
+        built.append(cfg)
+        return spec_from_config(cfg)
+
+    monkeypatch.setattr(cli, "spec_from_config", spy)
+    cli._shared_spec.cache_clear()
+    cfg = _write(tmp_path, dict(CASE2, integrator=dict(CASE2["integrator"], t_end=0.5)))
+    runs = []
+    for out in ("first", "second"):
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+        runs.append((capsys.readouterr().out, (tmp_path / out / "simulate.csv").read_bytes()))
+    assert len(built) == 1
+    assert runs[0] == runs[1]
+
+
+def test_config_rewritten_between_calls_is_read_again(tmp_path, capsys):
+    # the spec is shared by the config's text, not its path: a config file
+    # rewritten with another mu writes the bytes of a fresh process's run of it
+    cfg = dict(CASE2, integrator=dict(CASE2["integrator"], t_end=0.5))
+    path = _write(tmp_path, cfg)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "before")]) == 0
+    _write(tmp_path, dict(cfg, mu=0.4))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "after")]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    fresh = subprocess.run([sys.executable, "-m", "monopole_lab.cli", "simulate", "--config", path, "--out",
+                            str(tmp_path / "fresh")], capture_output=True, text=True, env=env, timeout=60)
+    assert fresh.returncode == 0, fresh.stderr
+    after = (tmp_path / "after" / "simulate.csv").read_bytes()
+    assert after == (tmp_path / "fresh" / "simulate.csv").read_bytes()
+    assert after != (tmp_path / "before" / "simulate.csv").read_bytes()
+
+
+def test_malformed_config_is_refused_on_every_call(tmp_path, capsys):
+    # a refused config is not kept: each call on it exits 2 with the same line
+    path = _write(tmp_path, {"family": "case1", "geometry": {"alpha": [3, 2]}})
+    errors = []
+    for _ in range(2):
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        errors.append(captured.err)
+    assert errors[0] == errors[1] and errors[0].startswith('config error: "alpha"')
+
+
+def test_spec_from_config_builds_a_new_spec_per_call():
+    first, second = spec_from_config(CASE2), spec_from_config(CASE2)
+    assert first == second and first is not second
