@@ -219,8 +219,6 @@ def _load_config(path: str) -> tuple[str, dict]:
 def _out_dir(args) -> Path:
     """The --out directory, made if it is absent; one that cannot be made is a ConfigError."""
     out = Path(args.out)
-    if out.is_dir():
-        return out
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a regular file, or a path under one

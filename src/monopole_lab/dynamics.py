@@ -111,11 +111,8 @@ class PhaseState:
     p1: float
     p2: float
 
-    def as_tuple(self) -> tuple:
-        return self.u1, self.u2, self.p1, self.p2
-
     def as_array(self) -> np.ndarray:
-        return np.array(self.as_tuple())
+        return np.array([self.u1, self.u2, self.p1, self.p2])
 
 
 @dataclass(frozen=True)
@@ -135,11 +132,8 @@ class E3State:
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "x", x)
 
-    def as_tuple(self) -> tuple:
-        return self.M + self.x
-
     def as_array(self) -> np.ndarray:
-        return np.array(self.as_tuple())
+        return np.array(self.M + self.x)
 
 
 @dataclass
@@ -756,7 +750,7 @@ def integrate(
         nu = _dot(state0.M, state0.x)
 
     times = [0.0]
-    states = [state0.as_tuple()]  # one array of them at the end
+    states = [state0.as_array()]
     vals = monitors(state0)
     mon = [[v] for v in vals]
     lo, hi = list(vals), list(vals)  # the running extremes over every accepted step
@@ -777,7 +771,7 @@ def integrate(
                 hi[i] = v
         if n_accepted % stride == 0 or t >= t_end - 1e-14:
             times.append(t)
-            states.append(state.as_tuple())
+            states.append(state.as_array())
             for series, v in zip(mon, vals):
                 series.append(v)
     return Trajectory(

@@ -1,4 +1,10 @@
-"""The CLI's outputs against the golden digests of tests/golden.json (see tests/golden.py)."""
+"""The CLI's outputs against the golden digests of tests/golden.json (see tests/golden.py).
+
+An entry is recorded on one machine.  Where no entry matches the Python and
+numpy minors the test skips and says why; where one matches on another
+machine, its first run there shows whether that CPU and libm give the same
+bytes.
+"""
 
 import json
 
