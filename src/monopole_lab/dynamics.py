@@ -44,12 +44,16 @@ and (M, x) = nu exactly.
 
 For each family _flow packs the state into its integration variables y and
 names its right-hand side (_torus_rhs on the torus and the cylinder, _e3_rhs),
-the exact gradient of F in y and the unpacking (_torus_state, the cylinder's
-p1 restored, and the Casimir projection _project_e3, which builds its E3State
-from the floats it computed).  All but the packing are built once per spec
-and kept until a flow of another spec (_flow_parts).  flow_step steps every
-family on them, and hf_bracket reads {F, H} = grad F . dy/dt, the rate of
-change of F along H's flow.
+grad F in y and the unpacking (_torus_state, the cylinder's p1 restored, and
+the Casimir projection _project_e3, which builds its E3State from the floats
+it computed).  The torus, Clebsch and VY (H, F) are each written once, in y
+and in arithmetic that also takes a complex y (_torus_hf, _clebsch_hf,
+_vy_hf): the monitors evaluate them at the state's y, and grad F is their
+complex step (_complex_step_grad_f), exact to round-off.  The cylinder's
+F = p1 = w1 + A1(u2), A1 not in y, has a closed form of one line.  All but
+the packing are built once per spec and kept until a flow of another spec
+(_flow_parts).  flow_step steps every family on them, and hf_bracket reads
+{F, H} = grad F . dy/dt, the rate of change of F along H's flow.
 
 The integrator is Hairer's DOP853, an explicit Runge-Kutta method of order 8
 with embedded error estimates of orders 5 and 3 (Hairer, Norsett & Wanner,
@@ -76,6 +80,7 @@ the fold gives the bits of the Haswell kernel's dot on every CPU.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -171,18 +176,21 @@ def torus_eval(spec: SystemSpec, s: PhaseState) -> tuple[float, float]:
     lam = x1 * x1 - x2 * x2
     if lam < 1e-10 * m.beta[0] ** 2:
         raise FixedPointSingularity(f"lam = {lam:.3e} at ({s.u1}, {s.u2})")
-    w1, w2 = s.p1, s.p2 - spec.B * g
-    H = (w1 * w1 + w2 * w2) / lam + spec.mu / (x1 + x2)
-    return float(H), _torus_f(spec, w1, w2, x1, d1, x2, d2)
+    H, F = _torus_hf(spec, (s.u1, s.u2, s.p1, s.p2 - spec.B * g, x1, d1, x2, d2))
+    return float(H), float(F)
 
 
-def _torus_f(spec: SystemSpec, w1, w2, x1, d1, x2, d2) -> float:
-    """F of the module docstring in w = p - A(u) and the slices (Q1, Q1', Q2, Q2')."""
+def _torus_hf(spec: SystemSpec, y) -> tuple:
+    """(H, F) of the module docstring in y = (u1, u2, w1, w2, Q1, Q1', Q2, Q2'),
+    w = p - A(u); neither reads u but through the slices."""
+    _, _, w1, w2, x1, d1, x2, d2 = y
     k = spec.k
-    quad = (x2 * x2 * w1 * w1 + x1 * x1 * w2 * w2) / (x1 * x1 - x2 * x2)
+    lam = x1 * x1 - x2 * x2
+    H = (w1 * w1 + w2 * w2) / lam + spec.mu / (x1 + x2)
+    quad = (x2 * x2 * w1 * w1 + x1 * x1 * w2 * w2) / lam
     linear = 2.0 * k * (d2 * w1 - d1 * w2) / (x1 - x2)
     scal = -spec.mu * x1 * x2 / (x1 + x2) - k * spec.B * (x1 + x2) ** 2
-    return float(quad + linear + scal)
+    return H, quad + linear + scal
 
 
 def _torus_rhs(mu, b, k1, c3, c1, c0):
@@ -215,31 +223,6 @@ def _torus_state(spec: SystemSpec, y: tuple, _nu) -> PhaseState:
     """The state of the torus variables y = (u1, u2, w1, w2, ...): p = w + A(u)."""
     u1, u2, w1, w2 = y[:4]
     return PhaseState(u1=u1, u2=u2, p1=w1, p2=w2 + spec.B * spec.model.at(u1, u2)[4])
-
-
-def _torus_grad_f(spec: SystemSpec, y: tuple) -> tuple:
-    """grad F in y = (u1, u2, w1, w2, Q1, Q1', Q2, Q2') for the F of :func:`_torus_f`,
-    in closed form: F reads u only through the slices, so dF/du = 0.  With
-    lam = Q1^2 - Q2^2 and L = 2 k (Q2' w1 - Q1' w2) / (Q1 - Q2) its linear term,
-    dL/dQ1 = -L / (Q1 - Q2) and dL/dQ2 = L / (Q1 - Q2)."""
-    _, _, w1, w2, x1, d1, x2, d2 = y
-    gap = x1 - x2
-    if abs(gap) < 1e-9 * max(1.0, abs(x1)):
-        raise DegeneratePoint(f"x1 = x2: min |Q1 - Q2| = {abs(gap):.3e}")
-    lam, ssum = x1 * x1 - x2 * x2, x1 + x2
-    quad = (x2 * x2 * w1 * w1 + x1 * x1 * w2 * w2) / lam
-    kg = 2.0 * spec.k / gap
-    dl = kg * (d2 * w1 - d1 * w2) / gap
-    nmu, dscal = -spec.mu / ssum**2, -2.0 * spec.k * spec.B * ssum
-    return (
-        0.0, 0.0,
-        2.0 * x2 * x2 * w1 / lam + kg * d2,
-        2.0 * x1 * x1 * w2 / lam - kg * d1,
-        2.0 * x1 * (w2 * w2 - quad) / lam - dl + nmu * x2 * x2 + dscal,
-        -kg * w2,
-        2.0 * x2 * (w1 * w1 + quad) / lam + dl + nmu * x1 * x1 + dscal,
-        kg * w1,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +427,25 @@ def clebsch_eval(spec: SystemSpec, s: E3State) -> tuple[float, float]:
     """H = |M|^2 - mu sum alpha_i x_i^2 and its quadratic partner integral."""
     if spec.family != Family.CASE_I:
         raise ValueError("clebsch_eval needs a CASE_I spec")
+    return _clebsch_hf(spec, s.M + s.x)
+
+
+def _clebsch_hf(spec: SystemSpec, y) -> tuple:
+    """(H, F) of :func:`clebsch_eval` in y = (M, x)."""
     a1, a2, a3 = spec.alpha
     mu = spec.mu
-    M0, M1, M2 = s.M
-    x0, x1, x2 = s.x
-    H = _dot(s.M, s.M) - mu * (a1 * x0**2 + a2 * x1**2 + a3 * x2**2)
+    M0, M1, M2, x0, x1, x2 = y
+    H = (M0 * M0 + M1 * M1 + M2 * M2) - mu * (a1 * x0**2 + a2 * x1**2 + a3 * x2**2)
     F = a1 * M0**2 + a2 * M1**2 + a3 * M2**2 + mu * (a2 * a3 * x0**2 + a1 * a3 * x1**2 + a1 * a2 * x2**2)
     return H, F
 
 
-def _vy_r(spec: SystemSpec, q, qn: float) -> float:
+def _sqrt(x):
+    """math.sqrt of a float, cmath.sqrt of a complex (for a complex step)."""
+    return cmath.sqrt(x) if isinstance(x, complex) else math.sqrt(x)
+
+
+def _vy_r(spec: SystemSpec, q, qn):
     """R(q) of :func:`vy_eval`; qn = |q| is the caller's."""
     va, vb = spec.vy_a, spec.vy_b
     q0, q1, q2 = q
@@ -469,21 +461,31 @@ def vy_eval(spec: SystemSpec, s: E3State) -> tuple[float, float]:
     """
     if spec.family != Family.VY:
         raise ValueError("vy_eval needs a VY spec")
-    M, q = s.M, s.x
-    va, vb = spec.vy_a, spec.vy_b
-    qn = math.sqrt(_dot(q, q))
-    R = _vy_r(spec, q, qn)
+    qn = math.sqrt(_dot(s.x, s.x))
+    R = _vy_r(spec, s.x, qn)
     if R < 1e-12 * max(1.0, qn**2):
         raise DegeneratePoint(f"R(q) = {R:.3e}")
-    sab = math.sqrt(va * vb)
-    H = 0.5 * _dot(M, M) - spec.mu * qn / math.sqrt(R)
-    F = (
-        va * M[0] ** 2
-        + vb * M[1] ** 2
-        + (2.0 * sab / qn) * _dot(M, q) * M[2]
-        - 2.0 * spec.mu * sab * q[2] / math.sqrt(R)
-    )
+    return _vy_hf(spec, s.M + s.x)
+
+
+def _vy_hf(spec: SystemSpec, y) -> tuple:
+    """(H, F) of :func:`vy_eval` in y = (M, q)."""
+    M0, M1, M2, q0, q1, q2 = y
+    qn = _sqrt(q0 * q0 + q1 * q1 + q2 * q2)
+    sab, sqR = math.sqrt(spec.vy_a * spec.vy_b), _sqrt(_vy_r(spec, y[3:], qn))
+    H = 0.5 * (M0 * M0 + M1 * M1 + M2 * M2) - spec.mu * qn / sqR
+    F = (spec.vy_a * M0**2 + spec.vy_b * M1**2 + (2.0 * sab / qn) * (M0 * q0 + M1 * q1 + M2 * q2) * M2
+         - 2.0 * spec.mu * sab * q2 / sqR)
     return H, F
+
+
+def _complex_step_grad_f(hf, spec: SystemSpec, y: tuple) -> tuple:
+    """grad F at y of the F of hf(spec, y) = (H, F), by complex step:
+    dF/dy_k = Im F(y + i h e_k) / h with h = 1e-200.  It subtracts nothing,
+    so it is exact to round-off for an F whose arithmetic takes a complex y
+    (Squire & Trapp, SIAM Rev. 40 (1998) 110).  Only the imaginary part is
+    read: CPython's complex division does not round as float division does."""
+    return tuple(hf(spec, y[:k] + (y[k] + 1e-200j,) + y[k + 1:])[1].imag / 1e-200 for k in range(len(y)))
 
 
 def _e3_rhs(spec: SystemSpec):
@@ -523,36 +525,6 @@ def _e3_rhs(spec: SystemSpec):
                 M1 * q2 - M2 * q1, M2 * q0 - M0 * q2, M0 * q1 - M1 * q0)
 
     return rhs
-
-
-def _clebsch_grad_f(spec: SystemSpec, y: tuple) -> tuple:
-    """grad F in y = (M, x) for F = sum a_i M_i^2 + mu (a2 a3 x1^2 + a1 a3 x2^2 + a1 a2 x3^2)."""
-    a1, a2, a3 = spec.alpha
-    M, x = y[:3], y[3:]
-    c = 2.0 * spec.mu
-    return (
-        2.0 * a1 * M[0], 2.0 * a2 * M[1], 2.0 * a3 * M[2], c * a2 * a3 * x[0], c * a1 * a3 * x[1], c * a1 * a2 * x[2]
-    )
-
-
-def _vy_grad_f(spec: SystemSpec, y: tuple) -> tuple:
-    """grad F in y = (M, q) for the F of :func:`vy_eval`; with c = 2 sqrt(AB)/|q|,
-    dF/dM = (2A M1, 2B M2, 0) + c M3 q + c (M, q) e_z and
-    dF/dq = c M3 (M - (M, q) q/|q|^2) + mu sqrt(AB) (q3 R^-3/2 grad R - 2/sqrt(R) e_z),
-    grad R as in the right-hand side."""
-    M0, M1, M2, q0, q1, q2 = y
-    va, vb, mu = spec.vy_a, spec.vy_b, spec.mu
-    sab, qn = math.sqrt(va * vb), math.sqrt(q0 * q0 + q1 * q1 + q2 * q2)
-    R = _vy_r(spec, y[3:], qn)
-    c, mq, two_sab = 2.0 * sab / qn, M0 * q0 + M1 * q1 + M2 * q2, 2.0 * sab
-    cm, qn2, musab, r32 = c * M2, qn**2, mu * sab, q2 * R**-1.5
-    return (
-        2.0 * va * M0 + cm * q0, 2.0 * vb * M1 + cm * q1, cm * q2 + c * mq,
-        cm * (M0 - mq * q0 / qn2) + musab * (r32 * (2.0 * vb * q0 - two_sab * (q2 * q0 / qn))),
-        cm * (M1 - mq * q1 / qn2) + musab * (r32 * (2.0 * va * q1 - two_sab * (q2 * q1 / qn))),
-        cm * (M2 - mq * q2 / qn2)
-        + musab * (r32 * (2.0 * (va + vb) * q2 - two_sab * (q2 * q2 / qn + qn)) - 2.0 / math.sqrt(R)),
-    )
 
 
 def _project_e3(_spec: SystemSpec, y: tuple, nu: float) -> E3State:
@@ -650,8 +622,14 @@ def _build_flow_parts(spec: SystemSpec) -> tuple:
             x1, d1, x2, d2, g = model.at(s.u1, s.u2)
             return (s.u1, s.u2, s.p1, s.p2 - B * g, x1, d1, x2, d2), _torus_state
 
+        def grad_f(spec, y):  # F is singular at Q1 = Q2
+            gap = y[4] - y[6]
+            if abs(gap) < 1e-9 * max(1.0, abs(y[4])):
+                raise DegeneratePoint(f"x1 = x2: min |Q1 - Q2| = {abs(gap):.3e}")
+            return _complex_step_grad_f(_torus_hf, spec, y)
+
         rhs = _torus_rhs(spec.mu, B, 1.0, 0.5 * a3, 0.25 * a2, 0.125 * a0)
-        return PhaseState, (pack, rhs, _torus_grad_f, 4, ())
+        return PhaseState, (pack, rhs, grad_f, 4, ())
     if spec.family == Family.CASE_II_LIMIT:
         # Pt(x) = -(x - beta1)^2 (x - beta3)(x - beta4); c0 makes Pt'(beta1)/8
         # an exact 0, so the Q1 rows are exact zeros and Q1 stays beta1
@@ -668,7 +646,7 @@ def _build_flow_parts(spec: SystemSpec) -> tuple:
         rhs = _torus_rhs(spec.mu, -b_over_c, 0.25 * lm.c, c3, c1, -((c3 * b1 * b1 + c1) * b1))
         grad_f = lambda _spec, y: (0.0, b_over_c * (y[4] * y[4] - y[6] * y[6]), 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         return PhaseState, (pack, rhs, grad_f, 4, (4, 5))
-    grad_f = _clebsch_grad_f if spec.family == Family.CASE_I else _vy_grad_f
+    grad_f = functools.partial(_complex_step_grad_f, _clebsch_hf if spec.family == Family.CASE_I else _vy_hf)
     return E3State, (lambda s: (s.M + s.x, _project_e3), _e3_rhs(spec), grad_f, 6, ())
 
 

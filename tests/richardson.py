@@ -74,7 +74,7 @@ def flow_terms(spec, s, f_of_y, h: float = 1e-4) -> np.ndarray:
 def torus_f_of_y(spec):
     """The torus F as a function of y = (u1, u2, w1, w2, Q1, Q1', Q2, Q2'):
     the monitors' F in w and the carried slices, which does not read u."""
-    return lambda y: dyn._torus_f(spec, *y[2:])
+    return lambda y: dyn._torus_hf(spec, y)[1]
 
 
 def e3_f_of_y(spec, ev):

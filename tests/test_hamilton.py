@@ -6,6 +6,8 @@ reparametrisation y' -> f(y) y' with f > 0; this check does not.  The gap of
 near its singular locus (the torus fixed point u = 0, the far cylinder where
 lam2 -> 0, a Coulomb centre) is bounded from a measured panel, and a
 rescaled right-hand side or a flipped B exceeds that bound by 10^4 or more.
+On e(3)* the same panel is also checked with grad H by complex step, which
+leaves only round-off and so sees a mu off by 1e-10.
 """
 
 import dataclasses
@@ -90,3 +92,33 @@ def test_mutated_rhs_fails_the_bound(mutant):
     make, bound = SPECS[name]
     spec = make()
     assert _worst(spec, make_rhs(spec)) >= 1e4 * bound
+
+
+# e(3)* with grad H by complex step, dH/dy_k = Im H(y + i h e_k) / h at
+# h = 1e-200, which subtracts nothing: the gap is that of the rates' round-off
+# alone.  Worst measured on the panel: 5.6e-16 (case1) and 1.2e-14 (vy, at the
+# state 0.03 off a Coulomb centre); a mu scaled by 1 + 1e-10 reads 1.0e-10 on
+# both, which the Richardson bounds above cannot see
+EXACT_E3 = {"case1": (dyn._clebsch_hf, 5e-15), "vy": (dyn._vy_hf, 1e-13)}
+
+
+def _exact_e3_gap(spec, hf, s, rhs=None) -> float:
+    """The largest gap between rhs(y) and the Lie-Poisson rates M' = grad_M H x M
+    + grad_x H x x, x' = grad_M H x x of the H of hf at y = (M, x), relative to
+    the largest rate."""
+    y, flow_rhs, *_ = dyn._flow(spec, s)
+    g = np.array([hf(spec, y[:k] + (y[k] + 1e-200j,) + y[k + 1 :])[0].imag / 1e-200 for k in range(6)])
+    M, x = np.array(y[:3]), np.array(y[3:])
+    want = np.concatenate([np.cross(g[:3], M) + np.cross(g[3:], x), np.cross(g[:3], x)])
+    got = np.array((rhs or flow_rhs)(y))
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", list(EXACT_E3))
+def test_e3_rhs_is_exactly_lie_poisson_of_its_h(name):
+    hf, bound = EXACT_E3[name]
+    spec = SPECS[name][0]()
+    panel = _panel(spec)
+    assert max(_exact_e3_gap(spec, hf, s) for s in panel) <= bound
+    scaled_mu = dyn._e3_rhs(dataclasses.replace(spec, mu=spec.mu * (1.0 + 1e-10)))
+    assert max(_exact_e3_gap(spec, hf, s, scaled_mu) for s in panel) >= 100 * bound
